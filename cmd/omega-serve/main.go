@@ -26,7 +26,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registered on DefaultServeMux, served via -debug-addr
 	"os"
@@ -160,12 +162,14 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ln, err := listen(*addr, os.Stderr,
+		fmt.Sprintf("%d nodes, %d edges; %d workers, queue %d", g.NumNodes(), g.NumEdges(), *workers, *queue))
+	if err != nil {
+		fatal(err)
+	}
+	httpSrv := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
-	fmt.Fprintf(os.Stderr, "omega-serve: listening on %s (%d nodes, %d edges; %d workers, queue %d)\n",
-		*addr, g.NumNodes(), g.NumEdges(), *workers, *queue)
+	go func() { errCh <- httpSrv.Serve(ln) }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -188,6 +192,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "omega-serve: drain: %v\n", err)
 	}
 	fmt.Fprintln(os.Stderr, "omega-serve: bye")
+}
+
+// listen binds addr and logs the address it bound, not the one it was given:
+// with ":0" the kernel picks the port, and the log line is how a caller that
+// asked for any free port learns where the server is.
+func listen(addr string, logw io.Writer, what string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(logw, "omega-serve: listening on %s (%s)\n", ln.Addr(), what)
+	return ln, nil
+}
+
+// newHTTPServer wraps the query handler. Response writes are bounded per
+// flush by the handler itself (stall budget / request deadline), so there is
+// no blanket WriteTimeout to cut a long healthy stream; ReadHeaderTimeout
+// keeps a client that never finishes its request from holding a connection.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 }
 
 // loadData mirrors cmd/omega's dataset selection.

@@ -75,7 +75,7 @@ func (pq *PreparedQuery) Exec(ctx context.Context, opts ExecOptions) (*Rows, err
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{it: ex, closer: ex, g: pq.g, trace: opts.Trace}, nil
+	return &Rows{ex: ex, g: pq.g, trace: opts.Trace}, nil
 }
 
 // Query returns the compiled query (after any conjunct reordering). The
@@ -112,18 +112,20 @@ func (r Row) String() string {
 // Rows iterates query results in non-decreasing total distance. A Rows is
 // for one goroutine; it is not safe for concurrent use.
 //
-// Error contract: once Next returns a non-nil error the error is sticky —
-// every subsequent Next returns (Row{}, false, sameErr) — so a Collect or
-// ForEach caller can always distinguish exhaustion (nil error) from failure.
-// After Close, Next returns ErrClosed (or the earlier terminal error).
+// Error contract: once Next or NextBatch returns a non-nil error the error is
+// sticky — every subsequent call returns it again — so a Collect or ForEach
+// caller can always distinguish exhaustion (nil error) from failure. After
+// Close, they return ErrClosed (or the earlier terminal error).
 type Rows struct {
-	it     core.QueryIterator
-	closer interface{ Close() error }
+	ex     *core.Execution
 	g      *Graph
 	trace  *obs.Trace // the request's trace when ExecOptions.Trace was set
 	err    error
 	closed bool
-	chunk  []string // backing store for row labels, carved per row
+	chunk  []string // backing store for the labels of rows Next hands out, carved per row
+
+	batch  []core.QueryAnswer // NextBatch's pull buffer
+	labels []string           // batch-owned label storage, overwritten by every NextBatch
 }
 
 // TraceSummary snapshots the execution's trace as a span tree. It returns nil
@@ -147,22 +149,33 @@ func (r *Rows) carveLabels(w int) []string {
 	return r.chunk[off : off+w : off+w]
 }
 
+// usable reports the sticky error, or ErrClosed after Close.
+func (r *Rows) usable() error {
+	if r.err == nil && r.closed {
+		r.err = ErrClosed
+	}
+	return r.err
+}
+
+// fail makes err sticky and releases the execution.
+func (r *Rows) fail(err error) error {
+	r.err = err
+	_ = r.Close()
+	return err
+}
+
 // Next returns the next row in non-decreasing distance. ok=false with a nil
 // error means the result stream is exhausted (resources are released
-// automatically at that point); a non-nil error is sticky.
+// automatically at that point); a non-nil error is sticky. The row is the
+// caller's to keep: Next is a batch of one (see NextBatch) copied out of the
+// batch storage.
 func (r *Rows) Next() (Row, bool, error) {
-	if r.err != nil {
-		return Row{}, false, r.err
-	}
-	if r.closed {
-		r.err = ErrClosed
-		return Row{}, false, r.err
-	}
-	a, ok, err := r.it.Next()
-	if err != nil {
-		r.err = err
-		_ = r.Close()
+	if err := r.usable(); err != nil {
 		return Row{}, false, err
+	}
+	a, ok, err := r.ex.Next()
+	if err != nil {
+		return Row{}, false, r.fail(err)
 	}
 	if !ok {
 		return Row{}, false, nil
@@ -173,6 +186,49 @@ func (r *Rows) Next() (Row, bool, error) {
 		row.Labels[i] = r.g.NodeLabel(n)
 	}
 	return row, true, nil
+}
+
+// NextBatch is the block-at-a-time pull that Next, Collect and ForEach sit
+// on: it blocks until the next row exists, then adds only rows that are ready
+// without further evaluation, up to len(dst), and returns how many it stored.
+// An exhaustive scan on the bulk backend hands over the rest of its current
+// 64-source block this way; a ranked APPROX/RELAX stream, whose next answer
+// is always more search, yields one row per call. So a batch shorter than
+// len(dst) means the engine has gone back to work — the moment a server
+// should flush what it holds. 0 with a nil error means the stream is
+// exhausted (resources are released by then); errors are sticky as for Next.
+//
+// Aliasing: the rows' Nodes and Labels slices point into storage the Rows
+// owns and overwrites on the next NextBatch or Next call. Encode or copy a
+// batch before pulling the next one; rows that must outlive the call come
+// from Next, which copies.
+func (r *Rows) NextBatch(dst []Row) (int, error) {
+	if err := r.usable(); err != nil {
+		return 0, err
+	}
+	if cap(r.batch) < len(dst) {
+		r.batch = make([]core.QueryAnswer, len(dst))
+	}
+	n, err := r.ex.NextBatch(r.batch[:len(dst)])
+	if err != nil {
+		return 0, r.fail(err)
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	w := len(r.batch[0].Nodes)
+	if need := len(dst) * w; cap(r.labels) < need {
+		r.labels = make([]string, need)
+	}
+	for i := range r.batch[:n] {
+		a := &r.batch[i]
+		labels := r.labels[i*w : (i+1)*w : (i+1)*w]
+		for j, nd := range a.Nodes {
+			labels[j] = r.g.NodeLabel(nd)
+		}
+		dst[i] = Row{Vars: a.Head, Nodes: a.Nodes, Labels: labels, Dist: int(a.Dist)}
+	}
+	return n, nil
 }
 
 // Collect pulls up to limit rows (limit ≤ 0 means all). A non-nil error
@@ -236,10 +292,7 @@ func (r *Rows) ForEach(ctx context.Context, fn func(Row) error) error {
 // release failure (spill-file removal) is reported as a typed ErrSpill.
 func (r *Rows) Close() error {
 	r.closed = true
-	if r.closer == nil {
-		return nil
-	}
-	return r.closer.Close()
+	return r.ex.Close()
 }
 
 // Abort terminates the execution with err and releases its resources,
@@ -257,13 +310,7 @@ func (r *Rows) Abort(err error) {
 		r.err = err
 	}
 	r.closed = true
-	if a, ok := r.closer.(interface{ Abort(error) }); ok {
-		a.Abort(err)
-		return
-	}
-	if r.closer != nil {
-		_ = r.closer.Close()
-	}
+	r.ex.Abort(err)
 }
 
 // Stats reports the execution's evaluation counters: tuples popped, deferred
@@ -273,10 +320,7 @@ func (r *Rows) Abort(err error) {
 // after Close — they are how a server logs per-request work without reaching
 // into internals.
 func (r *Rows) Stats() Stats {
-	if sr, ok := r.it.(core.StatsReporter); ok {
-		return sr.Stats()
-	}
-	return Stats{}
+	return r.ex.Stats()
 }
 
 // Query evaluates a parsed query: Prepare + Exec in one shot, with no

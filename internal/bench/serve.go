@@ -276,7 +276,7 @@ func closedLoop(pq *omega.PreparedQuery, pool *omega.EvalPool, workers, clients,
 					func(ctx context.Context) (*omega.Rows, error) {
 						return pq.Exec(ctx, omega.ExecOptions{Limit: top, Pool: pool})
 					},
-					func(omega.Row) error { return nil })
+					func([]omega.Row, bool) error { return nil })
 				if err != nil && !errors.Is(err, omega.ErrMemBudget) {
 					errCh <- err
 					return

@@ -35,10 +35,8 @@ type bulkIterator struct {
 	par    *bulk.ParRun    // parallel path (Parallelism > 1 and > 1 block)
 	seen   *dstruct.U64Set // pair de-dup across alternands; nil for one automaton
 
-	pairs []bulk.Pair // current block, emitted in place (single automaton)
+	pairs []bulk.Pair // current block (after seen-filtering), handed out in place
 	pi    int
-	buf   []Answer // current block after seen-filtering (multi-automaton)
-	bi    int
 
 	tuples  atomic.Int64 // product lane-bits set, against Options.MaxTuples
 	lastMem int64        // bytes accounted by the serial run
@@ -60,25 +58,37 @@ func newBulkIterator(ctx context.Context, p *conjunctPlan, opts *Options) *bulkI
 	return b
 }
 
-// Next implements Iterator with the sticky-error contract of the ranked
-// evaluators: after an error or exhaustion, further calls keep reporting it.
+// Next implements Iterator: a batch of one out of nextPairs.
 func (b *bulkIterator) Next() (Answer, bool, error) {
+	ps, err := b.nextPairs(1)
+	if len(ps) == 0 {
+		return Answer{}, false, err
+	}
+	return Answer{Src: ps[0].Src, Dst: ps[0].Dst}, true, nil
+}
+
+// nextPairs is the bulk backend's batch pull: it blocks until the current
+// lane block has an answer (evaluating further blocks as needed) and then
+// hands over up to max of that block's remaining pairs, all at distance 0,
+// straight out of the run's pair buffer — the slice is valid until the next
+// call. It never starts another block to fill a batch, so a short return
+// means the next pair costs a BFS. An empty slice with a nil error is
+// exhaustion; errors are sticky, as in the ranked evaluators.
+func (b *bulkIterator) nextPairs(max int) ([]bulk.Pair, error) {
 	for {
 		if b.failed != nil {
-			return Answer{}, false, b.failed
+			return nil, b.failed
 		}
 		if b.pi < len(b.pairs) {
-			p := b.pairs[b.pi]
-			b.pi++
-			return Answer{Src: p.Src, Dst: p.Dst}, true, nil
-		}
-		if b.bi < len(b.buf) {
-			a := b.buf[b.bi]
-			b.bi++
-			return a, true, nil
+			ps := b.pairs[b.pi:]
+			if len(ps) > max {
+				ps = ps[:max]
+			}
+			b.pi += len(ps)
+			return ps, nil
 		}
 		if b.done {
-			return Answer{}, false, nil
+			return nil, nil
 		}
 		if b.run == nil && b.par == nil {
 			ix := b.bulkIdx()
@@ -99,7 +109,7 @@ func (b *bulkIterator) Next() (Answer, bool, error) {
 		}
 		if err != nil {
 			b.fail(err)
-			return Answer{}, false, b.failed
+			return nil, b.failed
 		}
 		if !ok {
 			// This automaton is exhausted; fold its counters and move on.
@@ -108,25 +118,23 @@ func (b *bulkIterator) Next() (Answer, bool, error) {
 			if b.autIdx >= len(b.plan.auts) {
 				b.done = true
 				b.release()
-				return Answer{}, false, nil
+				return nil, nil
 			}
 			continue
 		}
-		if b.seen == nil {
-			// Single automaton: pairs are already globally distinct, so the
-			// block is emitted straight out of the run's buffer (valid until
-			// the next NextBlock call, which only happens after it drains).
-			b.pairs, b.pi = pairs, 0
-			continue
-		}
-		b.buf = b.buf[:0]
-		b.bi = 0
-		for _, p := range pairs {
-			if !b.seen.Add(packPair(p.Src, p.Dst)) {
-				continue
+		if b.seen != nil {
+			// Several alternand automata: keep each pair's first occurrence,
+			// compacting in place (the block is ours until the next
+			// NextBlock call, which only happens after it drains).
+			kept := pairs[:0]
+			for _, p := range pairs {
+				if b.seen.Add(packPair(p.Src, p.Dst)) {
+					kept = append(kept, p)
+				}
 			}
-			b.buf = append(b.buf, Answer{Src: p.Src, Dst: p.Dst})
+			pairs = kept
 		}
+		b.pairs, b.pi = pairs, 0
 	}
 }
 
@@ -296,8 +304,6 @@ func (b *bulkIterator) release() {
 	}
 	b.pairs = nil
 	b.pi = 0
-	b.buf = nil
-	b.bi = 0
 }
 
 // Close implements the resource-release contract; subsequent Next calls

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"omega/internal/bulk"
 	"omega/internal/dstruct"
 	"omega/internal/graph"
 	"omega/internal/ontology"
@@ -104,29 +105,20 @@ func (d *projDedup) add(nodes []graph.NodeID) bool {
 // iterator already guarantees distinct rows (the bulk backend with an
 // injective projection).
 type singleConjunct struct {
-	q       *Query
-	it      Iterator
-	dedup   *projDedup
-	hmap    []uint8 // per head position: 0 = conjunct Src, 1 = Dst (built lazily)
-	scratch []graph.NodeID
-	chunk   []graph.NodeID // backing store for emitted rows, carved per answer
+	q     *Query
+	it    Iterator
+	bulk  *bulkIterator // it, when it is the bulk backend unwrapped: the one source of multi-row batches
+	dedup *projDedup
+	hmap  []uint8        // per head position: 0 = conjunct Src, 1 = Dst (built lazily)
+	one   [1]bulk.Pair   // a row-at-a-time iterator's answer, as a batch of one
+	nodes []graph.NodeID // batch-owned row storage, overwritten by every NextBatch
 }
 
-// carve returns a fresh w-wide row slice cut from the chunk, allocating a new
-// 64-row chunk when the current one is full: emitted rows escape to the
-// caller, so they cannot reuse one buffer, but they can share large ones —
-// one allocation per 64 rows instead of one per row. Slices are full-capacity
-// bounded, so no append through a returned row can touch its neighbours.
-func (s *singleConjunct) carve(w int) []graph.NodeID {
-	if len(s.chunk)+w > cap(s.chunk) {
-		s.chunk = make([]graph.NodeID, 0, 64*w)
-	}
-	off := len(s.chunk)
-	s.chunk = s.chunk[:off+w]
-	return s.chunk[off : off+w : off+w]
-}
-
-func (s *singleConjunct) Next() (QueryAnswer, bool, error) {
+// NextBatch blocks for the conjunct's next answer, then projects whatever
+// else it has ready — the rest of the bulk backend's current lane block; from
+// every ranked driver and merger nothing, their next answer is more search,
+// so a batch of one — into dst. Rows alias s.nodes.
+func (s *singleConjunct) NextBatch(dst []QueryAnswer) (int, error) {
 	if s.hmap == nil {
 		// Resolve each head position to a conjunct endpoint once; the
 		// per-answer loop is then two indexed stores, not string compares.
@@ -139,30 +131,55 @@ func (s *singleConjunct) Next() (QueryAnswer, bool, error) {
 			case c.Object.IsVar && c.Object.Name == h:
 				hmap[i] = 1
 			default:
-				return QueryAnswer{}, false, fmt.Errorf("core: head variable not bound by conjunct")
+				return 0, fmt.Errorf("core: head variable not bound by conjunct")
 			}
 		}
 		s.hmap = hmap
-		s.scratch = make([]graph.NodeID, len(s.q.Head))
+	}
+	head, w := s.q.Head, len(s.hmap)
+	if need := len(dst) * w; cap(s.nodes) < need {
+		s.nodes = make([]graph.NodeID, need)
 	}
 	for {
-		a, ok, err := s.it.Next()
-		if !ok || err != nil {
-			return QueryAnswer{}, false, err
-		}
-		for i, m := range s.hmap {
-			if m == 0 {
-				s.scratch[i] = a.Src
-			} else {
-				s.scratch[i] = a.Dst
+		var pairs []bulk.Pair
+		var dist int32
+		if s.bulk != nil {
+			ps, err := s.bulk.nextPairs(len(dst))
+			if len(ps) == 0 {
+				return 0, err
 			}
+			pairs = ps
+		} else {
+			a, ok, err := s.it.Next()
+			if !ok || err != nil {
+				return 0, err
+			}
+			s.one[0] = bulk.Pair{Src: a.Src, Dst: a.Dst}
+			pairs, dist = s.one[:], a.Dist
 		}
-		if s.dedup != nil && !s.dedup.add(s.scratch) {
-			continue
+		n := 0
+		for _, p := range pairs {
+			// Project straight into the row's slot; a duplicate leaves the
+			// slot to the next pair. Full-capacity bounded, so no append
+			// through a row can touch its neighbour.
+			row := s.nodes[n*w : (n+1)*w : (n+1)*w]
+			for i, m := range s.hmap {
+				if m == 0 {
+					row[i] = p.Src
+				} else {
+					row[i] = p.Dst
+				}
+			}
+			if s.dedup != nil && !s.dedup.add(row) {
+				continue
+			}
+			d := &dst[n]
+			d.Head, d.Nodes, d.Dist = head, row, dist
+			n++
 		}
-		nodes := s.carve(len(s.scratch))
-		copy(nodes, s.scratch)
-		return QueryAnswer{Head: s.q.Head, Nodes: nodes, Dist: a.Dist}, true, nil
+		if n > 0 {
+			return n, nil
+		}
 	}
 }
 

@@ -317,13 +317,14 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 	switch {
 	case len(q.Conjuncts) == 1:
 		sc := &singleConjunct{q: q, it: ex.its[0]}
+		sc.bulk, _ = ex.its[0].(*bulkIterator)
 		// The bulk backend emits set-distinct (Src, Dst) pairs; with an
 		// injective head projection the rows are already unique and the
 		// per-row dedup probe (a third of bulk's per-answer cost) is waste.
 		if ex.backends[0] != BackendBulk || !injectiveProjection(q) {
 			sc.dedup = newProjDedup(len(q.Head))
 		}
-		ex.join = sc
+		ex.single = sc
 	case p.opts.HashRankJoin:
 		hq, err := newHRJNQuery(q, ex.its)
 		if err != nil {
@@ -339,14 +340,15 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 
 // Execution is one run of a prepared query: a QueryIterator with
 // deterministic resource release (Close) and per-run Limit/MaxDist
-// accounting. After an error, Next keeps returning the same error (sticky);
-// after Close, Next returns ErrClosed.
+// accounting. After an error, Next and NextBatch keep returning the same
+// error (sticky); after Close, they return ErrClosed.
 type Execution struct {
 	opts Options // this run's options; evaluators hold a pointer into this field
 
-	its      []Iterator // conjunct-level iterators (the resource owners)
-	backends []Backend  // per-conjunct engine choice, for Stats.Backend
-	join     QueryIterator
+	its      []Iterator      // conjunct-level iterators (the resource owners)
+	backends []Backend       // per-conjunct engine choice, for Stats.Backend
+	single   *singleConjunct // single-conjunct executions: the batch-native row source
+	join     QueryIterator   // multi-conjunct executions: a rank join, one row per pull
 	ctx      context.Context
 
 	limit   int
@@ -359,8 +361,10 @@ type Execution struct {
 	closeErr error
 	released bool
 
+	chunk []graph.NodeID // backing store for rows Next hands out, carved per row
+
 	// Tracing (all zero-valued and inert when the execution is untraced —
-	// the per-row cost is the single e.n == 1 compare in Next).
+	// the per-batch cost is the single e.n == 0 compare in NextBatch).
 	started   time.Time
 	ttfr      time.Duration
 	tr        *obs.Trace
@@ -370,19 +374,55 @@ type Execution struct {
 
 // Next returns the next answer in non-decreasing total distance, honouring
 // the execution's context, Limit and MaxDist. When it reports ok=false or an
-// error, the execution's resources have already been released.
+// error, the execution's resources have already been released. It is a batch
+// of one out of NextBatch, copied so the row may outlive the next call.
 func (e *Execution) Next() (QueryAnswer, bool, error) {
+	var one [1]QueryAnswer
+	n, err := e.NextBatch(one[:])
+	if n == 0 {
+		return QueryAnswer{}, false, err
+	}
+	a := one[0]
+	if e.single != nil {
+		// The row aliases the conjunct's batch storage; rows from Next escape
+		// to the caller, so they cannot reuse one buffer, but they can share
+		// large ones — one allocation per 64 rows instead of one per row.
+		// (A join's rows are freshly allocated already.)
+		w := len(a.Nodes)
+		if len(e.chunk)+w > cap(e.chunk) {
+			e.chunk = make([]graph.NodeID, 0, 64*w)
+		}
+		off := len(e.chunk)
+		e.chunk = append(e.chunk, a.Nodes...)
+		a.Nodes = e.chunk[off : off+w : off+w]
+	}
+	return a, true, nil
+}
+
+// NextBatch is the batch pull every other way of draining an execution sits
+// on. It blocks until the next answer exists, then adds only answers that are
+// ready without further evaluation — the rest of the bulk backend's current
+// lane block; a ranked evaluator, a merger or a join always yields one — up
+// to len(dst), clipped to what Limit and MaxDist leave, and returns how many
+// it stored. The context is checked once per call. 0 with a nil error means
+// the stream is exhausted (resources are released by then); errors are
+// sticky.
+//
+// Aliasing: the rows' Nodes slices point into storage the execution owns and
+// overwrites on the next NextBatch or Next call. A caller that keeps a row
+// beyond that must copy its Nodes (Next does).
+func (e *Execution) NextBatch(dst []QueryAnswer) (int, error) {
 	if e.closed {
 		if e.err != nil {
-			return QueryAnswer{}, false, e.err
+			return 0, e.err
 		}
-		return QueryAnswer{}, false, ErrClosed
+		return 0, ErrClosed
 	}
 	if e.err != nil {
-		return QueryAnswer{}, false, e.err
+		return 0, e.err
 	}
-	if e.done {
-		return QueryAnswer{}, false, nil
+	if e.done || len(dst) == 0 {
+		return 0, nil
 	}
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
@@ -401,30 +441,57 @@ func (e *Execution) Next() (QueryAnswer, bool, error) {
 			} else {
 				e.release()
 			}
-			return QueryAnswer{}, false, e.err
+			return 0, e.err
 		}
 	}
-	if e.limit > 0 && e.n >= e.limit {
-		e.done = true
-		e.release()
-		return QueryAnswer{}, false, nil
+	if e.limit > 0 {
+		left := e.limit - e.n
+		if left <= 0 {
+			e.done = true
+			e.release()
+			return 0, nil
+		}
+		if len(dst) > left {
+			dst = dst[:left]
+		}
 	}
-	a, ok, err := e.join.Next()
+	// The row source: the single conjunct's batch pull, or one row of the
+	// rank join (its next row is another join round, never ready).
+	var n int
+	var err error
+	if e.single != nil {
+		n, err = e.single.NextBatch(dst)
+	} else {
+		var ok bool
+		if dst[0], ok, err = e.join.Next(); ok {
+			n = 1
+		}
+	}
 	if err != nil {
 		e.err = err
 		e.release()
-		return QueryAnswer{}, false, err
+		return 0, err
 	}
-	if !ok || (e.maxDist > 0 && a.Dist > e.maxDist) {
-		e.done = true
-		e.release()
-		return QueryAnswer{}, false, nil
+	if e.maxDist > 0 {
+		// Emission is non-decreasing, so the first over-budget row ends the
+		// stream; the rows before it in this batch are still answers.
+		for i := 0; i < n; i++ {
+			if dst[i].Dist > e.maxDist {
+				n = i
+				e.done = true
+				break
+			}
+		}
 	}
-	e.n++
-	if e.n == 1 {
+	if n > 0 && e.n == 0 {
 		e.ttfr = time.Since(e.started)
 	}
-	return a, true, nil
+	e.n += n
+	if n == 0 || e.done {
+		e.done = true
+		e.release()
+	}
+	return n, nil
 }
 
 // finishSpans stamps each conjunct span with its iterator's final counters and
@@ -522,7 +589,9 @@ func (e *Execution) Abort(err error) {
 // track per-conjunct stats, matching OpenQuery's historical behaviour).
 func (e *Execution) Stats() Stats {
 	var s Stats
-	if sr, ok := e.join.(StatsReporter); ok {
+	if e.single != nil {
+		s = e.single.Stats()
+	} else if sr, ok := e.join.(StatsReporter); ok {
 		s = sr.Stats()
 	}
 	s.Backend = backendsLabel(e.backends)

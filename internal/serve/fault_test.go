@@ -41,13 +41,13 @@ func TestWorkerRecoversPanicInSink(t *testing.T) {
 		func(ctx context.Context) (*omega.Rows, error) {
 			return pq.Exec(ctx, omega.ExecOptions{Pool: pool})
 		},
-		func(omega.Row) error {
+		eachRow(func(omega.Row) error {
 			n++
 			if n == 3 {
 				panic("sink corrupted")
 			}
 			return nil
-		})
+		}))
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want wrapped ErrInternal", err)
 	}
@@ -66,7 +66,7 @@ func TestWorkerRecoversPanicInSink(t *testing.T) {
 		func(ctx context.Context) (*omega.Rows, error) {
 			return pq.Exec(ctx, omega.ExecOptions{Limit: 10, Pool: pool})
 		},
-		func(omega.Row) error { return nil })
+		discardRows)
 	if err != nil || res.Rows != 10 {
 		t.Fatalf("post-panic request: rows=%d err=%v", res.Rows, err)
 	}
@@ -85,7 +85,7 @@ func TestWorkerRecoversInjectedPanic(t *testing.T) {
 		func(ctx context.Context) (*omega.Rows, error) {
 			return pq.Exec(ctx, omega.ExecOptions{})
 		},
-		func(omega.Row) error { return nil })
+		discardRows)
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want wrapped ErrInternal", err)
 	}
@@ -98,7 +98,7 @@ func TestWorkerRecoversInjectedPanic(t *testing.T) {
 		func(ctx context.Context) (*omega.Rows, error) {
 			return pq.Exec(ctx, omega.ExecOptions{Limit: 5})
 		},
-		func(omega.Row) error { return nil })
+		discardRows)
 	if err != nil || res.Rows != 5 {
 		t.Fatalf("post-panic request: rows=%d err=%v", res.Rows, err)
 	}
@@ -119,7 +119,7 @@ func TestWatchdogAbortsStalledQuery(t *testing.T) {
 		func(ctx context.Context) (*omega.Rows, error) {
 			return pq.Exec(ctx, omega.ExecOptions{})
 		},
-		func(omega.Row) error { return nil })
+		discardRows)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want wrapped ErrStalled", err)
 	}
@@ -136,7 +136,7 @@ func TestWatchdogAbortsStalledQuery(t *testing.T) {
 		func(ctx context.Context) (*omega.Rows, error) {
 			return pq.Exec(ctx, omega.ExecOptions{Limit: 5})
 		},
-		func(omega.Row) error { return nil })
+		discardRows)
 	if err != nil || res.Rows != 5 {
 		t.Fatalf("post-stall request: rows=%d err=%v", res.Rows, err)
 	}
@@ -164,11 +164,11 @@ func TestDegradedModeDetection(t *testing.T) {
 			func(ctx context.Context) (*omega.Rows, error) {
 				return pq.Exec(ctx, omega.ExecOptions{Limit: 1})
 			},
-			func(omega.Row) error {
+			eachRow(func(omega.Row) error {
 				close(started)
 				<-block
 				return nil
-			})
+			}))
 		done <- err
 	}()
 	<-started
@@ -181,7 +181,7 @@ func TestDegradedModeDetection(t *testing.T) {
 			func(ctx context.Context) (*omega.Rows, error) {
 				return pq.Exec(ctx, omega.ExecOptions{})
 			},
-			func(omega.Row) error { return nil })
+			discardRows)
 		if !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("rejection %d: err = %v, want ErrOverloaded", i, err)
 		}
@@ -222,11 +222,11 @@ func TestDegradedModeExits(t *testing.T) {
 			func(ctx context.Context) (*omega.Rows, error) {
 				return pq.Exec(ctx, omega.ExecOptions{Limit: 1})
 			},
-			func(omega.Row) error {
+			eachRow(func(omega.Row) error {
 				close(started)
 				<-block
 				return nil
-			})
+			}))
 		done <- err
 	}()
 	<-started
@@ -235,7 +235,7 @@ func TestDegradedModeExits(t *testing.T) {
 			func(ctx context.Context) (*omega.Rows, error) {
 				return pq.Exec(ctx, omega.ExecOptions{})
 			},
-			func(omega.Row) error { return nil })
+			discardRows)
 		if !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("rejection %d: err = %v, want ErrOverloaded", i, err)
 		}
@@ -275,7 +275,7 @@ func TestSchedulerGapHistogram(t *testing.T) {
 		func(ctx context.Context) (*omega.Rows, error) {
 			return pq.Exec(ctx, omega.ExecOptions{Limit: 50})
 		},
-		func(omega.Row) error { return nil })
+		discardRows)
 	if err != nil || res.Rows != 50 {
 		t.Fatalf("rows=%d err=%v", res.Rows, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"omega"
@@ -28,6 +29,11 @@ type serverMetrics struct {
 	ttfr      *obs.HistogramVec // omega_request_ttfr_seconds{backend}
 	queueWait *obs.Histogram    // omega_request_queue_wait_seconds
 	compile   *obs.Histogram    // omega_request_compile_seconds
+
+	// /query response bodies, counted at every write (see rowWriter.flush).
+	respRows    atomic.Int64 // omega_serve_response_rows_total
+	respFlushes atomic.Int64 // omega_serve_response_flushes_total
+	respBytes   atomic.Int64 // omega_serve_response_bytes_total
 }
 
 // buildInfo resolves the module version, VCS revision and Go version baked
@@ -224,7 +230,23 @@ func newServerMetrics(s *Server) *serverMetrics {
 			emit(m.compile.Snapshot())
 		})
 
+	// Response bodies: rows per flush and bytes per row are the two ratios
+	// that show whether the flush rule is doing its job.
+	r.Counter("omega_serve_response_rows_total", "Answer rows written to /query responses.",
+		func() float64 { return float64(m.respRows.Load()) })
+	r.Counter("omega_serve_response_flushes_total", "Writes (each flushed to the socket) of /query response bodies.",
+		func() float64 { return float64(m.respFlushes.Load()) })
+	r.Counter("omega_serve_response_bytes_total", "Bytes written to /query response bodies, terminal lines included.",
+		func() float64 { return float64(m.respBytes.Load()) })
+
 	return m
+}
+
+// observeFlush records one write of a /query response body.
+func (m *serverMetrics) observeFlush(rows, bytes int) {
+	m.respRows.Add(int64(rows))
+	m.respFlushes.Add(1)
+	m.respBytes.Add(int64(bytes))
 }
 
 // backendLabel keeps the backend label well-formed for requests that died

@@ -114,6 +114,9 @@ func TestMetricszGolden(t *testing.T) {
 		"omega_request_ttfr_seconds",
 		"omega_request_queue_wait_seconds",
 		"omega_request_compile_seconds",
+		"omega_serve_response_rows_total",
+		"omega_serve_response_flushes_total",
+		"omega_serve_response_bytes_total",
 	} {
 		if _, ok := fams[name]; !ok {
 			t.Errorf("family %s missing from /metricsz", name)
@@ -130,6 +133,17 @@ func TestMetricszGolden(t *testing.T) {
 	}
 	if v := counterValue(fams, "omega_plan_cache_hits_total", nil); v < 3 {
 		t.Errorf("omega_plan_cache_hits_total = %v, want >= 3 (same query repeated)", v)
+	}
+	// Four ranked top-5 responses: every row leaves in its own write, and the
+	// done line in one more.
+	if v := counterValue(fams, "omega_serve_response_rows_total", nil); v != 20 {
+		t.Errorf("omega_serve_response_rows_total = %v, want 20", v)
+	}
+	if v := counterValue(fams, "omega_serve_response_flushes_total", nil); v != 24 {
+		t.Errorf("omega_serve_response_flushes_total = %v, want 24 (20 rows + 4 done lines)", v)
+	}
+	if v := counterValue(fams, "omega_serve_response_bytes_total", nil); v < 20*40 {
+		t.Errorf("omega_serve_response_bytes_total = %v, want at least 40 bytes a row", v)
 	}
 	if v := counterValue(fams, "omega_build_info", map[string]string{}); v != 1 {
 		t.Errorf("omega_build_info = %v, want 1", v)

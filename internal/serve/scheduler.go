@@ -91,8 +91,9 @@ type SchedulerConfig struct {
 	// requests are in flight.
 	Queue int
 	// Quantum is the number of rows a request streams per scheduling turn
-	// (default 64). Smaller quanta interleave concurrent requests more
-	// finely; larger ones reduce switching overhead.
+	// (default 64), pulled in batches of whatever the engine has ready.
+	// Smaller quanta interleave concurrent requests more finely; larger ones
+	// reduce switching overhead.
 	Quantum int
 	// Timeout, when positive, is the default per-request deadline applied to
 	// requests whose context has none.
@@ -105,6 +106,9 @@ type SchedulerConfig struct {
 	// completion) for longer than the budget is aborted with ErrStalled. The
 	// budget is per turn, not per request — time spent waiting in the run
 	// queue between turns never counts, so a long queue cannot stall anyone.
+	// Cancellation cannot reach a sink blocked in a socket write; a sink
+	// bounds its own writes and reports the timeout as ErrStalled, which the
+	// scheduler counts like a watchdog abort.
 	StallBudget time.Duration
 	// DegradeAfter, when positive, arms degraded-mode detection: the
 	// scheduler reports Degraded() == true while the last DegradeAfter
@@ -170,11 +174,22 @@ type SchedulerStats struct {
 // 2^i microseconds, so the top bucket covers everything above ~2.2 hours.
 const gapBuckets = 34
 
+// Sink receives a request's rows a batch at a time, in ranked order, possibly
+// across several worker turns but never concurrently. The rows alias the
+// execution's batch storage (see omega.Rows.NextBatch): a sink encodes or
+// copies them before it returns. wait reports that whatever the sink holds
+// would otherwise sit on the server while something else runs, so a sink
+// that buffers pushes its buffer out: it is set on a batch that came back
+// short of what was asked (the engine has gone back to work for the next
+// row), and on the empty call that ends a turn when another request gets the
+// worker.
+type Sink func(rows []omega.Row, wait bool) error
+
 // task is one admitted request, cooperatively executed in row quanta.
 type task struct {
 	ctx   context.Context
 	start func(ctx context.Context) (*omega.Rows, error)
-	onRow func(omega.Row) error
+	sink  Sink
 
 	rows  *omega.Rows
 	n     int
@@ -188,7 +203,9 @@ type task struct {
 	quantumStart time.Time
 	stalled      bool
 
-	// lastRow / gaps track inter-row latency. They are touched only by the
+	// lastRow / gaps track inter-row latency, one clock reading per batch:
+	// the batch's first row takes the gap since the previous batch, the rows
+	// that came with it count as no gap at all. They are touched only by the
 	// worker currently running the task (the scheduler mutex orders worker
 	// hand-offs between turns); gaps is merged into the scheduler histogram
 	// at the end of every turn.
@@ -220,12 +237,12 @@ type Result struct {
 
 // Scheduler fairly drains many concurrent query executions over a bounded
 // worker pool. Each admitted request is executed in quanta of rows: a worker
-// picks the request at the head of the run queue, streams one quantum to the
-// request's sink, and re-queues it at the tail, so every in-flight request
-// makes progress regardless of how long its neighbours run — the scheduling
-// analogue of ranked emission's small per-answer delay. Admission is bounded:
-// beyond Workers+Queue in-flight requests, Stream rejects immediately with
-// ErrOverloaded rather than building an unbounded backlog.
+// picks the request at the head of the run queue, moves one quantum to the
+// request's sink in batches, and re-queues it at the tail, so every in-flight
+// request makes progress regardless of how long its neighbours run — the
+// scheduling analogue of ranked emission's small per-answer delay. Admission
+// is bounded: beyond Workers+Queue in-flight requests, Stream rejects
+// immediately with ErrOverloaded rather than building an unbounded backlog.
 type Scheduler struct {
 	cfg SchedulerConfig
 
@@ -266,14 +283,13 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 
 // Stream admits one request and blocks until it finishes: start is called on
 // a worker (once the request's first turn comes) to begin the execution, and
-// onRow receives every row in ranked order, possibly across several worker
-// turns but never concurrently. The returned error is nil on normal
-// exhaustion; an admission rejection surfaces as ErrOverloaded (with
-// *OverloadedError context) before start ever runs; cancellation and
+// sink receives every row in ranked order (see Sink). The returned error is
+// nil on normal exhaustion; an admission rejection surfaces as ErrOverloaded
+// (with *OverloadedError context) before start ever runs; cancellation and
 // deadline surface as omega.ErrCanceled / omega.ErrDeadline. Whatever the
 // exit path, the execution's Rows is closed before Stream returns — that is
 // the deterministic-release guarantee the HTTP layer relies on.
-func (s *Scheduler) Stream(ctx context.Context, start func(ctx context.Context) (*omega.Rows, error), onRow func(omega.Row) error) (Result, error) {
+func (s *Scheduler) Stream(ctx context.Context, start func(ctx context.Context) (*omega.Rows, error), sink Sink) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -291,7 +307,7 @@ func (s *Scheduler) Stream(ctx context.Context, start func(ctx context.Context) 
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	t := &task{
-		ctx: ctx, start: start, onRow: onRow, cancel: cancel,
+		ctx: ctx, start: start, sink: sink, cancel: cancel,
 		done:      make(chan struct{}),
 		submitted: time.Now(),
 		queueSpan: obs.NoSpan, streamSpan: obs.NoSpan,
@@ -323,9 +339,12 @@ func (s *Scheduler) Stream(ctx context.Context, start func(ctx context.Context) 
 	return Result{Rows: t.n, Stats: t.stats}, t.err
 }
 
-// worker executes one quantum at a time off the head of the run queue.
+// worker executes one quantum at a time off the head of the run queue. The
+// batch buffer is the worker's: rows live only until the sink returns, so one
+// buffer serves every request the worker ever runs.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
+	batch := make([]omega.Row, s.cfg.Quantum)
 	for {
 		s.mu.Lock()
 		for len(s.ready) == 0 && !(s.closed && s.inFlight == 0) {
@@ -344,7 +363,7 @@ func (s *Scheduler) worker() {
 		s.active[t] = struct{}{}
 		s.mu.Unlock()
 
-		finished := s.runQuantum(t)
+		finished := s.runQuantum(t, batch)
 
 		s.mu.Lock()
 		s.running--
@@ -358,10 +377,16 @@ func (s *Scheduler) worker() {
 		}
 		if finished {
 			// A watchdog abort surfaces from the evaluator as a context
-			// cancellation; report it as the typed stall it really is.
+			// cancellation; report it as the typed stall it really is. A sink
+			// whose write timed out reports the stall itself — the watchdog's
+			// cancellation cannot reach a blocked write — and is counted here
+			// unless the watchdog got to the turn first.
 			if t.stalled && t.err != nil &&
 				(errors.Is(t.err, omega.ErrCanceled) || errors.Is(t.err, omega.ErrDeadline)) {
 				t.err = &StalledError{Budget: s.cfg.StallBudget}
+			} else if !t.stalled && errors.Is(t.err, ErrStalled) {
+				t.stalled = true
+				s.stats.Stalled++
 			}
 			// Stamp the request-level timings into the stats snapshot the
 			// caller receives. The scheduler's TTFR (admission → sink) replaces
@@ -455,8 +480,10 @@ func (s *Scheduler) Degraded() bool {
 	return s.degraded(time.Now())
 }
 
-// recordGap buckets one inter-row gap into the task-local histogram.
-func (t *task) recordGap(now time.Time) {
+// recordGaps buckets a batch of n rows delivered at now into the task-local
+// histogram: one real gap, then n-1 rows that arrived with no gap between
+// them, added to the lowest bucket in one step.
+func (t *task) recordGaps(now time.Time, n int) {
 	if !t.lastRow.IsZero() {
 		us := now.Sub(t.lastRow).Microseconds()
 		idx := bits.Len64(uint64(us))
@@ -465,6 +492,7 @@ func (t *task) recordGap(now time.Time) {
 		}
 		t.gaps[idx]++
 	}
+	t.gaps[0] += int64(n - 1)
 	t.lastRow = now
 }
 
@@ -496,7 +524,7 @@ func (s *Scheduler) gapP99Locked() float64 {
 // recycled), and the worker goes back to serving its neighbours. One bad
 // request must never take the process, the worker, or a future request's
 // pooled state with it.
-func (s *Scheduler) runQuantum(t *task) (finished bool) {
+func (s *Scheduler) runQuantum(t *task, batch []omega.Row) (finished bool) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -545,35 +573,47 @@ func (s *Scheduler) runQuantum(t *task) (finished bool) {
 	if t.tr != nil {
 		qSpan = t.tr.Start(t.streamSpan, obs.SpanQuantum)
 	}
-	for i := 0; i < s.cfg.Quantum; i++ {
-		row, ok, err := t.rows.Next()
-		if err != nil {
-			t.err = err
-			t.endQuantumSpan(qSpan, rowsBefore)
-			s.finishRows(t)
-			return true
+	// finish ends the request: err (nil on exhaustion) becomes its outcome.
+	finish := func(err error) bool {
+		t.err = err
+		t.endQuantumSpan(qSpan, rowsBefore)
+		s.finishRows(t)
+		return true
+	}
+	for left := len(batch); left > 0; {
+		asked := left
+		n, err := t.rows.NextBatch(batch[:asked])
+		if n == 0 {
+			return finish(err)
 		}
-		if !ok {
-			t.endQuantumSpan(qSpan, rowsBefore)
-			s.finishRows(t)
-			return true
+		t.recordGaps(time.Now(), n)
+		left -= n
+		if err := t.sink(batch[:n], n < asked); err != nil {
+			return finish(err)
 		}
-		t.recordGap(time.Now())
-		if err := t.onRow(row); err != nil {
-			t.err = err
-			t.endQuantumSpan(qSpan, rowsBefore)
-			s.finishRows(t)
-			return true
-		}
-		t.n++
-		if t.n == 1 {
+		if t.n == 0 {
 			// Client-visible time to first row: admission to sink delivery,
 			// including the queue wait the engine-level figure cannot see.
 			t.ttfr = time.Since(t.submitted)
 		}
+		t.n += n
+	}
+	// The turn is over. If the worker goes to another request now, nothing
+	// may stay behind in the sink's buffer while it does.
+	if s.hasRunnable() {
+		if err := t.sink(nil, true); err != nil {
+			return finish(err)
+		}
 	}
 	t.endQuantumSpan(qSpan, rowsBefore)
 	return false // quantum exhausted; re-queue for the next turn
+}
+
+// hasRunnable reports whether another request is waiting for a worker.
+func (s *Scheduler) hasRunnable() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ready) > 0
 }
 
 // endQuantumSpan closes one turn's quantum span, stamping the rows it

@@ -27,6 +27,20 @@ func chainEngine(t *testing.T, n int) *omega.Engine {
 	return omega.NewEngine(b.Freeze(), nil)
 }
 
+// eachRow adapts a per-row callback to the scheduler's batch Sink.
+func eachRow(fn func(omega.Row) error) Sink {
+	return func(rows []omega.Row, _ bool) error {
+		for _, r := range rows {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+func discardRows([]omega.Row, bool) error { return nil }
+
 func prepared(t *testing.T, eng *omega.Engine, text string) *omega.PreparedQuery {
 	t.Helper()
 	pq, err := eng.PrepareText(text)
@@ -69,13 +83,13 @@ func TestSchedulerFairDraining(t *testing.T) {
 				func(ctx context.Context) (*omega.Rows, error) {
 					return pq.Exec(ctx, omega.ExecOptions{Limit: limit})
 				},
-				func(omega.Row) error {
+				eachRow(func(omega.Row) error {
 					<-admitted
 					mu.Lock()
 					rowSeq = append(rowSeq, id)
 					mu.Unlock()
 					return nil
-				})
+				}))
 			if err != nil {
 				t.Errorf("task %d: %v", id, err)
 				return
@@ -171,11 +185,11 @@ func TestSchedulerOverload(t *testing.T) {
 				func(ctx context.Context) (*omega.Rows, error) {
 					return pq.Exec(ctx, omega.ExecOptions{Limit: 8})
 				},
-				func(omega.Row) error {
+				eachRow(func(omega.Row) error {
 					once.Do(func() { close(firstRow) })
 					<-gate // hold the worker so in-flight stays at capacity
 					return nil
-				})
+				}))
 			errs <- err
 		}()
 	}
@@ -192,7 +206,7 @@ func TestSchedulerOverload(t *testing.T) {
 			t.Error("rejected request must never start")
 			return pq.Exec(ctx, omega.ExecOptions{})
 		},
-		func(omega.Row) error { return nil })
+		discardRows)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third request: %v, want ErrOverloaded", err)
 	}
@@ -237,11 +251,11 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 			func(ctx context.Context) (*omega.Rows, error) {
 				return pq.Exec(ctx, omega.ExecOptions{Limit: 4})
 			},
-			func(omega.Row) error {
+			eachRow(func(omega.Row) error {
 				once.Do(func() { close(firstRow) })
 				<-gate
 				return nil
-			})
+			}))
 		if err != nil {
 			t.Errorf("held request: %v", err)
 		}
@@ -262,7 +276,7 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 			t.Error("canceled request must never start")
 			return pq.Exec(ctx, omega.ExecOptions{})
 		},
-		func(omega.Row) error { return nil })
+		discardRows)
 	if !errors.Is(err, omega.ErrCanceled) {
 		t.Fatalf("canceled-in-queue request: %v, want ErrCanceled", err)
 	}
@@ -282,10 +296,10 @@ func TestSchedulerDefaultTimeout(t *testing.T) {
 		func(ctx context.Context) (*omega.Rows, error) {
 			return pq.Exec(ctx, omega.ExecOptions{})
 		},
-		func(omega.Row) error {
+		eachRow(func(omega.Row) error {
 			time.Sleep(5 * time.Millisecond)
 			return nil
-		})
+		}))
 	if !errors.Is(err, omega.ErrDeadline) {
 		t.Fatalf("slow request: %v, want ErrDeadline", err)
 	}
@@ -306,7 +320,7 @@ func TestSchedulerClose(t *testing.T) {
 				func(ctx context.Context) (*omega.Rows, error) {
 					return pq.Exec(ctx, omega.ExecOptions{Limit: 50})
 				},
-				func(omega.Row) error { return nil }); err != nil {
+				discardRows); err != nil {
 				t.Errorf("in-flight request during Close: %v", err)
 			}
 		}()
@@ -325,7 +339,7 @@ func TestSchedulerClose(t *testing.T) {
 
 	if _, err := s.Stream(context.Background(),
 		func(ctx context.Context) (*omega.Rows, error) { return pq.Exec(ctx, omega.ExecOptions{}) },
-		func(omega.Row) error { return nil }); !errors.Is(err, ErrSchedulerClosed) {
+		discardRows); !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("post-Close submit: %v, want ErrSchedulerClosed", err)
 	}
 	if err := s.Close(); err != nil {

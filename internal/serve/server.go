@@ -107,11 +107,13 @@ type Server struct {
 	pool      *omega.EvalPool
 	broker    *memBroker // nil when no memory budget is configured
 	mux       *http.ServeMux
-	degLimit  int   // degraded-mode row-limit clamp (0 = no clamp)
-	degDist   int   // degraded-mode maxdist clamp (0 = no clamp)
-	softMem   int64 // default per-request soft memory watermark (0 = none)
-	hardMem   int64 // default per-request hard memory watermark (0 = none)
-	parallel  int   // default per-request worker count (0 = serial)
+	degLimit  int           // degraded-mode row-limit clamp (0 = no clamp)
+	degDist   int           // degraded-mode maxdist clamp (0 = no clamp)
+	softMem   int64         // default per-request soft memory watermark (0 = none)
+	hardMem   int64         // default per-request hard memory watermark (0 = none)
+	parallel  int           // default per-request worker count (0 = serial)
+	timeout   time.Duration // default per-request deadline (0 = none)
+	stall     time.Duration // the scheduler's stall budget; also bounds every response write
 	slowQuery time.Duration
 	metrics   *serverMetrics
 	logf      func(format string, args ...any)
@@ -126,7 +128,6 @@ func New(cfg Config) *Server {
 		Workers:       cfg.Workers,
 		Queue:         cfg.Queue,
 		Quantum:       cfg.Quantum,
-		Timeout:       cfg.Timeout,
 		RetryAfter:    cfg.RetryAfter,
 		StallBudget:   cfg.StallBudget,
 		DegradeAfter:  cfg.DegradeAfter,
@@ -142,6 +143,8 @@ func New(cfg Config) *Server {
 		softMem:   cfg.SoftMemBytes,
 		hardMem:   cfg.HardMemBytes,
 		parallel:  cfg.Parallelism,
+		timeout:   cfg.Timeout,
+		stall:     cfg.StallBudget,
 		slowQuery: cfg.SlowQuery,
 		logf:      func(string, ...any) {},
 	}
@@ -192,14 +195,6 @@ func (s *Server) Close() error {
 	}
 	s.logf("serve: scheduler drained")
 	return err
-}
-
-// rowLine is one streamed NDJSON answer row.
-type rowLine struct {
-	Vars   []string       `json:"vars"`
-	Labels []string       `json:"labels"`
-	Nodes  []omega.NodeID `json:"nodes"`
-	Dist   int            `json:"dist"`
 }
 
 // doneLine terminates a successful stream. Degraded marks responses produced
@@ -300,11 +295,17 @@ func toStatsLine(s omega.Stats) statsLine {
 //	timeout  — per-request deadline, Go duration syntax (e.g. 2s, 500ms)
 //	backend  — auto | ranked | bulk; evaluation engine (default auto)
 //
-// The response is application/x-ndjson: one JSON object per answer row, in
-// non-decreasing distance, flushed as produced, then a final object — either
-// {"done":true,...} with the evaluation counters (and "degraded":true when
-// degraded-mode admission clamped the request) or {"error":...} if the
-// stream failed mid-flight. Failures before the first row map to HTTP status
+// The response is application/x-ndjson: one JSON object per answer row
+// ({"vars":[…],"labels":[…],"nodes":[…],"dist":n}, see encode.go), in
+// non-decreasing distance, then a final object — either {"done":true,...}
+// with the evaluation counters (and "degraded":true when degraded-mode
+// admission clamped the request) or {"error":...} if the stream failed
+// mid-flight. Rows are written and flushed whenever they would otherwise wait
+// (see rowWriter): the first row at once, then every time the engine goes
+// back to work for the next one — after each answer of a ranked APPROX/RELAX
+// stream, in ~32 KiB writes through an exhaustive scan. A client that stops
+// reading is cut off when a write outlasts the stall budget or the request's
+// deadline. Failures before the first row map to HTTP status
 // codes: 400 (bad query/parameters), 503 + Retry-After (admission control —
 // scheduler or memory broker — or shutdown), 504 (deadline or watchdog stall
 // before any row), 507 (hard memory watermark crossed, or aborted as the
@@ -364,15 +365,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 	if maxLimit > 0 && (eo.Limit == 0 || eo.Limit > maxLimit) {
 		eo.Limit = maxLimit
 	}
+	// The default deadline is applied here, not by the scheduler, so the
+	// response writer bounds its writes by it too.
 	ctx := r.Context()
+	timeout := s.timeout
 	if tv := r.Form.Get("timeout"); tv != "" {
 		d, err := omega.ParseTimeout(tv)
 		if err != nil {
 			fail(http.StatusBadRequest, err.Error())
 			return
 		}
+		timeout = d
+	}
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 
@@ -461,33 +468,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 	eo.Trace = tr
 
 	start := time.Now()
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	wrote := false
+	rw := newRowWriter(ctx, w, s.metrics, s.stall)
+	defer rw.release()
 
 	res, err := s.sched.Stream(ctx,
 		func(ctx context.Context) (*omega.Rows, error) { return pq.Exec(ctx, eo) },
-		func(row omega.Row) error {
-			if fault.Enabled() {
-				// serve.write simulates misbehaving clients: a delay action is
-				// a slow reader back-pressuring the stream, an error action a
-				// mid-stream disconnect.
-				if err := fault.Inject("serve.write"); err != nil {
-					return err
-				}
-			}
-			if !wrote {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				wrote = true
-			}
-			if err := enc.Encode(rowLine{Vars: row.Vars, Labels: row.Labels, Nodes: row.Nodes, Dist: row.Dist}); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})
+		rw.deliver)
 
 	elapsed := time.Since(start)
 	res.Stats.CompileNanos = int64(compileDur)
@@ -512,9 +498,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 			// aborts and victim kills both land in budget_aborts.
 			s.broker.NoteBudgetAbort()
 		}
-		if wrote {
-			// The status line is gone; report the failure in-band.
-			_ = enc.Encode(errorLine{Error: err.Error(), RequestID: reqID, Rows: res.Rows, Trace: summary})
+		if rw.wrote {
+			// The status line is gone; report the failure in-band, behind
+			// the rows still pending (a no-op once a write has failed).
+			line, _ := json.Marshal(errorLine{Error: err.Error(), RequestID: reqID, Rows: res.Rows, Trace: summary})
+			_ = rw.finish(line)
 			return
 		}
 		switch {
@@ -553,10 +541,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 		}
 		return
 	}
-	if !wrote {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	_ = enc.Encode(doneLine{Done: true, RequestID: reqID, Rows: res.Rows, ElapsedMs: float64(elapsed.Nanoseconds()) / 1e6, Degraded: degraded, Stats: toStatsLine(res.Stats), Trace: summary})
+	line, _ := json.Marshal(doneLine{Done: true, RequestID: reqID, Rows: res.Rows, ElapsedMs: float64(elapsed.Nanoseconds()) / 1e6, Degraded: degraded, Stats: toStatsLine(res.Stats), Trace: summary})
+	_ = rw.finish(line)
 	s.logf("serve: %s %d rows in %.1fms (backend=%s popped=%d deferred=%d reinjected=%d phases=%d queue_wait=%.1fms ttfr=%.1fms)",
 		reqID, res.Rows, float64(elapsed.Nanoseconds())/1e6, res.Stats.Backend,
 		res.Stats.TuplesPopped, res.Stats.Deferred, res.Stats.Reinjected, res.Stats.Phases,

@@ -42,6 +42,15 @@ func l4allServer(t *testing.T, spillDir string, cfg Config) (*Server, *httptest.
 	return s, ts
 }
 
+// rowLine is one streamed NDJSON answer row: the shape the hand-written
+// encoder (encode.go) is held to, as encoding/json writes it.
+type rowLine struct {
+	Vars   []string       `json:"vars"`
+	Labels []string       `json:"labels"`
+	Nodes  []omega.NodeID `json:"nodes"`
+	Dist   int            `json:"dist"`
+}
+
 // ndjsonLines GETs the URL and decodes every NDJSON line.
 func ndjsonLines(t *testing.T, client *http.Client, u string) (rows []rowLine, done *doneLine, status int) {
 	t.Helper()
@@ -203,11 +212,11 @@ func TestServerOverloadResponds503(t *testing.T) {
 				}
 				return pq.Exec(ctx, omega.ExecOptions{Limit: 4})
 			},
-			func(omega.Row) error {
+			eachRow(func(omega.Row) error {
 				once.Do(func() { close(running) })
 				<-gate
 				return nil
-			})
+			}))
 		errCh <- err
 	}()
 	<-running
