@@ -57,7 +57,7 @@ func datasets() *testDatasets { return testData }
 
 func benchScales() []l4all.Scale { return []l4all.Scale{l4all.L1, l4all.L2} }
 
-func l4allQueryText(b *testing.B, id string) string {
+func l4allQueryText(b testing.TB, id string) string {
 	b.Helper()
 	for _, q := range l4all.Queries() {
 		if q.ID == id {

@@ -104,45 +104,24 @@ type evaluator struct {
 }
 
 func newEvaluator(g *graph.Graph, aut *automaton.Compiled, opts *Options) *evaluator {
-	return newEvaluatorHinted(g, aut, opts, 1)
-}
-
-// newEvaluatorHinted is newEvaluator with the table size hints divided by
-// div. A shard evaluator only ever walks 1/div of the source population, so
-// hinting each shard with the full product graph would multiply the
-// execution's table footprint — allocation, clearing and cache pressure — by
-// the shard count.
-func newEvaluatorHinted(g *graph.Graph, aut *automaton.Compiled, opts *Options, div int) *evaluator {
-	// Hint the visited set with the product graph the search walks
-	// (data-graph nodes × automaton states) and the answer registry with one
-	// binding per node: once a table grows past the trust threshold it
-	// rehashes straight to the hinted size — rehash copies, not probes,
-	// dominate the tables' cost on large APPROX frontiers, while selective
-	// queries never pay for the hint.
 	ev := &evaluator{
 		g:    g,
 		aut:  aut,
 		opts: opts,
 		psi:  -1,
 	}
-	visHint := g.NumNodes() * int(aut.NumStates)
-	ansHint := g.NumNodes()
-	if div > 1 {
-		visHint /= div
-		ansHint /= div
-	}
 	if opts.Pool != nil && opts.SpillThreshold == 0 && !opts.RefDict {
 		// Pooled per-run state: disk-backed dictionaries and the RefDict
 		// differential reference keep their dedicated construction below.
-		ev.state = opts.Pool.get(opts.NoFinalFirst, visHint, ansHint)
+		ev.state = opts.Pool.get(opts.NoFinalFirst)
 		ev.dr = ev.state.dict
 		ev.visited = ev.state.visited
 		ev.answers = ev.state.answers
 		ev.scratch = ev.state.scratch
 		return ev
 	}
-	ev.visited = dstruct.NewVisitedSized(visHint)
-	ev.answers = dstruct.NewAnswersSized(ansHint)
+	ev.visited = dstruct.NewVisited()
+	ev.answers = dstruct.NewAnswers()
 	switch {
 	case opts.SpillThreshold > 0:
 		sd, err := dstruct.NewSpillDict(opts.SpillThreshold, opts.SpillDir, opts.NoFinalFirst)
@@ -181,10 +160,22 @@ func (ev *evaluator) finish() {
 	ev.released = true
 	// Hand the evaluator's accounted bytes back to the execution's gauge: the
 	// structures are about to be released (or recycled into another
-	// execution's accounting), so they no longer count against this one.
-	if m := ev.opts.mem; m != nil && ev.lastMem != 0 {
-		m.add(-ev.lastMem)
-		ev.lastMem = 0
+	// execution's accounting), so they no longer count against this one. A
+	// request that ends before its first sample tick (RELAX Q10 top-100 is
+	// 427 tuple operations) would leave the gauge at zero, invisible to the
+	// done line and the broker, so it is accounted once here. Accounting only:
+	// the watermarks are not checked on the way out, and a gauge that has
+	// seen any sample — from this evaluator or another of the request — is
+	// left as it is.
+	if m := ev.opts.mem; m != nil {
+		if m.PeakBytes() == 0 {
+			ev.lastMem = ev.residentBytes()
+			m.add(ev.lastMem)
+		}
+		if ev.lastMem != 0 {
+			m.add(-ev.lastMem)
+			ev.lastMem = 0
+		}
 	}
 	if ev.state != nil {
 		st := ev.state

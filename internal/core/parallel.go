@@ -100,8 +100,8 @@ func (p *conjunctPlan) parSources() []graph.NodeID {
 // and are installed as zero-cost Case 1 seeds: seedInitial inserts them in
 // reverse, so D_R's LIFO pops them — and emits their closure segments — in
 // exactly the given order.
-func (p *conjunctPlan) newShardEvaluator(ctx context.Context, opts *Options, srcs []graph.NodeID, nsh int) *evaluator {
-	ev := newEvaluatorHinted(p.g, p.auts[0], opts, nsh)
+func (p *conjunctPlan) newShardEvaluator(ctx context.Context, opts *Options, srcs []graph.NodeID) *evaluator {
+	ev := newEvaluator(p.g, p.auts[0], opts)
 	ev.ctx = ctx
 	ev.psi = -1
 	ev.finalAnn = p.finalAnn
@@ -231,7 +231,7 @@ func (pi *parIterator) worker(ctx context.Context, s *shardState) {
 		tr.SetAttr(sp, "idx", int64(s.idx))
 		tr.SetAttr(sp, "sources", int64(len(s.srcs)))
 	}
-	ev := pi.plan.newShardEvaluator(ctx, pi.opts, s.srcs, s.nsh)
+	ev := pi.plan.newShardEvaluator(ctx, pi.opts, s.srcs)
 	emitted := int64(0)
 	defer func() {
 		s.mu.Lock()

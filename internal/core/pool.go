@@ -16,9 +16,15 @@ import (
 // at 64 slots and rehash-copies its way up on every request, and a fresh D_R
 // re-extends its bucket array the same way. EvalPool recycles the grown
 // structures across executions instead: each gets a used bundle, Resets it
-// (cheap truncations and memsets, no allocation) and hands it to the next
-// evaluator. Pooled and fresh executions are observationally identical — the
-// structures expose only membership and ordered pops, neither of which
+// and hands it to the next evaluator. The reset allocates nothing and costs
+// what the previous tenant touched, not what the bundle holds: the visited
+// table moves to its next generation, the answer registry blanks the pairs it
+// stored, D_R and the deferred frontier truncate one slice per distance.
+// Nothing is ever cleared to make room, so a bundle keeps the capacity of the
+// largest run it has served (at most 8/3 of that run's population per table)
+// until the byte cap below discards it; PoolStats.IdleBytes shows what the
+// free list holds. Pooled and fresh executions are observationally identical
+// — the structures expose only membership and ordered pops, neither of which
 // depends on capacity — which the corpus differential tests pin.
 
 // evalState is one recyclable bundle of per-evaluator mutable state. It is
@@ -32,6 +38,8 @@ type evalState struct {
 	seen     *bitset.Set // Case 3 stream de-dup; lazily created
 	scratch  []graph.NodeID
 	batch    []graph.NodeID
+
+	idleBytes int64 // bytes() as of the put that parked the bundle on the free list
 }
 
 // bytes returns the bundle's approximate resident footprint — the retention
@@ -65,8 +73,11 @@ type PoolStats struct {
 	// an error or panic: such a bundle may hold structures abandoned
 	// mid-mutation, so it is never recycled (see evaluator.finish).
 	Poisoned int64 `json:"poisoned"`
-	// Idle is the current free-list population.
-	Idle int `json:"idle"`
+	// Idle is the current free-list population and IdleBytes the capacity
+	// those bundles retain — memory the process holds between requests, which
+	// no reset ever gives back.
+	Idle      int   `json:"idle"`
+	IdleBytes int64 `json:"idle_bytes"`
 }
 
 // EvalPool recycles evaluator state across executions. It is safe for
@@ -89,8 +100,10 @@ type EvalPool struct {
 // defaultBundleCapBytes bounds the footprint of a recycled bundle: a bundle
 // whose reset capacity exceeds the cap is discarded instead of pooled, so one
 // giant query cannot permanently pin its high-water memory in every slot it
-// cycles through. 64 MiB comfortably covers the largest steady-state bundles
-// of the study corpus while shedding true outliers.
+// cycles through. 64 MiB covers every study query but one: an APPROX Q9
+// top-100 on L3 ends holding about 186 MB (the benchmark's approx_topk
+// acct_peak_mb), so its bundle is discarded on every rotation and the request
+// after it starts from a fresh 64-slot one.
 const defaultBundleCapBytes = 64 << 20
 
 // NewEvalPool returns a pool retaining at most max idle states (0 picks a
@@ -127,10 +140,9 @@ func (p *EvalPool) Stats() PoolStats {
 	return s
 }
 
-// get acquires a reset state bundle sized by the hints (visited: product
-// graph population; answers: one binding per node), creating a fresh bundle
-// when the free list is empty.
-func (p *EvalPool) get(noFinalFirst bool, visHint, ansHint int) *evalState {
+// get acquires a reset state bundle, creating a fresh one when the free list
+// is empty.
+func (p *EvalPool) get(noFinalFirst bool) *evalState {
 	p.mu.Lock()
 	p.stats.Gets++
 	var st *evalState
@@ -139,6 +151,7 @@ func (p *EvalPool) get(noFinalFirst bool, visHint, ansHint int) *evalState {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		p.stats.Reuses++
+		p.stats.IdleBytes -= st.idleBytes
 	} else {
 		p.stats.Misses++
 	}
@@ -150,14 +163,14 @@ func (p *EvalPool) get(noFinalFirst bool, visHint, ansHint int) *evalState {
 		}
 		return &evalState{
 			dict:     dict,
-			visited:  dstruct.NewVisitedSized(visHint),
-			answers:  dstruct.NewAnswersSized(ansHint),
+			visited:  dstruct.NewVisited(),
+			answers:  dstruct.NewAnswers(),
 			deferred: dstruct.NewDeferred(noFinalFirst),
 		}
 	}
 	st.dict.Reset(noFinalFirst)
-	st.visited.Reset(visHint)
-	st.answers.Reset(ansHint)
+	st.visited.Reset(0)
+	st.answers.Reset(0)
 	st.deferred.Reset(noFinalFirst)
 	return st
 }
@@ -192,5 +205,7 @@ func (p *EvalPool) put(st *evalState) {
 		p.stats.Discarded++
 		return
 	}
+	st.idleBytes = footprint
+	p.stats.IdleBytes += footprint
 	p.free = append(p.free, st)
 }

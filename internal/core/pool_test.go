@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"omega/internal/automaton"
+	"omega/internal/dstruct"
+	"omega/internal/graph"
 )
 
 // TestEvalPoolMatchesFresh fuzzes pooled executions against fresh ones: one
@@ -230,5 +232,44 @@ func TestEvalPoolOversizedBundleDiscarded(t *testing.T) {
 	}
 	if s.Oversized != 2 {
 		t.Fatalf("Oversized = %d, want 2 (only the capped puts count)", s.Oversized)
+	}
+}
+
+// TestEvalPoolWarmCycleAllocatesNothing: handing a used bundle to the next
+// tenant — get, which resets it, and put, which measures it — allocates
+// nothing, whatever the bundle holds; IdleBytes follows it on and off the
+// free list.
+func TestEvalPoolWarmCycleAllocatesNothing(t *testing.T) {
+	pool := NewEvalPool(2)
+	st := pool.get(false)
+	for i := 0; i < 5000; i++ {
+		st.dict.Add(dstruct.Tuple{V: graph.NodeID(i), N: graph.NodeID(i), D: int32(i % 7)})
+		st.visited.Add(graph.NodeID(i), graph.NodeID(i), 0)
+		st.answers.Add(graph.NodeID(i), graph.NodeID(i), 0)
+		st.deferred.Add(dstruct.Tuple{V: graph.NodeID(i), N: graph.NodeID(i), D: int32(i % 5)})
+	}
+	held := st.bytes()
+	pool.put(st)
+	if s := pool.Stats(); s.Idle != 1 || s.IdleBytes != held {
+		t.Fatalf("after put: Idle=%d IdleBytes=%d, want 1 and %d", s.Idle, s.IdleBytes, held)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		st := pool.get(false)
+		st.visited.Add(1, 2, 3)
+		st.answers.Add(1, 2, 0)
+		pool.put(st)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm get/put cycle allocates %.0f times, want 0", allocs)
+	}
+	got := pool.get(false)
+	if s := pool.Stats(); s.Idle != 0 || s.IdleBytes != 0 {
+		t.Fatalf("after get: Idle=%d IdleBytes=%d, want 0/0", s.Idle, s.IdleBytes)
+	}
+	if got.visited.Len() != 0 || got.answers.Len() != 0 || got.dict.Len() != 0 || got.deferred.Len() != 0 {
+		t.Fatal("get handed out a bundle that still holds its previous tenant's entries")
+	}
+	if got.bytes() != held {
+		t.Fatalf("reset changed the bundle's capacity: %d bytes, was %d", got.bytes(), held)
 	}
 }

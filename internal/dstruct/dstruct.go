@@ -254,7 +254,7 @@ func (dd *Dict) Close() error { return nil }
 const (
 	tupleMem    = 20 // Tuple: 4×int32 + bool, padded
 	bucketMem   = 48 // bucket: two slice headers
-	visEntryMem = 16 // visEntry: uint64 + int32, padded
+	visEntryMem = 16 // visEntry: uint64 + int32 + uint32
 	answerMem   = 12 // Answer: 3×int32
 )
 
@@ -290,68 +290,36 @@ func (a *Answers) Bytes() int64 {
 
 // Visited is the hashed set of processed (v, n, s) triples (visited_R). It
 // is an open-addressed, linear-probed table over the packed (v, n) word and
-// the state; states must be non-negative (s+1 is the occupancy marker).
+// the state. Every slot carries the generation that wrote it and is live only
+// while that equals the table's: a slot written under an earlier generation
+// reads as empty, so Reset is one increment and a probe sequence stops, and
+// an insertion lands, exactly where it would on a cleared table.
 type Visited struct {
 	entries []visEntry
 	n       int
-	hint    int // expected population; 0 = none (double only)
+	gen     uint32 // the live generation; never 0, which marks a never-written slot
 }
 
+// visEntry is 16 bytes with or without gen: it sits in what was padding.
 type visEntry struct {
-	vn uint64
-	s1 int32 // state+1; 0 marks an empty slot
+	vn  uint64
+	s   int32
+	gen uint32
 }
 
 const visitedMinCap = 64 // power of two
 
-// tableMaxPresize caps hint-driven sizing of the open-addressed tables:
-// hints are estimates (node count × automaton states can wildly overshoot a
-// selective query), so the hint-jump is bounded and growth beyond it falls
-// back to normal rehash doubling.
-const tableMaxPresize = 1 << 20
-
-// tableJumpCap is the capacity at which a growing table trusts its size hint:
-// below it the table doubles normally (a selective query that touches a few
-// dozen entries must never pay for a graph-sized allocation), at or above it
-// the next rehash jumps straight to the hint-derived capacity, skipping the
-// large tail copies that otherwise dominate B/op on big APPROX frontiers.
-const tableJumpCap = 1 << 10
-
-// sizeForHint returns the power-of-two table size that keeps hint entries
-// under 3/4 load, clamped to [visitedMinCap, tableMaxPresize].
-func sizeForHint(hint int) int {
-	c := visitedMinCap
-	for c < tableMaxPresize && 3*c < 4*hint {
-		c <<= 1
-	}
-	return c
-}
-
-// grownCap returns the next capacity for a table of size cap with the given
-// population hint: double until the table proves real demand, then jump to
-// the hint.
-func grownCap(cap, hint int) int {
-	c := 2 * cap
-	if cap >= tableJumpCap {
-		if h := sizeForHint(hint); h > c {
-			c = h
-		}
-	}
-	return c
-}
-
-// NewVisited returns an empty visited set.
+// NewVisited returns an empty visited set. Like every table here it starts at
+// visitedMinCap slots and doubles at 3/4 load, so its capacity stays under
+// 8/3 of the largest population it has held.
 func NewVisited() *Visited {
-	return &Visited{entries: make([]visEntry, visitedMinCap)}
+	return &Visited{entries: make([]visEntry, visitedMinCap), gen: 1}
 }
 
-// NewVisitedSized returns an empty visited set that, once grown past
-// tableJumpCap, rehashes straight to a capacity fit for about hint entries
-// (e.g. data-graph nodes × automaton states for one evaluation) instead of
-// doubling step by step. Small populations never pay for the hint.
-func NewVisitedSized(hint int) *Visited {
-	return &Visited{entries: make([]visEntry, visitedMinCap), hint: hint}
-}
+// NewVisitedSized is NewVisited. The argument, once a population hint the
+// table jumped to, is ignored; the signature survives only because
+// benchmark/layers calls it (ROADMAP item 8 drops the parameter there).
+func NewVisitedSized(_ int) *Visited { return NewVisited() }
 
 func pack(v, n graph.NodeID) uint64 {
 	return uint64(uint32(v))<<32 | uint64(uint32(n))
@@ -370,36 +338,39 @@ func hashKey(vn uint64, s int32) uint64 {
 // executes the membership test and the insertion "as a single step" (§3.4).
 func (vs *Visited) Add(v, n graph.NodeID, s int32) bool {
 	if 4*(vs.n+1) > 3*len(vs.entries) {
-		vs.rehash(grownCap(len(vs.entries), vs.hint))
+		vs.rehash(2 * len(vs.entries))
 	}
 	vn := pack(v, n)
 	mask := uint64(len(vs.entries) - 1)
 	i := hashKey(vn, s) & mask
 	for {
 		e := &vs.entries[i]
-		if e.s1 == 0 {
-			e.vn, e.s1 = vn, s+1
+		if e.gen != vs.gen {
+			*e = visEntry{vn: vn, s: s, gen: vs.gen}
 			vs.n++
 			return true
 		}
-		if e.vn == vn && e.s1 == s+1 {
+		if e.vn == vn && e.s == s {
 			return false
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// Reset empties the set, retaining the table at its current capacity (a
-// pooled reuse probes the same-sized table a warm run would have grown into,
-// skipping every rehash copy) and re-arming the size hint for the next run.
+// Reset empties the set in O(1) by moving to the next generation, retaining
+// the table at its current capacity (a pooled reuse probes the same-sized
+// table a warm run would have grown into, skipping every rehash copy). Only
+// when the 32-bit generation wraps — once per 2³² resets — is the table
+// cleared, so that no slot of a long-gone generation can read as live again.
 // Membership is the only observable behaviour, so a reset table is
-// indistinguishable from a fresh one to the evaluator.
-func (vs *Visited) Reset(hint int) {
-	if vs.n > 0 {
-		clear(vs.entries)
-	}
+// indistinguishable from a fresh one to the evaluator. The argument is the
+// ignored remnant of the size hint (see NewVisitedSized).
+func (vs *Visited) Reset(_ int) {
 	vs.n = 0
-	vs.hint = hint
+	if vs.gen++; vs.gen == 0 {
+		clear(vs.entries)
+		vs.gen = 1
+	}
 }
 
 // Contains reports whether (v, n, s) has been processed.
@@ -409,26 +380,28 @@ func (vs *Visited) Contains(v, n graph.NodeID, s int32) bool {
 	i := hashKey(vn, s) & mask
 	for {
 		e := &vs.entries[i]
-		if e.s1 == 0 {
+		if e.gen != vs.gen {
 			return false
 		}
-		if e.vn == vn && e.s1 == s+1 {
+		if e.vn == vn && e.s == s {
 			return true
 		}
 		i = (i + 1) & mask
 	}
 }
 
+// rehash moves the live entries into a table of newCap slots; what earlier
+// generations left behind is dropped with the old table.
 func (vs *Visited) rehash(newCap int) {
 	old := vs.entries
 	vs.entries = make([]visEntry, newCap)
 	mask := uint64(newCap - 1)
 	for _, e := range old {
-		if e.s1 == 0 {
+		if e.gen != vs.gen {
 			continue
 		}
-		i := hashKey(e.vn, e.s1-1) & mask
-		for vs.entries[i].s1 != 0 {
+		i := hashKey(e.vn, e.s) & mask
+		for vs.entries[i].gen == vs.gen {
 			i = (i + 1) & mask
 		}
 		vs.entries[i] = e
@@ -452,7 +425,6 @@ type Answer struct {
 type U64Set struct {
 	entries []uint64
 	n       int
-	hint    int // expected population; 0 = none (double only)
 }
 
 // u64Empty marks an empty slot; packed keys never set bit 63.
@@ -460,13 +432,7 @@ const u64Empty = uint64(1) << 63
 
 // NewU64Set returns an empty set.
 func NewU64Set() *U64Set {
-	return NewU64SetSized(0)
-}
-
-// NewU64SetSized returns an empty set that, once grown past tableJumpCap,
-// rehashes straight to a capacity fit for about hint keys.
-func NewU64SetSized(hint int) *U64Set {
-	s := &U64Set{entries: make([]uint64, visitedMinCap), hint: hint}
+	s := &U64Set{entries: make([]uint64, visitedMinCap)}
 	for i := range s.entries {
 		s.entries[i] = u64Empty
 	}
@@ -476,7 +442,7 @@ func NewU64SetSized(hint int) *U64Set {
 // Add inserts k, reporting whether it was newly added.
 func (s *U64Set) Add(k uint64) bool {
 	if 4*(s.n+1) > 3*len(s.entries) {
-		s.rehash(grownCap(len(s.entries), s.hint))
+		s.rehash(2 * len(s.entries))
 	}
 	mask := uint64(len(s.entries) - 1)
 	i := hashKey(k, 0) & mask
@@ -491,15 +457,29 @@ func (s *U64Set) Add(k uint64) bool {
 	return true
 }
 
-// Reset empties the set, retaining capacity and re-arming the size hint.
-func (s *U64Set) Reset(hint int) {
+// Reset empties the set, retaining capacity.
+func (s *U64Set) Reset() {
 	if s.n > 0 {
 		for i := range s.entries {
 			s.entries[i] = u64Empty
 		}
 	}
 	s.n = 0
-	s.hint = hint
+}
+
+// blankCluster empties every slot from k's home slot up to the next empty
+// one. It is the step of a reset by keys (Answers.Reset) and leaves the table
+// consistent only once it has run for every stored key: each key sits in the
+// run of occupied slots that contains its home slot, at or after it, and the
+// blanked part of a run is always a tail of it — a later walk that starts
+// earlier in the run blanks up to that tail, one that starts inside the tail
+// stops at once — so after the last key nothing is left, and no walk ever
+// had to find a key across slots that an earlier one emptied.
+func (s *U64Set) blankCluster(k uint64) {
+	mask := uint64(len(s.entries) - 1)
+	for i := hashKey(k, 0) & mask; s.entries[i] != u64Empty; i = (i + 1) & mask {
+		s.entries[i] = u64Empty
+	}
 }
 
 // Contains reports whether k is in the set.
@@ -549,16 +529,33 @@ func NewAnswers() *Answers {
 	return &Answers{pairs: NewU64Set()}
 }
 
-// NewAnswersSized returns an empty registry pre-sized for about hint pairs
-// (e.g. the data graph's node count for a single-source conjunct).
-func NewAnswersSized(hint int) *Answers {
-	return &Answers{pairs: NewU64SetSized(hint)}
-}
+// NewAnswersSized is NewAnswers; the argument is the ignored remnant of the
+// size hint, kept for benchmark/layers (see NewVisitedSized).
+func NewAnswersSized(_ int) *Answers { return NewAnswers() }
+
+// answersSparseClear is how many slots per stored pair make clearing by key
+// cheaper than refilling the table: a key costs a hash and a cache line that
+// may be cold, a slot of the sequential fill about half a nanosecond. Timed
+// on tables of 16 k to 1 M slots, by key wins from 16 slots a pair up and
+// loses at 8.
+const answersSparseClear = 16
 
 // Reset empties the registry, retaining the pair-set table and the emission
 // slice capacity (Answer holds no pointers, so truncation pins no garbage).
-func (a *Answers) Reset(hint int) {
-	a.pairs.Reset(hint)
+// order holds every stored pair, so a table that is mostly empty — a top-100
+// request on a bundle that once held an exhaustive scan — is cleared by
+// visiting those pairs, in O(answers) rather than O(capacity); a dense one is
+// refilled with the empty marker. The argument is ignored (see
+// NewAnswersSized).
+func (a *Answers) Reset(_ int) {
+	if answersSparseClear*len(a.order) <= len(a.pairs.entries) {
+		for _, an := range a.order {
+			a.pairs.blankCluster(pack(an.Src, an.Dst))
+		}
+		a.pairs.n = 0
+	} else {
+		a.pairs.Reset()
+	}
 	a.order = a.order[:0]
 }
 

@@ -96,12 +96,12 @@ func TestDictResetBehavesFresh(t *testing.T) {
 
 func TestVisitedResetBehavesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	used := NewVisitedSized(1 << 14)
+	used := NewVisited()
 	for i := 0; i < 5000; i++ {
 		used.Add(graph.NodeID(rng.Intn(256)), graph.NodeID(rng.Intn(256)), int32(rng.Intn(4)))
 	}
-	used.Reset(64)
-	fresh := NewVisitedSized(64)
+	used.Reset(0)
+	fresh := NewVisited()
 
 	if used.Len() != 0 {
 		t.Fatalf("after Reset: Len=%d, want 0", used.Len())
@@ -121,31 +121,63 @@ func TestVisitedResetBehavesFresh(t *testing.T) {
 	}
 }
 
+// TestAnswersResetBehavesFresh covers both ways Reset clears the pair set: a
+// table left dense by its last tenant is refilled, one left sparse (a few
+// pairs in a table an earlier tenant grew) is cleared by the stored pairs.
 func TestAnswersResetBehavesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	used := NewAnswersSized(1 << 12)
-	for i := 0; i < 2000; i++ {
-		used.Add(graph.NodeID(rng.Intn(128)), graph.NodeID(rng.Intn(128)), int32(i))
-	}
-	used.Reset(32)
-	fresh := NewAnswersSized(32)
-
-	if used.Len() != 0 || len(used.List()) != 0 {
-		t.Fatalf("after Reset: Len=%d List=%d, want empty", used.Len(), len(used.List()))
-	}
-	for i := 0; i < 1000; i++ {
-		v, n := graph.NodeID(rng.Intn(64)), graph.NodeID(rng.Intn(64))
-		if got, want := used.Add(v, n, int32(i)), fresh.Add(v, n, int32(i)); got != want {
-			t.Fatalf("Add(%d,%d): reset %v, fresh %v", v, n, got, want)
+	for _, tc := range []struct {
+		name         string
+		grow, stored int
+	}{
+		{"dense", 0, 2000},
+		{"sparse", 2000, 40},
+	} {
+		rng := rand.New(rand.NewSource(13))
+		used := NewAnswers()
+		for i := 0; i < tc.grow; i++ {
+			used.Add(graph.NodeID(rng.Intn(128)), graph.NodeID(rng.Intn(128)), int32(i))
 		}
-	}
-	a, b := used.List(), fresh.List()
-	if len(a) != len(b) {
-		t.Fatalf("List: reset %d answers, fresh %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("List[%d]: reset %+v, fresh %+v", i, a[i], b[i])
+		used.Reset(0)
+		var stored [][2]graph.NodeID
+		for i := 0; i < tc.stored; i++ {
+			v, n := graph.NodeID(rng.Intn(128)), graph.NodeID(rng.Intn(128))
+			used.Add(v, n, int32(i))
+			stored = append(stored, [2]graph.NodeID{v, n})
+		}
+		if sparse := answersSparseClear*used.Len() <= len(used.pairs.entries); sparse != (tc.name == "sparse") {
+			t.Fatalf("%s: fixture holds %d pairs in %d slots", tc.name, used.Len(), len(used.pairs.entries))
+		}
+		used.Reset(0)
+		fresh := NewAnswers()
+
+		if used.Len() != 0 || len(used.List()) != 0 || used.pairs.Len() != 0 {
+			t.Fatalf("%s: after Reset: Len=%d List=%d pairs=%d, want empty",
+				tc.name, used.Len(), len(used.List()), used.pairs.Len())
+		}
+		for _, e := range used.pairs.entries {
+			if e != u64Empty {
+				t.Fatalf("%s: Reset left key %#x in the table", tc.name, e)
+			}
+		}
+		for _, p := range stored {
+			if used.Has(p[0], p[1]) {
+				t.Fatalf("%s: Has(%d,%d) after Reset", tc.name, p[0], p[1])
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			v, n := graph.NodeID(rng.Intn(64)), graph.NodeID(rng.Intn(64))
+			if got, want := used.Add(v, n, int32(i)), fresh.Add(v, n, int32(i)); got != want {
+				t.Fatalf("%s: Add(%d,%d): reset %v, fresh %v", tc.name, v, n, got, want)
+			}
+		}
+		a, b := used.List(), fresh.List()
+		if len(a) != len(b) {
+			t.Fatalf("%s: List: reset %d answers, fresh %d", tc.name, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: List[%d]: reset %+v, fresh %+v", tc.name, i, a[i], b[i])
+			}
 		}
 	}
 }
@@ -228,12 +260,12 @@ func TestDeferredResetReleasesSpill(t *testing.T) {
 
 func TestU64SetResetBehavesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	used := NewU64SetSized(1 << 12)
+	used := NewU64Set()
 	for i := 0; i < 3000; i++ {
 		used.Add(uint64(rng.Intn(1 << 20)))
 	}
-	used.Reset(16)
-	fresh := NewU64SetSized(16)
+	used.Reset()
+	fresh := NewU64Set()
 	if used.Len() != 0 {
 		t.Fatalf("Len=%d after Reset", used.Len())
 	}

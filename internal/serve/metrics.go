@@ -163,6 +163,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			poolStat(func(st omega.PoolStats) float64 { return float64(st.Poisoned) }))
 		r.Gauge("omega_pool_idle", "Bundles currently on the free list.",
 			poolStat(func(st omega.PoolStats) float64 { return float64(st.Idle) }))
+		r.Gauge("omega_pool_idle_bytes", "Capacity the free-list bundles retain between requests.",
+			poolStat(func(st omega.PoolStats) float64 { return float64(st.IdleBytes) }))
 	}
 
 	// Memory broker (absent when no budget is configured).

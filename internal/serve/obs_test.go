@@ -107,6 +107,7 @@ func TestMetricszGolden(t *testing.T) {
 		"omega_pool_gets_total",
 		"omega_pool_reuses_total",
 		"omega_pool_idle",
+		"omega_pool_idle_bytes",
 		"omega_fault_hits_total",
 		"omega_fault_fires_total",
 		"omega_requests_total",
@@ -144,6 +145,14 @@ func TestMetricszGolden(t *testing.T) {
 	}
 	if v := counterValue(fams, "omega_serve_response_bytes_total", nil); v < 20*40 {
 		t.Errorf("omega_serve_response_bytes_total = %v, want at least 40 bytes a row", v)
+	}
+	// The requests ran one at a time, so one bundle served them all and is
+	// back on the free list, holding at least its four minimum-size tables.
+	if v := counterValue(fams, "omega_pool_idle", nil); v != 1 {
+		t.Errorf("omega_pool_idle = %v, want 1", v)
+	}
+	if v := counterValue(fams, "omega_pool_idle_bytes", nil); v < 1024 {
+		t.Errorf("omega_pool_idle_bytes = %v, want the idle bundle's retained capacity", v)
 	}
 	if v := counterValue(fams, "omega_build_info", map[string]string{}); v != 1 {
 		t.Errorf("omega_build_info = %v, want 1", v)

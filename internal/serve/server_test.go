@@ -363,6 +363,34 @@ func TestServerPoolAmortises(t *testing.T) {
 	if payload.Pool == nil || payload.Pool.Reuses == 0 {
 		t.Fatalf("pool never recycled state across requests: %+v", payload.Pool)
 	}
+	// The requests ran one at a time: one bundle served them all and sits on
+	// the free list with the capacity they grew.
+	if payload.Pool.Idle != 1 || payload.Pool.IdleBytes <= 0 {
+		t.Fatalf("/statsz pool = %+v, want one idle bundle and its retained bytes", payload.Pool)
+	}
+}
+
+// TestDoneLineAccountsShortRequests: a request that ends before the
+// evaluator's first 512-operation accounting sample (RELAX Q10 top-100 is 427
+// tuple operations, every EXACT study query far fewer) still reports what it
+// held: the done line of every study query in every mode carries a non-zero
+// mem_peak_bytes.
+func TestDoneLineAccountsShortRequests(t *testing.T) {
+	_, ts := l4allServer(t, "", Config{Workers: 1, Queue: 4})
+	client := ts.Client()
+	for _, q := range l4all.StudyQueries() {
+		for _, mode := range []string{"exact", "approx", "relax"} {
+			u := ts.URL + "/query?" + url.Values{"q": {q.Text}, "mode": {mode}, "limit": {"100"}}.Encode()
+			_, done, status := ndjsonLines(t, client, u)
+			if status != http.StatusOK || done == nil {
+				t.Fatalf("%s/%s: status %d, done %v", q.ID, mode, status, done)
+			}
+			if done.Stats.MemPeakBytes <= 0 {
+				t.Errorf("%s/%s: done line accounts mem_peak_bytes = %d after %d tuples added, %d popped",
+					q.ID, mode, done.Stats.MemPeakBytes, done.Stats.TuplesAdded, done.Stats.TuplesPopped)
+			}
+		}
+	}
 }
 
 // TestServerBackendParameter covers the backend= knob end to end: an invalid

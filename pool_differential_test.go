@@ -103,3 +103,48 @@ func TestEvalPoolCorpusDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestEvalPoolTenantInterleaving is the hand-off the O(1) reset has to get
+// right: one pooled bundle serves an exhaustive APPROX Q9 (the corpus's
+// largest run, which leaves the visited table full of a finished generation
+// and the answer registry grown) and then a study query's top-100 in each
+// mode. No table is cleared in between, so anything the large tenant left
+// that still read as live would change what the small one visits: its rows,
+// their order and its work counters must be those of a run on fresh state.
+func TestEvalPoolTenantInterleaving(t *testing.T) {
+	g, ont := datasets().L4All(l4all.L1)
+	eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendRanked, DistanceAware: true})
+	pool := NewEvalPool(1)
+	pool.SetBundleCapBytes(-1) // the large tenant's bundle must come back
+	big, err := eng.PrepareText(l4allQueryText(t, "Q9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := l4all.StudyQueries()
+	if testing.Short() {
+		queries = queries[:2]
+	}
+	for _, q := range queries {
+		pq, err := eng.PrepareText(q.Text)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		filled := runWorkCase(t, "Q9/APPROX", big, ExecOptions{Mode: ModeOverride(Approx), Pool: pool})
+		if filled.counters.VisitedSize < 10_000 {
+			t.Fatalf("large tenant visited only %d triples", filled.counters.VisitedSize)
+		}
+		for _, mode := range []Mode{Exact, Approx, Relax} {
+			name := fmt.Sprintf("%s/%v after Q9/APPROX", q.ID, mode)
+			eo := ExecOptions{Mode: ModeOverride(mode), Limit: 100}
+			fresh := runWorkCase(t, name, pq, eo)
+			eo.Pool = pool
+			if pooled := runWorkCase(t, name, pq, eo); !pooled.sameWork(fresh) {
+				t.Fatalf("%s: the previous tenant leaked into the run:\n pooled %+v\n fresh  %+v",
+					name, pooled.counters, fresh.counters)
+			}
+		}
+	}
+	if s := pool.Stats(); s.Misses != 1 || s.Puts != s.Gets {
+		t.Fatalf("one bundle should have served every run: %+v", s)
+	}
+}
