@@ -68,7 +68,7 @@ func l4allQueryText(b testing.TB, id string) string {
 	return ""
 }
 
-func yagoQueryText(b *testing.B, id string) string {
+func yagoQueryText(b testing.TB, id string) string {
 	b.Helper()
 	for _, q := range yago.Queries() {
 		if q.ID == id {

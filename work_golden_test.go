@@ -118,47 +118,97 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 	}
 }
 
-// TestWorkGolden pins the work the ranked evaluator does on the L4All study
-// queries (L1; EXACT, APPROX and RELAX; plain and distance-aware; top-100 and
-// exhaustive) against testdata/work_golden.json: a change that alters which
-// tuples exist shows up as a diff of that file (go test -run TestWorkGolden
-// -update rewrites it), a refactor must leave it untouched. Every case runs on
-// fresh state and again on one pooled bundle shared by the whole corpus — so
-// each pooled run inherits whatever the previous tenant grew — and both must
-// emit the same rows and report the same counters; only the fresh run's
-// accounted peak is recorded, since a pooled one depends on that previous
-// tenant.
+// TestWorkGolden pins the work the ranked evaluator does against
+// testdata/work_golden.json: a change that alters which tuples exist shows up
+// as a diff of that file (go test -run TestWorkGolden -update rewrites it), a
+// refactor must leave it untouched. Three groups of cases, all on the ranked
+// backend:
+//
+//   - the L4All study queries on L1 × EXACT/APPROX/RELAX × plain/distance-aware
+//     × top-100/exhaustive;
+//   - the ψ-phase driver over a decomposed alternation (Options.Disjunction):
+//     the corpus's two top-level alternations, L4All Q7 on L1 and YAGO Q9, ×
+//     APPROX/RELAX × plain/distance-aware × top-100/exhaustive;
+//   - a two-conjunct RELAX join × plain/distance-aware × top-100/exhaustive,
+//     whose counters are the join's fold over its conjuncts.
+//
+// Every case runs on fresh state and again on one pooled bundle shared by the
+// whole corpus — so each pooled run inherits whatever the previous tenant grew
+// — and both must emit the same rows and report the same counters; only the
+// fresh run's accounted peak is recorded, since a pooled one depends on that
+// previous tenant.
 func TestWorkGolden(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	pool := NewEvalPool(1)
 	var got workGolden
-	for _, variant := range []struct {
-		name string
-		opts Options
-	}{
-		{"plain", Options{Backend: BackendRanked}},
-		{"distaware", Options{Backend: BackendRanked, DistanceAware: true}},
-	} {
-		eng := NewEngine(g, ont).WithOptions(variant.opts)
+	run := func(name string, pq *PreparedQuery, eo ExecOptions) {
+		fresh := runWorkCase(t, name, pq, eo)
+		eo.Pool = pool
+		if pooled := runWorkCase(t, name, pq, eo); !pooled.sameWork(fresh) {
+			t.Errorf("%s: pooled state changed the rows or the work:\n pooled %+v\n fresh  %+v",
+				name, pooled.counters, fresh.counters)
+		}
+		got.Counters = append(got.Counters, fresh.counters)
+		got.MemFresh = append(got.MemFresh, workMem{Case: name, Bytes: fresh.memPeak})
+	}
+	prepare := func(eng *Engine, id, text string) *PreparedQuery {
+		pq, err := eng.PrepareText(text)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return pq
+	}
+	limits := []int{100, 0}
+	variants := []struct {
+		name          string
+		distanceAware bool
+	}{{"plain", false}, {"distaware", true}}
+
+	for _, v := range variants {
+		eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendRanked, DistanceAware: v.distanceAware})
 		for _, q := range l4all.StudyQueries() {
-			pq, err := eng.PrepareText(q.Text)
-			if err != nil {
-				t.Fatalf("%s: %v", q.ID, err)
-			}
+			pq := prepare(eng, q.ID, q.Text)
 			for _, mode := range []Mode{Exact, Approx, Relax} {
-				for _, limit := range []int{100, 0} {
-					name := fmt.Sprintf("%s/%v/%s/limit=%d", q.ID, mode, variant.name, limit)
-					eo := ExecOptions{Mode: ModeOverride(mode), Limit: limit}
-					fresh := runWorkCase(t, name, pq, eo)
-					eo.Pool = pool
-					if pooled := runWorkCase(t, name, pq, eo); !pooled.sameWork(fresh) {
-						t.Errorf("%s: pooled state changed the rows or the work:\n pooled %+v\n fresh  %+v",
-							name, pooled.counters, fresh.counters)
-					}
-					got.Counters = append(got.Counters, fresh.counters)
-					got.MemFresh = append(got.MemFresh, workMem{Case: name, Bytes: fresh.memPeak})
+				for _, limit := range limits {
+					name := fmt.Sprintf("%s/%v/%s/limit=%d", q.ID, mode, v.name, limit)
+					run(name, pq, ExecOptions{Mode: ModeOverride(mode), Limit: limit})
 				}
 			}
+		}
+	}
+
+	yg, yont := datasets().YAGO()
+	for _, alt := range []struct {
+		id, text string
+		g        *Graph
+		ont      *Ontology
+	}{
+		{"L4All-Q7", l4allQueryText(t, "Q7"), g, ont},
+		{"YAGO-Q9", yagoQueryText(t, "Q9"), yg, yont},
+	} {
+		for _, v := range variants {
+			eng := NewEngine(alt.g, alt.ont).WithOptions(Options{Backend: BackendRanked, Disjunction: true, DistanceAware: v.distanceAware})
+			pq := prepare(eng, alt.id, alt.text)
+			for _, mode := range []Mode{Approx, Relax} {
+				for _, limit := range limits {
+					if alt.id == "L4All-Q7" && mode == Approx && limit == 0 {
+						// A var–var APPROX conjunct enumerates every node pair:
+						// 137 M tuples parked and 3.9 GB accounted on L1.
+						continue
+					}
+					name := fmt.Sprintf("%s/%v/disjunction/%s/limit=%d", alt.id, mode, v.name, limit)
+					run(name, pq, ExecOptions{Mode: ModeOverride(mode), Limit: limit})
+				}
+			}
+		}
+	}
+
+	for _, v := range variants {
+		eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendRanked, DistanceAware: v.distanceAware})
+		pq := prepare(eng, "join", "(?X, ?Y) <- (Librarians, type-, ?X), (?X, job-.next, ?Y)")
+		for _, limit := range limits {
+			name := fmt.Sprintf("join/%v/%s/limit=%d", Relax, v.name, limit)
+			run(name, pq, ExecOptions{Mode: ModeOverride(Relax), Limit: limit})
 		}
 	}
 	if s := pool.Stats(); s.Reuses == 0 || s.Puts != s.Gets {
