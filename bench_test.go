@@ -7,6 +7,7 @@
 package omega
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -16,9 +17,7 @@ import (
 )
 
 // testDatasets lazily generates and caches the study workloads for this test
-// package. (internal/bench has an equivalent cache, but it now sits above the
-// public omega package — the serving experiment drives Engine/Scheduler — so
-// the in-package tests keep their own copy to avoid an import cycle.)
+// package.
 type testDatasets struct {
 	mu sync.Mutex
 	l4 map[l4all.Scale]l4Pair
@@ -293,7 +292,7 @@ func BenchmarkAblationBatching(b *testing.B) {
 	}{
 		{"batch100", Options{BatchSize: 100}},
 		{"batch1000", Options{BatchSize: 1000}},
-		{"noBatching", Options{NoBatching: true}},
+		{"noBatching", Options{BatchSize: math.MaxInt32}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -338,8 +337,8 @@ func BenchmarkExtRareSide(b *testing.B) {
 	})
 }
 
-// BenchmarkJoinStrategies compares the round-based ranked join against the
-// HRJN cascade (and the query-tree planner) on a two-conjunct query.
+// BenchmarkJoinStrategies measures the ranked join with and without the
+// query-tree planner on a two-conjunct query.
 func BenchmarkJoinStrategies(b *testing.B) {
 	g, ont := datasets().L4All(l4all.L1)
 	text := "(?X, ?Z) <- (?X, next, ?Y), (?Y, job, ?Z)"
@@ -348,8 +347,7 @@ func BenchmarkJoinStrategies(b *testing.B) {
 		opts Options
 	}{
 		{"round", Options{}},
-		{"hrjn", Options{HashRankJoin: true}},
-		{"hrjn+plan", Options{HashRankJoin: true, ReorderConjuncts: true}},
+		{"round+plan", Options{ReorderConjuncts: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

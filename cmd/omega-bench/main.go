@@ -7,8 +7,7 @@
 //	omega-bench -exp fig5 -scales L1,L2          # one experiment, small scales
 //	omega-bench -exp fig10,fig11 -yago-scale 0.2
 //
-// Experiments: fig2 fig3 fig5 fig6 fig7 fig8 fig10 fig11 opt1 opt2 prep serve
-// bulk par.
+// Experiments: fig2 fig3 fig5 fig6 fig7 fig8 fig10 fig11 opt1 opt2.
 package main
 
 import (
@@ -39,15 +38,11 @@ var experiments = []struct {
 	{"fig11", "Figure 11: execution times (ms), YAGO data graph", func(c bench.Config) error { return bench.Fig11(os.Stdout, c) }},
 	{"opt1", "§4.3 optimisation 1: retrieving answers by distance", func(c bench.Config) error { return bench.Opt1(os.Stdout, c) }},
 	{"opt2", "§4.3 optimisation 2: replacing alternation by disjunction", func(c bench.Config) error { return bench.Opt2(os.Stdout, c) }},
-	{"prep", "Prepared queries: compile-once / exec-many amortisation", func(c bench.Config) error { return bench.Prep(os.Stdout, c) }},
-	{"serve", "Serving layer: pooled evaluator state + scheduler (QPS, latency, allocs/request)", func(c bench.Config) error { return bench.Serve(os.Stdout, c) }},
-	{"bulk", "Bulk set-semantics backend vs ranked GetNext (exhaustive exact Q4–Q7)", func(c bench.Config) error { return bench.Bulk(os.Stdout, c) }},
-	{"par", "Parallel evaluation vs serial (exhaustive exact Q4–Q7, identity-gated on ordered emission)", func(c bench.Config) error { return bench.Par(os.Stdout, c) }},
 }
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "comma-separated experiments (fig2,fig3,fig5..fig8,fig10,fig11,opt1,opt2,prep,serve,bulk,par) or 'all'")
+		exp        = flag.String("exp", "all", "comma-separated experiments (fig2,fig3,fig5..fig8,fig10,fig11,opt1,opt2) or 'all'")
 		scalesFlag = flag.String("scales", "L1,L2,L3,L4", "L4All scales to include")
 		yagoScale  = flag.Float64("yago-scale", 1.0, "YAGO size factor (1.0 ≈ 40k nodes)")
 		runs       = flag.Int("runs", 5, "runs per query (first discarded)")

@@ -60,9 +60,6 @@ type Measurement struct {
 	Phases       int // distance-aware ψ phases (1 otherwise)
 	Reinjected   int // deferred tuples re-admitted (incremental mode only)
 	Backend      string
-	// Speedup is filled by paired experiments (bulk): ranked time over this
-	// measurement's time.
-	Speedup float64
 }
 
 // DistBreakdown renders the Figure 5-style per-distance annotation, e.g.

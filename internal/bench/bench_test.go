@@ -192,39 +192,6 @@ func TestOptTables(t *testing.T) {
 	}
 }
 
-// TestPrepTable smoke-runs the prepared-query amortisation study: the table
-// must render, every prepared exec must compile zero automata (the function
-// itself fails on emission mismatch), and the recorder must carry the
-// compile counters.
-func TestPrepTable(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Recorder = NewRecorder()
-	cfg.Experiment = "prep"
-	var buf bytes.Buffer
-	if err := Prep(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Q9") || !strings.Contains(out, "compile ms") {
-		t.Errorf("Prep output unexpected:\n%s", out)
-	}
-	prepared := 0
-	for _, r := range cfg.Recorder.Records() {
-		if strings.Contains(r.Query, "(prepared)") {
-			prepared++
-			if r.Compiles != 0 {
-				t.Errorf("%s: %d automata built during prepared execs, want 0", r.Query, r.Compiles)
-			}
-			if r.CompileMs <= 0 {
-				t.Errorf("%s: compile_ms not recorded", r.Query)
-			}
-		}
-	}
-	if prepared == 0 {
-		t.Error("no prepared records written")
-	}
-}
-
 func TestDatasetsCache(t *testing.T) {
 	ds := NewDatasets(tinyYago())
 	g1, _ := ds.L4All(l4all.L1)

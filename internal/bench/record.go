@@ -14,41 +14,16 @@ type Record struct {
 	Dataset      string  `json:"dataset"`
 	Query        string  `json:"query"`
 	Mode         string  `json:"mode"`
-	Ms           float64 `json:"ms"`                   // average total time (0 when failed)
-	InitMs       float64 `json:"init_ms"`              // average initialisation time
-	CompileMs    float64 `json:"compile_ms,omitempty"` // one-time prepare/compile cost (prep experiment)
-	Compiles     int     `json:"compiles,omitempty"`   // automata built during the measured runs (prep experiment)
+	Ms           float64 `json:"ms"`      // average total time (0 when failed)
+	InitMs       float64 `json:"init_ms"` // average initialisation time
 	Answers      int     `json:"answers"`
 	TuplesAdded  int     `json:"tuples_added"`
 	TuplesPopped int     `json:"tuples_popped"`
 	Phases       int     `json:"phases"`     // distance-aware ψ phases (1 otherwise)
 	Reinjected   int     `json:"reinjected"` // deferred tuples re-admitted (incremental distance-aware)
 	Failed       bool    `json:"failed"`     // tuple budget exhausted ('?')
-	// Backend names the evaluation engine that ran ("ranked" or "bulk");
-	// Speedup, on bulk records, is the paired ranked time divided by the bulk
-	// time on the same query and scale (bulk experiment).
-	Backend string  `json:"backend,omitempty"`
-	Speedup float64 `json:"speedup,omitempty"`
-	// Serving-layer metrics (serve experiment).
-	AllocsPerReq float64 `json:"allocs_per_req,omitempty"` // steady-state heap allocations per request
-	BytesPerReq  float64 `json:"bytes_per_req,omitempty"`  // steady-state heap bytes per request
-	QPS          float64 `json:"qps,omitempty"`            // closed-loop requests per second
-	P50Ms        float64 `json:"p50_ms,omitempty"`         // closed-loop median latency
-	P99Ms        float64 `json:"p99_ms,omitempty"`         // closed-loop tail latency
-	// Failure-hardening counters (serve experiment). Zero in a clean run;
-	// non-zero when the run executed with failpoints armed (OMEGA_FAILPOINTS)
-	// or saw real failures, so a fault-injection CI job leaves its marks in
-	// the same artifact the clean job writes.
-	FaultsFired  int64 `json:"faults_fired,omitempty"`  // failpoint activations during the closed loop
-	Panics       int64 `json:"panics,omitempty"`        // panics recovered by scheduler workers
-	StallAborts  int64 `json:"stall_aborts,omitempty"`  // watchdog aborts (ErrStalled)
-	PoolPoisoned int64 `json:"pool_poisoned,omitempty"` // evaluator bundles discarded after failures
-	// Memory-governance counters (serve experiment): the per-request peak of
-	// accounted resident bytes, executions aborted by memory budgets
-	// (omega.ErrMemBudget), and soft-watermark escalations to disk spilling.
-	PeakBytes        int64 `json:"peak_bytes,omitempty"`
-	MemAborts        int64 `json:"mem_aborts,omitempty"`
-	SpillEscalations int   `json:"spill_escalations,omitempty"`
+	// Backend names the evaluation engine that ran ("ranked" or "bulk").
+	Backend string `json:"backend,omitempty"`
 }
 
 // Recorder accumulates Records across experiments. Safe for concurrent use.
@@ -68,16 +43,6 @@ func (r *Recorder) Add(rec Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.records = append(r.records, rec)
-}
-
-// Records returns a copy of all accumulated records.
-func (r *Recorder) Records() []Record {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Record(nil), r.records...)
 }
 
 // WriteExperiment writes the records of one experiment to path as an
@@ -129,6 +94,5 @@ func (c Config) record(m Measurement) {
 		Reinjected:   m.Reinjected,
 		Failed:       m.Failed,
 		Backend:      m.Backend,
-		Speedup:      m.Speedup,
 	})
 }

@@ -25,8 +25,8 @@ func packPair(v, n graph.NodeID) uint64 {
 // mutex-guarded lazy bulk-index cache, mirroring Prepared's variant cache —
 // so any number of concurrent executions may instantiate evaluators from it;
 // that is what makes a PreparedQuery goroutine-shareable. Evaluators are
-// cheap to spin up from a plan, which is also what the disjunction strategy
-// and the restart-based distance-aware reference need.
+// cheap to spin up from a plan, which is also what the ψ-phase driver and its
+// restart-based reference need.
 type conjunctPlan struct {
 	g    *graph.Graph
 	ont  *ontology.Ontology
@@ -245,14 +245,10 @@ func (p *conjunctPlan) open(ctx context.Context, opts *Options, maxDist int32, b
 		}
 
 		switch {
-		case p.decompose:
+		case p.decompose || (opts.DistanceAware && p.mode != automaton.Exact):
+			// Both §4.3 strategies are the ψ-phase driver: over the
+			// alternands, or over the conjunct's single automaton.
 			it = newDisjunction(ctx, p, opts, phi, maxPsi)
-		case opts.DistanceAware && p.mode != automaton.Exact:
-			if opts.DistanceRestart {
-				it = newRestartDistanceAware(func(psi int32) *evaluator { return p.newEvaluator(ctx, opts, 0, psi) }, phi, maxPsi)
-			} else {
-				it = newDistanceAware(p.newEvaluator(ctx, opts, 0, 0), phi, maxPsi)
-			}
 		default:
 			if k := opts.Parallelism; k > 1 && p.parEligible(opts) {
 				// Sharded ranked evaluation: per-shard evaluators merged

@@ -190,7 +190,9 @@ type Options struct {
 	// which the paper's study leaves off.
 	EnableRule2 bool
 	// BatchSize is the number of initial nodes retrieved per coroutine
-	// batch in Open's Case 3 (§3.3); 0 means the paper's default of 100.
+	// batch in Open's Case 3 (§3.3); 0 means the paper's default of 100. A
+	// value above the graph's node count seeds every initial node up front
+	// (the ablation of the Open/GetNext coroutines).
 	BatchSize int
 	// DistanceAware enables §4.3's "retrieving answers by distance": a
 	// cost cap ψ stepped by the smallest operation cost φ. Tuples that
@@ -199,11 +201,10 @@ type Options struct {
 	// the work of its predecessors (the paper's description restarts
 	// evaluation from scratch at each increment; see DistanceRestart).
 	DistanceAware bool
-	// DistanceRestart backs the ψ-stepping drivers with the paper's naive
-	// restart behaviour instead of the resumable evaluators: distance-aware
-	// mode builds a fresh evaluator at every ψ increment, and the disjunction
-	// strategy builds a fresh evaluator per (branch, phase). Either way the
-	// ranked emission is identical to the resumable drivers; this exists for
+	// DistanceRestart backs the ψ-phase driver with the paper's naive restart
+	// behaviour instead of the resumable evaluators: a fresh evaluator per
+	// (branch, phase), a single branch in plain distance-aware mode. The
+	// ranked emission is identical to the resumable driver's; this exists for
 	// differential testing and benchmarking, not production use — the
 	// RefDict pattern applied to ψ-stepping.
 	DistanceRestart bool
@@ -224,9 +225,6 @@ type Options struct {
 	// NoSuccCache disables reuse of NeighboursByEdge results across
 	// identical consecutive labels in Succ (ablation of the U cache, §3.4).
 	NoSuccCache bool
-	// NoBatching seeds all initial nodes up front instead of in batches
-	// (ablation of the Open/GetNext coroutines).
-	NoBatching bool
 	// RareSide (EXTENSION; the paper lists "leveraging rare labels as in
 	// [Koschmieder & Leser]" as future work) evaluates a (?X, R, ?Y)
 	// conjunct from whichever end of R has fewer candidate start nodes,
@@ -249,10 +247,6 @@ type Options struct {
 	// identical ranked sequences; this exists for differential testing and
 	// benchmarking, not production use.
 	RefDict bool
-	// HashRankJoin evaluates multi-conjunct queries with a left-deep
-	// cascade of HRJN-style hash rank joins instead of the round-based
-	// ranked join. Both produce answers in non-decreasing total distance.
-	HashRankJoin bool
 	// ReorderConjuncts builds the query tree by greedily ordering
 	// conjuncts: constant-anchored conjuncts first, then conjuncts
 	// connected to already-bound variables (§3's query-tree construction;
@@ -398,6 +392,27 @@ type Stats struct {
 	Parallelism    int
 	Shards         int
 	MergeWaitNanos int64
+}
+
+// add folds o into s, the one way counters of several evaluators become one
+// Stats: the additive counters sum, and MemPeakBytes takes the maximum,
+// because every evaluator of an execution reports the peak of the one gauge
+// they share. VisitedSize, Phases and Backend stay with the caller — shards
+// sum visited sizes while branches and conjuncts take the largest — and the
+// request-level timings and Parallelism are never folded.
+func (s *Stats) add(o Stats) {
+	s.TuplesAdded += o.TuplesAdded
+	s.TuplesPopped += o.TuplesPopped
+	s.NeighborCalls += o.NeighborCalls
+	s.CacheHits += o.CacheHits
+	s.Deferred += o.Deferred
+	s.Reinjected += o.Reinjected
+	s.SpillEscalations += o.SpillEscalations
+	s.SpillIONanos += o.SpillIONanos
+	s.SpillIOBytes += o.SpillIOBytes
+	s.Shards += o.Shards
+	s.MergeWaitNanos += o.MergeWaitNanos
+	s.MemPeakBytes = max(s.MemPeakBytes, o.MemPeakBytes)
 }
 
 // StatsReporter is implemented by iterators that can report Stats.

@@ -42,8 +42,7 @@ func TestDictDifferentialRandomized(t *testing.T) {
 		mode := modes[rng.Intn(len(modes))]
 		c := conj(subjects[rng.Intn(3)], re, objects[rng.Intn(3)], mode)
 		opts := Options{
-			BatchSize:    []int{1, 7, 100}[rng.Intn(3)],
-			NoBatching:   rng.Intn(4) == 0,
+			BatchSize:    randBatchSize(rng, 1, 7, 100),
 			NoFinalFirst: rng.Intn(4) == 0,
 			NoSuccCache:  rng.Intn(4) == 0,
 		}

@@ -5,49 +5,71 @@ import (
 	"sort"
 
 	"omega/internal/dstruct"
+	"omega/internal/obs"
 )
 
-// This file implements §4.3's "replacing alternation by disjunction": the NFA
-// for R = R1|R2|… is decomposed into sub-automata NFA_i. Distance-0 answers
-// are computed by evaluating the sub-automata in default order, recording the
-// answer count n_{0,i} per sub-automaton; the answers at distance kφ are then
-// computed by evaluating the sub-automata in increasing n_{(k−1)φ,i} order,
-// so cheap branches run first and a caller that stops after the top k answers
-// never pays for the expensive branches.
+// This file implements both optimisations of §4.3 as one ψ-phase driver.
 //
-// Answers stream out as each sub-automaton produces them. Within a distance
-// phase every new answer has distance in (ψ−φ, ψ]; with uniform operation
-// costs (the study's configuration) that band is the single value ψ, so the
+// "Retrieving answers by distance": a current maximum cost ψ starts at 0; no
+// tuple with a larger cost is ever added to or removed from D_R. When more
+// answers are needed, ψ is incremented by φ (the smallest edit/relaxation
+// cost), bounded by MaxPsi. Phase ψ finds every answer of distance ≤ ψ, so
+// answers new to a phase have distance in (ψ−φ, ψ]; with uniform operation
+// costs (the study's configuration) that band is the single value ψ, and the
 // stream stays globally non-decreasing.
 //
-// The default driver (disjunction) keeps ONE resumable evaluator per branch:
-// over-ψ tuples park in the branch's deferred frontier and each phase step
-// re-injects them into the same warm evaluator, exactly like the incremental
-// distance-aware mode — no (branch, phase) pair ever recomputes the work of
-// its predecessors, and phases that would re-admit nothing anywhere are
-// skipped by stepping ψ straight to the next populated φ-grid point. The old
-// fresh-evaluator-per-(branch, phase) driver is retained behind
-// Options.DistanceRestart as the differential reference (the RefDict
-// pattern): both emit byte-identical ranked sequences.
+// "Replacing alternation by disjunction": the NFA for R = R1|R2|… is
+// decomposed into sub-automata NFA_i, each run to exhaustion at every ψ.
+// Distance-0 answers are computed by evaluating the sub-automata in default
+// order, recording the answer count n_{0,i} per sub-automaton; the answers at
+// distance kφ are then computed by evaluating the sub-automata in increasing
+// n_{(k−1)φ,i} order, so cheap branches run first and a caller that stops
+// after the top k answers never pays for the expensive branches.
+//
+// The first is the second over a single branch, so one driver (disjunction)
+// runs both: n ≥ 1 branches, answers streaming out as each branch produces
+// them. The paper describes each ψ increment as a restart from the beginning,
+// which redoes all the work of every earlier phase. The driver instead keeps
+// ONE resumable evaluator per branch: over-ψ tuples park in the branch's
+// deferred frontier and each phase step re-injects the newly admissible ones
+// into the warm D_R / visited table / answer registry — every tuple is popped
+// at most once across all phases, and phases that would re-admit nothing
+// anywhere are skipped by stepping ψ straight to the next populated φ-grid
+// point. The pop trace restricted to distances ≤ ψ is identical either way,
+// so ranked emission is byte-identical to the fresh-evaluator-per-(branch,
+// phase) driver retained behind Options.DistanceRestart as the differential
+// reference (the RefDict pattern).
 
-// newDisjunction returns the driver selected by opts: the resumable
-// per-branch driver by default, the restart-per-phase reference under
-// Options.DistanceRestart.
+// newDisjunction returns the ψ-phase driver selected by opts over the plan's
+// automata (one per alternand when decomposed, else the single automaton of a
+// distance-aware conjunct): the resumable per-branch driver by default, the
+// restart-per-phase reference under Options.DistanceRestart.
 func newDisjunction(ctx context.Context, plan *conjunctPlan, opts *Options, phi, maxPsi int32) Iterator {
 	if opts.DistanceRestart {
 		return newRestartDisjunction(ctx, plan, opts, phi, maxPsi)
 	}
 	n := len(plan.auts)
 	d := &disjunction{
-		ctx:        ctx,
-		plan:       plan,
 		opts:       opts,
 		phi:        phi,
 		maxPsi:     maxPsi,
 		evals:      make([]*evaluator, n),
 		prevCounts: make([]int, n),
-		emitted:    dstruct.NewU64Set(),
+		counts:     make([]int, n),
+		order:      make([]int, n),
 		phases:     1,
+		phaseSpan:  obs.NoSpan,
+	}
+	// Every branch is instantiated here, at ψ = 0, rather than on its first
+	// turn: phase 0 touches every branch anyway, and taking pooled bundles at
+	// open keeps which bundle a conjunct gets independent of how a join
+	// interleaves its conjuncts.
+	for i := range d.evals {
+		d.evals[i] = plan.newEvaluator(ctx, opts, i, 0)
+		makeResumable(d.evals[i], phi, maxPsi)
+	}
+	if n > 1 {
+		d.emitted = dstruct.NewU64Set()
 	}
 	d.startPhase()
 	return d
@@ -56,49 +78,72 @@ func newDisjunction(ctx context.Context, plan *conjunctPlan, opts *Options, phi,
 // disjunction is the resumable driver: one live evaluator per branch, shared
 // across every ψ phase.
 type disjunction struct {
-	ctx    context.Context
-	plan   *conjunctPlan
 	opts   *Options
 	phi    int32
 	maxPsi int32
 
 	psi        int32
-	evals      []*evaluator // per branch; created on the branch's first turn
+	evals      []*evaluator // per branch
 	prevCounts []int        // new answers per branch in the previous phase
 	counts     []int        // new answers per branch in the current phase
 	order      []int
 	oi         int
-	emitted    *dstruct.U64Set // cross-branch dedup (each branch dedups itself)
-	phases     int
-	done       bool
-	failed     error
+	// emitted de-duplicates across branches; nil with a single branch, whose
+	// own answer registry stays warm across phases and never re-emits a pair.
+	emitted *dstruct.U64Set
+	phases  int
+	done    bool
+	failed  error
+
+	// phaseSpan is the open psi_phase trace span of the current resumed phase
+	// (NoSpan for phase 1, which the enclosing conjunct span already covers,
+	// and always NoSpan when the execution is untraced).
+	phaseSpan obs.SpanID
+}
+
+// makeResumable arms ev with a deferred frontier so the driver can resume it
+// across phases instead of restarting evaluation.
+func makeResumable(ev *evaluator, phi, maxPsi int32) {
+	ev.resumable = true
+	switch {
+	case ev.opts.SpillThreshold > 0:
+		// The user asked for bounded resident memory; the parked frontier
+		// must honour it too, not just D_R.
+		df, err := dstruct.NewDeferredSpill(ev.opts.SpillThreshold, ev.opts.SpillDir, ev.opts.NoFinalFirst)
+		if err != nil && ev.failed == nil {
+			ev.failed = err
+		}
+		if err != nil {
+			df = dstruct.NewDeferred(ev.opts.NoFinalFirst) // placeholder; evaluation fails immediately
+		}
+		ev.deferred = df
+	case ev.state != nil:
+		// Pooled execution: the bundle's frontier was Reset at acquisition.
+		ev.deferred = ev.state.deferred
+	default:
+		ev.deferred = dstruct.NewDeferred(ev.opts.NoFinalFirst)
+	}
+	// The last reachable phase is the first φ-grid point ≥ MaxPsi (the
+	// reference stops stepping once ψ ≥ MaxPsi, so it still runs that one).
+	// Tuples beyond it can never be re-admitted and are not worth parking.
+	limit := (int64(maxPsi) + int64(phi) - 1) / int64(phi) * int64(phi)
+	if limit > int64(1)<<31-1 {
+		limit = int64(1)<<31 - 1
+	}
+	ev.deferLimit = int32(limit)
 }
 
 // startPhase orders the branches by the previous phase's answer counts
 // (stable, so the first phase and ties use default order).
 func (d *disjunction) startPhase() {
-	n := len(d.plan.auts)
-	d.order = make([]int, n)
 	for i := range d.order {
 		d.order[i] = i
 	}
 	sort.SliceStable(d.order, func(i, j int) bool {
 		return d.prevCounts[d.order[i]] < d.prevCounts[d.order[j]]
 	})
-	d.counts = make([]int, n)
+	clear(d.counts)
 	d.oi = 0
-}
-
-// branch returns the branch's live evaluator, instantiating it on the
-// branch's first turn (phase 0 touches every branch, so creation always
-// happens at ψ = 0).
-func (d *disjunction) branch(idx int) *evaluator {
-	if d.evals[idx] == nil {
-		ev := d.plan.newEvaluator(d.ctx, d.opts, idx, d.psi)
-		makeResumable(ev, d.phi, d.maxPsi)
-		d.evals[idx] = ev
-	}
-	return d.evals[idx]
 }
 
 // fail records the terminal error and releases every branch.
@@ -106,16 +151,24 @@ func (d *disjunction) fail(err error) error {
 	if d.failed == nil {
 		d.failed = err
 	}
-	d.done = true
-	d.closeAll()
+	d.finish()
 	return d.failed
 }
 
-func (d *disjunction) closeAll() {
+// stop marks the stream over and ends the open phase span (nil-trace safe,
+// and a span ended twice keeps its first end); the caller releases the
+// branches.
+func (d *disjunction) stop() {
+	d.done = true
+	d.opts.trace.End(d.phaseSpan)
+}
+
+// finish ends the stream and releases every branch: the evaluators are
+// resumable, so the driver owns their finish.
+func (d *disjunction) finish() {
+	d.stop()
 	for _, ev := range d.evals {
-		if ev != nil {
-			ev.finish()
-		}
+		ev.finish()
 	}
 }
 
@@ -133,8 +186,7 @@ func (d *disjunction) Next() (Answer, bool, error) {
 			// at least one parked tuple in some branch, or stop.
 			next, skipped, more := d.nextPsi()
 			if !more {
-				d.done = true
-				d.closeAll()
+				d.finish()
 				continue
 			}
 			copy(d.prevCounts, d.counts)
@@ -148,17 +200,20 @@ func (d *disjunction) Next() (Answer, bool, error) {
 				}
 			}
 			d.psi = next
+			if tr := d.opts.trace; tr != nil {
+				tr.End(d.phaseSpan)
+				d.phaseSpan = tr.Start(d.opts.traceParent, obs.SpanPsiPhase)
+				tr.SetAttr(d.phaseSpan, "psi", int64(next))
+			}
 			for _, ev := range d.evals {
-				if ev != nil {
-					ev.resume(next)
-				}
+				ev.resume(next)
 			}
 			d.phases++
 			d.startPhase()
 			continue
 		}
 		idx := d.order[d.oi]
-		ev := d.branch(idx)
+		ev := d.evals[idx]
 		a, ok, err := ev.Next()
 		if err != nil {
 			return Answer{}, false, d.fail(err)
@@ -172,7 +227,7 @@ func (d *disjunction) Next() (Answer, bool, error) {
 			d.oi++
 			continue
 		}
-		if !d.emitted.Add(packPair(a.Src, a.Dst)) {
+		if d.emitted != nil && !d.emitted.Add(packPair(a.Src, a.Dst)) {
 			continue // found by an earlier branch
 		}
 		d.counts[idx]++
@@ -192,9 +247,6 @@ func (d *disjunction) nextPsi() (int32, bool, bool) {
 	var m int32
 	any := false
 	for _, ev := range d.evals {
-		if ev == nil {
-			continue
-		}
 		if md, ok := ev.deferred.MinDistance(); ok && (!any || md < m) {
 			m, any = md, true
 		}
@@ -211,15 +263,14 @@ func (d *disjunction) nextPsi() (int32, bool, bool) {
 	return int32(psi + steps*phi), steps > 1, true
 }
 
-// Close releases every branch evaluator's resources deterministically.
+// Close releases every branch evaluator's resources (D_R and the deferred
+// frontier, including any spill files) deterministically.
 func (d *disjunction) Close() error {
-	d.done = true
+	d.stop()
 	var first error
 	for _, ev := range d.evals {
-		if ev != nil {
-			if err := ev.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := ev.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -228,14 +279,12 @@ func (d *disjunction) Close() error {
 // Abort terminates the driver, poisoning every branch evaluator's pooled
 // state.
 func (d *disjunction) Abort(err error) {
-	d.done = true
+	d.stop()
 	if d.failed == nil {
 		d.failed = err
 	}
 	for _, ev := range d.evals {
-		if ev != nil {
-			ev.Abort(err)
-		}
+		ev.Abort(err)
 	}
 }
 
@@ -243,30 +292,20 @@ func (d *disjunction) Abort(err error) {
 func (d *disjunction) Stats() Stats {
 	s := Stats{Phases: d.phases}
 	for _, ev := range d.evals {
-		if ev == nil {
-			continue
-		}
-		es := ev.Stats()
-		s.TuplesAdded += es.TuplesAdded
-		s.TuplesPopped += es.TuplesPopped
-		s.NeighborCalls += es.NeighborCalls
-		s.CacheHits += es.CacheHits
-		s.Deferred += es.Deferred
-		s.Reinjected += es.Reinjected
-		s.SpillEscalations += es.SpillEscalations
-		s.SpillIONanos += es.SpillIONanos
-		s.SpillIOBytes += es.SpillIOBytes
-		if es.VisitedSize > s.VisitedSize {
-			s.VisitedSize = es.VisitedSize
-		}
-		if es.MemPeakBytes > s.MemPeakBytes {
-			s.MemPeakBytes = es.MemPeakBytes
-		}
+		addBranch(&s, ev)
 	}
 	return s
 }
 
-// restartDisjunction is the pre-resumable driver, retained behind
+// addBranch folds one branch evaluator's counters into s. Branches run one
+// after the other, so the visited figure is the largest, not the sum.
+func addBranch(s *Stats, ev *evaluator) {
+	es := ev.Stats()
+	s.add(es)
+	s.VisitedSize = max(s.VisitedSize, es.VisitedSize)
+}
+
+// restartDisjunction is the paper's naive driver, retained behind
 // Options.DistanceRestart as the differential reference: every (branch,
 // phase) pair builds a fresh evaluator and re-runs evaluation from the
 // beginning, with the cross-phase emitted-set suppressing answers already
@@ -353,8 +392,8 @@ func (d *restartDisjunction) Next() (Answer, bool, error) {
 			if d.cur.pruned {
 				d.anyPruned = true
 			}
-			d.accumulate(d.cur)
-			d.cur = nil
+			addBranch(&d.stats, d.cur)
+			d.cur = nil // folded in; clearing prevents Stats double-counting
 			d.oi++
 			continue
 		}
@@ -363,23 +402,6 @@ func (d *restartDisjunction) Next() (Answer, bool, error) {
 		}
 		d.counts[d.order[d.oi]]++
 		return a, true, nil
-	}
-}
-
-func (d *restartDisjunction) accumulate(ev *evaluator) {
-	s := ev.Stats()
-	d.stats.TuplesAdded += s.TuplesAdded
-	d.stats.TuplesPopped += s.TuplesPopped
-	d.stats.NeighborCalls += s.NeighborCalls
-	d.stats.CacheHits += s.CacheHits
-	d.stats.SpillEscalations += s.SpillEscalations
-	d.stats.SpillIONanos += s.SpillIONanos
-	d.stats.SpillIOBytes += s.SpillIOBytes
-	if s.VisitedSize > d.stats.VisitedSize {
-		d.stats.VisitedSize = s.VisitedSize
-	}
-	if s.MemPeakBytes > d.stats.MemPeakBytes {
-		d.stats.MemPeakBytes = s.MemPeakBytes
 	}
 }
 
@@ -404,20 +426,7 @@ func (d *restartDisjunction) Abort(err error) {
 func (d *restartDisjunction) Stats() Stats {
 	s := d.stats
 	if d.cur != nil {
-		cs := d.cur.Stats()
-		s.TuplesAdded += cs.TuplesAdded
-		s.TuplesPopped += cs.TuplesPopped
-		s.NeighborCalls += cs.NeighborCalls
-		s.CacheHits += cs.CacheHits
-		s.SpillEscalations += cs.SpillEscalations
-		s.SpillIONanos += cs.SpillIONanos
-		s.SpillIOBytes += cs.SpillIOBytes
-		if cs.VisitedSize > s.VisitedSize {
-			s.VisitedSize = cs.VisitedSize
-		}
-		if cs.MemPeakBytes > s.MemPeakBytes {
-			s.MemPeakBytes = cs.MemPeakBytes
-		}
+		addBranch(&s, d.cur)
 	}
 	return s
 }

@@ -9,9 +9,10 @@ import (
 	"omega/internal/ontology"
 )
 
-// checkIncrementalMatchesRestart runs the same conjunct under the incremental
-// and the restart-based distance-aware drivers and requires byte-identical
-// ranked emission: same answers, same distances, same order.
+// checkIncrementalMatchesRestart runs the same distance-aware conjunct under
+// the resumable ψ-phase driver and under its restart-based reference and
+// requires byte-identical ranked emission: same answers, same distances, same
+// order.
 func checkIncrementalMatchesRestart(t *testing.T, trial int, g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Options) {
 	t.Helper()
 	incOpts := opts
@@ -69,9 +70,8 @@ func TestQuickIncrementalDistanceAwareMatchesRestart(t *testing.T) {
 		c := conj(subj, re, []string{"?Y", "n2"}[rng.Intn(2)], mode)
 		opts := Options{
 			MaxPsi:       []int32{0, 1, 2, 3, 5, 1 << 20}[rng.Intn(6)],
-			BatchSize:    []int{1, 7, 100}[rng.Intn(3)],
+			BatchSize:    randBatchSize(rng, 1, 7, 100),
 			NoFinalFirst: rng.Intn(4) == 0,
-			NoBatching:   rng.Intn(4) == 0,
 			NoSuccCache:  rng.Intn(4) == 0,
 		}
 		if rng.Intn(3) == 0 {
@@ -202,12 +202,12 @@ func TestDistanceAwareWithSpilling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, ok := it.(*distanceAware)
-	if !ok {
-		t.Fatalf("expected *distanceAware, got %T", it)
+	d, ok := it.(*disjunction)
+	if !ok || len(d.evals) != 1 {
+		t.Fatalf("expected the ψ-phase driver over one branch, got %T", it)
 	}
 	as := drain(t, it, 10000)
-	if da.cur.deferred.Spills() == 0 {
+	if d.evals[0].deferred.Spills() == 0 {
 		t.Fatal("deferred frontier never spilled at threshold 4 — resident memory is unbounded again")
 	}
 

@@ -442,10 +442,9 @@ func (ev *evaluator) refill() {
 		return
 	}
 	if ev.batch == nil {
-		size := ev.opts.BatchSize
-		if ev.opts.NoBatching {
-			size = ev.g.NumNodes() + 1
-		}
+		// A batch larger than the node set buys nothing: NumNodes()+1 already
+		// seeds every initial node up front.
+		size := min(ev.opts.BatchSize, ev.g.NumNodes()+1)
 		if ev.state != nil && cap(ev.state.batch) >= size {
 			ev.batch = ev.state.batch[:size]
 		} else {

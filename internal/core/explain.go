@@ -29,11 +29,7 @@ func ExplainQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 		fmt.Fprintf(&b, "query tree (planned order): %v\n", order)
 	}
 	if len(q.Conjuncts) > 1 {
-		if opts.HashRankJoin {
-			fmt.Fprintf(&b, "join: HRJN cascade over %d conjuncts\n", len(q.Conjuncts))
-		} else {
-			fmt.Fprintf(&b, "join: round-based ranked join over %d conjuncts\n", len(q.Conjuncts))
-		}
+		fmt.Fprintf(&b, "join: round-based ranked join over %d conjuncts\n", len(q.Conjuncts))
 	}
 
 	for pos, idx := range order {

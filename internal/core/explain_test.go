@@ -62,11 +62,11 @@ func TestExplainJoinAndPlan(t *testing.T) {
 			conj("a", "q", "?X", automaton.Exact),
 		},
 	}
-	out, err := ExplainQuery(g, ont, q, Options{ReorderConjuncts: true, HashRankJoin: true})
+	out, err := ExplainQuery(g, ont, q, Options{ReorderConjuncts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "HRJN") {
+	if !strings.Contains(out, "join: round-based ranked join over 2 conjuncts") {
 		t.Errorf("explain missing join strategy:\n%s", out)
 	}
 	if !strings.Contains(out, "query tree (planned order): [1 0]") {

@@ -335,39 +335,18 @@ func (rj *rankedJoin) runRound() error {
 	return nil
 }
 
-// Stats implements StatsReporter by aggregating over the conjunct iterators:
-// counter fields sum, VisitedSize and Phases take the per-conjunct maximum
-// (following the disjunction driver's convention). This is what lets a server
-// log per-request pops/deferred/reinjected for multi-conjunct queries too.
-func (rj *rankedJoin) Stats() Stats { return aggregateStats(rj.raw) }
-
-// aggregateStats folds the conjunct iterators' counters into one Stats.
-func aggregateStats(its []Iterator) Stats {
+// Stats implements StatsReporter by folding the conjunct iterators' counters
+// into one Stats: counter fields sum, VisitedSize and Phases take the
+// per-conjunct maximum (following the ψ-phase driver's convention). This is
+// what lets a server log per-request pops/deferred/reinjected for
+// multi-conjunct queries too.
+func (rj *rankedJoin) Stats() Stats {
 	var s Stats
-	for _, it := range its {
+	for _, it := range rj.raw {
 		cs := statsOf(it)
-		s.TuplesAdded += cs.TuplesAdded
-		s.TuplesPopped += cs.TuplesPopped
-		s.NeighborCalls += cs.NeighborCalls
-		s.CacheHits += cs.CacheHits
-		s.Deferred += cs.Deferred
-		s.Reinjected += cs.Reinjected
-		s.SpillEscalations += cs.SpillEscalations
-		s.SpillIONanos += cs.SpillIONanos
-		s.SpillIOBytes += cs.SpillIOBytes
-		s.Shards += cs.Shards
-		s.MergeWaitNanos += cs.MergeWaitNanos
-		if cs.VisitedSize > s.VisitedSize {
-			s.VisitedSize = cs.VisitedSize
-		}
-		if cs.Phases > s.Phases {
-			s.Phases = cs.Phases
-		}
-		// Every evaluator of one execution reports the same shared gauge's
-		// peak, so max (not sum) is the execution-wide figure.
-		if cs.MemPeakBytes > s.MemPeakBytes {
-			s.MemPeakBytes = cs.MemPeakBytes
-		}
+		s.add(cs)
+		s.VisitedSize = max(s.VisitedSize, cs.VisitedSize)
+		s.Phases = max(s.Phases, cs.Phases)
 		if s.Backend == "" {
 			s.Backend = cs.Backend
 		} else if cs.Backend != "" && cs.Backend != s.Backend {

@@ -150,6 +150,30 @@ func TestJoinEmptyConjunctShortCircuits(t *testing.T) {
 	}
 }
 
+func TestJoinCrossProduct(t *testing.T) {
+	// Disjoint variables: no join key, so every pair of conjunct answers
+	// combines.
+	b := graph.NewBuilder()
+	mustAdd(t, b, "a", "p", "b")
+	mustAdd(t, b, "c", "q", "d")
+	mustAdd(t, b, "e", "q", "f")
+	g := b.Freeze()
+	q := &Query{
+		Head: []string{"X", "Z"},
+		Conjuncts: []Conjunct{
+			conj("?X", "p", "?Y", automaton.Exact),
+			conj("?Z", "q", "?W", automaton.Exact),
+		},
+	}
+	it, err := OpenQuery(g, nil, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if as := drainQuery(t, it, 10); len(as) != 2 {
+		t.Fatalf("cross product rows = %+v, want 2", as)
+	}
+}
+
 func TestJoinTotalDistanceOrdering(t *testing.T) {
 	g, ont := tinyGraph(t)
 	// Two APPROX conjuncts: totals are sums; ordering must be by sum.

@@ -75,10 +75,7 @@ func (p *conjunctPlan) parSources() []graph.NodeID {
 	if p.parDone {
 		return p.parSrc
 	}
-	chunk := p.opts.BatchSize
-	if p.opts.NoBatching {
-		chunk = p.g.NumNodes() + 1
-	}
+	chunk := min(p.opts.BatchSize, p.g.NumNodes()+1)
 	st := p.buildStream(p.auts[0], nil)
 	buf := make([]graph.NodeID, chunk)
 	var out []graph.NodeID
@@ -483,16 +480,8 @@ func (pi *parIterator) Stats() Stats {
 		sh.mu.Lock()
 		cs := sh.stats
 		sh.mu.Unlock()
-		s.TuplesAdded += cs.TuplesAdded
-		s.TuplesPopped += cs.TuplesPopped
+		s.add(cs)
 		s.VisitedSize += cs.VisitedSize
-		s.NeighborCalls += cs.NeighborCalls
-		s.CacheHits += cs.CacheHits
-		s.Deferred += cs.Deferred
-		s.Reinjected += cs.Reinjected
-		s.SpillEscalations += cs.SpillEscalations
-		s.SpillIONanos += cs.SpillIONanos
-		s.SpillIOBytes += cs.SpillIOBytes
 	}
 	s.Phases = 1
 	s.Shards = len(pi.shards)

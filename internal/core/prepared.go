@@ -325,13 +325,6 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 			sc.dedup = newProjDedup(len(q.Head))
 		}
 		ex.single = sc
-	case p.opts.HashRankJoin:
-		hq, err := newHRJNQuery(q, ex.its)
-		if err != nil {
-			ex.release()
-			return nil, err
-		}
-		ex.join = hq
 	default:
 		ex.join = newRankedJoin(q, ex.its)
 	}
@@ -348,7 +341,7 @@ type Execution struct {
 	its      []Iterator      // conjunct-level iterators (the resource owners)
 	backends []Backend       // per-conjunct engine choice, for Stats.Backend
 	single   *singleConjunct // single-conjunct executions: the batch-native row source
-	join     QueryIterator   // multi-conjunct executions: a rank join, one row per pull
+	join     *rankedJoin     // multi-conjunct executions: the rank join, one row per pull
 	ctx      context.Context
 
 	limit   int
@@ -584,15 +577,15 @@ func (e *Execution) Abort(err error) {
 	e.tr.End(closeSpan)
 }
 
-// Stats implements StatsReporter, delegating to the underlying iterator tree
-// (single-conjunct executions report full counters; the ranked joins do not
-// track per-conjunct stats, matching OpenQuery's historical behaviour).
+// Stats implements StatsReporter, delegating to the underlying iterator tree:
+// a single conjunct's own counters, or the rank join's fold over its
+// conjuncts.
 func (e *Execution) Stats() Stats {
 	var s Stats
 	if e.single != nil {
 		s = e.single.Stats()
-	} else if sr, ok := e.join.(StatsReporter); ok {
-		s = sr.Stats()
+	} else {
+		s = e.join.Stats()
 	}
 	s.Backend = backendsLabel(e.backends)
 	s.Parallelism = e.opts.Parallelism

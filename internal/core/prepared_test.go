@@ -378,9 +378,8 @@ func TestQuickDisjunctionResumableMatchesRestart(t *testing.T) {
 		opts := Options{
 			Disjunction:  true,
 			MaxPsi:       []int32{0, 1, 2, 3, 5, 1 << 20}[rng.Intn(6)],
-			BatchSize:    []int{1, 7, 100}[rng.Intn(3)],
+			BatchSize:    randBatchSize(rng, 1, 7, 100),
 			NoFinalFirst: rng.Intn(4) == 0,
-			NoBatching:   rng.Intn(4) == 0,
 		}
 		if rng.Intn(3) == 0 {
 			// Non-unit costs: φ = 2, so some grid points re-admit nothing and

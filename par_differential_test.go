@@ -68,7 +68,7 @@ func TestParallelMatchesSerialCorpus(t *testing.T) {
 }
 
 // TestParallelFlexModesSerialFallback pins the fallback contract: APPROX and
-// RELAX conjuncts (and distance-aware drivers) are not shard-eligible, so a
+// RELAX conjuncts (and the ψ-phase driver) are not shard-eligible, so a
 // parallel execution must route them through the serial evaluator and emit
 // the exact serial sequence — including cost-ranked order across distances.
 func TestParallelFlexModesSerialFallback(t *testing.T) {
@@ -83,7 +83,7 @@ func TestParallelFlexModesSerialFallback(t *testing.T) {
 				base := Options{DistanceAware: da}
 				serial := collectAnswers(t, g, ont, text, mode, base, 400)
 				for _, k := range parLevels[1:] {
-					label := fmt.Sprintf("%q mode=%v distanceAware=%v parallel=%d", text, mode, da, k)
+					label := fmt.Sprintf("%q mode=%v distaware=%v parallel=%d", text, mode, da, k)
 					par := base
 					par.Parallelism = k
 					got := collectAnswers(t, g, ont, text, mode, par, 400)

@@ -2,8 +2,11 @@ package omega
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
+	"omega/internal/fault"
 	"omega/internal/l4all"
 	"omega/internal/obs"
 )
@@ -121,6 +124,98 @@ func TestTraceSpanTreeDistanceAware(t *testing.T) {
 	}
 	if phaseSpans != stats.Phases-1 {
 		t.Fatalf("expected %d psi_phase spans under exec, found %d", stats.Phases-1, phaseSpans)
+	}
+}
+
+// phaseSpans returns the psi_phase spans directly under the summary's exec
+// span.
+func phaseSpans(t *testing.T, sum *TraceSummary) []*TraceSpan {
+	t.Helper()
+	var out []*TraceSpan
+	for _, c := range requireSpan(t, sum, obs.SpanExec).Children {
+		if c.Name == obs.SpanPsiPhase {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestTraceSpanTreeDisjunction: a decomposed conjunct runs the same ψ-phase
+// driver as a distance-aware one, so it records the same psi_phase spans —
+// one per resumed phase, under the exec span, each carrying its ψ — and every
+// way the stream can end (exhaustion, an evaluation error, Close, Abort) ends
+// the phase span that was open.
+func TestTraceSpanTreeDisjunction(t *testing.T) {
+	g, ont := datasets().YAGO()
+	eng := NewEngine(g, ont).WithOptions(Options{Disjunction: true})
+	text := yagoQueryText(t, "Q9") // a top-level alternation; RELAX answers appear in phase 2
+	eo := ExecOptions{Mode: ModeOverride(Relax)}
+
+	sum, stats := tracedRun(t, eng, text, eo)
+	if stats.Phases < 2 {
+		t.Fatalf("query ran in %d phase(s); need ≥ 2 for psi_phase spans", stats.Phases)
+	}
+	spans := phaseSpans(t, sum)
+	if len(spans) != stats.Phases-1 {
+		t.Fatalf("expected %d psi_phase spans under exec, found %d", stats.Phases-1, len(spans))
+	}
+	for _, sp := range spans {
+		if sp.Attrs["psi"] == 0 {
+			t.Fatalf("psi_phase span has no psi attr: %+v", sp.Attrs)
+		}
+	}
+
+	pq, err := eng.PrepareText(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, end := range []struct {
+		name string
+		stop func(t *testing.T, rows *Rows)
+	}{
+		{"error", func(t *testing.T, rows *Rows) {
+			if err := fault.Configure("core.row=error#1", 1); err != nil {
+				t.Fatal(err)
+			}
+			defer fault.Reset()
+			if _, _, err := rows.Next(); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("Next = %v, want the injected evaluation error", err)
+			}
+		}},
+		{"close", func(t *testing.T, rows *Rows) { rows.Close() }},
+		{"abort", func(t *testing.T, rows *Rows) { rows.Abort(errors.New("aborted mid-phase")) }},
+	} {
+		t.Run(end.name, func(t *testing.T) {
+			eo := eo
+			eo.Trace = NewTrace("")
+			rows, err := pq.Exec(context.Background(), eo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rows.Close()
+			// The first row arrives inside a resumed phase: its span is open.
+			if _, ok, err := rows.Next(); !ok || err != nil {
+				t.Fatalf("first row: ok=%v err=%v", ok, err)
+			}
+			if rows.Stats().Phases < 2 {
+				t.Fatal("first row arrived in phase 1; no phase span to end")
+			}
+			end.stop(t, rows)
+			// A summary reports a span still open as ending at the time of the
+			// snapshot, so only an ended span reads the same twice.
+			before := phaseSpans(t, rows.TraceSummary())
+			time.Sleep(2 * time.Millisecond)
+			after := phaseSpans(t, rows.TraceSummary())
+			if len(before) == 0 || len(after) != len(before) {
+				t.Fatalf("psi_phase spans: %d, then %d", len(before), len(after))
+			}
+			for i := range before {
+				if before[i].DurMs != after[i].DurMs {
+					t.Fatalf("psi_phase span %d still open after %s: %.3f ms, then %.3f ms",
+						i, end.name, before[i].DurMs, after[i].DurMs)
+				}
+			}
+		})
 	}
 }
 

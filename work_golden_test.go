@@ -160,12 +160,15 @@ func TestWorkGolden(t *testing.T) {
 	}
 	limits := []int{100, 0}
 	variants := []struct {
-		name          string
-		distanceAware bool
-	}{{"plain", false}, {"distaware", true}}
+		name string
+		opts Options
+	}{
+		{"plain", Options{Backend: BackendRanked}},
+		{"distaware", Options{Backend: BackendRanked, DistanceAware: true}},
+	}
 
 	for _, v := range variants {
-		eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendRanked, DistanceAware: v.distanceAware})
+		eng := NewEngine(g, ont).WithOptions(v.opts)
 		for _, q := range l4all.StudyQueries() {
 			pq := prepare(eng, q.ID, q.Text)
 			for _, mode := range []Mode{Exact, Approx, Relax} {
@@ -187,7 +190,9 @@ func TestWorkGolden(t *testing.T) {
 		{"YAGO-Q9", yagoQueryText(t, "Q9"), yg, yont},
 	} {
 		for _, v := range variants {
-			eng := NewEngine(alt.g, alt.ont).WithOptions(Options{Backend: BackendRanked, Disjunction: true, DistanceAware: v.distanceAware})
+			opts := v.opts
+			opts.Disjunction = true
+			eng := NewEngine(alt.g, alt.ont).WithOptions(opts)
 			pq := prepare(eng, alt.id, alt.text)
 			for _, mode := range []Mode{Approx, Relax} {
 				for _, limit := range limits {
@@ -204,7 +209,7 @@ func TestWorkGolden(t *testing.T) {
 	}
 
 	for _, v := range variants {
-		eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendRanked, DistanceAware: v.distanceAware})
+		eng := NewEngine(g, ont).WithOptions(v.opts)
 		pq := prepare(eng, "join", "(?X, ?Y) <- (Librarians, type-, ?X), (?X, job-.next, ?Y)")
 		for _, limit := range limits {
 			name := fmt.Sprintf("join/%v/%s/limit=%d", Relax, v.name, limit)
