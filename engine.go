@@ -2,7 +2,6 @@ package omega
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -261,15 +260,11 @@ func (r *Rows) ForEach(ctx context.Context, fn func(Row) error) error {
 	defer r.Close()
 	for {
 		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				// An earlier terminal error stays sticky; a fresh cancellation
-				// maps to the typed errors.
-				if r.err == nil {
-					r.err = core.ErrCanceled
-					if errors.Is(err, context.DeadlineExceeded) {
-						r.err = core.ErrDeadline
-					}
-				}
+			if err := core.ContextErr(ctx); err != nil {
+				// The loop's context ends the execution exactly as its own
+				// would: the same typed error, the same fate for pooled state.
+				// An earlier terminal error stays sticky.
+				r.Abort(err)
 				return r.err
 			}
 		}
@@ -300,8 +295,11 @@ func (r *Rows) Close() error {
 // it after recovering a panic that unwound through Next or a row sink: the
 // execution's internal state can no longer be trusted, so its EvalPool
 // bundle is discarded instead of recycled (a regular Close would hand the
-// possibly-corrupted bundle to the next request). After Abort, Next reports
-// err (sticky). Idempotent; Abort after Close or exhaustion is a no-op.
+// possibly-corrupted bundle to the next request). An err that is itself one
+// of the clean stops (ErrClosed, ErrCanceled, ErrDeadline, ErrTupleBudget)
+// leaves the state trusted and recycles it, as Close would. After Abort, Next
+// reports err (sticky). Idempotent; Abort after Close or exhaustion is a
+// no-op.
 func (r *Rows) Abort(err error) {
 	if err == nil {
 		err = ErrClosed

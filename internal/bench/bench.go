@@ -186,14 +186,12 @@ func Run(g *graph.Graph, ont *ontology.Ontology, dataset, id, text string, mode 
 		m.Answers = answers
 		m.ByDist = byDist
 		m.Failed = failed
-		if sr, ok := it.(core.StatsReporter); ok {
-			s := sr.Stats()
-			m.TuplesAdded = s.TuplesAdded
-			m.TuplesPopped = s.TuplesPopped
-			m.Phases = s.Phases
-			m.Reinjected = s.Reinjected
-			m.Backend = s.Backend
-		}
+		s := it.Stats()
+		m.TuplesAdded = s.TuplesAdded
+		m.TuplesPopped = s.TuplesPopped
+		m.Phases = s.Phases
+		m.Reinjected = s.Reinjected
+		m.Backend = s.Backend
 		if failed {
 			// A failed (budget-exhausted) query would fail identically on
 			// every run; repeating it only burns time (the paper reports

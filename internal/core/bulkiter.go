@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -27,8 +26,7 @@ const fpBulkBlock = "bulk.block"
 // iterator and accounted into the execution's memory gauge.
 type bulkIterator struct {
 	plan *conjunctPlan
-	opts *Options
-	ctx  context.Context // nil when not cancelable (see watchable)
+	r    *run
 
 	autIdx int
 	run    *bulk.Run       // serial path (one worker, or a single block)
@@ -39,8 +37,8 @@ type bulkIterator struct {
 	pi    int
 
 	tuples  atomic.Int64 // product lane-bits set, against Options.MaxTuples
-	lastMem int64        // bytes accounted by the serial run
-	parMem  []int64      // bytes accounted per parallel worker
+	lastMem int64        // the serial run's slot in the run's gauge
+	parMem  []int64      // one slot per parallel worker
 	shards  int          // parallel workers engaged, summed across automata
 	parWait int64        // merge time blocked on worker deliveries
 
@@ -50,8 +48,8 @@ type bulkIterator struct {
 	released bool
 }
 
-func newBulkIterator(ctx context.Context, p *conjunctPlan, opts *Options) *bulkIterator {
-	b := &bulkIterator{plan: p, opts: opts, ctx: ctx}
+func newBulkIterator(p *conjunctPlan, r *run) *bulkIterator {
+	b := &bulkIterator{plan: p, r: r}
 	if len(p.auts) > 1 {
 		b.seen = dstruct.NewU64Set()
 	}
@@ -92,11 +90,11 @@ func (b *bulkIterator) nextPairs(max int) ([]bulk.Pair, error) {
 		}
 		if b.run == nil && b.par == nil {
 			ix := b.bulkIdx()
-			if k := b.opts.Parallelism; k > 1 && ix.Blocks() > 1 {
+			if k := b.r.opts.Parallelism; k > 1 && ix.Blocks() > 1 {
 				b.startPar(ix, k)
 			} else {
 				b.run = bulk.NewRun(ix)
-				b.run.OnStep = b.onStep
+				b.run.OnStep = b.step(&b.lastMem, ix.Bytes())
 			}
 		}
 		var pairs []bulk.Pair
@@ -116,7 +114,6 @@ func (b *bulkIterator) nextPairs(max int) ([]bulk.Pair, error) {
 			b.accumulate()
 			b.autIdx++
 			if b.autIdx >= len(b.plan.auts) {
-				b.done = true
 				b.release()
 				return nil, nil
 			}
@@ -143,11 +140,8 @@ func (b *bulkIterator) nextPairs(max int) ([]bulk.Pair, error) {
 // one-time build or the plan-cache hit (its duration tells the two apart; the
 // bytes attribute is the index's resident footprint either way).
 func (b *bulkIterator) bulkIdx() *bulk.Index {
-	if b.opts.trace == nil {
-		return b.plan.bulkIndex(b.autIdx)
-	}
-	tr := b.opts.trace
-	sp := tr.Start(b.opts.traceParent, obs.SpanBulkIndex)
+	tr := b.r.trace
+	sp := tr.Start(b.r.span, obs.SpanBulkIndex)
 	ix := b.plan.bulkIndex(b.autIdx)
 	tr.SetAttr(sp, "aut", int64(b.autIdx))
 	tr.SetAttr(sp, "bytes", ix.Bytes())
@@ -155,50 +149,30 @@ func (b *bulkIterator) bulkIdx() *bulk.Index {
 	return ix
 }
 
-// onStep is the governance hook the run invokes per BFS level: tuple budget,
-// cancellation, the bulk.step and mem.hard failpoints, and the memory
-// watermarks. The soft watermark is a no-op here — the bulk structures have
-// no disk path, so only the hard watermark protects them (consistently with
-// the plain in-memory D_R).
-func (b *bulkIterator) onStep(resident int64, added int) error {
-	if err := b.checkStep(added); err != nil {
-		return err
-	}
-	if m := b.opts.mem; m != nil {
-		res := resident + b.plan.bulkIndex(b.autIdx).Bytes()
-		if d := res - b.lastMem; d != 0 {
-			m.add(d)
-			b.lastMem = res
+// step returns the governance hook a run invokes per BFS level (and once per
+// block seeding): tuple budget — one atomic counter shared by every worker,
+// so the budget stays per-execution rather than per-worker — cancellation,
+// the bulk.step failpoint, and the charge of the level's resident bytes to
+// slot, with the hard watermark that goes with it. fixed is charged on top of
+// what the run reports: the immutable index, once per automaton. The soft
+// watermark has no response here — the bulk structures have no disk path, so
+// only the hard watermark protects them (consistently with the plain
+// in-memory D_R).
+func (b *bulkIterator) step(slot *int64, fixed int64) func(resident int64, added int) error {
+	return func(resident int64, added int) error {
+		if b.r.overBudget(int(b.tuples.Add(int64(added)))) {
+			return ErrTupleBudget
 		}
-		if live := m.LiveBytes(); m.hard > 0 && live > m.hard {
-			return fmt.Errorf("%w: %d live bytes over hard watermark %d", ErrMemBudget, live, m.hard)
+		if err := b.r.done(); err != nil {
+			return err
 		}
-	}
-	return nil
-}
-
-// checkStep is the backend-independent part of the per-level governance:
-// tuple budget (one atomic counter shared by every worker, so the budget
-// stays per-execution rather than per-worker), cancellation, and the
-// bulk.step / mem.hard failpoints.
-func (b *bulkIterator) checkStep(added int) error {
-	if t := b.tuples.Add(int64(added)); b.opts.MaxTuples > 0 && t > int64(b.opts.MaxTuples) {
-		return ErrTupleBudget
-	}
-	if b.ctx != nil {
-		if b.ctx.Err() != nil {
-			return ctxDoneErr(b.ctx)
+		if fault.Enabled() {
+			if err := fault.Inject(fpBulkStep); err != nil {
+				return fmt.Errorf("bulk step: %w", err)
+			}
 		}
+		return b.r.charge(slot, resident+fixed)
 	}
-	if fault.Enabled() {
-		if err := fault.Inject(fpBulkStep); err != nil {
-			return fmt.Errorf("bulk step: %w", err)
-		}
-		if err := fault.Inject(fpMemHard); err != nil {
-			return fmt.Errorf("%w: %w", ErrMemBudget, err)
-		}
-	}
-	return nil
 }
 
 // startPar fans the current automaton's lane blocks across a bounded worker
@@ -207,38 +181,18 @@ func (b *bulkIterator) checkStep(added int) error {
 // same per-level governance with its own slot in the memory accounting (the
 // immutable index is charged once, through worker 0).
 func (b *bulkIterator) startPar(ix *bulk.Index, k int) {
-	ixBytes := ix.Bytes()
 	b.par = bulk.NewParRun(ix, bulk.ParConfig{
 		Workers: k,
 		OnStep: func(worker int) func(resident int64, added int) error {
-			return b.parStep(worker, ixBytes)
+			if worker == 0 {
+				return b.step(&b.parMem[0], ix.Bytes())
+			}
+			return b.step(&b.parMem[worker], 0)
 		},
 		OnBlock: b.onBlock,
 	})
-	b.parMem = make([]int64, b.par.Workers())
+	b.parMem = make([]int64, b.par.Workers()) // before the first Next spawns the workers
 	b.shards += b.par.Workers()
-}
-
-func (b *bulkIterator) parStep(worker int, ixBytes int64) func(resident int64, added int) error {
-	return func(resident int64, added int) error {
-		if err := b.checkStep(added); err != nil {
-			return err
-		}
-		if m := b.opts.mem; m != nil {
-			res := resident
-			if worker == 0 {
-				res += ixBytes
-			}
-			if d := res - b.parMem[worker]; d != 0 {
-				m.add(d)
-				b.parMem[worker] = res
-			}
-			if live := m.LiveBytes(); m.hard > 0 && live > m.hard {
-				return fmt.Errorf("%w: %d live bytes over hard watermark %d", ErrMemBudget, live, m.hard)
-			}
-		}
-		return nil
-	}
 }
 
 func (b *bulkIterator) onBlock(worker, block int) error {
@@ -253,16 +207,11 @@ func (b *bulkIterator) onBlock(worker, block int) error {
 func (b *bulkIterator) accumulate() {
 	if b.par != nil {
 		b.par.Close() // joins the worker group; a no-op after exhaustion
-		b.fold(b.par.Stats())
+		foldBulk(&b.acc, b.par.Stats())
 		b.parWait += b.par.WaitNanos()
 		// Workers are quiescent now; hand their accounted bytes back.
-		if m := b.opts.mem; m != nil {
-			for i, v := range b.parMem {
-				if v != 0 {
-					m.add(-v)
-					b.parMem[i] = 0
-				}
-			}
+		for i := range b.parMem {
+			b.r.refund(&b.parMem[i])
 		}
 		b.par = nil
 		return
@@ -270,17 +219,17 @@ func (b *bulkIterator) accumulate() {
 	if b.run == nil {
 		return
 	}
-	b.fold(b.run.Stats)
+	foldBulk(&b.acc, b.run.Stats)
 	b.run = nil
 }
 
-func (b *bulkIterator) fold(s bulk.Stats) {
-	b.acc.Added += s.Added
-	b.acc.Frontier += s.Frontier
-	b.acc.Neighbor += s.Neighbor
-	b.acc.Levels += s.Levels
-	b.acc.Blocks += s.Blocks
-	b.acc.Pairs += s.Pairs
+func foldBulk(acc *bulk.Stats, s bulk.Stats) {
+	acc.Added += s.Added
+	acc.Frontier += s.Frontier
+	acc.Neighbor += s.Neighbor
+	acc.Levels += s.Levels
+	acc.Blocks += s.Blocks
+	acc.Pairs += s.Pairs
 }
 
 func (b *bulkIterator) fail(err error) {
@@ -296,55 +245,41 @@ func (b *bulkIterator) release() {
 	if b.released {
 		return
 	}
-	b.released = true
+	b.released, b.done = true, true
 	b.accumulate()
-	if m := b.opts.mem; m != nil && b.lastMem != 0 {
-		m.add(-b.lastMem)
-		b.lastMem = 0
-	}
+	b.r.refund(&b.lastMem)
 	b.pairs = nil
 	b.pi = 0
 }
 
-// Close implements the resource-release contract; subsequent Next calls
-// report exhaustion (the Execution layer maps Close to ErrClosed).
+// Close implements Iterator; bulk state is never pooled and never on disk, so
+// there is no release failure to report.
 func (b *bulkIterator) Close() error {
-	b.done = true
+	b.failed = closedErr(b.failed)
 	b.release()
 	return nil
 }
 
-// Abort implements aborter: err becomes the iterator's sticky error.
+// Abort implements Iterator.
 func (b *bulkIterator) Abort(err error) {
-	if b.failed == nil {
-		b.failed = err
-	}
-	b.done = true
+	b.failed = abortErr(b.failed, err)
 	b.release()
 }
 
-// Stats implements StatsReporter, mapping the bulk counters onto the shared
+// Stats implements Iterator, mapping the bulk counters onto the shared
 // schema: Added plays TuplesAdded (product lane-bits set, the direct analogue
 // of D_R insertions), Frontier plays TuplesPopped (rows expanded).
 func (b *bulkIterator) Stats() Stats {
 	acc := b.acc
 	wait := b.parWait
-	add := func(s bulk.Stats) {
-		acc.Added += s.Added
-		acc.Frontier += s.Frontier
-		acc.Neighbor += s.Neighbor
-		acc.Levels += s.Levels
-		acc.Blocks += s.Blocks
-		acc.Pairs += s.Pairs
-	}
 	if b.run != nil {
-		add(b.run.Stats)
+		foldBulk(&acc, b.run.Stats)
 	}
 	if b.par != nil {
-		add(b.par.Stats()) // exited workers only; exact after exhaustion
+		foldBulk(&acc, b.par.Stats()) // exited workers only; exact after exhaustion
 		wait += b.par.WaitNanos()
 	}
-	st := Stats{
+	return Stats{
 		TuplesAdded:    int(acc.Added),
 		TuplesPopped:   int(acc.Frontier),
 		VisitedSize:    int(acc.Added),
@@ -353,9 +288,6 @@ func (b *bulkIterator) Stats() Stats {
 		Backend:        "bulk",
 		Shards:         b.shards,
 		MergeWaitNanos: wait,
+		MemPeakBytes:   b.r.mem.PeakBytes(),
 	}
-	if m := b.opts.mem; m != nil {
-		st.MemPeakBytes = m.PeakBytes()
-	}
-	return st
 }

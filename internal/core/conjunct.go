@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -21,7 +20,7 @@ func packPair(v, n graph.NodeID) uint64 {
 // conjunctPlan is the reusable, immutable part of conjunct initialisation:
 // compiled automata (one per alternand when decomposing, else a single
 // automaton for the whole expression), Case 1 seeds, and the final-state
-// annotation. A plan is read-only after planConjunct returns — except for the
+// annotation. A plan is read-only after compileConjunct returns — except for the
 // mutex-guarded lazy bulk-index cache, mirroring Prepared's variant cache —
 // so any number of concurrent executions may instantiate evaluators from it;
 // that is what makes a PreparedQuery goroutine-shareable. Evaluators are
@@ -71,11 +70,16 @@ func (p *conjunctPlan) bulkIndex(autIdx int) *bulk.Index {
 	return p.bulkIx[autIdx]
 }
 
-// planConjunct implements the case analysis of Open (§3.3).
-func planConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Options, decompose bool) (*conjunctPlan, error) {
+// compileConjunct builds the compile-time plan for one conjunct — the case
+// analysis of Open (§3.3): expression (optionally rewritten and/or decomposed
+// per alternand), automata, seeds and final annotation. The result is
+// immutable and shareable. It is the one place that decides whether the
+// conjunct decomposes, so Explain describes exactly the plan Exec runs.
+func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Options) (*conjunctPlan, error) {
 	if c.Expr == nil {
 		return nil, fmt.Errorf("core: conjunct %s has no expression", c)
 	}
+	decompose := opts.Disjunction && len(c.Expr.Alternands()) > 1
 	if (c.Mode == automaton.Relax || c.Mode == automaton.Flex) && ont == nil {
 		return nil, fmt.Errorf("core: %v requires an ontology", c.Mode)
 	}
@@ -184,12 +188,11 @@ func planConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Optio
 
 // newEvaluator instantiates a fresh evaluator over automaton autIdx with
 // distance cap psi (-1 = unlimited). Run-time knobs (spilling, budgets,
-// batching, dictionary choice) come from opts, which must outlive the
-// evaluator; ctx (possibly nil) governs cancellation.
-func (p *conjunctPlan) newEvaluator(ctx context.Context, opts *Options, autIdx int, psi int32) *evaluator {
+// batching, dictionary choice) and governance come from r, which must outlive
+// the evaluator.
+func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi int32) *evaluator {
 	aut := p.auts[autIdx]
-	ev := newEvaluator(p.g, aut, opts)
-	ev.ctx = ctx
+	ev := newEvaluator(p.g, aut, r)
 	ev.psi = psi
 	ev.finalAnn = p.finalAnn
 	if p.case3 {
@@ -214,50 +217,50 @@ func (ev *evaluator) streamSeen() *bitset.Set {
 	return ev.state.seen
 }
 
+// maxPsi is the cap on ψ stepping for this plan: Options.MaxPsi, or 16·φ when
+// unset.
+func (p *conjunctPlan) maxPsi() int32 {
+	if p.opts.MaxPsi > 0 {
+		return p.opts.MaxPsi
+	}
+	return 16 * p.opts.phi(p.mode)
+}
+
 // open instantiates the per-run evaluator state for this plan: the paper's
-// Open minus everything already compiled into the plan. ctx (possibly nil)
-// cancels the run; opts carries the run's options and must outlive the
-// iterator; maxDist > 0 additionally caps the distance-aware ψ stepping (a
-// per-exec MaxDist can never need answers beyond itself). backend selects the
-// evaluation engine — callers resolve it through chooseBackend, so a
-// BackendBulk here is already known eligible.
-func (p *conjunctPlan) open(ctx context.Context, opts *Options, maxDist int32, backend Backend) Iterator {
-	ctx = watchable(ctx)
+// Open minus everything already compiled into the plan. r governs the run and
+// must outlive the iterator; shardSpan is the conjunct's trace span, under
+// which a sharded evaluation nests its shard spans; maxDist > 0 additionally
+// caps the distance-aware ψ stepping (a per-exec MaxDist can never need
+// answers beyond itself). backend selects the evaluation engine — callers
+// resolve it through chooseBackend, so a BackendBulk here is already known
+// eligible.
+func (p *conjunctPlan) open(r *run, shardSpan obs.SpanID, maxDist int32, backend Backend) Iterator {
 	if !p.case3 && len(p.seeds) == 0 {
 		// The constant subject (after any Case 2 swap) names no node.
-		return emptyIterator{}
+		return &emptyIterator{}
 	}
 
 	var it Iterator
-	if backend == BackendBulk {
+	switch {
+	case backend == BackendBulk:
 		// Set-semantics engine: every answer is at distance 0, so the
 		// distance-aware and disjunction phase drivers have nothing to order;
 		// alternands are evaluated sequentially inside the iterator.
-		it = newBulkIterator(ctx, p, opts)
-	} else {
-		phi := opts.phi(p.mode)
-		maxPsi := opts.MaxPsi
-		if maxPsi <= 0 {
-			maxPsi = 16 * phi
-		}
+		it = newBulkIterator(p, r)
+	case p.decompose || (r.opts.DistanceAware && p.mode != automaton.Exact):
+		// Both §4.3 strategies are the ψ-phase driver: over the alternands,
+		// or over the conjunct's single automaton.
+		maxPsi := p.maxPsi()
 		if maxDist > 0 && maxDist < maxPsi {
 			maxPsi = maxDist
 		}
-
-		switch {
-		case p.decompose || (opts.DistanceAware && p.mode != automaton.Exact):
-			// Both §4.3 strategies are the ψ-phase driver: over the
-			// alternands, or over the conjunct's single automaton.
-			it = newDisjunction(ctx, p, opts, phi, maxPsi)
-		default:
-			if k := opts.Parallelism; k > 1 && p.parEligible(opts) {
-				// Sharded ranked evaluation: per-shard evaluators merged
-				// back into the serial emission order (see parallel.go).
-				it = newParIterator(ctx, p, opts, k)
-			} else {
-				it = p.newEvaluator(ctx, opts, 0, -1)
-			}
-		}
+		it = newDisjunction(p, r, p.opts.phi(p.mode), maxPsi)
+	case r.opts.Parallelism > 1 && p.parEligible(&r.opts):
+		// Sharded ranked evaluation: per-shard evaluators merged back into
+		// the serial emission order (see parallel.go).
+		it = newParIterator(p, r, shardSpan)
+	default:
+		it = p.newEvaluator(r, 0, -1)
 	}
 	if p.sameVar {
 		it = sameVarIterator{it}
@@ -335,96 +338,53 @@ func (p *conjunctPlan) buildStream(aut *automaton.Compiled, seen *bitset.Set) *g
 	return graph.NewNodeStreamWith(p.g, sources, startFinal, seen)
 }
 
-// emptyIterator yields nothing.
-type emptyIterator struct{}
+// emptyIterator yields nothing; it owns nothing, so all it keeps is the
+// sticky error the contract asks for after Close or Abort.
+type emptyIterator struct{ failed error }
 
-func (emptyIterator) Next() (Answer, bool, error) { return Answer{}, false, nil }
+func (e *emptyIterator) Next() (Answer, bool, error) { return Answer{}, false, e.failed }
+
+func (e *emptyIterator) Close() error {
+	e.failed = closedErr(e.failed)
+	return nil
+}
+
+func (e *emptyIterator) Abort(err error) { e.failed = abortErr(e.failed, err) }
+
+func (e *emptyIterator) Stats() Stats { return Stats{} }
 
 // swapIterator undoes the Case 2 transformation: the underlying evaluator
 // produced (C, x) pairs for (C, R−, ?X); the conjunct's subject binding is x.
-type swapIterator struct{ it Iterator }
+type swapIterator struct{ Iterator }
 
 func (s swapIterator) Next() (Answer, bool, error) {
-	a, ok, err := s.it.Next()
+	a, ok, err := s.Iterator.Next()
 	if ok {
 		a.Src, a.Dst = a.Dst, a.Src
 	}
 	return a, ok, err
 }
 
-func (s swapIterator) Stats() Stats { return statsOf(s.it) }
-
-func (s swapIterator) Close() error { return closeIter(s.it) }
-
-func (s swapIterator) Abort(err error) { abortIter(s.it, err) }
-
-func (s swapIterator) setTraceParent(sp obs.SpanID) { setParentSpan(s.it, sp) }
-
 // sameVarIterator keeps only reflexive answers, for conjuncts of the form
 // (?X, R, ?X).
-type sameVarIterator struct{ it Iterator }
+type sameVarIterator struct{ Iterator }
 
 func (s sameVarIterator) Next() (Answer, bool, error) {
 	for {
-		a, ok, err := s.it.Next()
+		a, ok, err := s.Iterator.Next()
 		if !ok || err != nil || a.Src == a.Dst {
 			return a, ok, err
 		}
 	}
 }
 
-func (s sameVarIterator) Stats() Stats { return statsOf(s.it) }
-
-func (s sameVarIterator) Close() error { return closeIter(s.it) }
-
-func (s sameVarIterator) Abort(err error) { abortIter(s.it, err) }
-
-func (s sameVarIterator) setTraceParent(sp obs.SpanID) { setParentSpan(s.it, sp) }
-
-func statsOf(it Iterator) Stats {
-	if sr, ok := it.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return Stats{}
-}
-
-// closeIter releases an iterator's resources when it supports Close (the
-// stateless wrappers and emptyIterator do not own any).
-func closeIter(it Iterator) error {
-	if c, ok := it.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// abortIter terminates an iterator with err when it supports Abort (marking
-// pooled state non-recyclable), falling back to Close otherwise.
-func abortIter(it Iterator, err error) {
-	if a, ok := it.(aborter); ok {
-		a.Abort(err)
-		return
-	}
-	_ = closeIter(it)
-}
-
-// compileConjunct builds the compile-time plan for one conjunct: expression
-// (optionally rewritten and/or decomposed per alternand), automata, seeds and
-// final annotation. The result is immutable and shareable.
-func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Options) (*conjunctPlan, error) {
-	if c.Expr == nil {
-		return nil, fmt.Errorf("core: conjunct %s has no expression", c)
-	}
-	decompose := opts.Disjunction && len(c.Expr.Alternands()) > 1
-	return planConjunct(g, ont, c, opts, decompose)
-}
-
 // OpenConjunct initialises evaluation of a single conjunct (the paper's Open
 // procedure) and returns an iterator over its answers in non-decreasing
 // distance from the original conjunct. It is compileConjunct + open in one
-// shot; prepared queries split the two so Exec skips compilation. The ranked
-// machinery is used unless Options.Backend forces bulk (automatic backend
-// selection belongs to the execution layer, which knows whether the run is
-// exhaustive).
+// shot, on a run of its own with no context, watermarks or trace; prepared
+// queries split the two so Exec skips compilation. The ranked machinery is
+// used unless Options.Backend forces bulk (automatic backend selection
+// belongs to the execution layer, which knows whether the run is exhaustive).
 func OpenConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Options) (Iterator, error) {
 	opts = opts.withDefaults()
 	plan, err := compileConjunct(g, ont, c, opts)
@@ -432,5 +392,6 @@ func OpenConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Optio
 		return nil, err
 	}
 	dec := plan.chooseBackend(opts.Backend, false)
-	return plan.open(nil, &opts, 0, dec.backend), nil
+	r := newRun(nil, opts, NewMemGauge(0, 0), nil)
+	return plan.open(&r, obs.NoSpan, 0, dec.backend), nil
 }

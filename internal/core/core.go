@@ -12,7 +12,6 @@ import (
 
 	"omega/internal/automaton"
 	"omega/internal/dstruct"
-	"omega/internal/obs"
 	"omega/internal/rpq"
 )
 
@@ -63,46 +62,6 @@ func recyclable(err error) bool {
 		errors.Is(err, ErrCanceled) ||
 		errors.Is(err, ErrDeadline) ||
 		errors.Is(err, ErrTupleBudget)
-}
-
-// aborter is implemented by iterators that can be terminated with a caller-
-// supplied error while marking their pooled state unsafe to recycle (the
-// panic-isolation path of the serving layer).
-type aborter interface{ Abort(error) }
-
-// ctxErr maps a non-nil context error onto the package's typed errors.
-func ctxErr(err error) error {
-	switch {
-	case errors.Is(err, context.Canceled):
-		return ErrCanceled
-	case errors.Is(err, context.DeadlineExceeded):
-		return ErrDeadline
-	default:
-		return err
-	}
-}
-
-// ctxDoneErr maps a done context onto the package's typed errors, honouring a
-// typed cancellation cause: the serving layer's memory broker victimizes an
-// execution by canceling its context with cause ErrMemBudget, and that must
-// surface as the typed budget abort (poisoning the pooled bundle), not as a
-// generic ErrCanceled. Other causes (e.g. the scheduler watchdog's
-// ErrStalled) keep the plain mapping — their layers remap downstream.
-func ctxDoneErr(ctx context.Context) error {
-	if cause := context.Cause(ctx); errors.Is(cause, ErrMemBudget) {
-		return fmt.Errorf("%w: aborted by memory broker", ErrMemBudget)
-	}
-	return ctxErr(ctx.Err())
-}
-
-// watchable returns ctx when it can actually be canceled, nil otherwise, so
-// the evaluator hot loop can skip the check for context.Background() and
-// plain OpenQuery callers at zero cost.
-func watchable(ctx context.Context) context.Context {
-	if ctx == nil || ctx.Done() == nil {
-		return nil
-	}
-	return ctx
 }
 
 // Term is one endpoint of a conjunct: a variable or a constant node label.
@@ -277,21 +236,6 @@ type Options struct {
 	// 0 or 1 means serial; values are clamped to [1, 64].
 	// ExecOptions.Parallelism overrides it per execution.
 	Parallelism int
-
-	// mem is the per-execution memory gauge, set by Prepared.Exec from
-	// ExecOptions (never by engine-level configuration: watermarks are a
-	// per-request contract). Nil means no byte accounting — the plain
-	// OpenQuery/OpenConjunct paths pay nothing for the feature.
-	mem *MemGauge
-
-	// trace is the per-execution trace, set by Prepared.Exec from ExecOptions
-	// under the same contract as mem: tracing is per-request, never
-	// engine-level. Nil (the plain OpenQuery/OpenConjunct paths, and every
-	// untraced execution) costs one nil check at each instrumented site.
-	// traceParent is the span the iterator layer parents its spans under (the
-	// execution's exec span) — iterators only see *Options, not the Execution.
-	trace       *obs.Trace
-	traceParent obs.SpanID
 }
 
 func (o Options) withDefaults() Options {
@@ -332,10 +276,20 @@ func (o Options) phi(mode automaton.Mode) int32 {
 // object, at the given distance from the original conjunct.
 type Answer = dstruct.Answer
 
-// Iterator yields conjunct answers in non-decreasing distance. After it
-// reports ok=false or an error, further calls keep doing so.
+// Iterator is the one contract of every conjunct driver (the paper's Open,
+// then GetNext until exhausted): Next yields answers in non-decreasing
+// distance, and once it reports ok=false or an error, further calls keep doing
+// so (errors are sticky). Close releases the driver's resources — pooled
+// evaluator state recycles — and reports any release failure; it is
+// idempotent, and after it Next answers ErrClosed, or the terminal error the
+// driver already had. Abort ends the driver with err as its sticky error,
+// discarding pooled state unless recyclable(err) says it is intact. Stats is
+// readable at any point, including after the driver has ended.
 type Iterator interface {
 	Next() (Answer, bool, error)
+	Close() error
+	Abort(err error)
+	Stats() Stats
 }
 
 // Stats exposes evaluation counters for the performance study.
@@ -357,8 +311,8 @@ type Stats struct {
 	// MemPeakBytes is the high-water mark of the execution's accounted
 	// resident bytes (byte accounting samples the dstruct footprints, so the
 	// figure is an estimate trailing real usage by at most one sample
-	// period). Zero when the execution ran without a memory gauge (plain
-	// OpenQuery/OpenConjunct callers).
+	// period). Every run has a gauge, so it is populated for every driver
+	// that owns accounted structures.
 	MemPeakBytes int64
 	// SpillEscalations counts soft-watermark responses: each time the
 	// execution crossed SoftMemBytes and reacted by arming or tightening disk
@@ -413,9 +367,4 @@ func (s *Stats) add(o Stats) {
 	s.Shards += o.Shards
 	s.MergeWaitNanos += o.MergeWaitNanos
 	s.MemPeakBytes = max(s.MemPeakBytes, o.MemPeakBytes)
-}
-
-// StatsReporter is implemented by iterators that can report Stats.
-type StatsReporter interface {
-	Stats() Stats
 }

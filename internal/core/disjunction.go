@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"omega/internal/dstruct"
@@ -40,17 +39,17 @@ import (
 // phase) driver retained behind Options.DistanceRestart as the differential
 // reference (the RefDict pattern).
 
-// newDisjunction returns the ψ-phase driver selected by opts over the plan's
+// newDisjunction returns the ψ-phase driver the run selects over the plan's
 // automata (one per alternand when decomposed, else the single automaton of a
 // distance-aware conjunct): the resumable per-branch driver by default, the
 // restart-per-phase reference under Options.DistanceRestart.
-func newDisjunction(ctx context.Context, plan *conjunctPlan, opts *Options, phi, maxPsi int32) Iterator {
-	if opts.DistanceRestart {
-		return newRestartDisjunction(ctx, plan, opts, phi, maxPsi)
+func newDisjunction(plan *conjunctPlan, r *run, phi, maxPsi int32) Iterator {
+	if r.opts.DistanceRestart {
+		return newRestartDisjunction(plan, r, phi, maxPsi)
 	}
 	n := len(plan.auts)
 	d := &disjunction{
-		opts:       opts,
+		r:          r,
 		phi:        phi,
 		maxPsi:     maxPsi,
 		evals:      make([]*evaluator, n),
@@ -65,7 +64,7 @@ func newDisjunction(ctx context.Context, plan *conjunctPlan, opts *Options, phi,
 	// open keeps which bundle a conjunct gets independent of how a join
 	// interleaves its conjuncts.
 	for i := range d.evals {
-		d.evals[i] = plan.newEvaluator(ctx, opts, i, 0)
+		d.evals[i] = plan.newEvaluator(r, i, 0)
 		makeResumable(d.evals[i], phi, maxPsi)
 	}
 	if n > 1 {
@@ -78,7 +77,7 @@ func newDisjunction(ctx context.Context, plan *conjunctPlan, opts *Options, phi,
 // disjunction is the resumable driver: one live evaluator per branch, shared
 // across every ψ phase.
 type disjunction struct {
-	opts   *Options
+	r      *run
 	phi    int32
 	maxPsi int32
 
@@ -105,23 +104,24 @@ type disjunction struct {
 // across phases instead of restarting evaluation.
 func makeResumable(ev *evaluator, phi, maxPsi int32) {
 	ev.resumable = true
+	opts := &ev.r.opts
 	switch {
-	case ev.opts.SpillThreshold > 0:
+	case opts.SpillThreshold > 0:
 		// The user asked for bounded resident memory; the parked frontier
 		// must honour it too, not just D_R.
-		df, err := dstruct.NewDeferredSpill(ev.opts.SpillThreshold, ev.opts.SpillDir, ev.opts.NoFinalFirst)
+		df, err := dstruct.NewDeferredSpill(opts.SpillThreshold, opts.SpillDir, opts.NoFinalFirst)
 		if err != nil && ev.failed == nil {
 			ev.failed = err
 		}
 		if err != nil {
-			df = dstruct.NewDeferred(ev.opts.NoFinalFirst) // placeholder; evaluation fails immediately
+			df = dstruct.NewDeferred(opts.NoFinalFirst) // placeholder; evaluation fails immediately
 		}
 		ev.deferred = df
 	case ev.state != nil:
 		// Pooled execution: the bundle's frontier was Reset at acquisition.
 		ev.deferred = ev.state.deferred
 	default:
-		ev.deferred = dstruct.NewDeferred(ev.opts.NoFinalFirst)
+		ev.deferred = dstruct.NewDeferred(opts.NoFinalFirst)
 	}
 	// The last reachable phase is the first φ-grid point ≥ MaxPsi (the
 	// reference stops stepping once ψ ≥ MaxPsi, so it still runs that one).
@@ -146,12 +146,19 @@ func (d *disjunction) startPhase() {
 	d.oi = 0
 }
 
-// fail records the terminal error and releases every branch.
+// fail records the terminal error and releases every branch — by Abort when
+// the error is not a clean stop, so the bundles of the branches that did not
+// themselves fail are discarded with it (shedding memory is what an
+// ErrMemBudget is for).
 func (d *disjunction) fail(err error) error {
 	if d.failed == nil {
 		d.failed = err
 	}
-	d.finish()
+	if recyclable(err) {
+		d.finish()
+	} else {
+		d.Abort(err)
+	}
 	return d.failed
 }
 
@@ -160,7 +167,7 @@ func (d *disjunction) fail(err error) error {
 // branches.
 func (d *disjunction) stop() {
 	d.done = true
-	d.opts.trace.End(d.phaseSpan)
+	d.r.trace.End(d.phaseSpan)
 }
 
 // finish ends the stream and releases every branch: the evaluators are
@@ -200,11 +207,9 @@ func (d *disjunction) Next() (Answer, bool, error) {
 				}
 			}
 			d.psi = next
-			if tr := d.opts.trace; tr != nil {
-				tr.End(d.phaseSpan)
-				d.phaseSpan = tr.Start(d.opts.traceParent, obs.SpanPsiPhase)
-				tr.SetAttr(d.phaseSpan, "psi", int64(next))
-			}
+			d.r.trace.End(d.phaseSpan)
+			d.phaseSpan = d.r.trace.Start(d.r.span, obs.SpanPsiPhase)
+			d.r.trace.SetAttr(d.phaseSpan, "psi", int64(next))
 			for _, ev := range d.evals {
 				ev.resume(next)
 			}
@@ -267,6 +272,7 @@ func (d *disjunction) nextPsi() (int32, bool, bool) {
 // frontier, including any spill files) deterministically.
 func (d *disjunction) Close() error {
 	d.stop()
+	d.failed = closedErr(d.failed)
 	var first error
 	for _, ev := range d.evals {
 		if err := ev.Close(); err != nil && first == nil {
@@ -280,15 +286,13 @@ func (d *disjunction) Close() error {
 // state.
 func (d *disjunction) Abort(err error) {
 	d.stop()
-	if d.failed == nil {
-		d.failed = err
-	}
+	d.failed = abortErr(d.failed, err)
 	for _, ev := range d.evals {
 		ev.Abort(err)
 	}
 }
 
-// Stats implements StatsReporter.
+// Stats implements Iterator.
 func (d *disjunction) Stats() Stats {
 	s := Stats{Phases: d.phases}
 	for _, ev := range d.evals {
@@ -311,9 +315,8 @@ func addBranch(s *Stats, ev *evaluator) {
 // beginning, with the cross-phase emitted-set suppressing answers already
 // returned by earlier phases or branches.
 type restartDisjunction struct {
-	ctx  context.Context
 	plan *conjunctPlan
-	opts *Options
+	r    *run
 
 	phi    int32
 	maxPsi int32
@@ -327,14 +330,14 @@ type restartDisjunction struct {
 	emitted    *dstruct.U64Set
 	anyPruned  bool
 	done       bool
+	failed     error
 	stats      Stats
 }
 
-func newRestartDisjunction(ctx context.Context, plan *conjunctPlan, opts *Options, phi, maxPsi int32) *restartDisjunction {
+func newRestartDisjunction(plan *conjunctPlan, r *run, phi, maxPsi int32) *restartDisjunction {
 	d := &restartDisjunction{
-		ctx:        ctx,
 		plan:       plan,
-		opts:       opts,
+		r:          r,
 		phi:        phi,
 		maxPsi:     maxPsi,
 		prevCounts: make([]int, len(plan.auts)),
@@ -365,8 +368,8 @@ func (d *restartDisjunction) startPhase() {
 // Next streams the next answer.
 func (d *restartDisjunction) Next() (Answer, bool, error) {
 	for {
-		if d.done {
-			return Answer{}, false, nil
+		if d.failed != nil || d.done {
+			return Answer{}, false, d.failed
 		}
 		if d.cur == nil {
 			if d.oi >= len(d.order) {
@@ -381,11 +384,11 @@ func (d *restartDisjunction) Next() (Answer, bool, error) {
 				d.startPhase()
 				continue
 			}
-			d.cur = d.plan.newEvaluator(d.ctx, d.opts, d.order[d.oi], d.psi)
+			d.cur = d.plan.newEvaluator(d.r, d.order[d.oi], d.psi)
 		}
 		a, ok, err := d.cur.Next()
 		if err != nil {
-			d.done = true
+			d.failed = err
 			return Answer{}, false, err
 		}
 		if !ok {
@@ -407,7 +410,7 @@ func (d *restartDisjunction) Next() (Answer, bool, error) {
 
 // Close releases the current evaluator, if one is live.
 func (d *restartDisjunction) Close() error {
-	d.done = true
+	d.failed = closedErr(d.failed)
 	if d.cur != nil {
 		return d.cur.Close()
 	}
@@ -416,13 +419,13 @@ func (d *restartDisjunction) Close() error {
 
 // Abort terminates the driver, poisoning the live evaluator's pooled state.
 func (d *restartDisjunction) Abort(err error) {
-	d.done = true
+	d.failed = abortErr(d.failed, err)
 	if d.cur != nil {
 		d.cur.Abort(err)
 	}
 }
 
-// Stats implements StatsReporter.
+// Stats implements Iterator.
 func (d *restartDisjunction) Stats() Stats {
 	s := d.stats
 	if d.cur != nil {

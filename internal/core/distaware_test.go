@@ -43,7 +43,7 @@ func checkIncrementalMatchesRestart(t *testing.T, trial int, g *graph.Graph, ont
 	}
 	// The whole point of resuming: work proportional to one traversal, not
 	// one per phase. Popping a tuple twice means a phase recomputed.
-	is, rs := statsOf(incIt), statsOf(resIt)
+	is, rs := incIt.Stats(), resIt.Stats()
 	if is.TuplesPopped > is.TuplesAdded {
 		t.Fatalf("trial %d %s: incremental popped %d tuples but only added %d — some tuple was processed twice",
 			trial, c, is.TuplesPopped, is.TuplesAdded)
@@ -113,14 +113,14 @@ func TestDistanceAwareStatsRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, inc, 1000)
-	is := statsOf(inc)
+	is := inc.Stats()
 
 	res, err := OpenConjunct(g, ont, c, Options{DistanceAware: true, DistanceRestart: true, MaxPsi: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	drain(t, res, 1000)
-	rs := statsOf(res)
+	rs := res.Stats()
 
 	if is.Phases < 2 {
 		t.Fatalf("incremental ran %d phases, want ≥ 2 (the workload defers)", is.Phases)
@@ -174,7 +174,7 @@ func TestDistanceAwareSkipsEmptyPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, it, 1000)
-	is := statsOf(it)
+	is := it.Stats()
 
 	ropts := opts
 	ropts.DistanceRestart = true
@@ -183,7 +183,7 @@ func TestDistanceAwareSkipsEmptyPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, rt, 1000)
-	rs := statsOf(rt)
+	rs := rt.Stats()
 
 	if is.Phases > rs.Phases {
 		t.Fatalf("incremental ran %d phases, restart %d — skipping can only reduce them", is.Phases, rs.Phases)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"omega/internal/automaton"
@@ -26,24 +25,14 @@ type seed struct {
 // walk is noise on the hot path.
 const memSampleEvery = 512
 
-// Failpoint sites of the memory governor (see internal/fault). A fired
-// mem.soft forces a spill escalation and a fired mem.hard forces a typed
-// budget abort, both regardless of the actual byte figures — the chaos suite
-// drives the degradation paths deterministically without having to tune real
-// allocations.
-const (
-	fpMemSoft = "mem.soft"
-	fpMemHard = "mem.hard"
-)
-
 // evaluator runs GetNext/Succ (§3.4) for one compiled automaton over one
 // graph. It emits answers (v, n, d) in non-decreasing d. A non-negative psi
 // caps tuple distances (the §4.3 distance-aware mode); suppressions are
 // recorded in pruned so the driver knows whether raising ψ could reveal more.
 type evaluator struct {
-	g    *graph.Graph
-	aut  *automaton.Compiled
-	opts *Options
+	g   *graph.Graph
+	aut *automaton.Compiled
+	r   *run // the execution's governance context; outlives the evaluator
 
 	dr      dstruct.TupleDict
 	visited *dstruct.Visited
@@ -81,11 +70,6 @@ type evaluator struct {
 	deferLimit int32
 	resumable  bool
 
-	// ctx, when non-nil, is checked at the top of every Next call and
-	// periodically inside the pop loop; cancellation surfaces as ErrCanceled
-	// or ErrDeadline. nil (the common OpenQuery path) costs nothing.
-	ctx context.Context
-
 	psi        int32 // -1 = unlimited
 	pruned     bool
 	seeded     bool
@@ -94,22 +78,22 @@ type evaluator struct {
 	failed     error // terminal evaluation error (sticky)
 	closeErr   error // resource-release failure recorded by finish()
 
-	// Byte accounting (active only when opts.mem is set): memOps counts
-	// tuple operations since the last footprint sample, lastMem is this
-	// evaluator's contribution currently reflected in the shared gauge.
+	// Byte accounting: memOps counts tuple operations since the last
+	// footprint sample, lastMem is this evaluator's slot in the run's gauge.
 	memOps  int
 	lastMem int64
 
 	stats Stats
 }
 
-func newEvaluator(g *graph.Graph, aut *automaton.Compiled, opts *Options) *evaluator {
+func newEvaluator(g *graph.Graph, aut *automaton.Compiled, r *run) *evaluator {
 	ev := &evaluator{
-		g:    g,
-		aut:  aut,
-		opts: opts,
-		psi:  -1,
+		g:   g,
+		aut: aut,
+		r:   r,
+		psi: -1,
 	}
+	opts := &r.opts
 	if opts.Pool != nil && opts.SpillThreshold == 0 && !opts.RefDict {
 		// Pooled per-run state: disk-backed dictionaries and the RefDict
 		// differential reference keep their dedicated construction below.
@@ -167,16 +151,10 @@ func (ev *evaluator) finish() {
 	// the watermarks are not checked on the way out, and a gauge that has
 	// seen any sample — from this evaluator or another of the request — is
 	// left as it is.
-	if m := ev.opts.mem; m != nil {
-		if m.PeakBytes() == 0 {
-			ev.lastMem = ev.residentBytes()
-			m.add(ev.lastMem)
-		}
-		if ev.lastMem != 0 {
-			m.add(-ev.lastMem)
-			ev.lastMem = 0
-		}
+	if ev.r.mem.PeakBytes() == 0 {
+		ev.r.account(&ev.lastMem, ev.residentBytes())
 	}
+	ev.r.refund(&ev.lastMem)
 	if ev.state != nil {
 		st := ev.state
 		ev.state = nil
@@ -213,9 +191,9 @@ func (ev *evaluator) finish() {
 		ev.dr, ev.visited, ev.answers, ev.deferred = nil, nil, nil, nil
 		ev.scratch, ev.batch, ev.stream = nil, nil, nil
 		if poisoned {
-			ev.opts.Pool.poison()
+			ev.r.opts.Pool.poison()
 		} else {
-			ev.opts.Pool.put(st)
+			ev.r.opts.Pool.put(st)
 		}
 		return
 	}
@@ -251,9 +229,7 @@ type ioStatser interface {
 // call more than once and safe to interleave with Next: a closed evaluator
 // keeps reporting ErrClosed (or its earlier terminal error) from Next.
 func (ev *evaluator) Close() error {
-	if ev.failed == nil && !ev.released {
-		ev.failed = ErrClosed
-	}
+	ev.failed = closedErr(ev.failed)
 	ev.finish()
 	return ev.closeErr
 }
@@ -263,61 +239,35 @@ func (ev *evaluator) Close() error {
 // untrustworthy, so the terminal error is recorded (making the pooled bundle
 // non-recyclable) and resources are released.
 func (ev *evaluator) Abort(err error) {
-	if ev.failed == nil || recyclable(ev.failed) {
-		ev.failed = err
-	}
+	ev.failed = abortErr(ev.failed, err)
 	ev.finish()
 }
 
-// checkCtx reports the typed context error once the evaluator's context is
-// done, recording it as the terminal failure.
+// checkCtx reports the typed cancellation error once the run is done,
+// recording it as the terminal failure.
 func (ev *evaluator) checkCtx() error {
-	if ev.ctx == nil {
-		return nil
-	}
-	if err := ev.ctx.Err(); err != nil {
+	if err := ev.r.done(); err != nil {
 		if ev.failed == nil {
-			ev.failed = ctxDoneErr(ev.ctx)
+			ev.failed = err
 		}
 		return ev.failed
 	}
 	return nil
 }
 
-// sampleMem recomputes the evaluator's dstruct footprint, pushes the delta
-// into the execution's shared gauge and enforces the watermarks: over the
-// soft watermark the execution degrades to disk (spill escalation) and keeps
-// streaming; over the hard watermark it fails with the typed ErrMemBudget.
-// The mem.soft/mem.hard failpoints force either crossing deterministically.
+// sampleMem recomputes the evaluator's dstruct footprint, charges it to the
+// run and responds to the watermarks: over the hard watermark the evaluator
+// fails with the typed ErrMemBudget; over the soft one it degrades to disk
+// (spill escalation) and keeps streaming.
 func (ev *evaluator) sampleMem() {
 	ev.memOps = 0
-	m := ev.opts.mem
-	if m == nil {
-		return
-	}
-	cur := ev.residentBytes()
-	if d := cur - ev.lastMem; d != 0 {
-		m.add(d)
-		ev.lastMem = cur
-	}
-	live := m.LiveBytes()
-	if fault.Enabled() {
-		if err := fault.Inject(fpMemHard); err != nil && ev.failed == nil {
-			ev.failed = fmt.Errorf("%w: %w", ErrMemBudget, err)
-			return
-		}
-		if err := fault.Inject(fpMemSoft); err != nil {
-			ev.escalate()
-			return
-		}
-	}
-	if m.hard > 0 && live > m.hard {
+	if err := ev.r.charge(&ev.lastMem, ev.residentBytes()); err != nil {
 		if ev.failed == nil {
-			ev.failed = fmt.Errorf("%w: %d live bytes over hard watermark %d", ErrMemBudget, live, m.hard)
+			ev.failed = err
 		}
 		return
 	}
-	if m.soft > 0 && live > m.soft {
+	if ev.r.overSoft() {
 		ev.escalate()
 	}
 }
@@ -348,7 +298,7 @@ func (ev *evaluator) escalate() {
 		}
 	}
 	if ev.deferred != nil && ev.deferred.Len() > 0 {
-		if err := ev.deferred.Escalate(ev.opts.SpillDir); err != nil {
+		if err := ev.deferred.Escalate(ev.r.opts.SpillDir); err != nil {
 			if ev.failed == nil {
 				ev.failed = err
 			}
@@ -358,7 +308,7 @@ func (ev *evaluator) escalate() {
 	}
 	if escalated {
 		ev.stats.SpillEscalations++
-		ev.opts.mem.escalations.Add(1)
+		ev.r.mem.escalations.Add(1)
 	}
 }
 
@@ -390,7 +340,7 @@ func (ev *evaluator) resume(psi int32) {
 	if err := ev.deferred.Err(); err != nil && ev.failed == nil {
 		ev.failed = err
 	}
-	if ev.opts.MaxTuples > 0 && ev.dr.Adds() > ev.opts.MaxTuples && ev.failed == nil {
+	if ev.r.overBudget(ev.stats.TuplesAdded) && ev.failed == nil {
 		ev.failed = ErrTupleBudget
 	}
 	// Re-injection adopts whole buckets without passing through add(); take a
@@ -398,12 +348,13 @@ func (ev *evaluator) resume(psi int32) {
 	ev.sampleMem()
 }
 
-// add inserts a tuple, enforcing the tuple budget.
+// add inserts a tuple, enforcing the tuple budget (every insertion into D_R
+// goes through add or resume, so stats.TuplesAdded is its lifetime count).
 func (ev *evaluator) add(t dstruct.Tuple) {
 	if ev.failed != nil {
 		return
 	}
-	if ev.opts.MaxTuples > 0 && ev.dr.Adds() >= ev.opts.MaxTuples {
+	if ev.r.overBudget(ev.stats.TuplesAdded + 1) {
 		ev.failed = ErrTupleBudget
 		return
 	}
@@ -444,7 +395,7 @@ func (ev *evaluator) refill() {
 	if ev.batch == nil {
 		// A batch larger than the node set buys nothing: NumNodes()+1 already
 		// seeds every initial node up front.
-		size := min(ev.opts.BatchSize, ev.g.NumNodes()+1)
+		size := min(ev.r.opts.BatchSize, ev.g.NumNodes()+1)
 		if ev.state != nil && cap(ev.state.batch) >= size {
 			ev.batch = ev.state.batch[:size]
 		} else {
@@ -508,7 +459,7 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 		}
 		// Re-check cancellation periodically inside the pop loop so a long
 		// stretch with no emitted answer still honours the context promptly.
-		if ev.ctx != nil && ev.stats.TuplesPopped&0x0FFF == 0 {
+		if ev.stats.TuplesPopped&0x0FFF == 0 {
 			if err := ev.checkCtx(); err != nil {
 				ev.finish()
 				return Answer{}, false, err
@@ -578,7 +529,7 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 	for i := range states {
 		tr := &states[i]
 		var u []graph.NodeID
-		if !ev.opts.NoSuccCache && tr.Group == cacheGroup && cacheGroup >= 0 {
+		if !ev.r.opts.NoSuccCache && tr.Group == cacheGroup && cacheGroup >= 0 {
 			u = cache
 			ev.stats.CacheHits++
 		} else {
@@ -641,15 +592,13 @@ func (ev *evaluator) neighboursByEdge(n graph.NodeID, tr *automaton.CTrans) []gr
 	return out
 }
 
-// Stats implements StatsReporter.
+// Stats implements Iterator.
 func (ev *evaluator) Stats() Stats {
 	s := ev.stats
 	s.Phases = 1
-	if m := ev.opts.mem; m != nil {
-		// The gauge is shared by every evaluator of the execution, so the
-		// peak is execution-wide; aggregation takes the max, not the sum.
-		s.MemPeakBytes = m.PeakBytes()
-	}
+	// The gauge is shared by every evaluator of the execution, so the peak is
+	// execution-wide; aggregation takes the max, not the sum.
+	s.MemPeakBytes = ev.r.mem.PeakBytes()
 	// Before finish() folds them in (and severs the pointers), the spill I/O
 	// counters live on the structures themselves.
 	if io, ok := ev.dr.(ioStatser); ok {

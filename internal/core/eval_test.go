@@ -547,7 +547,7 @@ func TestStatsCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, it, 50)
-	st := statsOf(it)
+	st := it.Stats()
 	if st.CacheHits == 0 {
 		t.Fatal("Succ cache never hit on an APPROX query")
 	}

@@ -35,8 +35,7 @@ func ExplainQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 	for pos, idx := range order {
 		c := q.Conjuncts[idx]
 		fmt.Fprintf(&b, "conjunct %d: %s\n", pos+1, c)
-		decompose := opts.Disjunction && len(c.Expr.Alternands()) > 1
-		plan, err := planConjunct(g, ont, c, opts, decompose)
+		plan, err := compileConjunct(g, ont, c, opts)
 		if err != nil {
 			return "", err
 		}
@@ -68,7 +67,7 @@ func ExplainQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 			fmt.Fprintf(&b, "  %s (%v): %d states, %d compiled transitions\n", name, c.Mode, aut.NumStates, trans)
 		}
 		var strategies []string
-		if decompose {
+		if plan.decompose {
 			variant := "resumable per branch"
 			if opts.DistanceRestart {
 				variant = "restart per branch and phase"
@@ -80,7 +79,7 @@ func ExplainQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 			if opts.DistanceRestart {
 				variant = "restart-per-phase"
 			}
-			strategies = append(strategies, fmt.Sprintf("distance-aware (%s, φ=%d, max ψ=%d)", variant, opts.phi(c.Mode), maxPsiFor(opts, c.Mode)))
+			strategies = append(strategies, fmt.Sprintf("distance-aware (%s, φ=%d, max ψ=%d)", variant, opts.phi(c.Mode), plan.maxPsi()))
 		}
 		if opts.RareSide && plan.case3 && !plan.sameVar {
 			strategies = append(strategies, "rare-side")
@@ -115,11 +114,4 @@ func ExplainQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 		}
 	}
 	return b.String(), nil
-}
-
-func maxPsiFor(opts Options, mode automaton.Mode) int32 {
-	if opts.MaxPsi > 0 {
-		return opts.MaxPsi
-	}
-	return 16 * opts.phi(mode)
 }

@@ -119,7 +119,7 @@ func TestDistanceAwarePhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, it, 1000)
-	st := statsOf(it)
+	st := it.Stats()
 	if st.Phases < 2 {
 		t.Fatalf("distance-aware ran %d phases, want ≥ 2", st.Phases)
 	}
@@ -136,7 +136,7 @@ func TestDistanceAwareStopsWithoutPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, it, 1000)
-	st := statsOf(it)
+	st := it.Stats()
 	if st.Phases > 4 {
 		t.Fatalf("distance-aware kept stepping: %d phases", st.Phases)
 	}

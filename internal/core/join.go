@@ -40,9 +40,8 @@ type QueryIterator interface {
 // over its answers in non-decreasing total distance (§3). It is a thin
 // wrapper over PrepareQuery + Exec — compile and run in one shot, with no
 // cancellation and no per-call limits; servers that run a query repeatedly
-// should Prepare once and Exec per request instead. The returned iterator is
-// always a *Execution, so callers may type-assert for Close.
-func OpenQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options) (QueryIterator, error) {
+// should Prepare once and Exec per request instead.
+func OpenQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options) (*Execution, error) {
 	p, err := PrepareQuery(g, ont, q, opts)
 	if err != nil {
 		return nil, err
@@ -183,8 +182,8 @@ func (s *singleConjunct) NextBatch(dst []QueryAnswer) (int, error) {
 	}
 }
 
-// Stats implements StatsReporter.
-func (s *singleConjunct) Stats() Stats { return statsOf(s.it) }
+// Stats reports the conjunct iterator's counters.
+func (s *singleConjunct) Stats() Stats { return s.it.Stats() }
 
 // peekIterator adds one-answer lookahead to an Iterator.
 type peekIterator struct {
@@ -335,15 +334,14 @@ func (rj *rankedJoin) runRound() error {
 	return nil
 }
 
-// Stats implements StatsReporter by folding the conjunct iterators' counters
-// into one Stats: counter fields sum, VisitedSize and Phases take the
-// per-conjunct maximum (following the ψ-phase driver's convention). This is
+// Stats folds the conjunct iterators' counters into one Stats: counter fields
+// sum, VisitedSize and Phases take the per-conjunct maximum (following the ψ-phase driver's convention). This is
 // what lets a server log per-request pops/deferred/reinjected for
 // multi-conjunct queries too.
 func (rj *rankedJoin) Stats() Stats {
 	var s Stats
 	for _, it := range rj.raw {
-		cs := statsOf(it)
+		cs := it.Stats()
 		s.add(cs)
 		s.VisitedSize = max(s.VisitedSize, cs.VisitedSize)
 		s.Phases = max(s.Phases, cs.Phases)

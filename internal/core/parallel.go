@@ -97,10 +97,8 @@ func (p *conjunctPlan) parSources() []graph.NodeID {
 // and are installed as zero-cost Case 1 seeds: seedInitial inserts them in
 // reverse, so D_R's LIFO pops them — and emits their closure segments — in
 // exactly the given order.
-func (p *conjunctPlan) newShardEvaluator(ctx context.Context, opts *Options, srcs []graph.NodeID) *evaluator {
-	ev := newEvaluator(p.g, p.auts[0], opts)
-	ev.ctx = ctx
-	ev.psi = -1
+func (p *conjunctPlan) newShardEvaluator(r *run, srcs []graph.NodeID) *evaluator {
+	ev := newEvaluator(p.g, p.auts[0], r)
 	ev.finalAnn = p.finalAnn
 	ev.seeds = make([]seed, len(srcs))
 	for i, n := range srcs {
@@ -143,9 +141,7 @@ type shardState struct {
 // rank reproduces the serial order exactly.
 type parIterator struct {
 	plan *conjunctPlan
-	opts *Options
-	ctx  context.Context // nil when not cancelable
-	k    int             // resolved parallelism
+	r    *run
 
 	parent obs.SpanID // span the shard spans nest under (the conjunct span)
 
@@ -166,34 +162,30 @@ type parIterator struct {
 	mergeWait int64
 }
 
-func newParIterator(ctx context.Context, p *conjunctPlan, opts *Options, k int) *parIterator {
-	return &parIterator{plan: p, opts: opts, ctx: ctx, k: k, parent: opts.traceParent}
+func newParIterator(p *conjunctPlan, r *run, parent obs.SpanID) *parIterator {
+	return &parIterator{plan: p, r: r, parent: parent}
 }
 
-// setTraceParent implements traceParentSetter: the execution re-parents the
-// shard spans under the conjunct span it creates after open returns.
-func (pi *parIterator) setTraceParent(sp obs.SpanID) { pi.parent = sp }
-
-// start partitions the source population round-robin across min(k,
+// start partitions the source population round-robin across min(Parallelism,
 // len/minShardSources) shards and spawns one worker per shard. Round-robin
 // keeps shard loads statistically even and makes the global rank of shard
 // i's j-th source simply j*nsh+i.
 func (pi *parIterator) start() error {
 	pi.started = true
 	srcs := pi.plan.parSources()
-	nsh := len(srcs) / minShardSources
-	if nsh > pi.k {
-		nsh = pi.k
-	}
+	nsh := min(len(srcs)/minShardSources, pi.r.opts.Parallelism)
 	if nsh < 2 {
-		pi.inner = pi.plan.newEvaluator(pi.ctx, pi.opts, 0, -1)
+		pi.inner = pi.plan.newEvaluator(pi.r, 0, -1)
 		return nil
 	}
-	wctx := pi.ctx
-	if wctx == nil {
-		wctx = context.Background()
+	// The shard evaluators run on a copy of the run whose context the
+	// iterator can cancel on its own, to preempt them; gauge, trace and
+	// options are the execution's.
+	wr := *pi.r
+	if wr.ctx == nil {
+		wr.ctx = context.Background()
 	}
-	wctx, pi.wcancel = context.WithCancel(wctx)
+	wr.ctx, pi.wcancel = context.WithCancel(wr.ctx)
 	pi.stop = make(chan struct{})
 	pi.shards = make([]*shardState, nsh)
 	for i := range pi.shards {
@@ -205,7 +197,7 @@ func (pi *parIterator) start() error {
 	}
 	pi.wg.Add(nsh)
 	for _, s := range pi.shards {
-		go pi.worker(wctx, s)
+		go pi.worker(&wr, s)
 	}
 	for _, s := range pi.shards {
 		if err := pi.advance(s); err != nil {
@@ -218,26 +210,21 @@ func (pi *parIterator) start() error {
 // worker runs one shard's evaluator, delivering rank-tagged answer batches.
 // The final stats snapshot and any terminal error are published before the
 // deferred channel close, so the consumer observes them happens-after.
-func (pi *parIterator) worker(ctx context.Context, s *shardState) {
+func (pi *parIterator) worker(wr *run, s *shardState) {
 	defer pi.wg.Done()
 	defer close(s.ch)
-	tr := pi.opts.trace
-	sp := obs.NoSpan
-	if tr != nil {
-		sp = tr.Start(pi.parent, obs.SpanShard)
-		tr.SetAttr(sp, "idx", int64(s.idx))
-		tr.SetAttr(sp, "sources", int64(len(s.srcs)))
-	}
-	ev := pi.plan.newShardEvaluator(ctx, pi.opts, s.srcs)
+	tr := wr.trace
+	sp := tr.Start(pi.parent, obs.SpanShard)
+	tr.SetAttr(sp, "idx", int64(s.idx))
+	tr.SetAttr(sp, "sources", int64(len(s.srcs)))
+	ev := pi.plan.newShardEvaluator(wr, s.srcs)
 	emitted := int64(0)
 	defer func() {
 		s.mu.Lock()
 		s.stats = ev.Stats()
 		s.mu.Unlock()
-		if tr != nil {
-			tr.SetAttr(sp, "answers", emitted)
-			tr.End(sp)
-		}
+		tr.SetAttr(sp, "answers", emitted)
+		tr.End(sp)
 	}()
 	setErr := func(err error) {
 		s.mu.Lock()
@@ -435,11 +422,9 @@ func (pi *parIterator) release() {
 // cancellation, which is a clean (recyclable) stop for pooled bundles.
 func (pi *parIterator) Close() error {
 	if pi.inner != nil {
-		return closeIter(pi.inner)
+		return pi.inner.Close()
 	}
-	if pi.failed == nil && !pi.released {
-		pi.failed = ErrClosed
-	}
+	pi.failed = closedErr(pi.failed)
 	pi.done = true
 	if pi.started {
 		pi.stopWorkers()
@@ -448,18 +433,16 @@ func (pi *parIterator) Close() error {
 	return nil
 }
 
-// Abort implements aborter. Worker evaluators still end via cancellation —
+// Abort implements Iterator. Worker evaluators still end via cancellation —
 // they were between Next calls, so their pooled state is internally
 // consistent and safe to recycle; only the iterator's sticky error carries
 // the abort reason.
 func (pi *parIterator) Abort(err error) {
 	if pi.inner != nil {
-		abortIter(pi.inner, err)
+		pi.inner.Abort(err)
 		return
 	}
-	if pi.failed == nil || recyclable(pi.failed) {
-		pi.failed = err
-	}
+	pi.failed = abortErr(pi.failed, err)
 	pi.done = true
 	if pi.started {
 		pi.stopWorkers()
@@ -467,13 +450,13 @@ func (pi *parIterator) Abort(err error) {
 	pi.release()
 }
 
-// Stats implements StatsReporter: the sum of the shard evaluators' counters
+// Stats implements Iterator: the sum of the shard evaluators' counters
 // (exact once the stream ended; exited workers only while live), plus the
 // shard count and merge wait the execution surfaces as Stats.Shards /
 // MergeWaitNanos.
 func (pi *parIterator) Stats() Stats {
 	if pi.inner != nil {
-		return statsOf(pi.inner)
+		return pi.inner.Stats()
 	}
 	var s Stats
 	for _, sh := range pi.shards {
@@ -486,23 +469,8 @@ func (pi *parIterator) Stats() Stats {
 	s.Phases = 1
 	s.Shards = len(pi.shards)
 	s.MergeWaitNanos = pi.mergeWait
-	if m := pi.opts.mem; m != nil {
-		s.MemPeakBytes = m.PeakBytes()
-	}
+	s.MemPeakBytes = pi.r.mem.PeakBytes()
 	return s
-}
-
-// traceParentSetter re-parents an iterator's child spans; the execution
-// applies it through any Case 2 / same-variable wrappers after it creates
-// the conjunct span.
-type traceParentSetter interface {
-	setTraceParent(obs.SpanID)
-}
-
-func setParentSpan(it Iterator, sp obs.SpanID) {
-	if ts, ok := it.(traceParentSetter); ok {
-		ts.setTraceParent(sp)
-	}
 }
 
 // prefetchIterator drives an inner conjunct iterator from its own goroutine,
@@ -551,8 +519,6 @@ func newPrefetchIterator(it Iterator) *prefetchIterator {
 	}
 }
 
-func (pf *prefetchIterator) setTraceParent(sp obs.SpanID) { setParentSpan(pf.it, sp) }
-
 func (pf *prefetchIterator) start() {
 	pf.started = true
 	pf.wg.Add(1)
@@ -561,7 +527,7 @@ func (pf *prefetchIterator) start() {
 		defer close(pf.ch)
 		batch := make([]prefetched, 0, prefetchBatch)
 		snap := func() {
-			st := statsOf(pf.it)
+			st := pf.it.Stats()
 			pf.mu.Lock()
 			pf.stats = st
 			pf.mu.Unlock()
@@ -652,41 +618,31 @@ func (pf *prefetchIterator) stopWorker() {
 // Close stops the prefetch worker, then closes the inner iterator (whose
 // Close is only safe once the worker no longer calls Next on it).
 func (pf *prefetchIterator) Close() error {
-	if pf.failed == nil && !pf.done {
-		pf.failed = ErrClosed
-	}
+	pf.failed = closedErr(pf.failed)
 	if pf.started {
 		pf.stopWorker()
 	}
-	return closeIter(pf.it)
+	return pf.it.Close()
 }
 
-// Abort implements aborter with the same join-before-touch discipline.
+// Abort implements Iterator with the same join-before-touch discipline.
 func (pf *prefetchIterator) Abort(err error) {
-	if pf.failed == nil || recyclable(pf.failed) {
-		pf.failed = err
-	}
+	pf.failed = abortErr(pf.failed, err)
 	if pf.started {
 		pf.stopWorker()
 	}
-	abortIter(pf.it, err)
+	pf.it.Abort(err)
 }
 
-// Stats implements StatsReporter: the worker's latest snapshot while live
+// Stats implements Iterator: the worker's latest snapshot while live
 // (refreshed per batch), the inner iterator's final counters once joined.
 func (pf *prefetchIterator) Stats() Stats {
 	pf.mu.Lock()
 	stopped := pf.stopped
 	snap := pf.stats
 	pf.mu.Unlock()
-	if !pf.started {
-		return statsOf(pf.it)
-	}
-	if stopped {
-		return statsOf(pf.it)
-	}
-	if pf.done {
-		return statsOf(pf.it)
+	if !pf.started || stopped || pf.done {
+		return pf.it.Stats()
 	}
 	return snap
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -247,53 +246,54 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 	if err != nil {
 		return nil, err
 	}
+	mem := eo.Mem
+	if mem == nil {
+		mem = NewMemGauge(eo.SoftMemBytes, eo.HardMemBytes)
+	}
 	ex := &Execution{
-		opts:    p.opts,
-		ctx:     watchable(ctx),
+		r:       newRun(ctx, p.opts, mem, eo.Trace),
 		limit:   eo.Limit,
 		maxDist: eo.MaxDist,
 		started: time.Now(),
 	}
+	// The per-execution overrides go into the run's private options, the one
+	// copy every iterator below reads.
+	r := &ex.r
 	if eo.MaxTuples > 0 {
-		ex.opts.MaxTuples = eo.MaxTuples
+		r.opts.MaxTuples = eo.MaxTuples
 	}
 	if eo.Pool != nil {
-		ex.opts.Pool = eo.Pool
+		r.opts.Pool = eo.Pool
 	}
-	if eo.Mem != nil {
-		ex.opts.mem = eo.Mem
-	} else {
-		ex.opts.mem = NewMemGauge(eo.SoftMemBytes, eo.HardMemBytes)
-	}
-	if eo.Trace != nil {
-		ex.tr = eo.Trace
-		ex.execSpan = ex.tr.Start(obs.Root, obs.SpanExec)
-		ex.opts.trace = eo.Trace
-		// Iterators below the execution layer (bulk index build, ψ phases)
-		// parent their spans under the exec span: they share one Options and
-		// may record lazily, so a per-conjunct parent cannot be threaded down.
-		ex.opts.traceParent = ex.execSpan
-	}
+	r.opts.Parallelism = resolveParallelism(eo.Parallelism, p.opts.Parallelism)
 	// Backend selection: the per-execution request layered over the engine
 	// default, resolved per conjunct against the cost model. Only exhaustive
 	// executions (no Limit, no MaxDist) are auto-eligible for the bulk
 	// set-semantics engine — a limited execution wants streamed answers.
 	req := resolveBackend(eo.Backend, p.opts.Backend)
 	exhaustive := eo.Limit == 0 && eo.MaxDist == 0
-	// Parallelism: the per-execution request layered over the engine default,
-	// clamped. The resolved count rides in the execution's Options so every
-	// iterator below (bulk fan-out, ranked sharding) reads one value.
-	ex.opts.Parallelism = resolveParallelism(eo.Parallelism, p.opts.Parallelism)
 	ex.its = make([]Iterator, len(ps.plans))
 	ex.backends = make([]Backend, len(ps.plans))
-	if ex.tr != nil {
+	if r.trace != nil {
 		ex.conjSpans = make([]obs.SpanID, len(ps.plans))
 	}
 	for i, plan := range ps.plans {
 		dec := plan.chooseBackend(req, exhaustive)
 		ex.backends[i] = dec.backend
-		it := plan.open(ctx, &ex.opts, eo.MaxDist, dec.backend)
-		if len(ps.plans) > 1 && ex.opts.Parallelism > 1 {
+		// The conjunct span opens before the iterator so that a sharded
+		// conjunct can nest its shard spans under it; open records no span of
+		// its own, so the span order is that of the conjuncts.
+		sp := obs.NoSpan
+		if r.trace != nil {
+			sp = r.trace.Start(r.span, obs.SpanConjunct)
+			r.trace.SetAttr(sp, "idx", int64(i))
+			if dec.backend == BackendBulk {
+				r.trace.SetAttr(sp, "bulk", 1)
+			}
+			ex.conjSpans[i] = sp
+		}
+		it := plan.open(r, sp, eo.MaxDist, dec.backend)
+		if len(ps.plans) > 1 && r.opts.Parallelism > 1 {
 			// Concurrent conjunct evaluation: each conjunct prefetches its
 			// stream from its own goroutine through a bounded buffer; the
 			// rank join's sequential peek order — and therefore its output —
@@ -301,17 +301,6 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 			it = newPrefetchIterator(it)
 		}
 		ex.its[i] = it
-		if ex.tr != nil {
-			sp := ex.tr.Start(ex.execSpan, obs.SpanConjunct)
-			ex.tr.SetAttr(sp, "idx", int64(i))
-			if dec.backend == BackendBulk {
-				ex.tr.SetAttr(sp, "bulk", 1)
-			}
-			ex.conjSpans[i] = sp
-			// Shard spans of a sharded ranked conjunct nest under its
-			// conjunct span (created only now, after open).
-			setParentSpan(it, sp)
-		}
 	}
 	q := ps.q
 	switch {
@@ -336,13 +325,12 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 // accounting. After an error, Next and NextBatch keep returning the same
 // error (sticky); after Close, they return ErrClosed.
 type Execution struct {
-	opts Options // this run's options; evaluators hold a pointer into this field
+	r run // this run's governance context; the iterators hold a pointer to it
 
 	its      []Iterator      // conjunct-level iterators (the resource owners)
 	backends []Backend       // per-conjunct engine choice, for Stats.Backend
 	single   *singleConjunct // single-conjunct executions: the batch-native row source
 	join     *rankedJoin     // multi-conjunct executions: the rank join, one row per pull
-	ctx      context.Context
 
 	limit   int
 	maxDist int32
@@ -356,12 +344,10 @@ type Execution struct {
 
 	chunk []graph.NodeID // backing store for rows Next hands out, carved per row
 
-	// Tracing (all zero-valued and inert when the execution is untraced —
-	// the per-batch cost is the single e.n == 0 compare in NextBatch).
+	// Tracing (inert when the execution is untraced — the per-batch cost is
+	// the single e.n == 0 compare in NextBatch).
 	started   time.Time
 	ttfr      time.Duration
-	tr        *obs.Trace
-	execSpan  obs.SpanID
 	conjSpans []obs.SpanID
 }
 
@@ -417,32 +403,15 @@ func (e *Execution) NextBatch(dst []QueryAnswer) (int, error) {
 	if e.done || len(dst) == 0 {
 		return 0, nil
 	}
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
-			e.err = ctxDoneErr(e.ctx)
-			if errors.Is(e.err, ErrMemBudget) {
-				// A broker victim kill: shedding the execution's memory is the
-				// point, so pooled bundles are poisoned (abort path), never
-				// recycled with their high-water capacity.
-				if !e.released {
-					e.released = true
-					e.finishSpans()
-					for _, it := range e.its {
-						abortIter(it, e.err)
-					}
-				}
-			} else {
-				e.release()
-			}
-			return 0, e.err
-		}
+	if err := e.r.done(); err != nil {
+		// Cancellation and deadline recycle pooled bundles; a broker victim
+		// kill (cause ErrMemBudget) poisons them — terminate knows which.
+		return 0, e.terminate(err)
 	}
 	if e.limit > 0 {
 		left := e.limit - e.n
 		if left <= 0 {
-			e.done = true
-			e.release()
-			return 0, nil
+			return 0, e.terminate(nil)
 		}
 		if len(dst) > left {
 			dst = dst[:left]
@@ -461,9 +430,7 @@ func (e *Execution) NextBatch(dst []QueryAnswer) (int, error) {
 		}
 	}
 	if err != nil {
-		e.err = err
-		e.release()
-		return 0, err
+		return 0, e.terminate(err)
 	}
 	if e.maxDist > 0 {
 		// Emission is non-decreasing, so the first over-budget row ends the
@@ -481,64 +448,77 @@ func (e *Execution) NextBatch(dst []QueryAnswer) (int, error) {
 	}
 	e.n += n
 	if n == 0 || e.done {
-		e.done = true
-		e.release()
+		e.terminate(nil)
 	}
 	return n, nil
 }
 
-// finishSpans stamps each conjunct span with its iterator's final counters and
-// ends the execution-level spans. Called exactly once, from whichever release
-// path runs first, while the iterators are still queryable.
-func (e *Execution) finishSpans() {
-	if e.tr == nil {
-		return
+// terminate is the one way an execution ends — exhaustion, Limit, MaxDist and
+// Close with a nil reason; an evaluation error, cancellation, a broker victim
+// kill and Abort with theirs. The first non-nil reason becomes the sticky
+// error (returned, for the callers' convenience); the first call finishes the
+// spans while the iterators are still queryable, then releases every conjunct
+// under a close span: Close when the reason leaves evaluator state intact (see
+// recyclable), so pooled bundles recycle, Abort otherwise, so they are
+// discarded — a conjunct that did not itself fail included, since an
+// ErrMemBudget exists to shed the execution's memory and after a panic no
+// state is trusted.
+func (e *Execution) terminate(reason error) error {
+	if reason == nil {
+		e.done = true
+	} else if e.err == nil {
+		e.err = reason
 	}
-	for i, sp := range e.conjSpans {
-		s := statsOf(e.its[i])
-		e.tr.SetAttr(sp, "tuples_added", int64(s.TuplesAdded))
-		e.tr.SetAttr(sp, "tuples_popped", int64(s.TuplesPopped))
-		e.tr.SetAttr(sp, "phases", int64(s.Phases))
-		if s.Deferred > 0 {
-			e.tr.SetAttr(sp, "deferred", int64(s.Deferred))
-			e.tr.SetAttr(sp, "reinjected", int64(s.Reinjected))
-		}
-		if s.SpillEscalations > 0 {
-			e.tr.SetAttr(sp, "spill_escalations", int64(s.SpillEscalations))
-		}
-		if s.Shards > 0 {
-			e.tr.SetAttr(sp, "shards", int64(s.Shards))
-		}
-		if s.SpillIONanos > 0 {
-			e.tr.SetAttr(sp, "spill_io_us", s.SpillIONanos/1e3)
-			e.tr.SetAttr(sp, "spill_io_bytes", s.SpillIOBytes)
-		}
-		e.tr.End(sp)
-	}
-	e.tr.SetAttr(e.execSpan, "rows", int64(e.n))
-	if e.ttfr > 0 {
-		e.tr.SetAttr(e.execSpan, "ttfr_us", e.ttfr.Microseconds())
-	}
-	e.tr.End(e.execSpan)
-}
-
-// release closes every conjunct iterator, keeping the first error.
-func (e *Execution) release() {
 	if e.released {
-		return
+		return e.err
 	}
 	e.released = true
 	e.finishSpans()
-	var closeSpan obs.SpanID = obs.NoSpan
-	if e.tr != nil {
-		closeSpan = e.tr.Start(obs.Root, obs.SpanClose)
-	}
+	closeSpan := e.r.trace.Start(obs.Root, obs.SpanClose)
 	for _, it := range e.its {
-		if err := closeIter(it); err != nil && e.closeErr == nil {
+		if !recyclable(reason) {
+			it.Abort(reason)
+		} else if err := it.Close(); err != nil && e.closeErr == nil {
 			e.closeErr = err
 		}
 	}
-	e.tr.End(closeSpan)
+	e.r.trace.End(closeSpan)
+	return e.err
+}
+
+// finishSpans stamps each conjunct span with its iterator's final counters and
+// ends the execution-level spans.
+func (e *Execution) finishSpans() {
+	tr := e.r.trace
+	if tr == nil {
+		return
+	}
+	for i, sp := range e.conjSpans {
+		s := e.its[i].Stats()
+		tr.SetAttr(sp, "tuples_added", int64(s.TuplesAdded))
+		tr.SetAttr(sp, "tuples_popped", int64(s.TuplesPopped))
+		tr.SetAttr(sp, "phases", int64(s.Phases))
+		if s.Deferred > 0 {
+			tr.SetAttr(sp, "deferred", int64(s.Deferred))
+			tr.SetAttr(sp, "reinjected", int64(s.Reinjected))
+		}
+		if s.SpillEscalations > 0 {
+			tr.SetAttr(sp, "spill_escalations", int64(s.SpillEscalations))
+		}
+		if s.Shards > 0 {
+			tr.SetAttr(sp, "shards", int64(s.Shards))
+		}
+		if s.SpillIONanos > 0 {
+			tr.SetAttr(sp, "spill_io_us", s.SpillIONanos/1e3)
+			tr.SetAttr(sp, "spill_io_bytes", s.SpillIOBytes)
+		}
+		tr.End(sp)
+	}
+	tr.SetAttr(e.r.span, "rows", int64(e.n))
+	if e.ttfr > 0 {
+		tr.SetAttr(e.r.span, "ttfr_us", e.ttfr.Microseconds())
+	}
+	tr.End(e.r.span)
 }
 
 // Close releases the execution's resources (spill files, deferred frontiers)
@@ -547,37 +527,23 @@ func (e *Execution) release() {
 // calls return ErrClosed (or the earlier terminal error).
 func (e *Execution) Close() error {
 	e.closed = true
-	e.release()
+	e.terminate(nil)
 	return e.closeErr
 }
 
 // Abort terminates the execution with a caller-supplied error and releases
-// its resources, marking any pooled evaluator state unsafe to recycle. It is
-// the recovery path for panics that unwound through Next: the evaluators'
-// internal state is untrustworthy, so instead of returning bundles to the
-// EvalPool they are discarded (PoolStats.Poisoned counts them). Subsequent
-// Next calls report err (sticky). Idempotent, and safe after Close.
+// its resources, marking any pooled evaluator state unsafe to recycle unless
+// err is one of the clean stops. It is the recovery path for panics that
+// unwound through Next: the evaluators' internal state is untrustworthy, so
+// instead of returning bundles to the EvalPool they are discarded
+// (PoolStats.Poisoned counts them). Subsequent Next calls report err
+// (sticky). Idempotent, and safe after Close.
 func (e *Execution) Abort(err error) {
-	if e.err == nil {
-		e.err = err
-	}
 	e.closed = true
-	if e.released {
-		return
-	}
-	e.released = true
-	e.finishSpans()
-	var closeSpan obs.SpanID = obs.NoSpan
-	if e.tr != nil {
-		closeSpan = e.tr.Start(obs.Root, obs.SpanClose)
-	}
-	for _, it := range e.its {
-		abortIter(it, err)
-	}
-	e.tr.End(closeSpan)
+	e.terminate(err)
 }
 
-// Stats implements StatsReporter, delegating to the underlying iterator tree:
+// Stats reports the run's counters, delegating to the underlying iterator tree:
 // a single conjunct's own counters, or the rank join's fold over its
 // conjuncts.
 func (e *Execution) Stats() Stats {
@@ -588,7 +554,7 @@ func (e *Execution) Stats() Stats {
 		s = e.join.Stats()
 	}
 	s.Backend = backendsLabel(e.backends)
-	s.Parallelism = e.opts.Parallelism
+	s.Parallelism = e.r.opts.Parallelism
 	if e.ttfr > 0 {
 		s.TTFRNanos = int64(e.ttfr)
 	}

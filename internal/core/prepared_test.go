@@ -181,6 +181,7 @@ func TestExecContextCancellation(t *testing.T) {
 		{},
 		{DistanceAware: true},
 		{Disjunction: true},
+		{DistanceAware: true, DistanceRestart: true},
 	} {
 		c := conj("a", "(p|q).p", "?X", automaton.Approx)
 		q := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{c}}
@@ -235,39 +236,49 @@ func TestExecContextCancellation(t *testing.T) {
 // ErrClosed, and Close after natural exhaustion stays a no-op.
 func TestExecCloseContract(t *testing.T) {
 	g, ont := tinyGraph(t)
-	c := conj("a", "p.p", "?X", automaton.Approx)
-	q := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{c}}
-	p, err := PrepareQuery(g, ont, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		c    Conjunct
+		opts Options
+	}{
+		{conj("a", "p.p", "?X", automaton.Approx), Options{}},
+		{conj("a", "p.p", "?X", automaton.Approx), Options{DistanceAware: true}},
+		{conj("a", "p.p", "?X", automaton.Approx), Options{DistanceAware: true, DistanceRestart: true}},
+		{conj("a", "(p|q).p", "?X", automaton.Approx), Options{Disjunction: true}},
+		{conj("?X", "p", "?Y", automaton.Exact), Options{Backend: BackendBulk}},
+	} {
+		q := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{tc.c}}
+		p, err := PrepareQuery(g, ont, q, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Abandon mid-stream.
-	ex, err := p.Exec(context.Background(), ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := ex.Next(); !ok || err != nil {
-		t.Fatalf("first answer: (%v, %v)", ok, err)
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if _, ok, err := ex.Next(); ok || !errors.Is(err, ErrClosed) {
-		t.Fatalf("Next after Close = (%v, %v), want ErrClosed", ok, err)
-	}
+		// Abandon mid-stream.
+		ex, err := p.Exec(context.Background(), ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := ex.Next(); !ok || err != nil {
+			t.Fatalf("opts=%+v: first answer: (%v, %v)", tc.opts, ok, err)
+		}
+		if err := ex.Close(); err != nil {
+			t.Fatalf("opts=%+v: Close: %v", tc.opts, err)
+		}
+		if err := ex.Close(); err != nil {
+			t.Fatalf("opts=%+v: second Close: %v", tc.opts, err)
+		}
+		if _, ok, err := ex.Next(); ok || !errors.Is(err, ErrClosed) {
+			t.Fatalf("opts=%+v: Next after Close = (%v, %v), want ErrClosed", tc.opts, ok, err)
+		}
 
-	// Exhaust, then Close.
-	ex, err = p.Exec(context.Background(), ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainExec(t, ex, 0)
-	if err := ex.Close(); err != nil {
-		t.Fatalf("Close after exhaustion: %v", err)
+		// Exhaust, then Close.
+		ex, err = p.Exec(context.Background(), ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainExec(t, ex, 0)
+		if err := ex.Close(); err != nil {
+			t.Fatalf("opts=%+v: Close after exhaustion: %v", tc.opts, err)
+		}
 	}
 }
 
@@ -414,7 +425,7 @@ func TestQuickDisjunctionResumableMatchesRestart(t *testing.T) {
 					trial, c, opts, i, inc[i], res[i])
 			}
 		}
-		is, rs := statsOf(incIt), statsOf(resIt)
+		is, rs := incIt.Stats(), resIt.Stats()
 		if is.TuplesPopped > is.TuplesAdded {
 			t.Fatalf("trial %d %s: resumable popped %d tuples but only added %d — some tuple was processed twice",
 				trial, c, is.TuplesPopped, is.TuplesAdded)
@@ -437,7 +448,7 @@ func TestDisjunctionResumableReinjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, it, 1<<20)
-	s := statsOf(it)
+	s := it.Stats()
 	if s.Phases <= 1 {
 		t.Fatalf("fixture ran %d phases, want > 1", s.Phases)
 	}

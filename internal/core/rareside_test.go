@@ -55,7 +55,7 @@ func TestRareSidePicksRareEnd(t *testing.T) {
 	if len(a1) != len(a2) {
 		t.Fatalf("answer counts differ: %d vs %d", len(a1), len(a2))
 	}
-	s1, s2 := statsOf(plain), statsOf(rareSide)
+	s1, s2 := plain.Stats(), rareSide.Stats()
 	if s2.TuplesAdded >= s1.TuplesAdded {
 		t.Fatalf("rare-side did not reduce work: %d vs %d tuples", s2.TuplesAdded, s1.TuplesAdded)
 	}

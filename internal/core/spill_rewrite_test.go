@@ -77,11 +77,11 @@ func TestRewriteShrinksAutomaton(t *testing.T) {
 	// ((p*)*)* compiles to more states without rewriting.
 	c := conj("?X", "((p*)*)*", "?Y", automaton.Exact)
 
-	plain, err := planConjunct(g, ont, c, Options{}.withDefaults(), false)
+	plain, err := compileConjunct(g, ont, c, Options{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewritten, err := planConjunct(g, ont, c, Options{Rewrite: true}.withDefaults(), false)
+	rewritten, err := compileConjunct(g, ont, c, Options{Rewrite: true}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,6 @@
 package dstruct
 
-import (
-	"container/heap"
-	"fmt"
-	"os"
-	"path/filepath"
-	"time"
-
-	"omega/internal/fault"
-)
+import "fmt"
 
 // Deferred is the deferred frontier of the incremental distance-aware mode
 // (§4.3 "retrieving answers by distance", made resumable): when the evaluator
@@ -43,26 +35,18 @@ type Deferred struct {
 	resident     int
 	noFinalFirst bool
 
-	// Spill state (inactive when threshold == 0).
+	// Spill state (inactive when threshold == 0): store holds the spilled
+	// sub-lists, so size == resident + store.spilled.
 	threshold int
-	dir       string
-	ownDir    bool
-	onDisk    map[int64]int // packed (distance, final) key → spilled count
-	diskKeys  keyHeap
-	spills    int
+	store     spillStore
 	closed    bool
 	err       error
-
-	// ioNanos/ioBytes mirror SpillDict's spill I/O accounting (see there):
-	// wall time in and payload bytes through deferred spill-file operations.
-	ioNanos int64
-	ioBytes int64
 }
 
 // NewDeferred returns an empty deferred frontier. noFinalFirst must match the
 // dictionary the frontier will be injected into, so sub-list routing agrees.
 func NewDeferred(noFinalFirst bool) *Deferred {
-	return &Deferred{noFinalFirst: noFinalFirst}
+	return &Deferred{noFinalFirst: noFinalFirst, store: spillStore{kind: &deferredSpill}}
 }
 
 // NewDeferredSpill returns a deferred frontier keeping at most threshold
@@ -74,18 +58,12 @@ func NewDeferredSpill(threshold int, dir string, noFinalFirst bool) (*Deferred, 
 	if threshold <= 0 {
 		return nil, fmt.Errorf("dstruct: NewDeferredSpill: threshold must be positive")
 	}
-	dir, err := os.MkdirTemp(dir, "omega-deferred-*")
-	if err != nil {
+	df := NewDeferred(noFinalFirst)
+	df.threshold = threshold
+	if err := df.store.open(dir); err != nil {
 		return nil, spillErr("NewDeferredSpill", err)
 	}
-	own := true
-	return &Deferred{
-		noFinalFirst: noFinalFirst,
-		threshold:    threshold,
-		dir:          dir,
-		ownDir:       own,
-		onDisk:       map[int64]int{},
-	}, nil
+	return df, nil
 }
 
 // Err returns the first I/O error encountered (always nil without spilling).
@@ -95,10 +73,6 @@ func (df *Deferred) fail(err error) {
 	if df.err == nil {
 		df.err = err
 	}
-}
-
-func (df *Deferred) path(k int64) string {
-	return filepath.Join(df.dir, fmt.Sprintf("deferred-%d.spill", k))
 }
 
 // Add parks t. Tuples are only ever deferred because t.D exceeds the current
@@ -154,8 +128,7 @@ func (df *Deferred) Reset(noFinalFirst bool) {
 	df.noFinalFirst = noFinalFirst
 	df.err = nil
 	df.closed = false
-	df.ioNanos = 0
-	df.ioBytes = 0
+	df.store.ioNanos, df.store.ioBytes = 0, 0
 	if err := df.DisarmSpill(); err != nil {
 		df.fail(err)
 	}
@@ -174,14 +147,10 @@ func (df *Deferred) Escalate(dir string) error {
 		return df.err
 	}
 	if df.threshold == 0 {
-		d, err := os.MkdirTemp(dir, "omega-deferred-*")
-		if err != nil {
+		if err := df.store.open(dir); err != nil {
 			df.fail(spillErr("deferred escalate", err))
 			return df.err
 		}
-		df.dir = d
-		df.ownDir = true
-		df.onDisk = map[int64]int{}
 		df.threshold = df.resident / 2
 	} else {
 		df.threshold /= 2
@@ -203,35 +172,16 @@ func (df *Deferred) Escalate(dir string) error {
 // The first cleanup failure is returned (typed ErrSpill) and recorded as the
 // frontier's sticky error so a pooled bundle over leaked files is discarded.
 func (df *Deferred) DisarmSpill() error {
-	if df.threshold == 0 && df.dir == "" {
+	if df.threshold == 0 && !df.store.armed() {
 		return nil
 	}
-	var first error
-	for k, n := range df.onDisk {
-		if n > 0 {
-			df.size -= n
-			if err := df.removeFile(df.path(k)); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	if df.size < 0 {
-		df.size = 0
-	}
-	df.onDisk = nil
-	df.diskKeys = nil
-	if df.ownDir {
-		if err := os.RemoveAll(df.dir); err != nil && first == nil {
-			first = spillErr("deferred remove", err)
-		}
-		df.ownDir = false
-	}
-	df.dir = ""
+	err := df.store.teardown()
+	df.size = df.resident
 	df.threshold = 0
-	if first != nil {
-		df.fail(first)
+	if err != nil {
+		df.fail(err)
 	}
-	return first
+	return err
 }
 
 // Bytes returns the approximate resident footprint of the frontier (spilled
@@ -245,29 +195,16 @@ func (df *Deferred) Bytes() int64 {
 	return n
 }
 
-// removeFile deletes one deferred spill file, typing any failure.
-func (df *Deferred) removeFile(path string) error {
-	start := time.Now()
-	defer func() { df.ioNanos += time.Since(start).Nanoseconds() }()
-	if err := fault.Inject(fpDeferredRemove); err != nil {
-		return spillErr("deferred remove", err)
-	}
-	if err := os.Remove(path); err != nil {
-		return spillErr("deferred remove", err)
-	}
-	return nil
-}
-
 // IOStats reports the frontier's lifetime spill I/O accounting: wall
 // nanoseconds spent in spill-file operations and tuple-payload bytes written
 // plus read. Zeroed by Reset along with the rest of the pooled state.
-func (df *Deferred) IOStats() (nanos, bytes int64) { return df.ioNanos, df.ioBytes }
+func (df *Deferred) IOStats() (nanos, bytes int64) { return df.store.ioNanos, df.store.ioBytes }
 
 // Resident returns the number of parked tuples currently held in memory.
 func (df *Deferred) Resident() int { return df.resident }
 
 // Spills returns the number of bucket spill operations performed.
-func (df *Deferred) Spills() int { return df.spills }
+func (df *Deferred) Spills() int { return df.store.spills }
 
 // spillColdest appends the largest-distance resident sub-lists to disk until
 // the resident count is within half the threshold. Large distances are
@@ -290,77 +227,25 @@ func (df *Deferred) spillColdest() {
 }
 
 func (df *Deferred) spillList(k int64, list *[]Tuple) bool {
-	start := time.Now()
-	defer func() { df.ioNanos += time.Since(start).Nanoseconds() }()
-	if err := fault.Inject(fpDeferredWrite); err != nil {
-		df.fail(spillErr("deferred write", err))
+	if err := df.store.write(k, *list); err != nil {
+		df.fail(err)
 		return false
 	}
-	f, err := os.OpenFile(df.path(k), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		df.fail(spillErr("deferred open", err))
-		return false
-	}
-	buf := make([]byte, tupleBytes*len(*list))
-	for i, t := range *list {
-		encodeTuple(buf[i*tupleBytes:], t)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		df.fail(spillErr("deferred write", err))
-		return false
-	}
-	if err := f.Close(); err != nil {
-		df.fail(spillErr("deferred close", err))
-		return false
-	}
-	df.ioBytes += int64(len(buf))
-	if df.onDisk[k] == 0 {
-		heap.Push(&df.diskKeys, k)
-	}
-	df.onDisk[k] += len(*list)
 	df.resident -= len(*list)
-	df.spills++
 	*list = nil
 	return true
 }
 
-// loadList reads a spilled sub-list back (generation order: spills append,
-// so file order is oldest first) and removes its file. The resident remnant
-// of the same sub-list is newer and is re-appended after the disk content.
+// loadList reads a spilled sub-list back (generation order) and removes its
+// file. The resident remnant of the same sub-list is newer and is re-appended
+// after the disk content.
 func (df *Deferred) loadList(k int64, resident []Tuple) []Tuple {
-	// removeFile below times itself; this window covers only the read.
-	start := time.Now()
-	if err := fault.Inject(fpDeferredLoad); err != nil {
-		df.ioNanos += time.Since(start).Nanoseconds()
-		df.fail(spillErr("deferred load", err))
-		return resident
-	}
-	data, err := os.ReadFile(df.path(k))
-	df.ioNanos += time.Since(start).Nanoseconds()
+	list, err := df.store.read(k, len(resident))
 	if err != nil {
-		df.fail(spillErr("deferred load", err))
-		return resident
-	}
-	df.ioBytes += int64(len(data))
-	n := len(data) / tupleBytes
-	list := make([]Tuple, 0, n+len(resident))
-	for i := 0; i < n; i++ {
-		list = append(list, decodeTuple(data[i*tupleBytes:]))
-	}
-	list = append(list, resident...)
-	df.resident += n
-	delete(df.onDisk, k)
-	for i, dk := range df.diskKeys {
-		if dk == k {
-			heap.Remove(&df.diskKeys, i)
-			break
-		}
-	}
-	if err := df.removeFile(df.path(k)); err != nil {
 		df.fail(err)
 	}
-	return list
+	df.resident += len(list)
+	return append(list, resident...)
 }
 
 // takeBucket detaches the complete parked content of distance d, reloading
@@ -369,13 +254,11 @@ func (df *Deferred) takeBucket(d int) (final, nonFinal []Tuple) {
 	b := &df.buckets[d]
 	final, nonFinal = b.final, b.nonFinal
 	b.final, b.nonFinal = nil, nil
-	if df.onDisk != nil {
-		if df.onDisk[key(int32(d), true)] > 0 {
-			final = df.loadList(key(int32(d), true), final)
-		}
-		if df.onDisk[key(int32(d), false)] > 0 {
-			nonFinal = df.loadList(key(int32(d), false), nonFinal)
-		}
+	if df.store.onDisk[key(int32(d), true)] > 0 {
+		final = df.loadList(key(int32(d), true), final)
+	}
+	if df.store.onDisk[key(int32(d), false)] > 0 {
+		nonFinal = df.loadList(key(int32(d), false), nonFinal)
 	}
 	n := len(final) + len(nonFinal)
 	df.size -= n
@@ -397,8 +280,8 @@ func (df *Deferred) MinDistance() (int32, bool) {
 			min, found = t.D, true
 		}
 	}
-	if df.diskKeys.Len() > 0 {
-		if d := int32(df.diskKeys[0] >> 1); !found || d < min {
+	if k, ok := df.store.min(); ok {
+		if d := int32(k >> 1); !found || d < min {
 			min, found = d, true
 		}
 	}
@@ -432,10 +315,8 @@ func (df *Deferred) maxDrainDist(psi int32) int {
 // MinDistance advances the cursor past buckets whose resident part is empty,
 // and a spilled bucket may live below it.
 func (df *Deferred) rewindToDisk() {
-	if df.diskKeys.Len() > 0 {
-		if d := int(df.diskKeys[0] >> 1); d < df.cursor {
-			df.cursor = d
-		}
+	if k, ok := df.store.min(); ok && int(k>>1) < df.cursor {
+		df.cursor = int(k >> 1)
 	}
 }
 
@@ -476,34 +357,13 @@ func (df *Deferred) drainOverflow(psi int32, emit func(Tuple)) {
 	df.overflow = kept
 }
 
-// Close removes any spill files (and the spill directory if this frontier
-// created it). A frontier without spilling has nothing to release. Close is
-// idempotent; after it, Add is a no-op. A removal failure is reported as a
-// typed ErrSpill — never silently dropped — and the remaining cleanup is
-// still attempted.
+// Close removes any spill files and the spill directory. A frontier without
+// spilling has nothing to release. Close is idempotent; after it, Add is a
+// no-op. A removal failure is reported as a typed ErrSpill (see
+// spillStore.teardown).
 func (df *Deferred) Close() error {
 	df.closed = true
-	var first error
-	for k, n := range df.onDisk {
-		if n > 0 {
-			if err := df.removeFile(df.path(k)); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	if df.onDisk != nil {
-		df.onDisk = map[int64]int{}
-	}
-	df.diskKeys = nil
-	if df.ownDir {
-		// RemoveAll, not Remove: a file whose removal failed above must not
-		// wedge the directory forever when the transient condition clears.
-		if err := os.RemoveAll(df.dir); err != nil && first == nil {
-			first = spillErr("deferred remove", err)
-		}
-		df.ownDir = false
-	}
-	return first
+	return df.store.teardown()
 }
 
 // Inject on Dict re-admits every parked tuple with distance ≤ psi and

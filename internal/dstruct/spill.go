@@ -1,16 +1,8 @@
 package dstruct
 
 import (
-	"container/heap"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"time"
-
-	"omega/internal/fault"
-	"omega/internal/graph"
 )
 
 // ErrSpill is the root of every disk I/O failure in the spilling structures
@@ -28,19 +20,6 @@ var ErrSpill = errors.New("dstruct: spill I/O failure")
 func spillErr(op string, err error) error {
 	return fmt.Errorf("%w: %s: %w", ErrSpill, op, err)
 }
-
-// Failpoint sites of the spill layer (see internal/fault). Each is evaluated
-// immediately before the real I/O operation it shadows; an injected error
-// replaces the operation's outcome, so the recovery path under test is
-// exactly the one a real disk failure would take.
-const (
-	fpSpillWrite     = "dstruct.spill.write"
-	fpSpillLoad      = "dstruct.spill.load"
-	fpSpillRemove    = "dstruct.spill.remove"
-	fpDeferredWrite  = "dstruct.deferred.write"
-	fpDeferredLoad   = "dstruct.deferred.load"
-	fpDeferredRemove = "dstruct.deferred.remove"
-)
 
 // TupleDict is the D_R access surface shared by the in-memory Dict and the
 // disk-spilling SpillDict.
@@ -70,29 +49,6 @@ type TupleDict interface {
 var _ TupleDict = (*Dict)(nil)
 var _ TupleDict = (*SpillDict)(nil)
 
-const tupleBytes = 4 + 4 + 4 + 4 + 1 // v, n, s, d, final
-
-func encodeTuple(buf []byte, t Tuple) {
-	binary.LittleEndian.PutUint32(buf[0:], uint32(t.V))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(t.N))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(t.S))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(t.D))
-	buf[16] = 0
-	if t.Final {
-		buf[16] = 1
-	}
-}
-
-func decodeTuple(buf []byte) Tuple {
-	return Tuple{
-		V:     graph.NodeID(binary.LittleEndian.Uint32(buf[0:])),
-		N:     graph.NodeID(binary.LittleEndian.Uint32(buf[4:])),
-		S:     int32(binary.LittleEndian.Uint32(buf[8:])),
-		D:     int32(binary.LittleEndian.Uint32(buf[12:])),
-		Final: buf[16] == 1,
-	}
-}
-
 // SpillDict is a D_R that bounds resident memory: when the number of
 // in-memory tuples exceeds the threshold, the buckets with the largest keys
 // (the tuples that will be popped last) are appended to per-bucket files and
@@ -111,24 +67,12 @@ func decodeTuple(buf []byte) Tuple {
 // from spilling.
 type SpillDict struct {
 	mem          *Dict
-	onDisk       map[int64]int // spilled tuple count per key
-	diskKeys     keyHeap       // keys with spilled tuples
-	dir          string
-	ownDir       bool
+	store        spillStore // the spilled buckets
 	threshold    int
-	spilled      int // total spilled tuples currently on disk
 	adds         int
-	spills       int // buckets spilled (for tests and stats)
 	noFinalFirst bool
 	closed       bool
 	err          error
-
-	// ioNanos/ioBytes account wall time spent in and payload bytes moved
-	// through spill-file I/O (writes, loads, removals). Disk latency dwarfs
-	// the pair of clock reads per operation, so the accounting is effectively
-	// free relative to what it measures.
-	ioNanos int64
-	ioBytes int64
 }
 
 // NewSpillDict creates a spilling dictionary keeping at most threshold
@@ -140,27 +84,19 @@ func NewSpillDict(threshold int, dir string, noFinalFirst bool) (*SpillDict, err
 	if threshold <= 0 {
 		return nil, fmt.Errorf("dstruct: NewSpillDict: threshold must be positive")
 	}
-	dir, err := os.MkdirTemp(dir, "omega-spill-*")
-	if err != nil {
-		return nil, spillErr("NewSpillDict", err)
-	}
-	own := true
-	mem := NewDict()
-	if noFinalFirst {
-		mem = NewDictNoFinalFirst()
-	}
-	return &SpillDict{
-		mem:          mem,
-		onDisk:       map[int64]int{},
-		dir:          dir,
-		ownDir:       own,
+	sd := &SpillDict{
+		mem:          NewDict(),
+		store:        spillStore{kind: &dictSpill},
 		threshold:    threshold,
 		noFinalFirst: noFinalFirst,
-	}, nil
-}
-
-func (sd *SpillDict) path(k int64) string {
-	return filepath.Join(sd.dir, fmt.Sprintf("bucket-%d.spill", k))
+	}
+	if noFinalFirst {
+		sd.mem = NewDictNoFinalFirst()
+	}
+	if err := sd.store.open(dir); err != nil {
+		return nil, spillErr("NewSpillDict", err)
+	}
+	return sd, nil
 }
 
 func (sd *SpillDict) fail(err error) {
@@ -199,7 +135,7 @@ func (sd *SpillDict) spillColdest() {
 		if list == nil {
 			return // everything resident is the hot bucket (or overflow)
 		}
-		if err := sd.spillBucket(k, list); err != nil {
+		if err := sd.store.write(k, list); err != nil {
 			sd.fail(err)
 			return
 		}
@@ -229,91 +165,20 @@ func (sd *SpillDict) takeMaxBucket(minK int64) (int64, []Tuple) {
 	return 0, nil
 }
 
-func (sd *SpillDict) spillBucket(k int64, list []Tuple) error {
-	start := time.Now()
-	defer func() { sd.ioNanos += time.Since(start).Nanoseconds() }()
-	if err := fault.Inject(fpSpillWrite); err != nil {
-		return spillErr("spill write", err)
-	}
-	f, err := os.OpenFile(sd.path(k), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return spillErr("spill open", err)
-	}
-	buf := make([]byte, tupleBytes*len(list))
-	for i, t := range list {
-		encodeTuple(buf[i*tupleBytes:], t)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return spillErr("spill write", err)
-	}
-	if err := f.Close(); err != nil {
-		return spillErr("spill close", err)
-	}
-	sd.ioBytes += int64(len(buf))
-	if sd.onDisk[k] == 0 {
-		heap.Push(&sd.diskKeys, k)
-	}
-	sd.onDisk[k] += len(list)
-	sd.spilled += len(list)
-	sd.spills++
-	return nil
-}
-
-// load re-reads the minimal spilled bucket into the resident dictionary and
-// removes its file. Only called when the corresponding resident sub-list is
-// empty, so file order (oldest first) reconstructs the LIFO stack exactly.
+// load re-reads the minimal spilled bucket into the resident dictionary. Only
+// called when the corresponding resident sub-list is empty, so file order
+// (oldest first) reconstructs the LIFO stack exactly.
 func (sd *SpillDict) load(k int64) error {
-	path := sd.path(k)
-	// removeFile below times itself; this window covers only the read.
-	start := time.Now()
-	if err := fault.Inject(fpSpillLoad); err != nil {
-		sd.ioNanos += time.Since(start).Nanoseconds()
-		return spillErr("spill load", err)
+	list, err := sd.store.read(k, 0)
+	for _, t := range list {
+		sd.mem.Add(t)
 	}
-	data, err := os.ReadFile(path)
-	sd.ioNanos += time.Since(start).Nanoseconds()
-	if err != nil {
-		return spillErr("spill load", err)
-	}
-	sd.ioBytes += int64(len(data))
-	n := len(data) / tupleBytes
-	for i := 0; i < n; i++ {
-		sd.mem.Add(decodeTuple(data[i*tupleBytes:]))
-	}
-	sd.spilled -= sd.onDisk[k]
-	delete(sd.onDisk, k)
-	heap.Pop(&sd.diskKeys) // k is the minimum by construction
-	if err := sd.removeFile(path); err != nil {
-		return err
-	}
-	return nil
-}
-
-// removeFile deletes one spill file, typing any failure.
-func (sd *SpillDict) removeFile(path string) error {
-	start := time.Now()
-	defer func() { sd.ioNanos += time.Since(start).Nanoseconds() }()
-	if err := fault.Inject(fpSpillRemove); err != nil {
-		return spillErr("spill remove", err)
-	}
-	if err := os.Remove(path); err != nil {
-		return spillErr("spill remove", err)
-	}
-	return nil
+	return err
 }
 
 // IOStats reports the lifetime spill I/O accounting: wall nanoseconds spent
 // in spill-file operations and tuple-payload bytes written plus read.
-func (sd *SpillDict) IOStats() (nanos, bytes int64) { return sd.ioNanos, sd.ioBytes }
-
-// diskMin returns the smallest key with spilled tuples, if any.
-func (sd *SpillDict) diskMin() (int64, bool) {
-	if sd.diskKeys.Len() == 0 {
-		return 0, false
-	}
-	return sd.diskKeys[0], true
-}
+func (sd *SpillDict) IOStats() (nanos, bytes int64) { return sd.store.ioNanos, sd.store.ioBytes }
 
 // Remove pops the minimal tuple, reloading its bucket from disk if needed.
 // At equal keys resident tuples pop before spilled ones (they are newer, and
@@ -324,7 +189,7 @@ func (sd *SpillDict) Remove() (Tuple, bool) {
 	}
 	for {
 		rk, rok := sd.mem.minKey()
-		dk, dok := sd.diskMin()
+		dk, dok := sd.store.min()
 		if !rok && !dok {
 			return Tuple{}, false
 		}
@@ -340,13 +205,13 @@ func (sd *SpillDict) Remove() (Tuple, bool) {
 }
 
 // Len returns the number of stored tuples (resident + spilled).
-func (sd *SpillDict) Len() int { return sd.mem.Len() + sd.spilled }
+func (sd *SpillDict) Len() int { return sd.mem.Len() + sd.store.spilled }
 
 // Adds returns the lifetime number of insertions.
 func (sd *SpillDict) Adds() int { return sd.adds }
 
 // Spills returns the number of bucket spill operations performed.
-func (sd *SpillDict) Spills() int { return sd.spills }
+func (sd *SpillDict) Spills() int { return sd.store.spills }
 
 // Resident returns the number of tuples currently held in memory.
 func (sd *SpillDict) Resident() int { return sd.mem.Len() }
@@ -354,7 +219,7 @@ func (sd *SpillDict) Resident() int { return sd.mem.Len() }
 // Bytes returns the approximate resident footprint: the in-memory dictionary
 // plus the disk bookkeeping. Spilled tuples are on disk and not counted.
 func (sd *SpillDict) Bytes() int64 {
-	return sd.mem.Bytes() + int64(len(sd.onDisk))*48 + int64(cap(sd.diskKeys))*8
+	return sd.mem.Bytes() + int64(len(sd.store.onDisk))*48 + int64(cap(sd.store.diskKeys))*8
 }
 
 // Lower halves the resident threshold (floor 1) and spills down to it — the
@@ -379,7 +244,7 @@ func (sd *SpillDict) MinDistance() (int32, bool) {
 		return 0, false
 	}
 	rk, rok := sd.mem.minKey()
-	dk, dok := sd.diskMin()
+	dk, dok := sd.store.min()
 	switch {
 	case !rok && !dok:
 		return 0, false
@@ -392,31 +257,10 @@ func (sd *SpillDict) MinDistance() (int32, bool) {
 	}
 }
 
-// Close removes all spill files (and the spill directory if this dictionary
-// created it). Close is idempotent; after it, Add and Remove are no-ops. A
-// removal failure is reported as a typed ErrSpill — never silently dropped —
-// and the remaining cleanup is still attempted (an orphaned directory is
-// reclaimed by the serving janitor at the next boot).
+// Close removes all spill files and the spill directory. Close is idempotent;
+// after it, Add and Remove are no-ops. A removal failure is reported as a
+// typed ErrSpill (see spillStore.teardown).
 func (sd *SpillDict) Close() error {
 	sd.closed = true
-	var first error
-	for k, n := range sd.onDisk {
-		if n > 0 {
-			if err := sd.removeFile(sd.path(k)); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	sd.onDisk = map[int64]int{}
-	sd.diskKeys = nil
-	sd.spilled = 0
-	if sd.ownDir {
-		// RemoveAll, not Remove: a file whose removal failed above must not
-		// wedge the directory forever when the transient condition clears.
-		if err := os.RemoveAll(sd.dir); err != nil && first == nil {
-			first = spillErr("spill remove", err)
-		}
-		sd.ownDir = false
-	}
-	return first
+	return sd.store.teardown()
 }

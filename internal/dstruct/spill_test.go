@@ -225,7 +225,7 @@ func TestSpillDictOwnDirCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := sd.dir
+	dir := sd.store.dir
 	for i := 0; i < 30; i++ {
 		sd.Add(tup(i, i, 0, i%5, false))
 	}

@@ -272,6 +272,28 @@ func TestForEachPublic(t *testing.T) {
 		t.Fatalf("ForEach on canceled ctx = %v, want ErrCanceled", err)
 	}
 
+	// A context canceled with cause ErrMemBudget — what the memory broker does
+	// to its victim — ends a ForEach exactly as it ends a Next loop: the typed
+	// budget error, and the pooled bundle discarded, not recycled. The context
+	// is the loop's only, so it is ForEach's own check that has to get this
+	// right.
+	pool := NewEvalPool(1)
+	rows, err = pq.Exec(context.Background(), ExecOptions{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vctx, kill := context.WithCancelCause(context.Background())
+	kill(ErrMemBudget)
+	if err := rows.ForEach(vctx, func(Row) error { return nil }); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("ForEach on a victim-killed ctx = %v, want ErrMemBudget", err)
+	}
+	if _, _, err := rows.Next(); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("victim kill not sticky: %v", err)
+	}
+	if ps := pool.Stats(); ps.Puts != 0 || ps.Poisoned != 1 {
+		t.Fatalf("victim-killed ForEach: Puts=%d Poisoned=%d, want 0 and 1", ps.Puts, ps.Poisoned)
+	}
+
 	// An earlier terminal error stays sticky even through a ForEach whose
 	// own context is already canceled.
 	budget, err := NewEngine(g, ont).WithOptions(Options{MaxTuples: 1}).
