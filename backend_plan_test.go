@@ -2,6 +2,7 @@ package omega
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -64,8 +65,10 @@ func TestPlannerBackendSelection(t *testing.T) {
 }
 
 // TestExecBackendMatchesPlanner confirms the Explain decision is what
-// executions actually do: Stats.Backend reflects auto selection and every
-// override layer (engine Options, ExecOptions, and Limit demotion).
+// executions actually do: for every ExecOptions row, the backend and the mode
+// PreparedQuery.Explain names are the ones the execution runs with
+// (Stats.Backend), across auto selection and every override layer (engine
+// Options, ExecOptions, Limit and MaxDist demotion, Mode).
 func TestExecBackendMatchesPlanner(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	eng := NewEngine(g, ont)
@@ -73,30 +76,85 @@ func TestExecBackendMatchesPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backendOf := func(eo ExecOptions) string {
-		t.Helper()
-		rows, err := pq.Exec(context.Background(), eo)
+	explainedBackend := regexp.MustCompile(`backend: (bulk|ranked) `)
+	explainedMode := regexp.MustCompile(`automaton \((\w+)\)`)
+	for _, tc := range []struct {
+		name string
+		eo   ExecOptions
+		want string
+	}{
+		{"auto exhaustive exact", ExecOptions{}, "bulk"},
+		{"forced ranked", ExecOptions{Backend: BackendRanked}, "ranked"},
+		// A limited execution streams a ranked prefix even under auto.
+		{"auto with Limit", ExecOptions{Limit: 5}, "ranked"},
+		// Forcing bulk survives a Limit (the caller owns that trade-off).
+		{"forced bulk with Limit", ExecOptions{Backend: BackendBulk, Limit: 5}, "bulk"},
+		{"approx override", ExecOptions{Mode: ModeOverride(Approx)}, "ranked"},
+		{"auto with MaxDist", ExecOptions{MaxDist: 1}, "ranked"},
+	} {
+		plan, err := pq.Explain(tc.eo)
+		if err != nil {
+			t.Fatalf("%s: Explain: %v", tc.name, err)
+		}
+		rows, err := pq.Exec(context.Background(), tc.eo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rows.Close()
-		if _, err := rows.Collect(0); err != nil {
+		if _, err := rows.Collect(10); err != nil {
 			t.Fatal(err)
 		}
-		return rows.Stats().Backend
+		rows.Close()
+		got := rows.Stats().Backend
+		if got != tc.want {
+			t.Errorf("%s: Stats.Backend = %q, want %q", tc.name, got, tc.want)
+		}
+		if m := explainedBackend.FindStringSubmatch(plan); m == nil || m[1] != got {
+			t.Errorf("%s: Explain names backend %q, the run used %q:\n%s", tc.name, m, got, plan)
+		}
+		mode := Exact
+		if tc.eo.Mode != nil {
+			mode = *tc.eo.Mode
+		}
+		if m := explainedMode.FindStringSubmatch(plan); m == nil || m[1] != mode.String() {
+			t.Errorf("%s: Explain names mode %q, the run used %v:\n%s", tc.name, m, mode, plan)
+		}
 	}
-	if got := backendOf(ExecOptions{}); got != "bulk" {
-		t.Errorf("auto exhaustive exact: Stats.Backend = %q, want bulk", got)
+
+	// The ψ-phase driver runs only on the ranked backend: under Disjunction an
+	// exhaustive L4All Q7 goes bulk and lists no alternation strategy, a
+	// limited one streams through the driver and lists it.
+	var q7 string
+	for _, q := range L4AllQueries() {
+		if q.ID == "Q7" {
+			q7 = q.Text
+		}
 	}
-	if got := backendOf(ExecOptions{Backend: BackendRanked}); got != "ranked" {
-		t.Errorf("forced ranked: Stats.Backend = %q, want ranked", got)
+	pq, err = eng.WithOptions(Options{Disjunction: true}).PrepareText(q7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A limited execution streams a ranked prefix even under auto.
-	if got := backendOf(ExecOptions{Limit: 5}); got != "ranked" {
-		t.Errorf("auto with Limit: Stats.Backend = %q, want ranked", got)
-	}
-	// Forcing bulk survives a Limit (the caller owns that trade-off).
-	if got := backendOf(ExecOptions{Backend: BackendBulk, Limit: 5}); got != "bulk" {
-		t.Errorf("forced bulk with Limit: Stats.Backend = %q, want bulk", got)
+	for _, tc := range []struct {
+		eo      ExecOptions
+		backend string
+		driver  bool
+	}{
+		{ExecOptions{}, "bulk", false},
+		{ExecOptions{Limit: 5}, "ranked", true},
+	} {
+		plan, err := pq.Explain(tc.eo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "backend: "+tc.backend) || strings.Contains(plan, "alternation-by-disjunction") != tc.driver {
+			t.Errorf("Q7 %+v: want backend %s and alternation-by-disjunction listed = %v; got:\n%s", tc.eo, tc.backend, tc.driver, plan)
+		}
+		rows, err := pq.Exec(context.Background(), tc.eo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+		if got := rows.Stats().Backend; got != tc.backend {
+			t.Errorf("Q7 %+v: Stats.Backend = %q, want %q", tc.eo, got, tc.backend)
+		}
 	}
 }

@@ -81,15 +81,6 @@ func main() {
 		return
 	}
 
-	if *explain {
-		plan, err := eng.Explain(*queryText)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(plan)
-		return
-	}
-
 	// Prepare once, execute with a signal-cancellable context: ctrl-C stops
 	// the query within one GetNext iteration and releases any spill state.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -100,12 +91,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *analyze {
-		// EXPLAIN ANALYZE: the plan first, then the traced run below.
-		plan, err := eng.Explain(*queryText)
+	if *explain || *analyze {
+		// The plan of the execution below, under the same knobs.
+		plan, err := pq.Explain(eo)
 		if err != nil {
 			fatal(err)
 		}
+		if *explain {
+			fmt.Print(plan)
+			return
+		}
+		// EXPLAIN ANALYZE: the plan first, then the traced run.
 		fmt.Fprint(os.Stderr, plan)
 		eo.Trace = omega.NewTrace("")
 	}

@@ -77,6 +77,16 @@ func (pq *PreparedQuery) Exec(ctx context.Context, opts ExecOptions) (*Rows, err
 	return &Rows{ex: ex, g: pq.g, trace: opts.Trace}, nil
 }
 
+// Explain renders the plan that Exec(ctx, opts) would run, without running
+// it: the conjunct order, and per conjunct of the opts.Mode variant the Open
+// case, automaton sizes, seed population, the driver and §4.3 strategies
+// (with the ψ cap under opts.MaxDist and the resolved tuple budget), and the
+// backend decision with the planner's evidence — computed by the same code
+// Exec uses, so it names what the run's Stats report.
+func (pq *PreparedQuery) Explain(opts ExecOptions) (string, error) {
+	return pq.p.Explain(opts)
+}
+
 // Query returns the compiled query (after any conjunct reordering). The
 // caller must not modify it.
 func (pq *PreparedQuery) Query() *Query { return pq.p.Query() }
@@ -357,12 +367,12 @@ func (e *Engine) QueryTextMode(text string, mode Mode) (*Rows, error) {
 }
 
 // Explain renders the evaluation plan for a textual query without running
-// it: per conjunct, the Open case, automaton sizes, seed populations and the
-// optimisation strategies in effect.
+// it: PrepareText, then PreparedQuery.Explain for an execution with default
+// ExecOptions.
 func (e *Engine) Explain(text string) (string, error) {
-	q, err := ParseQuery(text)
+	pq, err := e.PrepareText(text)
 	if err != nil {
 		return "", err
 	}
-	return core.ExplainQuery(e.g, e.ont, q, e.opts)
+	return pq.Explain(ExecOptions{})
 }

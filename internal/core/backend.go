@@ -72,6 +72,7 @@ const (
 // evidence, rendered by Explain and surfaced through Stats.Backend.
 type backendDecision struct {
 	backend   Backend
+	pinned    bool // the caller forced a backend; otherwise the planner chose
 	reason    string
 	seeds     int   // estimated source population S
 	edges     int64 // summed label edge volume E over the plan's transitions
@@ -146,7 +147,7 @@ func (p *conjunctPlan) edgeVolume() int64 {
 // edge volume E), bulk does the same walk once per 64-lane block plus a
 // per-block sweep of the N-node structures.
 func (p *conjunctPlan) chooseBackend(req Backend, exhaustive bool) backendDecision {
-	d := backendDecision{backend: BackendRanked}
+	d := backendDecision{backend: BackendRanked, pinned: req != BackendAuto}
 	switch req {
 	case BackendRanked:
 		d.reason = "forced"
@@ -191,6 +192,19 @@ func (p *conjunctPlan) chooseBackend(req Backend, exhaustive bool) backendDecisi
 	return d
 }
 
+// backendFor is this conjunct's backend under one execution's knobs — the
+// decision Exec opens and Explain renders: eo.Backend layered over the
+// engine-level default, with only exhaustive executions (no Limit, no
+// MaxDist) auto-eligible for the bulk engine, since a limited execution wants
+// streamed answers.
+func (p *conjunctPlan) backendFor(eo ExecOptions) backendDecision {
+	req := eo.Backend
+	if req == BackendAuto {
+		req = p.opts.Backend
+	}
+	return p.chooseBackend(req, eo.Limit == 0 && eo.MaxDist == 0)
+}
+
 // injectiveProjection reports whether projecting a conjunct's (Src, Dst)
 // answers onto the query head is injective — every variable endpoint appears
 // in the head, so distinct pairs always yield distinct rows. The bulk backend
@@ -213,15 +227,6 @@ func injectiveProjection(q *Query) bool {
 		return false
 	}
 	return true
-}
-
-// resolveBackend layers the per-execution request over the engine-level
-// default.
-func resolveBackend(exec, plan Backend) Backend {
-	if exec != BackendAuto {
-		return exec
-	}
-	return plan
 }
 
 // backendsLabel renders an execution's per-conjunct backend choices for

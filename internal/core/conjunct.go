@@ -217,49 +217,76 @@ func (ev *evaluator) streamSeen() *bitset.Set {
 	return ev.state.seen
 }
 
-// maxPsi is the cap on ψ stepping for this plan: Options.MaxPsi, or 16·φ when
-// unset.
-func (p *conjunctPlan) maxPsi() int32 {
-	if p.opts.MaxPsi > 0 {
-		return p.opts.MaxPsi
+// psiCap is the cap on ψ stepping for this plan: Options.MaxPsi, or 16·φ when
+// unset, lowered to maxDist when that is positive (a per-exec MaxDist can
+// never need answers beyond itself).
+func (p *conjunctPlan) psiCap(maxDist int32) int32 {
+	psi := p.opts.MaxPsi
+	if psi <= 0 {
+		psi = 16 * p.opts.phi(p.mode)
 	}
-	return 16 * p.opts.phi(p.mode)
+	if maxDist > 0 && maxDist < psi {
+		psi = maxDist
+	}
+	return psi
+}
+
+// driver is the kind of iterator open instantiates for a conjunct.
+type driver uint8
+
+const (
+	driverEmpty driver = iota // the constant subject names no node
+	// driverBulk is the set-semantics engine: every answer is at distance 0,
+	// so the phase drivers have nothing to order; alternands are evaluated
+	// sequentially inside the iterator.
+	driverBulk
+	// driverPhases is the ψ-phase driver both §4.3 strategies are, over the
+	// alternands or over the conjunct's single automaton: resumable, or the
+	// restart reference under DistanceRestart.
+	driverPhases
+	// driverSharded is sharded ranked evaluation: per-shard evaluators merged
+	// back into the serial emission order (see parallel.go).
+	driverSharded
+	driverEvaluator // one ranked evaluator
+)
+
+// driverFor is the one decision of which driver runs this conjunct, given the
+// run's options and its resolved backend: open instantiates it and Explain
+// renders it.
+func (p *conjunctPlan) driverFor(opts *Options, backend Backend) driver {
+	switch {
+	case !p.case3 && len(p.seeds) == 0:
+		return driverEmpty
+	case backend == BackendBulk:
+		return driverBulk
+	case p.decompose || (opts.DistanceAware && p.mode != automaton.Exact):
+		return driverPhases
+	case opts.Parallelism > 1 && p.parEligible(opts):
+		return driverSharded
+	default:
+		return driverEvaluator
+	}
 }
 
 // open instantiates the per-run evaluator state for this plan: the paper's
 // Open minus everything already compiled into the plan. r governs the run and
 // must outlive the iterator; shardSpan is the conjunct's trace span, under
 // which a sharded evaluation nests its shard spans; maxDist > 0 additionally
-// caps the distance-aware ψ stepping (a per-exec MaxDist can never need
-// answers beyond itself). backend selects the evaluation engine — callers
-// resolve it through chooseBackend, so a BackendBulk here is already known
-// eligible.
+// caps the distance-aware ψ stepping. backend selects the evaluation engine —
+// callers resolve it through chooseBackend, so a BackendBulk here is already
+// known eligible.
 func (p *conjunctPlan) open(r *run, shardSpan obs.SpanID, maxDist int32, backend Backend) Iterator {
-	if !p.case3 && len(p.seeds) == 0 {
-		// The constant subject (after any Case 2 swap) names no node.
-		return &emptyIterator{}
-	}
-
 	var it Iterator
-	switch {
-	case backend == BackendBulk:
-		// Set-semantics engine: every answer is at distance 0, so the
-		// distance-aware and disjunction phase drivers have nothing to order;
-		// alternands are evaluated sequentially inside the iterator.
+	switch p.driverFor(&r.opts, backend) {
+	case driverEmpty:
+		return &emptyIterator{}
+	case driverBulk:
 		it = newBulkIterator(p, r)
-	case p.decompose || (r.opts.DistanceAware && p.mode != automaton.Exact):
-		// Both §4.3 strategies are the ψ-phase driver: over the alternands,
-		// or over the conjunct's single automaton.
-		maxPsi := p.maxPsi()
-		if maxDist > 0 && maxDist < maxPsi {
-			maxPsi = maxDist
-		}
-		it = newDisjunction(p, r, p.opts.phi(p.mode), maxPsi)
-	case r.opts.Parallelism > 1 && p.parEligible(&r.opts):
-		// Sharded ranked evaluation: per-shard evaluators merged back into
-		// the serial emission order (see parallel.go).
+	case driverPhases:
+		it = newDisjunction(p, r, p.opts.phi(p.mode), p.psiCap(maxDist))
+	case driverSharded:
 		it = newParIterator(p, r, shardSpan)
-	default:
+	case driverEvaluator:
 		it = p.newEvaluator(r, 0, -1)
 	}
 	if p.sameVar {
@@ -392,6 +419,6 @@ func OpenConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Optio
 		return nil, err
 	}
 	dec := plan.chooseBackend(opts.Backend, false)
-	r := newRun(nil, opts, NewMemGauge(0, 0), nil)
+	r := newRun(nil, opts, NewMemGauge(0, 0), nil, nil)
 	return plan.open(&r, obs.NoSpan, 0, dec.backend), nil
 }

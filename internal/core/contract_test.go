@@ -181,7 +181,6 @@ func TestDriverContract(t *testing.T) {
 					var pool *EvalPool
 					if pooled {
 						pool = NewEvalPool(8)
-						env.opts.Pool = pool
 					}
 					if e.setup != nil {
 						e.setup(d, &env)
@@ -195,7 +194,7 @@ func TestDriverContract(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					r := newRun(env.ctx, env.opts, env.mem, nil)
+					r := newRun(env.ctx, env.opts, env.mem, pool, nil)
 					r.opts.Parallelism = resolveParallelism(0, env.opts.Parallelism)
 					it := plan.open(&r, obs.NoSpan, 0, plan.chooseBackend(env.opts.Backend, true).backend)
 					if !d.is(it) {

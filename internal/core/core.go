@@ -211,13 +211,6 @@ type Options struct {
 	// connected to already-bound variables (§3's query-tree construction;
 	// the paper does not specify its ordering, so this is our planner).
 	ReorderConjuncts bool
-	// Pool, when non-nil, recycles per-execution evaluator state (D_R,
-	// visited table, answer registry, deferred frontier, scratch buffers)
-	// across executions, so steady-state serving allocates near zero per
-	// request. Pooled emission is byte-identical to fresh. Ignored for
-	// configurations whose state is not recyclable (SpillThreshold > 0,
-	// RefDict). ExecOptions.Pool overrides it per execution.
-	Pool *EvalPool
 	// Backend is the engine-level default evaluation backend: BackendAuto
 	// (zero value) lets the planner pick per conjunct — the bulk
 	// set-semantics engine for exhaustive zero-cost exact scans with a

@@ -54,7 +54,7 @@ type evaluator struct {
 	scratch []graph.NodeID
 
 	// state, when non-nil, is the pooled bundle backing dr/visited/answers
-	// (and deferred, once armed): finish returns it to opts.Pool instead of
+	// (and deferred, once armed): finish returns it to the run's pool instead of
 	// discarding it, so the next execution inherits the grown capacities.
 	state *evalState
 
@@ -94,10 +94,8 @@ func newEvaluator(g *graph.Graph, aut *automaton.Compiled, r *run) *evaluator {
 		psi: -1,
 	}
 	opts := &r.opts
-	if opts.Pool != nil && opts.SpillThreshold == 0 && !opts.RefDict {
-		// Pooled per-run state: disk-backed dictionaries and the RefDict
-		// differential reference keep their dedicated construction below.
-		ev.state = opts.Pool.get(opts.NoFinalFirst)
+	if r.pool != nil {
+		ev.state = r.pool.get(opts.NoFinalFirst)
 		ev.dr = ev.state.dict
 		ev.visited = ev.state.visited
 		ev.answers = ev.state.answers
@@ -191,9 +189,9 @@ func (ev *evaluator) finish() {
 		ev.dr, ev.visited, ev.answers, ev.deferred = nil, nil, nil, nil
 		ev.scratch, ev.batch, ev.stream = nil, nil, nil
 		if poisoned {
-			ev.r.opts.Pool.poison()
+			ev.r.pool.poison()
 		} else {
-			ev.r.opts.Pool.put(st)
+			ev.r.pool.put(st)
 		}
 		return
 	}

@@ -5,40 +5,33 @@ import (
 	"strings"
 
 	"omega/internal/automaton"
-	"omega/internal/graph"
-	"omega/internal/ontology"
 )
 
-// ExplainQuery renders the evaluation plan for a query without running it:
-// the query tree (conjunct order), and per conjunct the Open case, the
-// automaton pipeline and its compiled size, the seed population, and the
-// §4.3 strategies in effect.
-func ExplainQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options) (string, error) {
-	if err := q.Validate(); err != nil {
+// Explain renders the plan one execution with eo's knobs would run, without
+// running it: the query tree (the conjunct order PrepareQuery applied), and per
+// conjunct of the variant for eo.Mode the Open case, the automaton pipeline
+// and its compiled size, the seed population, the driver open would
+// instantiate with its §4.3 strategies, and the backend decision with the
+// planner's evidence. The driver and the backend come from the same
+// decisions Exec makes (backendFor, driverFor), so the plan cannot drift from
+// the run.
+func (p *Prepared) Explain(eo ExecOptions) (string, error) {
+	ps, err := p.planSetFor(eo.Mode)
+	if err != nil {
 		return "", err
 	}
-	opts = opts.withDefaults()
+	opts := p.runOptions(eo)
 	var b strings.Builder
-
-	order := make([]int, len(q.Conjuncts))
-	for i := range order {
-		order[i] = i
+	if p.order != nil {
+		fmt.Fprintf(&b, "query tree (planned order): %v\n", p.order)
 	}
-	if opts.ReorderConjuncts && len(q.Conjuncts) > 1 {
-		order = planQueryTree(q)
-		fmt.Fprintf(&b, "query tree (planned order): %v\n", order)
-	}
-	if len(q.Conjuncts) > 1 {
-		fmt.Fprintf(&b, "join: round-based ranked join over %d conjuncts\n", len(q.Conjuncts))
+	if len(ps.plans) > 1 {
+		fmt.Fprintf(&b, "join: round-based ranked join over %d conjuncts\n", len(ps.plans))
 	}
 
-	for pos, idx := range order {
-		c := q.Conjuncts[idx]
-		fmt.Fprintf(&b, "conjunct %d: %s\n", pos+1, c)
-		plan, err := compileConjunct(g, ont, c, opts)
-		if err != nil {
-			return "", err
-		}
+	for i, plan := range ps.plans {
+		c := ps.q.Conjuncts[i]
+		fmt.Fprintf(&b, "conjunct %d: %s\n", i+1, c)
 		switch {
 		case !plan.case3 && plan.finalAnn == nil:
 			fmt.Fprintf(&b, "  case 1: constant subject, %d seed(s)\n", len(plan.seeds))
@@ -55,56 +48,28 @@ func ExplainQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 				fmt.Fprintf(&b, "  case 2 rewrite: evaluating the reversed expression\n")
 			}
 		}
-		for i, aut := range plan.auts {
+		for j, aut := range plan.auts {
 			trans := 0
 			for s := int32(0); s < aut.NumStates; s++ {
 				trans += len(aut.NextStates(s))
 			}
 			name := "automaton"
 			if len(plan.auts) > 1 {
-				name = fmt.Sprintf("sub-automaton %d", i+1)
+				name = fmt.Sprintf("sub-automaton %d", j+1)
 			}
 			fmt.Fprintf(&b, "  %s (%v): %d states, %d compiled transitions\n", name, c.Mode, aut.NumStates, trans)
 		}
-		var strategies []string
-		if plan.decompose {
-			variant := "resumable per branch"
-			if opts.DistanceRestart {
-				variant = "restart per branch and phase"
-			}
-			strategies = append(strategies, fmt.Sprintf("alternation-by-disjunction (%s)", variant))
+		dec := plan.backendFor(eo)
+		drv := plan.driverFor(&opts, dec.backend)
+		if s := strategies(plan, &opts, drv, eo.MaxDist); len(s) > 0 {
+			fmt.Fprintf(&b, "  strategies: %s\n", strings.Join(s, ", "))
 		}
-		if opts.DistanceAware && c.Mode != automaton.Exact {
-			variant := "incremental"
-			if opts.DistanceRestart {
-				variant = "restart-per-phase"
-			}
-			strategies = append(strategies, fmt.Sprintf("distance-aware (%s, φ=%d, max ψ=%d)", variant, opts.phi(c.Mode), plan.maxPsi()))
-		}
-		if opts.RareSide && plan.case3 && !plan.sameVar {
-			strategies = append(strategies, "rare-side")
-		}
-		if opts.Rewrite {
-			strategies = append(strategies, "rewrite")
-		}
-		if opts.SpillThreshold > 0 {
-			strategies = append(strategies, fmt.Sprintf("spill at %d resident tuples", opts.SpillThreshold))
-		}
-		if opts.MaxTuples > 0 {
-			strategies = append(strategies, fmt.Sprintf("tuple budget %d", opts.MaxTuples))
-		}
-		if len(strategies) > 0 {
-			fmt.Fprintf(&b, "  strategies: %s\n", strings.Join(strategies, ", "))
-		}
-		// Backend choice, assuming an exhaustive execution (per-request Limit
-		// or MaxDist forces ranked streaming regardless of the plan).
-		dec := plan.chooseBackend(opts.Backend, true)
 		name := "ranked GetNext"
 		if dec.backend == BackendBulk {
 			name = "bulk set-semantics"
 		}
 		mode := "auto"
-		if opts.Backend != BackendAuto {
+		if dec.pinned {
 			mode = "pinned"
 		}
 		fmt.Fprintf(&b, "  backend: %s (%s: %s)\n", name, mode, dec.reason)
@@ -114,4 +79,46 @@ func ExplainQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 		}
 	}
 	return b.String(), nil
+}
+
+// strategies lists what the conjunct's run applies beyond plain ranked
+// evaluation: the driver drv (with its ψ cap under maxDist), the plan's
+// compile-time strategies, disk spilling where the driver has a disk path,
+// and the run's tuple budget.
+func strategies(plan *conjunctPlan, opts *Options, drv driver, maxDist int32) []string {
+	var out []string
+	switch drv {
+	case driverEmpty:
+		return nil
+	case driverPhases:
+		if plan.decompose {
+			variant := "resumable per branch"
+			if opts.DistanceRestart {
+				variant = "restart per branch and phase"
+			}
+			out = append(out, fmt.Sprintf("alternation-by-disjunction (%s)", variant))
+		}
+		if opts.DistanceAware && plan.mode != automaton.Exact {
+			variant := "incremental"
+			if opts.DistanceRestart {
+				variant = "restart-per-phase"
+			}
+			out = append(out, fmt.Sprintf("distance-aware (%s, φ=%d, max ψ=%d)", variant, opts.phi(plan.mode), plan.psiCap(maxDist)))
+		}
+	case driverSharded:
+		out = append(out, fmt.Sprintf("sharded across up to %d evaluators", opts.Parallelism))
+	}
+	if opts.RareSide && plan.case3 && !plan.sameVar {
+		out = append(out, "rare-side")
+	}
+	if opts.Rewrite {
+		out = append(out, "rewrite")
+	}
+	if opts.SpillThreshold > 0 && (drv == driverPhases || drv == driverEvaluator) {
+		out = append(out, fmt.Sprintf("spill at %d resident tuples", opts.SpillThreshold))
+	}
+	if opts.MaxTuples > 0 {
+		out = append(out, fmt.Sprintf("tuple budget %d", opts.MaxTuples))
+	}
+	return out
 }

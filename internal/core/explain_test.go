@@ -7,10 +7,20 @@ import (
 	"omega/internal/automaton"
 )
 
-func TestExplainSingleConjunct(t *testing.T) {
+// explain prepares q over the tiny graph and renders the plan of an execution
+// with default knobs.
+func explain(t *testing.T, q *Query, opts Options) (string, error) {
 	g, ont := tinyGraph(t)
+	p, err := PrepareQuery(g, ont, q, opts)
+	if err != nil {
+		return "", err
+	}
+	return p.Explain(ExecOptions{})
+}
+
+func TestExplainSingleConjunct(t *testing.T) {
 	q := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{conj("a", "p.p", "?X", automaton.Approx)}}
-	out, err := ExplainQuery(g, ont, q, Options{})
+	out, err := explain(t, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +32,8 @@ func TestExplainSingleConjunct(t *testing.T) {
 }
 
 func TestExplainCase2(t *testing.T) {
-	g, ont := tinyGraph(t)
 	q := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{conj("?X", "p", "c", automaton.Exact)}}
-	out, err := ExplainQuery(g, ont, q, Options{})
+	out, err := explain(t, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +43,8 @@ func TestExplainCase2(t *testing.T) {
 }
 
 func TestExplainCase3AndStrategies(t *testing.T) {
-	g, ont := tinyGraph(t)
 	q := &Query{Head: []string{"X", "Y"}, Conjuncts: []Conjunct{conj("?X", "p|q", "?Y", automaton.Approx)}}
-	out, err := ExplainQuery(g, ont, q, Options{
+	out, err := explain(t, q, Options{
 		Disjunction: true, DistanceAware: true, RareSide: true, Rewrite: true,
 		SpillThreshold: 100, MaxTuples: 5000,
 	})
@@ -54,7 +62,6 @@ func TestExplainCase3AndStrategies(t *testing.T) {
 }
 
 func TestExplainJoinAndPlan(t *testing.T) {
-	g, ont := tinyGraph(t)
 	q := &Query{
 		Head: []string{"X"},
 		Conjuncts: []Conjunct{
@@ -62,7 +69,7 @@ func TestExplainJoinAndPlan(t *testing.T) {
 			conj("a", "q", "?X", automaton.Exact),
 		},
 	}
-	out, err := ExplainQuery(g, ont, q, Options{ReorderConjuncts: true})
+	out, err := explain(t, q, Options{ReorderConjuncts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +82,8 @@ func TestExplainJoinAndPlan(t *testing.T) {
 }
 
 func TestExplainInvalidQuery(t *testing.T) {
-	g, ont := tinyGraph(t)
 	q := &Query{Head: []string{"Z"}, Conjuncts: []Conjunct{conj("?X", "p", "?Y", automaton.Exact)}}
-	if _, err := ExplainQuery(g, ont, q, Options{}); err == nil {
+	if _, err := explain(t, q, Options{}); err == nil {
 		t.Fatal("invalid query explained without error")
 	}
 }

@@ -345,11 +345,6 @@ func (rj *rankedJoin) Stats() Stats {
 		s.add(cs)
 		s.VisitedSize = max(s.VisitedSize, cs.VisitedSize)
 		s.Phases = max(s.Phases, cs.Phases)
-		if s.Backend == "" {
-			s.Backend = cs.Backend
-		} else if cs.Backend != "" && cs.Backend != s.Backend {
-			s.Backend = "mixed"
-		}
 	}
 	return s
 }

@@ -85,10 +85,9 @@ type PoolStats struct {
 // execution is owned exclusively until that execution finishes (exhaustion,
 // error, or Close), at which point it returns to the pool.
 //
-// Pooling engages per execution via ExecOptions.Pool (or engine-wide via
-// Options.Pool) and silently stands aside for configurations whose state is
-// not recyclable: spilling dictionaries (disk-backed) and the RefDict
-// differential reference.
+// Pooling engages per execution via ExecOptions.Pool and silently stands
+// aside for configurations whose state is not recyclable: spilling
+// dictionaries (disk-backed) and the RefDict differential reference.
 type EvalPool struct {
 	mu       sync.Mutex
 	free     []*evalState

@@ -47,8 +47,12 @@ type ExecOptions struct {
 	// execution with a given override compiles that variant's automata; the
 	// variant is cached in the Prepared, so repeats pay nothing.
 	Mode *automaton.Mode
-	// Pool, when non-nil, recycles this execution's evaluator state from (and
-	// back to) the given pool, overriding Options.Pool. See EvalPool.
+	// Pool, when non-nil, recycles this execution's evaluator state (D_R,
+	// visited table, answer registry, deferred frontier, scratch buffers) from
+	// and back to the given pool, so steady-state serving allocates near zero
+	// per request. Pooled emission is byte-identical to fresh. Ignored for
+	// configurations whose state is not recyclable (Options.SpillThreshold > 0,
+	// RefDict). See EvalPool.
 	Pool *EvalPool
 	// SoftMemBytes, when positive, is the execution's soft memory watermark:
 	// once the accounted resident bytes of its evaluation structures cross
@@ -113,7 +117,8 @@ type Prepared struct {
 	ont  *ontology.Ontology
 	opts Options // defaults applied
 
-	def *planSet // the query's own modes
+	order []int    // the conjunct permutation ReorderConjuncts applied (nil when none)
+	def   *planSet // the query's own modes
 
 	mu          sync.Mutex
 	variants    map[automaton.Mode]*planSet // lazily compiled Mode overrides
@@ -141,10 +146,11 @@ func PrepareQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 	}
 	opts = opts.withDefaults()
 	q = cloneQuery(q)
-	if opts.ReorderConjuncts && len(q.Conjuncts) > 1 {
-		q = applyPlan(q, planQueryTree(q))
-	}
 	p := &Prepared{g: g, ont: ont, opts: opts}
+	if opts.ReorderConjuncts && len(q.Conjuncts) > 1 {
+		p.order = planQueryTree(q)
+		q = applyPlan(q, p.order)
+	}
 	def, err := p.compileSet(q, nil)
 	if err != nil {
 		return nil, err
@@ -235,6 +241,18 @@ func (p *Prepared) CompileStats() (automata int, d time.Duration) {
 	return p.compiles, p.compileTime
 }
 
+// runOptions is the run's private copy of the prepared options with eo's
+// overrides written in — the one copy every iterator of an execution reads,
+// and the one Explain renders from.
+func (p *Prepared) runOptions(eo ExecOptions) Options {
+	opts := p.opts
+	if eo.MaxTuples > 0 {
+		opts.MaxTuples = eo.MaxTuples
+	}
+	opts.Parallelism = resolveParallelism(eo.Parallelism, p.opts.Parallelism)
+	return opts
+}
+
 // Exec instantiates a new execution of the prepared query. The returned
 // Execution is single-goroutine (run concurrent executions by calling Exec
 // once per goroutine); ctx cancellation surfaces as ErrCanceled/ErrDeadline
@@ -251,34 +269,19 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 		mem = NewMemGauge(eo.SoftMemBytes, eo.HardMemBytes)
 	}
 	ex := &Execution{
-		r:       newRun(ctx, p.opts, mem, eo.Trace),
+		r:       newRun(ctx, p.runOptions(eo), mem, eo.Pool, eo.Trace),
 		limit:   eo.Limit,
 		maxDist: eo.MaxDist,
 		started: time.Now(),
 	}
-	// The per-execution overrides go into the run's private options, the one
-	// copy every iterator below reads.
 	r := &ex.r
-	if eo.MaxTuples > 0 {
-		r.opts.MaxTuples = eo.MaxTuples
-	}
-	if eo.Pool != nil {
-		r.opts.Pool = eo.Pool
-	}
-	r.opts.Parallelism = resolveParallelism(eo.Parallelism, p.opts.Parallelism)
-	// Backend selection: the per-execution request layered over the engine
-	// default, resolved per conjunct against the cost model. Only exhaustive
-	// executions (no Limit, no MaxDist) are auto-eligible for the bulk
-	// set-semantics engine — a limited execution wants streamed answers.
-	req := resolveBackend(eo.Backend, p.opts.Backend)
-	exhaustive := eo.Limit == 0 && eo.MaxDist == 0
 	ex.its = make([]Iterator, len(ps.plans))
 	ex.backends = make([]Backend, len(ps.plans))
 	if r.trace != nil {
 		ex.conjSpans = make([]obs.SpanID, len(ps.plans))
 	}
 	for i, plan := range ps.plans {
-		dec := plan.chooseBackend(req, exhaustive)
+		dec := plan.backendFor(eo)
 		ex.backends[i] = dec.backend
 		// The conjunct span opens before the iterator so that a sharded
 		// conjunct can nest its shard spans under it; open records no span of

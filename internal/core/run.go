@@ -30,9 +30,12 @@ const (
 // is.
 type run struct {
 	// opts is this run's private copy of the prepared options, with the
-	// per-execution overrides (MaxTuples, Pool, resolved Parallelism) written
-	// in; it must not change once a driver holds the run.
+	// per-execution overrides (MaxTuples, resolved Parallelism) written in; it
+	// must not change once a driver holds the run.
 	opts Options
+	// pool recycles the evaluators' state bundles; nil when the execution has
+	// none or its configuration cannot recycle state (spilling, RefDict).
+	pool *EvalPool
 	// ctx cancels the run; nil when it cannot be canceled (context.Background
 	// and friends), so the checks cost one compare there.
 	ctx context.Context
@@ -47,11 +50,16 @@ type run struct {
 }
 
 // newRun builds the run and opens its exec span (NoSpan when untraced).
-func newRun(ctx context.Context, opts Options, mem *MemGauge, trace *obs.Trace) run {
+func newRun(ctx context.Context, opts Options, mem *MemGauge, pool *EvalPool, trace *obs.Trace) run {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
-	return run{opts: opts, ctx: ctx, mem: mem, trace: trace, span: trace.Start(obs.Root, obs.SpanExec)}
+	if opts.SpillThreshold > 0 || opts.RefDict {
+		// Disk-backed dictionaries and the RefDict differential reference keep
+		// their dedicated construction (see newEvaluator).
+		pool = nil
+	}
+	return run{opts: opts, ctx: ctx, mem: mem, pool: pool, trace: trace, span: trace.Start(obs.Root, obs.SpanExec)}
 }
 
 // ContextErr maps a done context onto the package's typed errors and reports

@@ -95,9 +95,6 @@ type SchedulerConfig struct {
 	// Smaller quanta interleave concurrent requests more finely; larger ones
 	// reduce switching overhead.
 	Quantum int
-	// Timeout, when positive, is the default per-request deadline applied to
-	// requests whose context has none.
-	Timeout time.Duration
 	// RetryAfter is the back-off hint attached to ErrOverloaded rejections
 	// (default 1s).
 	RetryAfter time.Duration
@@ -292,13 +289,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 func (s *Scheduler) Stream(ctx context.Context, start func(ctx context.Context) (*omega.Rows, error), sink Sink) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if s.cfg.Timeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-			defer cancel()
-		}
 	}
 	// The cancel-cause wrapper is the watchdog's abort lever: cancelling with
 	// a cause interrupts the evaluator mid-iteration (it polls its context

@@ -283,28 +283,6 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSchedulerDefaultTimeout: a request without a deadline inherits the
-// scheduler's, and reports ErrDeadline when it trips mid-stream.
-func TestSchedulerDefaultTimeout(t *testing.T) {
-	eng := chainEngine(t, 30)
-	pq := prepared(t, eng, "(?X, ?Y) <- (?X, knows+, ?Y)")
-
-	s := NewScheduler(SchedulerConfig{Workers: 1, Queue: 1, Quantum: 1, Timeout: 50 * time.Millisecond})
-	defer s.Close()
-
-	_, err := s.Stream(context.Background(),
-		func(ctx context.Context) (*omega.Rows, error) {
-			return pq.Exec(ctx, omega.ExecOptions{})
-		},
-		eachRow(func(omega.Row) error {
-			time.Sleep(5 * time.Millisecond)
-			return nil
-		}))
-	if !errors.Is(err, omega.ErrDeadline) {
-		t.Fatalf("slow request: %v, want ErrDeadline", err)
-	}
-}
-
 // TestSchedulerClose: Close drains in-flight requests, then rejects new ones.
 func TestSchedulerClose(t *testing.T) {
 	eng := chainEngine(t, 20)

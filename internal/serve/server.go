@@ -447,11 +447,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 			if tr != nil {
 				tr.End(admSpan)
 			}
-			secs := int(math.Ceil(s.sched.RetryAfter().Seconds()))
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			s.setRetryAfter(w)
 			fail(http.StatusServiceUnavailable, err.Error())
 			return
 		}
@@ -507,13 +503,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 		}
 		switch {
 		case errors.Is(err, ErrOverloaded):
-			// Retry-After has one-second granularity; round up so a
-			// sub-second hint never becomes "retry immediately".
-			secs := int(math.Ceil(s.sched.RetryAfter().Seconds()))
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			s.setRetryAfter(w)
 			fail(http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, ErrSchedulerClosed):
 			fail(http.StatusServiceUnavailable, err.Error())
@@ -547,6 +537,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 		reqID, res.Rows, float64(elapsed.Nanoseconds())/1e6, res.Stats.Backend,
 		res.Stats.TuplesPopped, res.Stats.Deferred, res.Stats.Reinjected, res.Stats.Phases,
 		float64(res.Stats.QueueWaitNanos)/1e6, float64(res.Stats.TTFRNanos)/1e6)
+}
+
+// setRetryAfter sets the back-off hint of a 503 admission rejection (the
+// scheduler's or the memory broker's). Retry-After has one-second
+// granularity; round up so a sub-second hint never becomes "retry
+// immediately".
+func (s *Server) setRetryAfter(w http.ResponseWriter) {
+	secs := max(int(math.Ceil(s.sched.RetryAfter().Seconds())), 1)
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
 // slowQueryLine is the structured slow-query log record (one JSON object per

@@ -311,6 +311,37 @@ func TestServerParameterHandling(t *testing.T) {
 	}
 }
 
+// TestServerDefaultTimeout: Config.Timeout is the deadline of a request that
+// carries no timeout= parameter — a 504 when it trips before the first row,
+// an in-band error line when it trips mid-stream — and timeout= overrides it.
+func TestServerDefaultTimeout(t *testing.T) {
+	_, ts := l4allServer(t, "", Config{Workers: 1, Timeout: 200 * time.Millisecond})
+	client := ts.Client()
+	u := func(params url.Values) string {
+		params.Set("q", spillQuery)
+		return ts.URL + "/query?" + params.Encode()
+	}
+
+	// Every answer costs 500 ms: the default deadline trips before the first.
+	armFaults(t, "core.row=delay:500ms", 1)
+	if _, body, status := queryStream(t, client, u(url.Values{"limit": {"1"}})); status != http.StatusGatewayTimeout || !strings.Contains(body, "deadline") {
+		t.Fatalf("slow first row: status %d body %q, want 504 naming the deadline", status, body)
+	}
+	// timeout= overrides the default: the same request now has time for two rows.
+	rows, done, status := ndjsonLines(t, client, u(url.Values{"limit": {"2"}, "timeout": {"10s"}}))
+	if status != http.StatusOK || len(rows) != 2 || done == nil {
+		t.Fatalf("timeout=10s: status %d, %d rows, done %+v", status, len(rows), done)
+	}
+
+	// Every answer costs 50 ms: rows stream before the default deadline ends
+	// the response with an error line.
+	armFaults(t, "core.row=delay:50ms", 1)
+	n, errLine, status := queryStream(t, client, u(url.Values{"limit": {"50"}}))
+	if status != http.StatusOK || n == 0 || n == 50 || !strings.Contains(errLine, "deadline") {
+		t.Fatalf("mid-stream deadline: status %d, %d rows, error line %q", status, n, errLine)
+	}
+}
+
 func rowsAll(t *testing.T, client *http.Client, base string) []rowLine {
 	t.Helper()
 	rows, _, status := ndjsonLines(t, client, base+"/query?"+url.Values{"q": {spillQuery}}.Encode())

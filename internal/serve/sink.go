@@ -17,6 +17,10 @@ import (
 // size.
 const flushBytes = 32 << 10
 
+// finishGrace is how long past the request's deadline the terminal line may
+// still take to write.
+const finishGrace = time.Second
+
 // rowWriter is the /query handler's row sink: it appends each batch to a
 // pooled buffer as NDJSON and writes-and-flushes exactly when rows would
 // otherwise wait —
@@ -90,6 +94,11 @@ func (rw *rowWriter) deliver(rows []omega.Row, wait bool) error {
 			}
 		}
 	}
+	if !rw.reqDL.IsZero() && !time.Now().Before(rw.reqDL) {
+		// Past the request's deadline a write could only time out, and break
+		// the connection for the terminal line that says why the stream ended.
+		return omega.ErrDeadline
+	}
 	if len(rw.prefix) == 0 && len(rows) > 0 {
 		rw.prefix = appendRowPrefix(rw.prefix, rows[0].Vars)
 	}
@@ -110,8 +119,13 @@ func (rw *rowWriter) deliver(rows []omega.Row, wait bool) error {
 }
 
 // finish appends the stream's terminal line (done or error) and pushes out
-// whatever is pending with it.
+// whatever is pending with it. The line is how a client learns that the
+// request's deadline ended the stream, so its write may outlive that deadline
+// by finishGrace; the stall budget still bounds a reader that stopped.
 func (rw *rowWriter) finish(line []byte) error {
+	if grace := time.Now().Add(finishGrace); !rw.reqDL.IsZero() && rw.reqDL.Before(grace) {
+		rw.reqDL = grace
+	}
 	rw.buf = append(rw.buf, line...)
 	rw.buf = append(rw.buf, '\n')
 	return rw.flush()

@@ -245,12 +245,12 @@ var ErrMemBudget = core.ErrMemBudget
 func ModeOverride(mode Mode) *Mode { m := mode; return &m }
 
 // NewEvalPool returns an evaluator-state pool retaining at most max idle
-// state bundles (0 picks a default). Thread it through ExecOptions.Pool (or
-// engine-wide through Options.Pool) so repeated executions reuse the grown
-// dictionaries, hash tables and scratch buffers of earlier requests instead
-// of reallocating and regrowing them; pooled emission is byte-identical to
-// fresh. One pool may serve any number of prepared queries over any number
-// of graphs, from any number of goroutines.
+// state bundles (0 picks a default). Thread it through ExecOptions.Pool so
+// repeated executions reuse the grown dictionaries, hash tables and scratch
+// buffers of earlier requests instead of reallocating and regrowing them;
+// pooled emission is byte-identical to fresh. One pool may serve any number
+// of prepared queries over any number of graphs, from any number of
+// goroutines.
 func NewEvalPool(max int) *EvalPool { return core.NewEvalPool(max) }
 
 // NewMemGauge returns a memory gauge with the given soft and hard watermarks
