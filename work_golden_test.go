@@ -13,7 +13,7 @@ import (
 	"omega/internal/l4all"
 )
 
-var updateWorkGolden = flag.Bool("update", false, "rewrite testdata/work_golden.json from this run")
+var updateWorkGolden = flag.Bool("update", false, "rewrite testdata/work_golden.json and testdata/ablation.json from this run")
 
 const workGoldenPath = "testdata/work_golden.json"
 
@@ -76,19 +76,28 @@ func (a workRun) sameWork(b workRun) bool {
 	return a.counters == b.counters && slices.Equal(a.rows, b.rows)
 }
 
-func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) workRun {
-	t.Helper()
-	rows, err := pq.Exec(context.Background(), eo)
-	if err != nil {
-		t.Fatalf("%s: Exec: %v", name, err)
-	}
+// drained is what one execution emitted before it ended: its rows in emission
+// order (nodes and distance, rendered), the rows per distance ("dist:rows"
+// pairs, ascending), and the pops the evaluators had made when each row came
+// out, read from Rows.Stats after every Next.
+type drained struct {
+	rows   []string
+	hist   string
+	popsAt []int
+	stats  Stats
+	err    error
+}
+
+// drain pulls rows until the stream ends or fails; err is the terminal error.
+func drain(rows *Rows) drained {
 	defer rows.Close()
+	var out drained
 	var hist []int
-	var emitted []string
 	for {
 		r, ok, err := rows.Next()
 		if err != nil {
-			t.Fatalf("%s: Next: %v", name, err)
+			out.err = err
+			break
 		}
 		if !ok {
 			break
@@ -97,7 +106,8 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 			hist = append(hist, 0)
 		}
 		hist[r.Dist]++
-		emitted = append(emitted, fmt.Sprint(r.Nodes, r.Dist))
+		out.rows = append(out.rows, fmt.Sprint(r.Nodes, r.Dist))
+		out.popsAt = append(out.popsAt, rows.Stats().TuplesPopped)
 	}
 	var hs []string
 	for d, c := range hist {
@@ -105,15 +115,30 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 			hs = append(hs, fmt.Sprintf("%d:%d", d, c))
 		}
 	}
-	st := rows.Stats()
+	out.hist = strings.Join(hs, " ")
+	out.stats = rows.Stats()
+	return out
+}
+
+func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) workRun {
+	t.Helper()
+	rows, err := pq.Exec(context.Background(), eo)
+	if err != nil {
+		t.Fatalf("%s: Exec: %v", name, err)
+	}
+	d := drain(rows)
+	if d.err != nil {
+		t.Fatalf("%s: Next: %v", name, d.err)
+	}
+	st := d.stats
 	return workRun{
 		counters: workCounters{
-			Case: name, Rows: len(emitted), Hist: strings.Join(hs, " "),
+			Case: name, Rows: len(d.rows), Hist: d.hist,
 			TuplesAdded: st.TuplesAdded, TuplesPopped: st.TuplesPopped,
 			Deferred: st.Deferred, Reinjected: st.Reinjected,
 			Phases: st.Phases, VisitedSize: st.VisitedSize,
 		},
-		rows:    emitted,
+		rows:    d.rows,
 		memPeak: st.MemPeakBytes,
 	}
 }
