@@ -264,23 +264,6 @@ func BenchmarkOptDisjunction(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationFinalFirst ablates the final-tuples-first pop policy the
-// paper credits with earlier answers (§3.3).
-func BenchmarkAblationFinalFirst(b *testing.B) {
-	g, ont := datasets().L4All(l4all.L1)
-	text := l4allQueryText(b, "Q9")
-	b.Run("finalFirst", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runOnce(b, g, ont, text, Approx, Options{}, 100)
-		}
-	})
-	b.Run("noFinalFirst", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runOnce(b, g, ont, text, Approx, Options{NoFinalFirst: true}, 100)
-		}
-	})
-}
-
 // BenchmarkAblationBatching ablates the batched initial-node coroutines of
 // Open/GetNext (§3.3 reports halved execution times for some queries).
 func BenchmarkAblationBatching(b *testing.B) {
@@ -302,23 +285,6 @@ func BenchmarkAblationBatching(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSuccCache ablates Succ's neighbour-set reuse across
-// identical consecutive labels (§3.4).
-func BenchmarkAblationSuccCache(b *testing.B) {
-	g, ont := datasets().L4All(l4all.L1)
-	text := l4allQueryText(b, "Q11")
-	b.Run("cache", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runOnce(b, g, ont, text, Approx, Options{}, 100)
-		}
-	})
-	b.Run("noCache", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runOnce(b, g, ont, text, Approx, Options{NoSuccCache: true}, 100)
-		}
-	})
-}
-
 // BenchmarkExtRareSide measures the rare-side heuristic (EXTENSION; the
 // paper's "leveraging rare labels" future-work item) on a conjunct whose
 // object side is far rarer than its subject side.
@@ -337,24 +303,16 @@ func BenchmarkExtRareSide(b *testing.B) {
 	})
 }
 
-// BenchmarkJoinStrategies measures the ranked join with and without the
-// query-tree planner on a two-conjunct query.
+// BenchmarkJoinStrategies measures the round-based ranked join on a
+// two-conjunct query.
 func BenchmarkJoinStrategies(b *testing.B) {
 	g, ont := datasets().L4All(l4all.L1)
 	text := "(?X, ?Z) <- (?X, next, ?Y), (?Y, job, ?Z)"
-	for _, c := range []struct {
-		name string
-		opts Options
-	}{
-		{"round", Options{}},
-		{"round+plan", Options{ReorderConjuncts: true}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runOnce(b, g, ont, text, Exact, c.opts, 100)
-			}
-		})
-	}
+	b.Run("round", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			runOnce(b, g, ont, text, Exact, Options{}, 100)
+		}
+	})
 }
 
 // BenchmarkCoreGetNext measures raw GetNext throughput on a Case 3 conjunct

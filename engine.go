@@ -87,8 +87,7 @@ func (pq *PreparedQuery) Explain(opts ExecOptions) (string, error) {
 	return pq.p.Explain(opts)
 }
 
-// Query returns the compiled query (after any conjunct reordering). The
-// caller must not modify it.
+// Query returns the compiled query. The caller must not modify it.
 func (pq *PreparedQuery) Query() *Query { return pq.p.Query() }
 
 // CompileStats reports how many automata this prepared query has built (over

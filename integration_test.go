@@ -116,9 +116,13 @@ func TestIntegrationSpillThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestIntegrationRewriteAndRareSide: a hand-written language-preserving
+// rewrite of the path expression, the rare-side plan, and both together
+// answer what the query as written answers.
 func TestIntegrationRewriteAndRareSide(t *testing.T) {
 	eng := l4allEngine(t)
-	base, err := eng.QueryText("(?X, ?Y) <- (?X, (next*)*.job, ?Y)")
+	const text, rewritten = "(?X, ?Y) <- (?X, (next*)*.job, ?Y)", "(?X, ?Y) <- (?X, next*.job, ?Y)"
+	base, err := eng.QueryText(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +130,11 @@ func TestIntegrationRewriteAndRareSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{{Rewrite: true}, {RareSide: true}, {Rewrite: true, RareSide: true}} {
-		tuned := eng.WithOptions(opts)
-		rows, err := tuned.QueryText("(?X, ?Y) <- (?X, (next*)*.job, ?Y)")
+	for _, v := range []struct {
+		text string
+		opts Options
+	}{{rewritten, Options{}}, {text, Options{RareSide: true}}, {rewritten, Options{RareSide: true}}} {
+		rows, err := eng.WithOptions(v.opts).QueryText(v.text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +143,7 @@ func TestIntegrationRewriteAndRareSide(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("opts %+v changed answer count: %d vs %d", opts, len(got), len(want))
+			t.Fatalf("%s with %+v changed the answer count: %d vs %d", v.text, v.opts, len(got), len(want))
 		}
 	}
 }

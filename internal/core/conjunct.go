@@ -71,10 +71,10 @@ func (p *conjunctPlan) bulkIndex(autIdx int) *bulk.Index {
 }
 
 // compileConjunct builds the compile-time plan for one conjunct — the case
-// analysis of Open (§3.3): expression (optionally rewritten and/or decomposed
-// per alternand), automata, seeds and final annotation. The result is
-// immutable and shareable. It is the one place that decides whether the
-// conjunct decomposes, so Explain describes exactly the plan Exec runs.
+// analysis of Open (§3.3): expression (optionally decomposed per alternand),
+// automata, seeds and final annotation. The result is immutable and
+// shareable. It is the one place that decides whether the conjunct
+// decomposes, so Explain describes exactly the plan Exec runs.
 func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Options) (*conjunctPlan, error) {
 	if c.Expr == nil {
 		return nil, fmt.Errorf("core: conjunct %s has no expression", c)
@@ -98,19 +98,12 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 
 	relaxing := c.Mode == automaton.Relax || c.Mode == automaton.Flex
 
-	// Query rewriting (EXTENSION): algebraic simplification before automaton
-	// construction; the language is preserved, the automaton shrinks.
-	expr := c.Expr
-	if opts.Rewrite {
-		expr = rpq.Simplify(expr)
-	}
-
 	// Automata: one per top-level alternand when the disjunction strategy is
 	// active (§4.3), otherwise one for the whole expression. Reversal is
 	// applied per alternand: (R1|R2)− ≡ R1−|R2−.
-	exprs := []*rpq.Expr{expr}
+	exprs := []*rpq.Expr{c.Expr}
 	if decompose {
-		exprs = expr.Alternands()
+		exprs = c.Expr.Alternands()
 	}
 	bopts := automaton.BuildOptions{
 		Mode:        c.Mode,

@@ -174,25 +174,20 @@ type Options struct {
 	// a top-level alternation is decomposed into sub-automata evaluated
 	// distance-phase by distance-phase, cheapest-first.
 	Disjunction bool
-	// MaxTuples bounds the number of tuples ever added to D_R; evaluation
-	// returns ErrTupleBudget beyond it. 0 means unlimited.
+	// MaxTuples is a budget per evaluator on the tuples it adds to D_R;
+	// an evaluator that goes past it ends the execution with ErrTupleBudget.
+	// 0 means unlimited. It does not bound the execution: each conjunct of a
+	// join, each branch under Disjunction and each shard under Parallelism
+	// runs its own evaluator with the whole budget, and tuples parked in the
+	// deferred frontier count only once re-injected, a ψ phase at a time. So
+	// an execution may add several times MaxTuples, and hold more, before it
+	// fails, or finish without failing.
 	MaxTuples int
-	// NoFinalFirst disables the final-tuples-first pop policy (ablation;
-	// the paper credits the policy with earlier answers and fewer
-	// memory exhaustions, §3.3).
-	NoFinalFirst bool
-	// NoSuccCache disables reuse of NeighboursByEdge results across
-	// identical consecutive labels in Succ (ablation of the U cache, §3.4).
-	NoSuccCache bool
 	// RareSide (EXTENSION; the paper lists "leveraging rare labels as in
 	// [Koschmieder & Leser]" as future work) evaluates a (?X, R, ?Y)
 	// conjunct from whichever end of R has fewer candidate start nodes,
 	// using the reversed automaton when the object side is rarer.
 	RareSide bool
-	// Rewrite (EXTENSION; the paper lists query rewriting as future work)
-	// applies language-preserving algebraic simplification to each
-	// conjunct's path expression before automaton construction.
-	Rewrite bool
 	// SpillThreshold (EXTENSION; the paper's future-work "disk-based data
 	// structures to guarantee termination of APPROX queries with large
 	// intermediate results"): when positive, D_R keeps at most this many
@@ -206,11 +201,6 @@ type Options struct {
 	// identical ranked sequences; this exists for differential testing and
 	// benchmarking, not production use.
 	RefDict bool
-	// ReorderConjuncts builds the query tree by greedily ordering
-	// conjuncts: constant-anchored conjuncts first, then conjuncts
-	// connected to already-bound variables (§3's query-tree construction;
-	// the paper does not specify its ordering, so this is our planner).
-	ReorderConjuncts bool
 	// Backend is the engine-level default evaluation backend: BackendAuto
 	// (zero value) lets the planner pick per conjunct — the bulk
 	// set-semantics engine for exhaustive zero-cost exact scans with a

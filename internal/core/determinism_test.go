@@ -18,11 +18,7 @@ func TestSameOptionsDeterministic(t *testing.T) {
 		objects := []string{"?Y", "n2", "?X"}
 		mode := modes[rng.Intn(len(modes))]
 		c := conj(subjects[rng.Intn(3)], re, objects[rng.Intn(3)], mode)
-		opts := Options{
-			BatchSize:    randBatchSize(rng, 1, 7, 100),
-			NoFinalFirst: rng.Intn(4) == 0,
-			NoSuccCache:  rng.Intn(4) == 0,
-		}
+		opts := Options{BatchSize: randBatchSize(rng, 1, 7, 100)}
 		mk := func(o Options) Iterator {
 			it, err := OpenConjunct(g, ont, c, o)
 			if err != nil {

@@ -28,8 +28,7 @@ func drainBoth(t *testing.T, mkIter func(opts Options) Iterator, opts Options, l
 
 // TestDictDifferentialRandomized cross-checks the bucket-queue dictionary
 // against RefDict over randomized graphs, expressions, modes, and evaluator
-// configurations (batching, ablations, spilling interplay is covered by the
-// spill tests).
+// batch sizes (spilling interplay is covered by the spill tests).
 func TestDictDifferentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	ont := testOnt()
@@ -41,11 +40,7 @@ func TestDictDifferentialRandomized(t *testing.T) {
 		objects := []string{"?Y", "n2", "?X"}
 		mode := modes[rng.Intn(len(modes))]
 		c := conj(subjects[rng.Intn(3)], re, objects[rng.Intn(3)], mode)
-		opts := Options{
-			BatchSize:    randBatchSize(rng, 1, 7, 100),
-			NoFinalFirst: rng.Intn(4) == 0,
-			NoSuccCache:  rng.Intn(4) == 0,
-		}
+		opts := Options{BatchSize: randBatchSize(rng, 1, 7, 100)}
 		mk := func(o Options) Iterator {
 			it, err := OpenConjunct(g, ont, c, o)
 			if err != nil {

@@ -109,19 +109,19 @@ func makeResumable(ev *evaluator, phi, maxPsi int32) {
 	case opts.SpillThreshold > 0:
 		// The user asked for bounded resident memory; the parked frontier
 		// must honour it too, not just D_R.
-		df, err := dstruct.NewDeferredSpill(opts.SpillThreshold, opts.SpillDir, opts.NoFinalFirst)
+		df, err := dstruct.NewDeferredSpill(opts.SpillThreshold, opts.SpillDir)
 		if err != nil && ev.failed == nil {
 			ev.failed = err
 		}
 		if err != nil {
-			df = dstruct.NewDeferred(opts.NoFinalFirst) // placeholder; evaluation fails immediately
+			df = dstruct.NewDeferred(false) // placeholder; evaluation fails immediately
 		}
 		ev.deferred = df
 	case ev.state != nil:
 		// Pooled execution: the bundle's frontier was Reset at acquisition.
 		ev.deferred = ev.state.deferred
 	default:
-		ev.deferred = dstruct.NewDeferred(opts.NoFinalFirst)
+		ev.deferred = dstruct.NewDeferred(false)
 	}
 	// The last reachable phase is the first φ-grid point ≥ MaxPsi (the
 	// reference stops stepping once ψ ≥ MaxPsi, so it still runs that one).

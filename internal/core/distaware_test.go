@@ -69,10 +69,8 @@ func TestQuickIncrementalDistanceAwareMatchesRestart(t *testing.T) {
 		subj := []string{"?X", "n0", "C1"}[rng.Intn(3)]
 		c := conj(subj, re, []string{"?Y", "n2"}[rng.Intn(2)], mode)
 		opts := Options{
-			MaxPsi:       []int32{0, 1, 2, 3, 5, 1 << 20}[rng.Intn(6)],
-			BatchSize:    randBatchSize(rng, 1, 7, 100),
-			NoFinalFirst: rng.Intn(4) == 0,
-			NoSuccCache:  rng.Intn(4) == 0,
+			MaxPsi:    []int32{0, 1, 2, 3, 5, 1 << 20}[rng.Intn(6)],
+			BatchSize: randBatchSize(rng, 1, 7, 100),
 		}
 		if rng.Intn(3) == 0 {
 			// Non-unit costs: φ = 2, answer distances fall on a sparse grid,

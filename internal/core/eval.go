@@ -95,7 +95,7 @@ func newEvaluator(g *graph.Graph, aut *automaton.Compiled, r *run) *evaluator {
 	}
 	opts := &r.opts
 	if r.pool != nil {
-		ev.state = r.pool.get(opts.NoFinalFirst)
+		ev.state = r.pool.get()
 		ev.dr = ev.state.dict
 		ev.visited = ev.state.visited
 		ev.answers = ev.state.answers
@@ -106,7 +106,7 @@ func newEvaluator(g *graph.Graph, aut *automaton.Compiled, r *run) *evaluator {
 	ev.answers = dstruct.NewAnswers()
 	switch {
 	case opts.SpillThreshold > 0:
-		sd, err := dstruct.NewSpillDict(opts.SpillThreshold, opts.SpillDir, opts.NoFinalFirst)
+		sd, err := dstruct.NewSpillDict(opts.SpillThreshold, opts.SpillDir)
 		if err != nil {
 			ev.failed = err
 			ev.dr = dstruct.NewDict() // placeholder; evaluation fails immediately
@@ -114,9 +114,7 @@ func newEvaluator(g *graph.Graph, aut *automaton.Compiled, r *run) *evaluator {
 			ev.dr = sd
 		}
 	case opts.RefDict:
-		ev.dr = dstruct.NewRefDict(opts.NoFinalFirst)
-	case opts.NoFinalFirst:
-		ev.dr = dstruct.NewDictNoFinalFirst()
+		ev.dr = dstruct.NewRefDict()
 	default:
 		ev.dr = dstruct.NewDict()
 	}
@@ -527,7 +525,7 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 	for i := range states {
 		tr := &states[i]
 		var u []graph.NodeID
-		if !ev.r.opts.NoSuccCache && tr.Group == cacheGroup && cacheGroup >= 0 {
+		if tr.Group == cacheGroup && cacheGroup >= 0 {
 			u = cache
 			ev.stats.CacheHits++
 		} else {

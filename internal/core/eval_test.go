@@ -661,11 +661,7 @@ func TestQuickApproxAgainstReference(t *testing.T) {
 		subjects := []string{"?X", "n0"}
 		objects := []string{"?Y", "n2"}
 		c := conj(subjects[rng.Intn(2)], re, objects[rng.Intn(2)], automaton.Approx)
-		opts := Options{
-			BatchSize:    []int{1, 7, 100}[rng.Intn(3)],
-			NoFinalFirst: rng.Intn(3) == 0,
-			NoSuccCache:  rng.Intn(3) == 0,
-		}
+		opts := Options{BatchSize: []int{1, 7, 100}[rng.Intn(3)]}
 		checkEquivalence(t, g, ont, c, opts, false, 0)
 	}
 }

@@ -8,13 +8,12 @@ import (
 )
 
 // Explain renders the plan one execution with eo's knobs would run, without
-// running it: the query tree (the conjunct order PrepareQuery applied), and per
-// conjunct of the variant for eo.Mode the Open case, the automaton pipeline
-// and its compiled size, the seed population, the driver open would
-// instantiate with its §4.3 strategies, and the backend decision with the
-// planner's evidence. The driver and the backend come from the same
-// decisions Exec makes (backendFor, driverFor), so the plan cannot drift from
-// the run.
+// running it: per conjunct of the variant for eo.Mode, in body order, the Open
+// case, the automaton pipeline and its compiled size, the seed population,
+// the driver open would instantiate with its §4.3 strategies, and the backend
+// decision with the planner's evidence. The driver and the backend come from
+// the same decisions Exec makes (backendFor, driverFor), so the plan cannot
+// drift from the run.
 func (p *Prepared) Explain(eo ExecOptions) (string, error) {
 	ps, err := p.planSetFor(eo.Mode)
 	if err != nil {
@@ -22,9 +21,6 @@ func (p *Prepared) Explain(eo ExecOptions) (string, error) {
 	}
 	opts := p.runOptions(eo)
 	var b strings.Builder
-	if p.order != nil {
-		fmt.Fprintf(&b, "query tree (planned order): %v\n", p.order)
-	}
 	if len(ps.plans) > 1 {
 		fmt.Fprintf(&b, "join: round-based ranked join over %d conjuncts\n", len(ps.plans))
 	}
@@ -110,9 +106,6 @@ func strategies(plan *conjunctPlan, opts *Options, drv driver, maxDist int32) []
 	}
 	if opts.RareSide && plan.case3 && !plan.sameVar {
 		out = append(out, "rare-side")
-	}
-	if opts.Rewrite {
-		out = append(out, "rewrite")
 	}
 	if opts.SpillThreshold > 0 && (drv == driverPhases || drv == driverEvaluator) {
 		out = append(out, fmt.Sprintf("spill at %d resident tuples", opts.SpillThreshold))

@@ -131,7 +131,7 @@ var knobRegistry = []knob{
 	},
 	{
 		param: "maxtuples", flag: "max-tuples",
-		usage: "per-execution tuple budget (0 = unlimited)",
+		usage: "tuple budget, enforced per evaluator (0 = unlimited)",
 		set: func(eo *ExecOptions, v string) error {
 			n, err := knobInt("maxtuples", v, math.MaxInt32)
 			if err != nil {

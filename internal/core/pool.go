@@ -141,7 +141,7 @@ func (p *EvalPool) Stats() PoolStats {
 
 // get acquires a reset state bundle, creating a fresh one when the free list
 // is empty.
-func (p *EvalPool) get(noFinalFirst bool) *evalState {
+func (p *EvalPool) get() *evalState {
 	p.mu.Lock()
 	p.stats.Gets++
 	var st *evalState
@@ -156,21 +156,17 @@ func (p *EvalPool) get(noFinalFirst bool) *evalState {
 	}
 	p.mu.Unlock()
 	if st == nil {
-		dict := dstruct.NewDict()
-		if noFinalFirst {
-			dict = dstruct.NewDictNoFinalFirst()
-		}
 		return &evalState{
-			dict:     dict,
+			dict:     dstruct.NewDict(),
 			visited:  dstruct.NewVisited(),
 			answers:  dstruct.NewAnswers(),
-			deferred: dstruct.NewDeferred(noFinalFirst),
+			deferred: dstruct.NewDeferred(false),
 		}
 	}
-	st.dict.Reset(noFinalFirst)
+	st.dict.Reset(false)
 	st.visited.Reset(0)
 	st.answers.Reset(0)
-	st.deferred.Reset(noFinalFirst)
+	st.deferred.Reset(false)
 	return st
 }
 

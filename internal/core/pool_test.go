@@ -33,7 +33,6 @@ func TestEvalPoolMatchesFresh(t *testing.T) {
 			Disjunction:   rng.Intn(2) == 0,
 			MaxPsi:        []int32{0, 2, 1 << 20}[rng.Intn(3)],
 			RareSide:      rng.Intn(4) == 0,
-			Rewrite:       rng.Intn(4) == 0,
 		}
 
 		p, err := PrepareQuery(g, ont, q, opts)
@@ -241,7 +240,7 @@ func TestEvalPoolOversizedBundleDiscarded(t *testing.T) {
 // free list.
 func TestEvalPoolWarmCycleAllocatesNothing(t *testing.T) {
 	pool := NewEvalPool(2)
-	st := pool.get(false)
+	st := pool.get()
 	for i := 0; i < 5000; i++ {
 		st.dict.Add(dstruct.Tuple{V: graph.NodeID(i), N: graph.NodeID(i), D: int32(i % 7)})
 		st.visited.Add(graph.NodeID(i), graph.NodeID(i), 0)
@@ -254,7 +253,7 @@ func TestEvalPoolWarmCycleAllocatesNothing(t *testing.T) {
 		t.Fatalf("after put: Idle=%d IdleBytes=%d, want 1 and %d", s.Idle, s.IdleBytes, held)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		st := pool.get(false)
+		st := pool.get()
 		st.visited.Add(1, 2, 3)
 		st.answers.Add(1, 2, 0)
 		pool.put(st)
@@ -262,7 +261,7 @@ func TestEvalPoolWarmCycleAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm get/put cycle allocates %.0f times, want 0", allocs)
 	}
-	got := pool.get(false)
+	got := pool.get()
 	if s := pool.Stats(); s.Idle != 0 || s.IdleBytes != 0 {
 		t.Fatalf("after get: Idle=%d IdleBytes=%d, want 0/0", s.Idle, s.IdleBytes)
 	}

@@ -15,13 +15,13 @@ import (
 // This file implements prepared queries and context-aware execution: the
 // preprocess-once / enumerate-on-demand split that the enumeration literature
 // frames for RPQs. PrepareQuery runs everything in query initialisation that
-// does not depend on per-run state — validation, conjunct reordering, path
-// rewriting, automaton construction and ε-removal, Case 1 seed and
-// final-annotation resolution — into an immutable Prepared that any number of
-// goroutines may Exec concurrently. Exec instantiates only the per-run
-// evaluator state (D_R, visited set, answer registry, deferred frontier) and
-// returns an Execution whose Close releases disk-backed state (spill files)
-// deterministically instead of at process exit.
+// does not depend on per-run state — validation, automaton construction and
+// ε-removal, Case 1 seed and final-annotation resolution — into an immutable
+// Prepared that any number of goroutines may Exec concurrently. Exec
+// instantiates only the per-run evaluator state (D_R, visited set, answer
+// registry, deferred frontier) and returns an Execution whose Close releases
+// disk-backed state (spill files) deterministically instead of at process
+// exit.
 
 // ExecOptions are the per-execution knobs of a prepared query. They deliberately
 // carry only what varies call-to-call in a serving workload; everything that
@@ -39,8 +39,9 @@ type ExecOptions struct {
 	// over-budget answers. 0 means unlimited.
 	MaxDist int32
 	// MaxTuples overrides Options.MaxTuples for this execution when positive
-	// (0 inherits the prepared value). Evaluation beyond the budget returns
-	// ErrTupleBudget.
+	// (0 inherits the prepared value). Like Options.MaxTuples it is enforced
+	// per evaluator, not per execution: an evaluator that goes past it ends
+	// the execution with ErrTupleBudget.
 	MaxTuples int
 	// Mode, when non-nil, overrides every conjunct's mode for this execution
 	// (the study's exact/APPROX/RELAX sweeps over one query text). The first
@@ -117,8 +118,7 @@ type Prepared struct {
 	ont  *ontology.Ontology
 	opts Options // defaults applied
 
-	order []int    // the conjunct permutation ReorderConjuncts applied (nil when none)
-	def   *planSet // the query's own modes
+	def *planSet // the query's own modes
 
 	mu          sync.Mutex
 	variants    map[automaton.Mode]*planSet // lazily compiled Mode overrides
@@ -137,9 +137,9 @@ func cloneQuery(q *Query) *Query {
 	return out
 }
 
-// PrepareQuery compiles q once for repeated execution: validation, optional
-// conjunct reordering, and per-conjunct automaton construction (the paper's
-// Open, minus the per-run D_R seeding). The result is goroutine-shareable.
+// PrepareQuery compiles q once for repeated execution: validation and
+// per-conjunct automaton construction (the paper's Open, minus the per-run D_R
+// seeding). The result is goroutine-shareable.
 func PrepareQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options) (*Prepared, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -147,10 +147,6 @@ func PrepareQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 	opts = opts.withDefaults()
 	q = cloneQuery(q)
 	p := &Prepared{g: g, ont: ont, opts: opts}
-	if opts.ReorderConjuncts && len(q.Conjuncts) > 1 {
-		p.order = planQueryTree(q)
-		q = applyPlan(q, p.order)
-	}
 	def, err := p.compileSet(q, nil)
 	if err != nil {
 		return nil, err
@@ -228,8 +224,7 @@ func (p *Prepared) planSetFor(mode *automaton.Mode) (*planSet, error) {
 	return ps, nil
 }
 
-// Query returns the prepared query (post-reordering). The caller must not
-// modify it.
+// Query returns the prepared query. The caller must not modify it.
 func (p *Prepared) Query() *Query { return p.def.q }
 
 // CompileStats reports how many automata this Prepared has built across all

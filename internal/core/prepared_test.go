@@ -61,7 +61,6 @@ func TestPreparedExecMatchesOpenQuery(t *testing.T) {
 			Disjunction:   rng.Intn(2) == 0,
 			MaxPsi:        []int32{0, 2, 1 << 20}[rng.Intn(3)],
 			RareSide:      rng.Intn(4) == 0,
-			Rewrite:       rng.Intn(4) == 0,
 		}
 
 		it, err := OpenQuery(g, ont, q, opts)
@@ -387,10 +386,9 @@ func TestQuickDisjunctionResumableMatchesRestart(t *testing.T) {
 		mode := []automaton.Mode{automaton.Approx, automaton.Relax, automaton.Flex}[rng.Intn(3)]
 		c := conj([]string{"?X", "n0", "C1"}[rng.Intn(3)], res[rng.Intn(len(res))], []string{"?Y", "n2"}[rng.Intn(2)], mode)
 		opts := Options{
-			Disjunction:  true,
-			MaxPsi:       []int32{0, 1, 2, 3, 5, 1 << 20}[rng.Intn(6)],
-			BatchSize:    randBatchSize(rng, 1, 7, 100),
-			NoFinalFirst: rng.Intn(4) == 0,
+			Disjunction: true,
+			MaxPsi:      []int32{0, 1, 2, 3, 5, 1 << 20}[rng.Intn(6)],
+			BatchSize:   randBatchSize(rng, 1, 7, 100),
 		}
 		if rng.Intn(3) == 0 {
 			// Non-unit costs: φ = 2, so some grid points re-admit nothing and

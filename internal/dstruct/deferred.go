@@ -28,12 +28,11 @@ import "fmt"
 // exists to rescue queries whose frontier would exhaust memory, so the
 // parked frontier must not silently reintroduce that growth.
 type Deferred struct {
-	buckets      []bucket // per-distance; both sub-lists in generation order
-	cursor       int      // lower bound on the minimal non-empty bucket
-	overflow     []Tuple  // out-of-range distances, generation order
-	size         int
-	resident     int
-	noFinalFirst bool
+	buckets  []bucket // per-distance; both sub-lists in generation order
+	cursor   int      // lower bound on the minimal non-empty bucket
+	overflow []Tuple  // out-of-range distances, generation order
+	size     int
+	resident int
 
 	// Spill state (inactive when threshold == 0): store holds the spilled
 	// sub-lists, so size == resident + store.spilled.
@@ -43,10 +42,10 @@ type Deferred struct {
 	err       error
 }
 
-// NewDeferred returns an empty deferred frontier. noFinalFirst must match the
-// dictionary the frontier will be injected into, so sub-list routing agrees.
-func NewDeferred(noFinalFirst bool) *Deferred {
-	return &Deferred{noFinalFirst: noFinalFirst, store: spillStore{kind: &deferredSpill}}
+// NewDeferred returns an empty deferred frontier. The argument, once the
+// final-first ablation switch, is ignored (see Dict.Reset).
+func NewDeferred(_ bool) *Deferred {
+	return &Deferred{store: spillStore{kind: &deferredSpill}}
 }
 
 // NewDeferredSpill returns a deferred frontier keeping at most threshold
@@ -54,11 +53,11 @@ func NewDeferred(noFinalFirst bool) *Deferred {
 // (of the system temp dir when empty), removed by Close. The subdirectory is
 // what lets concurrent executions share one configured spill directory; see
 // NewSpillDict.
-func NewDeferredSpill(threshold int, dir string, noFinalFirst bool) (*Deferred, error) {
+func NewDeferredSpill(threshold int, dir string) (*Deferred, error) {
 	if threshold <= 0 {
 		return nil, fmt.Errorf("dstruct: NewDeferredSpill: threshold must be positive")
 	}
-	df := NewDeferred(noFinalFirst)
+	df := NewDeferred(false)
 	df.threshold = threshold
 	if err := df.store.open(dir); err != nil {
 		return nil, spillErr("NewDeferredSpill", err)
@@ -91,7 +90,7 @@ func (df *Deferred) Add(t Tuple) {
 	if d >= len(df.buckets) {
 		df.buckets = growBuckets(df.buckets, d)
 	}
-	df.buckets[d].push(t, df.noFinalFirst)
+	df.buckets[d].push(t)
 	if d < df.cursor {
 		df.cursor = d
 	}
@@ -114,8 +113,8 @@ func (df *Deferred) Len() int { return df.size }
 // again. A cleanup failure is recorded as the frontier's sticky error rather
 // than silently dropped: the frontier is then unusable, which is what routes
 // the bundle holding it to the pool's discard path instead of back into
-// circulation over leaked files.
-func (df *Deferred) Reset(noFinalFirst bool) {
+// circulation over leaked files. The argument is ignored (see Dict.Reset).
+func (df *Deferred) Reset(_ bool) {
 	for i := range df.buckets {
 		b := &df.buckets[i]
 		b.final = b.final[:0]
@@ -125,7 +124,6 @@ func (df *Deferred) Reset(noFinalFirst bool) {
 	df.cursor = 0
 	df.size = 0
 	df.resident = 0
-	df.noFinalFirst = noFinalFirst
 	df.err = nil
 	df.closed = false
 	df.store.ioNanos, df.store.ioBytes = 0, 0

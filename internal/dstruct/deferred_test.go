@@ -38,20 +38,6 @@ func TestDeferredFIFOWithinBucket(t *testing.T) {
 	}
 }
 
-func TestDeferredNoFinalFirstKeepsInterleaving(t *testing.T) {
-	df := NewDeferred(true)
-	for i := 0; i < 6; i++ {
-		df.Add(tup(i, i, 0, 3, i%2 == 0))
-	}
-	var got []Tuple
-	df.Drain(3, func(x Tuple) { got = append(got, x) })
-	for i, x := range got {
-		if int(x.V) != i {
-			t.Fatalf("noFinalFirst drain must keep pure generation order, got V=%d at %d", x.V, i)
-		}
-	}
-}
-
 func TestDeferredDrainAscendingBuckets(t *testing.T) {
 	df := NewDeferred(false)
 	for _, d := range []int{5, 1, 9, 1, 5, 2} {
@@ -126,12 +112,8 @@ func TestDeferredOverflowDistances(t *testing.T) {
 func TestQuickDeferredInjectMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
-		noFF := rng.Intn(2) == 0
-		df := NewDeferred(noFF)
+		df := NewDeferred(false)
 		replay := NewDict()
-		if noFF {
-			replay = NewDictNoFinalFirst()
-		}
 		var gen []Tuple
 		for i := 0; i < 200; i++ {
 			tt := tup(i, i, rng.Intn(3), rng.Intn(10), rng.Intn(3) == 0)
@@ -142,11 +124,8 @@ func TestQuickDeferredInjectMatchesReplay(t *testing.T) {
 			replay.Add(tt)
 		}
 		var target TupleDict = NewDict()
-		if noFF {
-			target = NewDictNoFinalFirst()
-		}
 		if rng.Intn(3) == 0 {
-			target = NewRefDict(noFF)
+			target = NewRefDict()
 		}
 		if n := target.Inject(df, 9); n != 200 {
 			t.Fatalf("Inject admitted %d tuples, want 200", n)
@@ -174,7 +153,7 @@ func TestQuickDeferredSpillMatchesResident(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 15; trial++ {
 		dir := t.TempDir()
-		sp, err := NewDeferredSpill(1+rng.Intn(6), dir, false)
+		sp, err := NewDeferredSpill(1+rng.Intn(6), dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +199,7 @@ func TestQuickDeferredSpillMatchesResident(t *testing.T) {
 }
 
 func TestDeferredSpillActuallySpills(t *testing.T) {
-	sp, err := NewDeferredSpill(4, t.TempDir(), false)
+	sp, err := NewDeferredSpill(4, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

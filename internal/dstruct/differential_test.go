@@ -24,52 +24,45 @@ func drainStep(t *testing.T, trial, op int, d *Dict, ref *RefDict) {
 // evaluator never produces but the structure must survive — and requires
 // byte-identical pop sequences.
 func TestDictMatchesRefDictRandomized(t *testing.T) {
-	for _, noFF := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(42))
-		for trial := 0; trial < 100; trial++ {
-			var d *Dict
-			if noFF {
-				d = NewDictNoFinalFirst()
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 100; trial++ {
+		d := NewDict()
+		ref := NewRefDict()
+		pending := 0
+		for op := 0; op < 1000; op++ {
+			if pending == 0 || rng.Intn(5) < 3 {
+				dist := rng.Intn(20)
+				switch rng.Intn(12) {
+				case 0:
+					dist = -1 - rng.Intn(5) // negative: overflow path
+				case 1:
+					dist = maxBucketDist + rng.Intn(100) // huge: overflow path
+				}
+				tu := tup(op, rng.Intn(50), rng.Intn(4), dist, rng.Intn(2) == 0)
+				d.Add(tu)
+				ref.Add(tu)
+				pending++
 			} else {
-				d = NewDict()
-			}
-			ref := NewRefDict(noFF)
-			pending := 0
-			for op := 0; op < 1000; op++ {
-				if pending == 0 || rng.Intn(5) < 3 {
-					dist := rng.Intn(20)
-					switch rng.Intn(12) {
-					case 0:
-						dist = -1 - rng.Intn(5) // negative: overflow path
-					case 1:
-						dist = maxBucketDist + rng.Intn(100) // huge: overflow path
-					}
-					tu := tup(op, rng.Intn(50), rng.Intn(4), dist, rng.Intn(2) == 0)
-					d.Add(tu)
-					ref.Add(tu)
-					pending++
-				} else {
-					drainStep(t, trial, op, d, ref)
-					pending--
-				}
-				if md, ok := d.MinDistance(); true {
-					rmd, rok := ref.MinDistance()
-					if ok != rok || md != rmd {
-						t.Fatalf("trial %d op %d: MinDistance %d/%v vs ref %d/%v",
-							trial, op, md, ok, rmd, rok)
-					}
-				}
-				if d.Len() != ref.Len() {
-					t.Fatalf("trial %d op %d: Len %d vs ref %d", trial, op, d.Len(), ref.Len())
-				}
-			}
-			for pending > 0 {
-				drainStep(t, trial, -1, d, ref)
+				drainStep(t, trial, op, d, ref)
 				pending--
 			}
-			if _, ok := d.Remove(); ok {
-				t.Fatalf("trial %d: Dict not empty after drain", trial)
+			if md, ok := d.MinDistance(); true {
+				rmd, rok := ref.MinDistance()
+				if ok != rok || md != rmd {
+					t.Fatalf("trial %d op %d: MinDistance %d/%v vs ref %d/%v",
+						trial, op, md, ok, rmd, rok)
+				}
 			}
+			if d.Len() != ref.Len() {
+				t.Fatalf("trial %d op %d: Len %d vs ref %d", trial, op, d.Len(), ref.Len())
+			}
+		}
+		for pending > 0 {
+			drainStep(t, trial, -1, d, ref)
+			pending--
+		}
+		if _, ok := d.Remove(); ok {
+			t.Fatalf("trial %d: Dict not empty after drain", trial)
 		}
 	}
 }
@@ -173,7 +166,7 @@ func TestAnswersMatchesMapRandomized(t *testing.T) {
 // BenchmarkRefDictAddRemove is the map+heap baseline for
 // BenchmarkDictAddRemove (identical workload).
 func BenchmarkRefDictAddRemove(b *testing.B) {
-	d := NewRefDict(false)
+	d := NewRefDict()
 	for i := 0; i < b.N; i++ {
 		d.Add(tup(i, i, 0, i%16, i%5 == 0))
 		if i%2 == 1 {

@@ -34,10 +34,10 @@ type bucket struct {
 }
 
 // push routes t into the sub-list Dict ordering expects: final tuples to the
-// final list unless the noFinalFirst ablation collapses the distinction.
-// Deferred uses the identical routing so its buckets can be adopted wholesale.
-func (b *bucket) push(t Tuple, noFinalFirst bool) {
-	if t.Final && !noFinalFirst {
+// final list. Deferred uses the identical routing so its buckets can be
+// adopted wholesale.
+func (b *bucket) push(t Tuple) {
+	if t.Final {
 		b.final = append(b.final, t)
 	} else {
 		b.nonFinal = append(b.nonFinal, t)
@@ -82,12 +82,11 @@ const maxBucketDist = 1 << 16
 // disjoint, so overall ordering is negative overflow, then buckets, then
 // large overflow.
 type Dict struct {
-	buckets      []bucket
-	cursor       int
-	overflow     *RefDict // lazily created; holds out-of-range distances
-	size         int
-	adds         int // total insertions over the Dict's lifetime
-	noFinalFirst bool
+	buckets  []bucket
+	cursor   int
+	overflow *RefDict // lazily created; holds out-of-range distances
+	size     int
+	adds     int // total insertions over the Dict's lifetime
 }
 
 // NewDict returns an empty dictionary.
@@ -95,18 +94,12 @@ func NewDict() *Dict {
 	return &Dict{}
 }
 
-// NewDictNoFinalFirst returns a dictionary that orders purely by distance,
-// ignoring the final flag (ablation of the §3.3 refinement).
-func NewDictNoFinalFirst() *Dict {
-	return &Dict{noFinalFirst: true}
-}
-
 // Add inserts t.
 func (dd *Dict) Add(t Tuple) {
 	d := int(t.D)
 	if d < 0 || d >= maxBucketDist {
 		if dd.overflow == nil {
-			dd.overflow = NewRefDict(dd.noFinalFirst)
+			dd.overflow = NewRefDict()
 		}
 		dd.overflow.Add(t)
 		dd.size++
@@ -116,7 +109,7 @@ func (dd *Dict) Add(t Tuple) {
 	if d >= len(dd.buckets) {
 		dd.buckets = growBuckets(dd.buckets, d)
 	}
-	dd.buckets[d].push(t, dd.noFinalFirst)
+	dd.buckets[d].push(t)
 	if d < dd.cursor {
 		dd.cursor = d
 	}
@@ -177,11 +170,12 @@ func (dd *Dict) Len() int { return dd.size }
 // Reset restores the dictionary to its empty state while retaining the bucket
 // array and every per-bucket slice capacity, so a pooled reuse inserts on the
 // steady path without allocating. Tuples hold no pointers, so truncating the
-// slices pins no garbage. noFinalFirst is re-armed because a pooled dictionary
-// may serve engines with different ablation settings. The rare out-of-range
-// overflow dictionary is dropped rather than recycled (it only exists under
-// extreme custom costs, and its map+heap does not reset cheaply).
-func (dd *Dict) Reset(noFinalFirst bool) {
+// slices pins no garbage. The rare out-of-range overflow dictionary is
+// dropped rather than recycled (it only exists under extreme custom costs,
+// and its map+heap does not reset cheaply). The argument, once the
+// final-first ablation switch, is ignored; the signature survives only
+// because benchmark/layers calls it (ROADMAP item 8 drops it there).
+func (dd *Dict) Reset(_ bool) {
 	for i := range dd.buckets {
 		b := &dd.buckets[i]
 		b.final = b.final[:0]
@@ -191,7 +185,6 @@ func (dd *Dict) Reset(noFinalFirst bool) {
 	dd.overflow = nil
 	dd.size = 0
 	dd.adds = 0
-	dd.noFinalFirst = noFinalFirst
 }
 
 // Adds returns the lifetime number of insertions (the memory-pressure metric

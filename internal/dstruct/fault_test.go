@@ -23,7 +23,7 @@ func TestSpillWriteFaultSurfacesTypedError(t *testing.T) {
 	if err := fault.Configure("dstruct.spill.write=error", 1); err != nil {
 		t.Fatal(err)
 	}
-	sd, err := NewSpillDict(8, t.TempDir(), false)
+	sd, err := NewSpillDict(8, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSpillWriteFaultSurfacesTypedError(t *testing.T) {
 
 func TestSpillLoadFaultSurfacesTypedError(t *testing.T) {
 	defer fault.Reset()
-	sd, err := NewSpillDict(8, t.TempDir(), false)
+	sd, err := NewSpillDict(8, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSpillLoadFaultSurfacesTypedError(t *testing.T) {
 func TestSpillCloseRemovesDirDespiteRemoveFault(t *testing.T) {
 	defer fault.Reset()
 	parent := t.TempDir()
-	sd, err := NewSpillDict(8, parent, false)
+	sd, err := NewSpillDict(8, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDeferredWriteFaultSurfacesTypedError(t *testing.T) {
 	if err := fault.Configure("dstruct.deferred.write=error", 1); err != nil {
 		t.Fatal(err)
 	}
-	df, err := NewDeferredSpill(8, t.TempDir(), false)
+	df, err := NewDeferredSpill(8, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDeferredWriteFaultSurfacesTypedError(t *testing.T) {
 
 func TestDeferredResetRecordsCleanupFailure(t *testing.T) {
 	defer fault.Reset()
-	df, err := NewDeferredSpill(8, t.TempDir(), false)
+	df, err := NewDeferredSpill(8, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestDeferredResetRecordsCleanupFailure(t *testing.T) {
 
 func TestDeferredLoadFaultSurfacesTypedError(t *testing.T) {
 	defer fault.Reset()
-	df, err := NewDeferredSpill(8, t.TempDir(), false)
+	df, err := NewDeferredSpill(8, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +155,12 @@ func TestSpillFilesNamedForJanitor(t *testing.T) {
 	// The serving janitor reclaims orphans by the omega-spill-* /
 	// omega-deferred-* prefixes; pin them.
 	parent := t.TempDir()
-	sd, err := NewSpillDict(8, parent, false)
+	sd, err := NewSpillDict(8, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sd.Close()
-	df, err := NewDeferredSpill(8, parent, false)
+	df, err := NewDeferredSpill(8, parent)
 	if err != nil {
 		t.Fatal(err)
 	}

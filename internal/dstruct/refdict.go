@@ -8,16 +8,15 @@ import "container/heap"
 // Dict (both must produce byte-identical pop sequences) and is not used on
 // the evaluation hot path.
 type RefDict struct {
-	lists        map[int64][]Tuple
-	keys         keyHeap
-	size         int
-	adds         int
-	noFinalFirst bool
+	lists map[int64][]Tuple
+	keys  keyHeap
+	size  int
+	adds  int
 }
 
 // NewRefDict returns an empty reference dictionary.
-func NewRefDict(noFinalFirst bool) *RefDict {
-	return &RefDict{lists: make(map[int64][]Tuple), noFinalFirst: noFinalFirst}
+func NewRefDict() *RefDict {
+	return &RefDict{lists: make(map[int64][]Tuple)}
 }
 
 // key packs (distance, final) so that smaller distances sort first and, at
@@ -30,16 +29,9 @@ func key(d int32, final bool) int64 {
 	return k
 }
 
-func (dd *RefDict) keyFor(t Tuple) int64 {
-	if dd.noFinalFirst {
-		return key(t.D, false)
-	}
-	return key(t.D, t.Final)
-}
-
 // Add inserts t.
 func (dd *RefDict) Add(t Tuple) {
-	k := dd.keyFor(t)
+	k := key(t.D, t.Final)
 	list, ok := dd.lists[k]
 	if !ok || len(list) == 0 {
 		heap.Push(&dd.keys, k)

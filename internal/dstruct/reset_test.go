@@ -46,51 +46,43 @@ func dirty(dd *Dict, rng *rand.Rand) {
 }
 
 func TestDictResetBehavesFresh(t *testing.T) {
-	for _, noFinalFirst := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(7))
-		used := NewDict()
-		dirty(used, rng)
-		used.Reset(noFinalFirst)
+	rng := rand.New(rand.NewSource(7))
+	used := NewDict()
+	dirty(used, rng)
+	used.Reset(false)
+	fresh := NewDict()
 
-		fresh := NewDict()
-		if noFinalFirst {
-			fresh = NewDictNoFinalFirst()
-		}
+	if used.Len() != 0 || used.Adds() != 0 {
+		t.Fatalf("after Reset: Len=%d Adds=%d, want 0/0", used.Len(), used.Adds())
+	}
+	if _, ok := used.MinDistance(); ok {
+		t.Fatal("after Reset: MinDistance reports a tuple")
+	}
 
-		if used.Len() != 0 || used.Adds() != 0 {
-			t.Fatalf("after Reset: Len=%d Adds=%d, want 0/0", used.Len(), used.Adds())
-		}
-		if _, ok := used.MinDistance(); ok {
-			t.Fatal("after Reset: MinDistance reports a tuple")
-		}
-
-		tuples := randomTuples(rng, 300, 50)
-		for i, tp := range tuples {
-			used.Add(tp)
-			fresh.Add(tp)
-			if i%5 == 0 {
-				a, aok := used.Remove()
-				b, bok := fresh.Remove()
-				if a != b || aok != bok {
-					t.Fatalf("noFinalFirst=%v: pop %d: reset dict %+v/%v, fresh %+v/%v",
-						noFinalFirst, i, a, aok, b, bok)
-				}
-			}
-		}
-		for {
+	tuples := randomTuples(rng, 300, 50)
+	for i, tp := range tuples {
+		used.Add(tp)
+		fresh.Add(tp)
+		if i%5 == 0 {
 			a, aok := used.Remove()
 			b, bok := fresh.Remove()
 			if a != b || aok != bok {
-				t.Fatalf("noFinalFirst=%v: drain: reset dict %+v/%v, fresh %+v/%v",
-					noFinalFirst, a, aok, b, bok)
-			}
-			if !aok {
-				break
+				t.Fatalf("pop %d: reset dict %+v/%v, fresh %+v/%v", i, a, aok, b, bok)
 			}
 		}
-		if used.Adds() != fresh.Adds() {
-			t.Fatalf("Adds: reset %d, fresh %d", used.Adds(), fresh.Adds())
+	}
+	for {
+		a, aok := used.Remove()
+		b, bok := fresh.Remove()
+		if a != b || aok != bok {
+			t.Fatalf("drain: reset dict %+v/%v, fresh %+v/%v", a, aok, b, bok)
 		}
+		if !aok {
+			break
+		}
+	}
+	if used.Adds() != fresh.Adds() {
+		t.Fatalf("Adds: reset %d, fresh %d", used.Adds(), fresh.Adds())
 	}
 }
 
@@ -226,7 +218,7 @@ func TestDeferredResetBehavesFresh(t *testing.T) {
 // files and leaves the frontier usable.
 func TestDeferredResetReleasesSpill(t *testing.T) {
 	dir := t.TempDir()
-	df, err := NewDeferredSpill(8, dir, false)
+	df, err := NewDeferredSpill(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,13 +66,12 @@ var _ TupleDict = (*SpillDict)(nil)
 // extreme custom costs) stay resident in its sparse overflow and are exempt
 // from spilling.
 type SpillDict struct {
-	mem          *Dict
-	store        spillStore // the spilled buckets
-	threshold    int
-	adds         int
-	noFinalFirst bool
-	closed       bool
-	err          error
+	mem       *Dict
+	store     spillStore // the spilled buckets
+	threshold int
+	adds      int
+	closed    bool
+	err       error
 }
 
 // NewSpillDict creates a spilling dictionary keeping at most threshold
@@ -80,18 +79,14 @@ type SpillDict struct {
 // when empty); each dictionary spills into its own fresh subdirectory of it,
 // removed by Close, so any number of concurrent executions may share one
 // configured spill directory without their per-key files colliding.
-func NewSpillDict(threshold int, dir string, noFinalFirst bool) (*SpillDict, error) {
+func NewSpillDict(threshold int, dir string) (*SpillDict, error) {
 	if threshold <= 0 {
 		return nil, fmt.Errorf("dstruct: NewSpillDict: threshold must be positive")
 	}
 	sd := &SpillDict{
-		mem:          NewDict(),
-		store:        spillStore{kind: &dictSpill},
-		threshold:    threshold,
-		noFinalFirst: noFinalFirst,
-	}
-	if noFinalFirst {
-		sd.mem = NewDictNoFinalFirst()
+		mem:       NewDict(),
+		store:     spillStore{kind: &dictSpill},
+		threshold: threshold,
 	}
 	if err := sd.store.open(dir); err != nil {
 		return nil, spillErr("NewSpillDict", err)

@@ -9,7 +9,7 @@ import (
 
 func newTestSpill(t *testing.T, threshold int) *SpillDict {
 	t.Helper()
-	sd, err := NewSpillDict(threshold, t.TempDir(), false)
+	sd, err := NewSpillDict(threshold, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSpillDictMinDistance(t *testing.T) {
 
 func TestSpillDictCloseRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	sd, err := NewSpillDict(2, dir, false)
+	sd, err := NewSpillDict(2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSpillDictCloseRemovesFiles(t *testing.T) {
 // Close already cleaned (the iterator-lifecycle contract of the serving API).
 func TestSpillDictClosedIsInert(t *testing.T) {
 	dir := t.TempDir()
-	sd, err := NewSpillDict(2, dir, false)
+	sd, err := NewSpillDict(2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSpillDictClosedIsInert(t *testing.T) {
 // frontier.
 func TestDeferredClosedIsInert(t *testing.T) {
 	dir := t.TempDir()
-	df, err := NewDeferredSpill(2, dir, false)
+	df, err := NewDeferredSpill(2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestDeferredClosedIsInert(t *testing.T) {
 }
 
 func TestSpillDictOwnDirCleanup(t *testing.T) {
-	sd, err := NewSpillDict(2, "", false)
+	sd, err := NewSpillDict(2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSpillDictOwnDirCleanup(t *testing.T) {
 
 func TestSpillDictIOErrorSticky(t *testing.T) {
 	dir := t.TempDir()
-	sd, err := NewSpillDict(1, dir, false)
+	sd, err := NewSpillDict(1, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSpillDictIOErrorSticky(t *testing.T) {
 }
 
 func TestSpillDictRejectsBadThreshold(t *testing.T) {
-	if _, err := NewSpillDict(0, "", false); err == nil {
+	if _, err := NewSpillDict(0, ""); err == nil {
 		t.Fatal("threshold 0 accepted")
 	}
 }

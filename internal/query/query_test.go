@@ -1,10 +1,13 @@
 package query
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"omega/internal/automaton"
+	"omega/internal/l4all"
+	"omega/internal/yago"
 )
 
 func TestParsePaperQueries(t *testing.T) {
@@ -152,4 +155,44 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("not a query")
+}
+
+// FuzzParseQuery: any text Parse accepts renders back — the head, then each
+// conjunct's String — into text that parses to the same query: head, subjects,
+// objects, modes and expressions (rpq Expr.Equal). Seeded with the 21 study
+// queries and the benchmark's two-conjunct join.
+func FuzzParseQuery(f *testing.F) {
+	for _, q := range l4all.Queries() {
+		f.Add(q.Text)
+	}
+	for _, q := range yago.Queries() {
+		f.Add(q.Text)
+	}
+	f.Add("(?X, ?Y) <- (Alumni_0_Episode_1, next+, ?X), (?X, job.type, ?Y)")
+	f.Add("(?X, ?Z) <- (?X, p.q, ?Y), APPROX (?Y, r|s, ?Z), relax(?Z, t, ?W)")
+	f.Fuzz(func(t *testing.T, text string) {
+		q, err := Parse(text)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(q.Conjuncts))
+		for i, c := range q.Conjuncts {
+			parts[i] = c.String()
+		}
+		rendered := "(?" + strings.Join(q.Head, ", ?") + ") <- " + strings.Join(parts, ", ")
+		again, err := Parse(rendered)
+		if err != nil {
+			t.Fatalf("%q rendered as %q, which does not parse: %v", text, rendered, err)
+		}
+		if !slices.Equal(again.Head, q.Head) || len(again.Conjuncts) != len(q.Conjuncts) {
+			t.Fatalf("%q rendered as %q: head %q and %d conjuncts, want %q and %d",
+				text, rendered, again.Head, len(again.Conjuncts), q.Head, len(q.Conjuncts))
+		}
+		for i, c := range q.Conjuncts {
+			d := again.Conjuncts[i]
+			if d.Subject != c.Subject || d.Object != c.Object || d.Mode != c.Mode || !d.Expr.Equal(c.Expr) {
+				t.Fatalf("%q rendered as %q: conjunct %d is %v, want %v", text, rendered, i+1, d, c)
+			}
+		}
+	})
 }

@@ -120,7 +120,7 @@ func TestReverseConcatOrder(t *testing.T) {
 	}
 }
 
-func TestConstructorsSimplify(t *testing.T) {
+func TestConstructorsFlatten(t *testing.T) {
 	if got := Concat(); got.Op != OpEps {
 		t.Errorf("Concat() = %s, want ()", got)
 	}
