@@ -26,6 +26,7 @@ type ablationRow struct {
 	End           string `json:"end"`
 	Rows          int    `json:"rows"`
 	Hist          string `json:"hist"`
+	Order         string `json:"order"` // see orderHash
 	TuplesAdded   int    `json:"tuples_added"`
 	TuplesPopped  int    `json:"tuples_popped"`
 	NeighborCalls int    `json:"neighbor_calls"`
@@ -109,7 +110,7 @@ func runAblationCase(t *testing.T, name string, s ablationSetting, q ablationQue
 	}
 	d := drain(rows)
 	row := ablationRow{
-		Case: name, Setting: s.name, End: "done", Rows: len(d.rows), Hist: d.hist,
+		Case: name, Setting: s.name, End: "done", Rows: len(d.rows), Hist: d.hist, Order: orderHash(d.rows),
 		TuplesAdded: d.stats.TuplesAdded, TuplesPopped: d.stats.TuplesPopped,
 		NeighborCalls: d.stats.NeighborCalls, MemPeakBytes: d.stats.MemPeakBytes,
 	}
@@ -179,8 +180,8 @@ func ablationCompare(def, knob ablationRow) (better, worse bool) {
 // three joins, each under EXACT, APPROX and RELAX at top-100 and exhaustive,
 // on the ranked backend, each run bounded by 200 000 tuples and 256 MiB
 // accounted) under the default options and under each knob flipped on its
-// own. Each run records how it ended, its rows and per-distance histogram,
-// TuplesAdded, TuplesPopped, NeighborCalls, MemPeakBytes, the pops before the
+// own. Each run records how it ended, its rows, per-distance histogram and
+// emission order (orderHash), TuplesAdded, TuplesPopped, NeighborCalls, MemPeakBytes, the pops before the
 // first answer and the most pops between two answers, and whether it emitted
 // the default's rows in the default's order. testdata/ablation.json holds one
 // line per case and setting (go test -run TestAblationMatrix -update rewrites

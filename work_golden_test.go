@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"slices"
 	"strings"
@@ -18,12 +19,14 @@ var updateWorkGolden = flag.Bool("update", false, "rewrite testdata/work_golden.
 const workGoldenPath = "testdata/work_golden.json"
 
 // workCounters is what one execution did, in the units that repeat exactly on
-// any machine: the evaluator's work counters, the row count and the rows per
-// distance ("dist:rows" pairs, ascending).
+// any machine: the evaluator's work counters, the row count, the rows per
+// distance ("dist:rows" pairs, ascending) and the emission order (see
+// orderHash).
 type workCounters struct {
 	Case         string `json:"case"`
 	Rows         int    `json:"rows"`
 	Hist         string `json:"hist"`
+	Order        string `json:"order"`
 	TuplesAdded  int    `json:"tuples_added"`
 	TuplesPopped int    `json:"tuples_popped"`
 	Deferred     int    `json:"deferred"`
@@ -88,6 +91,18 @@ type drained struct {
 	err    error
 }
 
+// orderHash pins an emission order in one column: the FNV-64a hash of the
+// rendered rows, one per line, in the order they came out. Two runs with the
+// same rows in a different order, ties included, hash differently.
+func orderHash(rows []string) string {
+	h := fnv.New64a()
+	for _, r := range rows {
+		h.Write([]byte(r))
+		h.Write([]byte{'\n'})
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // drain pulls rows until the stream ends or fails; err is the terminal error.
 func drain(rows *Rows) drained {
 	defer rows.Close()
@@ -133,7 +148,7 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 	st := d.stats
 	return workRun{
 		counters: workCounters{
-			Case: name, Rows: len(d.rows), Hist: d.hist,
+			Case: name, Rows: len(d.rows), Hist: d.hist, Order: orderHash(d.rows),
 			TuplesAdded: st.TuplesAdded, TuplesPopped: st.TuplesPopped,
 			Deferred: st.Deferred, Reinjected: st.Reinjected,
 			Phases: st.Phases, VisitedSize: st.VisitedSize,
@@ -144,9 +159,9 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 }
 
 // TestWorkGolden pins the work the ranked evaluator does against
-// testdata/work_golden.json: a change that alters which tuples exist shows up
-// as a diff of that file (go test -run TestWorkGolden -update rewrites it), a
-// refactor must leave it untouched. Three groups of cases, all on the ranked
+// testdata/work_golden.json: a change that alters which tuples exist, or the
+// order the rows come out in, shows up as a diff of that file (go test -run
+// TestWorkGolden -update rewrites it), a refactor must leave it untouched. Three groups of cases, all on the ranked
 // backend:
 //
 //   - the L4All study queries on L1 × EXACT/APPROX/RELAX × plain/distance-aware
