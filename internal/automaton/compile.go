@@ -33,6 +33,8 @@ type CTrans struct {
 	// same neighbour set (same Kind/Dir/Labels/Target): the paper's Succ
 	// procedure reuses the NeighboursByEdge result U across such runs (§3.4).
 	Group int32
+	// Index is the transition's position in Compiled.Trans.
+	Index int32
 }
 
 // Compiled is an ε-free weighted NFA bound to a graph, ready for evaluation.
@@ -41,6 +43,9 @@ type Compiled struct {
 	Start       int32
 	FinalWeight []int32 // per state; -1 when not final
 	States      [][]CTrans
+	// Trans holds every transition once, state by state; each States[s] is a
+	// sub-slice of it, so Trans[tr.Index] is tr.
+	Trans []CTrans
 	// MinTransCost is the smallest non-zero transition cost, used as the ψ
 	// increment by distance-aware retrieval when no operator cost is known.
 	MinTransCost int32
@@ -140,6 +145,19 @@ func Compile(n *NFA, g *graph.Graph, ont *ontology.Ontology) (*Compiled, error) 
 			ts[i].Group = group
 		}
 		c.States[s] = ts
+	}
+	total := 0
+	for _, ts := range c.States {
+		total += len(ts)
+	}
+	c.Trans = make([]CTrans, 0, total) // never regrown: States alias it
+	for s, ts := range c.States {
+		base := len(c.Trans)
+		for i := range ts {
+			ts[i].Index = int32(base + i)
+		}
+		c.Trans = append(c.Trans, ts...)
+		c.States[s] = c.Trans[base:len(c.Trans):len(c.Trans)]
 	}
 	return c, nil
 }

@@ -117,6 +117,9 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 		if err != nil {
 			return nil, err
 		}
+		if err := checkContSlots(aut, g); err != nil {
+			return nil, err
+		}
 		p.auts = append(p.auts, aut)
 		p.built++
 	}
@@ -132,6 +135,9 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 		for i, e := range exprs {
 			aut, err := automaton.Build(e, g, ont, ropts)
 			if err != nil {
+				return nil, err
+			}
+			if err := checkContSlots(aut, g); err != nil {
 				return nil, err
 			}
 			revAuts = append(revAuts, aut)

@@ -42,6 +42,15 @@ var ErrClosed = errors.New("core: execution closed")
 // structures' high-water capacity is exactly what the budget exists to shed.
 var ErrMemBudget = errors.New("core: memory budget exceeded")
 
+// ErrTooManyTransitions is returned by compilation for a conjunct whose
+// automaton the evaluator cannot run: one with costed transitions (APPROX,
+// RELAX, FLEX) needs a continuation slot per transition and neighbour
+// segment, two per edge label of the graph, and a slot is 24 bits, so
+// transitions × 2 × labels must not exceed 2^24 (dstruct.ContSlots). On a
+// graph with 100 edge labels that allows 83 886 transitions; EXACT automata
+// make no continuations and are not bounded.
+var ErrTooManyTransitions = errors.New("core: automaton has too many transitions for its continuation slots")
+
 // ErrSpill is the typed root of disk I/O failures in spilling executions
 // (re-exported from dstruct): every spill create/write/read/remove failure
 // surfaces through the sticky-error contract wrapping it.
@@ -174,11 +183,14 @@ type Options struct {
 	// a top-level alternation is decomposed into sub-automata evaluated
 	// distance-phase by distance-phase, cheapest-first.
 	Disjunction bool
-	// MaxTuples is a budget per evaluator on the tuples it adds to D_R;
-	// an evaluator that goes past it ends the execution with ErrTupleBudget.
+	// MaxTuples is a budget per evaluator on the tuples it adds to D_R —
+	// every tuple or continuation pushed or re-injected, and every successor
+	// a continuation yields (see Stats.TuplesAdded) — so it bounds the
+	// successors materialised, not the ones a continuation still stands for.
+	// An evaluator that goes past it ends the execution with ErrTupleBudget.
 	// 0 means unlimited. It does not bound the execution: each conjunct of a
 	// join, each branch under Disjunction and each shard under Parallelism
-	// runs its own evaluator with the whole budget, and tuples parked in the
+	// runs its own evaluator with the whole budget, and entries parked in the
 	// deferred frontier count only once re-injected, a ψ phase at a time. So
 	// an execution may add several times MaxTuples, and hold more, before it
 	// fails, or finish without failing.
@@ -277,18 +289,27 @@ type Iterator interface {
 
 // Stats exposes evaluation counters for the performance study.
 type Stats struct {
-	TuplesAdded   int
-	TuplesPopped  int
-	VisitedSize   int
-	Phases        int // distance-aware ψ phases (1 when not distance-aware)
+	// TuplesAdded counts entries entering D_R — a tuple or continuation
+	// pushed, or re-injected at a ψ phase — plus one per successor a
+	// continuation yields; TuplesPopped counts pops, a continuation's pop
+	// being the one of the successor it yields. So TuplesPopped ≤ TuplesAdded.
+	TuplesAdded  int
+	TuplesPopped int
+	VisitedSize  int
+	Phases       int // distance-aware ψ phases (1 when not distance-aware)
+	// NeighborCalls counts the neighbour lists Succ opened: one per cost-0
+	// transition whose U the cache did not hold, one per costed transition,
+	// where its continuation is positioned. CacheHits counts the cost-0
+	// retrievals the U cache served.
 	NeighborCalls int
-	CacheHits     int // Succ U-cache reuses
-	// Deferred counts tuples parked in the deferred frontier because their
-	// distance exceeded the ψ of the phase that generated them; Reinjected
-	// counts deferred tuples re-admitted into D_R at a later phase. Both are
-	// zero outside the incremental distance-aware mode — in particular, a
-	// distance-aware run with Reinjected == 0 but more than one phase has
-	// silently fallen back to restart-style recomputation.
+	CacheHits     int
+	// Deferred counts entries (tuples and continuations) parked in the
+	// deferred frontier because their distance exceeded the ψ of the phase
+	// that generated them; Reinjected counts deferred entries re-admitted
+	// into D_R at a later phase. Both are zero outside the incremental
+	// distance-aware mode — in particular, a distance-aware run with
+	// Reinjected == 0 but more than one phase has silently fallen back to
+	// restart-style recomputation.
 	Deferred   int
 	Reinjected int
 	// MemPeakBytes is the high-water mark of the execution's accounted

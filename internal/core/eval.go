@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"omega/internal/automaton"
 	"omega/internal/dstruct"
@@ -53,6 +54,11 @@ type evaluator struct {
 	// when the frontier outgrows every previous one.
 	scratch []graph.NodeID
 
+	// stride is the number of continuation slots per transition: one per
+	// neighbour segment, an edge label of the graph in one direction (see
+	// segment). A continuation's slot is tr.Index·stride + segment.
+	stride int32
+
 	// state, when non-nil, is the pooled bundle backing dr/visited/answers
 	// (and deferred, once armed): finish returns it to the run's pool instead of
 	// discarding it, so the next execution inherits the grown capacities.
@@ -88,10 +94,11 @@ type evaluator struct {
 
 func newEvaluator(g *graph.Graph, aut *automaton.Compiled, r *run) *evaluator {
 	ev := &evaluator{
-		g:   g,
-		aut: aut,
-		r:   r,
-		psi: -1,
+		g:      g,
+		aut:    aut,
+		r:      r,
+		psi:    -1,
+		stride: contStride(g),
 	}
 	opts := &r.opts
 	if r.pool != nil {
@@ -308,10 +315,11 @@ func (ev *evaluator) escalate() {
 	}
 }
 
-// reject handles a tuple whose distance exceeds the current ψ: the pruned
-// flag tells the driver a higher ψ could reveal more, and in resumable mode
-// the tuple is parked for re-injection instead of being recomputed from
-// scratch next phase — unless no reachable phase could ever admit it.
+// reject handles a tuple or continuation whose distance exceeds the current
+// ψ: the pruned flag tells the driver a higher ψ could reveal more, and in
+// resumable mode the entry is parked for re-injection instead of being
+// recomputed from scratch next phase — unless no reachable phase could ever
+// admit it.
 func (ev *evaluator) reject(t dstruct.Tuple) {
 	ev.pruned = true
 	if ev.deferred != nil && t.D <= ev.deferLimit {
@@ -323,11 +331,12 @@ func (ev *evaluator) reject(t dstruct.Tuple) {
 	}
 }
 
-// resume raises ψ and re-injects every deferred tuple the new bound admits —
+// resume raises ψ and re-injects every deferred entry the new bound admits —
 // exactly the D_R contents a restarted phase would have rebuilt, minus all
 // the recomputation (for the bucket-queue Dict the re-injection is a slice
-// adoption, not per-tuple work). The caller must only invoke it after Next
-// has reported exhaustion.
+// adoption, not per-tuple work). Each entry, tuple or continuation, counts one
+// tuple added. The caller must only invoke it after Next has reported
+// exhaustion.
 func (ev *evaluator) resume(psi int32) {
 	ev.psi = psi
 	n := ev.dr.Inject(ev.deferred, psi)
@@ -344,8 +353,9 @@ func (ev *evaluator) resume(psi int32) {
 	ev.sampleMem()
 }
 
-// add inserts a tuple, enforcing the tuple budget (every insertion into D_R
-// goes through add or resume, so stats.TuplesAdded is its lifetime count).
+// add inserts a tuple or a new continuation, enforcing the tuple budget.
+// Every entry entering D_R goes through add or resume, and every successor a
+// continuation yields through step, so stats.TuplesAdded counts both.
 func (ev *evaluator) add(t dstruct.Tuple) {
 	if ev.failed != nil {
 		return
@@ -491,6 +501,11 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 			return Answer{}, false, nil
 		}
 		ev.stats.TuplesPopped++
+		if t.IsCont() {
+			if t, ok = ev.step(t); !ok {
+				continue
+			}
+		}
 
 		if t.Final {
 			if ev.answers.Add(t.V, t.N, t.D) {
@@ -517,13 +532,23 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 }
 
 // expand is Succ (§3.4): follow every compiled transition of state t.S from
-// node t.N, reusing the neighbour set U across runs of identical labels.
+// node t.N. A cost-0 transition pushes its successors now, reusing the
+// neighbour set U across runs of identical labels; they land on top of D_R
+// and pop next, so generating them later would save nothing. A costed
+// transition pushes one continuation instead (see cont), which generates its
+// successors one pop at a time, so a hub's thousands of insert/substitute
+// successors cost only as many tuples as are popped.
 func (ev *evaluator) expand(t dstruct.Tuple) {
 	var cache []graph.NodeID
 	cacheGroup := int32(-1)
 	states := ev.aut.NextStates(t.S)
 	for i := range states {
 		tr := &states[i]
+		if tr.Cost > 0 {
+			ev.stats.NeighborCalls++
+			ev.cont(t.V, t.N, t.D+tr.Cost, tr)
+			continue
+		}
 		var u []graph.NodeID
 		if tr.Group == cacheGroup && cacheGroup >= 0 {
 			u = cache
@@ -545,6 +570,115 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 		}
 	}
 	ev.stats.VisitedSize = ev.visited.Len()
+}
+
+// A continuation stands for the successors of (v, n) over one costed
+// transition tr that are still to be generated, all at distance d = t.D +
+// tr.Cost: a dstruct.Cont naming v, n, d, the slot tr.Index·stride + seg and a
+// cursor, the index of its current successor in neighbour segment seg. Eager
+// Succ pushed those successors in neighbour order onto D_R's LIFO stacks, so
+// they popped last-first; a continuation sits where the first of them sat and
+// walks them last-first, skipping the visited ones eager would have popped
+// only to discard. What pops and in which order is therefore eager's, minus
+// those discards, over every D_R implementation and through the deferred
+// frontier and its re-injection alike.
+
+// contStride is the number of continuation slots per transition of an
+// automaton over g: one per neighbour segment, that is two per edge label.
+func contStride(g *graph.Graph) int32 { return 2 * int32(g.NumLabels()) }
+
+// checkContSlots fails with ErrTooManyTransitions when aut has costed
+// transitions (so evaluation makes continuations) and its slots,
+// transitions × contStride, outnumber dstruct.ContSlots.
+func checkContSlots(aut *automaton.Compiled, g *graph.Graph) error {
+	if int64(len(aut.Trans))*int64(contStride(g)) <= dstruct.ContSlots {
+		return nil
+	}
+	for i := range aut.Trans {
+		if aut.Trans[i].Cost > 0 {
+			return fmt.Errorf("%w: %d transitions over %d edge labels", ErrTooManyTransitions, len(aut.Trans), g.NumLabels())
+		}
+	}
+	return nil
+}
+
+// cont pushes one continuation for the successors of (v, n) over the costed
+// transition tr at distance d, positioned on the last one still unvisited —
+// or parks it through reject when d is beyond ψ. Nothing is pushed when every
+// successor is visited.
+func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
+	segs := int(ev.stride) // a wildcard walks every label of the graph
+	if tr.Kind == automaton.Sym {
+		segs = 2 * len(tr.Labels)
+	}
+	seg, cur, ok := ev.lastSucc(v, n, tr, segs-1, math.MaxInt)
+	if !ok {
+		return
+	}
+	c := dstruct.Cont(v, n, d, tr.Index*ev.stride+int32(seg), int32(cur))
+	if ev.psi >= 0 && d > ev.psi {
+		ev.reject(c)
+		return
+	}
+	ev.add(c)
+}
+
+// step is what a popped continuation c does: it takes its current successor,
+// re-adds itself positioned on the next unvisited one before that successor
+// is processed — so the successor's own pushes land above it, as they landed
+// above its eager siblings — and returns the successor as the plain tuple to
+// process. The successor counts one tuple added, under the tuple budget; the
+// re-added continuation does not.
+func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
+	if ev.r.overBudget(ev.stats.TuplesAdded + 1) {
+		ev.failed = ErrTupleBudget
+		return dstruct.Tuple{}, false
+	}
+	ev.stats.TuplesAdded++
+	slot := c.Slot()
+	tr := &ev.aut.Trans[slot/ev.stride]
+	seg, cur := int(slot%ev.stride), int(c.Cursor())
+	m := ev.segment(c.N, tr, seg)[cur]
+	if seg, cur, ok := ev.lastSucc(c.V, c.N, tr, seg, cur); ok {
+		ev.dr.Add(dstruct.Cont(c.V, c.N, c.D, tr.Index*ev.stride+int32(seg), int32(cur)))
+	}
+	return dstruct.Tuple{V: c.V, N: m, S: tr.To, D: c.D}, true
+}
+
+// lastSucc finds the last successor of n over tr before index end of segment
+// seg (segments before seg included) that meets tr's landing constraint and
+// is unvisited in state tr.To from v, and returns its segment and index.
+func (ev *evaluator) lastSucc(v, n graph.NodeID, tr *automaton.CTrans, seg, end int) (int, int, bool) {
+	for ; seg >= 0; seg, end = seg-1, math.MaxInt {
+		ns := ev.segment(n, tr, seg)
+		for i := min(end, len(ns)) - 1; i >= 0; i-- {
+			m := ns[i]
+			if (tr.Target == graph.InvalidNode || m == tr.Target) && !ev.visited.Contains(v, m, tr.To) {
+				return seg, i, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// segment returns neighbour segment seg of n over tr: the neighbours over
+// label seg/2 of tr's labels (of the graph's, for a wildcard), along out-edges
+// for an even seg and in-edges for an odd one, and none in a direction tr does
+// not follow. Concatenated in order, the segments list the neighbours in the
+// order neighboursByEdge returns them, before its landing filter.
+func (ev *evaluator) segment(n graph.NodeID, tr *automaton.CTrans, seg int) []graph.NodeID {
+	dir := graph.Out
+	if seg&1 == 1 {
+		dir = graph.In
+	}
+	if tr.Dir != graph.Both && tr.Dir != dir {
+		return nil
+	}
+	l := graph.LabelID(seg >> 1)
+	if tr.Kind == automaton.Sym {
+		l = tr.Labels[seg>>1]
+	}
+	return ev.g.Neighbors(n, l, dir)
 }
 
 // neighboursByEdge retrieves the neighbours of n reachable over the

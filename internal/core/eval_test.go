@@ -540,16 +540,26 @@ func TestRelaxWithoutOntologyFails(t *testing.T) {
 
 func TestStatsCacheHits(t *testing.T) {
 	g, ont := tinyGraph(t)
-	// APPROX automata have parallel wildcard transitions with identical
-	// retrieval groups, so the Succ U-cache must hit.
-	it, err := OpenConjunct(g, ont, conj("a", "p.p", "?X", automaton.Approx), Options{})
+	// p.q|p.p leaves the start state with two p transitions to different
+	// states: one retrieval group, so the Succ U-cache must hit. Only cost-0
+	// transitions use the cache (a costed one makes a continuation), which
+	// is why this is an EXACT query.
+	it, err := OpenConjunct(g, ont, conj("a", "p.q|p.p", "?X", automaton.Exact), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	drain(t, it, 50)
 	st := it.Stats()
 	if st.CacheHits == 0 {
-		t.Fatal("Succ cache never hit on an APPROX query")
+		t.Fatal("Succ cache never hit on same-group transitions")
+	}
+	ap, err := OpenConjunct(g, ont, conj("a", "p.p", "?X", automaton.Approx), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, ap, 50)
+	if hits := ap.Stats().CacheHits; hits != 0 {
+		t.Fatalf("APPROX p.p: %d cache hits, want 0 — its parallel wildcard transitions are costed", hits)
 	}
 	if st.TuplesAdded == 0 || st.TuplesPopped == 0 {
 		t.Fatalf("stats not collected: %+v", st)

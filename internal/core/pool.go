@@ -99,10 +99,11 @@ type EvalPool struct {
 // defaultBundleCapBytes bounds the footprint of a recycled bundle: a bundle
 // whose reset capacity exceeds the cap is discarded instead of pooled, so one
 // giant query cannot permanently pin its high-water memory in every slot it
-// cycles through. 64 MiB covers every study query but one: an APPROX Q9
-// top-100 on L3 ends holding about 186 MB (the benchmark's approx_topk
-// acct_peak_mb), so its bundle is discarded on every rotation and the request
-// after it starts from a fresh 64-slot one.
+// cycles through. 64 MiB covers every study query: the largest bundle of the
+// benchmark's approx_topk rotation (APPROX top-100 on L3) holds about 7.4 MB,
+// its acct_peak_mb, because Succ parks one continuation per costed
+// transition rather than one tuple per successor, so every bundle of that
+// rotation is recycled.
 const defaultBundleCapBytes = 64 << 20
 
 // NewEvalPool returns a pool retaining at most max idle states (0 picks a

@@ -39,9 +39,10 @@ type ExecOptions struct {
 	// over-budget answers. 0 means unlimited.
 	MaxDist int32
 	// MaxTuples overrides Options.MaxTuples for this execution when positive
-	// (0 inherits the prepared value). Like Options.MaxTuples it is enforced
-	// per evaluator, not per execution: an evaluator that goes past it ends
-	// the execution with ErrTupleBudget.
+	// (0 inherits the prepared value). Like Options.MaxTuples it counts the
+	// entries pushed or re-injected and the successors continuations yield,
+	// and is enforced per evaluator, not per execution: an evaluator that goes
+	// past it ends the execution with ErrTupleBudget.
 	MaxTuples int
 	// Mode, when non-nil, overrides every conjunct's mode for this execution
 	// (the study's exact/APPROX/RELAX sweeps over one query text). The first

@@ -18,12 +18,41 @@ import (
 // Tuple is a traversal tuple (v, n, s, d, f): visiting node n in automaton
 // state s at distance d, having started from node v; f marks 'final' tuples,
 // which are answers waiting to be emitted.
+//
+// A tuple whose S is negative is a continuation instead (see Cont): it stands
+// for the successors of n over one automaton transition that are still to be
+// generated, all at distance d. It is never final, so it queues, parks and
+// spills exactly where a plain successor at d would.
 type Tuple struct {
 	V, N  graph.NodeID
 	S     int32
 	D     int32
 	Final bool
+	// slot is a continuation's slot number, little-endian, in what would
+	// otherwise be the padding after Final.
+	slot [3]byte
 }
+
+// ContSlots bounds a continuation's slot number: a slot is 24 bits. The
+// evaluator numbers one slot per transition and neighbour segment, so it is
+// what limits the automata it can evaluate lazily.
+const ContSlots = 1 << 24
+
+// Cont returns a continuation from v at node n, distance d: slot names what
+// it enumerates (a number below ContSlots, the caller's to interpret) and
+// cursor (≥ 0) its position in that enumeration.
+func Cont(v, n graph.NodeID, d, slot, cursor int32) Tuple {
+	return Tuple{V: v, N: n, S: ^cursor, D: d, slot: [3]byte{byte(slot), byte(slot >> 8), byte(slot >> 16)}}
+}
+
+// IsCont reports whether t is a continuation.
+func (t Tuple) IsCont() bool { return t.S < 0 }
+
+// Slot returns a continuation's slot number.
+func (t Tuple) Slot() int32 { return int32(t.slot[0]) | int32(t.slot[1])<<8 | int32(t.slot[2])<<16 }
+
+// Cursor returns a continuation's cursor.
+func (t Tuple) Cursor() int32 { return ^t.S }
 
 // bucket holds the tuples of one distance, split by final flag. In Dict both
 // lists are LIFO stacks, matching the paper's add/remove at the head of a
@@ -245,7 +274,7 @@ func (dd *Dict) Close() error { return nil }
 // estimates from fixed per-entry sizes — close enough to steer spill
 // escalation and budget aborts, cheap enough to sample on the hot path.
 const (
-	tupleMem    = 20 // Tuple: 4×int32 + bool, padded
+	tupleMem    = 20 // Tuple: 4×int32 + bool + 3-byte slot
 	bucketMem   = 48 // bucket: two slice headers
 	visEntryMem = 16 // visEntry: uint64 + int32 + uint32
 	answerMem   = 12 // Answer: 3×int32

@@ -1,10 +1,14 @@
 package dstruct
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
+
+	"omega/internal/graph"
 )
 
 func newTestSpill(t *testing.T, threshold int) *SpillDict {
@@ -265,16 +269,39 @@ func TestSpillDictRejectsBadThreshold(t *testing.T) {
 	}
 }
 
-func TestTupleCodecRoundTrip(t *testing.T) {
-	buf := make([]byte, tupleBytes)
-	for _, tt := range []Tuple{
-		{},
-		{V: 1, N: 2, S: 3, D: 4, Final: true},
-		{V: -1, N: 1 << 30, S: -5, D: 0, Final: false},
-	} {
-		encodeTuple(buf, tt)
-		if got := decodeTuple(buf); got != tt {
-			t.Fatalf("codec round trip: %+v → %+v", tt, got)
+// FuzzTupleCodec round-trips both encodings through the spill codec: the
+// plain tuple (v, n, s, d, final) with whatever slot bytes it carries, and
+// the continuation Cont(v, n, d, slot, cursor) built from the same words,
+// whose slot and cursor must survive the disk and read back unchanged.
+func FuzzTupleCodec(f *testing.F) {
+	f.Add(int32(0), int32(0), int32(0), int32(0), false, uint32(0))
+	f.Add(int32(1), int32(2), int32(3), int32(4), true, uint32(0))
+	f.Add(int32(-1), int32(1<<30), int32(-5), int32(0), false, uint32(ContSlots-1))
+	f.Add(int32(7), int32(8), int32(math.MaxInt32), int32(maxBucketDist), false, uint32(1<<31))
+	f.Fuzz(func(t *testing.T, v, n, s, d int32, final bool, slot uint32) {
+		buf := make([]byte, tupleBytes)
+		roundTrip := func(tt Tuple) {
+			encodeTuple(buf, tt)
+			if got := decodeTuple(buf); got != tt {
+				t.Fatalf("codec round trip: %+v → %+v", tt, got)
+			}
 		}
+		roundTrip(Tuple{V: graph.NodeID(v), N: graph.NodeID(n), S: s, D: d, Final: final,
+			slot: [3]byte{byte(slot), byte(slot >> 8), byte(slot >> 16)}})
+
+		sl, cur := int32(slot%ContSlots), s&math.MaxInt32
+		c := Cont(graph.NodeID(v), graph.NodeID(n), d, sl, cur)
+		if !c.IsCont() || c.Final || c.Slot() != sl || c.Cursor() != cur || c.D != d {
+			t.Fatalf("Cont(%d, %d, %d, %d, %d) = %+v: slot %d, cursor %d", v, n, d, sl, cur, c, c.Slot(), c.Cursor())
+		}
+		roundTrip(c)
+	})
+}
+
+// TestTupleSize pins the resident size the accounting assumes: a Tuple,
+// continuation or not, is tupleMem bytes.
+func TestTupleSize(t *testing.T) {
+	if got := unsafe.Sizeof(Tuple{}); got != tupleMem {
+		t.Fatalf("Tuple is %d bytes, tupleMem says %d", got, tupleMem)
 	}
 }

@@ -38,8 +38,10 @@ var (
 	}
 )
 
-const tupleBytes = 4 + 4 + 4 + 4 + 1 // v, n, s, d, final
+const tupleBytes = 4 + 4 + 4 + 4 + 1 + 3 // v, n, s, d, final, slot
 
+// encodeTuple writes t in tupleBytes bytes; a continuation's slot and cursor
+// (its S) travel with it.
 func encodeTuple(buf []byte, t Tuple) {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(t.V))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(t.N))
@@ -49,6 +51,7 @@ func encodeTuple(buf []byte, t Tuple) {
 	if t.Final {
 		buf[16] = 1
 	}
+	copy(buf[17:20], t.slot[:])
 }
 
 func decodeTuple(buf []byte) Tuple {
@@ -58,6 +61,7 @@ func decodeTuple(buf []byte) Tuple {
 		S:     int32(binary.LittleEndian.Uint32(buf[8:])),
 		D:     int32(binary.LittleEndian.Uint32(buf[12:])),
 		Final: buf[16] == 1,
+		slot:  [3]byte(buf[17:20]),
 	}
 }
 

@@ -222,6 +222,12 @@ var ErrDeadline = core.ErrDeadline
 // ErrClosed is returned by Rows.Next after Rows.Close.
 var ErrClosed = core.ErrClosed
 
+// ErrTooManyTransitions is returned by Prepare (or by the Exec that first
+// compiles a mode override) for an APPROX, RELAX or FLEX conjunct whose
+// automaton has more than 2^24 / (2 × edge labels of the graph) transitions:
+// the evaluator names each transition's neighbour segments in a 24-bit slot.
+var ErrTooManyTransitions = core.ErrTooManyTransitions
+
 // ErrSpill is the typed root of disk I/O failures in spilling executions
 // (Options.SpillThreshold > 0): create, write, read and remove failures all
 // surface through the Rows sticky-error contract wrapping it, the execution's
