@@ -114,6 +114,7 @@ func runAblationCase(t *testing.T, name string, s ablationSetting, q ablationQue
 		TuplesAdded: d.stats.TuplesAdded, TuplesPopped: d.stats.TuplesPopped,
 		NeighborCalls: d.stats.NeighborCalls, MemPeakBytes: d.stats.MemPeakBytes,
 	}
+	checkFrontierBound(t, name+"/"+s.name, row.MemPeakBytes)
 	switch {
 	case d.err == nil:
 	case errors.Is(d.err, ErrTupleBudget):
@@ -185,7 +186,8 @@ func ablationCompare(def, knob ablationRow) (better, worse bool) {
 // first answer and the most pops between two answers, and whether it emitted
 // the default's rows in the default's order. testdata/ablation.json holds one
 // line per case and setting (go test -run TestAblationMatrix -update rewrites
-// it); every run must repeat it exactly.
+// it); every run must repeat it exactly, and hold its accounted peak under
+// frontierBound.
 //
 // In every case that both runs finish, the knob's histogram must equal the
 // default's: a knob may change the work, never the answers.

@@ -50,6 +50,21 @@ type workGolden struct {
 	MemFresh []workMem      `json:"mem_peak_bytes_fresh"`
 }
 
+// frontierBound is what every golden and ablation run must hold its
+// accounted peak under. It is ROADMAP item 14b's condition for the hard
+// watermark to be the only memory bound, with no disk spill behind it; a case
+// that needs more has to argue its way back in there.
+const frontierBound = 64 << 20
+
+// checkFrontierBound fails the test when a run's accounted peak is over
+// frontierBound.
+func checkFrontierBound(t *testing.T, name string, peak int64) {
+	t.Helper()
+	if peak > frontierBound {
+		t.Errorf("%s: accounted peak %d bytes is over the 64 MiB frontier bound (ROADMAP item 14b)", name, peak)
+	}
+}
+
 // render writes one case per line, so a change in work reads as a line diff.
 func (wg *workGolden) render() []byte {
 	return fmt.Appendf(nil, "{\n  \"counters\": [\n%s\n  ],\n  \"mem_peak_bytes_fresh\": [\n%s\n  ]\n}\n",
@@ -176,7 +191,7 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 // whole corpus — so each pooled run inherits whatever the previous tenant grew
 // — and both must emit the same rows and report the same counters; only the
 // fresh run's accounted peak is recorded, since a pooled one depends on that
-// previous tenant.
+// previous tenant. That peak must be under frontierBound.
 func TestWorkGolden(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	pool := NewEvalPool(1)
@@ -188,6 +203,7 @@ func TestWorkGolden(t *testing.T) {
 			t.Errorf("%s: pooled state changed the rows or the work:\n pooled %+v\n fresh  %+v",
 				name, pooled.counters, fresh.counters)
 		}
+		checkFrontierBound(t, name, fresh.memPeak)
 		got.Counters = append(got.Counters, fresh.counters)
 		got.MemFresh = append(got.MemFresh, workMem{Case: name, Bytes: fresh.memPeak})
 	}
