@@ -63,7 +63,7 @@ func drainBatches(t *testing.T, rows *Rows, size int) []Row {
 // depend on how an execution was drained. (The accounted peak of a parallel
 // run depends on how its workers happened to overlap, whoever drains it.)
 func workStats(s Stats) Stats {
-	s.TTFRNanos, s.MergeWaitNanos, s.SpillIONanos = 0, 0, 0
+	s.TTFRNanos, s.MergeWaitNanos = 0, 0
 	if s.Parallelism > 1 {
 		s.MemPeakBytes = 0
 	}
@@ -279,7 +279,7 @@ func TestNextBatchAliasing(t *testing.T) {
 func TestNextBatchLifecycle(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	eng := NewEngine(g, ont).WithOptions(Options{DistanceAware: true})
-	pq, err := eng.PrepareText(spillQuery)
+	pq, err := eng.PrepareText(approxQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

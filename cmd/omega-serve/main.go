@@ -17,7 +17,7 @@
 // trace=1 to /query for a span tree on the done line, and -slow-query-ms /
 // -debug-addr for the slow-query log and the pprof server.
 // On SIGINT/SIGTERM the listener stops accepting, in-flight
-// streams drain, and every request's disk-backed state is released before the
+// streams drain, and every request's evaluator state is released before the
 // process exits.
 package main
 
@@ -42,66 +42,58 @@ import (
 	"omega/internal/serve"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		data      = flag.String("data", "", "builtin dataset: l4all:L1..L4 or yago:<scale factor>")
-		graphFile = flag.String("graph", "", "graph file (omega-graph v1, or .nt N-Triples)")
-		ontFile   = flag.String("ontology", "", "ontology file (omega-ontology v1)")
+// The flags live at package level so that a test can parse a command line
+// against exactly the set main parses.
+var (
+	addr      = flag.String("addr", ":8080", "listen address")
+	data      = flag.String("data", "", "builtin dataset: l4all:L1..L4 or yago:<scale factor>")
+	graphFile = flag.String("graph", "", "graph file (omega-graph v1, or .nt N-Triples)")
+	ontFile   = flag.String("ontology", "", "ontology file (omega-ontology v1)")
 
-		workers    = flag.Int("workers", 4, "concurrently executing requests")
-		queue      = flag.Int("queue", 0, "admitted requests waiting beyond the workers (0 = 2×workers, -1 = none)")
-		quantum    = flag.Int("quantum", 64, "rows per scheduling turn")
-		timeout    = flag.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
-		retryAfter = flag.Duration("retry-after", time.Second, "back-off hint attached to 503 rejections")
-		planCache  = flag.Int("plan-cache", 128, "prepared plans retained (LRU)")
-		poolSize   = flag.Int("pool", 0, "evaluator-state bundles retained (0 = workers, -1 = disable pooling)")
-		maxLimit   = flag.Int("max-limit", 10000, "cap on per-request row limit (0 = none)")
+	workers    = flag.Int("workers", 4, "concurrently executing requests")
+	queue      = flag.Int("queue", 0, "admitted requests waiting beyond the workers (0 = 2×workers, -1 = none)")
+	quantum    = flag.Int("quantum", 64, "rows per scheduling turn")
+	timeout    = flag.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
+	retryAfter = flag.Duration("retry-after", time.Second, "back-off hint attached to 503 rejections")
+	planCache  = flag.Int("plan-cache", 128, "prepared plans retained (LRU)")
+	poolSize   = flag.Int("pool", 0, "evaluator-state bundles retained (0 = workers, -1 = disable pooling)")
+	maxLimit   = flag.Int("max-limit", 10000, "cap on per-request row limit (0 = none)")
 
-		stallBudget  = flag.Duration("stall-budget", time.Minute, "abort requests whose scheduling turn makes no progress for this long (0 = off)")
-		degradeAfter = flag.Int("degrade-after", 16, "admission rejections within -degrade-window that trigger degraded mode (0 = off)")
-		degradeWin   = flag.Duration("degrade-window", 10*time.Second, "sliding window for -degrade-after")
-		degradeLimit = flag.Int("degraded-limit", 1000, "row-limit clamp while degraded (0 = no clamp)")
-		degradeDist  = flag.Int("degraded-maxdist", 0, "maxdist clamp while degraded (0 = no clamp)")
+	stallBudget  = flag.Duration("stall-budget", time.Minute, "abort requests whose scheduling turn makes no progress for this long (0 = off)")
+	degradeAfter = flag.Int("degrade-after", 16, "admission rejections within -degrade-window that trigger degraded mode (0 = off)")
+	degradeWin   = flag.Duration("degrade-window", 10*time.Second, "sliding window for -degrade-after")
+	degradeLimit = flag.Int("degraded-limit", 1000, "row-limit clamp while degraded (0 = no clamp)")
+	degradeDist  = flag.Int("degraded-maxdist", 0, "maxdist clamp while degraded (0 = no clamp)")
 
-		memBudget   = flag.Int64("mem-budget", 0, "server-wide accounted-bytes budget for the memory broker (0 = GOMEMLIMIT or off, -1 = off)")
-		memReserve  = flag.Int64("mem-reserve", 0, "per-request admission reservation in bytes (0 = budget / admission slots)")
-		memInterval = flag.Duration("mem-check-interval", 0, "memory-pressure monitor tick (0 = 100ms)")
+	memBudget   = flag.Int64("mem-budget", 0, "server-wide accounted-bytes budget for the memory broker (0 = GOMEMLIMIT or off, -1 = off)")
+	memReserve  = flag.Int64("mem-reserve", 0, "per-request admission reservation in bytes (0 = budget / admission slots)")
+	memInterval = flag.Duration("mem-check-interval", 0, "memory-pressure monitor tick (0 = 100ms)")
 
-		slowQueryMs = flag.Int("slow-query-ms", 0, "log a structured slow-query line for requests at or above this latency in milliseconds (0 = off)")
-		debugAddr   = flag.String("debug-addr", "", "listen address for the pprof debug server (empty = off)")
+	slowQueryMs = flag.Int("slow-query-ms", 0, "log a structured slow-query line for requests at or above this latency in milliseconds (0 = off)")
+	debugAddr   = flag.String("debug-addr", "", "listen address for the pprof debug server (empty = off)")
 
-		janitor    = flag.Bool("janitor", true, "sweep orphaned spill directories from crashed runs at boot")
-		janitorAge = flag.Duration("janitor-age", time.Hour, "only sweep spill directories older than this (0 = all)")
+	distAware = flag.Bool("distance-aware", true, "enable §4.3 retrieval by distance")
+	disjunct  = flag.Bool("disjunction", false, "enable §4.3 alternation-by-disjunction")
+	rareSide  = flag.Bool("rare-side", false, "evaluate (?X,R,?Y) conjuncts from the rarer end")
+	quiet     = flag.Bool("quiet", false, "suppress the per-request log")
 
-		distAware = flag.Bool("distance-aware", true, "enable §4.3 retrieval by distance")
-		disjunct  = flag.Bool("disjunction", false, "enable §4.3 alternation-by-disjunction")
-		rareSide  = flag.Bool("rare-side", false, "evaluate (?X,R,?Y) conjuncts from the rarer end")
-		spill     = flag.Int("spill", 0, "spill D_R to disk beyond this many resident tuples (0 = off)")
-		spillDir  = flag.String("spill-dir", "", "parent directory for spill files (default: system temp)")
-		quiet     = flag.Bool("quiet", false, "suppress the per-request log")
-	)
-	// Per-request execution defaults — max-tuples, soft-mem, hard-mem,
-	// parallel — come from the shared knob registry, so the flags validate
-	// exactly like their HTTP parameter counterparts (which override them
-	// per request through the same registry).
-	knobs := omega.BindExecFlags(flag.CommandLine, map[string]string{
+	// Per-request execution defaults — max-tuples, hard-mem, parallel — come
+	// from the shared knob registry, so the flags validate exactly like their
+	// HTTP parameter counterparts (which override them per request through the
+	// same registry).
+	knobs = omega.BindExecFlags(flag.CommandLine, map[string]string{
 		"maxtuples": "5000000",
-	}, "maxtuples", "softmem", "hardmem", "parallel")
-	flag.Parse()
+	}, "maxtuples", "hardmem", "parallel")
 
-	// Boot-time janitor: reclaim spill directories a crashed predecessor left
-	// under the spill parent. The age guard keeps a concurrently running
-	// server's live directories safe.
-	if *janitor {
-		n, err := serve.CleanOrphanedSpill(*spillDir, *janitorAge)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "omega-serve: janitor: %v\n", err)
-		}
-		if n > 0 || err != nil {
-			fmt.Fprintf(os.Stderr, "omega-serve: janitor: removed %d orphaned spill dir(s)\n", n)
-		}
-	}
+	// The server keeps no disk state, but benchmark/server.go still passes
+	// -spill-dir and -janitor=false; both are accepted and ignored until the
+	// harness drops them (ROADMAP item 8d).
+	_ = flag.String("spill-dir", "", "ignored")
+	_ = flag.Bool("janitor", false, "ignored")
+)
+
+func main() {
+	flag.Parse()
 
 	g, ont, err := loadData(*data, *graphFile, *ontFile)
 	if err != nil {
@@ -112,12 +104,10 @@ func main() {
 		fatal(err)
 	}
 	opts := omega.Options{
-		DistanceAware:  *distAware,
-		Disjunction:    *disjunct,
-		RareSide:       *rareSide,
-		MaxTuples:      defaults.MaxTuples,
-		SpillThreshold: *spill,
-		SpillDir:       *spillDir,
+		DistanceAware: *distAware,
+		Disjunction:   *disjunct,
+		RareSide:      *rareSide,
+		MaxTuples:     defaults.MaxTuples,
 	}
 	eng := omega.NewEngine(g, ont).WithOptions(opts)
 
@@ -143,7 +133,6 @@ func main() {
 		MemBudget:        *memBudget,
 		MemReserve:       *memReserve,
 		MemCheckInterval: *memInterval,
-		SoftMemBytes:     defaults.SoftMemBytes,
 		HardMemBytes:     defaults.HardMemBytes,
 		Parallelism:      defaults.Parallelism,
 		SlowQuery:        time.Duration(*slowQueryMs) * time.Millisecond,
@@ -182,7 +171,7 @@ func main() {
 
 	// Graceful shutdown: stop accepting, let in-flight handlers stream their
 	// tails (bounded), then drain the scheduler so every execution has
-	// released its evaluator state and spill files.
+	// released its evaluator state.
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {

@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"regexp"
 	"testing"
+	"time"
+
+	"omega"
 )
 
 // TestListenLogsBoundAddress: with -addr :0 the kernel picks the port, so the
@@ -45,5 +49,42 @@ func TestListenLogsBoundAddress(t *testing.T) {
 	}
 	if srv.ReadHeaderTimeout <= 0 {
 		t.Fatal("server has no ReadHeaderTimeout")
+	}
+}
+
+// TestHarnessCommandLine parses the command line the benchmark harness starts
+// the server with (StartServer in benchmark/server.go, a module of its own
+// that does not change with the server): every flag it passes, the two
+// ignored ones included, must stay defined and land where main reads it.
+func TestHarnessCommandLine(t *testing.T) {
+	fs := flag.NewFlagSet("omega-serve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	flag.CommandLine.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
+	argv := []string{
+		"-addr", "127.0.0.1:40123",
+		"-graph", "data/graph.txt",
+		"-ontology", "data/ontology.txt",
+		"-workers", "2",
+		"-max-limit", "0",
+		"-hard-mem", "1073741824",
+		"-timeout", "30s",
+		"-spill-dir", "work",
+		"-janitor=false",
+		"-quiet",
+	}
+	if err := fs.Parse(argv); err != nil {
+		t.Fatalf("harness command line rejected: %v", err)
+	}
+	if fs.NArg() != 0 {
+		t.Fatalf("arguments left unparsed: %q", fs.Args())
+	}
+	var eo omega.ExecOptions
+	if err := knobs.Apply(&eo); err != nil {
+		t.Fatal(err)
+	}
+	if *addr != "127.0.0.1:40123" || *graphFile != "data/graph.txt" || *ontFile != "data/ontology.txt" ||
+		*workers != 2 || *maxLimit != 0 || *timeout != 30*time.Second || !*quiet || eo.HardMemBytes != 1<<30 {
+		t.Fatalf("parsed addr=%q graph=%q ontology=%q workers=%d max-limit=%d timeout=%v quiet=%v hard-mem=%d",
+			*addr, *graphFile, *ontFile, *workers, *maxLimit, *timeout, *quiet, eo.HardMemBytes)
 	}
 }

@@ -44,7 +44,7 @@ func main() {
 		batch       = flag.Int("batch", 10, "answers per console batch (interactive mode)")
 	)
 	// The execution knobs — mode, limit, maxdist, max-tuples, backend,
-	// soft-mem, hard-mem, parallel — come from the shared knob registry, so
+	// hard-mem, parallel — come from the shared knob registry, so
 	// they parse and validate exactly as their HTTP parameter counterparts.
 	knobs := omega.BindExecFlags(flag.CommandLine, map[string]string{
 		"limit":   "100",
@@ -82,7 +82,7 @@ func main() {
 	}
 
 	// Prepare once, execute with a signal-cancellable context: ctrl-C stops
-	// the query within one GetNext iteration and releases any spill state.
+	// the query within one GetNext iteration and releases its state.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

@@ -68,7 +68,7 @@ func (e *Engine) PrepareText(text string) (*PreparedQuery, error) {
 // Next reports ErrCanceled (or ErrDeadline) within one GetNext iteration of
 // the cancellation. The returned Rows is for a single goroutine; concurrent
 // serving calls Exec once per request. Close the Rows when abandoning it
-// before exhaustion — that is what releases spill files deterministically.
+// before exhaustion — that is what returns its evaluator state to the pool.
 func (pq *PreparedQuery) Exec(ctx context.Context, opts ExecOptions) (*Rows, error) {
 	ex, err := pq.p.Exec(ctx, opts)
 	if err != nil {
@@ -290,10 +290,9 @@ func (r *Rows) ForEach(ctx context.Context, fn func(Row) error) error {
 	}
 }
 
-// Close releases the execution's resources (spill files, deferred frontiers)
-// deterministically. It is idempotent: closing twice, or closing after
-// exhaustion, is a no-op. After Close, Next reports ErrClosed. A resource-
-// release failure (spill-file removal) is reported as a typed ErrSpill.
+// Close releases the execution's resources (evaluator state, deferred
+// frontiers) deterministically. It is idempotent: closing twice, or closing
+// after exhaustion, is a no-op. After Close, Next reports ErrClosed.
 func (r *Rows) Close() error {
 	r.closed = true
 	return r.ex.Close()

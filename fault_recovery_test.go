@@ -3,7 +3,6 @@ package omega
 import (
 	"context"
 	"errors"
-	"os"
 	"testing"
 
 	"omega/internal/fault"
@@ -66,7 +65,7 @@ func TestPoolDiscardsBundleOnInjectedError(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := NewEngine(g, ont).WithOptions(tc.opts)
-			pq, err := eng.PrepareText(spillQuery)
+			pq, err := eng.PrepareText(approxQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +134,7 @@ func TestPoolDiscardsBundleOnInjectedError(t *testing.T) {
 func TestPoolDiscardsBundleOnAbort(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	eng := NewEngine(g, ont).WithOptions(Options{DistanceAware: true})
-	pq, err := eng.PrepareText(spillQuery)
+	pq, err := eng.PrepareText(approxQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,56 +177,4 @@ func TestPoolDiscardsBundleOnAbort(t *testing.T) {
 		t.Fatalf("post-abort pooled Collect: %v", err)
 	}
 	assertSameRows(t, "post-abort pooled vs fresh", got, want)
-}
-
-// TestSpillFaultSurfacesTypedErrorAndCleansUp arms a spill-write failpoint
-// under a tiny spill threshold: the execution must fail with an error
-// wrapping ErrSpill through the sticky Rows contract, and releasing the
-// failed execution must leave the spill directory empty — a request that
-// dies of a disk fault may not leak the disk state of its own demise.
-func TestSpillFaultSurfacesTypedErrorAndCleansUp(t *testing.T) {
-	g, ont := datasets().L4All(l4all.L1)
-	for _, tc := range []struct {
-		name string
-		spec string
-		opts Options
-	}{
-		{"spill-write", "dstruct.spill.write=error#1", Options{SpillThreshold: 8}},
-		{"deferred-write", "dstruct.deferred.write=error#1", Options{SpillThreshold: 8, DistanceAware: true}},
-		{"spill-remove", "dstruct.spill.remove=error", Options{SpillThreshold: 8}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := tc.opts
-			opts.SpillDir = dir
-			eng := NewEngine(g, ont).WithOptions(opts)
-			pq, err := eng.PrepareText(spillQuery)
-			if err != nil {
-				t.Fatal(err)
-			}
-			withFaults(t, tc.spec, 7)
-			rows, err := pq.Exec(context.Background(), ExecOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = collectAll(rows, 0)
-			if err == nil {
-				t.Fatal("spill fault did not surface")
-			}
-			if !errors.Is(err, ErrSpill) {
-				t.Fatalf("error %v does not wrap omega.ErrSpill", err)
-			}
-			if !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("error %v does not wrap fault.ErrInjected", err)
-			}
-			fault.Reset()
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(entries) != 0 {
-				t.Fatalf("%d spill entries leaked after failed execution", len(entries))
-			}
-		})
-	}
 }

@@ -83,39 +83,6 @@ func TestIntegrationMixedModeJoin(t *testing.T) {
 	}
 }
 
-func TestIntegrationSpillThroughPublicAPI(t *testing.T) {
-	eng := l4allEngine(t).WithOptions(Options{SpillThreshold: 64, SpillDir: t.TempDir()})
-	rows, err := eng.QueryTextMode("(?X) <- (Librarians, type-.job-.next, ?X)", Approx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rows.Collect(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("no answers with spilling enabled")
-	}
-
-	// Same query without spilling must agree.
-	rows2, err := l4allEngine(t).QueryTextMode("(?X) <- (Librarians, type-.job-.next, ?X)", Approx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := rows2.Collect(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("spilled run: %d answers, plain run: %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Dist != want[i].Dist {
-			t.Fatalf("row %d distance differs: %d vs %d", i, got[i].Dist, want[i].Dist)
-		}
-	}
-}
-
 // TestIntegrationRewriteAndRareSide: a hand-written language-preserving
 // rewrite of the path expression, the rare-side plan, and both together
 // answer what the query as written answers.

@@ -154,10 +154,7 @@ func (b *bulkIterator) bulkIdx() *bulk.Index {
 // so the budget stays per-execution rather than per-worker — cancellation,
 // the bulk.step failpoint, and the charge of the level's resident bytes to
 // slot, with the hard watermark that goes with it. fixed is charged on top of
-// what the run reports: the immutable index, once per automaton. The soft
-// watermark has no response here — the bulk structures have no disk path, so
-// only the hard watermark protects them (consistently with the plain
-// in-memory D_R).
+// what the run reports: the immutable index, once per automaton.
 func (b *bulkIterator) step(slot *int64, fixed int64) func(resident int64, added int) error {
 	return func(resident int64, added int) error {
 		if b.r.overBudget(int(b.tuples.Add(int64(added)))) {
@@ -252,8 +249,7 @@ func (b *bulkIterator) release() {
 	b.pi = 0
 }
 
-// Close implements Iterator; bulk state is never pooled and never on disk, so
-// there is no release failure to report.
+// Close implements Iterator; bulk state is never pooled.
 func (b *bulkIterator) Close() error {
 	b.failed = closedErr(b.failed)
 	b.release()

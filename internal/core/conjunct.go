@@ -186,8 +186,8 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 }
 
 // newEvaluator instantiates a fresh evaluator over automaton autIdx with
-// distance cap psi (-1 = unlimited). Run-time knobs (spilling, budgets,
-// batching, dictionary choice) and governance come from r, which must outlive
+// distance cap psi (-1 = unlimited). Run-time knobs (budgets, batching,
+// dictionary choice) and governance come from r, which must outlive
 // the evaluator.
 func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi int32) *evaluator {
 	aut := p.auts[autIdx]
@@ -418,6 +418,6 @@ func OpenConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Optio
 		return nil, err
 	}
 	dec := plan.chooseBackend(opts.Backend, false)
-	r := newRun(nil, opts, NewMemGauge(0, 0), nil, nil)
+	r := newRun(nil, opts, NewMemGauge(0), nil, nil)
 	return plan.open(&r, obs.NoSpan, 0, dec.backend), nil
 }

@@ -148,7 +148,7 @@ func contractEndings() []contractEnding {
 			env.ctx = ctx
 		}},
 		{name: "hard-watermark", want: ErrMemBudget, fails: true, setup: func(_ contractDriver, env *contractEnv) {
-			env.mem = NewMemGauge(0, 1)
+			env.mem = NewMemGauge(1)
 		}},
 		{name: "tuple-budget", want: ErrTupleBudget, fails: true, setup: func(_ contractDriver, env *contractEnv) {
 			env.opts.MaxTuples = 5
@@ -177,7 +177,7 @@ func TestDriverContract(t *testing.T) {
 			for _, pooled := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/pooled=%v", d.name, e.name, pooled)
 				t.Run(name, func(t *testing.T) {
-					env := contractEnv{opts: d.opts.withDefaults(), mem: NewMemGauge(0, 0)}
+					env := contractEnv{opts: d.opts.withDefaults(), mem: NewMemGauge(0)}
 					var pool *EvalPool
 					if pooled {
 						pool = NewEvalPool(8)

@@ -35,11 +35,11 @@ var ErrClosed = errors.New("core: execution closed")
 // ErrMemBudget is returned when an execution's live resident bytes cross its
 // hard memory watermark (ExecOptions.HardMemBytes), or when the serving
 // layer's memory broker aborts the execution as the largest-footprint victim
-// under global pressure. Unlike the soft watermark — which degrades the
-// execution to disk and keeps it streaming — the hard watermark is a typed
-// abort through the sticky Rows contract. A pooled evaluator bundle that hit
-// it is poisoned, not recycled: the abort fires mid-traversal and the
-// structures' high-water capacity is exactly what the budget exists to shed.
+// under global pressure. It is a typed abort through the sticky Rows
+// contract, and the one bounded failure of an execution that outgrows
+// memory. A pooled evaluator bundle that hit it is poisoned, not recycled:
+// the abort fires mid-traversal and the structures' high-water capacity is
+// exactly what the budget exists to shed.
 var ErrMemBudget = errors.New("core: memory budget exceeded")
 
 // ErrTooManyTransitions is returned by compilation for a conjunct whose
@@ -51,20 +51,15 @@ var ErrMemBudget = errors.New("core: memory budget exceeded")
 // make no continuations and are not bounded.
 var ErrTooManyTransitions = errors.New("core: automaton has too many transitions for its continuation slots")
 
-// ErrSpill is the typed root of disk I/O failures in spilling executions
-// (re-exported from dstruct): every spill create/write/read/remove failure
-// surfaces through the sticky-error contract wrapping it.
-var ErrSpill = dstruct.ErrSpill
-
 // recyclable reports whether an execution that terminated with err left its
 // evaluator state structurally sound. Clean stop conditions — exhaustion,
 // Close, cancellation, deadline, the tuple budget — only ever stop pulling
-// from intact structures, so their bundles recycle. Everything else (spill
-// I/O failures, injected faults, panics surfaced via Abort, unknown errors,
-// and deliberately ErrMemBudget — shedding the bundle's high-water capacity
-// is the point of the memory budget) may have abandoned a structure
-// mid-mutation or be oversized: the bundle is poisoned and must be
-// discarded, never returned to the pool.
+// from intact structures, so their bundles recycle. Everything else (injected
+// faults, panics surfaced via Abort, unknown errors, and deliberately
+// ErrMemBudget — shedding the bundle's high-water capacity is the point of
+// the memory budget) may have abandoned a structure mid-mutation or be
+// oversized: the bundle is poisoned and must be discarded, never returned to
+// the pool.
 func recyclable(err error) bool {
 	return err == nil ||
 		errors.Is(err, ErrClosed) ||
@@ -200,14 +195,6 @@ type Options struct {
 	// conjunct from whichever end of R has fewer candidate start nodes,
 	// using the reversed automaton when the object side is rarer.
 	RareSide bool
-	// SpillThreshold (EXTENSION; the paper's future-work "disk-based data
-	// structures to guarantee termination of APPROX queries with large
-	// intermediate results"): when positive, D_R keeps at most this many
-	// tuples resident and spills cold distance buckets to temporary files.
-	SpillThreshold int
-	// SpillDir overrides the directory for spill files (default: the
-	// system temporary directory).
-	SpillDir string
 	// RefDict backs D_R with the naive reference dictionary (hash map plus
 	// binary heap) instead of the bucket queue. Both implementations emit
 	// identical ranked sequences; this exists for differential testing and
@@ -275,11 +262,11 @@ type Answer = dstruct.Answer
 // then GetNext until exhausted): Next yields answers in non-decreasing
 // distance, and once it reports ok=false or an error, further calls keep doing
 // so (errors are sticky). Close releases the driver's resources — pooled
-// evaluator state recycles — and reports any release failure; it is
-// idempotent, and after it Next answers ErrClosed, or the terminal error the
-// driver already had. Abort ends the driver with err as its sticky error,
-// discarding pooled state unless recyclable(err) says it is intact. Stats is
-// readable at any point, including after the driver has ended.
+// evaluator state recycles; it is idempotent, and after it Next answers
+// ErrClosed, or the terminal error the driver already had. Abort ends the
+// driver with err as its sticky error, discarding pooled state unless
+// recyclable(err) says it is intact. Stats is readable at any point,
+// including after the driver has ended.
 type Iterator interface {
 	Next() (Answer, bool, error)
 	Close() error
@@ -318,20 +305,10 @@ type Stats struct {
 	// period). Every run has a gauge, so it is populated for every driver
 	// that owns accounted structures.
 	MemPeakBytes int64
-	// SpillEscalations counts soft-watermark responses: each time the
-	// execution crossed SoftMemBytes and reacted by arming or tightening disk
-	// spilling on its deferred frontier or spill dictionary.
-	SpillEscalations int
 	// Backend names the evaluation engine(s) the execution ran on: "ranked",
 	// "bulk", or "mixed" when a multi-conjunct execution split. Empty from
 	// iterators below the execution layer that predate backend selection.
 	Backend string
-	// SpillIONanos / SpillIOBytes account time spent in and bytes moved
-	// through spill-file I/O (writes, loads, and removals on the spill
-	// dictionary and the deferred frontier). Zero for executions that never
-	// spilled.
-	SpillIONanos int64
-	SpillIOBytes int64
 	// QueueWaitNanos, CompileNanos and TTFRNanos are request-level timings
 	// stamped by the layer that owns each phase: the scheduler (admission →
 	// first worker turn), the plan cache (compile on miss; 0 on hit), and the
@@ -365,9 +342,6 @@ func (s *Stats) add(o Stats) {
 	s.CacheHits += o.CacheHits
 	s.Deferred += o.Deferred
 	s.Reinjected += o.Reinjected
-	s.SpillEscalations += o.SpillEscalations
-	s.SpillIONanos += o.SpillIONanos
-	s.SpillIOBytes += o.SpillIOBytes
 	s.Shards += o.Shards
 	s.MergeWaitNanos += o.MergeWaitNanos
 	s.MemPeakBytes = max(s.MemPeakBytes, o.MemPeakBytes)

@@ -28,7 +28,7 @@ func drainBoth(t *testing.T, mkIter func(opts Options) Iterator, opts Options, l
 
 // TestDictDifferentialRandomized cross-checks the bucket-queue dictionary
 // against RefDict over randomized graphs, expressions, modes, and evaluator
-// batch sizes (spilling interplay is covered by the spill tests).
+// batch sizes.
 func TestDictDifferentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	ont := testOnt()

@@ -104,23 +104,10 @@ type disjunction struct {
 // across phases instead of restarting evaluation.
 func makeResumable(ev *evaluator, phi, maxPsi int32) {
 	ev.resumable = true
-	opts := &ev.r.opts
-	switch {
-	case opts.SpillThreshold > 0:
-		// The user asked for bounded resident memory; the parked frontier
-		// must honour it too, not just D_R.
-		df, err := dstruct.NewDeferredSpill(opts.SpillThreshold, opts.SpillDir)
-		if err != nil && ev.failed == nil {
-			ev.failed = err
-		}
-		if err != nil {
-			df = dstruct.NewDeferred(false) // placeholder; evaluation fails immediately
-		}
-		ev.deferred = df
-	case ev.state != nil:
+	if ev.state != nil {
 		// Pooled execution: the bundle's frontier was Reset at acquisition.
 		ev.deferred = ev.state.deferred
-	default:
+	} else {
 		ev.deferred = dstruct.NewDeferred(false)
 	}
 	// The last reachable phase is the first φ-grid point ≥ MaxPsi (the
@@ -224,11 +211,6 @@ func (d *disjunction) Next() (Answer, bool, error) {
 			return Answer{}, false, d.fail(err)
 		}
 		if !ok {
-			// A spilling frontier that failed has silently dropped parked
-			// tuples; continuing would emit an incomplete tail.
-			if err := ev.deferred.Err(); err != nil {
-				return Answer{}, false, d.fail(err)
-			}
 			d.oi++
 			continue
 		}
@@ -269,17 +251,14 @@ func (d *disjunction) nextPsi() (int32, bool, bool) {
 }
 
 // Close releases every branch evaluator's resources (D_R and the deferred
-// frontier, including any spill files) deterministically.
+// frontier) deterministically.
 func (d *disjunction) Close() error {
 	d.stop()
 	d.failed = closedErr(d.failed)
-	var first error
 	for _, ev := range d.evals {
-		if err := ev.Close(); err != nil && first == nil {
-			first = err
-		}
+		ev.Close()
 	}
-	return first
+	return nil
 }
 
 // Abort terminates the driver, poisoning every branch evaluator's pooled

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"omega/internal/automaton"
@@ -187,49 +186,5 @@ func TestDistanceAwareSkipsEmptyPhases(t *testing.T) {
 
 	if is.Phases > rs.Phases {
 		t.Fatalf("incremental ran %d phases, restart %d — skipping can only reduce them", is.Phases, rs.Phases)
-	}
-}
-
-// TestDistanceAwareWithSpilling drives the resumable evaluator under a
-// spilling D_R and a spilling deferred frontier: answers must match the
-// unspilled incremental run byte for byte, the frontier must actually have
-// spilled, and the driver-owned finish must release both sets of files. At
-// threshold 1 the APPROX continuations themselves go through both kinds of
-// spill file: parked beyond ψ, written out by the frontier, re-injected, and
-// resumed from D_R's files.
-func TestDistanceAwareWithSpilling(t *testing.T) {
-	g, ont := tinyGraph(t)
-	c := conj("?X", "p.p", "?Y", automaton.Approx)
-	for _, threshold := range []int{4, 1} {
-		dir := t.TempDir()
-		opts := Options{DistanceAware: true, MaxPsi: 2, SpillThreshold: threshold, SpillDir: dir}
-		it, err := OpenConjunct(g, ont, c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, ok := it.(*disjunction)
-		if !ok || len(d.evals) != 1 {
-			t.Fatalf("expected the ψ-phase driver over one branch, got %T", it)
-		}
-		as, dictConts, deferredConts := drainSpilling(t, it, dir)
-		if d.evals[0].deferred.Spills() == 0 {
-			t.Fatalf("deferred frontier never spilled at threshold %d — resident memory is unbounded again", threshold)
-		}
-		if threshold == 1 && (dictConts == 0 || deferredConts == 0) {
-			t.Fatalf("threshold 1: continuation records seen in D_R files %d, deferred files %d; want both > 0",
-				dictConts, deferredConts)
-		}
-		if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) > 0 {
-			t.Fatalf("threshold %d: spill state left behind: %v", threshold, left)
-		}
-
-		plainOpts := opts
-		plainOpts.SpillThreshold = 0
-		plainOpts.SpillDir = ""
-		it2, err := OpenConjunct(g, ont, c, plainOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameEmission(t, as, drain(t, it2, 10000))
 	}
 }

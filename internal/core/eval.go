@@ -82,7 +82,6 @@ type evaluator struct {
 	streamDone bool
 	released   bool  // finish() has run; dict/deferred resources are gone
 	failed     error // terminal evaluation error (sticky)
-	closeErr   error // resource-release failure recorded by finish()
 
 	// Byte accounting: memOps counts tuple operations since the last
 	// footprint sample, lastMem is this evaluator's slot in the run's gauge.
@@ -100,7 +99,6 @@ func newEvaluator(g *graph.Graph, aut *automaton.Compiled, r *run) *evaluator {
 		psi:    -1,
 		stride: contStride(g),
 	}
-	opts := &r.opts
 	if r.pool != nil {
 		ev.state = r.pool.get()
 		ev.dr = ev.state.dict
@@ -111,35 +109,24 @@ func newEvaluator(g *graph.Graph, aut *automaton.Compiled, r *run) *evaluator {
 	}
 	ev.visited = dstruct.NewVisited()
 	ev.answers = dstruct.NewAnswers()
-	switch {
-	case opts.SpillThreshold > 0:
-		sd, err := dstruct.NewSpillDict(opts.SpillThreshold, opts.SpillDir)
-		if err != nil {
-			ev.failed = err
-			ev.dr = dstruct.NewDict() // placeholder; evaluation fails immediately
-		} else {
-			ev.dr = sd
-		}
-	case opts.RefDict:
+	if r.opts.RefDict {
 		ev.dr = dstruct.NewRefDict()
-	default:
+	} else {
 		ev.dr = dstruct.NewDict()
 	}
 	return ev
 }
 
-// finish releases dictionary and deferred-frontier resources (spill files),
-// or — for a pooled execution — returns the state bundle to the pool for the
-// next request. Evaluation calls it when the answer stream ends or fails, and
-// Close calls it when an iterator is abandoned mid-stream; it is idempotent.
+// finish hands the evaluator's accounted bytes back and — for a pooled
+// execution — returns the state bundle to the pool for the next request.
+// Evaluation calls it when the answer stream ends or fails, and Close calls it
+// when an iterator is abandoned mid-stream; it is idempotent.
 //
 // A bundle is only recycled when the execution stopped cleanly (exhaustion,
 // Close, cancellation, deadline, tuple budget). Any other terminal error —
-// spill I/O failure, injected fault, a panic surfaced via Abort — poisons the
-// bundle: its structures may have been abandoned mid-mutation, so it is
-// discarded and the pool mints a fresh one for the next request. Resource-
-// release failures (spill-file removal) are recorded in closeErr, surfaced by
-// Close — never silently dropped.
+// an injected fault, a panic surfaced via Abort, the memory budget — poisons
+// the bundle: its structures may have been abandoned mid-mutation, so it is
+// discarded and the pool mints a fresh one for the next request.
 func (ev *evaluator) finish() {
 	if ev.released {
 		return
@@ -162,24 +149,6 @@ func (ev *evaluator) finish() {
 		st := ev.state
 		ev.state = nil
 		poisoned := !recyclable(ev.failed)
-		// A soft-watermark escalation may have armed disk spilling on the
-		// pooled deferred frontier mid-run; the pool only recycles in-memory
-		// frontiers, so the spill state is released here. A cleanup failure
-		// poisons the bundle — it must not re-enter circulation over leaked
-		// files — and surfaces through Close like any release failure.
-		if derr := st.deferred.DisarmSpill(); derr != nil {
-			poisoned = true
-			if ev.closeErr == nil {
-				ev.closeErr = derr
-			}
-		}
-		// Fold the frontier's spill I/O accounting (including the removals
-		// DisarmSpill just performed) into the evaluator's counters before the
-		// pointer is severed; Reset zeroes it for the bundle's next tenant.
-		if n, b := st.deferred.IOStats(); n > 0 {
-			ev.stats.SpillIONanos += n
-			ev.stats.SpillIOBytes += b
-		}
 		if !poisoned {
 			// The scratch and batch buffers may have grown; hand the grown
 			// capacity back with the bundle.
@@ -198,43 +167,16 @@ func (ev *evaluator) finish() {
 		} else {
 			ev.r.pool.put(st)
 		}
-		return
-	}
-	if ev.dr != nil {
-		if err := ev.dr.Close(); err != nil && ev.closeErr == nil {
-			ev.closeErr = err
-		}
-		if io, ok := ev.dr.(ioStatser); ok {
-			n, b := io.IOStats()
-			ev.stats.SpillIONanos += n
-			ev.stats.SpillIOBytes += b
-		}
-	}
-	if ev.deferred != nil {
-		if err := ev.deferred.Close(); err != nil && ev.closeErr == nil {
-			ev.closeErr = err
-		}
-		n, b := ev.deferred.IOStats()
-		ev.stats.SpillIONanos += n
-		ev.stats.SpillIOBytes += b
 	}
 }
 
-// ioStatser is implemented by the disk-backed dstruct structures (SpillDict,
-// Deferred); the plain in-memory dictionaries do no I/O and don't implement
-// it.
-type ioStatser interface {
-	IOStats() (nanos, bytes int64)
-}
-
-// Close releases the evaluator's resources deterministically, reporting any
-// resource-release failure (spill-file removal) as a typed ErrSpill. Safe to
-// call more than once and safe to interleave with Next: a closed evaluator
-// keeps reporting ErrClosed (or its earlier terminal error) from Next.
+// Close releases the evaluator's resources deterministically. Safe to call
+// more than once and safe to interleave with Next: a closed evaluator keeps
+// reporting ErrClosed (or its earlier terminal error) from Next.
 func (ev *evaluator) Close() error {
 	ev.failed = closedErr(ev.failed)
 	ev.finish()
-	return ev.closeErr
+	return nil
 }
 
 // Abort terminates the evaluator with a caller-supplied error — the panic-
@@ -258,61 +200,24 @@ func (ev *evaluator) checkCtx() error {
 	return nil
 }
 
-// sampleMem recomputes the evaluator's dstruct footprint, charges it to the
-// run and responds to the watermarks: over the hard watermark the evaluator
-// fails with the typed ErrMemBudget; over the soft one it degrades to disk
-// (spill escalation) and keeps streaming.
+// sampleMem recomputes the evaluator's dstruct footprint and charges it to
+// the run: over the hard watermark the evaluator fails with the typed
+// ErrMemBudget.
 func (ev *evaluator) sampleMem() {
 	ev.memOps = 0
-	if err := ev.r.charge(&ev.lastMem, ev.residentBytes()); err != nil {
-		if ev.failed == nil {
-			ev.failed = err
-		}
-		return
-	}
-	if ev.r.overSoft() {
-		ev.escalate()
+	if err := ev.r.charge(&ev.lastMem, ev.residentBytes()); err != nil && ev.failed == nil {
+		ev.failed = err
 	}
 }
 
 // residentBytes sums the approximate resident footprint of every structure
-// this evaluator owns. Capacity-based: it measures what the process holds,
-// which is what spilling actually sheds.
+// this evaluator owns. Capacity-based: it measures what the process holds.
 func (ev *evaluator) residentBytes() int64 {
 	n := ev.dr.Bytes() + ev.visited.Bytes() + ev.answers.Bytes()
 	if ev.deferred != nil {
 		n += ev.deferred.Bytes()
 	}
 	return n + int64(cap(ev.scratch)+cap(ev.batch))*4
-}
-
-// escalate is the soft-watermark response: arm or tighten disk spilling on
-// the structures that support it (the deferred frontier and a spilling D_R),
-// trading resident bytes for disk so the execution keeps streaming. A plain
-// in-memory D_R has no disk path — for it only the hard watermark protects.
-// Escalation I/O failures surface through the structures' sticky errors.
-func (ev *evaluator) escalate() {
-	escalated := false
-	if sd, ok := ev.dr.(*dstruct.SpillDict); ok {
-		sd.Lower()
-		escalated = true
-		if err := sd.Err(); err != nil && ev.failed == nil {
-			ev.failed = err
-		}
-	}
-	if ev.deferred != nil && ev.deferred.Len() > 0 {
-		if err := ev.deferred.Escalate(ev.r.opts.SpillDir); err != nil {
-			if ev.failed == nil {
-				ev.failed = err
-			}
-		} else {
-			escalated = true
-		}
-	}
-	if escalated {
-		ev.stats.SpillEscalations++
-		ev.r.mem.escalations.Add(1)
-	}
 }
 
 // reject handles a tuple or continuation whose distance exceeds the current
@@ -342,9 +247,6 @@ func (ev *evaluator) resume(psi int32) {
 	n := ev.dr.Inject(ev.deferred, psi)
 	ev.stats.TuplesAdded += n
 	ev.stats.Reinjected += n
-	if err := ev.deferred.Err(); err != nil && ev.failed == nil {
-		ev.failed = err
-	}
 	if ev.r.overBudget(ev.stats.TuplesAdded) && ev.failed == nil {
 		ev.failed = ErrTupleBudget
 	}
@@ -488,11 +390,6 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 		}
 		t, ok := ev.dr.Remove()
 		if !ok {
-			if err := ev.dr.Err(); err != nil {
-				ev.failed = err
-				ev.finish()
-				return Answer{}, false, err
-			}
 			// In resumable mode the driver may raise ψ and re-inject
 			// deferred tuples, so D_R must stay open; it owns finish().
 			if !ev.resumable {
@@ -729,17 +626,5 @@ func (ev *evaluator) Stats() Stats {
 	// The gauge is shared by every evaluator of the execution, so the peak is
 	// execution-wide; aggregation takes the max, not the sum.
 	s.MemPeakBytes = ev.r.mem.PeakBytes()
-	// Before finish() folds them in (and severs the pointers), the spill I/O
-	// counters live on the structures themselves.
-	if io, ok := ev.dr.(ioStatser); ok {
-		n, b := io.IOStats()
-		s.SpillIONanos += n
-		s.SpillIOBytes += b
-	}
-	if ev.deferred != nil {
-		n, b := ev.deferred.IOStats()
-		s.SpillIONanos += n
-		s.SpillIOBytes += b
-	}
 	return s
 }

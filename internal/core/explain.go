@@ -79,8 +79,7 @@ func (p *Prepared) Explain(eo ExecOptions) (string, error) {
 
 // strategies lists what the conjunct's run applies beyond plain ranked
 // evaluation: the driver drv (with its ψ cap under maxDist), the plan's
-// compile-time strategies, disk spilling where the driver has a disk path,
-// and the run's tuple budget.
+// compile-time strategies and the run's tuple budget.
 func strategies(plan *conjunctPlan, opts *Options, drv driver, maxDist int32) []string {
 	var out []string
 	switch drv {
@@ -106,9 +105,6 @@ func strategies(plan *conjunctPlan, opts *Options, drv driver, maxDist int32) []
 	}
 	if opts.RareSide && plan.case3 && !plan.sameVar {
 		out = append(out, "rare-side")
-	}
-	if opts.SpillThreshold > 0 && (drv == driverPhases || drv == driverEvaluator) {
-		out = append(out, fmt.Sprintf("spill at %d resident tuples", opts.SpillThreshold))
 	}
 	if opts.MaxTuples > 0 {
 		out = append(out, fmt.Sprintf("tuple budget %d", opts.MaxTuples))

@@ -45,15 +45,14 @@ func TestExplainCase2(t *testing.T) {
 func TestExplainCase3AndStrategies(t *testing.T) {
 	q := &Query{Head: []string{"X", "Y"}, Conjuncts: []Conjunct{conj("?X", "p|q", "?Y", automaton.Approx)}}
 	out, err := explain(t, q, Options{
-		Disjunction: true, DistanceAware: true, RareSide: true,
-		SpillThreshold: 100, MaxTuples: 5000,
+		Disjunction: true, DistanceAware: true, RareSide: true, MaxTuples: 5000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		"case 3", "sub-automaton 2", "alternation-by-disjunction",
-		"distance-aware", "rare-side", "spill at 100", "tuple budget 5000",
+		"distance-aware", "rare-side", "tuple budget 5000",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)

@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the canonical knob registry: the single place where the
-// per-execution knobs — mode, limit, maxdist, maxtuples, backend, softmem,
-// hardmem, parallel — parse, validate and clamp. Every surface that accepts
+// per-execution knobs — mode, limit, maxdist, maxtuples, backend, hardmem,
+// parallel — parse, validate and clamp. Every surface that accepts
 // them routes through it: ExecOptions.ApplyParams for HTTP query parameters
 // (internal/serve), BindExecFlags for command-line flags (cmd/omega,
 // cmd/omega-serve, cmd/omega-bench). Adding a knob means adding one registry
@@ -150,18 +150,6 @@ var knobRegistry = []knob{
 				return &KnobError{Knob: "backend", Value: v, Reason: "want auto, ranked or bulk"}
 			}
 			eo.Backend = be
-			return nil
-		},
-	},
-	{
-		param: "softmem", flag: "soft-mem",
-		usage: "soft memory watermark in bytes: degrade to disk spilling (0 = off)",
-		set: func(eo *ExecOptions, v string) error {
-			n, err := knobInt("softmem", v, math.MaxInt64)
-			if err != nil {
-				return err
-			}
-			eo.SoftMemBytes = n
 			return nil
 		},
 	},

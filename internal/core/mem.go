@@ -3,28 +3,26 @@ package core
 import "sync/atomic"
 
 // MemGauge aggregates the accounted resident bytes of every evaluator in one
-// execution and carries the execution's memory watermarks. Evaluators sample
-// their dstruct footprints every memSampleEvery tuple operations and push the
-// delta here; a multi-conjunct execution's evaluators all share the one gauge,
-// so the watermarks bound the whole execution, not each conjunct separately.
+// execution and carries the execution's hard memory watermark. Evaluators
+// sample their dstruct footprints every memSampleEvery tuple operations and
+// push the delta here; a multi-conjunct execution's evaluators all share the
+// one gauge, so the watermark bounds the whole execution, not each conjunct
+// separately.
 //
 // The gauge is written from the execution's goroutine but read concurrently
 // by the serving layer's memory broker (victim selection scans the live bytes
 // of every in-flight request), hence the atomics.
 type MemGauge struct {
-	soft int64 // soft watermark; 0 = none
 	hard int64 // hard watermark; 0 = none
 
-	live        atomic.Int64
-	peak        atomic.Int64
-	escalations atomic.Int64
+	live atomic.Int64
+	peak atomic.Int64
 }
 
-// NewMemGauge returns a gauge with the given watermarks (0 disables either).
-// Crossing soft arms/tightens disk spilling on the execution's structures;
-// crossing hard aborts the execution with ErrMemBudget.
-func NewMemGauge(soft, hard int64) *MemGauge {
-	return &MemGauge{soft: soft, hard: hard}
+// NewMemGauge returns a gauge with the given hard watermark (0 disables it).
+// Crossing it aborts the execution with ErrMemBudget.
+func NewMemGauge(hard int64) *MemGauge {
+	return &MemGauge{hard: hard}
 }
 
 // add applies a delta to the live figure and maintains the peak.
@@ -44,12 +42,6 @@ func (m *MemGauge) LiveBytes() int64 { return m.live.Load() }
 
 // PeakBytes returns the high-water mark of accounted resident bytes.
 func (m *MemGauge) PeakBytes() int64 { return m.peak.Load() }
-
-// Escalations returns how many soft-watermark spill escalations fired.
-func (m *MemGauge) Escalations() int64 { return m.escalations.Load() }
-
-// SoftBytes returns the soft watermark (0 = none).
-func (m *MemGauge) SoftBytes() int64 { return m.soft }
 
 // HardBytes returns the hard watermark (0 = none).
 func (m *MemGauge) HardBytes() int64 { return m.hard }

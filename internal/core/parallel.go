@@ -56,12 +56,10 @@ func resolveParallelism(exec, eng int) int {
 // batch-reversed order, each segment depending only on its own source — so a
 // partition of the sources evaluates segments independently and a merge
 // keyed on the global source rank reassembles the exact serial byte stream.
-// Plans outside this shape (ranked distances, disjunction decomposition,
-// spilling or reference dictionaries) run serial, which is trivially
-// identical.
+// Plans outside this shape (ranked distances, disjunction decomposition, the
+// reference dictionary) run serial, which is trivially identical.
 func (p *conjunctPlan) parEligible(opts *Options) bool {
-	return p.case3 && !p.decompose && len(p.auts) == 1 &&
-		opts.SpillThreshold == 0 && !opts.RefDict && p.bulkOK()
+	return p.case3 && !p.decompose && len(p.auts) == 1 && !opts.RefDict && p.bulkOK()
 }
 
 // parSources returns (computing and caching) the plan's Case 3 source

@@ -86,8 +86,7 @@ type PoolStats struct {
 // error, or Close), at which point it returns to the pool.
 //
 // Pooling engages per execution via ExecOptions.Pool and silently stands
-// aside for configurations whose state is not recyclable: spilling
-// dictionaries (disk-backed) and the RefDict differential reference.
+// aside for the RefDict differential reference, whose state is not pooled.
 type EvalPool struct {
 	mu       sync.Mutex
 	free     []*evalState
@@ -173,7 +172,7 @@ func (p *EvalPool) get() *evalState {
 
 // poison records the discard of a bundle whose execution failed. The bundle
 // itself is simply dropped for the GC — a poisoned bundle must never re-enter
-// circulation, because a panic or I/O failure may have abandoned its
+// circulation, because a panic or injected failure may have abandoned its
 // structures mid-mutation in a state Reset cannot be trusted to repair.
 func (p *EvalPool) poison() {
 	p.mu.Lock()

@@ -140,42 +140,34 @@ func TestEvalPoolAbandonedExecReturnsState(t *testing.T) {
 	}
 }
 
-// TestEvalPoolBypassedForSpillAndRefDict: configurations whose state is not
-// recyclable must run correctly with a pool set — and never touch it.
-func TestEvalPoolBypassedForSpillAndRefDict(t *testing.T) {
+// TestEvalPoolBypassedForRefDict: the RefDict reference, whose state is not
+// pooled, must run correctly with a pool set — and never touch it.
+func TestEvalPoolBypassedForRefDict(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ont := testOnt()
 	g := randomGraph(rng, ont)
 	q := &Query{Head: []string{"X", "Y"}, Conjuncts: []Conjunct{conj("?X", "p.q", "?Y", automaton.Approx)}}
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"spill", Options{SpillThreshold: 4, SpillDir: t.TempDir()}},
-		{"refdict", Options{RefDict: true}},
-	} {
-		p, err := PrepareQuery(g, ont, q, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		want, err := p.Exec(context.Background(), ExecOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		wantSeq := drainExec(t, want, 1<<20)
+	p, err := PrepareQuery(g, ont, q, Options{RefDict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Exec(context.Background(), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSeq := drainExec(t, want, 1<<20)
 
-		pool := NewEvalPool(4)
-		ex, err := p.Exec(context.Background(), ExecOptions{Pool: pool})
-		if err != nil {
-			t.Fatalf("%s: pooled Exec: %v", tc.name, err)
-		}
-		got := drainExec(t, ex, 1<<20)
-		if len(got) != len(wantSeq) {
-			t.Fatalf("%s: %d answers with pool set, %d without", tc.name, len(got), len(wantSeq))
-		}
-		if s := pool.Stats(); s.Gets != 0 {
-			t.Fatalf("%s: pool engaged for non-recyclable state: %+v", tc.name, s)
-		}
+	pool := NewEvalPool(4)
+	ex, err := p.Exec(context.Background(), ExecOptions{Pool: pool})
+	if err != nil {
+		t.Fatalf("pooled Exec: %v", err)
+	}
+	got := drainExec(t, ex, 1<<20)
+	if len(got) != len(wantSeq) {
+		t.Fatalf("%d answers with pool set, %d without", len(got), len(wantSeq))
+	}
+	if s := pool.Stats(); s.Gets != 0 {
+		t.Fatalf("pool engaged for the RefDict reference: %+v", s)
 	}
 }
 

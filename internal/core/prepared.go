@@ -19,9 +19,9 @@ import (
 // ε-removal, Case 1 seed and final-annotation resolution — into an immutable
 // Prepared that any number of goroutines may Exec concurrently. Exec
 // instantiates only the per-run evaluator state (D_R, visited set, answer
-// registry, deferred frontier) and returns an Execution whose Close releases
-// disk-backed state (spill files) deterministically instead of at process
-// exit.
+// registry, deferred frontier) and returns an Execution whose Close hands
+// that state back — to the pool, when there is one — as soon as the caller is
+// done with it.
 
 // ExecOptions are the per-execution knobs of a prepared query. They deliberately
 // carry only what varies call-to-call in a serving workload; everything that
@@ -52,17 +52,9 @@ type ExecOptions struct {
 	// Pool, when non-nil, recycles this execution's evaluator state (D_R,
 	// visited table, answer registry, deferred frontier, scratch buffers) from
 	// and back to the given pool, so steady-state serving allocates near zero
-	// per request. Pooled emission is byte-identical to fresh. Ignored for
-	// configurations whose state is not recyclable (Options.SpillThreshold > 0,
-	// RefDict). See EvalPool.
+	// per request. Pooled emission is byte-identical to fresh. Ignored under
+	// Options.RefDict. See EvalPool.
 	Pool *EvalPool
-	// SoftMemBytes, when positive, is the execution's soft memory watermark:
-	// once the accounted resident bytes of its evaluation structures cross
-	// it, the execution degrades to disk — arming or tightening spill
-	// thresholds on the deferred frontier and spill dictionary — and keeps
-	// streaming. Structures without a disk path (the plain in-memory D_R)
-	// are unaffected. 0 means no soft watermark.
-	SoftMemBytes int64
 	// HardMemBytes, when positive, is the hard watermark: crossing it aborts
 	// the execution with the typed ErrMemBudget through the sticky error
 	// contract, poisoning any pooled evaluator state. Accounting is sampled,
@@ -70,7 +62,7 @@ type ExecOptions struct {
 	// 0 means no hard watermark.
 	HardMemBytes int64
 	// Mem, when non-nil, is an externally created gauge the execution
-	// accounts into; its watermarks take precedence over Soft/HardMemBytes.
+	// accounts into; its watermark takes precedence over HardMemBytes.
 	// The serving layer uses this to observe per-request live bytes for the
 	// memory broker's victim selection. When nil, Exec creates a private
 	// gauge, so Stats.MemPeakBytes is always populated.
@@ -253,8 +245,8 @@ func (p *Prepared) runOptions(eo ExecOptions) Options {
 // Execution is single-goroutine (run concurrent executions by calling Exec
 // once per goroutine); ctx cancellation surfaces as ErrCanceled/ErrDeadline
 // from Next within one GetNext iteration. The caller should Close the
-// execution when abandoning it before exhaustion — that is what releases
-// spill files deterministically.
+// execution when abandoning it before exhaustion — that is what returns its
+// evaluator state to the pool.
 func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error) {
 	ps, err := p.planSetFor(eo.Mode)
 	if err != nil {
@@ -262,7 +254,7 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 	}
 	mem := eo.Mem
 	if mem == nil {
-		mem = NewMemGauge(eo.SoftMemBytes, eo.HardMemBytes)
+		mem = NewMemGauge(eo.HardMemBytes)
 	}
 	ex := &Execution{
 		r:       newRun(ctx, p.runOptions(eo), mem, eo.Pool, eo.Trace),
@@ -338,7 +330,6 @@ type Execution struct {
 	err      error
 	done     bool
 	closed   bool
-	closeErr error
 	released bool
 
 	chunk []graph.NodeID // backing store for rows Next hands out, carved per row
@@ -477,8 +468,8 @@ func (e *Execution) terminate(reason error) error {
 	for _, it := range e.its {
 		if !recyclable(reason) {
 			it.Abort(reason)
-		} else if err := it.Close(); err != nil && e.closeErr == nil {
-			e.closeErr = err
+		} else {
+			_ = it.Close() // in-memory state: releasing it cannot fail
 		}
 	}
 	e.r.trace.End(closeSpan)
@@ -501,15 +492,8 @@ func (e *Execution) finishSpans() {
 			tr.SetAttr(sp, "deferred", int64(s.Deferred))
 			tr.SetAttr(sp, "reinjected", int64(s.Reinjected))
 		}
-		if s.SpillEscalations > 0 {
-			tr.SetAttr(sp, "spill_escalations", int64(s.SpillEscalations))
-		}
 		if s.Shards > 0 {
 			tr.SetAttr(sp, "shards", int64(s.Shards))
-		}
-		if s.SpillIONanos > 0 {
-			tr.SetAttr(sp, "spill_io_us", s.SpillIONanos/1e3)
-			tr.SetAttr(sp, "spill_io_bytes", s.SpillIOBytes)
 		}
 		tr.End(sp)
 	}
@@ -520,14 +504,14 @@ func (e *Execution) finishSpans() {
 	tr.End(e.r.span)
 }
 
-// Close releases the execution's resources (spill files, deferred frontiers)
-// deterministically. It is idempotent, safe after exhaustion, and safe to
-// call on an execution another error already terminated; subsequent Next
-// calls return ErrClosed (or the earlier terminal error).
+// Close releases the execution's resources (evaluator state, deferred
+// frontiers) deterministically. It is idempotent, safe after exhaustion, and
+// safe to call on an execution another error already terminated; subsequent
+// Next calls return ErrClosed (or the earlier terminal error).
 func (e *Execution) Close() error {
 	e.closed = true
 	e.terminate(nil)
-	return e.closeErr
+	return nil
 }
 
 // Abort terminates the execution with a caller-supplied error and releases

@@ -9,15 +9,11 @@ import (
 	"omega/internal/obs"
 )
 
-// Failpoint sites of the memory governor (see internal/fault). A fired
-// mem.soft forces a spill escalation and a fired mem.hard forces a typed
-// budget abort, both regardless of the actual byte figures — the chaos suite
-// drives the degradation paths deterministically without having to tune real
-// allocations.
-const (
-	fpMemSoft = "mem.soft"
-	fpMemHard = "mem.hard"
-)
+// fpMemHard is the failpoint site of the memory governor (see
+// internal/fault): when it fires, it forces a typed budget abort regardless
+// of the actual byte figures — the chaos suite drives the abort path
+// deterministically without having to tune real allocations.
+const fpMemHard = "mem.hard"
 
 // run is the governance context of one execution: everything that is decided
 // per request rather than per plan, and the only spelling of every policy the
@@ -34,7 +30,7 @@ type run struct {
 	// must not change once a driver holds the run.
 	opts Options
 	// pool recycles the evaluators' state bundles; nil when the execution has
-	// none or its configuration cannot recycle state (spilling, RefDict).
+	// none or runs on the RefDict reference, which is never pooled.
 	pool *EvalPool
 	// ctx cancels the run; nil when it cannot be canceled (context.Background
 	// and friends), so the checks cost one compare there.
@@ -54,9 +50,9 @@ func newRun(ctx context.Context, opts Options, mem *MemGauge, pool *EvalPool, tr
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
-	if opts.SpillThreshold > 0 || opts.RefDict {
-		// Disk-backed dictionaries and the RefDict differential reference keep
-		// their dedicated construction (see newEvaluator).
+	if opts.RefDict {
+		// The RefDict differential reference keeps its dedicated construction
+		// (see newEvaluator).
 		pool = nil
 	}
 	return run{opts: opts, ctx: ctx, mem: mem, pool: pool, trace: trace, span: trace.Start(obs.Root, obs.SpanExec)}
@@ -122,16 +118,6 @@ func (r *run) charge(slot *int64, resident int64) error {
 // refund hands the slot's bytes back: its owner's structures are about to be
 // released, or recycled into another execution's accounting.
 func (r *run) refund(slot *int64) { r.account(slot, 0) }
-
-// overSoft reports whether the execution is over its soft watermark (or the
-// mem.soft failpoint fired). The response — degrading to disk — belongs to
-// the evaluator, the only driver with a disk path.
-func (r *run) overSoft() bool {
-	if fault.Enabled() && fault.Inject(fpMemSoft) != nil {
-		return true
-	}
-	return r.mem.soft > 0 && r.mem.LiveBytes() > r.mem.soft
-}
 
 // overBudget reports whether tuples exceeds the run's tuple budget.
 func (r *run) overBudget(tuples int) bool {

@@ -1,7 +1,5 @@
 package dstruct
 
-import "fmt"
-
 // Deferred is the deferred frontier of the incremental distance-aware mode
 // (§4.3 "retrieving answers by distance", made resumable): when the evaluator
 // rejects a tuple because its distance exceeds the current cost bound ψ, the
@@ -19,72 +17,26 @@ import "fmt"
 // list simply becomes the bucket's stack. Distances outside
 // [0, maxBucketDist) land in a small generation-ordered overflow slice (they
 // only arise under extreme custom edit/relax costs).
-//
-// With a positive spill threshold (mirroring SpillDict, and sharing its
-// on-disk tuple codec under a distinct file prefix) the frontier bounds its
-// resident memory too: when the parked population exceeds the threshold, the
-// buckets farthest from re-admission are appended to per-key files and read
-// back the first time their distance comes within ψ. Distance-aware mode
-// exists to rescue queries whose frontier would exhaust memory, so the
-// parked frontier must not silently reintroduce that growth.
 type Deferred struct {
 	buckets  []bucket // per-distance; both sub-lists in generation order
 	cursor   int      // lower bound on the minimal non-empty bucket
 	overflow []Tuple  // out-of-range distances, generation order
 	size     int
-	resident int
-
-	// Spill state (inactive when threshold == 0): store holds the spilled
-	// sub-lists, so size == resident + store.spilled.
-	threshold int
-	store     spillStore
-	closed    bool
-	err       error
 }
 
 // NewDeferred returns an empty deferred frontier. The argument, once the
 // final-first ablation switch, is ignored (see Dict.Reset).
 func NewDeferred(_ bool) *Deferred {
-	return &Deferred{store: spillStore{kind: &deferredSpill}}
-}
-
-// NewDeferredSpill returns a deferred frontier keeping at most threshold
-// parked tuples resident, spilling the rest into a fresh subdirectory of dir
-// (of the system temp dir when empty), removed by Close. The subdirectory is
-// what lets concurrent executions share one configured spill directory; see
-// NewSpillDict.
-func NewDeferredSpill(threshold int, dir string) (*Deferred, error) {
-	if threshold <= 0 {
-		return nil, fmt.Errorf("dstruct: NewDeferredSpill: threshold must be positive")
-	}
-	df := NewDeferred(false)
-	df.threshold = threshold
-	if err := df.store.open(dir); err != nil {
-		return nil, spillErr("NewDeferredSpill", err)
-	}
-	return df, nil
-}
-
-// Err returns the first I/O error encountered (always nil without spilling).
-func (df *Deferred) Err() error { return df.err }
-
-func (df *Deferred) fail(err error) {
-	if df.err == nil {
-		df.err = err
-	}
+	return &Deferred{}
 }
 
 // Add parks t. Tuples are only ever deferred because t.D exceeds the current
 // ψ ≥ 0, but out-of-range distances are tolerated for safety.
 func (df *Deferred) Add(t Tuple) {
-	if df.err != nil || df.closed {
-		return
-	}
 	d := int(t.D)
 	if d < 0 || d >= maxBucketDist {
 		df.overflow = append(df.overflow, t)
 		df.size++
-		df.resident++
 		return
 	}
 	if d >= len(df.buckets) {
@@ -95,25 +47,14 @@ func (df *Deferred) Add(t Tuple) {
 		df.cursor = d
 	}
 	df.size++
-	df.resident++
-	if df.threshold > 0 && df.resident > df.threshold {
-		df.spillColdest()
-	}
 }
 
-// Len returns the number of parked tuples (resident + spilled).
+// Len returns the number of parked tuples.
 func (df *Deferred) Len() int { return df.size }
 
 // Reset restores the frontier to its empty, usable state, retaining bucket
-// capacity for a pooled reuse (the counterpart of Dict.Reset). Any spilled
-// state is released and spilling is fully disarmed — the pool only recycles
-// in-memory frontiers, but a frontier whose spill was armed mid-run by
-// Escalate must not leak files or carry a stale spill directory into its next
-// tenant — and the closed flag is cleared so the frontier accepts tuples
-// again. A cleanup failure is recorded as the frontier's sticky error rather
-// than silently dropped: the frontier is then unusable, which is what routes
-// the bundle holding it to the pool's discard path instead of back into
-// circulation over leaked files. The argument is ignored (see Dict.Reset).
+// capacity for a pooled reuse (the counterpart of Dict.Reset). The argument
+// is ignored (see Dict.Reset).
 func (df *Deferred) Reset(_ bool) {
 	for i := range df.buckets {
 		b := &df.buckets[i]
@@ -123,67 +64,14 @@ func (df *Deferred) Reset(_ bool) {
 	df.overflow = df.overflow[:0]
 	df.cursor = 0
 	df.size = 0
-	df.resident = 0
-	df.err = nil
-	df.closed = false
-	df.store.ioNanos, df.store.ioBytes = 0, 0
-	if err := df.DisarmSpill(); err != nil {
-		df.fail(err)
-	}
 }
 
-// Escalate arms disk spilling on the frontier, or tightens it when already
-// armed — the soft-watermark response of the memory governor: parked tuples
-// degrade to disk so the execution keeps streaming instead of aborting. On an
-// unarmed frontier it creates a spill subdirectory under dir (the system temp
-// dir when empty) and sets the threshold to half the current resident count;
-// on an armed one it halves the threshold (floor 1). Either way the coldest
-// buckets spill immediately until the frontier is within the new threshold.
-// Any I/O failure lands in the frontier's sticky error.
-func (df *Deferred) Escalate(dir string) error {
-	if df.closed || df.err != nil {
-		return df.err
-	}
-	if df.threshold == 0 {
-		if err := df.store.open(dir); err != nil {
-			df.fail(spillErr("deferred escalate", err))
-			return df.err
-		}
-		df.threshold = df.resident / 2
-	} else {
-		df.threshold /= 2
-	}
-	if df.threshold < 1 {
-		df.threshold = 1
-	}
-	if df.resident > df.threshold {
-		df.spillColdest()
-	}
-	return df.err
-}
+// Close is a no-op: the frontier holds nothing but memory. It survives only
+// because benchmark/layers calls it (ROADMAP item 8d drops the call there).
+func (df *Deferred) Close() error { return nil }
 
-// DisarmSpill releases every spill file and the spill directory (when owned)
-// and returns the frontier to purely in-memory operation. Spilled tuples are
-// discarded, so this is only correct once the frontier's content no longer
-// matters — the evaluator calls it when an execution finishes, before a
-// pooled bundle is recycled. A no-op on a frontier that never armed spilling.
-// The first cleanup failure is returned (typed ErrSpill) and recorded as the
-// frontier's sticky error so a pooled bundle over leaked files is discarded.
-func (df *Deferred) DisarmSpill() error {
-	if df.threshold == 0 && !df.store.armed() {
-		return nil
-	}
-	err := df.store.teardown()
-	df.size = df.resident
-	df.threshold = 0
-	if err != nil {
-		df.fail(err)
-	}
-	return err
-}
-
-// Bytes returns the approximate resident footprint of the frontier (spilled
-// tuples live on disk and are not counted). Capacity-based like Dict.Bytes.
+// Bytes returns the approximate resident footprint of the frontier.
+// Capacity-based like Dict.Bytes.
 func (df *Deferred) Bytes() int64 {
 	n := int64(cap(df.buckets))*bucketMem + int64(cap(df.overflow))*tupleMem
 	for i := range df.buckets {
@@ -193,74 +81,12 @@ func (df *Deferred) Bytes() int64 {
 	return n
 }
 
-// IOStats reports the frontier's lifetime spill I/O accounting: wall
-// nanoseconds spent in spill-file operations and tuple-payload bytes written
-// plus read. Zeroed by Reset along with the rest of the pooled state.
-func (df *Deferred) IOStats() (nanos, bytes int64) { return df.store.ioNanos, df.store.ioBytes }
-
-// Resident returns the number of parked tuples currently held in memory.
-func (df *Deferred) Resident() int { return df.resident }
-
-// Spills returns the number of bucket spill operations performed.
-func (df *Deferred) Spills() int { return df.store.spills }
-
-// spillColdest appends the largest-distance resident sub-lists to disk until
-// the resident count is within half the threshold. Large distances are
-// re-admitted last, so they stay cold longest; the overflow slice is exempt
-// (it is tiny by construction).
-func (df *Deferred) spillColdest() {
-	for d := len(df.buckets) - 1; d >= df.cursor && df.resident > df.threshold/2; d-- {
-		b := &df.buckets[d]
-		if len(b.nonFinal) > 0 {
-			if !df.spillList(key(int32(d), false), &b.nonFinal) {
-				return
-			}
-		}
-		if len(b.final) > 0 {
-			if !df.spillList(key(int32(d), true), &b.final) {
-				return
-			}
-		}
-	}
-}
-
-func (df *Deferred) spillList(k int64, list *[]Tuple) bool {
-	if err := df.store.write(k, *list); err != nil {
-		df.fail(err)
-		return false
-	}
-	df.resident -= len(*list)
-	*list = nil
-	return true
-}
-
-// loadList reads a spilled sub-list back (generation order) and removes its
-// file. The resident remnant of the same sub-list is newer and is re-appended
-// after the disk content.
-func (df *Deferred) loadList(k int64, resident []Tuple) []Tuple {
-	list, err := df.store.read(k, len(resident))
-	if err != nil {
-		df.fail(err)
-	}
-	df.resident += len(list)
-	return append(list, resident...)
-}
-
-// takeBucket detaches the complete parked content of distance d, reloading
-// any spilled portion so both sub-lists are whole and in generation order.
+// takeBucket detaches the complete parked content of distance d.
 func (df *Deferred) takeBucket(d int) (final, nonFinal []Tuple) {
 	b := &df.buckets[d]
 	final, nonFinal = b.final, b.nonFinal
 	b.final, b.nonFinal = nil, nil
-	if df.store.onDisk[key(int32(d), true)] > 0 {
-		final = df.loadList(key(int32(d), true), final)
-	}
-	if df.store.onDisk[key(int32(d), false)] > 0 {
-		nonFinal = df.loadList(key(int32(d), false), nonFinal)
-	}
-	n := len(final) + len(nonFinal)
-	df.size -= n
-	df.resident -= n
+	df.size -= len(final) + len(nonFinal)
 	return final, nonFinal
 }
 
@@ -276,11 +102,6 @@ func (df *Deferred) MinDistance() (int32, bool) {
 	for _, t := range df.overflow {
 		if !found || t.D < min {
 			min, found = t.D, true
-		}
-	}
-	if k, ok := df.store.min(); ok {
-		if d := int32(k >> 1); !found || d < min {
-			min, found = d, true
 		}
 	}
 	if found && min < 0 {
@@ -309,23 +130,13 @@ func (df *Deferred) maxDrainDist(psi int32) int {
 	return max
 }
 
-// rewindToDisk pulls the cursor back to the smallest spilled distance:
-// MinDistance advances the cursor past buckets whose resident part is empty,
-// and a spilled bucket may live below it.
-func (df *Deferred) rewindToDisk() {
-	if k, ok := df.store.min(); ok && int(k>>1) < df.cursor {
-		df.cursor = int(k >> 1)
-	}
-}
-
 // Drain removes every parked tuple with distance ≤ psi and hands each to
 // emit in ascending distance, final sub-list before non-final, FIFO within
 // each — precisely the insertion sequence that reconstructs the dictionary
 // stacks a restarted phase would have built. Dict bypasses this with the
-// zero-copy bucket adoption in Inject; the heap- and disk-backed
-// dictionaries re-add tuple by tuple.
+// zero-copy bucket adoption in Inject; the heap-backed RefDict re-adds tuple
+// by tuple.
 func (df *Deferred) Drain(psi int32, emit func(Tuple)) {
-	df.rewindToDisk()
 	for d := df.cursor; d <= df.maxDrainDist(psi); d++ {
 		final, nonFinal := df.takeBucket(d)
 		for _, t := range final {
@@ -346,22 +157,12 @@ func (df *Deferred) drainOverflow(psi int32, emit func(Tuple)) {
 	for _, t := range df.overflow {
 		if t.D <= psi {
 			df.size--
-			df.resident--
 			emit(t)
 		} else {
 			kept = append(kept, t)
 		}
 	}
 	df.overflow = kept
-}
-
-// Close removes any spill files and the spill directory. A frontier without
-// spilling has nothing to release. Close is idempotent; after it, Add is a
-// no-op. A removal failure is reported as a typed ErrSpill (see
-// spillStore.teardown).
-func (df *Deferred) Close() error {
-	df.closed = true
-	return df.store.teardown()
 }
 
 // Inject on Dict re-admits every parked tuple with distance ≤ psi and
@@ -372,7 +173,6 @@ func (df *Deferred) Close() error {
 // tuples prepended (they are older, so they must pop later).
 func (dd *Dict) Inject(df *Deferred, psi int32) int {
 	n := 0
-	df.rewindToDisk()
 	for d := df.cursor; d <= df.maxDrainDist(psi); d++ {
 		final, nonFinal := df.takeBucket(d)
 		k := len(final) + len(nonFinal)
@@ -412,17 +212,6 @@ func (dd *RefDict) Inject(df *Deferred, psi int32) int {
 	n := 0
 	df.Drain(psi, func(t Tuple) {
 		dd.Add(t)
-		n++
-	})
-	return n
-}
-
-// Inject implements TupleDict for SpillDict by re-adding tuple by tuple
-// (re-admitted buckets may immediately re-spill under memory pressure).
-func (sd *SpillDict) Inject(df *Deferred, psi int32) int {
-	n := 0
-	df.Drain(psi, func(t Tuple) {
-		sd.Add(t)
 		n++
 	})
 	return n

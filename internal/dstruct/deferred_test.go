@@ -2,7 +2,6 @@ package dstruct
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"omega/internal/graph"
@@ -143,89 +142,6 @@ func TestQuickDeferredInjectMatchesReplay(t *testing.T) {
 				t.Fatalf("trial %d pop %d diverged: inject %+v, replay %+v", trial, i, a, b)
 			}
 		}
-	}
-}
-
-// Property: a spilling frontier drains exactly the same sequence as a purely
-// resident one under interleaved Add/Drain, and its spill files disappear on
-// Close.
-func TestQuickDeferredSpillMatchesResident(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 15; trial++ {
-		dir := t.TempDir()
-		sp, err := NewDeferredSpill(1+rng.Intn(6), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := NewDeferred(false)
-		psi := int32(-1)
-		for op := 0; op < 200; op++ {
-			if rng.Intn(4) != 0 {
-				d := int32(rng.Intn(12))
-				if d <= psi {
-					continue
-				}
-				tt := tup(op, op, rng.Intn(3), int(d), rng.Intn(4) == 0)
-				sp.Add(tt)
-				res.Add(tt)
-			} else {
-				psi += int32(rng.Intn(4))
-				var a, b []Tuple
-				sp.Drain(psi, func(x Tuple) { a = append(a, x) })
-				res.Drain(psi, func(x Tuple) { b = append(b, x) })
-				if len(a) != len(b) {
-					t.Fatalf("trial %d: spilling drained %d tuples, resident %d (err=%v)", trial, len(a), len(b), sp.Err())
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("trial %d drain pos %d diverged: %+v vs %+v", trial, i, a[i], b[i])
-					}
-				}
-			}
-		}
-		if sp.Err() != nil {
-			t.Fatal(sp.Err())
-		}
-		if sp.Len() != res.Len() || sp.Resident() > sp.Len() {
-			t.Fatalf("bookkeeping diverged: spill len=%d resident=%d vs %d", sp.Len(), sp.Resident(), res.Len())
-		}
-		if err := sp.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if files, _ := filepath.Glob(filepath.Join(dir, "*", "*.spill")); len(files) != 0 {
-			t.Fatalf("spill files survive Close: %v", files)
-		}
-	}
-}
-
-func TestDeferredSpillActuallySpills(t *testing.T) {
-	sp, err := NewDeferredSpill(4, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		sp.Add(tup(i, i, 0, 1+i%7, false))
-	}
-	if sp.Spills() == 0 {
-		t.Fatal("threshold 4 with 40 parked tuples never spilled")
-	}
-	if sp.Resident() > 4 {
-		t.Fatalf("Resident = %d, want ≤ threshold", sp.Resident())
-	}
-	n := 0
-	last := int32(-1)
-	sp.Drain(7, func(x Tuple) {
-		if x.D < last {
-			t.Fatalf("drain order broke: %d after %d", x.D, last)
-		}
-		last = x.D
-		n++
-	})
-	if n != 40 {
-		t.Fatalf("drained %d tuples, want 40", n)
-	}
-	if err := sp.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 //
 // A tuple whose S is negative is a continuation instead (see Cont): it stands
 // for the successors of n over one automaton transition that are still to be
-// generated, all at distance d. It is never final, so it queues, parks and
-// spills exactly where a plain successor at d would.
+// generated, all at distance d. It is never final, so it queues and parks
+// exactly where a plain successor at d would.
 type Tuple struct {
 	V, N  graph.NodeID
 	S     int32
@@ -95,6 +95,28 @@ func growBuckets(buckets []bucket, d int) []bucket {
 // a sparse map+heap overflow so no cost configuration can panic the queue or
 // blow up its memory.
 const maxBucketDist = 1 << 16
+
+// TupleDict is the D_R access surface shared by the bucket-queue Dict and the
+// RefDict reference.
+type TupleDict interface {
+	Add(Tuple)
+	Remove() (Tuple, bool)
+	Len() int
+	Adds() int
+	MinDistance() (int32, bool)
+	// Inject re-admits every deferred tuple with distance ≤ psi and reports
+	// how many (the incremental distance-aware phase step). Dict adopts the
+	// parked buckets by slice move; RefDict re-adds tuple by tuple. The
+	// contract for both is that the dictionary has drained (the phase
+	// exhausted): injecting into a live dictionary would order parked vs
+	// resident tuples differently per implementation.
+	Inject(df *Deferred, psi int32) int
+	// Bytes returns the approximate resident footprint in bytes.
+	// Capacity-based; see Dict.Bytes for the accounting model.
+	Bytes() int64
+}
+
+var _ TupleDict = (*Dict)(nil)
 
 // Dict is the dictionary D_R. Keys order by distance ascending; at equal
 // distance, final tuples are removed before non-final ones — the refinement
@@ -240,39 +262,11 @@ func (dd *Dict) MinDistance() (int32, bool) {
 	return 0, false
 }
 
-// minKey returns the packed (distance, final) key the next Remove would pop,
-// if any. SpillDict uses it to arbitrate between resident and spilled tuples.
-func (dd *Dict) minKey() (int64, bool) {
-	if _, neg := dd.negOverflowMin(); neg {
-		return dd.overflow.minKey()
-	}
-	for dd.cursor < len(dd.buckets) {
-		b := &dd.buckets[dd.cursor]
-		if len(b.final) > 0 {
-			return key(int32(dd.cursor), true), true
-		}
-		if len(b.nonFinal) > 0 {
-			return key(int32(dd.cursor), false), true
-		}
-		dd.cursor++
-	}
-	if dd.overflow != nil {
-		return dd.overflow.minKey()
-	}
-	return 0, false
-}
-
-// Err implements TupleDict for the in-memory Dict.
-func (dd *Dict) Err() error { return nil }
-
-// Close implements TupleDict for the in-memory Dict.
-func (dd *Dict) Close() error { return nil }
-
 // Memory accounting (§ memory governance). Every structure reports its
 // resident footprint in bytes so the evaluator can aggregate per-execution
-// live bytes and enforce soft/hard watermarks. The figures are capacity-based
-// estimates from fixed per-entry sizes — close enough to steer spill
-// escalation and budget aborts, cheap enough to sample on the hot path.
+// live bytes and enforce the hard watermark. The figures are capacity-based
+// estimates from fixed per-entry sizes — close enough to steer budget aborts,
+// cheap enough to sample on the hot path.
 const (
 	tupleMem    = 20 // Tuple: 4×int32 + bool + 3-byte slot
 	bucketMem   = 48 // bucket: two slice headers

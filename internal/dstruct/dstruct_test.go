@@ -1,8 +1,10 @@
 package dstruct
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"omega/internal/graph"
 )
@@ -204,6 +206,30 @@ func TestAnswersDedupe(t *testing.T) {
 	list := a.List()
 	if len(list) != 2 || list[0].Dist != 0 || list[1].Dist != 1 {
 		t.Fatalf("List = %+v", list)
+	}
+}
+
+// FuzzCont checks that a continuation Cont(v, n, d, slot, cursor) reads back
+// the slot and cursor it was built with, and is never final.
+func FuzzCont(f *testing.F) {
+	f.Add(int32(0), int32(0), int32(0), int32(0), uint32(0))
+	f.Add(int32(1), int32(2), int32(3), int32(4), uint32(0))
+	f.Add(int32(-1), int32(1<<30), int32(-5), int32(0), uint32(ContSlots-1))
+	f.Add(int32(7), int32(8), int32(math.MaxInt32), int32(maxBucketDist), uint32(1<<31))
+	f.Fuzz(func(t *testing.T, v, n, s, d int32, slot uint32) {
+		sl, cur := int32(slot%ContSlots), s&math.MaxInt32
+		c := Cont(graph.NodeID(v), graph.NodeID(n), d, sl, cur)
+		if !c.IsCont() || c.Final || c.Slot() != sl || c.Cursor() != cur || c.D != d {
+			t.Fatalf("Cont(%d, %d, %d, %d, %d) = %+v: slot %d, cursor %d", v, n, d, sl, cur, c, c.Slot(), c.Cursor())
+		}
+	})
+}
+
+// TestTupleSize pins the resident size the accounting assumes: a Tuple,
+// continuation or not, is tupleMem bytes.
+func TestTupleSize(t *testing.T) {
+	if got := unsafe.Sizeof(Tuple{}); got != tupleMem {
+		t.Fatalf("Tuple is %d bytes, tupleMem says %d", got, tupleMem)
 	}
 }
 

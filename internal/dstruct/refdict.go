@@ -79,32 +79,12 @@ func (dd *RefDict) MinDistance() (int32, bool) {
 	return 0, false
 }
 
-// minKey returns the packed (distance, final) key the next Remove would pop.
-func (dd *RefDict) minKey() (int64, bool) {
-	for dd.keys.Len() > 0 {
-		k := dd.keys[0]
-		if len(dd.lists[k]) == 0 {
-			heap.Pop(&dd.keys)
-			delete(dd.lists, k)
-			continue
-		}
-		return k, true
-	}
-	return 0, false
-}
-
-// Err implements TupleDict.
-func (dd *RefDict) Err() error { return nil }
-
 // Bytes returns the approximate resident footprint. Live tuples plus map and
 // heap bookkeeping — the reference dictionary tracks no slice capacities, so
 // the estimate is population-based rather than capacity-based.
 func (dd *RefDict) Bytes() int64 {
 	return int64(dd.size)*tupleMem + int64(len(dd.lists))*48 + int64(cap(dd.keys))*8
 }
-
-// Close implements TupleDict.
-func (dd *RefDict) Close() error { return nil }
 
 var _ TupleDict = (*RefDict)(nil)
 

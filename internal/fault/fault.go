@@ -1,7 +1,7 @@
 // Package fault is Omega's deterministic fault-injection registry. Production
-// code declares named failpoint sites — fault.Inject("dstruct.spill.write") —
-// at the places that can actually fail in deployment (disk I/O, evaluator
-// loops, the HTTP write path); tests and chaos runs arm those sites with
+// code declares named failpoint sites — fault.Inject("serve.write") — at the
+// places that can actually fail in deployment (evaluator loops, the memory
+// governor, the HTTP write path); tests and chaos runs arm those sites with
 // error, delay or panic actions and the code under test exercises its real
 // recovery paths. With no sites armed (the production state) Inject is a
 // single atomic load, so the hooks are safe to leave in hot paths.
@@ -9,7 +9,7 @@
 // Sites are armed programmatically (Configure) or from the environment at
 // process start:
 //
-//	OMEGA_FAILPOINTS="dstruct.spill.write=error@0.5;core.row=panic#1"
+//	OMEGA_FAILPOINTS="serve.write=error@0.5;core.row=panic#1"
 //	OMEGA_FAILPOINTS_SEED=42
 //
 // The spec grammar is a ';'-separated list of site=action entries where

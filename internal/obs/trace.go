@@ -61,7 +61,7 @@ const NoSpan SpanID = -1
 const maxSpans = 512
 
 // Attr is one integer span attribute (counters the phase already tracks:
-// tuples popped, bytes, spill escalations...). Attributes are integers only —
+// tuples popped, bytes, ψ...). Attributes are integers only —
 // strings would invite allocation-happy formatting on the request path.
 type Attr struct {
 	Key string

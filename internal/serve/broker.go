@@ -12,8 +12,9 @@ import (
 )
 
 // This file implements the server-wide memory broker: the admission-time
-// counterpart of the per-execution watermarks (omega.ExecOptions.SoftMemBytes
-// / HardMemBytes). Per-request budgets bound each execution in isolation, but
+// counterpart of the per-execution hard watermark
+// (omega.ExecOptions.HardMemBytes). Per-request budgets bound each execution
+// in isolation, but
 // a server runs many at once — the broker bounds their sum. It works in two
 // tiers:
 //
@@ -182,8 +183,9 @@ func (b *memBroker) NoteBudgetAbort() {
 }
 
 // monitor samples the lease gauges and victimizes the largest-footprint
-// execution after two consecutive over-budget ticks — one tick may be a
-// transient the per-request spill escalation is already draining.
+// execution after two consecutive over-budget ticks: one tick may catch
+// executions that are about to finish, whose refunds clear the pressure
+// without a kill.
 func (b *memBroker) monitor(interval time.Duration) {
 	defer b.wg.Done()
 	ticker := time.NewTicker(interval)

@@ -25,11 +25,11 @@ func TestBrokerReservationExhaustion(t *testing.T) {
 	defer b.Close()
 	noCancel := func(error) {}
 
-	l1, err := b.Reserve(omega.NewMemGauge(0, 0), noCancel, time.Second)
+	l1, err := b.Reserve(omega.NewMemGauge(0), noCancel, time.Second)
 	if err != nil {
 		t.Fatalf("first Reserve: %v", err)
 	}
-	_, err = b.Reserve(omega.NewMemGauge(0, 0), noCancel, time.Second)
+	_, err = b.Reserve(omega.NewMemGauge(0), noCancel, time.Second)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second Reserve = %v, want ErrOverloaded", err)
 	}
@@ -39,7 +39,7 @@ func TestBrokerReservationExhaustion(t *testing.T) {
 	}
 
 	b.Release(l1)
-	l2, err := b.Reserve(omega.NewMemGauge(0, 0), noCancel, time.Second)
+	l2, err := b.Reserve(omega.NewMemGauge(0), noCancel, time.Second)
 	if err != nil {
 		t.Fatalf("Reserve after Release: %v", err)
 	}

@@ -288,11 +288,10 @@ func TestSchedulerGapHistogram(t *testing.T) {
 // client that disconnects before the first row) fails that request alone —
 // the server answers 500, stays healthy, and serves the next query cleanly.
 func TestServerWritePathFault(t *testing.T) {
-	spillDir := t.TempDir()
-	srv, ts := l4allServer(t, spillDir, Config{Workers: 2, Quantum: 8})
+	srv, ts := l4allServer(t, Config{Workers: 2, Quantum: 8})
 
 	armFaults(t, "serve.write=error#1", 11)
-	q := url.Values{"q": {spillQuery}, "limit": {"20"}}
+	q := url.Values{"q": {approxQuery}, "limit": {"20"}}
 	_, _, status := ndjsonLines(t, ts.Client(), ts.URL+"/query?"+q.Encode())
 	if status != http.StatusInternalServerError {
 		t.Fatalf("faulted request: status %d, want 500", status)

@@ -142,7 +142,7 @@ func TestFlushRankedRowPerWrite(t *testing.T) {
 	armFaults(t, fmt.Sprintf("core.row=delay:%s", delay), 21)
 	_, rs := newRecordingServer(t, Config{Workers: 1}, nil)
 
-	req, _ := http.NewRequest(http.MethodGet, rs.ts.URL+"/query?"+url.Values{"q": {spillQuery}, "limit": {"25"}}.Encode(), nil)
+	req, _ := http.NewRequest(http.MethodGet, rs.ts.URL+"/query?"+url.Values{"q": {approxQuery}, "limit": {"25"}}.Encode(), nil)
 	req.Header.Set("X-Request-Id", "ranked")
 	resp, err := rs.ts.Client().Do(req)
 	if err != nil {
@@ -406,7 +406,7 @@ func TestStalledReaderReleasesWorker(t *testing.T) {
 	}
 
 	// The one worker is free again.
-	rows, done, status := ndjsonLines(t, ts.Client(), ts.URL+"/query?"+url.Values{"q": {spillQuery}, "limit": {"5"}}.Encode())
+	rows, done, status := ndjsonLines(t, ts.Client(), ts.URL+"/query?"+url.Values{"q": {approxQuery}, "limit": {"5"}}.Encode())
 	if status != http.StatusOK || done == nil || len(rows) != 5 {
 		t.Fatalf("request after the stall: status=%d rows=%d done=%v", status, len(rows), done)
 	}

@@ -62,10 +62,10 @@ sample:
 // untraced requests) and then asserts the exposition parses strictly and every
 // metric family the observability contract names is present with sane values.
 func TestMetricszGolden(t *testing.T) {
-	_, ts := l4allServer(t, "", Config{Workers: 2, Queue: 4})
+	_, ts := l4allServer(t, Config{Workers: 2, Queue: 4})
 	client := ts.Client()
 
-	q := url.QueryEscape(spillQuery)
+	q := url.QueryEscape(approxQuery)
 	for i := 0; i < 3; i++ {
 		if _, done, status := ndjsonLines(t, client, ts.URL+"/query?limit=5&q="+q); status != http.StatusOK || done == nil {
 			t.Fatalf("query %d: status=%d done=%v", i, status, done)
@@ -183,10 +183,10 @@ func TestMetricszGolden(t *testing.T) {
 // tree covers the full request path — request → admission/plan/queue/stream →
 // exec → conjunct → close.
 func TestServerTraceEndToEnd(t *testing.T) {
-	_, ts := l4allServer(t, "", Config{Workers: 2, Queue: 4})
+	_, ts := l4allServer(t, Config{Workers: 2, Queue: 4})
 	client := ts.Client()
 
-	req, err := http.NewRequest("GET", ts.URL+"/query?limit=10&trace=1&q="+url.QueryEscape(spillQuery), nil)
+	req, err := http.NewRequest("GET", ts.URL+"/query?limit=10&trace=1&q="+url.QueryEscape(approxQuery), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestServerTraceEndToEnd(t *testing.T) {
 	}
 
 	// An untraced request must not carry a trace and still gets an ID.
-	resp2, err := client.Get(ts.URL + "/query?limit=1&q=" + url.QueryEscape(spillQuery))
+	resp2, err := client.Get(ts.URL + "/query?limit=1&q=" + url.QueryEscape(approxQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +271,10 @@ func TestMetricszMidStream(t *testing.T) {
 	// flight when the scrape lands — otherwise the server outruns the client
 	// into the response buffer and the task completes immediately.
 	armFaults(t, "core.row=delay:1ms", 13)
-	_, ts := l4allServer(t, "", Config{Workers: 1, Queue: 4, Quantum: 2})
+	_, ts := l4allServer(t, Config{Workers: 1, Queue: 4, Quantum: 2})
 	client := ts.Client()
 
-	resp, err := client.Get(ts.URL + "/query?q=" + url.QueryEscape(spillQuery))
+	resp, err := client.Get(ts.URL + "/query?q=" + url.QueryEscape(approxQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestMetricszMidStream(t *testing.T) {
 // observability surface; every scrape must still parse strictly.
 func TestMetricszConcurrentChaos(t *testing.T) {
 	armFaults(t, "serve.quantum=error@0.05;core.row=delay:200us@0.01", 7)
-	_, ts := l4allServer(t, t.TempDir(), Config{Workers: 2, Queue: 8, Quantum: 4})
+	_, ts := l4allServer(t, Config{Workers: 2, Queue: 8, Quantum: 4})
 	client := ts.Client()
 
 	var wg sync.WaitGroup
@@ -338,7 +338,7 @@ func TestMetricszConcurrentChaos(t *testing.T) {
 			}
 		}()
 	}
-	q := url.QueryEscape(spillQuery)
+	q := url.QueryEscape(approxQuery)
 	for i := 0; i < 24; i++ {
 		tr := ""
 		if i%3 == 0 {
@@ -364,7 +364,7 @@ func TestMetricszConcurrentChaos(t *testing.T) {
 // fault registry and the build stamp.
 func TestStatszFaultAndBuildSections(t *testing.T) {
 	armFaults(t, "serve.write=error#1", 1)
-	_, ts := l4allServer(t, "", Config{Workers: 1})
+	_, ts := l4allServer(t, Config{Workers: 1})
 	resp, err := ts.Client().Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
@@ -391,9 +391,9 @@ func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
 	logger := log.New(lockedWriter{&mu, &buf}, "", 0)
-	_, ts := l4allServer(t, "", Config{Workers: 1, SlowQuery: time.Nanosecond, Log: logger})
+	_, ts := l4allServer(t, Config{Workers: 1, SlowQuery: time.Nanosecond, Log: logger})
 
-	req, _ := http.NewRequest("GET", ts.URL+"/query?limit=3&q="+url.QueryEscape(spillQuery), nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/query?limit=3&q="+url.QueryEscape(approxQuery), nil)
 	req.Header.Set("X-Request-Id", "slow-1")
 	resp, err := ts.Client().Do(req)
 	if err != nil {
@@ -420,7 +420,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if line["request_id"] != "slow-1" {
 		t.Errorf("slow-query request_id = %v", line["request_id"])
 	}
-	if line["query"] != spillQuery {
+	if line["query"] != approxQuery {
 		t.Errorf("slow-query query = %v", line["query"])
 	}
 	if line["elapsed_ms"] == nil {

@@ -19,8 +19,8 @@ import (
 
 // Config assembles a Server. Engine is required; everything else defaults.
 type Config struct {
-	// Engine evaluates the queries (its Options fix costs, optimisation
-	// strategies and spilling for every request).
+	// Engine evaluates the queries (its Options fix costs and optimisation
+	// strategies for every request).
 	Engine *omega.Engine
 	// Scheduler sizing; see SchedulerConfig (Queue: 0 = default, negative =
 	// no waiting queue).
@@ -70,12 +70,9 @@ type Config struct {
 	// MemCheckInterval paces the broker's victim-selection monitor (default
 	// 100ms).
 	MemCheckInterval time.Duration
-	// SoftMemBytes / HardMemBytes are the default per-request memory
-	// watermarks applied when the request carries no softmem/hardmem
-	// parameter: crossing the soft watermark degrades the execution to disk
-	// spilling, crossing the hard one aborts it with omega.ErrMemBudget
-	// (507). 0 disables either.
-	SoftMemBytes int64
+	// HardMemBytes is the default per-request hard memory watermark applied
+	// when the request carries no hardmem parameter: crossing it aborts the
+	// execution with omega.ErrMemBudget (507). 0 disables it.
 	HardMemBytes int64
 	// Parallelism is the default per-request worker count applied when the
 	// request carries no parallel parameter; see omega.ExecOptions.
@@ -109,7 +106,6 @@ type Server struct {
 	mux       *http.ServeMux
 	degLimit  int           // degraded-mode row-limit clamp (0 = no clamp)
 	degDist   int           // degraded-mode maxdist clamp (0 = no clamp)
-	softMem   int64         // default per-request soft memory watermark (0 = none)
 	hardMem   int64         // default per-request hard memory watermark (0 = none)
 	parallel  int           // default per-request worker count (0 = serial)
 	timeout   time.Duration // default per-request deadline (0 = none)
@@ -140,7 +136,6 @@ func New(cfg Config) *Server {
 		broker:    newMemBroker(cfg.MemBudget, cfg.MemReserve, cfg.MemCheckInterval, sc.Workers+sc.queueSlots()),
 		degLimit:  cfg.DegradedLimit,
 		degDist:   cfg.DegradedMaxDist,
-		softMem:   cfg.SoftMemBytes,
 		hardMem:   cfg.HardMemBytes,
 		parallel:  cfg.Parallelism,
 		timeout:   cfg.Timeout,
@@ -186,7 +181,7 @@ func (s *Server) Pool() *omega.EvalPool { return s.pool }
 func (s *Server) PlanCache() *PlanCache { return s.cache }
 
 // Close stops admission and drains every in-flight request; after it returns,
-// no request holds evaluator state or spill files. Call it after the HTTP
+// no request holds evaluator state. Call it after the HTTP
 // listener has shut down.
 func (s *Server) Close() error {
 	err := s.sched.Close()
@@ -227,11 +222,8 @@ type statsLine struct {
 	Phases       int `json:"phases"`
 	Deferred     int `json:"deferred"`
 	Reinjected   int `json:"reinjected"`
-	// MemPeakBytes is the execution's accounted peak resident footprint;
-	// SpillEscalations counts soft-watermark crossings that tightened its
-	// spill thresholds.
-	MemPeakBytes     int64 `json:"mem_peak_bytes,omitempty"`
-	SpillEscalations int   `json:"spill_escalations,omitempty"`
+	// MemPeakBytes is the execution's accounted peak resident footprint.
+	MemPeakBytes int64 `json:"mem_peak_bytes,omitempty"`
 	// Backend reports which evaluation engine ran: "ranked", "bulk", or
 	// "mixed" when a multi-conjunct plan split.
 	Backend string `json:"backend,omitempty"`
@@ -243,12 +235,10 @@ type statsLine struct {
 	Shards      int     `json:"shards,omitempty"`
 	MergeWaitMs float64 `json:"merge_wait_ms,omitempty"`
 	// Request-level latency phases: admission → first worker turn, plan-cache
-	// lookup (including compilation on a miss), admission → first row, and
-	// time spent on spill-file I/O.
+	// lookup (including compilation on a miss), and admission → first row.
 	QueueWaitMs float64 `json:"queue_wait_ms,omitempty"`
 	CompileMs   float64 `json:"compile_ms,omitempty"`
 	TTFRMs      float64 `json:"ttfr_ms,omitempty"`
-	SpillIOMs   float64 `json:"spill_io_ms,omitempty"`
 }
 
 func toStatsLine(s omega.Stats) statsLine {
@@ -257,22 +247,20 @@ func toStatsLine(s omega.Stats) statsLine {
 		par = 0 // serial: keep the done line free of noise
 	}
 	return statsLine{
-		TuplesAdded:      s.TuplesAdded,
-		TuplesPopped:     s.TuplesPopped,
-		VisitedSize:      s.VisitedSize,
-		Phases:           s.Phases,
-		Deferred:         s.Deferred,
-		Reinjected:       s.Reinjected,
-		MemPeakBytes:     s.MemPeakBytes,
-		SpillEscalations: s.SpillEscalations,
-		Backend:          s.Backend,
-		Parallelism:      par,
-		Shards:           s.Shards,
-		MergeWaitMs:      float64(s.MergeWaitNanos) / 1e6,
-		QueueWaitMs:      float64(s.QueueWaitNanos) / 1e6,
-		CompileMs:        float64(s.CompileNanos) / 1e6,
-		TTFRMs:           float64(s.TTFRNanos) / 1e6,
-		SpillIOMs:        float64(s.SpillIONanos) / 1e6,
+		TuplesAdded:  s.TuplesAdded,
+		TuplesPopped: s.TuplesPopped,
+		VisitedSize:  s.VisitedSize,
+		Phases:       s.Phases,
+		Deferred:     s.Deferred,
+		Reinjected:   s.Reinjected,
+		MemPeakBytes: s.MemPeakBytes,
+		Backend:      s.Backend,
+		Parallelism:  par,
+		Shards:       s.Shards,
+		MergeWaitMs:  float64(s.MergeWaitNanos) / 1e6,
+		QueueWaitMs:  float64(s.QueueWaitNanos) / 1e6,
+		CompileMs:    float64(s.CompileNanos) / 1e6,
+		TTFRMs:       float64(s.TTFRNanos) / 1e6,
 	}
 }
 
@@ -288,7 +276,6 @@ func toStatsLine(s omega.Stats) statsLine {
 //	limit    — maximum rows to return
 //	maxdist  — maximum total answer distance
 //	maxtuples— per-request tuple budget override
-//	softmem  — soft memory watermark in bytes (degrade to disk spilling)
 //	hardmem  — hard memory watermark in bytes (abort with 507)
 //	parallel — worker count for this request (alias: parallelism); emission
 //	           stays byte-identical to serial
@@ -309,8 +296,8 @@ func toStatsLine(s omega.Stats) statsLine {
 // codes: 400 (bad query/parameters), 503 + Retry-After (admission control —
 // scheduler or memory broker — or shutdown), 504 (deadline or watchdog stall
 // before any row), 507 (hard memory watermark crossed, or aborted as the
-// broker's pressure victim), 500 (recovered panic, disk fault, or other
-// internal failure — the request died, the server keeps serving).
+// broker's pressure victim), 500 (recovered panic or other internal
+// failure — the request died, the server keeps serving).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit int) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		http.Error(w, "use GET or POST", http.StatusMethodNotAllowed)
@@ -354,7 +341,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 	// message names the knob.
 	eo := omega.ExecOptions{
 		Pool:         s.pool,
-		SoftMemBytes: s.softMem,
 		HardMemBytes: s.hardMem,
 		Parallelism:  s.parallel,
 	}
@@ -437,10 +423,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 	// victim monitor cancels with omega.ErrMemBudget as the cause, which
 	// the evaluator maps back onto the typed error (poisoning its pooled
 	// state). The gauge is always created — even without a broker it carries
-	// the per-request watermarks and feeds mem_peak_bytes in the done line.
+	// the per-request hard watermark and feeds mem_peak_bytes in the done line.
 	ctx, cancelCause := context.WithCancelCause(ctx)
 	defer cancelCause(nil)
-	gauge := omega.NewMemGauge(eo.SoftMemBytes, eo.HardMemBytes)
+	gauge := omega.NewMemGauge(eo.HardMemBytes)
 	if s.broker != nil {
 		lease, err := s.broker.Reserve(gauge, cancelCause, s.sched.RetryAfter())
 		if err != nil {
@@ -525,8 +511,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 		case errors.Is(err, omega.ErrTupleBudget):
 			fail(http.StatusUnprocessableEntity, err.Error())
 		default:
-			// ErrInternal (recovered panics), ErrSpill (disk faults) and
-			// anything unclassified: the request failed, the server did not.
+			// ErrInternal (recovered panics) and anything unclassified: the
+			// request failed, the server did not.
 			fail(http.StatusInternalServerError, err.Error())
 		}
 		return

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -19,20 +18,14 @@ import (
 	"omega/internal/l4all"
 )
 
-// spillQuery forces disk-backed state under a tiny SpillThreshold, so the
-// smoke test exercises the full serving-failure surface: per-request spill
-// files must die with the request on every exit path.
-const spillQuery = "(?X) <- APPROX (Librarians, type-.job-.next, ?X)"
+// approxQuery is a ranked APPROX query whose distance-aware run parks and
+// re-injects tuples, so the serving tests exercise the deferred frontier.
+const approxQuery = "(?X) <- APPROX (Librarians, type-.job-.next, ?X)"
 
-func l4allServer(t *testing.T, spillDir string, cfg Config) (*Server, *httptest.Server) {
+func l4allServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	g, ont := l4all.Generate(l4all.L1)
-	opts := omega.Options{DistanceAware: true}
-	if spillDir != "" {
-		opts.SpillThreshold = 8
-		opts.SpillDir = spillDir
-	}
-	cfg.Engine = omega.NewEngine(g, ont).WithOptions(opts)
+	cfg.Engine = omega.NewEngine(g, ont).WithOptions(omega.Options{DistanceAware: true})
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -95,14 +88,13 @@ func ndjsonLines(t *testing.T, client *http.Client, u string) (rows []rowLine, d
 }
 
 // TestServerEndToEnd is the smoke test of the serving stack: concurrent
-// NDJSON queries against a spilling engine — one of them canceled mid-stream
-// — correct ranked rows for the rest, per-request stats in the terminator,
-// and zero leftover spill files once the server has drained.
+// NDJSON queries — one of them canceled mid-stream — correct ranked rows for
+// the rest, per-request stats in the terminator, and every request's pooled
+// state handed back once the server has drained.
 func TestServerEndToEnd(t *testing.T) {
-	spillDir := t.TempDir()
-	srv, ts := l4allServer(t, spillDir, Config{Workers: 3, Queue: 8, Quantum: 8})
+	srv, ts := l4allServer(t, Config{Workers: 3, Queue: 8, Quantum: 8})
 
-	q := url.Values{"q": {spillQuery}, "limit": {"60"}}
+	q := url.Values{"q": {approxQuery}, "limit": {"60"}}
 	base := ts.URL + "/query?" + q.Encode()
 
 	// Reference rows from one request.
@@ -171,21 +163,13 @@ func TestServerEndToEnd(t *testing.T) {
 	wg.Wait()
 
 	// Drain the server: after Close returns, no request is in flight and
-	// every spill file has been removed.
+	// every state bundle taken from the pool went back to it or was discarded.
 	ts.Close()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(spillDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		names := make([]string, 0, len(entries))
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("%d spill files left after drain: %v", len(entries), names)
+	if ps := srv.Pool().Stats(); ps.Gets == 0 || ps.Gets != ps.Puts+ps.Poisoned {
+		t.Fatalf("pool stats after drain: %+v", ps)
 	}
 	st := srv.Scheduler().Stats()
 	if st.InFlight != 0 || st.Submitted == 0 {
@@ -196,7 +180,7 @@ func TestServerEndToEnd(t *testing.T) {
 // TestServerOverloadResponds503: a full scheduler turns admission rejections
 // into 503 + Retry-After, without executing the query.
 func TestServerOverloadResponds503(t *testing.T) {
-	srv, ts := l4allServer(t, "", Config{Workers: 1, Queue: -1, Quantum: 4, RetryAfter: 2 * time.Second})
+	srv, ts := l4allServer(t, Config{Workers: 1, Queue: -1, Quantum: 4, RetryAfter: 2 * time.Second})
 
 	// Occupy the single worker via the scheduler directly, deterministically.
 	gate := make(chan struct{})
@@ -206,7 +190,7 @@ func TestServerOverloadResponds503(t *testing.T) {
 	go func() {
 		_, err := srv.Scheduler().Stream(context.Background(),
 			func(ctx context.Context) (*omega.Rows, error) {
-				pq, perr := srv.PlanCache().Get(spillQuery, nil)
+				pq, perr := srv.PlanCache().Get(approxQuery, nil)
 				if perr != nil {
 					return nil, perr
 				}
@@ -221,7 +205,7 @@ func TestServerOverloadResponds503(t *testing.T) {
 	}()
 	<-running
 
-	resp, err := ts.Client().Get(ts.URL + "/query?" + url.Values{"q": {spillQuery}, "limit": {"1"}}.Encode())
+	resp, err := ts.Client().Get(ts.URL + "/query?" + url.Values{"q": {approxQuery}, "limit": {"1"}}.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +230,7 @@ func TestServerOverloadResponds503(t *testing.T) {
 // TestServerParameterHandling: bad inputs are 400s; healthz and statsz serve;
 // limit/mode parameters shape the stream.
 func TestServerParameterHandling(t *testing.T) {
-	_, ts := l4allServer(t, "", Config{Workers: 2, Queue: 4})
+	_, ts := l4allServer(t, Config{Workers: 2, Queue: 4})
 	client := ts.Client()
 
 	for _, tc := range []struct {
@@ -255,9 +239,9 @@ func TestServerParameterHandling(t *testing.T) {
 	}{
 		{"missing q", "/query", http.StatusBadRequest},
 		{"bad query", "/query?q=" + url.QueryEscape("not a query"), http.StatusBadRequest},
-		{"bad mode", "/query?mode=zigzag&q=" + url.QueryEscape(spillQuery), http.StatusBadRequest},
-		{"bad limit", "/query?limit=x&q=" + url.QueryEscape(spillQuery), http.StatusBadRequest},
-		{"bad timeout", "/query?timeout=x&q=" + url.QueryEscape(spillQuery), http.StatusBadRequest},
+		{"bad mode", "/query?mode=zigzag&q=" + url.QueryEscape(approxQuery), http.StatusBadRequest},
+		{"bad limit", "/query?limit=x&q=" + url.QueryEscape(approxQuery), http.StatusBadRequest},
+		{"bad timeout", "/query?timeout=x&q=" + url.QueryEscape(approxQuery), http.StatusBadRequest},
 	} {
 		resp, err := client.Get(ts.URL + tc.u)
 		if err != nil {
@@ -271,7 +255,7 @@ func TestServerParameterHandling(t *testing.T) {
 	}
 
 	// limit caps the stream.
-	rows, done, status := ndjsonLines(t, client, ts.URL+"/query?"+url.Values{"q": {spillQuery}, "limit": {"5"}}.Encode())
+	rows, done, status := ndjsonLines(t, client, ts.URL+"/query?"+url.Values{"q": {approxQuery}, "limit": {"5"}}.Encode())
 	if status != http.StatusOK || len(rows) != 5 || done == nil || done.Rows != 5 {
 		t.Fatalf("limit=5: status %d, %d rows, done %+v", status, len(rows), done)
 	}
@@ -315,10 +299,10 @@ func TestServerParameterHandling(t *testing.T) {
 // carries no timeout= parameter — a 504 when it trips before the first row,
 // an in-band error line when it trips mid-stream — and timeout= overrides it.
 func TestServerDefaultTimeout(t *testing.T) {
-	_, ts := l4allServer(t, "", Config{Workers: 1, Timeout: 200 * time.Millisecond})
+	_, ts := l4allServer(t, Config{Workers: 1, Timeout: 200 * time.Millisecond})
 	client := ts.Client()
 	u := func(params url.Values) string {
-		params.Set("q", spillQuery)
+		params.Set("q", approxQuery)
 		return ts.URL + "/query?" + params.Encode()
 	}
 
@@ -344,7 +328,7 @@ func TestServerDefaultTimeout(t *testing.T) {
 
 func rowsAll(t *testing.T, client *http.Client, base string) []rowLine {
 	t.Helper()
-	rows, _, status := ndjsonLines(t, client, base+"/query?"+url.Values{"q": {spillQuery}}.Encode())
+	rows, _, status := ndjsonLines(t, client, base+"/query?"+url.Values{"q": {approxQuery}}.Encode())
 	if status != http.StatusOK {
 		t.Fatalf("approx stream: status %d", status)
 	}
@@ -355,9 +339,9 @@ func rowsAll(t *testing.T, client *http.Client, base string) []rowLine {
 // evaluator state (visible in /statsz) and the plan cache (hits climb), while
 // responses stay byte-identical.
 func TestServerPoolAmortises(t *testing.T) {
-	_, ts := l4allServer(t, "", Config{Workers: 2, Queue: 4})
+	_, ts := l4allServer(t, Config{Workers: 2, Queue: 4})
 	client := ts.Client()
-	base := ts.URL + "/query?" + url.Values{"q": {spillQuery}, "limit": {"30"}}.Encode()
+	base := ts.URL + "/query?" + url.Values{"q": {approxQuery}, "limit": {"30"}}.Encode()
 
 	var ref []rowLine
 	for i := 0; i < 5; i++ {
@@ -407,7 +391,7 @@ func TestServerPoolAmortises(t *testing.T) {
 // held: the done line of every study query in every mode carries a non-zero
 // mem_peak_bytes.
 func TestDoneLineAccountsShortRequests(t *testing.T) {
-	_, ts := l4allServer(t, "", Config{Workers: 1, Queue: 4})
+	_, ts := l4allServer(t, Config{Workers: 1, Queue: 4})
 	client := ts.Client()
 	for _, q := range l4all.StudyQueries() {
 		for _, mode := range []string{"exact", "approx", "relax"} {
@@ -429,10 +413,10 @@ func TestDoneLineAccountsShortRequests(t *testing.T) {
 // query with the same row set as forced ranked, and the done-line stats
 // report which engine ran.
 func TestServerBackendParameter(t *testing.T) {
-	_, ts := l4allServer(t, "", Config{Workers: 2, Queue: 4})
+	_, ts := l4allServer(t, Config{Workers: 2, Queue: 4})
 	client := ts.Client()
 
-	resp, err := client.Get(ts.URL + "/query?" + url.Values{"q": {spillQuery}, "backend": {"zigzag"}}.Encode())
+	resp, err := client.Get(ts.URL + "/query?" + url.Values{"q": {approxQuery}, "backend": {"zigzag"}}.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

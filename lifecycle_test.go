@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -16,68 +15,9 @@ import (
 // release (Close), context cancellation, sticky errors, and concurrent
 // sharing of one PreparedQuery.
 
-const spillQuery = "(?X) <- APPROX (Librarians, type-.job-.next, ?X)"
-
-func spillDirEntries(t *testing.T, dir string) int {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("ReadDir(%s): %v", dir, err)
-	}
-	return len(entries)
-}
-
-// TestCloseReleasesSpillFiles abandons a spilling query mid-stream and
-// requires that Close leaves zero files under the spill directory — the
-// serving guarantee that per-request disk state dies with the request, not
-// with the process. Both the plain spilling dictionary and the
-// distance-aware deferred frontier (which spills separately) are exercised.
-func TestCloseReleasesSpillFiles(t *testing.T) {
-	g, ont := datasets().L4All(l4all.L1)
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"spill-dict", Options{SpillThreshold: 8}},
-		{"spill-dict-and-deferred", Options{SpillThreshold: 8, DistanceAware: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := tc.opts
-			opts.SpillDir = dir
-			eng := NewEngine(g, ont).WithOptions(opts)
-			pq, err := eng.PrepareText(spillQuery)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, err := pq.Exec(context.Background(), ExecOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Pull a prefix, watching the spill dir: the tiny threshold must
-			// force files onto disk while the query is live.
-			sawSpill := false
-			for i := 0; i < 30; i++ {
-				if _, ok, err := rows.Next(); err != nil || !ok {
-					t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
-				}
-				if spillDirEntries(t, dir) > 0 {
-					sawSpill = true
-				}
-			}
-			if !sawSpill {
-				t.Fatal("threshold 8 never spilled — the test is not exercising disk state")
-			}
-			// Abandon mid-stream.
-			if err := rows.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			if n := spillDirEntries(t, dir); n != 0 {
-				t.Fatalf("%d spill files left after Close", n)
-			}
-		})
-	}
-}
+// approxQuery is a ranked APPROX query on L4All L1 with more than a hundred
+// answers over three distances.
+const approxQuery = "(?X) <- APPROX (Librarians, type-.job-.next, ?X)"
 
 // TestRowsCloseContract: double-Close is safe, Next after Close reports
 // ErrClosed, Close after exhaustion is a no-op.
@@ -156,7 +96,7 @@ func TestRowsErrorSticky(t *testing.T) {
 // ErrDeadline.
 func TestExecCancellationPublic(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
-	pq, err := NewEngine(g, ont).PrepareText(spillQuery)
+	pq, err := NewEngine(g, ont).PrepareText(approxQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,47 +123,6 @@ func TestExecCancellationPublic(t *testing.T) {
 	}
 	if _, ok, err := rows.Next(); ok || !errors.Is(err, ErrDeadline) {
 		t.Fatalf("Next past deadline = (%v, %v), want ErrDeadline", ok, err)
-	}
-}
-
-// TestCancelledSpillingQueryLeavesNoFiles is the full serving-failure path:
-// a spilling query is canceled mid-stream via its context — the very next
-// Next reports ErrCanceled — and after Close the spill directory is empty.
-func TestCancelledSpillingQueryLeavesNoFiles(t *testing.T) {
-	g, ont := datasets().L4All(l4all.L1)
-	dir := t.TempDir()
-	eng := NewEngine(g, ont).WithOptions(Options{SpillThreshold: 8, SpillDir: dir})
-	pq, err := eng.PrepareText(spillQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rows, err := pq.Exec(ctx, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawSpill := false
-	for i := 0; i < 20; i++ {
-		if _, ok, err := rows.Next(); err != nil || !ok {
-			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
-		}
-		if spillDirEntries(t, dir) > 0 {
-			sawSpill = true
-		}
-	}
-	if !sawSpill {
-		t.Fatal("query never spilled; fixture too small")
-	}
-	cancel()
-	if _, ok, err := rows.Next(); ok || !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Next after cancel = (%v, %v), want ErrCanceled within one iteration", ok, err)
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if n := spillDirEntries(t, dir); n != 0 {
-		t.Fatalf("%d spill files left after cancel + Close", n)
 	}
 }
 

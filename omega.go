@@ -37,8 +37,8 @@
 // and execute per request with PreparedQuery.Exec, which takes a
 // context.Context for cancellation and per-call ExecOptions (Limit, MaxDist,
 // MaxTuples, Mode override). Exec returns a *Rows that must be Closed when
-// abandoned before exhaustion, so disk-backed evaluation state is released
-// deterministically:
+// abandoned before exhaustion, so its evaluation state is released — to the
+// EvalPool, when one is set — as soon as the caller is done with it:
 //
 //	pq, _ := eng.PrepareText(`(?X) <- APPROX (alice, knows+, ?X)`)
 //	rows, _ := pq.Exec(ctx, omega.ExecOptions{Limit: 100})
@@ -110,7 +110,7 @@ type (
 	// PoolStats reports EvalPool effectiveness counters.
 	PoolStats = core.PoolStats
 	// MemGauge aggregates an execution's accounted resident bytes and
-	// carries its memory watermarks; see ExecOptions.Mem and NewMemGauge.
+	// carries its hard memory watermark; see ExecOptions.Mem and NewMemGauge.
 	MemGauge = core.MemGauge
 	// Trace records a request's phase spans; see ExecOptions.Trace and
 	// NewTrace. All methods are safe on a nil *Trace, and an execution
@@ -170,7 +170,7 @@ type KnobError = core.KnobError
 type ExecFlags = core.ExecFlags
 
 // BindExecFlags registers the shared execution knobs (mode, limit, maxdist,
-// max-tuples, backend, soft-mem, hard-mem, parallel — or the named subset) as
+// max-tuples, backend, hard-mem, parallel — or the named subset) as
 // flags on fs with the registry's canonical spellings and help text.
 // Per-binary defaults come pre-rendered in defaults, keyed by HTTP parameter
 // name, and pass through the same validation as any other value.
@@ -228,22 +228,13 @@ var ErrClosed = core.ErrClosed
 // the evaluator names each transition's neighbour segments in a 24-bit slot.
 var ErrTooManyTransitions = core.ErrTooManyTransitions
 
-// ErrSpill is the typed root of disk I/O failures in spilling executions
-// (Options.SpillThreshold > 0): create, write, read and remove failures all
-// surface through the Rows sticky-error contract wrapping it, the execution's
-// spill directory is cleaned up on release, and any pooled evaluator state is
-// discarded rather than recycled. An execution that failed with ErrSpill is
-// over; retrying means starting a fresh execution.
-var ErrSpill = core.ErrSpill
-
 // ErrMemBudget is returned by Rows.Next when an execution crosses its hard
 // memory watermark (ExecOptions.HardMemBytes), or when the serving layer's
 // memory broker aborts it as the largest-footprint victim under global
 // pressure. The execution is over and its pooled evaluator state is discarded
 // rather than recycled (shedding the capacity is the point); re-running the
-// query with a higher budget — or after load subsides — starts fresh. The
-// soft watermark (SoftMemBytes) never produces this error: it degrades the
-// execution to disk spilling and keeps it streaming.
+// query with a higher budget — or after load subsides — starts fresh. It is
+// the one bounded failure of an execution that outgrows memory.
 var ErrMemBudget = core.ErrMemBudget
 
 // ModeOverride is a convenience for ExecOptions.Mode: it returns a pointer to
@@ -259,12 +250,12 @@ func ModeOverride(mode Mode) *Mode { m := mode; return &m }
 // goroutines.
 func NewEvalPool(max int) *EvalPool { return core.NewEvalPool(max) }
 
-// NewMemGauge returns a memory gauge with the given soft and hard watermarks
-// (0 disables either). Pass it via ExecOptions.Mem when an external observer
-// — like the serving layer's memory broker — needs to watch an execution's
-// live bytes; plain callers set ExecOptions.SoftMemBytes/HardMemBytes and let
-// Exec create the gauge internally.
-func NewMemGauge(soft, hard int64) *MemGauge { return core.NewMemGauge(soft, hard) }
+// NewMemGauge returns a memory gauge with the given hard watermark (0
+// disables it). Pass it via ExecOptions.Mem when an external observer — like
+// the serving layer's memory broker — needs to watch an execution's live
+// bytes; plain callers set ExecOptions.HardMemBytes and let Exec create the
+// gauge internally.
+func NewMemGauge(hard int64) *MemGauge { return core.NewMemGauge(hard) }
 
 // NewTrace starts a request trace whose root span opens immediately. Pass it
 // via ExecOptions.Trace to record the execution's phase spans, and read the

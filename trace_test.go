@@ -260,25 +260,3 @@ func TestTraceDisabledNoAllocs(t *testing.T) {
 		t.Fatalf("nil-trace operations allocate: %v allocs/run", allocs)
 	}
 }
-
-// TestTraceSpillIOCounters: a spilling execution reports the bytes and time
-// its spill files cost, both in Stats and on the conjunct span.
-func TestTraceSpillIO(t *testing.T) {
-	g, ont := datasets().L4All(l4all.L1)
-	eng := NewEngine(g, ont).WithOptions(Options{
-		DistanceAware:  true,
-		SpillThreshold: 8,
-		SpillDir:       t.TempDir(),
-	})
-	sum, stats := tracedRun(t, eng, "(?X) <- APPROX (Librarians, type-.job-.next, ?X)", ExecOptions{Limit: 500})
-	if stats.SpillIOBytes == 0 {
-		t.Skip("execution did not spill; cannot assert spill I/O counters")
-	}
-	if stats.SpillIONanos == 0 {
-		t.Fatalf("SpillIOBytes=%d but SpillIONanos=0", stats.SpillIOBytes)
-	}
-	conj := requireSpan(t, sum, obs.SpanConjunct)
-	if conj.Attrs["spill_io_bytes"] == 0 {
-		t.Fatalf("conjunct span missing spill_io_bytes: %+v", conj.Attrs)
-	}
-}

@@ -52,8 +52,8 @@ type workGolden struct {
 
 // frontierBound is what every golden and ablation run must hold its
 // accounted peak under. It is ROADMAP item 14b's condition for the hard
-// watermark to be the only memory bound, with no disk spill behind it; a case
-// that needs more has to argue its way back in there.
+// watermark to be the only memory bound; a case that needs more has to argue
+// its way back in there.
 const frontierBound = 64 << 20
 
 // checkFrontierBound fails the test when a run's accounted peak is over
