@@ -137,8 +137,8 @@ func main() {
 	}
 	if *stats || *analyze {
 		s := rows.Stats()
-		fmt.Fprintf(os.Stderr, "backend=%s parallelism=%d shards=%d tuples added=%d popped=%d visited=%d phases=%d deferred=%d reinjected=%d neighbour-calls=%d cache-hits=%d\n",
-			s.Backend, s.Parallelism, s.Shards, s.TuplesAdded, s.TuplesPopped, s.VisitedSize, s.Phases, s.Deferred, s.Reinjected, s.NeighborCalls, s.CacheHits)
+		fmt.Fprintf(os.Stderr, "backend=%s parallelism=%d shards=%d tuples added=%d popped=%d visited=%d phases=%d deferred=%d reinjected=%d neighbour-calls=%d cache-hits=%d prep-ops=%d max-delay-ops=%d\n",
+			s.Backend, s.Parallelism, s.Shards, s.TuplesAdded, s.TuplesPopped, s.VisitedSize, s.Phases, s.Deferred, s.Reinjected, s.NeighborCalls, s.CacheHits, s.PrepOps, s.MaxDelayOps)
 	}
 }
 

@@ -201,10 +201,14 @@ func (r *Rows) Next() (Row, bool, error) {
 // without further evaluation, up to len(dst), and returns how many it stored.
 // An exhaustive scan on the bulk backend hands over the rest of its current
 // 64-source block this way; a ranked APPROX/RELAX stream, whose next answer
-// is always more search, yields one row per call. So a batch shorter than
-// len(dst) means the engine has gone back to work — the moment a server
-// should flush what it holds. 0 with a nil error means the stream is
-// exhausted (resources are released by then); errors are sticky as for Next.
+// is always more search, yields one row per call, often after very little of
+// it. So a short batch says nothing about how long the next row will take. A
+// server that holds rows back to coalesce its writes sets ExecOptions.Idle
+// instead: the execution calls it every 4 096 tuple operations of search,
+// before each bulk block and before a wait on a worker, so held rows can
+// leave after a bounded amount of engine work. 0 with a nil error means the
+// stream is exhausted (resources are released by then); errors are sticky as
+// for Next.
 //
 // Aliasing: the rows' Nodes and Labels slices point into storage the Rows
 // owns and overwrites on the next NextBatch or Next call. Encode or copy a

@@ -70,8 +70,9 @@ func (b *bulkIterator) Next() (Answer, bool, error) {
 // hands over up to max of that block's remaining pairs, all at distance 0,
 // straight out of the run's pair buffer — the slice is valid until the next
 // call. It never starts another block to fill a batch, so a short return
-// means the next pair costs a BFS. An empty slice with a nil error is
-// exhaustion; errors are sticky, as in the ranked evaluators.
+// means the next pair costs a BFS, and it calls the run's idle hook before it
+// starts one. An empty slice with a nil error is exhaustion; errors are
+// sticky, as in the ranked evaluators.
 func (b *bulkIterator) nextPairs(max int) ([]bulk.Pair, error) {
 	for {
 		if b.failed != nil {
@@ -88,13 +89,16 @@ func (b *bulkIterator) nextPairs(max int) ([]bulk.Pair, error) {
 		if b.done {
 			return nil, nil
 		}
+		// A new lane block is a BFS away, or in parallel a wait on the
+		// workers: whatever the caller holds of the last one goes now.
+		b.r.onIdle()
 		if b.run == nil && b.par == nil {
 			ix := b.bulkIdx()
 			if k := b.r.opts.Parallelism; k > 1 && ix.Blocks() > 1 {
 				b.startPar(ix, k)
 			} else {
 				b.run = bulk.NewRun(ix)
-				b.run.OnStep = b.step(&b.lastMem, ix.Bytes())
+				b.run.OnStep = b.step(b.r, &b.lastMem, ix.Bytes())
 			}
 		}
 		var pairs []bulk.Pair
@@ -150,17 +154,18 @@ func (b *bulkIterator) bulkIdx() *bulk.Index {
 }
 
 // step returns the governance hook a run invokes per BFS level (and once per
-// block seeding): tuple budget — one atomic counter shared by every worker,
-// so the budget stays per-execution rather than per-worker — cancellation,
-// the bulk.step failpoint, and the charge of the level's resident bytes to
-// slot, with the hard watermark that goes with it. fixed is charged on top of
-// what the run reports: the immutable index, once per automaton.
-func (b *bulkIterator) step(slot *int64, fixed int64) func(resident int64, added int) error {
+// block seeding), on r — the execution's run, or a parallel worker's copy:
+// tuple budget — one atomic counter shared by every worker, so the budget
+// stays per-execution rather than per-worker — cancellation, the bulk.step
+// failpoint, and the charge of the level's resident bytes to slot, with the
+// hard watermark that goes with it. fixed is charged on top of what the run
+// reports: the immutable index, once per automaton.
+func (b *bulkIterator) step(r *run, slot *int64, fixed int64) func(resident int64, added int) error {
 	return func(resident int64, added int) error {
-		if b.r.overBudget(int(b.tuples.Add(int64(added)))) {
+		if r.overBudget(int(b.tuples.Add(int64(added)))) {
 			return ErrTupleBudget
 		}
-		if err := b.r.done(); err != nil {
+		if err := r.done(); err != nil {
 			return err
 		}
 		if fault.Enabled() {
@@ -168,7 +173,7 @@ func (b *bulkIterator) step(slot *int64, fixed int64) func(resident int64, added
 				return fmt.Errorf("bulk step: %w", err)
 			}
 		}
-		return b.r.charge(slot, resident+fixed)
+		return r.charge(slot, resident+fixed)
 	}
 }
 
@@ -178,13 +183,14 @@ func (b *bulkIterator) step(slot *int64, fixed int64) func(resident int64, added
 // same per-level governance with its own slot in the memory accounting (the
 // immutable index is charged once, through worker 0).
 func (b *bulkIterator) startPar(ix *bulk.Index, k int) {
+	wr := b.r.worker() // read-only from here on, so the workers share it
 	b.par = bulk.NewParRun(ix, bulk.ParConfig{
 		Workers: k,
 		OnStep: func(worker int) func(resident int64, added int) error {
 			if worker == 0 {
-				return b.step(&b.parMem[0], ix.Bytes())
+				return b.step(wr, &b.parMem[0], ix.Bytes())
 			}
-			return b.step(&b.parMem[worker], 0)
+			return b.step(wr, &b.parMem[worker], 0)
 		},
 		OnBlock: b.onBlock,
 	})

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"omega/internal/automaton"
@@ -161,10 +165,50 @@ func contractEndings() []contractEnding {
 	}
 }
 
+// openContract opens the plan as Exec would: on r, or prefetched from a
+// worker copy of it.
+func openContract(plan *conjunctPlan, r *run, prefetch bool) Iterator {
+	backend := plan.chooseBackend(r.opts.Backend, true).backend
+	if prefetch {
+		return newPrefetchIterator(r, plan.open(r.worker(), obs.NoSpan, 0, backend))
+	}
+	return plan.open(r, obs.NoSpan, 0, backend)
+}
+
+func unprefetch(it Iterator) Iterator {
+	if pf, ok := it.(*prefetchIterator); ok {
+		return pf.it
+	}
+	return it
+}
+
+// drainContract pulls until Next stops, returning what it emitted and how the
+// stream ended.
+func drainContract(it Iterator) ([]Answer, bool, error) {
+	var out []Answer
+	a, ok, err := it.Next()
+	for ok && err == nil {
+		out = append(out, a)
+		a, ok, err = it.Next()
+	}
+	return out, ok, err
+}
+
+// goroutineID parses the calling goroutine's id off its stack header
+// ("goroutine 123 [running]:").
+func goroutineID() int {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	id, _ := strconv.Atoi(f[1])
+	return id
+}
+
 // TestDriverContract holds every Iterator implementation to the one contract,
 // under every way a stream can end: the sticky error and its identity, Next
 // after Close, Stats after the end, a gauge back at zero, and pooled bundles
-// recycled or discarded as recyclable(err) says.
+// recycled or discarded as recyclable(err) says. Every run has the idle hook
+// armed, which must only ever be called on the test's goroutine — each
+// subtest's own — and must not change what an exhausted stream emits.
 func TestDriverContract(t *testing.T) {
 	big, small := ringGraph(t, 512), ringGraph(t, 40)
 	ont := ontology.New()
@@ -194,26 +238,43 @@ func TestDriverContract(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					// The idle hook is armed on every run: it bumps a plain
+					// counter, so -race flags a call from a shard, prefetch or
+					// bulk worker, and it checks the goroutine outright.
 					r := newRun(env.ctx, env.opts, env.mem, pool, nil)
 					r.opts.Parallelism = resolveParallelism(0, env.opts.Parallelism)
-					it := plan.open(&r, obs.NoSpan, 0, plan.chooseBackend(env.opts.Backend, true).backend)
-					if !d.is(it) {
-						t.Fatalf("the row opened a %T", it)
+					idles, self := 0, goroutineID()
+					r.idle = func() {
+						idles++
+						if id := goroutineID(); id != self {
+							t.Errorf("idle hook called on goroutine %d, the execution's is %d", id, self)
+						}
 					}
-					if d.prefetch {
-						it = newPrefetchIterator(it)
+					it := openContract(plan, &r, d.prefetch)
+					if !d.is(unprefetch(it)) {
+						t.Fatalf("the row opened a %T", unprefetch(it))
 					}
 
 					want := e.want
 					if e.end != nil {
 						e.end(t, it)
 					}
-					_, ok, err := it.Next()
-					for ok && err == nil {
-						_, ok, err = it.Next()
-					}
+					emitted, ok, err := drainContract(it)
 					if ok || (want == nil) != (err == nil) || !errors.Is(err, want) {
 						t.Fatalf("stream ended with (%v, %v), want %v", ok, err, want)
+					}
+					if e.name == "exhaust" {
+						// The hook only observes: an unarmed run emits the same.
+						ur := newRun(nil, env.opts, NewMemGauge(0), nil, nil)
+						ur.opts.Parallelism = r.opts.Parallelism
+						ref, _, rerr := drainContract(openContract(plan, &ur, d.prefetch))
+						if rerr != nil || !slices.Equal(emitted, ref) {
+							t.Fatalf("armed run emitted %d answers, unarmed %d (err %v): emission differs", len(emitted), len(ref), rerr)
+						}
+						// Only a wait on a worker is timing-dependent.
+						if idles == 0 && !d.empty && !d.prefetch && !d.sharded {
+							t.Fatal("the idle hook was never called")
+						}
 					}
 					for i := 0; i < 2; i++ {
 						if _, ok, again := it.Next(); ok || again != err {

@@ -327,14 +327,26 @@ type Stats struct {
 	Parallelism    int
 	Shards         int
 	MergeWaitNanos int64
+	// PrepOps and MaxDelayOps are the enumeration delay in tuple operations,
+	// the adds and pops counted in TuplesAdded and TuplesPopped: PrepOps
+	// before the first row the execution returned, MaxDelayOps the most
+	// between two consecutive rows (0 until there are two). They are exact
+	// and repeat on any machine for a serial execution; a bulk conjunct adds
+	// and pops nothing, and the work of shard and prefetch workers is not
+	// counted, so under Parallelism > 1 they read only what ran on the
+	// executing goroutine. PrepOps is a property of the whole request and is
+	// never folded.
+	PrepOps     int
+	MaxDelayOps int
 }
 
 // add folds o into s, the one way counters of several evaluators become one
-// Stats: the additive counters sum, and MemPeakBytes takes the maximum,
-// because every evaluator of an execution reports the peak of the one gauge
-// they share. VisitedSize, Phases and Backend stay with the caller — shards
-// sum visited sizes while branches and conjuncts take the largest — and the
-// request-level timings and Parallelism are never folded.
+// Stats: the additive counters sum, MemPeakBytes takes the maximum, because
+// every evaluator of an execution reports the peak of the one gauge they
+// share, and so does MaxDelayOps. VisitedSize, Phases and Backend stay with
+// the caller — shards sum visited sizes while branches and conjuncts take the
+// largest — and the request-level timings, PrepOps and Parallelism are never
+// folded.
 func (s *Stats) add(o Stats) {
 	s.TuplesAdded += o.TuplesAdded
 	s.TuplesPopped += o.TuplesPopped
@@ -345,4 +357,5 @@ func (s *Stats) add(o Stats) {
 	s.Shards += o.Shards
 	s.MergeWaitNanos += o.MergeWaitNanos
 	s.MemPeakBytes = max(s.MemPeakBytes, o.MemPeakBytes)
+	s.MaxDelayOps = max(s.MaxDelayOps, o.MaxDelayOps)
 }

@@ -247,6 +247,7 @@ func (ev *evaluator) resume(psi int32) {
 	n := ev.dr.Inject(ev.deferred, psi)
 	ev.stats.TuplesAdded += n
 	ev.stats.Reinjected += n
+	ev.r.tick(n)
 	if ev.r.overBudget(ev.stats.TuplesAdded) && ev.failed == nil {
 		ev.failed = ErrTupleBudget
 	}
@@ -257,7 +258,8 @@ func (ev *evaluator) resume(psi int32) {
 
 // add inserts a tuple or a new continuation, enforcing the tuple budget.
 // Every entry entering D_R goes through add or resume, and every successor a
-// continuation yields through step, so stats.TuplesAdded counts both.
+// continuation yields through step, so stats.TuplesAdded counts both; each is
+// also one tick of the run's operation counter, as every pop is.
 func (ev *evaluator) add(t dstruct.Tuple) {
 	if ev.failed != nil {
 		return
@@ -268,6 +270,7 @@ func (ev *evaluator) add(t dstruct.Tuple) {
 	}
 	ev.dr.Add(t)
 	ev.stats.TuplesAdded++
+	ev.r.tick(1)
 	if ev.memOps++; ev.memOps >= memSampleEvery {
 		ev.sampleMem()
 	}
@@ -398,6 +401,7 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 			return Answer{}, false, nil
 		}
 		ev.stats.TuplesPopped++
+		ev.r.tick(1)
 		if t.IsCont() {
 			if t, ok = ev.step(t); !ok {
 				continue
@@ -532,6 +536,7 @@ func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
 		return dstruct.Tuple{}, false
 	}
 	ev.stats.TuplesAdded++
+	ev.r.tick(1)
 	slot := c.Slot()
 	tr := &ev.aut.Trans[slot/ev.stride]
 	seg, cur := int(slot%ev.stride), int(c.Cursor())

@@ -176,10 +176,11 @@ func (pi *parIterator) start() error {
 		pi.inner = pi.plan.newEvaluator(pi.r, 0, -1)
 		return nil
 	}
-	// The shard evaluators run on a copy of the run whose context the
-	// iterator can cancel on its own, to preempt them; gauge, trace and
-	// options are the execution's.
-	wr := *pi.r
+	// The shard evaluators run on worker copies of the run, one per shard so
+	// each counts its own operations, whose context the iterator can cancel
+	// on its own, to preempt them; gauge, trace and options are the
+	// execution's.
+	wr := pi.r.worker()
 	if wr.ctx == nil {
 		wr.ctx = context.Background()
 	}
@@ -195,7 +196,7 @@ func (pi *parIterator) start() error {
 	}
 	pi.wg.Add(nsh)
 	for _, s := range pi.shards {
-		go pi.worker(&wr, s)
+		go pi.worker(wr.worker(), s)
 	}
 	for _, s := range pi.shards {
 		if err := pi.advance(s); err != nil {
@@ -303,7 +304,7 @@ func (pi *parIterator) worker(wr *run, s *shardState) {
 func (pi *parIterator) advance(s *shardState) error {
 	for s.pos >= len(s.cur) {
 		t0 := time.Now()
-		batch, open := <-s.ch
+		batch, open := recv(pi.r, s.ch)
 		pi.mergeWait += time.Since(t0).Nanoseconds()
 		if !open {
 			s.cur, s.pos = nil, 0
@@ -479,6 +480,7 @@ func (pi *parIterator) Stats() Stats {
 // preserved exactly, so join output is byte-identical to the serial case.
 type prefetchIterator struct {
 	it Iterator
+	r  *run // the execution's run, for its idle hook; it runs on a worker copy
 
 	ch   chan []prefetched
 	stop chan struct{}
@@ -509,9 +511,12 @@ const (
 	prefetchChanCap = 4
 )
 
-func newPrefetchIterator(it Iterator) *prefetchIterator {
+// newPrefetchIterator prefetches it, which must have been opened on a worker
+// copy of r (see run.worker): it runs on the prefetch goroutine.
+func newPrefetchIterator(r *run, it Iterator) *prefetchIterator {
 	return &prefetchIterator{
 		it:   it,
+		r:    r,
 		ch:   make(chan []prefetched, prefetchChanCap),
 		stop: make(chan struct{}),
 	}
@@ -572,7 +577,7 @@ func (pf *prefetchIterator) Next() (Answer, bool, error) {
 		pf.start()
 	}
 	for pf.pos >= len(pf.cur) {
-		batch, open := <-pf.ch
+		batch, open := recv(pf.r, pf.ch)
 		if !open {
 			// The worker only closes without a terminal entry when stopped.
 			pf.done = true

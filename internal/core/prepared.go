@@ -93,6 +93,18 @@ type ExecOptions struct {
 	// sharding, so a parallel run may admit up to K× the budget before
 	// tripping it.
 	Parallelism int
+	// Idle, when non-nil, is called back while the execution works toward
+	// its next row: each time its ranked evaluators have done another 4 096
+	// tuple operations (adds and pops, as Stats.PrepOps counts them), before
+	// the bulk backend computes each new lane block, and before the execution
+	// blocks on a shard, prefetch or parallel bulk worker. A caller that holds
+	// rows back (a server coalescing writes) pushes them out there, so none
+	// waits for more than that much of the execution's work. It is called on
+	// the executing goroutine, never concurrently, from inside Next or
+	// NextBatch, and must not call back into the execution. It only observes:
+	// emission is the same with or without it. It is a programmatic hook, not
+	// a knob.
+	Idle func()
 }
 
 // planSet is one fully compiled variant of a prepared query: the (possibly
@@ -263,6 +275,7 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 		started: time.Now(),
 	}
 	r := &ex.r
+	r.idle = eo.Idle
 	ex.its = make([]Iterator, len(ps.plans))
 	ex.backends = make([]Backend, len(ps.plans))
 	if r.trace != nil {
@@ -283,15 +296,15 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 			}
 			ex.conjSpans[i] = sp
 		}
-		it := plan.open(r, sp, eo.MaxDist, dec.backend)
 		if len(ps.plans) > 1 && r.opts.Parallelism > 1 {
 			// Concurrent conjunct evaluation: each conjunct prefetches its
-			// stream from its own goroutine through a bounded buffer; the
-			// rank join's sequential peek order — and therefore its output —
-			// is unchanged.
-			it = newPrefetchIterator(it)
+			// stream from its own goroutine, on a worker copy of the run,
+			// through a bounded buffer; the rank join's sequential peek order
+			// — and therefore its output — is unchanged.
+			ex.its[i] = newPrefetchIterator(r, plan.open(r.worker(), sp, eo.MaxDist, dec.backend))
+		} else {
+			ex.its[i] = plan.open(r, sp, eo.MaxDist, dec.backend)
 		}
-		ex.its[i] = it
 	}
 	q := ps.q
 	switch {
@@ -333,6 +346,11 @@ type Execution struct {
 	released bool
 
 	chunk []graph.NodeID // backing store for rows Next hands out, carved per row
+
+	// Delay in tuple operations, read off the run's counter as rows come out
+	// (see Stats.PrepOps and Stats.MaxDelayOps): lastOps is the count at the
+	// latest row.
+	prepOps, maxDelayOps, lastOps int
 
 	// Tracing (inert when the execution is untraced — the per-batch cost is
 	// the single e.n == 0 compare in NextBatch).
@@ -433,8 +451,16 @@ func (e *Execution) NextBatch(dst []QueryAnswer) (int, error) {
 			}
 		}
 	}
-	if n > 0 && e.n == 0 {
-		e.ttfr = time.Since(e.started)
+	if n > 0 {
+		// The rows of one batch come out with no work between them, so only
+		// the first has a delay.
+		if e.n == 0 {
+			e.ttfr = time.Since(e.started)
+			e.prepOps = e.r.ops
+		} else {
+			e.maxDelayOps = max(e.maxDelayOps, e.r.ops-e.lastOps)
+		}
+		e.lastOps = e.r.ops
 	}
 	e.n += n
 	if n == 0 || e.done {
@@ -541,5 +567,6 @@ func (e *Execution) Stats() Stats {
 	if e.ttfr > 0 {
 		s.TTFRNanos = int64(e.ttfr)
 	}
+	s.PrepOps, s.MaxDelayOps = e.prepOps, e.maxDelayOps
 	return s
 }

@@ -15,6 +15,12 @@ import (
 // deterministically without having to tune real allocations.
 const fpMemHard = "mem.hard"
 
+// idleOps is the tuple-operation period of the idle hook: the execution calls
+// ExecOptions.Idle each time its evaluators' adds and pops reach another
+// multiple of it, so a caller holding rows back holds none for longer than
+// this much of the execution's work.
+const idleOps = 4096
+
 // run is the governance context of one execution: everything that is decided
 // per request rather than per plan, and the only spelling of every policy the
 // iterator drivers enforce. Prepared.Exec builds one (held by value in the
@@ -23,7 +29,9 @@ const fpMemHard = "mem.hard"
 // drivers decide *when* a policy is checked — the evaluator every 512 tuple
 // operations and every 4096 pops, the bulk backend once per BFS level, the
 // Execution once per NextBatch — and the methods here decide *what* the check
-// is.
+// is. A goroutine other than the execution's works on a copy from worker, so
+// the operation counter and the idle hook are only ever touched by the
+// execution's own goroutine.
 type run struct {
 	// opts is this run's private copy of the prepared options, with the
 	// per-execution overrides (MaxTuples, resolved Parallelism) written in; it
@@ -43,6 +51,15 @@ type run struct {
 	// parent the spans they record lazily (bulk index builds, ψ phases).
 	trace *obs.Trace
 	span  obs.SpanID
+
+	// ops counts the tuple operations — adds and pops — of the evaluators
+	// running on this run; idle, when non-nil, is called each time ops reaches
+	// idleAt, the next multiple of idleOps, and before work that yields no row
+	// for a while (a bulk lane block, a wait on a worker). Execution-goroutine
+	// state: see worker.
+	ops    int
+	idleAt int
+	idle   func()
 }
 
 // newRun builds the run and opens its exec span (NoSpan when untraced).
@@ -55,7 +72,48 @@ func newRun(ctx context.Context, opts Options, mem *MemGauge, pool *EvalPool, tr
 		// (see newEvaluator).
 		pool = nil
 	}
-	return run{opts: opts, ctx: ctx, mem: mem, pool: pool, trace: trace, span: trace.Start(obs.Root, obs.SpanExec)}
+	return run{opts: opts, ctx: ctx, mem: mem, pool: pool, trace: trace, span: trace.Start(obs.Root, obs.SpanExec), idleAt: idleOps}
+}
+
+// worker returns a copy of the run for a goroutine other than the
+// execution's — a shard, prefetch or parallel bulk worker: the same options,
+// context, gauge, pool and trace, an operation counter of its own and no idle
+// hook.
+func (r *run) worker() *run {
+	w := *r
+	w.ops, w.idleAt, w.idle = 0, idleOps, nil
+	return &w
+}
+
+// tick counts n tuple operations and calls the idle hook once for every
+// multiple of idleOps the count reaches.
+func (r *run) tick(n int) {
+	r.ops += n
+	for r.ops >= r.idleAt {
+		r.idleAt += idleOps
+		r.onIdle()
+	}
+}
+
+// onIdle calls the idle hook, if there is one.
+func (r *run) onIdle() {
+	if r.idle != nil {
+		r.idle()
+	}
+}
+
+// recv receives from a worker's channel on the execution's goroutine,
+// calling the idle hook first when the receive would block: nothing the
+// caller holds back may wait on another goroutine's work.
+func recv[T any](r *run, ch <-chan T) (T, bool) {
+	select {
+	case v, ok := <-ch:
+		return v, ok
+	default:
+	}
+	r.onIdle()
+	v, ok := <-ch
+	return v, ok
 }
 
 // ContextErr maps a done context onto the package's typed errors and reports

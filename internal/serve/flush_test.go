@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -134,48 +135,43 @@ func (rs *recordingServer) get(t *testing.T, id string, params url.Values) int {
 	return rows
 }
 
-// TestFlushRankedRowPerWrite: on a ranked stream every batch is one row —
-// the next answer is more search — so every answer leaves in its own write,
-// readable by the client before the next one exists.
-func TestFlushRankedRowPerWrite(t *testing.T) {
-	const delay = 4 * time.Millisecond
-	armFaults(t, fmt.Sprintf("core.row=delay:%s", delay), 21)
+// TestFlushRankedCoalesces: a ranked stream sends its first row alone — time
+// to first answer never rides behind a batch — and the rest in the writes the
+// execution's idle hook asks for, one each time the engine has done another
+// 4 096 tuple operations with rows pending, plus the last with the done line.
+// The hold bound is counted in work, not time, so the write count of every
+// L1 study query in RELAX and APPROX top-100 is exact. Top-100 on L1 is the
+// first row and then the rest with the done line; top-1000 streams run long
+// enough for idle writes and 32 KiB ones in between.
+func TestFlushRankedCoalesces(t *testing.T) {
+	want := map[string]int{ // writes per response, done line included
+		"Q3/relax/100": 2, "Q3/approx/100": 2, "Q3/relax/1000": 3, "Q3/approx/1000": 4,
+		"Q8/relax/100": 1, "Q8/approx/100": 2, "Q8/relax/1000": 1, "Q8/approx/1000": 5, // RELAX Q8 has no answer
+		"Q9/relax/100": 2, "Q9/approx/100": 2, "Q9/relax/1000": 2, "Q9/approx/1000": 7,
+		"Q10/relax/100": 2, "Q10/approx/100": 2, "Q10/relax/1000": 4, "Q10/approx/1000": 4,
+		"Q11/relax/100": 2, "Q11/approx/100": 2, "Q11/relax/1000": 4, "Q11/approx/1000": 5,
+		"Q12/relax/100": 2, "Q12/approx/100": 2, "Q12/relax/1000": 3, "Q12/approx/1000": 5,
+	}
 	_, rs := newRecordingServer(t, Config{Workers: 1}, nil)
-
-	req, _ := http.NewRequest(http.MethodGet, rs.ts.URL+"/query?"+url.Values{"q": {approxQuery}, "limit": {"25"}}.Encode(), nil)
-	req.Header.Set("X-Request-Id", "ranked")
-	resp, err := rs.ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-	var arrivals []time.Time
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("stream broke after %d rows: %v", len(arrivals), err)
-		}
-		if bytes.HasPrefix(line, []byte(`{"done":true`)) {
-			break
-		}
-		arrivals = append(arrivals, time.Now())
-	}
-	if len(arrivals) != 25 {
-		t.Fatalf("%d rows, want 25", len(arrivals))
-	}
-	// The client saw the first row long before the last was produced: the
-	// rows after it each cost the evaluator one injected delay.
-	if got, least := arrivals[24].Sub(arrivals[0]), 24*delay/2; got < least {
-		t.Fatalf("first and last row arrived %s apart; rows produced %s apart were held back and sent together", got, delay)
-	}
-	ws := rs.writes("ranked")
-	if len(ws) != 26 {
-		t.Fatalf("%d writes for 25 rows and a done line, want 26: %+v", len(ws), ws)
-	}
-	for i, w := range ws {
-		if w.lines != 1 {
-			t.Fatalf("write %d carries %d lines, want 1: %+v", i, w.lines, ws)
+	for _, q := range l4all.StudyQueries() {
+		for _, limit := range []string{"100", "1000"} {
+			for _, mode := range []string{"relax", "approx"} {
+				id := q.ID + "/" + mode + "/" + limit
+				rows := rs.get(t, id, url.Values{"q": {q.Text}, "mode": {mode}, "limit": {limit}})
+				ws := rs.writes(id)
+				total := 0
+				for _, w := range ws {
+					total += w.lines
+				}
+				switch {
+				case total != rows+1:
+					t.Errorf("%s: writes carry %d lines, want %d rows and a done line", id, total, rows)
+				case rows > 0 && ws[0].lines != 1:
+					t.Errorf("%s: first write carries %d lines, want the first row alone", id, ws[0].lines)
+				case len(ws) != want[id]:
+					t.Errorf("%s: %d writes for %d rows, want %d: %+v", id, len(ws), rows, want[id], ws)
+				}
+			}
 		}
 	}
 }
@@ -311,7 +307,9 @@ func TestRowWriterSteadyStateAllocs(t *testing.T) {
 		if err := rw.deliver(rows, false); err != nil { // buffered, or out by the byte threshold
 			t.Fatal(err)
 		}
-		if err := rw.deliver(rows[:1], true); err != nil { // a short batch: written at once
+		// The engine worked on: what is pending goes.
+		rw.idle()
+		if err := rw.deliver(rows[:1], true); err != nil { // a turn that yields: written at once
 			t.Fatal(err)
 		}
 	})
@@ -320,6 +318,51 @@ func TestRowWriterSteadyStateAllocs(t *testing.T) {
 	}
 	if w.writes == before {
 		t.Fatal("the cycle never wrote")
+	}
+}
+
+// TestRowWriterIdle: the rows pending when the execution's idle hook fires
+// leave in that call's write; a call with nothing pending writes nothing.
+func TestRowWriterIdle(t *testing.T) {
+	srv, _ := newRecordingServer(t, Config{Workers: 1}, nil)
+	rows := []omega.Row{
+		{Vars: []string{"X"}, Nodes: []omega.NodeID{1}, Labels: []string{"a"}},
+		{Vars: []string{"X"}, Nodes: []omega.NodeID{2}, Labels: []string{"b"}, Dist: 1},
+		{Vars: []string{"X"}, Nodes: []omega.NodeID{3}, Labels: []string{"c"}, Dist: 1},
+	}
+	w := &recordingWriter{ResponseWriter: &bareWriter{h: http.Header{}}}
+	rw := newRowWriter(httptest.NewRequest(http.MethodGet, "/query", nil).Context(), w, srv.metrics, 0)
+	defer rw.release()
+	lines := func() []int {
+		var out []int
+		for _, bw := range w.snapshot() {
+			out = append(out, bw.lines)
+		}
+		return out
+	}
+	rw.idle() // nothing yet
+	if err := rw.deliver(rows, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := lines(); !slices.Equal(got, []int{1}) {
+		t.Fatalf("after the first batch: writes of %v lines, want the first row alone", got)
+	}
+	rw.idle()
+	if got := lines(); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("after an idle call: writes of %v lines, want the two pending rows in the second", got)
+	}
+	rw.idle()
+	if err := rw.deliver(rows[:1], false); err != nil {
+		t.Fatal(err)
+	}
+	if got := lines(); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("an idle call with nothing pending, then a batch: writes of %v lines, want no new write", got)
+	}
+	if err := rw.finish([]byte(`{"done":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := lines(); !slices.Equal(got, []int{1, 2, 2}) {
+		t.Fatalf("after finish: writes of %v lines, want the held row with the done line", got)
 	}
 }
 

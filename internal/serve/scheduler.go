@@ -175,11 +175,14 @@ const gapBuckets = 34
 // across several worker turns but never concurrently. The rows alias the
 // execution's batch storage (see omega.Rows.NextBatch): a sink encodes or
 // copies them before it returns. wait reports that whatever the sink holds
-// would otherwise sit on the server while something else runs, so a sink
-// that buffers pushes its buffer out: it is set on a batch that came back
-// short of what was asked (the engine has gone back to work for the next
-// row), and on the empty call that ends a turn when another request gets the
-// worker.
+// would otherwise sit on the server while another request runs, so a sink
+// that buffers pushes its buffer out: it is set only on the empty call that
+// ends a turn when another request gets the worker. While the request's own
+// execution works, a sink that buffers learns when to push through the
+// execution's idle hook (omega.ExecOptions.Idle), which runs on the same
+// worker, between deliveries. A write made there has no one to report a
+// failure to, so the stream's end is one more empty call, without wait: the
+// sink returns such a failure then, and it becomes the request's outcome.
 type Sink func(rows []omega.Row, wait bool) error
 
 // task is one admitted request, cooperatively executed in row quanta.
@@ -571,14 +574,19 @@ func (s *Scheduler) runQuantum(t *task, batch []omega.Row) (finished bool) {
 		return true
 	}
 	for left := len(batch); left > 0; {
-		asked := left
-		n, err := t.rows.NextBatch(batch[:asked])
+		n, err := t.rows.NextBatch(batch[:left])
 		if n == 0 {
+			// The stream is over. A write the sink made from the idle hook
+			// may have failed since its last delivery — and canceled the
+			// request with it — so the sink has the last word.
+			if serr := t.sink(nil, false); serr != nil {
+				err = serr
+			}
 			return finish(err)
 		}
 		t.recordGaps(time.Now(), n)
 		left -= n
-		if err := t.sink(batch[:n], n < asked); err != nil {
+		if err := t.sink(batch[:n], false); err != nil {
 			return finish(err)
 		}
 		if t.n == 0 {

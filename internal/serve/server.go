@@ -222,6 +222,10 @@ type statsLine struct {
 	Phases       int `json:"phases"`
 	Deferred     int `json:"deferred"`
 	Reinjected   int `json:"reinjected"`
+	// PrepOps and MaxDelayOps are the enumeration delay in tuple operations:
+	// before the first row, and the most between two rows (see omega.Stats).
+	PrepOps     int `json:"prep_ops"`
+	MaxDelayOps int `json:"max_delay_ops"`
 	// MemPeakBytes is the execution's accounted peak resident footprint.
 	MemPeakBytes int64 `json:"mem_peak_bytes,omitempty"`
 	// Backend reports which evaluation engine ran: "ranked", "bulk", or
@@ -253,6 +257,8 @@ func toStatsLine(s omega.Stats) statsLine {
 		Phases:       s.Phases,
 		Deferred:     s.Deferred,
 		Reinjected:   s.Reinjected,
+		PrepOps:      s.PrepOps,
+		MaxDelayOps:  s.MaxDelayOps,
 		MemPeakBytes: s.MemPeakBytes,
 		Backend:      s.Backend,
 		Parallelism:  par,
@@ -287,10 +293,11 @@ func toStatsLine(s omega.Stats) statsLine {
 // non-decreasing distance, then a final object — either {"done":true,...}
 // with the evaluation counters (and "degraded":true when degraded-mode
 // admission clamped the request) or {"error":...} if the stream failed
-// mid-flight. Rows are written and flushed whenever they would otherwise wait
-// (see rowWriter): the first row at once, then every time the engine goes
-// back to work for the next one — after each answer of a ranked APPROX/RELAX
-// stream, in ~32 KiB writes through an exhaustive scan. A client that stops
+// mid-flight. Rows are written and flushed when they would otherwise wait too
+// long (see rowWriter): the first row at once, then whatever is pending each
+// time the engine has done 4 096 tuple operations (or starts a bulk block)
+// without the stream ending, at the end of a turn that yields the worker, at
+// 32 KiB, and with the terminal line. A client that stops
 // reading is cut off when a write outlasts the stall budget or the request's
 // deadline. Failures before the first row map to HTTP status
 // codes: 400 (bad query/parameters), 503 + Retry-After (admission control —
@@ -452,6 +459,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 	start := time.Now()
 	rw := newRowWriter(ctx, w, s.metrics, s.stall)
 	defer rw.release()
+	// The execution runs on the scheduler's worker, and so does the hook: the
+	// rows the writer holds leave whenever the engine has worked on for a
+	// while without producing the next one.
+	eo.Idle = rw.idle
 
 	res, err := s.sched.Stream(ctx,
 		func(ctx context.Context) (*omega.Rows, error) { return pq.Exec(ctx, eo) },

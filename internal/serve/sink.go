@@ -22,19 +22,23 @@ const flushBytes = 32 << 10
 const finishGrace = time.Second
 
 // rowWriter is the /query handler's row sink: it appends each batch to a
-// pooled buffer as NDJSON and writes-and-flushes exactly when rows would
-// otherwise wait —
+// pooled buffer as NDJSON and writes-and-flushes when rows would otherwise
+// wait too long —
 //
 //   - after the first row of the response (time to first answer is the
 //     paper's incremental return; it never rides behind a batch);
-//   - after a batch that came back short, and at the end of a turn with
-//     another request runnable (the scheduler's wait flag: the engine, or the
-//     worker, has gone to do something else);
+//   - at the execution's idle hook (idle): every 4 096 tuple operations of
+//     ranked search, before each bulk lane block, before a wait on a worker;
+//   - at the end of a turn with another request runnable (the scheduler's
+//     wait flag: the worker goes to do something else);
 //   - when flushBytes are pending;
 //   - at the end of the stream (finish).
 //
-// So a ranked APPROX/RELAX stream, whose every batch is one row, keeps one
-// write per answer, and a bulk scan leaves in ~32 KiB writes. Before every
+// So a ranked APPROX/RELAX stream leaves in a few writes — its first row
+// alone, then the rest coalesced, none held for more than 4 096 tuple
+// operations of its execution — and a bulk scan in ~32 KiB writes and one at
+// the end of each block. The bound is work, never wall time, so which rows
+// share a write repeats exactly from run to run. Before every
 // write the connection gets a write deadline — the stall budget from now, or
 // the request's own deadline if that is sooner — because a reader that stops
 // draining blocks the write where no context cancellation reaches it; the
@@ -83,6 +87,11 @@ func (rw *rowWriter) release() {
 
 // deliver implements Sink.
 func (rw *rowWriter) deliver(rows []omega.Row, wait bool) error {
+	if rw.err != nil || len(rows) == 0 && !wait {
+		// A write failed, possibly in idle: the stream is over. The empty
+		// call that ends a stream only asks for that.
+		return rw.err
+	}
 	if fault.Enabled() {
 		// serve.write simulates misbehaving clients, once per row: a delay
 		// action is a slow reader back-pressuring the stream, an error action
@@ -94,9 +103,7 @@ func (rw *rowWriter) deliver(rows []omega.Row, wait bool) error {
 			}
 		}
 	}
-	if !rw.reqDL.IsZero() && !time.Now().Before(rw.reqDL) {
-		// Past the request's deadline a write could only time out, and break
-		// the connection for the terminal line that says why the stream ended.
+	if rw.pastDeadline() {
 		return omega.ErrDeadline
 	}
 	if len(rw.prefix) == 0 && len(rows) > 0 {
@@ -116,6 +123,23 @@ func (rw *rowWriter) deliver(rows []omega.Row, wait bool) error {
 		return rw.flush()
 	}
 	return nil
+}
+
+// idle is the execution's idle hook (omega.ExecOptions.Idle): the engine has
+// worked on since the rows pending here came out, so they leave now. With
+// nothing pending it writes nothing. It returns nothing to the engine: a
+// failed write is sticky in rw.err, and the next deliver reports it.
+func (rw *rowWriter) idle() {
+	if rw.pending > 0 && !rw.pastDeadline() {
+		_ = rw.flush()
+	}
+}
+
+// pastDeadline reports whether the request's deadline has passed: a write
+// could then only time out, and break the connection for the terminal line
+// that says why the stream ended.
+func (rw *rowWriter) pastDeadline() bool {
+	return !rw.reqDL.IsZero() && !time.Now().Before(rw.reqDL)
 }
 
 // finish appends the stream's terminal line (done or error) and pushes out
