@@ -7,6 +7,7 @@
 package omega
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -154,6 +155,46 @@ func BenchmarkFig8Relax(b *testing.B) {
 					runOnce(b, g, ont, text, Relax, Options{}, 100)
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkApproxTopKPooled is the in-process counterpart of the serving
+// ledger's APPROX top-100 loop: one op is one rotation of the six study
+// queries on L2, prepared once under DistanceAware and executed through one
+// EvalPool, as a server runs them. It isolates the engine from the socket,
+// so a change to Succ or D_R shows here without the HTTP layers around it.
+func BenchmarkApproxTopKPooled(b *testing.B) {
+	g, ont := datasets().L4All(l4all.L2)
+	eng := NewEngine(g, ont).WithOptions(Options{DistanceAware: true})
+	var pqs []*PreparedQuery
+	for _, id := range studyIDs {
+		pq, err := eng.PrepareText(l4allQueryText(b, id))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pqs = append(pqs, pq)
+	}
+	eo := ExecOptions{Limit: 100, Mode: ModeOverride(Approx), Pool: NewEvalPool(0)}
+	rows := make([]Row, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pq := range pqs {
+			rs, err := pq.Exec(context.Background(), eo)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				n, err := rs.NextBatch(rows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n == 0 {
+					break
+				}
+			}
+			rs.Close()
 		}
 	}
 }

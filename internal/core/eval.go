@@ -55,8 +55,9 @@ type evaluator struct {
 	scratch []graph.NodeID
 
 	// stride is the number of continuation slots per transition: one per
-	// neighbour segment, an edge label of the graph in one direction (see
-	// segment). A continuation's slot is tr.Index·stride + segment.
+	// neighbour segment a transition can have, at most an edge label of the
+	// graph in each direction (see segment). A continuation's slot is
+	// tr.Index·stride + segment.
 	stride int32
 
 	// state, when non-nil, is the pooled bundle backing dr/visited/answers
@@ -476,7 +477,10 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 // A continuation stands for the successors of (v, n) over one costed
 // transition tr that are still to be generated, all at distance d = t.D +
 // tr.Cost: a dstruct.Cont naming v, n, d, the slot tr.Index·stride + seg and a
-// cursor, the index of its current successor in neighbour segment seg. Eager
+// cursor, the index of its current successor in neighbour segment seg. A
+// wildcard over both directions — every APPROX insertion and substitution —
+// has one segment, the node's incidence list, so positioning it costs the
+// node's edges rather than a probe of every label in each direction. Eager
 // Succ pushed those successors in neighbour order onto D_R's LIFO stacks, so
 // they popped last-first; a continuation sits where the first of them sat and
 // walks them last-first, skipping the visited ones eager would have popped
@@ -485,7 +489,8 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 // frontier and its re-injection alike.
 
 // contStride is the number of continuation slots per transition of an
-// automaton over g: one per neighbour segment, that is two per edge label.
+// automaton over g: one per neighbour segment, that is at most two per edge
+// label.
 func contStride(g *graph.Graph) int32 { return 2 * int32(g.NumLabels()) }
 
 // checkContSlots fails with ErrTooManyTransitions when aut has costed
@@ -508,9 +513,14 @@ func checkContSlots(aut *automaton.Compiled, g *graph.Graph) error {
 // or parks it through reject when d is beyond ψ. Nothing is pushed when every
 // successor is visited.
 func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
-	segs := int(ev.stride) // a wildcard walks every label of the graph
-	if tr.Kind == automaton.Sym {
+	var segs int
+	switch {
+	case tr.Kind == automaton.Sym:
 		segs = 2 * len(tr.Labels)
+	case tr.Dir == graph.Both:
+		segs = 1 // the incidence list
+	default:
+		segs = int(ev.stride) // a one-way wildcard walks every label of the graph
 	}
 	seg, cur, ok := ev.lastSucc(v, n, tr, segs-1, math.MaxInt)
 	if !ok {
@@ -563,12 +573,18 @@ func (ev *evaluator) lastSucc(v, n graph.NodeID, tr *automaton.CTrans, seg, end 
 	return 0, 0, false
 }
 
-// segment returns neighbour segment seg of n over tr: the neighbours over
-// label seg/2 of tr's labels (of the graph's, for a wildcard), along out-edges
-// for an even seg and in-edges for an odd one, and none in a direction tr does
-// not follow. Concatenated in order, the segments list the neighbours in the
-// order neighboursByEdge returns them, before its landing filter.
+// segment returns neighbour segment seg of n over tr. A wildcard over both
+// directions has one, n's incidence list. Otherwise segment seg holds the
+// neighbours over label seg/2 of tr's labels (of the graph's, for a one-way
+// wildcard), along out-edges for an even seg and in-edges for an odd one, and
+// none in a direction tr does not follow. Concatenated in order, the segments
+// list the neighbours in the order neighboursByEdge returns them, before its
+// landing filter; the incidence list is exactly the per-label segments
+// concatenated, so either layout walks the same successors in the same order.
 func (ev *evaluator) segment(n graph.NodeID, tr *automaton.CTrans, seg int) []graph.NodeID {
+	if tr.Kind == automaton.Any && tr.Dir == graph.Both {
+		return ev.g.Incident(n)
+	}
 	dir := graph.Out
 	if seg&1 == 1 {
 		dir = graph.In

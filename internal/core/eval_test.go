@@ -2,9 +2,11 @@ package core
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"omega/internal/automaton"
@@ -692,6 +694,83 @@ func TestQuickRelaxAgainstReference(t *testing.T) {
 			ont.SetRange("q", "C2")
 		}
 		checkEquivalence(t, g, ont, c, opts, false, 0)
+	}
+}
+
+// manyLabelGraph draws a graph over 16–40 edge labels, each carried by at
+// least one edge, with about as many nodes as edges: most nodes have one or two
+// non-empty (label, direction) segments out of up to 80, so a wildcard's
+// successors sit between long runs of empty ones. Labels are interned in a
+// random order, p and q (the ontology's subproperties of link) among them.
+func manyLabelGraph(rng *rand.Rand) *graph.Graph {
+	b := graph.NewBuilder()
+	labels := []string{"p", "q", "r"}
+	for l := len(labels); l < 16+rng.Intn(25); l++ {
+		labels = append(labels, fmt.Sprintf("l%d", l))
+	}
+	nNodes := len(labels) + rng.Intn(10)
+	node := func() string { return fmt.Sprintf("n%d", rng.Intn(nNodes)) }
+	for i := 0; i < nNodes; i++ {
+		b.AddNode(fmt.Sprintf("n%d", i))
+	}
+	for _, l := range rng.Perm(len(labels)) {
+		_ = b.AddTriple(node(), labels[l], node())
+	}
+	for i := rng.Intn(len(labels) / 4); i > 0; i-- {
+		_ = b.AddTriple(node(), labels[rng.Intn(len(labels))], node())
+	}
+	for i := 0; i < nNodes; i++ {
+		if rng.Intn(4) == 0 {
+			_ = b.AddTriple(fmt.Sprintf("n%d", i), "type", []string{"C1", "C2"}[rng.Intn(2)])
+		}
+	}
+	b.AddNode("C0")
+	return b.Freeze()
+}
+
+// TestManyLabelApproxAgainstReference runs APPROX and FLEX conjuncts on
+// manyLabelGraph graphs, where a continuation's cursor crosses many empty
+// label segments, against the reference: the fresh evaluator's answer set
+// must match refConjunct, and a pooled execution — sharing one EvalPool with
+// every trial, twice per trial — must emit the fresh ranked sequence exactly.
+func TestManyLabelApproxAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(606))
+	ont := testOnt()
+	pool := NewEvalPool(4)
+	exprs := append([]string{"_-", "link", "p.link-", "_.q"}, equivalenceExprs...)
+	for trial := 0; trial < 40; trial++ {
+		g := manyLabelGraph(rng)
+		mode := []automaton.Mode{automaton.Approx, automaton.Flex}[rng.Intn(2)]
+		c := conj([]string{"?X", "n0"}[rng.Intn(2)], exprs[rng.Intn(len(exprs))], []string{"?Y", "n2", "C0"}[rng.Intn(3)], mode)
+		opts := Options{BatchSize: randBatchSize(rng, 1, 7, 100), DistanceAware: rng.Intn(2) == 0, MaxPsi: 1 << 20}
+		checkEquivalence(t, g, ont, c, opts, false, 0)
+		if !c.Subject.IsVar && !c.Object.IsVar {
+			continue // a query needs a head variable
+		}
+
+		p, err := PrepareQuery(g, ont, &Query{Head: headFor(c), Conjuncts: []Conjunct{c}}, opts)
+		if err != nil {
+			t.Fatalf("trial %d: PrepareQuery: %v", trial, err)
+		}
+		fresh, err := p.Exec(context.Background(), ExecOptions{})
+		if err != nil {
+			t.Fatalf("trial %d: fresh Exec: %v", trial, err)
+		}
+		want := drainExec(t, fresh, 0)
+		for rep := 0; rep < 2; rep++ {
+			ex, err := p.Exec(context.Background(), ExecOptions{Pool: pool})
+			if err != nil {
+				t.Fatalf("trial %d rep %d: pooled Exec: %v", trial, rep, err)
+			}
+			got := drainExec(t, ex, 0)
+			if !slices.EqualFunc(got, want, sameQueryAnswer) {
+				t.Fatalf("trial %d rep %d (%s opts=%+v, %d labels): pooled emitted %v, fresh %v",
+					trial, rep, c, opts, g.NumLabels(), got, want)
+			}
+		}
+	}
+	if s := pool.Stats(); s.Reuses == 0 || s.Puts != s.Gets {
+		t.Fatalf("pool not recycled cleanly: %+v", s)
 	}
 }
 

@@ -4,8 +4,11 @@
 // carry a unique string label backed by an attribute index; edges are typed
 // by interned labels; per-label adjacency is frozen into CSR form for both
 // directions, which reproduces Sparksee's "neighbour index on edge type"
-// access path. The store exposes the access surface the evaluation layer
-// needs: Neighbors, Heads, Tails, TailsAndHeads and batched node iterators.
+// access path. Beside them, one node-major incidence index lists each node's
+// neighbours over all labels and both directions, the §3.2 retrieval of every
+// incident edge a wildcard needs. The store exposes the access surface the
+// evaluation layer needs: Neighbors, Incident, Heads, Tails, TailsAndHeads and
+// batched node iterators.
 package graph
 
 import (
@@ -181,9 +184,12 @@ type Graph struct {
 	nodeIDs    map[string]NodeID
 	nodeLabels []string
 	out, in    []adjacency // indexed by LabelID
-	edgeCount  []int       // per label
-	numEdges   int
-	typeID     LabelID // InvalidLabel when absent
+	// inc is the node-major incidence index behind Incident: one list per
+	// node, the per-label CSRs laid end to end (no srcs).
+	inc       adjacency
+	edgeCount []int // per label
+	numEdges  int
+	typeID    LabelID // InvalidLabel when absent
 }
 
 // Freeze builds the immutable Graph. The Builder remains usable, but edges
@@ -221,7 +227,35 @@ func (b *Builder) Freeze() *Graph {
 		g.out[l] = buildAdjacency(edges, false, numNodes)
 		g.in[l] = buildAdjacency(edges, true, numNodes)
 	}
+	g.inc = buildIncidence(g.out, g.in, numNodes, len(b.edges))
 	return g
+}
+
+// buildIncidence lays the per-label CSRs out node-major: node n's list holds,
+// per label in LabelID order, its Out neighbours and then its In neighbours —
+// the order AppendIncident(n, Both) appends them in. It costs 2·edges NodeIDs
+// plus nodes+1 offsets, and O(edges + non-empty segments) time.
+func buildIncidence(out, in []adjacency, numNodes, numEdges int) adjacency {
+	inc := adjacency{off: make([]int32, numNodes+1), dsts: make([]NodeID, 2*numEdges)}
+	for l := range out {
+		for _, a := range [2]*adjacency{&out[l], &in[l]} {
+			for _, n := range a.srcs {
+				inc.off[n+1] += a.off[n+1] - a.off[n]
+			}
+		}
+	}
+	for n := 0; n < numNodes; n++ {
+		inc.off[n+1] += inc.off[n]
+	}
+	next := append([]int32(nil), inc.off[:numNodes]...)
+	for l := range out {
+		for _, a := range [2]*adjacency{&out[l], &in[l]} {
+			for _, n := range a.srcs {
+				next[n] += int32(copy(inc.dsts[next[n]:], a.neighbors(n)))
+			}
+		}
+	}
+	return inc
 }
 
 func buildAdjacency(edges []rawEdge, reverse bool, numNodes int) adjacency {
@@ -367,7 +401,9 @@ func (g *Graph) EachNeighbor(n NodeID, l LabelID, dir Direction, fn func(m NodeI
 
 // EachIncident calls fn for every incident edge of n in direction dir, across
 // all labels including type, until fn returns false. This mirrors the §3.2
-// retrieval of all generic 'edge' edges followed by all type edges.
+// retrieval of all generic 'edge' edges followed by all type edges. It walks
+// the per-label CSRs, not the incidence index, so a check of Incident
+// against it compares two layouts.
 func (g *Graph) EachIncident(n NodeID, dir Direction, fn func(l LabelID, m NodeID) bool) {
 	for l := range g.out {
 		lid := LabelID(l)
@@ -407,18 +443,29 @@ func (g *Graph) AppendNeighbors(dst []NodeID, n NodeID, l LabelID, dir Direction
 // AppendIncident appends every neighbour over every incident edge of n in
 // direction dir (all labels including type, Out before In per label) to dst
 // and returns the extended slice. It is the allocation-free counterpart of
-// EachIncident for callers that want the flat neighbour list.
+// EachIncident for callers that want the flat neighbour list; for Both it
+// copies Incident(n).
 func (g *Graph) AppendIncident(dst []NodeID, n NodeID, dir Direction) []NodeID {
-	for l := range g.out {
-		if dir == Out || dir == Both {
-			dst = append(dst, g.out[l].neighbors(n)...)
-		}
-		if dir == In || dir == Both {
-			dst = append(dst, g.in[l].neighbors(n)...)
-		}
+	if dir == Both {
+		return append(dst, g.inc.neighbors(n)...)
+	}
+	adj := g.out
+	if dir == In {
+		adj = g.in
+	}
+	for l := range adj {
+		dst = append(dst, adj[l].neighbors(n)...)
 	}
 	return dst
 }
+
+// Incident returns every neighbour of n over every incident edge, in either
+// direction: per label in LabelID order (type included), the Out neighbours
+// and then the In ones — AppendIncident(nil, n, Both) without the copy. It
+// reads one node-major index built by Freeze, so its cost is the node's edges
+// whatever the number of labels. The slice aliases internal storage and must
+// not be modified.
+func (g *Graph) Incident(n NodeID) []NodeID { return g.inc.neighbors(n) }
 
 // Tails returns the nodes that are the source of at least one edge labelled
 // l, in increasing NodeID order. The slice aliases internal storage.

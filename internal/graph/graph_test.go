@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -265,6 +267,7 @@ func TestRandomGraphAgainstModel(t *testing.T) {
 		if g.NumEdges() != len(model) {
 			t.Fatalf("trial %d: NumEdges = %d, want %d", trial, g.NumEdges(), len(model))
 		}
+		checkIncidence(t, g)
 		for _, lname := range labelsIn {
 			l, ok := g.Label(lname)
 			if !ok {
@@ -347,6 +350,130 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// FuzzGraph builds a graph from a fuzzed edge list and checks every node: its
+// incidence list is its per-label lists laid end to end (Out then In per
+// label), every per-label list is sorted and unique and holds exactly the
+// edges added, and a Save→Load round trip keeps Neighbors, Incident, Tails and
+// Heads. The first two bytes pick the node count (1–32) and the label count
+// (1–40, label 0 being type); each further byte triple is one edge (src,
+// label, dst) reduced modulo those counts, duplicates and self-loops included.
+// Bytes past maxFuzzEdges triples are ignored, which keeps each run (and the
+// minimisation of a long input) cheap.
+func FuzzGraph(f *testing.F) {
+	const maxFuzzEdges = 64
+	f.Add([]byte{4, 3, 0, 0, 1, 0, 1, 2, 1, 2, 2, 3, 0, 0, 2, 0, 3})
+	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{31, 39, 5, 39, 7, 7, 17, 31, 31, 0, 0, 12, 20, 12, 5, 38, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		nNodes, nLabels := 1+int(data[0])%32, 1+int(data[1])%40
+		b := NewBuilder()
+		for i := 0; i < nNodes; i++ {
+			b.AddNode(fmt.Sprintf("n%d", i))
+		}
+		type edge struct {
+			src, dst NodeID
+			label    string
+		}
+		model := map[edge]bool{}
+		for i := 2; i+2 < min(len(data), 2+3*maxFuzzEdges); i += 3 {
+			e := edge{NodeID(int(data[i]) % nNodes), NodeID(int(data[i+2]) % nNodes), TypeLabel}
+			if l := int(data[i+1]) % nLabels; l > 0 {
+				e.label = fmt.Sprintf("l%d", l)
+			}
+			model[e] = true
+			if err := b.AddEdge(e.src, e.label, e.dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := b.Freeze()
+		checkIncidence(t, g)
+		if g.NumEdges() != len(model) {
+			t.Fatalf("NumEdges = %d, want %d", g.NumEdges(), len(model))
+		}
+		for l := 0; l < g.NumLabels(); l++ {
+			for n := 0; n < nNodes; n++ {
+				for _, m := range g.Neighbors(NodeID(n), LabelID(l), Out) {
+					if !model[edge{NodeID(n), m, g.LabelName(LabelID(l))}] {
+						t.Fatalf("edge %d -%s-> %d was never added", n, g.LabelName(LabelID(l)), m)
+					}
+				}
+			}
+		}
+
+		var buf bytes.Buffer
+		if err := Save(&buf, g); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		g2, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		checkIncidence(t, g2)
+		if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() || !slices.Equal(g2.Labels(), g.Labels()) {
+			t.Fatalf("round trip: %d nodes, %d edges, labels %v; want %d, %d, %v",
+				g2.NumNodes(), g2.NumEdges(), g2.Labels(), g.NumNodes(), g.NumEdges(), g.Labels())
+		}
+		for l := LabelID(0); int(l) < g.NumLabels(); l++ {
+			if !slices.Equal(g2.Tails(l), g.Tails(l)) || !slices.Equal(g2.Heads(l), g.Heads(l)) {
+				t.Fatalf("round trip: label %s: Tails %v Heads %v, want %v %v", g.LabelName(l), g2.Tails(l), g2.Heads(l), g.Tails(l), g.Heads(l))
+			}
+			for n := NodeID(0); int(n) < nNodes; n++ {
+				for _, dir := range []Direction{Out, In} {
+					if got, want := g2.Neighbors(n, l, dir), g.Neighbors(n, l, dir); !slices.Equal(got, want) {
+						t.Fatalf("round trip: Neighbors(%d, %s, %s) = %v, want %v", n, g.LabelName(l), dir, got, want)
+					}
+				}
+			}
+		}
+		for n := NodeID(0); int(n) < nNodes; n++ {
+			if got, want := g2.Incident(n), g.Incident(n); !slices.Equal(got, want) {
+				t.Fatalf("round trip: Incident(%d) = %v, want %v", n, got, want)
+			}
+		}
+	})
+}
+
+// checkIncidence requires every node's Incident list to equal its per-label
+// Neighbors lists concatenated, Out then In per label, each of those lists
+// sorted and unique, and the lists to total two entries per edge.
+func checkIncidence(t *testing.T, g *Graph) {
+	t.Helper()
+	total := 0
+	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
+		var want []NodeID
+		oneWay := map[Direction][]NodeID{}
+		for l := LabelID(0); int(l) < g.NumLabels(); l++ {
+			for _, dir := range []Direction{Out, In} {
+				ns := g.Neighbors(n, l, dir)
+				for i := 1; i < len(ns); i++ {
+					if ns[i-1] >= ns[i] {
+						t.Fatalf("Neighbors(%d, %s, %s) = %v: not sorted and unique", n, g.LabelName(l), dir, ns)
+					}
+				}
+				want = append(want, ns...)
+				oneWay[dir] = append(oneWay[dir], ns...)
+			}
+		}
+		inc := g.Incident(n)
+		if !slices.Equal(inc, want) {
+			t.Fatalf("Incident(%d) = %v, want the per-label lists %v", n, inc, want)
+		}
+		oneWay[Both] = want
+		for dir, want := range oneWay {
+			if got := g.AppendIncident(nil, n, dir); !slices.Equal(got, want) {
+				t.Fatalf("AppendIncident(%d, %s) = %v, want %v", n, dir, got, want)
+			}
+		}
+		total += len(inc)
+	}
+	if total != 2*g.NumEdges() {
+		t.Fatalf("incidence lists hold %d entries, want 2 × %d edges", total, g.NumEdges())
 	}
 }
 

@@ -19,9 +19,13 @@ import (
 
 const magic = "omega-graph v1"
 
+// ioBuffer is the size of Save's write buffer and of Load's first read
+// buffer (a line may grow the latter to maxLine).
+const ioBuffer, maxLine = 64 << 10, 1 << 20
+
 // Save writes g to w in the omega-graph v1 text format.
 func Save(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, ioBuffer)
 	if _, err := fmt.Fprintln(bw, magic); err != nil {
 		return err
 	}
@@ -51,7 +55,7 @@ func Save(w io.Writer, g *Graph) error {
 // Load reads a graph in the omega-graph v1 text format.
 func Load(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, ioBuffer), maxLine)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("graph: Load: %w", err)
