@@ -1,7 +1,9 @@
 // Command omega-serve runs Omega's streaming query server: an HTTP front-end
 // over the compile-once/execute-many API with an LRU plan cache, a bounded
-// fair scheduler with admission control, and a pooled evaluator state so
-// steady-state requests allocate near zero.
+// fair scheduler whose -workers + -queue bound is the one admission rule (503
+// beyond it), a memory broker that aborts the largest running query under
+// -mem-budget pressure (507), and a pooled evaluator state so steady-state
+// requests allocate near zero.
 //
 // Usage:
 //
@@ -59,14 +61,9 @@ var (
 	poolSize   = flag.Int("pool", 0, "evaluator-state bundles retained (0 = workers, -1 = disable pooling)")
 	maxLimit   = flag.Int("max-limit", 10000, "cap on per-request row limit (0 = none)")
 
-	stallBudget  = flag.Duration("stall-budget", time.Minute, "abort requests whose scheduling turn makes no progress for this long (0 = off)")
-	degradeAfter = flag.Int("degrade-after", 16, "admission rejections within -degrade-window that trigger degraded mode (0 = off)")
-	degradeWin   = flag.Duration("degrade-window", 10*time.Second, "sliding window for -degrade-after")
-	degradeLimit = flag.Int("degraded-limit", 1000, "row-limit clamp while degraded (0 = no clamp)")
-	degradeDist  = flag.Int("degraded-maxdist", 0, "maxdist clamp while degraded (0 = no clamp)")
+	stallBudget = flag.Duration("stall-budget", time.Minute, "abort requests whose scheduling turn makes no progress for this long (0 = off)")
 
-	memBudget   = flag.Int64("mem-budget", 0, "server-wide accounted-bytes budget for the memory broker (0 = GOMEMLIMIT or off, -1 = off)")
-	memReserve  = flag.Int64("mem-reserve", 0, "per-request admission reservation in bytes (0 = budget / admission slots)")
+	memBudget   = flag.Int64("mem-budget", 0, "server-wide accounted-bytes budget; above it the largest running query is aborted with 507 (0 = GOMEMLIMIT or off, -1 = off)")
 	memInterval = flag.Duration("mem-check-interval", 0, "memory-pressure monitor tick (0 = 100ms)")
 
 	slowQueryMs = flag.Int("slow-query-ms", 0, "log a structured slow-query line for requests at or above this latency in milliseconds (0 = off)")
@@ -123,15 +120,10 @@ func main() {
 		Timeout:          *timeout,
 		RetryAfter:       *retryAfter,
 		StallBudget:      *stallBudget,
-		DegradeAfter:     *degradeAfter,
-		DegradeWindow:    *degradeWin,
-		DegradedLimit:    *degradeLimit,
-		DegradedMaxDist:  *degradeDist,
 		PlanCacheSize:    *planCache,
 		PoolSize:         *poolSize,
 		MaxLimit:         *maxLimit,
 		MemBudget:        *memBudget,
-		MemReserve:       *memReserve,
 		MemCheckInterval: *memInterval,
 		HardMemBytes:     defaults.HardMemBytes,
 		Parallelism:      defaults.Parallelism,

@@ -23,13 +23,12 @@ import (
 
 // Span names — the taxonomy of the request path, pinned by the span-tree
 // regression tests and documented in DESIGN.md. A span tree for a traced HTTP
-// request reads: request → admission (broker reserve) → plan (cache
-// lookup/compile) → queue (wait for the first worker turn) → stream (worker
-// turns; quantum children) → exec (per-conjunct children, bulk_index /
-// psi_phase below those) → close (resource release).
+// request reads: request → plan (cache lookup/compile) → queue (wait for the
+// first worker turn) → stream (worker turns; quantum children) → exec
+// (per-conjunct children, bulk_index / psi_phase below those) → close
+// (resource release).
 const (
 	SpanRequest   = "request"    // root: the whole request
-	SpanAdmission = "admission"  // serving admission incl. broker reserve
 	SpanPlan      = "plan"       // plan-cache lookup or compile
 	SpanQueue     = "queue"      // admitted, waiting for the first worker turn
 	SpanStream    = "stream"     // first worker turn → last row delivered

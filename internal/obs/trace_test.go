@@ -25,8 +25,8 @@ func TestNilTraceIsSafe(t *testing.T) {
 
 func TestTraceTree(t *testing.T) {
 	tr := NewTrace("req-1")
-	adm := tr.Start(Root, SpanAdmission)
-	tr.End(adm)
+	plan := tr.Start(Root, SpanPlan)
+	tr.End(plan)
 	ex := tr.Start(Root, SpanExec)
 	c0 := tr.Start(ex, SpanConjunct)
 	tr.SetAttr(c0, "idx", 0)

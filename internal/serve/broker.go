@@ -8,82 +8,58 @@ import (
 	"time"
 
 	"omega"
-	"omega/internal/fault"
 )
 
-// This file implements the server-wide memory broker: the admission-time
-// counterpart of the per-execution hard watermark
-// (omega.ExecOptions.HardMemBytes). Per-request budgets bound each execution
-// in isolation, but
-// a server runs many at once — the broker bounds their sum. It works in two
-// tiers:
-//
-//   - Reservation: every admitted query reserves a fixed slice of the global
-//     budget before it starts. When the reservations are exhausted the
-//     request is rejected with ErrOverloaded + Retry-After, exactly like a
-//     scheduler-queue rejection — backing off is the right client response
-//     to both.
-//   - Victim selection: reservations are estimates, and accounted live bytes
-//     can outgrow them. A monitor goroutine samples the per-execution
-//     MemGauges; when their sum stays over budget for consecutive ticks, the
-//     largest-footprint execution is aborted with omega.ErrMemBudget (HTTP
-//     507). Killing the largest victim frees the most bytes per abort, so
-//     small well-behaved queries keep streaming through the pressure.
+// This file implements the server-wide memory broker: the counterpart of the
+// per-execution hard watermark (omega.ExecOptions.HardMemBytes). Per-request
+// budgets bound each execution in isolation, but a server runs many at once —
+// the broker bounds their sum. Every running request registers its MemGauge
+// and its cancel lever; a monitor goroutine samples the gauges, and when
+// their sum stays over budget for consecutive ticks, the largest-footprint
+// execution is aborted with omega.ErrMemBudget (HTTP 507). Killing the
+// largest victim frees the most bytes per abort, so small well-behaved
+// queries keep streaming through the pressure. The broker never turns a
+// request away: admission is the scheduler's Workers+Queue bound alone.
 
 // defaultMemCheckInterval paces the victim-selection monitor. Two consecutive
 // over-budget ticks are required before a kill, so the worst-case reaction
 // time is ~3 intervals.
 const defaultMemCheckInterval = 100 * time.Millisecond
 
-// fpBrokerReserve is the failpoint at admission reservation: an error action
-// simulates budget exhaustion, rejecting the request as overloaded.
-const fpBrokerReserve = "broker.reserve"
-
 // BrokerStats is a snapshot of the memory broker's counters (the /statsz
 // "mem_broker" section).
 type BrokerStats struct {
-	// BudgetBytes is the global accounted-bytes budget; ReserveBytes the
-	// per-request admission reservation carved from it.
-	BudgetBytes  int64 `json:"budget_bytes"`
-	ReserveBytes int64 `json:"reserve_bytes"`
-	// ReservedBytes is the sum of reservations currently held; LiveBytes the
-	// sum of accounted live bytes across running executions at the last
-	// monitor tick, and PeakLiveBytes its lifetime maximum.
-	ReservedBytes int64 `json:"reserved_bytes"`
+	// BudgetBytes is the global accounted-bytes budget.
+	BudgetBytes int64 `json:"budget_bytes"`
+	// LiveBytes is the sum of accounted live bytes across running executions
+	// at the last monitor tick, and PeakLiveBytes its lifetime maximum.
 	LiveBytes     int64 `json:"live_bytes"`
 	PeakLiveBytes int64 `json:"peak_live_bytes"`
-	// Admitted counts granted reservations; ReserveRejects counts requests
-	// turned away because the budget was fully reserved.
-	Admitted       int64 `json:"admitted"`
-	ReserveRejects int64 `json:"reserve_rejects"`
 	// VictimKills counts executions aborted by the pressure monitor;
 	// BudgetAborts counts every request that failed with omega.ErrMemBudget
 	// (victim kills plus per-request hard-watermark crossings).
 	VictimKills  int64 `json:"victim_kills"`
 	BudgetAborts int64 `json:"budget_aborts"`
-	// InFlight is the number of reservations currently outstanding.
+	// InFlight is the number of registered requests.
 	InFlight int `json:"in_flight"`
 }
 
-// memLease is one admitted request's stake in the broker: its reservation,
-// its gauge (what the monitor samples) and its cancel lever (how the monitor
-// kills it).
+// memLease is one running request's registration with the broker: its gauge
+// (what the monitor samples) and its cancel lever (how the monitor kills it).
 type memLease struct {
-	gauge   *omega.MemGauge
-	cancel  context.CancelCauseFunc
-	reserve int64
-	killed  bool
+	gauge  *omega.MemGauge
+	cancel context.CancelCauseFunc
+	killed bool
 }
 
-// memBroker admits requests against a global accounted-bytes budget and
-// victimizes the largest-footprint execution under sustained pressure.
+// memBroker watches the registered requests against a global accounted-bytes
+// budget and victimizes the largest-footprint execution under sustained
+// pressure.
 type memBroker struct {
-	budget  int64
-	reserve int64
+	budget int64
 
 	mu        sync.Mutex
 	leases    map[*memLease]struct{}
-	reserved  int64
 	live      int64 // sum of lease gauges at the last monitor tick
 	peakLive  int64
 	overTicks int
@@ -105,73 +81,42 @@ func goMemLimit() int64 {
 
 // newMemBroker builds a broker from the server config, or returns nil when no
 // budget is configured: budget 0 defaults to GOMEMLIMIT (and to disabled when
-// that is unset too), negative disables explicitly. slots is the scheduler's
-// admission bound (workers + queue), from which the default per-request
-// reservation is carved.
-func newMemBroker(budget, reserve int64, interval time.Duration, slots int) *memBroker {
+// that is unset too), negative disables explicitly.
+func newMemBroker(budget int64, interval time.Duration) *memBroker {
 	if budget == 0 {
 		budget = goMemLimit()
 	}
 	if budget <= 0 {
 		return nil
 	}
-	if reserve <= 0 {
-		if slots < 1 {
-			slots = 1
-		}
-		reserve = budget / int64(slots)
-		if reserve < 1 {
-			reserve = 1
-		}
-	}
 	if interval <= 0 {
 		interval = defaultMemCheckInterval
 	}
 	b := &memBroker{
-		budget:  budget,
-		reserve: reserve,
-		leases:  make(map[*memLease]struct{}),
-		stop:    make(chan struct{}),
+		budget: budget,
+		leases: make(map[*memLease]struct{}),
+		stop:   make(chan struct{}),
 	}
 	b.wg.Add(1)
 	go b.monitor(interval)
 	return b
 }
 
-// Reserve admits one request, binding its gauge and cancel lever to a lease,
-// or rejects with *OverloadedError when the budget is fully reserved. Release
-// the lease when the request finishes, whatever its outcome.
-func (b *memBroker) Reserve(gauge *omega.MemGauge, cancel context.CancelCauseFunc, retryAfter time.Duration) (*memLease, error) {
-	injected := error(nil)
-	if fault.Enabled() {
-		injected = fault.Inject(fpBrokerReserve)
-	}
+// Register binds one request's gauge and cancel lever to a lease the monitor
+// watches. Release the lease when the request finishes, whatever its outcome.
+func (b *memBroker) Register(gauge *omega.MemGauge, cancel context.CancelCauseFunc) *memLease {
+	l := &memLease{gauge: gauge, cancel: cancel}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if injected != nil || b.reserved+b.reserve > b.budget {
-		b.stats.ReserveRejects++
-		return nil, &OverloadedError{InFlight: len(b.leases), RetryAfter: retryAfter}
-	}
-	l := &memLease{gauge: gauge, cancel: cancel, reserve: b.reserve}
 	b.leases[l] = struct{}{}
-	b.reserved += l.reserve
-	b.stats.Admitted++
-	return l, nil
+	b.mu.Unlock()
+	return l
 }
 
-// Release returns a lease's reservation. Safe on a nil lease, so callers can
-// defer it unconditionally.
+// Release drops a lease from the monitor's watch set.
 func (b *memBroker) Release(l *memLease) {
-	if l == nil {
-		return
-	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.leases[l]; !ok {
-		return
-	}
 	delete(b.leases, l)
-	b.reserved -= l.reserve
+	b.mu.Unlock()
 }
 
 // NoteBudgetAbort counts one request that failed with omega.ErrMemBudget —
@@ -241,8 +186,6 @@ func (b *memBroker) Stats() BrokerStats {
 	defer b.mu.Unlock()
 	s := b.stats
 	s.BudgetBytes = b.budget
-	s.ReserveBytes = b.reserve
-	s.ReservedBytes = b.reserved
 	s.LiveBytes = b.live
 	s.PeakLiveBytes = b.peakLive
 	s.InFlight = len(b.leases)

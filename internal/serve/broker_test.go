@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,61 +16,27 @@ import (
 	"omega/internal/fault"
 )
 
-// TestBrokerReservationExhaustion pins the admission tier: reservations are
-// granted until the budget is spoken for, rejected with a typed
-// *OverloadedError past it, and freed by Release.
-func TestBrokerReservationExhaustion(t *testing.T) {
-	b := newMemBroker(1000, 600, time.Hour, 4)
-	defer b.Close()
-	noCancel := func(error) {}
-
-	l1, err := b.Reserve(omega.NewMemGauge(0), noCancel, time.Second)
-	if err != nil {
-		t.Fatalf("first Reserve: %v", err)
-	}
-	_, err = b.Reserve(omega.NewMemGauge(0), noCancel, time.Second)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second Reserve = %v, want ErrOverloaded", err)
-	}
-	var oe *OverloadedError
-	if !errors.As(err, &oe) || oe.RetryAfter != time.Second {
-		t.Fatalf("rejection context = %+v, want RetryAfter=1s", oe)
-	}
-
-	b.Release(l1)
-	l2, err := b.Reserve(omega.NewMemGauge(0), noCancel, time.Second)
-	if err != nil {
-		t.Fatalf("Reserve after Release: %v", err)
-	}
-	b.Release(l2)
-
-	s := b.Stats()
-	if s.Admitted != 2 || s.ReserveRejects != 1 || s.InFlight != 0 || s.ReservedBytes != 0 {
-		t.Fatalf("stats = %+v, want 2 admitted, 1 reject, nothing outstanding", s)
-	}
-}
-
 // TestBrokerDefaults pins the configuration contract: budget 0 with no
-// GOMEMLIMIT disables the broker, negative disables explicitly, and the
-// default reservation is the budget divided by the admission bound.
+// GOMEMLIMIT disables the broker, negative disables explicitly, and an
+// explicit budget is the one the monitor watches.
 func TestBrokerDefaults(t *testing.T) {
 	if goMemLimit() == 0 {
-		if b := newMemBroker(0, 0, 0, 4); b != nil {
+		if b := newMemBroker(0, 0); b != nil {
 			b.Close()
 			t.Fatal("broker enabled with neither MemBudget nor GOMEMLIMIT set")
 		}
 	}
-	if b := newMemBroker(-1, 0, 0, 4); b != nil {
+	if b := newMemBroker(-1, 0); b != nil {
 		b.Close()
 		t.Fatal("broker enabled with negative MemBudget")
 	}
-	b := newMemBroker(4000, 0, time.Hour, 8)
+	b := newMemBroker(4000, time.Hour)
 	if b == nil {
 		t.Fatal("broker disabled with explicit budget")
 	}
 	defer b.Close()
-	if s := b.Stats(); s.ReserveBytes != 500 {
-		t.Fatalf("default reserve = %d, want budget/slots = 500", s.ReserveBytes)
+	if s := b.Stats(); s.BudgetBytes != 4000 {
+		t.Fatalf("budget = %d, want 4000", s.BudgetBytes)
 	}
 }
 
@@ -142,7 +107,6 @@ func TestBrokerVictimKill(t *testing.T) {
 		Engine:           longChain(t, 20000),
 		Workers:          4,
 		MemBudget:        32 << 10,
-		MemReserve:       1, // reservations must not reject; the victim tier is under test
 		MemCheckInterval: 2 * time.Millisecond,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -224,42 +188,54 @@ func TestBrokerVictimKill(t *testing.T) {
 	}
 }
 
-// TestBrokerReserveFailpoint arms the broker.reserve failpoint: an injected
-// reservation failure must surface as a 503 with a Retry-After hint, count as
-// a reserve reject, and leave the very next request unharmed.
-func TestBrokerReserveFailpoint(t *testing.T) {
-	if err := fault.Configure("broker.reserve=error#1", 1); err != nil {
+// TestAdmissionHasOneSource: with the broker armed, the scheduler's
+// Workers+Queue bound is still the only thing that turns a request away. Two
+// requests hold both workers mid-stream; the third gets 503 + Retry-After
+// from the scheduler, while the broker watches the two running requests
+// without rejecting anything.
+func TestAdmissionHasOneSource(t *testing.T) {
+	// Every row is delayed, so an unbounded query over a long chain stays in
+	// flight until its client goes away.
+	if err := fault.Configure("core.row=delay:1ms", 1); err != nil {
 		t.Fatal(err)
 	}
 	defer fault.Reset()
 
-	s := New(Config{Engine: longChain(t, 50), Workers: 2, MemBudget: 1 << 30})
+	s := New(Config{Engine: longChain(t, 20000), Workers: 2, Queue: -1, MemBudget: 1 << 30})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()
 		_ = s.Close()
 	}()
 	client := ts.Client()
-	u := ts.URL + "/query?q=" + url.QueryEscape("(?X) <- (n0, a+, ?X)") + "&limit=3"
+	u := ts.URL + "/query?q=" + url.QueryEscape("(?X) <- (n0, a+, ?X)")
+
+	for i := 0; i < 2; i++ {
+		resp, err := client.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+			t.Fatalf("held request %d: first row: %v", i, err)
+		}
+	}
 
 	resp, err := client.Get(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d with broker.reserve armed, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("third request: status %d, Retry-After %q (body %q), want 503 with a hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 rejection carried no Retry-After hint")
+	if st := s.Scheduler().Stats(); st.Rejected != 1 {
+		t.Fatalf("scheduler stats = %+v, want the rejection counted there", st)
 	}
-
-	if rows, errLine, status := queryStream(t, client, u); status != http.StatusOK || errLine != "" || rows != 3 {
-		t.Fatalf("request after failpoint burn-out: status=%d rows=%d err=%q", status, rows, errLine)
-	}
-	if bs := s.broker.Stats(); bs.ReserveRejects != 1 || bs.Admitted != 1 {
-		t.Fatalf("broker stats = %+v, want 1 reject and 1 admission", bs)
+	if bs := s.broker.Stats(); bs.InFlight != 2 {
+		t.Fatalf("broker stats = %+v, want both held requests registered", bs)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // mode override: the serving analogue of a prepared-statement cache. The
 // first request for a (text, mode) pair pays parse + compile once; every
 // subsequent request executes the cached immutable plan, so the steady-state
-// request path is Exec-only. Concurrent first requests for the same key
-// compile once (followers wait on the leader's entry).
+// request path is Exec-only. Concurrent first requests for the same key may
+// each compile (a miss costs well under a millisecond); the first to finish
+// is cached and the others return it.
 type PlanCache struct {
 	eng *omega.Engine
 	max int
@@ -26,13 +27,10 @@ type PlanCache struct {
 	failures int64
 }
 
-// planEntry is one cache slot. ready closes when compilation finishes; pq
-// and err are immutable afterwards.
+// planEntry is one cache slot.
 type planEntry struct {
-	key   string
-	ready chan struct{}
-	pq    *omega.PreparedQuery
-	err   error
+	key string
+	pq  *omega.PreparedQuery
 }
 
 // CacheStats is a snapshot of the cache's counters.
@@ -77,48 +75,51 @@ func (c *PlanCache) Get(text string, mode *omega.Mode) (*omega.PreparedQuery, er
 	return pq, err
 }
 
-// Lookup is Get with a hit report: hit is true when the slot already existed
-// (this request paid no compile of its own — though a follower may still wait
-// on the leading compile), false when this call did the compiling. The serving
-// layer uses it to attribute plan-span time to lookup versus compile.
+// Lookup is Get with a hit report: hit is true when the plan was already
+// cached, false when this call compiled. The serving layer uses it to
+// attribute plan-span time to lookup versus compile.
 func (c *PlanCache) Lookup(text string, mode *omega.Mode) (pq *omega.PreparedQuery, hit bool, err error) {
 	key := cacheKey(text, mode)
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*planEntry)
-		c.hits++
-		c.mu.Unlock()
-		<-e.ready
-		return e.pq, true, e.err
+	if pq := c.lookup(key); pq != nil {
+		return pq, true, nil
 	}
+
+	// Compile outside the lock; a racing miss on the same key compiles too.
+	pq, err = c.compile(text, mode)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.misses++
-	e := &planEntry{key: key, ready: make(chan struct{})}
-	el := c.lru.PushFront(e)
-	c.entries[key] = el
+	if err != nil {
+		c.failures++
+		return nil, false, err
+	}
+	if el, ok := c.entries[key]; ok {
+		// A racing miss got there first: keep its plan, so every caller
+		// shares one instance.
+		c.lru.MoveToFront(el)
+		return el.Value.(*planEntry).pq, false, nil
+	}
+	c.entries[key] = c.lru.PushFront(&planEntry{key: key, pq: pq})
 	for c.lru.Len() > c.max {
 		back := c.lru.Back()
-		victim := back.Value.(*planEntry)
 		c.lru.Remove(back)
-		delete(c.entries, victim.key)
+		delete(c.entries, back.Value.(*planEntry).key)
 		c.evicted++
-		// An evicted entry mid-compile still completes for its waiters; it
-		// is simply no longer findable.
 	}
-	c.mu.Unlock()
+	return pq, false, nil
+}
 
-	e.pq, e.err = c.compile(text, mode)
-	close(e.ready)
-	if e.err != nil {
-		c.mu.Lock()
-		c.failures++
-		if el2, ok := c.entries[key]; ok && el2 == el {
-			c.lru.Remove(el2)
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
+// lookup returns the cached plan for key (counting a hit), or nil.
+func (c *PlanCache) lookup(key string) *omega.PreparedQuery {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil
 	}
-	return e.pq, false, e.err
+	c.lru.MoveToFront(el)
+	c.hits++
+	return el.Value.(*planEntry).pq
 }
 
 func (c *PlanCache) compile(text string, mode *omega.Mode) (*omega.PreparedQuery, error) {

@@ -106,15 +106,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		schedStat(func(st SchedulerStats) float64 { return float64(st.InFlight) }))
 	r.Gauge("omega_sched_queued", "Requests waiting for a worker turn.",
 		schedStat(func(st SchedulerStats) float64 { return float64(st.Queued) }))
-	r.Gauge("omega_sched_degraded", "1 while degraded-mode admission is in effect.",
-		schedStat(func(st SchedulerStats) float64 {
-			if st.Degraded {
-				return 1
-			}
-			return 0
-		}))
 	r.CollectHist("omega_sched_row_gap_seconds",
-		"Inter-row gap between successive rows delivered to a sink, including queue waits between turns. The sum is an upper-bound estimate from bucket bounds.",
+		"Gap between successive rows reaching the request's sink, including queue waits between turns; measured before the response writer coalesces rows, so it is not the gap a client sees on the socket. The sum is an upper-bound estimate from bucket bounds.",
 		func(emit func(h obs.HistSnapshot, labels ...obs.Label)) {
 			counts, _ := s.sched.GapSnapshot()
 			uppers := gapUppers()
@@ -174,16 +167,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		}
 		r.Gauge("omega_mem_budget_bytes", "Global accounted-bytes budget.",
 			brokerStat(func(st BrokerStats) float64 { return float64(st.BudgetBytes) }))
-		r.Gauge("omega_mem_reserved_bytes", "Sum of admission reservations currently held.",
-			brokerStat(func(st BrokerStats) float64 { return float64(st.ReservedBytes) }))
 		r.Gauge("omega_mem_live_bytes", "Accounted live bytes at the last monitor tick.",
 			brokerStat(func(st BrokerStats) float64 { return float64(st.LiveBytes) }))
 		r.Gauge("omega_mem_peak_live_bytes", "Lifetime peak of accounted live bytes.",
 			brokerStat(func(st BrokerStats) float64 { return float64(st.PeakLiveBytes) }))
-		r.Counter("omega_mem_admitted_total", "Reservations granted by the broker.",
-			brokerStat(func(st BrokerStats) float64 { return float64(st.Admitted) }))
-		r.Counter("omega_mem_reserve_rejects_total", "Requests rejected because the budget was fully reserved.",
-			brokerStat(func(st BrokerStats) float64 { return float64(st.ReserveRejects) }))
 		r.Counter("omega_mem_victim_kills_total", "Executions aborted by the pressure monitor.",
 			brokerStat(func(st BrokerStats) float64 { return float64(st.VictimKills) }))
 		r.Counter("omega_mem_budget_aborts_total", "Requests failed with the memory-budget error.",

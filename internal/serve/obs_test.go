@@ -97,7 +97,6 @@ func TestMetricszGolden(t *testing.T) {
 		"omega_sched_stalled_total",
 		"omega_sched_in_flight",
 		"omega_sched_queued",
-		"omega_sched_degraded",
 		"omega_sched_row_gap_seconds",
 		"omega_plan_cache_entries",
 		"omega_plan_cache_hits_total",
@@ -181,8 +180,8 @@ func TestMetricszGolden(t *testing.T) {
 
 // TestServerTraceEndToEnd exercises the trace=1 surface over HTTP: the client
 // request ID is echoed in the response header and the done line, and the span
-// tree covers the full request path — request → admission/plan/queue/stream →
-// exec → conjunct → close.
+// tree covers the full request path — request → plan/queue/stream → exec →
+// conjunct → close.
 func TestServerTraceEndToEnd(t *testing.T) {
 	_, ts := l4allServer(t, Config{Workers: 2, Queue: 4})
 	client := ts.Client()
@@ -232,7 +231,7 @@ func TestServerTraceEndToEnd(t *testing.T) {
 		t.Fatalf("trace ID = %q, want the request ID", done.Trace.ID)
 	}
 	for _, name := range []string{
-		obs.SpanRequest, obs.SpanAdmission, obs.SpanPlan, obs.SpanQueue,
+		obs.SpanRequest, obs.SpanPlan, obs.SpanQueue,
 		obs.SpanStream, obs.SpanQuantum, obs.SpanExec, obs.SpanConjunct, obs.SpanClose,
 	} {
 		if done.Trace.Node(name) == nil {

@@ -1,12 +1,16 @@
 // Package serve is Omega's concurrent serving subsystem: it turns the
 // compile-once / execute-many API (Engine.Prepare + PreparedQuery.Exec) into
-// a high-QPS front-end. Three pieces compose:
+// a high-QPS front-end. Four pieces compose:
 //
 //   - an admission-controlled Scheduler that drains many concurrent
 //     executions fairly over a bounded worker pool, rejecting excess load
-//     with a typed ErrOverloaded instead of queueing without bound;
+//     with a typed ErrOverloaded instead of queueing without bound. Its
+//     Workers+Queue bound is the one admission rule: apart from shutdown,
+//     nothing else answers 503;
 //   - a PlanCache, an LRU of prepared queries keyed by query text + mode, so
 //     a repeated query never pays parse/compile again;
+//   - a memory broker that registers every running execution's MemGauge and,
+//     under sustained pressure, aborts the largest one (507);
 //   - a Server, an HTTP front-end that streams answers as NDJSON rows in
 //     ranked order as they are produced, with per-request deadlines, budgets
 //     and deterministic resource release on every exit path.
@@ -107,14 +111,6 @@ type SchedulerConfig struct {
 	// bounds its own writes and reports the timeout as ErrStalled, which the
 	// scheduler counts like a watchdog abort.
 	StallBudget time.Duration
-	// DegradeAfter, when positive, arms degraded-mode detection: the
-	// scheduler reports Degraded() == true while the last DegradeAfter
-	// admission rejections all happened within DegradeWindow. The serving
-	// layer uses the flag to tighten per-request defaults under sustained
-	// overload instead of only rejecting with 503.
-	DegradeAfter int
-	// DegradeWindow is the sliding window for DegradeAfter (default 10s).
-	DegradeWindow time.Duration
 }
 
 func (c SchedulerConfig) withDefaults() SchedulerConfig {
@@ -130,9 +126,6 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.DegradeAfter > 0 && c.DegradeWindow <= 0 {
-		c.DegradeWindow = 10 * time.Second
 	}
 	return c
 }
@@ -160,11 +153,6 @@ type SchedulerStats struct {
 	Stalled   int64 `json:"stalled"`   // requests aborted by the watchdog (ErrStalled)
 	InFlight  int   `json:"in_flight"` // admitted, not yet finished
 	Queued    int   `json:"queued"`    // admitted, waiting for a worker turn
-	Degraded  bool  `json:"degraded"`  // degraded-mode admission in effect
-	// GapP99Ms is the 99th-percentile inter-row gap (time between successive
-	// rows delivered to a sink, including queue waits between turns) over the
-	// scheduler's lifetime, in milliseconds; 0 until enough rows have flowed.
-	GapP99Ms float64 `json:"gap_p99_ms"`
 }
 
 // gapBuckets sizes the inter-row gap histogram: bucket i counts gaps below
@@ -250,7 +238,6 @@ type Scheduler struct {
 	cond     *sync.Cond
 	ready    []*task            // run queue (round-robin tail re-queue)
 	active   map[*task]struct{} // tasks currently mid-quantum (watchdog scan set)
-	rejects  []time.Time        // last cfg.DegradeAfter rejection times
 	gapHist  [gapBuckets]int64  // lifetime inter-row gap histogram
 	gapTotal int64              // total gaps recorded
 	inFlight int                // admitted and not finished (queued + mid-quantum)
@@ -317,7 +304,6 @@ func (s *Scheduler) Stream(ctx context.Context, start func(ctx context.Context) 
 	}
 	if s.inFlight >= s.cfg.Workers+s.cfg.queueSlots() {
 		s.stats.Rejected++
-		s.noteRejection(time.Now())
 		n := s.inFlight
 		s.mu.Unlock()
 		return Result{}, &OverloadedError{InFlight: n, RetryAfter: s.cfg.RetryAfter}
@@ -443,36 +429,6 @@ func (s *Scheduler) watchdog() {
 	}
 }
 
-// noteRejection records an admission rejection for degraded-mode detection.
-// Caller holds s.mu. Only the last DegradeAfter timestamps matter: the mode
-// is on while all of them fit inside DegradeWindow.
-func (s *Scheduler) noteRejection(now time.Time) {
-	if s.cfg.DegradeAfter <= 0 {
-		return
-	}
-	s.rejects = append(s.rejects, now)
-	if len(s.rejects) > s.cfg.DegradeAfter {
-		s.rejects = s.rejects[len(s.rejects)-s.cfg.DegradeAfter:]
-	}
-}
-
-// degraded reports whether degraded-mode admission is in effect. Caller
-// holds s.mu.
-func (s *Scheduler) degraded(now time.Time) bool {
-	return s.cfg.DegradeAfter > 0 &&
-		len(s.rejects) >= s.cfg.DegradeAfter &&
-		now.Sub(s.rejects[0]) <= s.cfg.DegradeWindow
-}
-
-// Degraded reports whether the scheduler has seen sustained overload (see
-// SchedulerConfig.DegradeAfter): the serving layer tightens per-request
-// defaults while it holds.
-func (s *Scheduler) Degraded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded(time.Now())
-}
-
 // recordGaps buckets a batch of n rows delivered at now into the task-local
 // histogram: one real gap, then n-1 rows that arrived with no gap between
 // them, added to the lowest bucket in one step.
@@ -487,24 +443,6 @@ func (t *task) recordGaps(now time.Time, n int) {
 	}
 	t.gaps[0] += int64(n - 1)
 	t.lastRow = now
-}
-
-// gapP99Locked computes the 99th-percentile inter-row gap from the histogram
-// (bucket upper bounds, so the estimate rounds up). Caller holds s.mu.
-func (s *Scheduler) gapP99Locked() float64 {
-	if s.gapTotal == 0 {
-		return 0
-	}
-	// Smallest bucket whose cumulative count covers 99% of all gaps.
-	need := (s.gapTotal*99 + 99) / 100
-	var cum int64
-	for i, c := range s.gapHist {
-		cum += c
-		if cum >= need {
-			return float64(uint64(1)<<uint(i)) / 1000 // 2^i µs in ms
-		}
-	}
-	return float64(uint64(1)<<uint(gapBuckets-1)) / 1000
 }
 
 // runQuantum advances t by one scheduling turn and reports whether the
@@ -660,8 +598,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 	st := s.stats
 	st.InFlight = s.inFlight
 	st.Queued = len(s.ready)
-	st.Degraded = s.degraded(time.Now())
-	st.GapP99Ms = s.gapP99Locked()
 	return st
 }
 

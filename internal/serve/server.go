@@ -34,20 +34,6 @@ type Config struct {
 	// whose scheduling turn makes no progress for longer than the budget is
 	// aborted and answered with 504 (see SchedulerConfig.StallBudget).
 	StallBudget time.Duration
-	// DegradeAfter / DegradeWindow arm degraded-mode admission: when the last
-	// DegradeAfter admission rejections all fell within DegradeWindow
-	// (default 10s), new requests run with tightened defaults (DegradedLimit,
-	// DegradedMaxDist) and their done line carries "degraded": true. 0
-	// disables.
-	DegradeAfter  int
-	DegradeWindow time.Duration
-	// DegradedLimit, when positive, caps the per-request row limit while
-	// degraded mode holds (requests asking for more, or for everything, are
-	// clamped down to it).
-	DegradedLimit int
-	// DegradedMaxDist, when positive, caps the per-request maxdist while
-	// degraded mode holds.
-	DegradedMaxDist int
 	// PlanCacheSize bounds the LRU of prepared queries (default 128).
 	PlanCacheSize int
 	// PoolSize bounds the evaluator-state pool (default: Workers so the
@@ -57,16 +43,12 @@ type Config struct {
 	// MaxLimit caps the per-request row limit; requests asking for more (or
 	// for everything) are clamped. 0 means no cap.
 	MaxLimit int
-	// MemBudget is the server-wide accounted-bytes budget enforced by the
-	// memory broker: admission reserves MemReserve bytes per request against
-	// it (rejecting with 503 + Retry-After when exhausted), and under
-	// sustained pressure the largest-footprint running query is aborted with
-	// omega.ErrMemBudget (507). 0 defaults to GOMEMLIMIT when that is set and
+	// MemBudget is the server-wide accounted-bytes budget the memory broker
+	// watches: when the running queries' accounted bytes stay above it, the
+	// largest-footprint one is aborted with omega.ErrMemBudget (507). It
+	// never rejects a request. 0 defaults to GOMEMLIMIT when that is set and
 	// disables the broker otherwise; negative disables explicitly.
 	MemBudget int64
-	// MemReserve is the per-request admission reservation (default:
-	// MemBudget divided by the scheduler's admission bound).
-	MemReserve int64
 	// MemCheckInterval paces the broker's victim-selection monitor (default
 	// 100ms).
 	MemCheckInterval time.Duration
@@ -104,8 +86,6 @@ type Server struct {
 	pool      *omega.EvalPool
 	broker    *memBroker // nil when no memory budget is configured
 	mux       *http.ServeMux
-	degLimit  int           // degraded-mode row-limit clamp (0 = no clamp)
-	degDist   int           // degraded-mode maxdist clamp (0 = no clamp)
 	hardMem   int64         // default per-request hard memory watermark (0 = none)
 	parallel  int           // default per-request worker count (0 = serial)
 	timeout   time.Duration // default per-request deadline (0 = none)
@@ -121,21 +101,17 @@ func New(cfg Config) *Server {
 		panic("serve: Config.Engine is required")
 	}
 	sc := SchedulerConfig{
-		Workers:       cfg.Workers,
-		Queue:         cfg.Queue,
-		Quantum:       cfg.Quantum,
-		RetryAfter:    cfg.RetryAfter,
-		StallBudget:   cfg.StallBudget,
-		DegradeAfter:  cfg.DegradeAfter,
-		DegradeWindow: cfg.DegradeWindow,
+		Workers:     cfg.Workers,
+		Queue:       cfg.Queue,
+		Quantum:     cfg.Quantum,
+		RetryAfter:  cfg.RetryAfter,
+		StallBudget: cfg.StallBudget,
 	}.withDefaults()
 	s := &Server{
 		eng:       cfg.Engine,
 		cache:     NewPlanCache(cfg.Engine, cfg.PlanCacheSize),
 		sched:     NewScheduler(sc),
-		broker:    newMemBroker(cfg.MemBudget, cfg.MemReserve, cfg.MemCheckInterval, sc.Workers+sc.queueSlots()),
-		degLimit:  cfg.DegradedLimit,
-		degDist:   cfg.DegradedMaxDist,
+		broker:    newMemBroker(cfg.MemBudget, cfg.MemCheckInterval),
 		hardMem:   cfg.HardMemBytes,
 		parallel:  cfg.Parallelism,
 		timeout:   cfg.Timeout,
@@ -192,16 +168,12 @@ func (s *Server) Close() error {
 	return err
 }
 
-// doneLine terminates a successful stream. Degraded marks responses produced
-// under degraded-mode admission, whose limit/maxdist may have been clamped
-// below what the client asked for — the client can tell a short answer from
-// a complete one.
+// doneLine terminates a successful stream.
 type doneLine struct {
 	Done      bool         `json:"done"`
 	RequestID string       `json:"request_id"`
 	Rows      int          `json:"rows"`
 	ElapsedMs float64      `json:"elapsed_ms"`
-	Degraded  bool         `json:"degraded,omitempty"`
 	Stats     statsLine    `json:"stats"`
 	Trace     *obs.Summary `json:"trace,omitempty"` // present when the request asked for trace=1
 }
@@ -291,8 +263,7 @@ func toStatsLine(s omega.Stats) statsLine {
 // The response is application/x-ndjson: one JSON object per answer row
 // ({"vars":[…],"labels":[…],"nodes":[…],"dist":n}, see encode.go), in
 // non-decreasing distance, then a final object — either {"done":true,...}
-// with the evaluation counters (and "degraded":true when degraded-mode
-// admission clamped the request) or {"error":...} if the stream failed
+// with the evaluation counters or {"error":...} if the stream failed
 // mid-flight. Rows are written and flushed when they would otherwise wait too
 // long (see rowWriter): the first row at once, then whatever is pending each
 // time the engine has done 4 096 tuple operations (or starts a bulk block)
@@ -300,8 +271,8 @@ func toStatsLine(s omega.Stats) statsLine {
 // 32 KiB, and with the terminal line. A client that stops
 // reading is cut off when a write outlasts the stall budget or the request's
 // deadline. Failures before the first row map to HTTP status
-// codes: 400 (bad query/parameters), 503 + Retry-After (admission control —
-// scheduler or memory broker — or shutdown), 504 (deadline or watchdog stall
+// codes: 400 (bad query/parameters), 503 + Retry-After (the scheduler turned
+// the request away), 503 (shutdown), 504 (deadline or watchdog stall
 // before any row), 507 (hard memory watermark crossed, or aborted as the
 // broker's pressure victim), 500 (recovered panic or other internal
 // failure — the request died, the server keeps serving).
@@ -407,25 +378,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 		return
 	}
 
-	admSpan := obs.NoSpan
-	if tr != nil {
-		admSpan = tr.Start(obs.Root, obs.SpanAdmission)
-	}
-
-	// Under sustained overload the scheduler flags degraded mode and new
-	// requests run with tightened defaults: clamped row limits and distance
-	// caps keep per-request work small so the backlog drains, and the done
-	// line carries the flag so clients know their answer may be partial.
-	degraded := s.sched.Degraded()
-	if degraded {
-		if s.degLimit > 0 && (eo.Limit == 0 || eo.Limit > s.degLimit) {
-			eo.Limit = s.degLimit
-		}
-		if s.degDist > 0 && (eo.MaxDist == 0 || eo.MaxDist > int32(s.degDist)) {
-			eo.MaxDist = int32(s.degDist)
-		}
-	}
-
 	// The cancel-cause wrapper is the memory broker's abort lever: the
 	// victim monitor cancels with omega.ErrMemBudget as the cause, which
 	// the evaluator maps back onto the typed error (poisoning its pooled
@@ -435,22 +387,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 	defer cancelCause(nil)
 	gauge := omega.NewMemGauge(eo.HardMemBytes)
 	if s.broker != nil {
-		lease, err := s.broker.Reserve(gauge, cancelCause, s.sched.RetryAfter())
-		if err != nil {
-			if tr != nil {
-				tr.End(admSpan)
-			}
-			s.setRetryAfter(w)
-			fail(http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		defer s.broker.Release(lease)
-	}
-	if tr != nil {
-		if degraded {
-			tr.SetAttr(admSpan, "degraded", 1)
-		}
-		tr.End(admSpan)
+		defer s.broker.Release(s.broker.Register(gauge, cancelCause))
 	}
 
 	eo.Mem = gauge
@@ -500,7 +437,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 		}
 		switch {
 		case errors.Is(err, ErrOverloaded):
-			s.setRetryAfter(w)
+			// The one admission rejection. Retry-After has one-second
+			// granularity; round up so a sub-second hint never becomes
+			// "retry immediately".
+			secs := max(int(math.Ceil(s.sched.RetryAfter().Seconds())), 1)
+			w.Header().Set("Retry-After", strconv.Itoa(secs))
 			fail(http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, ErrSchedulerClosed):
 			fail(http.StatusServiceUnavailable, err.Error())
@@ -528,21 +469,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 		}
 		return
 	}
-	line, _ := json.Marshal(doneLine{Done: true, RequestID: reqID, Rows: res.Rows, ElapsedMs: float64(elapsed.Nanoseconds()) / 1e6, Degraded: degraded, Stats: toStatsLine(res.Stats), Trace: summary})
+	line, _ := json.Marshal(doneLine{Done: true, RequestID: reqID, Rows: res.Rows, ElapsedMs: float64(elapsed.Nanoseconds()) / 1e6, Stats: toStatsLine(res.Stats), Trace: summary})
 	_ = rw.finish(line)
 	s.logf("serve: %s %d rows in %.1fms (backend=%s popped=%d deferred=%d reinjected=%d phases=%d queue_wait=%.1fms ttfr=%.1fms)",
 		reqID, res.Rows, float64(elapsed.Nanoseconds())/1e6, res.Stats.Backend,
 		res.Stats.TuplesPopped, res.Stats.Deferred, res.Stats.Reinjected, res.Stats.Phases,
 		float64(res.Stats.QueueWaitNanos)/1e6, float64(res.Stats.TTFRNanos)/1e6)
-}
-
-// setRetryAfter sets the back-off hint of a 503 admission rejection (the
-// scheduler's or the memory broker's). Retry-After has one-second
-// granularity; round up so a sub-second hint never becomes "retry
-// immediately".
-func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	secs := max(int(math.Ceil(s.sched.RetryAfter().Seconds())), 1)
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
 // slowQueryLine is the structured slow-query log record (one JSON object per
