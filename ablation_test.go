@@ -49,7 +49,7 @@ type ablationSetting struct {
 }
 
 func ablationSettings() []ablationSetting {
-	def := Options{Backend: BackendRanked}
+	def := Options{}
 	flip := func(name string, f func(*Options)) ablationSetting {
 		o := def
 		f(&o)
@@ -95,7 +95,7 @@ func ablationQueries() []ablationQuery {
 // exhaustive APPROX var–var case under DistanceAware grows past the memory of
 // a small machine.
 func ablationExec(mode Mode, limit int) ExecOptions {
-	return ExecOptions{Mode: ModeOverride(mode), Limit: limit, MaxTuples: 200_000, HardMemBytes: 256 << 20}
+	return ExecOptions{Mode: ModeOverride(mode), Limit: limit, MaxTuples: 200_000, HardMemBytes: 256 << 20, Backend: BackendRanked}
 }
 
 func runAblationCase(t *testing.T, name string, s ablationSetting, q ablationQuery, eo ExecOptions) (ablationRow, []string) {

@@ -18,9 +18,13 @@ import (
 func TestPlannerBackendSelection(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	eng := NewEngine(g, ont)
-	explain := func(e *Engine, text string) string {
+	explain := func(eo ExecOptions, text string) string {
 		t.Helper()
-		out, err := e.Explain(text)
+		pq, err := eng.PrepareText(text)
+		if err != nil {
+			t.Fatalf("PrepareText(%q): %v", text, err)
+		}
+		out, err := pq.Explain(eo)
 		if err != nil {
 			t.Fatalf("Explain(%q): %v", text, err)
 		}
@@ -28,37 +32,37 @@ func TestPlannerBackendSelection(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		eng  *Engine
+		eo   ExecOptions
 		text string
 		want string
 	}{
 		{"exhaustive exact variable subject goes bulk",
-			eng, "(?X, ?Y) <- (?X, job.type, ?Y)",
+			ExecOptions{}, "(?X, ?Y) <- (?X, job.type, ?Y)",
 			"backend: bulk set-semantics (auto: exhaustive exact scan:"},
 		{"closure query goes bulk",
-			eng, "(?X, ?Y) <- (?X, next+, ?Y)",
+			ExecOptions{}, "(?X, ?Y) <- (?X, next+, ?Y)",
 			"backend: bulk set-semantics (auto: exhaustive exact scan:"},
 		{"approx mode stays ranked",
-			eng, "(?X) <- APPROX (Librarians, type-.job-.next, ?X)",
+			ExecOptions{}, "(?X) <- APPROX (Librarians, type-.job-.next, ?X)",
 			"backend: ranked GetNext (auto: APPROX mode ranks answers by distance)"},
 		{"constant subject stays ranked",
-			eng, "(?X) <- (Librarians, type-, ?X)",
+			ExecOptions{}, "(?X) <- (Librarians, type-, ?X)",
 			"backend: ranked GetNext (auto: seed population 1 below word-parallel payoff"},
 		{"pinned ranked reported as forced",
-			eng.WithOptions(Options{Backend: BackendRanked}), "(?X, ?Y) <- (?X, job.type, ?Y)",
+			ExecOptions{Backend: BackendRanked}, "(?X, ?Y) <- (?X, job.type, ?Y)",
 			"backend: ranked GetNext (pinned: forced)"},
 		{"pinned bulk reported as forced",
-			eng.WithOptions(Options{Backend: BackendBulk}), "(?X, ?Y) <- (?X, job.type, ?Y)",
+			ExecOptions{Backend: BackendBulk}, "(?X, ?Y) <- (?X, job.type, ?Y)",
 			"backend: bulk set-semantics (pinned: forced)"},
 	}
 	for _, tc := range cases {
-		out := explain(tc.eng, tc.text)
+		out := explain(tc.eo, tc.text)
 		if !strings.Contains(out, tc.want) {
 			t.Errorf("%s: Explain(%q) missing %q; got:\n%s", tc.name, tc.text, tc.want, out)
 		}
 	}
 	// Auto-bulk Explain also shows the cost model evidence line.
-	out := explain(eng, "(?X, ?Y) <- (?X, job.type, ?Y)")
+	out := explain(ExecOptions{}, "(?X, ?Y) <- (?X, job.type, ?Y)")
 	if !strings.Contains(out, "backend cost model: S=") {
 		t.Errorf("auto-bulk Explain missing cost model line; got:\n%s", out)
 	}
@@ -67,8 +71,8 @@ func TestPlannerBackendSelection(t *testing.T) {
 // TestExecBackendMatchesPlanner confirms the Explain decision is what
 // executions actually do: for every ExecOptions row, the backend and the mode
 // PreparedQuery.Explain names are the ones the execution runs with
-// (Stats.Backend), across auto selection and every override layer (engine
-// Options, ExecOptions, Limit and MaxDist demotion, Mode).
+// (Stats.Backend), across auto selection, a forced backend, Limit and
+// MaxDist demotion, and a Mode override.
 func TestExecBackendMatchesPlanner(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	eng := NewEngine(g, ont)

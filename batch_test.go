@@ -108,10 +108,10 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	}
 	approx, relax := Approx, Relax
 	variants := []variant{
-		{"exact/ranked", Options{Backend: BackendRanked}, ExecOptions{}},
-		{"exact/bulk", Options{Backend: BackendBulk}, ExecOptions{}},
-		{"exact/bulk/disjunction", Options{Backend: BackendBulk, Disjunction: true}, ExecOptions{}},
-		{"exact/bulk/parallel", Options{Backend: BackendBulk}, ExecOptions{Parallelism: 4}},
+		{"exact/ranked", Options{}, ExecOptions{Backend: BackendRanked}},
+		{"exact/bulk", Options{}, ExecOptions{Backend: BackendBulk}},
+		{"exact/bulk/disjunction", Options{Disjunction: true}, ExecOptions{Backend: BackendBulk}},
+		{"exact/bulk/parallel", Options{}, ExecOptions{Backend: BackendBulk, Parallelism: 4}},
 		{"approx/top150", Options{DistanceAware: true}, ExecOptions{Mode: &approx, Limit: 150}},
 		{"relax/top150", Options{DistanceAware: true}, ExecOptions{Mode: &relax, Limit: 150}},
 	}
@@ -157,12 +157,12 @@ func TestNextBatchMatchesNext(t *testing.T) {
 func TestNextBatchCuts(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	const scan = "(?X, ?Y) <- (?X, next+, ?Y)"
-	bulk := NewEngine(g, ont).WithOptions(Options{Backend: BackendBulk})
+	bulk := NewEngine(g, ont)
 	pq, err := bulk.PrepareText(scan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := pq.Exec(context.Background(), ExecOptions{})
+	all, err := pq.Exec(context.Background(), ExecOptions{Backend: BackendBulk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestNextBatchCuts(t *testing.T) {
 	}
 	for _, limit := range []int{1, 5, 64, 65, 100, 333} {
 		for _, size := range []int{7, 64} {
-			rows, err := pq.Exec(context.Background(), ExecOptions{Limit: limit})
+			rows, err := pq.Exec(context.Background(), ExecOptions{Backend: BackendBulk, Limit: limit})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestNextBatchCuts(t *testing.T) {
 			}
 		}
 	}
-	capped, err := pq.Exec(context.Background(), ExecOptions{MaxDist: 1})
+	capped, err := pq.Exec(context.Background(), ExecOptions{Backend: BackendBulk, MaxDist: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +224,13 @@ func TestNextBatchCuts(t *testing.T) {
 // the caller's to keep.
 func TestNextBatchAliasing(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
-	eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendBulk})
+	eng := NewEngine(g, ont)
 	pq, err := eng.PrepareText("(?X, ?Y) <- (?X, next+, ?Y)")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rows, err := pq.Exec(context.Background(), ExecOptions{})
+	rows, err := pq.Exec(context.Background(), ExecOptions{Backend: BackendBulk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestNextBatchAliasing(t *testing.T) {
 	}
 
 	// Rows from Next escape: collect them all, then check none was rewritten.
-	it, err := pq.Exec(context.Background(), ExecOptions{Limit: 300})
+	it, err := pq.Exec(context.Background(), ExecOptions{Backend: BackendBulk, Limit: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,12 +352,12 @@ func TestNextBatchLifecycle(t *testing.T) {
 // already owns.
 func TestNextBatchSteadyStateAllocs(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
-	eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendBulk})
+	eng := NewEngine(g, ont)
 	pq, err := eng.PrepareText("(?X, ?Y) <- (?X, next+, ?Y)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := pq.Exec(context.Background(), ExecOptions{})
+	rows, err := pq.Exec(context.Background(), ExecOptions{Backend: BackendBulk})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,24 +79,23 @@ func yagoQueryText(b testing.TB, id string) string {
 	return ""
 }
 
-// runOnce evaluates the query once, pulling at most limit answers
-// (limit ≤ 0 = run to completion), and reports the answer count.
+// runOnce prepares the query under opts and executes it once in the given
+// mode, pulling at most limit answers (limit ≤ 0 = run to completion), and
+// reports the answer count.
 func runOnce(b *testing.B, g *Graph, ont *Ontology, text string, mode Mode, opts Options, limit int) int {
 	b.Helper()
-	q, err := ParseQuery(text)
+	pq, err := NewEngine(g, ont).WithOptions(opts).PrepareText(text)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := range q.Conjuncts {
-		q.Conjuncts[i].Mode = mode
-	}
-	it, err := Open(g, ont, q, opts)
+	rows, err := pq.Exec(context.Background(), ExecOptions{Mode: ModeOverride(mode)})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer rows.Close()
 	n := 0
 	for limit <= 0 || n < limit {
-		_, ok, err := it.Next()
+		_, ok, err := rows.Next()
 		if err == ErrTupleBudget {
 			break
 		}
@@ -366,7 +365,11 @@ func BenchmarkCoreGetNext(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it, err := core.OpenQuery(g, ont, q, core.Options{})
+		p, err := core.PrepareQuery(g, ont, q, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		it, err := p.Exec(context.Background(), core.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,8 +63,9 @@ func TestBulkMatchesRankedCorpus(t *testing.T) {
 	for _, disj := range []bool{false, true} {
 		for _, text := range texts {
 			label := fmt.Sprintf("%q disjunction=%v", text, disj)
-			ranked := collectAnswers(t, g, ont, text, Exact, Options{Backend: BackendRanked, Disjunction: disj}, 0)
-			bulk := collectAnswers(t, g, ont, text, Exact, Options{Backend: BackendBulk, Disjunction: disj}, 0)
+			opts := Options{Disjunction: disj}
+			ranked := collectAnswers(t, g, ont, text, Exact, opts, ExecOptions{Backend: BackendRanked}, 0)
+			bulk := collectAnswers(t, g, ont, text, Exact, opts, ExecOptions{Backend: BackendBulk}, 0)
 			requireSameSet(t, label, ranked, bulk)
 		}
 	}
@@ -132,8 +133,9 @@ func TestBulkFuzzDifferential(t *testing.T) {
 		}
 		for _, disj := range []bool{false, true} {
 			label := fmt.Sprintf("trial %d %q disjunction=%v", trial, text, disj)
-			ranked := collectAnswers(t, g, nil, text, Exact, Options{Backend: BackendRanked, Disjunction: disj}, 0)
-			bulk := collectAnswers(t, g, nil, text, Exact, Options{Backend: BackendBulk, Disjunction: disj}, 0)
+			opts := Options{Disjunction: disj}
+			ranked := collectAnswers(t, g, nil, text, Exact, opts, ExecOptions{Backend: BackendRanked}, 0)
+			bulk := collectAnswers(t, g, nil, text, Exact, opts, ExecOptions{Backend: BackendBulk}, 0)
 			requireSameSet(t, label, ranked, bulk)
 		}
 	}

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"omega"
 )
@@ -28,7 +26,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, ont, err := generate(*data)
+	g, ont, err := omega.LoadDataset(*data, "", "")
 	if err != nil {
 		fatal(err)
 	}
@@ -61,29 +59,6 @@ func main() {
 	}
 
 	fmt.Printf("wrote %s (%d nodes, %d edges) and %s\n", graphPath, g.NumNodes(), g.NumEdges(), ontPath)
-}
-
-func generate(data string) (*omega.Graph, *omega.Ontology, error) {
-	name, arg, _ := strings.Cut(data, ":")
-	switch strings.ToLower(name) {
-	case "l4all":
-		if arg == "" {
-			arg = "L1"
-		}
-		return omega.GenerateL4All(arg)
-	case "yago":
-		factor := 1.0
-		if arg != "" {
-			f, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("omega-gen: bad yago scale %q", arg)
-			}
-			factor = f
-		}
-		g, o := omega.GenerateYAGO(factor)
-		return g, o, nil
-	}
-	return nil, nil, fmt.Errorf("omega-gen: unknown dataset %q", data)
 }
 
 func fatal(err error) {

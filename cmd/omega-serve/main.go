@@ -25,7 +25,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,8 +34,6 @@ import (
 	_ "net/http/pprof" // registered on DefaultServeMux, served via -debug-addr
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -92,7 +89,7 @@ var (
 func main() {
 	flag.Parse()
 
-	g, ont, err := loadData(*data, *graphFile, *ontFile)
+	g, ont, err := omega.LoadDataset(*data, *graphFile, *ontFile)
 	if err != nil {
 		fatal(err)
 	}
@@ -193,64 +190,6 @@ func listen(addr string, logw io.Writer, what string) (net.Listener, error) {
 // keeps a client that never finishes its request from holding a connection.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-}
-
-// loadData mirrors cmd/omega's dataset selection.
-func loadData(data, graphFile, ontFile string) (*omega.Graph, *omega.Ontology, error) {
-	switch {
-	case data != "":
-		name, arg, _ := strings.Cut(data, ":")
-		switch strings.ToLower(name) {
-		case "l4all":
-			if arg == "" {
-				arg = "L1"
-			}
-			return omega.GenerateL4All(arg)
-		case "yago":
-			factor := 1.0
-			if arg != "" {
-				f, err := strconv.ParseFloat(arg, 64)
-				if err != nil {
-					return nil, nil, fmt.Errorf("omega-serve: bad yago scale %q", arg)
-				}
-				factor = f
-			}
-			g, o := omega.GenerateYAGO(factor)
-			return g, o, nil
-		default:
-			return nil, nil, fmt.Errorf("omega-serve: unknown dataset %q (want l4all:<scale> or yago:<factor>)", data)
-		}
-	case graphFile != "":
-		f, err := os.Open(graphFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		var g *omega.Graph
-		if strings.HasSuffix(graphFile, ".nt") {
-			b := omega.NewGraphBuilder()
-			if _, err := omega.LoadNTriples(f, b, false); err != nil {
-				return nil, nil, err
-			}
-			g = b.Freeze()
-		} else if g, err = omega.LoadGraph(f); err != nil {
-			return nil, nil, err
-		}
-		var ont *omega.Ontology
-		if ontFile != "" {
-			of, err := os.Open(ontFile)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer of.Close()
-			if ont, err = omega.LoadOntology(of); err != nil {
-				return nil, nil, err
-			}
-		}
-		return g, ont, nil
-	default:
-		return nil, nil, errors.New("omega-serve: -data or -graph is required")
-	}
 }
 
 func fatal(err error) {

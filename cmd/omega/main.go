@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
 	"omega"
@@ -57,7 +55,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	g, ont, err := loadData(*data, *graphFile, *ontFile)
+	g, ont, err := omega.LoadDataset(*data, *graphFile, *ontFile)
 	if err != nil {
 		fatal(err)
 	}
@@ -66,18 +64,14 @@ func main() {
 	if err := knobs.Apply(&eo); err != nil {
 		fatal(err)
 	}
-	opts := omega.Options{
+	eng := omega.NewEngine(g, ont).WithOptions(omega.Options{
 		DistanceAware: *distAware,
 		Disjunction:   *disjunct,
 		RareSide:      *rareSide,
-		MaxTuples:     eo.MaxTuples,
-		Backend:       eo.Backend,
-		Parallelism:   eo.Parallelism,
-	}
-	eng := omega.NewEngine(g, ont).WithOptions(opts)
+	})
 
 	if *interactive {
-		repl(os.Stdin, os.Stdout, eng, *batch)
+		repl(os.Stdin, os.Stdout, eng, eo, *batch)
 		return
 	}
 
@@ -139,64 +133,6 @@ func main() {
 		s := rows.Stats()
 		fmt.Fprintf(os.Stderr, "backend=%s parallelism=%d shards=%d tuples added=%d popped=%d visited=%d phases=%d deferred=%d reinjected=%d neighbour-calls=%d cache-hits=%d prep-ops=%d max-delay-ops=%d\n",
 			s.Backend, s.Parallelism, s.Shards, s.TuplesAdded, s.TuplesPopped, s.VisitedSize, s.Phases, s.Deferred, s.Reinjected, s.NeighborCalls, s.CacheHits, s.PrepOps, s.MaxDelayOps)
-	}
-}
-
-func loadData(data, graphFile, ontFile string) (*omega.Graph, *omega.Ontology, error) {
-	switch {
-	case data != "":
-		name, arg, _ := strings.Cut(data, ":")
-		switch strings.ToLower(name) {
-		case "l4all":
-			if arg == "" {
-				arg = "L1"
-			}
-			return omega.GenerateL4All(arg)
-		case "yago":
-			factor := 1.0
-			if arg != "" {
-				f, err := strconv.ParseFloat(arg, 64)
-				if err != nil {
-					return nil, nil, fmt.Errorf("omega: bad yago scale %q", arg)
-				}
-				factor = f
-			}
-			g, o := omega.GenerateYAGO(factor)
-			return g, o, nil
-		default:
-			return nil, nil, fmt.Errorf("omega: unknown dataset %q (want l4all:<scale> or yago:<factor>)", data)
-		}
-	case graphFile != "":
-		f, err := os.Open(graphFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		var g *omega.Graph
-		if strings.HasSuffix(graphFile, ".nt") {
-			b := omega.NewGraphBuilder()
-			if _, err := omega.LoadNTriples(f, b, false); err != nil {
-				return nil, nil, err
-			}
-			g = b.Freeze()
-		} else if g, err = omega.LoadGraph(f); err != nil {
-			return nil, nil, err
-		}
-		var ont *omega.Ontology
-		if ontFile != "" {
-			of, err := os.Open(ontFile)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer of.Close()
-			ont, err = omega.LoadOntology(of)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return g, ont, nil
-	default:
-		return nil, nil, fmt.Errorf("omega: provide -data or -graph")
 	}
 }
 

@@ -19,10 +19,14 @@ import (
 // submit queries, results stream back in order of increasing distance, and
 // "users [are] able to specify a limit on the number of results returned in
 // each phase" — the `more` command pulls the next batch. Each query is
-// compiled once with PrepareText and executed with a cancellable context:
-// ctrl-C while a batch is streaming cancels the running query (releasing its
-// evaluation state) and returns to the prompt.
-func repl(in io.Reader, out io.Writer, eng *omega.Engine, batch int) {
+// compiled once with PrepareText and executed under eo, the execution knobs
+// of the command line, with a cancellable context: ctrl-C while a batch is
+// streaming cancels the running query (releasing its evaluation state) and
+// returns to the prompt. eo's Limit is dropped, since batches and `more`
+// page through the answers instead; explain renders the plan under the same
+// knobs.
+func repl(in io.Reader, out io.Writer, eng *omega.Engine, eo omega.ExecOptions, batch int) {
+	eo.Limit = 0
 	fmt.Fprintln(out, "omega console — type a query, 'help', or 'quit' (ctrl-C cancels a running query)")
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -64,7 +68,12 @@ func repl(in io.Reader, out io.Writer, eng *omega.Engine, batch int) {
 			}
 			served += printBatch(out, current, cancel, n)
 		case strings.HasPrefix(line, "explain "):
-			plan, err := eng.Explain(strings.TrimPrefix(line, "explain "))
+			pq, err := eng.PrepareText(strings.TrimPrefix(line, "explain "))
+			if err != nil {
+				fmt.Fprintf(out, "error: %v\n", err)
+				break
+			}
+			plan, err := pq.Explain(eo)
 			if err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
 				break
@@ -78,7 +87,7 @@ func repl(in io.Reader, out io.Writer, eng *omega.Engine, batch int) {
 			}
 			closeCurrent()
 			ctx, c := context.WithCancel(context.Background())
-			rows, err := pq.Exec(ctx, omega.ExecOptions{})
+			rows, err := pq.Exec(ctx, eo)
 			if err != nil {
 				c()
 				fmt.Fprintf(out, "error: %v\n", err)

@@ -16,8 +16,8 @@ func TestL4AllCorpusDistanceAwareDifferential(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	for _, q := range l4all.Queries() {
 		for _, mode := range []Mode{Approx, Relax, Flex} {
-			inc := collectAnswers(t, g, ont, q.Text, mode, Options{DistanceAware: true}, 500)
-			res := collectAnswers(t, g, ont, q.Text, mode, Options{DistanceAware: true, DistanceRestart: true}, 500)
+			inc := collectAnswers(t, g, ont, q.Text, mode, Options{DistanceAware: true}, ExecOptions{}, 500)
+			res := collectAnswers(t, g, ont, q.Text, mode, Options{DistanceAware: true, DistanceRestart: true}, ExecOptions{}, 500)
 			if len(inc) != len(res) {
 				t.Fatalf("%s/%v: incremental emitted %d answers, restart reference %d",
 					q.ID, mode, len(inc), len(res))
@@ -47,8 +47,8 @@ func TestL4AllCorpusDistanceAwareTighterPsi(t *testing.T) {
 	ropts.DistanceRestart = true
 	for _, q := range l4all.Queries() {
 		for _, mode := range []Mode{Approx, Relax} {
-			inc := collectAnswers(t, g, ont, q.Text, mode, opts, 500)
-			res := collectAnswers(t, g, ont, q.Text, mode, ropts, 500)
+			inc := collectAnswers(t, g, ont, q.Text, mode, opts, ExecOptions{}, 500)
+			res := collectAnswers(t, g, ont, q.Text, mode, ropts, ExecOptions{}, 500)
 			if len(inc) != len(res) {
 				t.Fatalf("%s/%v: incremental emitted %d answers, restart reference %d",
 					q.ID, mode, len(inc), len(res))

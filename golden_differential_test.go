@@ -1,6 +1,7 @@
 package omega
 
 import (
+	"context"
 	"testing"
 
 	"omega/internal/l4all"
@@ -25,8 +26,9 @@ func TestL4AllCorpusDifferential(t *testing.T) {
 			// selection would route exhaustive exact queries to the bulk
 			// engine (which uses neither). Bulk-vs-ranked equality has its own
 			// corpus differential.
-			fast := collectAnswers(t, g, ont, q.Text, mode, Options{Backend: BackendRanked}, limit)
-			slow := collectAnswers(t, g, ont, q.Text, mode, Options{Backend: BackendRanked, RefDict: true}, limit)
+			ranked := ExecOptions{Backend: BackendRanked}
+			fast := collectAnswers(t, g, ont, q.Text, mode, Options{}, ranked, limit)
+			slow := collectAnswers(t, g, ont, q.Text, mode, Options{RefDict: true}, ranked, limit)
 			if len(fast) != len(slow) {
 				t.Fatalf("%s/%v: bucket queue emitted %d answers, reference dict %d",
 					q.ID, mode, len(fast), len(slow))
@@ -48,8 +50,8 @@ func TestL4AllCorpusDifferential(t *testing.T) {
 func TestL4AllCorpusDeterministic(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	for _, q := range l4all.Queries() {
-		a := collectAnswers(t, g, ont, q.Text, Approx, Options{}, 200)
-		b := collectAnswers(t, g, ont, q.Text, Approx, Options{}, 200)
+		a := collectAnswers(t, g, ont, q.Text, Approx, Options{}, ExecOptions{}, 200)
+		b := collectAnswers(t, g, ont, q.Text, Approx, Options{}, ExecOptions{}, 200)
 		if len(a) != len(b) {
 			t.Fatalf("%s: %d vs %d answers across identical runs", q.ID, len(a), len(b))
 		}
@@ -73,31 +75,32 @@ func sameRow(a, b QueryAnswer) bool {
 	return true
 }
 
-// collectAnswers evaluates text in the given mode and returns up to limit
-// answers (limit ≤ 0 = all).
-func collectAnswers(t *testing.T, g *Graph, ont *Ontology, text string, mode Mode, opts Options, limit int) []QueryAnswer {
+// collectAnswers prepares text under opts, executes it in the given mode
+// under eo and returns up to limit answers (limit ≤ 0 = all). The limit is
+// the caller's, not eo's: it stops pulling without changing the plan.
+func collectAnswers(t *testing.T, g *Graph, ont *Ontology, text string, mode Mode, opts Options, eo ExecOptions, limit int) []QueryAnswer {
 	t.Helper()
-	q, err := ParseQuery(text)
+	pq, err := NewEngine(g, ont).WithOptions(opts).PrepareText(text)
 	if err != nil {
-		t.Fatalf("ParseQuery(%q): %v", text, err)
+		t.Fatalf("PrepareText(%q): %v", text, err)
 	}
-	for i := range q.Conjuncts {
-		q.Conjuncts[i].Mode = mode
-	}
-	it, err := Open(g, ont, q, opts)
+	eo.Mode = ModeOverride(mode)
+	rows, err := pq.Exec(context.Background(), eo)
 	if err != nil {
-		t.Fatalf("Open(%q): %v", text, err)
+		t.Fatalf("Exec(%q): %v", text, err)
 	}
+	defer rows.Close()
 	var out []QueryAnswer
 	last := int32(-1)
 	for limit <= 0 || len(out) < limit {
-		a, ok, err := it.Next()
+		r, ok, err := rows.Next()
 		if err != nil {
 			t.Fatalf("Next(%q): %v", text, err)
 		}
 		if !ok {
 			break
 		}
+		a := QueryAnswer{Head: r.Vars, Nodes: r.Nodes, Dist: int32(r.Dist)}
 		if a.Dist < last {
 			t.Fatalf("%q: ranked order violated: distance %d after %d", text, a.Dist, last)
 		}

@@ -4,20 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"omega/internal/graph"
 	"omega/internal/ontology"
 	"omega/internal/rpq"
 )
-
-// builds counts every completed Build over the process lifetime. The prepared-
-// query benchmark uses the delta to prove that repeated Exec of a prepared
-// query performs zero automaton construction.
-var builds atomic.Int64
-
-// Builds returns the number of automaton pipelines built so far process-wide.
-func Builds() int64 { return builds.Load() }
 
 // CTrans is a transition compiled against a concrete graph: labels are
 // interned, RELAX rule (i) transitions are expanded to their subproperty
@@ -250,9 +241,5 @@ func Build(e *rpq.Expr, g *graph.Graph, ont *ontology.Ontology, opts BuildOption
 	default:
 		return nil, fmt.Errorf("automaton: Build: unknown mode %v", opts.Mode)
 	}
-	c, err := Compile(n.RemoveEpsilon(), g, ont)
-	if err == nil {
-		builds.Add(1)
-	}
-	return c, err
+	return Compile(n.RemoveEpsilon(), g, ont)
 }

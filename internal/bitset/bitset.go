@@ -1,7 +1,7 @@
 // Package bitset provides the bitmap vectors that back set operations in the
 // graph store, mirroring the role of Sparksee's bitmap indexes (Martínez-Bazán
-// et al., IDEAS 2012) in the paper's implementation: cheap union/intersection
-// and duplicate elimination over sets of object identifiers.
+// et al., IDEAS 2012) in the paper's implementation: cheap union and
+// duplicate elimination over sets of object identifiers.
 package bitset
 
 import "math/bits"
@@ -96,12 +96,6 @@ const setOverheadBytes = 32
 // population.
 func (s *Set) Bytes() int64 { return int64(cap(s.words))*8 + setOverheadBytes }
 
-// Row exposes the set's backing words for the package-level row operations
-// (OrInto, AndNotInto, Count, EachBit). The returned slice aliases the set:
-// treat it as read-only — writing through it bypasses the cached population
-// count.
-func (s *Set) Row() []uint64 { return s.words }
-
 // Clear removes all elements, retaining capacity.
 func (s *Set) Clear() {
 	for i := range s.words {
@@ -130,28 +124,6 @@ func (s *Set) Union(o *Set) {
 	s.n = -1
 }
 
-// Intersect removes from s every element not in o.
-func (s *Set) Intersect(o *Set) {
-	for i := range s.words {
-		if i < len(o.words) {
-			s.words[i] &= o.words[i]
-		} else {
-			s.words[i] = 0
-		}
-	}
-	s.n = -1
-}
-
-// Difference removes from s every element of o.
-func (s *Set) Difference(o *Set) {
-	for i := range s.words {
-		if i < len(o.words) {
-			s.words[i] &^= o.words[i]
-		}
-	}
-	s.n = -1
-}
-
 // Range calls fn for each element in increasing order until fn returns false.
 func (s *Set) Range(fn func(v int) bool) {
 	for wi, w := range s.words {
@@ -172,35 +144,12 @@ func (s *Set) Slice() []int {
 	return out
 }
 
-// Min returns the smallest element, or -1 if the set is empty.
-func (s *Set) Min() int {
-	for wi, w := range s.words {
-		if w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// Max returns the largest element, or -1 if the set is empty.
-func (s *Set) Max() int {
-	for wi := len(s.words) - 1; wi >= 0; wi-- {
-		if w := s.words[wi]; w != 0 {
-			return wi*wordBits + wordBits - 1 - bits.LeadingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// Word-parallel row operations. The bulk evaluation backend works on raw
-// []uint64 rows — lane-words indexed by node, or node bitmaps — sixty-four
-// bits at a time; these helpers are the shared kernels, defined here so the
-// bitset package owns (and tests) all word-level bit manipulation. A shorter
-// operand is treated as zero-extended; dst is never grown.
-
-// OrInto ors src into dst word by word and returns the number of bits the
-// operation newly set (popcount of src &^ dst, accumulated before writing).
-// Words of src beyond len(dst) are ignored.
+// OrInto ors src into dst word by word, sixty-four bits at a time, and
+// returns the number of bits the operation newly set (popcount of src &^ dst,
+// accumulated before writing). It is the merge the bulk backend's lane-word
+// scan performs inline per node, kept here as the word kernel the layer
+// benchmark times (bitset.orinto_ns_per_word). Words of src beyond len(dst)
+// are ignored; dst is never grown.
 func OrInto(dst, src []uint64) int {
 	if len(src) > len(dst) {
 		src = src[:len(dst)]
@@ -213,45 +162,4 @@ func OrInto(dst, src []uint64) int {
 		}
 	}
 	return added
-}
-
-// AndNotInto sets dst[i] = a[i] &^ b[i] and reports whether any result word
-// is non-zero. dst and a must have the same length (dst may alias a); words
-// of b beyond len(a) are ignored, missing words of b are zero.
-func AndNotInto(dst, a, b []uint64) bool {
-	if len(a) > 0 {
-		_ = dst[len(a)-1]
-	}
-	nonzero := false
-	for i, w := range a {
-		if i < len(b) {
-			w &^= b[i]
-		}
-		dst[i] = w
-		nonzero = nonzero || w != 0
-	}
-	return nonzero
-}
-
-// Count returns the total popcount of the row.
-func Count(row []uint64) int {
-	n := 0
-	for _, w := range row {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// EachBit calls fn for each set bit of the row in ascending order until fn
-// returns false.
-func EachBit(row []uint64, fn func(i int) bool) {
-	for wi, w := range row {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + b) {
-				return
-			}
-			w &^= 1 << uint(b)
-		}
-	}
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Naive references for the word-parallel row kernels: bit-at-a-time loops
-// whose correctness is obvious. The randomized tests below require the real
-// kernels to agree with these on every seeded input.
+// A naive reference for the word-parallel row kernel: a bit-at-a-time loop
+// whose correctness is obvious. The randomized test below requires OrInto to
+// agree with it on every seeded input.
 
 func refOrInto(dst, src []uint64) ([]uint64, int) {
 	out := append([]uint64(nil), dst...)
@@ -20,20 +20,6 @@ func refOrInto(dst, src []uint64) ([]uint64, int) {
 		}
 	}
 	return out, added
-}
-
-func refAndNot(a, b []uint64) ([]uint64, bool) {
-	out := make([]uint64, len(a))
-	nonzero := false
-	for i := 0; i < len(a)*wordBits; i++ {
-		w, m := i/wordBits, uint64(1)<<uint(i%wordBits)
-		inB := w < len(b) && b[w]&m != 0
-		if a[w]&m != 0 && !inB {
-			out[w] |= m
-			nonzero = true
-		}
-	}
-	return out, nonzero
 }
 
 func randRow(rng *rand.Rand, n int) []uint64 {
@@ -70,70 +56,6 @@ func TestOrIntoAgainstReference(t *testing.T) {
 				t.Fatalf("trial %d: word %d = %#x, reference %#x", trial, i, got[i], wantRow[i])
 			}
 		}
-	}
-}
-
-func TestAndNotIntoAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		na := 1 + rng.Intn(6)
-		nb := rng.Intn(8) // shorter, equal, or longer than a
-		a := randRow(rng, na)
-		b := randRow(rng, nb)
-		wantRow, wantNZ := refAndNot(a, b)
-		dst := make([]uint64, na)
-		nz := AndNotInto(dst, a, b)
-		if nz != wantNZ {
-			t.Fatalf("trial %d: nonzero = %v, reference %v", trial, nz, wantNZ)
-		}
-		for i := range dst {
-			if dst[i] != wantRow[i] {
-				t.Fatalf("trial %d: word %d = %#x, reference %#x", trial, i, dst[i], wantRow[i])
-			}
-		}
-		// Aliased form dst == a must produce the same row.
-		aliased := append([]uint64(nil), a...)
-		AndNotInto(aliased, aliased, b)
-		for i := range aliased {
-			if aliased[i] != wantRow[i] {
-				t.Fatalf("trial %d aliased: word %d = %#x, reference %#x", trial, i, aliased[i], wantRow[i])
-			}
-		}
-	}
-}
-
-func TestCountAndEachBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 100; trial++ {
-		row := randRow(rng, 1+rng.Intn(8))
-		var bits []int
-		for i := 0; i < len(row)*wordBits; i++ {
-			if row[i/wordBits]&(1<<uint(i%wordBits)) != 0 {
-				bits = append(bits, i)
-			}
-		}
-		if got := Count(row); got != len(bits) {
-			t.Fatalf("trial %d: Count = %d, want %d", trial, got, len(bits))
-		}
-		var seen []int
-		EachBit(row, func(i int) bool { seen = append(seen, i); return true })
-		if len(seen) != len(bits) {
-			t.Fatalf("trial %d: EachBit yielded %d bits, want %d", trial, len(seen), len(bits))
-		}
-		for i := range seen {
-			if seen[i] != bits[i] {
-				t.Fatalf("trial %d: EachBit[%d] = %d, want %d (ascending order)", trial, i, seen[i], bits[i])
-			}
-		}
-	}
-}
-
-func TestEachBitEarlyStop(t *testing.T) {
-	row := []uint64{0b1011, 1}
-	var seen []int
-	EachBit(row, func(i int) bool { seen = append(seen, i); return len(seen) < 2 })
-	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
-		t.Fatalf("EachBit early stop visited %v, want [0 1]", seen)
 	}
 }
 

@@ -140,12 +140,12 @@ func (p *conjunctPlan) edgeVolume() int64 {
 }
 
 // chooseBackend resolves the backend for this conjunct. req is the caller's
-// request (ExecOptions.Backend overriding Options.Backend); exhaustive
-// reports whether the execution runs unlimited (no Limit, no MaxDist) — the
-// scenario class the bulk engine exists for. Auto weighs a simple work model:
-// ranked visits ~S×E product edges (each of S sources can walk the matched
-// edge volume E), bulk does the same walk once per 64-lane block plus a
-// per-block sweep of the N-node structures.
+// request (ExecOptions.Backend); exhaustive reports whether the execution
+// runs unlimited (no Limit, no MaxDist) — the scenario class the bulk engine
+// exists for. Auto weighs a simple work model: ranked visits ~S×E product
+// edges (each of S sources can walk the matched edge volume E), bulk does the
+// same walk once per 64-lane block plus a per-block sweep of the N-node
+// structures.
 func (p *conjunctPlan) chooseBackend(req Backend, exhaustive bool) backendDecision {
 	d := backendDecision{backend: BackendRanked, pinned: req != BackendAuto}
 	switch req {
@@ -193,16 +193,11 @@ func (p *conjunctPlan) chooseBackend(req Backend, exhaustive bool) backendDecisi
 }
 
 // backendFor is this conjunct's backend under one execution's knobs — the
-// decision Exec opens and Explain renders: eo.Backend layered over the
-// engine-level default, with only exhaustive executions (no Limit, no
-// MaxDist) auto-eligible for the bulk engine, since a limited execution wants
-// streamed answers.
+// decision Exec opens and Explain renders: eo.Backend, with only exhaustive
+// executions (no Limit, no MaxDist) auto-eligible for the bulk engine, since
+// a limited execution wants streamed answers.
 func (p *conjunctPlan) backendFor(eo ExecOptions) backendDecision {
-	req := eo.Backend
-	if req == BackendAuto {
-		req = p.opts.Backend
-	}
-	return p.chooseBackend(req, eo.Limit == 0 && eo.MaxDist == 0)
+	return p.chooseBackend(eo.Backend, eo.Limit == 0 && eo.MaxDist == 0)
 }
 
 // injectiveProjection reports whether projecting a conjunct's (Src, Dst)

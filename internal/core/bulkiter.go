@@ -94,7 +94,7 @@ func (b *bulkIterator) nextPairs(max int) ([]bulk.Pair, error) {
 		b.r.onIdle()
 		if b.run == nil && b.par == nil {
 			ix := b.bulkIdx()
-			if k := b.r.opts.Parallelism; k > 1 && ix.Blocks() > 1 {
+			if k := b.r.par; k > 1 && ix.Blocks() > 1 {
 				b.startPar(ix, k)
 			} else {
 				b.run = bulk.NewRun(ix)

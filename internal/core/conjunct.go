@@ -252,7 +252,7 @@ const (
 // driverFor is the one decision of which driver runs this conjunct, given the
 // run's options and its resolved backend: open instantiates it and Explain
 // renders it.
-func (p *conjunctPlan) driverFor(opts *Options, backend Backend) driver {
+func (p *conjunctPlan) driverFor(opts *Options, par int, backend Backend) driver {
 	switch {
 	case !p.case3 && len(p.seeds) == 0:
 		return driverEmpty
@@ -260,7 +260,7 @@ func (p *conjunctPlan) driverFor(opts *Options, backend Backend) driver {
 		return driverBulk
 	case p.decompose || (opts.DistanceAware && p.mode != automaton.Exact):
 		return driverPhases
-	case opts.Parallelism > 1 && p.parEligible(opts):
+	case par > 1 && p.parEligible(opts):
 		return driverSharded
 	default:
 		return driverEvaluator
@@ -276,7 +276,7 @@ func (p *conjunctPlan) driverFor(opts *Options, backend Backend) driver {
 // known eligible.
 func (p *conjunctPlan) open(r *run, shardSpan obs.SpanID, maxDist int32, backend Backend) Iterator {
 	var it Iterator
-	switch p.driverFor(&r.opts, backend) {
+	switch p.driverFor(&r.opts, r.par, backend) {
 	case driverEmpty:
 		return &emptyIterator{}
 	case driverBulk:
@@ -407,17 +407,16 @@ func (s sameVarIterator) Next() (Answer, bool, error) {
 // OpenConjunct initialises evaluation of a single conjunct (the paper's Open
 // procedure) and returns an iterator over its answers in non-decreasing
 // distance from the original conjunct. It is compileConjunct + open in one
-// shot, on a run of its own with no context, watermarks or trace; prepared
-// queries split the two so Exec skips compilation. The ranked machinery is
-// used unless Options.Backend forces bulk (automatic backend selection
-// belongs to the execution layer, which knows whether the run is exhaustive).
+// shot, on a serial run of its own with no context, watermarks or trace, on
+// the ranked machinery (backend selection belongs to the execution layer,
+// which knows whether the run is exhaustive); prepared queries split the two
+// so Exec skips compilation.
 func OpenConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Options) (Iterator, error) {
 	opts = opts.withDefaults()
 	plan, err := compileConjunct(g, ont, c, opts)
 	if err != nil {
 		return nil, err
 	}
-	dec := plan.chooseBackend(opts.Backend, false)
-	r := newRun(nil, opts, NewMemGauge(0), nil, nil)
-	return plan.open(&r, obs.NoSpan, 0, dec.backend), nil
+	r := newRun(nil, opts, 1, NewMemGauge(0), nil, nil)
+	return plan.open(&r, obs.NoSpan, 0, BackendRanked), nil
 }

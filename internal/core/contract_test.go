@@ -38,6 +38,8 @@ type contractDriver struct {
 	small    bool // on the 40-node ring instead of the 512-node one
 	c        Conjunct
 	opts     Options
+	backend  Backend
+	par      int // ExecOptions.Parallelism
 	prefetch bool
 	is       func(Iterator) bool // asserted on the iterator under any prefetch
 	empty    bool                // owns nothing and never fails: only the endings a caller drives apply
@@ -69,10 +71,10 @@ func contractDrivers() []contractDriver {
 		{name: "disjunction/2", c: conj("n0", "(p.q)|(q.p)", "?X", automaton.Approx), opts: Options{Disjunction: true}, is: branches(2), held: 2, site: "core.row"},
 		{name: "restartDisjunction", c: conj("n0", "p.q", "?X", automaton.Approx), opts: Options{DistanceAware: true, DistanceRestart: true},
 			is: func(it Iterator) bool { _, ok := it.(*restartDisjunction); return ok }, held: 1, site: "core.row"},
-		{name: "bulk/serial", c: conj("?X", "p.q", "?Y", automaton.Exact), opts: Options{Backend: BackendBulk}, is: isBulk, site: "bulk.step"},
-		{name: "bulk/par4", c: conj("?X", "p.q", "?Y", automaton.Exact), opts: Options{Backend: BackendBulk, Parallelism: 4}, is: isBulk, site: "bulk.step"},
-		{name: "par/sharded", c: conj("?X", "p.q", "?Y", automaton.Exact), opts: Options{Backend: BackendRanked, Parallelism: 4}, is: isPar, sharded: true, site: "par.shard"},
-		{name: "par/serial-fallback", small: true, c: conj("?X", "p*", "?Y", automaton.Exact), opts: Options{Backend: BackendRanked, Parallelism: 4}, is: isPar, held: 1, site: "core.row"},
+		{name: "bulk/serial", c: conj("?X", "p.q", "?Y", automaton.Exact), backend: BackendBulk, is: isBulk, site: "bulk.step"},
+		{name: "bulk/par4", c: conj("?X", "p.q", "?Y", automaton.Exact), backend: BackendBulk, par: 4, is: isBulk, site: "bulk.step"},
+		{name: "par/sharded", c: conj("?X", "p.q", "?Y", automaton.Exact), backend: BackendRanked, par: 4, is: isPar, sharded: true, site: "par.shard"},
+		{name: "par/serial-fallback", small: true, c: conj("?X", "p*", "?Y", automaton.Exact), backend: BackendRanked, par: 4, is: isPar, held: 1, site: "core.row"},
 	}
 	out := append([]contractDriver(nil), base...)
 	for _, d := range base {
@@ -165,10 +167,10 @@ func contractEndings() []contractEnding {
 	}
 }
 
-// openContract opens the plan as Exec would: on r, or prefetched from a
-// worker copy of it.
-func openContract(plan *conjunctPlan, r *run, prefetch bool) Iterator {
-	backend := plan.chooseBackend(r.opts.Backend, true).backend
+// openContract opens the plan as an exhaustive Exec would: on r, or
+// prefetched from a worker copy of it.
+func openContract(plan *conjunctPlan, r *run, req Backend, prefetch bool) Iterator {
+	backend := plan.chooseBackend(req, true).backend
 	if prefetch {
 		return newPrefetchIterator(r, plan.open(r.worker(), obs.NoSpan, 0, backend))
 	}
@@ -241,8 +243,7 @@ func TestDriverContract(t *testing.T) {
 					// The idle hook is armed on every run: it bumps a plain
 					// counter, so -race flags a call from a shard, prefetch or
 					// bulk worker, and it checks the goroutine outright.
-					r := newRun(env.ctx, env.opts, env.mem, pool, nil)
-					r.opts.Parallelism = resolveParallelism(0, env.opts.Parallelism)
+					r := newRun(env.ctx, env.opts, resolveParallelism(d.par), env.mem, pool, nil)
 					idles, self := 0, goroutineID()
 					r.idle = func() {
 						idles++
@@ -250,7 +251,7 @@ func TestDriverContract(t *testing.T) {
 							t.Errorf("idle hook called on goroutine %d, the execution's is %d", id, self)
 						}
 					}
-					it := openContract(plan, &r, d.prefetch)
+					it := openContract(plan, &r, d.backend, d.prefetch)
 					if !d.is(unprefetch(it)) {
 						t.Fatalf("the row opened a %T", unprefetch(it))
 					}
@@ -265,9 +266,8 @@ func TestDriverContract(t *testing.T) {
 					}
 					if e.name == "exhaust" {
 						// The hook only observes: an unarmed run emits the same.
-						ur := newRun(nil, env.opts, NewMemGauge(0), nil, nil)
-						ur.opts.Parallelism = r.opts.Parallelism
-						ref, _, rerr := drainContract(openContract(plan, &ur, d.prefetch))
+						ur := newRun(nil, env.opts, r.par, NewMemGauge(0), nil, nil)
+						ref, _, rerr := drainContract(openContract(plan, &ur, d.backend, d.prefetch))
 						if rerr != nil || !slices.Equal(emitted, ref) {
 							t.Fatalf("armed run emitted %d answers, unarmed %d (err %v): emission differs", len(emitted), len(ref), rerr)
 						}

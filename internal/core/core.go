@@ -142,8 +142,10 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// Options configures evaluation. The zero value reproduces the paper's
-// baseline configuration (unit costs, batches of 100, no optimisations).
+// Options configures evaluation: everything that shapes the compiled plan,
+// fixed at Prepare. What varies per run lives in ExecOptions. The zero value
+// reproduces the paper's baseline configuration (unit costs, batches of 100,
+// no optimisations).
 type Options struct {
 	// Edit costs for APPROX; zero value means unit costs.
 	Edit automaton.EditCosts
@@ -184,11 +186,12 @@ type Options struct {
 	// successors materialised, not the ones a continuation still stands for.
 	// An evaluator that goes past it ends the execution with ErrTupleBudget.
 	// 0 means unlimited. It does not bound the execution: each conjunct of a
-	// join, each branch under Disjunction and each shard under Parallelism
-	// runs its own evaluator with the whole budget, and entries parked in the
-	// deferred frontier count only once re-injected, a ψ phase at a time. So
-	// an execution may add several times MaxTuples, and hold more, before it
-	// fails, or finish without failing.
+	// join, each branch under Disjunction and each shard under
+	// ExecOptions.Parallelism runs its own evaluator with the whole budget,
+	// and entries parked in the deferred frontier count only once
+	// re-injected, a ψ phase at a time. So an execution may add several times
+	// MaxTuples, and hold more, before it fails, or finish without failing.
+	// ExecOptions.MaxTuples overrides it per run.
 	MaxTuples int
 	// RareSide (EXTENSION; the paper lists "leveraging rare labels as in
 	// [Koschmieder & Leser]" as future work) evaluates a (?X, R, ?Y)
@@ -200,24 +203,6 @@ type Options struct {
 	// identical ranked sequences; this exists for differential testing and
 	// benchmarking, not production use.
 	RefDict bool
-	// Backend is the engine-level default evaluation backend: BackendAuto
-	// (zero value) lets the planner pick per conjunct — the bulk
-	// set-semantics engine for exhaustive zero-cost exact scans with a
-	// corpus-scale seed population, ranked GetNext otherwise — while
-	// BackendRanked/BackendBulk pin the choice. ExecOptions.Backend
-	// overrides it per execution. Both backends return identical answer
-	// sets for eligible queries; only the (distance-0) emission order
-	// differs.
-	Backend Backend
-	// Parallelism is the engine-level default worker count per execution:
-	// bulk lane blocks fan across this many goroutines, eligible ranked
-	// conjuncts shard their seed population across this many per-shard
-	// evaluators merged back in the serial emission order, and
-	// multi-conjunct executions prefetch each conjunct's stream
-	// concurrently. Emission stays byte-identical to serial at any value.
-	// 0 or 1 means serial; values are clamped to [1, 64].
-	// ExecOptions.Parallelism overrides it per execution.
-	Parallelism int
 }
 
 func (o Options) withDefaults() Options {
@@ -229,9 +214,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 100
-	}
-	if o.Parallelism > maxParallelism {
-		o.Parallelism = maxParallelism
 	}
 	return o
 }

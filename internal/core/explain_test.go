@@ -60,6 +60,26 @@ func TestExplainCase3AndStrategies(t *testing.T) {
 	}
 }
 
+// TestExplainSeedPopulationAgrees: a decomposed Case 3 plan sizes its seed
+// population over every sub-automaton, and the case line and the backend
+// cost model report the same figure.
+func TestExplainSeedPopulationAgrees(t *testing.T) {
+	q := &Query{Head: []string{"X", "Y"}, Conjuncts: []Conjunct{conj("?X", "p|q", "?Y", automaton.Exact)}}
+	p, err := PrepareQuery(ringGraph(t, 512), nil, q, Options{Disjunction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Explain(ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sub-automaton 2", "~1024 candidate start node(s)", "S=1024 seeds"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("explain missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestExplainJoinAndPlan(t *testing.T) {
 	q := &Query{
 		Head: []string{"X"},

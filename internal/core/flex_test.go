@@ -225,7 +225,7 @@ func TestBudgetErrorThroughJoin(t *testing.T) {
 			conj("?Y", "q", "?Z", automaton.Approx),
 		},
 	}
-	it, err := OpenQuery(g, ont, q, Options{MaxTuples: 3})
+	it, err := execQuery(g, ont, q, Options{}, ExecOptions{MaxTuples: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import (
 // hook's calls and checks the bound the hook exists for: a row the caller
 // holds from the moment it comes out until the next call is held for at most
 // idleOps tuple operations of the execution.
-func drainIdle(t *testing.T, q *Query, opts Options) (ticks int, st Stats, p *Prepared) {
+func drainIdle(t *testing.T, q *Query, backend Backend) (ticks int, st Stats, p *Prepared) {
 	t.Helper()
-	p, err := PrepareQuery(ringGraph(t, 512), ontology.New(), q, opts)
+	p, err := PrepareQuery(ringGraph(t, 512), ontology.New(), q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func drainIdle(t *testing.T, q *Query, opts Options) (ticks int, st Stats, p *Pr
 		}
 		held = held[:0]
 	}
-	if ex, err = p.Exec(context.Background(), ExecOptions{Idle: idle}); err != nil {
+	if ex, err = p.Exec(context.Background(), ExecOptions{Backend: backend, Idle: idle}); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -50,14 +50,14 @@ func drainIdle(t *testing.T, q *Query, opts Options) (ticks int, st Stats, p *Pr
 // block on the bulk backend, plus the pull that finds the scan exhausted.
 func TestIdleTicks(t *testing.T) {
 	ranked := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{conj("n0", "p.q", "?X", automaton.Approx)}}
-	ticks, st, _ := drainIdle(t, ranked, Options{})
+	ticks, st, _ := drainIdle(t, ranked, BackendAuto)
 	ops := st.TuplesAdded + st.TuplesPopped
 	if ticks != ops/idleOps || ticks < 2 {
 		t.Errorf("ranked: %d idle calls over %d tuple operations, want ⌊ops/%d⌋ = %d (and at least 2)", ticks, ops, idleOps, ops/idleOps)
 	}
 
 	scan := &Query{Head: []string{"X", "Y"}, Conjuncts: []Conjunct{conj("?X", "p.q", "?Y", automaton.Exact)}}
-	ticks, st, p := drainIdle(t, scan, Options{Backend: BackendBulk})
+	ticks, st, p := drainIdle(t, scan, BackendBulk)
 	if st.Backend != "bulk" {
 		t.Fatalf("the scan ran on %q", st.Backend)
 	}

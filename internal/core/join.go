@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 	"omega/internal/bulk"
 	"omega/internal/dstruct"
 	"omega/internal/graph"
-	"omega/internal/ontology"
 )
 
 // QueryAnswer is one row of a CRP query result: node bindings for the head
@@ -29,24 +27,6 @@ func (a QueryAnswer) Binding(name string) graph.NodeID {
 		}
 	}
 	return graph.InvalidNode
-}
-
-// QueryIterator yields query answers in non-decreasing total distance.
-type QueryIterator interface {
-	Next() (QueryAnswer, bool, error)
-}
-
-// OpenQuery initialises evaluation of a CRP query and returns an iterator
-// over its answers in non-decreasing total distance (§3). It is a thin
-// wrapper over PrepareQuery + Exec — compile and run in one shot, with no
-// cancellation and no per-call limits; servers that run a query repeatedly
-// should Prepare once and Exec per request instead.
-func OpenQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options) (*Execution, error) {
-	p, err := PrepareQuery(g, ont, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.Exec(context.Background(), ExecOptions{})
 }
 
 func projKey(nodes []graph.NodeID) string {

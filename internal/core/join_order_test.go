@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -37,26 +38,11 @@ func TestJoinOrderInvariance(t *testing.T) {
 
 func collectQuery(t *testing.T, g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options) []QueryAnswer {
 	t.Helper()
-	it, err := OpenQuery(g, ont, q, opts)
+	it, err := execQuery(g, ont, q, opts, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []QueryAnswer
-	last := int32(-1)
-	for {
-		a, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		if a.Dist < last {
-			t.Fatalf("query answers not monotone: %d after %d", a.Dist, last)
-		}
-		last = a.Dist
-		out = append(out, a)
-	}
+	return drainQuery(t, it, math.MaxInt)
 }
 
 func compareQueryResults(t *testing.T, a, b []QueryAnswer) {

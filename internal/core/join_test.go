@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -8,9 +9,19 @@ import (
 
 	"omega/internal/automaton"
 	"omega/internal/graph"
+	"omega/internal/ontology"
 )
 
-func drainQuery(t *testing.T, it QueryIterator, limit int) []QueryAnswer {
+// execQuery prepares q under opts and starts one execution of it under eo.
+func execQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options, eo ExecOptions) (*Execution, error) {
+	p, err := PrepareQuery(g, ont, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(context.Background(), eo)
+}
+
+func drainQuery(t *testing.T, it *Execution, limit int) []QueryAnswer {
 	t.Helper()
 	var out []QueryAnswer
 	last := int32(-1)
@@ -53,7 +64,7 @@ func TestSingleConjunctQueryProjection(t *testing.T) {
 	g, ont := tinyGraph(t)
 	// Head (?X) over (?X, p, ?Y): sources of p edges, deduplicated.
 	q := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{conj("?X", "p", "?Y", automaton.Exact)}}
-	it, err := OpenQuery(g, ont, q, Options{})
+	it, err := execQuery(g, ont, q, Options{}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +94,7 @@ func TestTwoConjunctJoin(t *testing.T) {
 			conj("?Y", "p", "?Z", automaton.Exact),
 		},
 	}
-	it, err := OpenQuery(g, ont, q, Options{})
+	it, err := execQuery(g, ont, q, Options{}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func TestTwoConjunctJoin(t *testing.T) {
 
 	// Reference: single conjunct with p.p.
 	q2 := &Query{Head: []string{"X", "Z"}, Conjuncts: []Conjunct{conj("?X", "p.p", "?Z", automaton.Exact)}}
-	it2, err := OpenQuery(g, ont, q2, Options{})
+	it2, err := execQuery(g, ont, q2, Options{}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +133,7 @@ func TestJoinSharedVariableConstraint(t *testing.T) {
 			conj("?X", "q", "?Z", automaton.Exact),
 		},
 	}
-	it, err := OpenQuery(g, ont, q, Options{})
+	it, err := execQuery(g, ont, q, Options{}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +152,7 @@ func TestJoinEmptyConjunctShortCircuits(t *testing.T) {
 			conj("?Y", "nolabel", "?Z", automaton.Exact),
 		},
 	}
-	it, err := OpenQuery(g, ont, q, Options{})
+	it, err := execQuery(g, ont, q, Options{}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +176,7 @@ func TestJoinCrossProduct(t *testing.T) {
 			conj("?Z", "q", "?W", automaton.Exact),
 		},
 	}
-	it, err := OpenQuery(g, nil, q, Options{})
+	it, err := execQuery(g, nil, q, Options{}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +195,7 @@ func TestJoinTotalDistanceOrdering(t *testing.T) {
 			conj("?Y", "q", "?Z", automaton.Approx),
 		},
 	}
-	it, err := OpenQuery(g, ont, q, Options{})
+	it, err := execQuery(g, ont, q, Options{}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +222,7 @@ func TestQuickJoinAgainstBruteForce(t *testing.T) {
 				conj("?Y", []string{"q", "r", "q-"}[rng.Intn(3)], "?Z", automaton.Approx),
 			},
 		}
-		it, err := OpenQuery(g, ont, q, Options{})
+		it, err := execQuery(g, ont, q, Options{}, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +287,7 @@ func TestThreeConjunctJoin(t *testing.T) {
 			conj("?C", "r", "?D", automaton.Exact),
 		},
 	}
-	it, err := OpenQuery(g, nil, q, Options{})
+	it, err := execQuery(g, nil, q, Options{}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +323,7 @@ func TestDeterministicOrderWithinRound(t *testing.T) {
 		},
 	}
 	run := func() []QueryAnswer {
-		it, err := OpenQuery(g, ont, q, Options{})
+		it, err := execQuery(g, ont, q, Options{}, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,7 +167,7 @@ var knobRegistry = []knob{
 	},
 	{
 		param: "parallel", aliases: []string{"parallelism"}, flag: "parallel",
-		usage: "worker count per execution; emission stays identical to serial (0 = engine default, clamped to 64)",
+		usage: "worker count per execution; emission stays identical to serial (0 or 1 = serial, clamped to 64)",
 		set: func(eo *ExecOptions, v string) error {
 			n, err := knobInt("parallel", v, math.MaxInt32)
 			if err != nil {
@@ -218,7 +218,7 @@ type ExecFlags struct {
 // when names is empty) as string flags on fs, under the registry's flag
 // spellings and shared help text. Per-binary defaults come pre-rendered in
 // defaults, keyed by param name, and pass through the same validation as any
-// other value; an empty default means "leave the engine default in place".
+// other value; an empty default leaves the field as the caller seeded it.
 func BindExecFlags(fs *flag.FlagSet, defaults map[string]string, names ...string) *ExecFlags {
 	want := map[string]bool{}
 	for _, n := range names {

@@ -42,6 +42,3 @@ func (m *MemGauge) LiveBytes() int64 { return m.live.Load() }
 
 // PeakBytes returns the high-water mark of accounted resident bytes.
 func (m *MemGauge) PeakBytes() int64 { return m.peak.Load() }
-
-// HardBytes returns the hard watermark (0 = none).
-func (m *MemGauge) HardBytes() int64 { return m.hard }

@@ -32,20 +32,9 @@ const (
 	ordExhausted = int64(1) << 62
 )
 
-// resolveParallelism layers the per-execution worker count over the
-// engine-level default and clamps the result to [1, maxParallelism].
-func resolveParallelism(exec, eng int) int {
-	k := eng
-	if exec > 0 {
-		k = exec
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > maxParallelism {
-		k = maxParallelism
-	}
-	return k
+// resolveParallelism clamps a requested worker count to [1, maxParallelism].
+func resolveParallelism(k int) int {
+	return min(max(k, 1), maxParallelism)
 }
 
 // parEligible reports whether this plan's ranked evaluation can be sharded
@@ -171,7 +160,7 @@ func newParIterator(p *conjunctPlan, r *run, parent obs.SpanID) *parIterator {
 func (pi *parIterator) start() error {
 	pi.started = true
 	srcs := pi.plan.parSources()
-	nsh := min(len(srcs)/minShardSources, pi.r.opts.Parallelism)
+	nsh := min(len(srcs)/minShardSources, pi.r.par)
 	if nsh < 2 {
 		pi.inner = pi.plan.newEvaluator(pi.r, 0, -1)
 		return nil

@@ -23,10 +23,12 @@ import (
 // that state back — to the pool, when there is one — as soon as the caller is
 // done with it.
 
-// ExecOptions are the per-execution knobs of a prepared query. They deliberately
-// carry only what varies call-to-call in a serving workload; everything that
-// shapes the compiled plan (costs, optimisation strategies, batch size,
-// dictionary selection) stays in Options, fixed at Prepare time.
+// ExecOptions are the per-execution knobs of a prepared query. The rule is
+// one home per knob: Options is what shapes the compiled plan (costs,
+// optimisation strategies, batch size, dictionary selection), fixed at
+// Prepare time, and ExecOptions is what varies per run. MaxTuples is the one
+// knob in both, an engine-wide default in Options that MaxTuples here
+// overrides.
 type ExecOptions struct {
 	// Limit caps the number of answers returned; the execution reports
 	// exhaustion and releases its resources once the cap is reached.
@@ -72,26 +74,26 @@ type ExecOptions struct {
 	// request's trace. Nil — the default — keeps the whole feature to one nil
 	// check per instrumented site and zero allocations.
 	Trace *obs.Trace
-	// Backend overrides Options.Backend for this execution: BackendAuto
-	// (zero value) inherits the engine-level default (itself auto unless
-	// pinned), BackendRanked/BackendBulk force the engine. Auto picks the
-	// bulk set-semantics backend only for exhaustive executions (Limit and
-	// MaxDist both zero) of zero-cost exact plans whose seed population
-	// makes the word-parallel scan pay; a forced BackendBulk falls back to
-	// ranked for conjuncts the bulk engine cannot evaluate (non-zero-cost
-	// plans). Stats.Backend reports what actually ran.
+	// Backend selects the evaluation engine: BackendAuto (zero value) lets
+	// the planner pick per conjunct, BackendRanked/BackendBulk force the
+	// engine. Auto picks the bulk set-semantics backend only for exhaustive
+	// executions (Limit and MaxDist both zero) of zero-cost exact plans
+	// whose seed population makes the word-parallel scan pay; a forced
+	// BackendBulk falls back to ranked for conjuncts the bulk engine cannot
+	// evaluate (non-zero-cost plans). Both backends return identical answer
+	// sets for eligible queries; only the (distance-0) emission order
+	// differs. Stats.Backend reports what actually ran.
 	Backend Backend
-	// Parallelism overrides Options.Parallelism for this execution when
-	// positive (0 inherits the engine default). At K > 1, bulk conjuncts fan
+	// Parallelism is the worker count of this execution; 0 or 1 means
+	// serial, and values above 64 are clamped. At K > 1, bulk conjuncts fan
 	// their lane blocks across K workers, eligible ranked conjuncts shard
 	// their seed population across up to K per-shard evaluators merged back
 	// into the serial emission order, and multi-conjunct executions prefetch
 	// conjunct streams concurrently. Emission is byte-identical to serial at
 	// any value; conjuncts whose shape the parallel paths cannot reproduce
-	// exactly simply run serial (Stats.Shards reports what engaged). Values
-	// are clamped to [1, 64]. Note MaxTuples is enforced per worker under
-	// sharding, so a parallel run may admit up to K× the budget before
-	// tripping it.
+	// exactly simply run serial (Stats.Shards reports what engaged). Note
+	// MaxTuples is enforced per worker under sharding, so a parallel run may
+	// admit up to K× the budget before tripping it.
 	Parallelism int
 	// Idle, when non-nil, is called back while the execution works toward
 	// its next row: each time its ranked evaluators have done another 4 096
@@ -242,14 +244,13 @@ func (p *Prepared) CompileStats() (automata int, d time.Duration) {
 }
 
 // runOptions is the run's private copy of the prepared options with eo's
-// overrides written in — the one copy every iterator of an execution reads,
-// and the one Explain renders from.
+// tuple budget written in — the one copy every iterator of an execution
+// reads, and the one Explain renders from.
 func (p *Prepared) runOptions(eo ExecOptions) Options {
 	opts := p.opts
 	if eo.MaxTuples > 0 {
 		opts.MaxTuples = eo.MaxTuples
 	}
-	opts.Parallelism = resolveParallelism(eo.Parallelism, p.opts.Parallelism)
 	return opts
 }
 
@@ -269,7 +270,7 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 		mem = NewMemGauge(eo.HardMemBytes)
 	}
 	ex := &Execution{
-		r:       newRun(ctx, p.runOptions(eo), mem, eo.Pool, eo.Trace),
+		r:       newRun(ctx, p.runOptions(eo), resolveParallelism(eo.Parallelism), mem, eo.Pool, eo.Trace),
 		limit:   eo.Limit,
 		maxDist: eo.MaxDist,
 		started: time.Now(),
@@ -296,7 +297,7 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 			}
 			ex.conjSpans[i] = sp
 		}
-		if len(ps.plans) > 1 && r.opts.Parallelism > 1 {
+		if len(ps.plans) > 1 && r.par > 1 {
 			// Concurrent conjunct evaluation: each conjunct prefetches its
 			// stream from its own goroutine, on a worker copy of the run,
 			// through a bounded buffer; the rank join's sequential peek order
@@ -324,7 +325,7 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 	return ex, nil
 }
 
-// Execution is one run of a prepared query: a QueryIterator with
+// Execution is one run of a prepared query: ranked query answers with
 // deterministic resource release (Close) and per-run Limit/MaxDist
 // accounting. After an error, Next and NextBatch keep returning the same
 // error (sticky); after Close, they return ErrClosed.
@@ -563,7 +564,7 @@ func (e *Execution) Stats() Stats {
 		s = e.join.Stats()
 	}
 	s.Backend = backendsLabel(e.backends)
-	s.Parallelism = e.r.opts.Parallelism
+	s.Parallelism = e.r.par
 	if e.ttfr > 0 {
 		s.TTFRNanos = int64(e.ttfr)
 	}

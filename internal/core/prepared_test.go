@@ -41,10 +41,10 @@ func drainExec(t *testing.T, ex *Execution, limit int) []QueryAnswer {
 	return out
 }
 
-// TestPreparedExecMatchesOpenQuery fuzzes the prepared path against the
-// one-shot path: byte-identical ranked emission over random graphs, modes
-// and option sets, and repeated Execs of one Prepared agree with each other.
-func TestPreparedExecMatchesOpenQuery(t *testing.T) {
+// TestPreparedExecRepeatsFreshRun fuzzes repeated execution: over random
+// graphs, modes and option sets, every Exec of one Prepared emits
+// byte-for-byte what the first execution of a fresh Prepare does.
+func TestPreparedExecRepeatsFreshRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	ont := testOnt()
 	res := []string{"p", "p.q", "p|q", "p.q-", "p*", "(p|q).r", "p|q|r"}
@@ -63,9 +63,9 @@ func TestPreparedExecMatchesOpenQuery(t *testing.T) {
 			RareSide:      rng.Intn(4) == 0,
 		}
 
-		it, err := OpenQuery(g, ont, q, opts)
+		it, err := execQuery(g, ont, q, opts, ExecOptions{})
 		if err != nil {
-			t.Fatalf("trial %d: OpenQuery: %v", trial, err)
+			t.Fatalf("trial %d: fresh run: %v", trial, err)
 		}
 		want := drainQuery(t, it, 1<<20)
 
@@ -80,12 +80,12 @@ func TestPreparedExecMatchesOpenQuery(t *testing.T) {
 			}
 			got := drainExec(t, ex, 1<<20)
 			if len(got) != len(want) {
-				t.Fatalf("trial %d rep %d (%s opts=%+v): prepared emitted %d answers, one-shot %d",
+				t.Fatalf("trial %d rep %d (%s opts=%+v): prepared emitted %d answers, fresh %d",
 					trial, rep, c, opts, len(got), len(want))
 			}
 			for i := range got {
 				if !sameQueryAnswer(got[i], want[i]) {
-					t.Fatalf("trial %d rep %d (%s): answer %d diverged: prepared %+v, one-shot %+v",
+					t.Fatalf("trial %d rep %d (%s): answer %d diverged: prepared %+v, fresh %+v",
 						trial, rep, c, i, got[i], want[i])
 				}
 			}
@@ -238,12 +238,13 @@ func TestExecCloseContract(t *testing.T) {
 	for _, tc := range []struct {
 		c    Conjunct
 		opts Options
+		eo   ExecOptions
 	}{
-		{conj("a", "p.p", "?X", automaton.Approx), Options{}},
-		{conj("a", "p.p", "?X", automaton.Approx), Options{DistanceAware: true}},
-		{conj("a", "p.p", "?X", automaton.Approx), Options{DistanceAware: true, DistanceRestart: true}},
-		{conj("a", "(p|q).p", "?X", automaton.Approx), Options{Disjunction: true}},
-		{conj("?X", "p", "?Y", automaton.Exact), Options{Backend: BackendBulk}},
+		{conj("a", "p.p", "?X", automaton.Approx), Options{}, ExecOptions{}},
+		{conj("a", "p.p", "?X", automaton.Approx), Options{DistanceAware: true}, ExecOptions{}},
+		{conj("a", "p.p", "?X", automaton.Approx), Options{DistanceAware: true, DistanceRestart: true}, ExecOptions{}},
+		{conj("a", "(p|q).p", "?X", automaton.Approx), Options{Disjunction: true}, ExecOptions{}},
+		{conj("?X", "p", "?Y", automaton.Exact), Options{}, ExecOptions{Backend: BackendBulk}},
 	} {
 		q := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{tc.c}}
 		p, err := PrepareQuery(g, ont, q, tc.opts)
@@ -252,7 +253,7 @@ func TestExecCloseContract(t *testing.T) {
 		}
 
 		// Abandon mid-stream.
-		ex, err := p.Exec(context.Background(), ExecOptions{})
+		ex, err := p.Exec(context.Background(), tc.eo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +271,7 @@ func TestExecCloseContract(t *testing.T) {
 		}
 
 		// Exhaust, then Close.
-		ex, err = p.Exec(context.Background(), ExecOptions{})
+		ex, err = p.Exec(context.Background(), tc.eo)
 		if err != nil {
 			t.Fatal(err)
 		}

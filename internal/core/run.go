@@ -34,9 +34,12 @@ const idleOps = 4096
 // execution's own goroutine.
 type run struct {
 	// opts is this run's private copy of the prepared options, with the
-	// per-execution overrides (MaxTuples, resolved Parallelism) written in; it
-	// must not change once a driver holds the run.
+	// per-execution tuple budget written in; it must not change once a driver
+	// holds the run.
 	opts Options
+	// par is the resolved worker count of the run (ExecOptions.Parallelism
+	// clamped to [1, 64]); 1 is serial.
+	par int
 	// pool recycles the evaluators' state bundles; nil when the execution has
 	// none or runs on the RefDict reference, which is never pooled.
 	pool *EvalPool
@@ -63,7 +66,7 @@ type run struct {
 }
 
 // newRun builds the run and opens its exec span (NoSpan when untraced).
-func newRun(ctx context.Context, opts Options, mem *MemGauge, pool *EvalPool, trace *obs.Trace) run {
+func newRun(ctx context.Context, opts Options, par int, mem *MemGauge, pool *EvalPool, trace *obs.Trace) run {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
@@ -72,7 +75,7 @@ func newRun(ctx context.Context, opts Options, mem *MemGauge, pool *EvalPool, tr
 		// (see newEvaluator).
 		pool = nil
 	}
-	return run{opts: opts, ctx: ctx, mem: mem, pool: pool, trace: trace, span: trace.Start(obs.Root, obs.SpanExec), idleAt: idleOps}
+	return run{opts: opts, par: par, ctx: ctx, mem: mem, pool: pool, trace: trace, span: trace.Start(obs.Root, obs.SpanExec), idleAt: idleOps}
 }
 
 // worker returns a copy of the run for a goroutine other than the

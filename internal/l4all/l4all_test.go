@@ -1,11 +1,13 @@
 package l4all
 
 import (
+	"context"
 	"testing"
 
 	"omega/internal/automaton"
 	"omega/internal/core"
 	"omega/internal/graph"
+	"omega/internal/ontology"
 	"omega/internal/query"
 )
 
@@ -127,7 +129,7 @@ func runQuery(t *testing.T, s Scale, qText string, mode automaton.Mode, limit in
 	for i := range q.Conjuncts {
 		q.Conjuncts[i].Mode = mode
 	}
-	it, err := core.OpenQuery(g, ont, q, core.Options{})
+	it, err := execQuery(g, ont, q, core.Options{}, core.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +249,7 @@ func TestAllQueriesParseAndRun(t *testing.T) {
 			t.Errorf("%s: %v", spec.ID, err)
 			continue
 		}
-		it, err := core.OpenQuery(g, ont, q, core.Options{})
+		it, err := execQuery(g, ont, q, core.Options{}, core.ExecOptions{})
 		if err != nil {
 			t.Errorf("%s: open: %v", spec.ID, err)
 			continue
@@ -261,4 +263,13 @@ func TestAllQueriesParseAndRun(t *testing.T) {
 	if len(StudyQueries()) != 6 {
 		t.Errorf("StudyQueries = %d entries, want 6", len(StudyQueries()))
 	}
+}
+
+// execQuery prepares q under opts and starts one execution of it under eo.
+func execQuery(g *graph.Graph, ont *ontology.Ontology, q *core.Query, opts core.Options, eo core.ExecOptions) (*core.Execution, error) {
+	p, err := core.PrepareQuery(g, ont, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(context.Background(), eo)
 }

@@ -1,10 +1,13 @@
 package yago
 
 import (
+	"context"
 	"testing"
 
 	"omega/internal/automaton"
 	"omega/internal/core"
+	"omega/internal/graph"
+	"omega/internal/ontology"
 	"omega/internal/query"
 )
 
@@ -89,7 +92,7 @@ func run(t *testing.T, cfg Config, text string, mode automaton.Mode, limit int, 
 	for i := range q.Conjuncts {
 		q.Conjuncts[i].Mode = mode
 	}
-	it, err := core.OpenQuery(g, ont, q, opts)
+	it, err := execQuery(g, ont, q, opts, core.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestQ4ApproxBudgetEmulatesOOM(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Conjuncts[0].Mode = automaton.Approx
-	it, err := core.OpenQuery(g, ont, q, core.Options{MaxTuples: 20000})
+	it, err := execQuery(g, ont, q, core.Options{MaxTuples: 20000}, core.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +232,7 @@ func TestQ4ApproxBudgetEmulatesOOM(t *testing.T) {
 
 	// Same query, distance-aware: must produce answers without the budget
 	// blowing up at ψ=1.
-	it2, err := core.OpenQuery(g, ont, q, core.Options{DistanceAware: true, MaxPsi: 2, MaxTuples: 1 << 22})
+	it2, err := execQuery(g, ont, q, core.Options{DistanceAware: true, MaxPsi: 2, MaxTuples: 1 << 22}, core.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +260,20 @@ func TestAllQueriesParseAndOpen(t *testing.T) {
 			t.Errorf("%s: %v", spec.ID, err)
 			continue
 		}
-		if _, err := core.OpenQuery(g, ont, q, core.Options{}); err != nil {
+		if _, err := execQuery(g, ont, q, core.Options{}, core.ExecOptions{}); err != nil {
 			t.Errorf("%s: open: %v", spec.ID, err)
 		}
 	}
 	if len(StudyQueries()) != 5 {
 		t.Errorf("StudyQueries = %d entries, want 5", len(StudyQueries()))
 	}
+}
+
+// execQuery prepares q under opts and starts one execution of it under eo.
+func execQuery(g *graph.Graph, ont *ontology.Ontology, q *core.Query, opts core.Options, eo core.ExecOptions) (*core.Execution, error) {
+	p, err := core.PrepareQuery(g, ont, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(context.Background(), eo)
 }

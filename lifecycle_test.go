@@ -275,12 +275,7 @@ func TestPreparedSharedAcrossGoroutines(t *testing.T) {
 // path, with the compile counters flat across repeated executions.
 func TestPreparedMatchesOneShotCorpus(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
-	// Pin the ranked backend: this test compares an exhaustive one-shot
-	// against a Limit-200 Exec, and auto selection legitimately gives the two
-	// different engines (hence different distance-0 orders) on exact corpus
-	// queries. Exhaustive bulk-vs-ranked equivalence is pinned by the bulk
-	// differential suite.
-	eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendRanked})
+	eng := NewEngine(g, ont)
 	for _, q := range L4AllQueries() {
 		pq, err := eng.PrepareText(q.Text)
 		if err != nil {
@@ -295,11 +290,13 @@ func TestPreparedMatchesOneShotCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", q.ID, mode, err)
 			}
-			rows, err := pq.Exec(context.Background(), ExecOptions{Limit: 200, Mode: ModeOverride(mode)})
+			// Exhaustive like the one-shot, so auto selection picks the same
+			// engine for both (a Limit would keep an exact scan off bulk).
+			rows, err := pq.Exec(context.Background(), ExecOptions{Mode: ModeOverride(mode)})
 			if err != nil {
 				t.Fatalf("%s/%v: Exec: %v", q.ID, mode, err)
 			}
-			got, err := rows.Collect(0)
+			got, err := rows.Collect(200)
 			rows.Close()
 			if err != nil {
 				t.Fatalf("%s/%v: Collect: %v", q.ID, mode, err)

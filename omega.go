@@ -50,9 +50,12 @@
 package omega
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -84,13 +87,14 @@ type (
 	Conjunct = core.Conjunct
 	// Term is a conjunct endpoint: variable or constant.
 	Term = core.Term
-	// Options configures evaluation (costs, batching, optimisations). These
-	// are engine-level knobs, fixed when a query is prepared; the per-call
-	// knobs live in ExecOptions.
+	// Options configures evaluation (costs, batching, optimisations): what
+	// shapes the plan, fixed when a query is prepared. The per-run knobs live
+	// in ExecOptions.
 	Options = core.Options
 	// ExecOptions are the per-execution knobs of a prepared query: Limit,
-	// MaxDist, MaxTuples override, and Mode override. See the core type for
-	// the knob-by-knob contract.
+	// MaxDist, MaxTuples override, Mode override, Backend, Parallelism and
+	// the hard memory watermark. See the core type for the knob-by-knob
+	// contract.
 	ExecOptions = core.ExecOptions
 	// Mode selects EXACT, APPROX, RELAX or FLEX evaluation of a conjunct.
 	Mode = automaton.Mode
@@ -100,8 +104,6 @@ type (
 	RelaxCosts = automaton.RelaxCosts
 	// QueryAnswer is a single result row (head bindings + total distance).
 	QueryAnswer = core.QueryAnswer
-	// QueryIterator yields QueryAnswers in non-decreasing distance.
-	QueryIterator = core.QueryIterator
 	// Stats carries evaluation counters (tuples, visited size, phases).
 	Stats = core.Stats
 	// EvalPool recycles per-execution evaluator state across requests so
@@ -124,7 +126,7 @@ type (
 	TraceSpan = obs.SpanNode
 	// Backend selects the evaluation engine: ranked GetNext (the paper's
 	// machinery) or the bulk set-semantics backend for exhaustive exact
-	// scans. See Options.Backend and ExecOptions.Backend.
+	// scans. See ExecOptions.Backend.
 	Backend = core.Backend
 	// PathExpr is a parsed regular path expression.
 	PathExpr = rpq.Expr
@@ -142,7 +144,7 @@ const (
 	Flex = automaton.Flex
 )
 
-// Evaluation backends (Options.Backend / ExecOptions.Backend).
+// Evaluation backends (ExecOptions.Backend).
 const (
 	// BackendAuto (the zero value) lets the planner choose per conjunct:
 	// bulk for exhaustive zero-cost exact scans whose seed population makes
@@ -277,12 +279,6 @@ func ParseQuery(text string) (*Query, error) { return query.Parse(text) }
 // ParsePath parses a regular path expression, e.g. "isLocatedIn-.gradFrom".
 func ParsePath(text string) (*PathExpr, error) { return rpq.Parse(text) }
 
-// Open initialises evaluation of q and returns an iterator over its answers
-// in non-decreasing total distance.
-func Open(g *Graph, ont *Ontology, q *Query, opts Options) (QueryIterator, error) {
-	return core.OpenQuery(g, ont, q, opts)
-}
-
 // SaveGraph / LoadGraph serialise graphs in the omega-graph v1 text format.
 func SaveGraph(w io.Writer, g *Graph) error { return graph.Save(w, g) }
 func LoadGraph(r io.Reader) (*Graph, error) { return graph.Load(r) }
@@ -299,6 +295,68 @@ func LoadNTriples(r io.Reader, b *GraphBuilder, keepIRIs bool) (int, error) {
 	return graph.LoadNTriples(r, b, keepIRIs)
 }
 
+// LoadDataset loads the graph and ontology that the command-line tools'
+// -data, -graph and -ontology flags name. A non-empty spec selects a builtin
+// dataset: "l4all:L1".."l4all:L4" (the scale defaults to L1) or
+// "yago:<factor>" (the factor defaults to 1). Otherwise graphFile is read in
+// the omega-graph v1 format, or as N-Triples when it ends in ".nt", and
+// ontFile, when set, in the omega-ontology v1 format.
+func LoadDataset(spec, graphFile, ontFile string) (*Graph, *Ontology, error) {
+	if spec != "" {
+		name, arg, _ := strings.Cut(spec, ":")
+		switch strings.ToLower(name) {
+		case "l4all":
+			if arg == "" {
+				arg = "L1"
+			}
+			return GenerateL4All(arg)
+		case "yago":
+			factor := 1.0
+			if arg != "" {
+				f, err := strconv.ParseFloat(arg, 64)
+				if err != nil {
+					return nil, nil, fmt.Errorf("bad yago scale %q", arg)
+				}
+				factor = f
+			}
+			g, o := GenerateYAGO(factor)
+			return g, o, nil
+		}
+		return nil, nil, fmt.Errorf("unknown dataset %q (want l4all:<scale> or yago:<factor>)", spec)
+	}
+	if graphFile == "" {
+		return nil, nil, errors.New("provide -data or -graph")
+	}
+	f, err := os.Open(graphFile)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	var g *Graph
+	if strings.HasSuffix(graphFile, ".nt") {
+		b := NewGraphBuilder()
+		if _, err := LoadNTriples(f, b, false); err != nil {
+			return nil, nil, err
+		}
+		g = b.Freeze()
+	} else if g, err = LoadGraph(f); err != nil {
+		return nil, nil, err
+	}
+	if ontFile == "" {
+		return g, nil, nil
+	}
+	of, err := os.Open(ontFile)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer of.Close()
+	ont, err := LoadOntology(of)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, ont, nil
+}
+
 // NamedQuery is a benchmark query with an identifier.
 type NamedQuery struct {
 	ID   string
@@ -313,7 +371,7 @@ func GenerateL4All(scale string) (*Graph, *Ontology, error) {
 			return g, o, nil
 		}
 	}
-	return nil, nil, fmt.Errorf("omega: unknown L4All scale %q (want L1..L4)", scale)
+	return nil, nil, fmt.Errorf("unknown L4All scale %q (want L1..L4)", scale)
 }
 
 // L4AllQueries returns the 12 queries of Figure 4.

@@ -240,22 +240,3 @@ func TestQueryListsComplete(t *testing.T) {
 		}
 	}
 }
-
-func TestOpenLowLevelAPI(t *testing.T) {
-	g, ont := exampleGraph(t)
-	q, err := ParseQuery("(?X) <- (alice, gradFrom, ?X)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := Open(g, ont, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, ok, err := it.Next()
-	if err != nil || !ok {
-		t.Fatalf("Next: %v %v", ok, err)
-	}
-	if g.NodeLabel(a.Nodes[0]) != "Oxford" {
-		t.Fatalf("answer = %v", a)
-	}
-}

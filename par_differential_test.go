@@ -57,10 +57,10 @@ func TestParallelMatchesSerialCorpus(t *testing.T) {
 	)
 	for _, backend := range []Backend{BackendAuto, BackendRanked, BackendBulk} {
 		for _, text := range texts {
-			serial := collectAnswers(t, g, ont, text, Exact, Options{Backend: backend}, 0)
+			serial := collectAnswers(t, g, ont, text, Exact, Options{}, ExecOptions{Backend: backend}, 0)
 			for _, k := range parLevels {
 				label := fmt.Sprintf("%q backend=%v parallel=%d", text, backend, k)
-				got := collectAnswers(t, g, ont, text, Exact, Options{Backend: backend, Parallelism: k}, 0)
+				got := collectAnswers(t, g, ont, text, Exact, Options{}, ExecOptions{Backend: backend, Parallelism: k}, 0)
 				requireSameRows(t, label, serial, got)
 			}
 		}
@@ -81,12 +81,10 @@ func TestParallelFlexModesSerialFallback(t *testing.T) {
 		for _, da := range []bool{false, true} {
 			for _, text := range texts {
 				base := Options{DistanceAware: da}
-				serial := collectAnswers(t, g, ont, text, mode, base, 400)
+				serial := collectAnswers(t, g, ont, text, mode, base, ExecOptions{}, 400)
 				for _, k := range parLevels[1:] {
 					label := fmt.Sprintf("%q mode=%v distaware=%v parallel=%d", text, mode, da, k)
-					par := base
-					par.Parallelism = k
-					got := collectAnswers(t, g, ont, text, mode, par, 400)
+					got := collectAnswers(t, g, ont, text, mode, base, ExecOptions{Parallelism: k}, 400)
 					requireSameRows(t, label, serial, got)
 				}
 			}
@@ -156,10 +154,10 @@ func TestParallelFuzzDifferential(t *testing.T) {
 			text = fmt.Sprintf("(?X) <- (n%d, %s, ?X)", rng.Intn(nodes), e)
 		}
 		for _, backend := range []Backend{BackendRanked, BackendBulk} {
-			serial := collectAnswers(t, g, nil, text, Exact, Options{Backend: backend}, 0)
+			serial := collectAnswers(t, g, nil, text, Exact, Options{}, ExecOptions{Backend: backend}, 0)
 			for _, k := range parLevels[1:] {
 				label := fmt.Sprintf("trial %d %q backend=%v parallel=%d", trial, text, backend, k)
-				got := collectAnswers(t, g, nil, text, Exact, Options{Backend: backend, Parallelism: k}, 0)
+				got := collectAnswers(t, g, nil, text, Exact, Options{}, ExecOptions{Backend: backend, Parallelism: k}, 0)
 				requireSameRows(t, label, serial, got)
 			}
 		}

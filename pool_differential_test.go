@@ -113,7 +113,7 @@ func TestEvalPoolCorpusDifferential(t *testing.T) {
 // their order and its work counters must be those of a run on fresh state.
 func TestEvalPoolTenantInterleaving(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
-	eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendRanked, DistanceAware: true})
+	eng := NewEngine(g, ont).WithOptions(Options{DistanceAware: true})
 	pool := NewEvalPool(1)
 	pool.SetBundleCapBytes(-1) // the large tenant's bundle must come back
 	big, err := eng.PrepareText(l4allQueryText(t, "Q9"))

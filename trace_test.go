@@ -85,8 +85,8 @@ func TestTraceSpanTreeRanked(t *testing.T) {
 
 func TestTraceSpanTreeBulk(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
-	eng := NewEngine(g, ont).WithOptions(Options{Backend: BackendBulk})
-	sum, stats := tracedRun(t, eng, "(?X, ?Y) <- (?X, job.type, ?Y)", ExecOptions{Limit: 100})
+	eng := NewEngine(g, ont)
+	sum, stats := tracedRun(t, eng, "(?X, ?Y) <- (?X, job.type, ?Y)", ExecOptions{Backend: BackendBulk, Limit: 100})
 
 	conj := requireSpan(t, sum, obs.SpanConjunct)
 	if conj.Attrs["bulk"] != 1 {

@@ -197,6 +197,7 @@ func TestWorkGolden(t *testing.T) {
 	pool := NewEvalPool(1)
 	var got workGolden
 	run := func(name string, pq *PreparedQuery, eo ExecOptions) {
+		eo.Backend = BackendRanked
 		fresh := runWorkCase(t, name, pq, eo)
 		eo.Pool = pool
 		if pooled := runWorkCase(t, name, pq, eo); !pooled.sameWork(fresh) {
@@ -219,8 +220,8 @@ func TestWorkGolden(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"plain", Options{Backend: BackendRanked}},
-		{"distaware", Options{Backend: BackendRanked, DistanceAware: true}},
+		{"plain", Options{}},
+		{"distaware", Options{DistanceAware: true}},
 	}
 
 	for _, v := range variants {
