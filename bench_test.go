@@ -9,6 +9,7 @@ package omega
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -158,36 +159,33 @@ func BenchmarkFig8Relax(b *testing.B) {
 	}
 }
 
-// BenchmarkApproxTopKPooled is the in-process counterpart of the serving
-// ledger's APPROX top-100 loop: one op is one rotation of the six study
-// queries on L2, prepared once under DistanceAware and executed through one
-// EvalPool, as a server runs them. It isolates the engine from the socket,
-// so a change to Succ or D_R shows here without the HTTP layers around it.
-func BenchmarkApproxTopKPooled(b *testing.B) {
-	g, ont := datasets().L4All(l4all.L2)
+// pooledApproxRotation prepares the six study queries on L4All scale s under
+// DistanceAware and returns one rotation of the serving ledger's APPROX
+// top-100 loop over them: each executed once through one shared EvalPool and
+// drained in batches, as a server runs them.
+func pooledApproxRotation(tb testing.TB, s l4all.Scale) func() {
+	g, ont := datasets().L4All(s)
 	eng := NewEngine(g, ont).WithOptions(Options{DistanceAware: true})
 	var pqs []*PreparedQuery
 	for _, id := range studyIDs {
-		pq, err := eng.PrepareText(l4allQueryText(b, id))
+		pq, err := eng.PrepareText(l4allQueryText(tb, id))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		pqs = append(pqs, pq)
 	}
 	eo := ExecOptions{Limit: 100, Mode: ModeOverride(Approx), Pool: NewEvalPool(0)}
 	rows := make([]Row, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		for _, pq := range pqs {
 			rs, err := pq.Exec(context.Background(), eo)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			for {
 				n, err := rs.NextBatch(rows)
 				if err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
 				if n == 0 {
 					break
@@ -195,6 +193,44 @@ func BenchmarkApproxTopKPooled(b *testing.B) {
 			}
 			rs.Close()
 		}
+	}
+}
+
+// BenchmarkApproxTopKPooled is the in-process counterpart of the serving
+// ledger's APPROX top-100 loop: one op is one rotation of the six study
+// queries on L2 (see pooledApproxRotation). It isolates the engine from the
+// socket, so a change to Succ or D_R shows here without the HTTP layers
+// around it.
+func BenchmarkApproxTopKPooled(b *testing.B) {
+	rotate := pooledApproxRotation(b, l4all.L2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rotate()
+	}
+}
+
+// TestApproxTopKPooledAllocations: once a rotation has grown the pooled
+// bundles, a pooled APPROX top-100 rotation of the study queries on L1
+// allocates under 128 KiB — D_R parks entries over ψ in the buckets the
+// bundle already holds rather than in slices regrown on every request.
+func TestApproxTopKPooledAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement skipped under -short")
+	}
+	const rotations, bound = 5, 128 << 10
+	rotate := pooledApproxRotation(t, l4all.L1)
+	rotate() // warm-up: grows the pooled bundles
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rotations; i++ {
+		rotate()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / rotations
+	t.Logf("a warm pooled rotation allocates %d bytes", per)
+	if per >= bound {
+		t.Fatalf("a warm pooled rotation allocates %d bytes, want under %d", per, bound)
 	}
 }
 

@@ -161,8 +161,8 @@ type Options struct {
 	BatchSize int
 	// DistanceAware enables §4.3's "retrieving answers by distance": a
 	// cost cap ψ stepped by the smallest operation cost φ. Tuples that
-	// exceed the current ψ are parked in a deferred frontier and re-injected
-	// into the same live evaluator when ψ is raised, so no phase recomputes
+	// exceed the current ψ are parked in D_R above a pop ceiling ψ and
+	// admitted by the same live evaluator when ψ is raised, so no phase recomputes
 	// the work of its predecessors (the paper's description restarts
 	// evaluation from scratch at each increment; see DistanceRestart).
 	DistanceAware bool
@@ -181,15 +181,15 @@ type Options struct {
 	// distance-phase by distance-phase, cheapest-first.
 	Disjunction bool
 	// MaxTuples is a budget per evaluator on the tuples it adds to D_R —
-	// every tuple or continuation pushed or re-injected, and every successor
+	// every tuple or continuation pushed or admitted by a raised ψ, and every successor
 	// a continuation yields (see Stats.TuplesAdded) — so it bounds the
 	// successors materialised, not the ones a continuation still stands for.
 	// An evaluator that goes past it ends the execution with ErrTupleBudget.
 	// 0 means unlimited. It does not bound the execution: each conjunct of a
 	// join, each branch under Disjunction and each shard under
 	// ExecOptions.Parallelism runs its own evaluator with the whole budget,
-	// and entries parked in the deferred frontier count only once
-	// re-injected, a ψ phase at a time. So an execution may add several times
+	// and entries parked above the ψ ceiling count only once admitted, a ψ
+	// phase at a time. So an execution may add several times
 	// MaxTuples, and hold more, before it fails, or finish without failing.
 	// ExecOptions.MaxTuples overrides it per run.
 	MaxTuples int
@@ -259,9 +259,9 @@ type Iterator interface {
 // Stats exposes evaluation counters for the performance study.
 type Stats struct {
 	// TuplesAdded counts entries entering D_R — a tuple or continuation
-	// pushed, or re-injected at a ψ phase — plus one per successor a
-	// continuation yields; TuplesPopped counts pops, a continuation's pop
-	// being the one of the successor it yields. So TuplesPopped ≤ TuplesAdded.
+	// pushed, or admitted from above the ψ ceiling at a later phase — plus
+	// one per successor a continuation yields; TuplesPopped counts pops, a
+	// continuation's pop being the one of the successor it yields. So TuplesPopped ≤ TuplesAdded.
 	TuplesAdded  int
 	TuplesPopped int
 	VisitedSize  int
@@ -272,10 +272,10 @@ type Stats struct {
 	// retrievals the U cache served.
 	NeighborCalls int
 	CacheHits     int
-	// Deferred counts entries (tuples and continuations) parked in the
-	// deferred frontier because their distance exceeded the ψ of the phase
-	// that generated them; Reinjected counts deferred entries re-admitted
-	// into D_R at a later phase. Both are zero outside the incremental
+	// Deferred counts entries (tuples and continuations) parked in D_R above
+	// its pop ceiling because their distance exceeded the ψ of the phase
+	// that generated them; Reinjected counts parked entries admitted when a
+	// later phase raised the ceiling. Both are zero outside the incremental
 	// distance-aware mode — in particular, a distance-aware run with
 	// Reinjected == 0 but more than one phase has silently fallen back to
 	// restart-style recomputation.

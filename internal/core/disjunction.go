@@ -29,15 +29,16 @@ import (
 // runs both: n ≥ 1 branches, answers streaming out as each branch produces
 // them. The paper describes each ψ increment as a restart from the beginning,
 // which redoes all the work of every earlier phase. The driver instead keeps
-// ONE resumable evaluator per branch: over-ψ tuples park in the branch's
-// deferred frontier and each phase step re-injects the newly admissible ones
-// into the warm D_R / visited table / answer registry — every tuple is popped
-// at most once across all phases, and phases that would re-admit nothing
-// anywhere are skipped by stepping ψ straight to the next populated φ-grid
-// point. The pop trace restricted to distances ≤ ψ is identical either way,
-// so ranked emission is byte-identical to the fresh-evaluator-per-(branch,
-// phase) driver retained behind Options.DistanceRestart as the differential
-// reference (the RefDict pattern).
+// ONE resumable evaluator per branch: over-ψ tuples park in the branch's D_R
+// above a pop ceiling ψ and each phase step raises the ceiling, re-admitting
+// the newly admissible ones next to the warm visited table and answer
+// registry — every tuple is popped at most once across all phases, and
+// phases that would re-admit nothing anywhere are skipped by stepping ψ
+// straight to the next populated φ-grid point. The pop trace restricted to
+// distances ≤ ψ is identical either way, so ranked emission is byte-identical
+// to the fresh-evaluator-per-(branch, phase) driver retained behind
+// Options.DistanceRestart as the differential reference (the RefDict
+// pattern).
 
 // newDisjunction returns the ψ-phase driver the run selects over the plan's
 // automata (one per alternand when decomposed, else the single automaton of a
@@ -100,16 +101,11 @@ type disjunction struct {
 	phaseSpan obs.SpanID
 }
 
-// makeResumable arms ev with a deferred frontier so the driver can resume it
+// makeResumable sets ev's D_R ceiling to ψ = 0 so the driver can resume it
 // across phases instead of restarting evaluation.
 func makeResumable(ev *evaluator, phi, maxPsi int32) {
 	ev.resumable = true
-	if ev.state != nil {
-		// Pooled execution: the bundle's frontier was Reset at acquisition.
-		ev.deferred = ev.state.deferred
-	} else {
-		ev.deferred = dstruct.NewDeferred(false)
-	}
+	ev.dr.SetCeiling(0)
 	// The last reachable phase is the first φ-grid point ≥ MaxPsi (the
 	// reference stops stepping once ψ ≥ MaxPsi, so it still runs that one).
 	// Tuples beyond it can never be re-admitted and are not worth parking.
@@ -222,7 +218,7 @@ func (d *disjunction) Next() (Answer, bool, error) {
 	}
 }
 
-// nextPsi returns the next ψ-grid value that re-admits at least one deferred
+// nextPsi returns the next ψ-grid value that re-admits at least one parked
 // tuple in some branch, whether any intermediate grid point was skipped, and
 // whether stepping may continue. The restart reference steps one φ at a time
 // and stops once ψ ≥ MaxPsi; a grid point ψ+kφ is therefore reachable only
@@ -234,7 +230,8 @@ func (d *disjunction) nextPsi() (int32, bool, bool) {
 	var m int32
 	any := false
 	for _, ev := range d.evals {
-		if md, ok := ev.deferred.MinDistance(); ok && (!any || md < m) {
+		// A drained D_R holds parked entries only.
+		if md, ok := ev.dr.MinDistance(); ok && (!any || md < m) {
 			m, any = md, true
 		}
 	}
@@ -242,16 +239,15 @@ func (d *disjunction) nextPsi() (int32, bool, bool) {
 		return 0, false, false
 	}
 	phi, psi := int64(d.phi), int64(d.psi)
-	steps := (int64(m) - psi + phi - 1) / phi // ≥ 1: every deferred tuple exceeds ψ
+	steps := (int64(m) - psi + phi - 1) / phi // ≥ 1: every parked tuple exceeds ψ
 	maxSteps := (int64(d.maxPsi) - psi + phi - 1) / phi
 	if steps > maxSteps {
-		return 0, false, false // the nearest deferred tuple lies beyond the cap
+		return 0, false, false // the nearest parked tuple lies beyond the cap
 	}
 	return int32(psi + steps*phi), steps > 1, true
 }
 
-// Close releases every branch evaluator's resources (D_R and the deferred
-// frontier) deterministically.
+// Close releases every branch evaluator's resources deterministically.
 func (d *disjunction) Close() error {
 	d.stop()
 	d.failed = closedErr(d.failed)

@@ -60,28 +60,28 @@ type evaluator struct {
 	// tr.Index·stride + segment.
 	stride int32
 
-	// state, when non-nil, is the pooled bundle backing dr/visited/answers
-	// (and deferred, once armed): finish returns it to the run's pool instead of
-	// discarding it, so the next execution inherits the grown capacities.
+	// state, when non-nil, is the pooled bundle backing dr/visited/answers:
+	// finish returns it to the run's pool instead of discarding it, so the
+	// next execution inherits the grown capacities.
 	state *evalState
 
-	// deferred, when non-nil, parks tuples rejected for exceeding ψ instead
-	// of discarding them, so a later resume can re-inject them (incremental
-	// distance-aware mode). deferLimit is the largest ψ the driver can ever
+	// resumable marks the incremental distance-aware mode: tuples rejected
+	// for exceeding ψ are added to D_R anyway, parked above its pop ceiling
+	// ψ, so a later resume admits them by raising the ceiling instead of
+	// recomputing them; and the automatic resource release when D_R drains
+	// is suppressed, since the driver owns finish() and may raise ψ and
+	// continue instead. deferLimit is the largest ψ the driver can ever
 	// reach: tuples beyond it are unreachable in every later phase, so
 	// parking them would only burn memory (they are dropped, exactly as the
-	// restart reference re-drops them every phase). resumable suppresses the
-	// automatic resource release when D_R drains: the driver owns finish()
-	// and may raise ψ and continue instead.
-	deferred   *dstruct.Deferred
-	deferLimit int32
+	// restart reference re-drops them every phase).
 	resumable  bool
+	deferLimit int32
 
 	psi        int32 // -1 = unlimited
 	pruned     bool
 	seeded     bool
 	streamDone bool
-	released   bool  // finish() has run; dict/deferred resources are gone
+	released   bool  // finish() has run; the dict's resources are gone
 	failed     error // terminal evaluation error (sticky)
 
 	// Byte accounting: memOps counts tuple operations since the last
@@ -161,7 +161,7 @@ func (ev *evaluator) finish() {
 		// Pointers are severed so no code path on this evaluator can touch
 		// state now owned by another execution (or, when poisoned, state that
 		// must die with this one).
-		ev.dr, ev.visited, ev.answers, ev.deferred = nil, nil, nil, nil
+		ev.dr, ev.visited, ev.answers = nil, nil, nil
 		ev.scratch, ev.batch, ev.stream = nil, nil, nil
 		if poisoned {
 			ev.r.pool.poison()
@@ -214,22 +214,19 @@ func (ev *evaluator) sampleMem() {
 // residentBytes sums the approximate resident footprint of every structure
 // this evaluator owns. Capacity-based: it measures what the process holds.
 func (ev *evaluator) residentBytes() int64 {
-	n := ev.dr.Bytes() + ev.visited.Bytes() + ev.answers.Bytes()
-	if ev.deferred != nil {
-		n += ev.deferred.Bytes()
-	}
-	return n + int64(cap(ev.scratch)+cap(ev.batch))*4
+	return ev.dr.Bytes() + ev.visited.Bytes() + ev.answers.Bytes() +
+		int64(cap(ev.scratch)+cap(ev.batch))*4
 }
 
 // reject handles a tuple or continuation whose distance exceeds the current
 // ψ: the pruned flag tells the driver a higher ψ could reveal more, and in
-// resumable mode the entry is parked for re-injection instead of being
-// recomputed from scratch next phase — unless no reachable phase could ever
-// admit it.
+// resumable mode the entry is parked in D_R above the ceiling instead of
+// being recomputed from scratch next phase — unless no reachable phase could
+// ever admit it.
 func (ev *evaluator) reject(t dstruct.Tuple) {
 	ev.pruned = true
-	if ev.deferred != nil && t.D <= ev.deferLimit {
-		ev.deferred.Add(t)
+	if ev.resumable && t.D <= ev.deferLimit {
+		ev.dr.Add(t)
 		ev.stats.Deferred++
 		if ev.memOps++; ev.memOps >= memSampleEvery {
 			ev.sampleMem()
@@ -237,23 +234,23 @@ func (ev *evaluator) reject(t dstruct.Tuple) {
 	}
 }
 
-// resume raises ψ and re-injects every deferred entry the new bound admits —
-// exactly the D_R contents a restarted phase would have rebuilt, minus all
-// the recomputation (for the bucket-queue Dict the re-injection is a slice
-// adoption, not per-tuple work). Each entry, tuple or continuation, counts one
-// tuple added. The caller must only invoke it after Next has reported
-// exhaustion.
+// resume raises ψ, and with it D_R's ceiling, re-admitting every parked
+// entry the new bound admits — exactly the D_R contents a restarted phase
+// would have rebuilt, minus all the recomputation: D_R has drained, so what
+// it holds is the parked entries alone, each bucket in generation order.
+// Each admitted entry, tuple or continuation, counts one tuple added. The
+// caller must only invoke it after Next has reported exhaustion.
 func (ev *evaluator) resume(psi int32) {
 	ev.psi = psi
-	n := ev.dr.Inject(ev.deferred, psi)
+	n := ev.dr.SetCeiling(psi)
 	ev.stats.TuplesAdded += n
 	ev.stats.Reinjected += n
 	ev.r.tick(n)
 	if ev.r.overBudget(ev.stats.TuplesAdded) && ev.failed == nil {
 		ev.failed = ErrTupleBudget
 	}
-	// Re-injection adopts whole buckets without passing through add(); take a
-	// sample so a large phase step is accounted promptly.
+	// Take a sample at every phase step, so the accounted figure is current
+	// when the new phase starts.
 	ev.sampleMem()
 }
 
@@ -394,8 +391,8 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 		}
 		t, ok := ev.dr.Remove()
 		if !ok {
-			// In resumable mode the driver may raise ψ and re-inject
-			// deferred tuples, so D_R must stay open; it owns finish().
+			// In resumable mode the driver may raise ψ and admit parked
+			// tuples, so D_R must stay open; it owns finish().
 			if !ev.resumable {
 				ev.finish()
 			}
@@ -485,8 +482,8 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 // they popped last-first; a continuation sits where the first of them sat and
 // walks them last-first, skipping the visited ones eager would have popped
 // only to discard. What pops and in which order is therefore eager's, minus
-// those discards, over every D_R implementation and through the deferred
-// frontier and its re-injection alike.
+// those discards, over every D_R implementation and through parking above
+// ψ and re-admission alike.
 
 // contStride is the number of continuation slots per transition of an
 // automaton over g: one per neighbour segment, that is at most two per edge

@@ -10,7 +10,7 @@ import (
 
 // This file implements the evaluator-state pool of the serving layer: the
 // per-execution structures (D_R, the visited table, the answer registry, the
-// deferred frontier, the Case 3 seen bitmap and the scratch buffers) dominate
+// Case 3 seen bitmap and the scratch buffers) dominate
 // the allocation profile of a steady-state request — not because they are
 // created, but because they are *grown*: a fresh open-addressed table starts
 // at 64 slots and rehash-copies its way up on every request, and a fresh D_R
@@ -19,7 +19,7 @@ import (
 // and hands it to the next evaluator. The reset allocates nothing and costs
 // what the previous tenant touched, not what the bundle holds: the visited
 // table moves to its next generation, the answer registry blanks the pairs it
-// stored, D_R and the deferred frontier truncate one slice per distance.
+// stored, D_R truncates one slice per distance.
 // Nothing is ever cleared to make room, so a bundle keeps the capacity of the
 // largest run it has served (at most 8/3 of that run's population per table)
 // until the byte cap below discards it; PoolStats.IdleBytes shows what the
@@ -31,13 +31,12 @@ import (
 // graph- and query-agnostic: everything in it is keyed by integer IDs, so one
 // pool may serve any number of prepared queries over any number of graphs.
 type evalState struct {
-	dict     *dstruct.Dict
-	visited  *dstruct.Visited
-	answers  *dstruct.Answers
-	deferred *dstruct.Deferred
-	seen     *bitset.Set // Case 3 stream de-dup; lazily created
-	scratch  []graph.NodeID
-	batch    []graph.NodeID
+	dict    *dstruct.Dict
+	visited *dstruct.Visited
+	answers *dstruct.Answers
+	seen    *bitset.Set // Case 3 stream de-dup; lazily created
+	scratch []graph.NodeID
+	batch   []graph.NodeID
 
 	idleBytes int64 // bytes() as of the put that parked the bundle on the free list
 }
@@ -45,7 +44,7 @@ type evalState struct {
 // bytes returns the bundle's approximate resident footprint — the retention
 // figure the pool's byte cap compares against.
 func (st *evalState) bytes() int64 {
-	n := st.dict.Bytes() + st.visited.Bytes() + st.answers.Bytes() + st.deferred.Bytes()
+	n := st.dict.Bytes() + st.visited.Bytes() + st.answers.Bytes()
 	n += int64(cap(st.scratch)+cap(st.batch)) * 4
 	if st.seen != nil {
 		n += int64(st.seen.Words()) * 8
@@ -99,10 +98,11 @@ type EvalPool struct {
 // whose reset capacity exceeds the cap is discarded instead of pooled, so one
 // giant query cannot permanently pin its high-water memory in every slot it
 // cycles through. 64 MiB covers every study query: the largest bundle of the
-// benchmark's approx_topk rotation (APPROX top-100 on L3) holds about 7.4 MB,
-// its acct_peak_mb, because Succ parks one continuation per costed
-// transition rather than one tuple per successor, so every bundle of that
-// rotation is recycled.
+// benchmark's approx_topk rotation (APPROX top-100 on L3) holds about 6.5 MB,
+// its acct_peak_mb, entries parked above ψ included, because Succ pushes one
+// continuation per costed transition rather than one tuple per successor and
+// D_R stores an entry in 16 bytes, so every bundle of that rotation is
+// recycled.
 const defaultBundleCapBytes = 64 << 20
 
 // NewEvalPool returns a pool retaining at most max idle states (0 picks a
@@ -157,16 +157,14 @@ func (p *EvalPool) get() *evalState {
 	p.mu.Unlock()
 	if st == nil {
 		return &evalState{
-			dict:     dstruct.NewDict(),
-			visited:  dstruct.NewVisited(),
-			answers:  dstruct.NewAnswers(),
-			deferred: dstruct.NewDeferred(false),
+			dict:    dstruct.NewDict(),
+			visited: dstruct.NewVisited(),
+			answers: dstruct.NewAnswers(),
 		}
 	}
 	st.dict.Reset(false)
 	st.visited.Reset(0)
 	st.answers.Reset(0)
-	st.deferred.Reset(false)
 	return st
 }
 

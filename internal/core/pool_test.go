@@ -228,16 +228,16 @@ func TestEvalPoolOversizedBundleDiscarded(t *testing.T) {
 
 // TestEvalPoolWarmCycleAllocatesNothing: handing a used bundle to the next
 // tenant — get, which resets it, and put, which measures it — allocates
-// nothing, whatever the bundle holds; IdleBytes follows it on and off the
-// free list.
+// nothing, whatever the bundle holds (entries parked above a ceiling
+// included); IdleBytes follows it on and off the free list.
 func TestEvalPoolWarmCycleAllocatesNothing(t *testing.T) {
 	pool := NewEvalPool(2)
 	st := pool.get()
+	st.dict.SetCeiling(4)
 	for i := 0; i < 5000; i++ {
 		st.dict.Add(dstruct.Tuple{V: graph.NodeID(i), N: graph.NodeID(i), D: int32(i % 7)})
 		st.visited.Add(graph.NodeID(i), graph.NodeID(i), 0)
 		st.answers.Add(graph.NodeID(i), graph.NodeID(i), 0)
-		st.deferred.Add(dstruct.Tuple{V: graph.NodeID(i), N: graph.NodeID(i), D: int32(i % 5)})
 	}
 	held := st.bytes()
 	pool.put(st)
@@ -257,7 +257,7 @@ func TestEvalPoolWarmCycleAllocatesNothing(t *testing.T) {
 	if s := pool.Stats(); s.Idle != 0 || s.IdleBytes != 0 {
 		t.Fatalf("after get: Idle=%d IdleBytes=%d, want 0/0", s.Idle, s.IdleBytes)
 	}
-	if got.visited.Len() != 0 || got.answers.Len() != 0 || got.dict.Len() != 0 || got.deferred.Len() != 0 {
+	if got.visited.Len() != 0 || got.answers.Len() != 0 || got.dict.Len() != 0 {
 		t.Fatal("get handed out a bundle that still holds its previous tenant's entries")
 	}
 	if got.bytes() != held {

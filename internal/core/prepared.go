@@ -19,7 +19,7 @@ import (
 // ε-removal, Case 1 seed and final-annotation resolution — into an immutable
 // Prepared that any number of goroutines may Exec concurrently. Exec
 // instantiates only the per-run evaluator state (D_R, visited set, answer
-// registry, deferred frontier) and returns an Execution whose Close hands
+// registry) and returns an Execution whose Close hands
 // that state back — to the pool, when there is one — as soon as the caller is
 // done with it.
 
@@ -42,9 +42,9 @@ type ExecOptions struct {
 	MaxDist int32
 	// MaxTuples overrides Options.MaxTuples for this execution when positive
 	// (0 inherits the prepared value). Like Options.MaxTuples it counts the
-	// entries pushed or re-injected and the successors continuations yield,
-	// and is enforced per evaluator, not per execution: an evaluator that goes
-	// past it ends the execution with ErrTupleBudget.
+	// entries pushed or admitted by a raised ψ and the successors
+	// continuations yield, and is enforced per evaluator, not per execution:
+	// an evaluator that goes past it ends the execution with ErrTupleBudget.
 	MaxTuples int
 	// Mode, when non-nil, overrides every conjunct's mode for this execution
 	// (the study's exact/APPROX/RELAX sweeps over one query text). The first
@@ -52,7 +52,7 @@ type ExecOptions struct {
 	// variant is cached in the Prepared, so repeats pay nothing.
 	Mode *automaton.Mode
 	// Pool, when non-nil, recycles this execution's evaluator state (D_R,
-	// visited table, answer registry, deferred frontier, scratch buffers) from
+	// visited table, answer registry, scratch buffers) from
 	// and back to the given pool, so steady-state serving allocates near zero
 	// per request. Pooled emission is byte-identical to fresh. Ignored under
 	// Options.RefDict. See EvalPool.
@@ -531,8 +531,8 @@ func (e *Execution) finishSpans() {
 	tr.End(e.r.span)
 }
 
-// Close releases the execution's resources (evaluator state, deferred
-// frontiers) deterministically. It is idempotent, safe after exhaustion, and
+// Close releases the execution's resources (evaluator state)
+// deterministically. It is idempotent, safe after exhaustion, and
 // safe to call on an execution another error already terminated; subsequent
 // Next calls return ErrClosed (or the earlier terminal error).
 func (e *Execution) Close() error {

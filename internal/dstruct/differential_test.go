@@ -1,6 +1,7 @@
 package dstruct
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -189,4 +190,138 @@ func BenchmarkVisitedMapAdd(b *testing.B) {
 			m[k] = struct{}{}
 		}
 	}
+}
+
+// TestQuickDictCeilingMatchesReplay: entries parked above the ceiling and
+// admitted by raising it pop exactly as they would from a dictionary that
+// received the admitted entries afresh, in generation order, once the
+// previous phase had drained — the equivalence the incremental
+// distance-aware mode rests on. Raising returns how many it admits.
+func TestQuickDictCeilingMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 30; trial++ {
+		var target TupleDict = NewDict()
+		if rng.Intn(3) == 0 {
+			target = NewRefDict()
+		}
+		target.SetCeiling(0)
+		var gen []Tuple
+		for i := 0; i < 200; i++ {
+			tt := tup(i, i, rng.Intn(3), 1+rng.Intn(10), rng.Intn(3) == 0)
+			gen = append(gen, tt)
+			target.Add(tt)
+		}
+		if _, ok := target.Remove(); ok {
+			t.Fatalf("trial %d: popped an entry above ceiling 0", trial)
+		}
+		for prev, psi := int32(0), int32(0); prev < 10; prev = psi {
+			psi = prev + 1 + int32(rng.Intn(3))
+			replay := NewDict()
+			for _, tt := range gen {
+				if tt.D > prev && tt.D <= psi {
+					replay.Add(tt)
+				}
+			}
+			if n := target.SetCeiling(psi); n != replay.Len() {
+				t.Fatalf("trial %d: SetCeiling(%d) admitted %d entries, want %d", trial, psi, n, replay.Len())
+			}
+			for i := 0; ; i++ {
+				a, ok1 := target.Remove()
+				b, ok2 := replay.Remove()
+				if ok1 != ok2 || a != b {
+					t.Fatalf("trial %d ψ=%d pop %d: parked %+v/%v, replay %+v/%v", trial, psi, i, a, ok1, b, ok2)
+				}
+				if !ok1 {
+					break
+				}
+			}
+		}
+		if target.Len() != 0 {
+			t.Fatalf("trial %d: %d entries left after the last phase", trial, target.Len())
+		}
+	}
+}
+
+// FuzzDict replays a fuzzed stream of Add, Remove, SetCeiling and Reset
+// operations on Dict and RefDict. Both must pop the same entries, never one
+// above the ceiling, and agree on Len, MinDistance and how many entries each
+// raised ceiling admits. Every operation is three bytes: the kind, then two
+// operands.
+func FuzzDict(f *testing.F) {
+	f.Add([]byte{12, 3, 0, 0, 1, 0, 0, 5, 16, 0, 0, 0, 8, 0, 0, 13, 7, 0, 8, 0, 0})
+	f.Add([]byte{0, 210, 0, 0, 240, 16, 12, 250, 0, 8, 0, 0, 12, 255, 0, 8, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d, ref := NewDict(), NewRefDict()
+		ceil := int32(noCeiling)
+		for i := 0; i+2 < len(ops); i += 3 {
+			op, a, b := i/3, ops[i+1], ops[i+2]
+			switch kind := ops[i] % 16; {
+			case kind < 8:
+				var dist int32
+				switch {
+				case a < 200:
+					dist = int32(a % 40)
+				case a < 230:
+					dist = 199 - int32(a) // negative: overflow
+				case a < 250:
+					dist = maxBucketDist + int32(a) - 230 // large: overflow
+				default:
+					dist = math.MaxInt32 - int32(255-a)
+				}
+				tu := tup(int(b&15), op, int(b>>6), int(dist), b&16 != 0)
+				if b&32 != 0 {
+					tu = Cont(tu.V, tu.N, dist, int32(b>>6), int32(op))
+				}
+				d.Add(tu)
+				ref.Add(tu)
+			case kind < 12:
+				got, gok := d.Remove()
+				want, wok := ref.Remove()
+				if gok != wok || got != want {
+					t.Fatalf("op %d: Dict popped %+v/%v, RefDict %+v/%v", op, got, gok, want, wok)
+				}
+				if gok && got.D > ceil {
+					t.Fatalf("op %d: popped %+v above ceiling %d", op, got, ceil)
+				}
+				if md, ok := d.MinDistance(); !gok && ok && md <= ceil {
+					t.Fatalf("op %d: nothing popped with distance %d stored under ceiling %d", op, md, ceil)
+				}
+			case kind < 15:
+				switch a {
+				case 254:
+					ceil = math.MinInt32
+				case 255:
+					ceil = noCeiling
+				default:
+					ceil = int32(a%48) - 4
+				}
+				if n, rn := d.SetCeiling(ceil), ref.SetCeiling(ceil); n != rn {
+					t.Fatalf("op %d: SetCeiling(%d) admitted %d, RefDict %d", op, ceil, n, rn)
+				}
+			default:
+				d.Reset(false)
+				ref, ceil = NewRefDict(), noCeiling
+			}
+			if d.Len() != ref.Len() {
+				t.Fatalf("op %d: Len %d, RefDict %d", op, d.Len(), ref.Len())
+			}
+			md, ok := d.MinDistance()
+			if rmd, rok := ref.MinDistance(); ok != rok || md != rmd {
+				t.Fatalf("op %d: MinDistance %d/%v, RefDict %d/%v", op, md, ok, rmd, rok)
+			}
+		}
+		if n, rn := d.SetCeiling(noCeiling), ref.SetCeiling(noCeiling); n != rn {
+			t.Fatalf("final SetCeiling admitted %d, RefDict %d", n, rn)
+		}
+		for {
+			got, gok := d.Remove()
+			want, wok := ref.Remove()
+			if gok != wok || got != want {
+				t.Fatalf("final drain: Dict popped %+v/%v, RefDict %+v/%v", got, gok, want, wok)
+			}
+			if !gok {
+				break
+			}
+		}
+	})
 }

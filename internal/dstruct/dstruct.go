@@ -12,6 +12,8 @@
 package dstruct
 
 import (
+	"math"
+
 	"omega/internal/graph"
 )
 
@@ -28,9 +30,7 @@ type Tuple struct {
 	S     int32
 	D     int32
 	Final bool
-	// slot is a continuation's slot number, little-endian, in what would
-	// otherwise be the padding after Final.
-	slot [3]byte
+	slot  uint32 // a continuation's slot number
 }
 
 // ContSlots bounds a continuation's slot number: a slot is 24 bits. The
@@ -42,34 +42,45 @@ const ContSlots = 1 << 24
 // it enumerates (a number below ContSlots, the caller's to interpret) and
 // cursor (≥ 0) its position in that enumeration.
 func Cont(v, n graph.NodeID, d, slot, cursor int32) Tuple {
-	return Tuple{V: v, N: n, S: ^cursor, D: d, slot: [3]byte{byte(slot), byte(slot >> 8), byte(slot >> 16)}}
+	return Tuple{V: v, N: n, S: ^cursor, D: d, slot: uint32(slot)}
 }
 
 // IsCont reports whether t is a continuation.
 func (t Tuple) IsCont() bool { return t.S < 0 }
 
 // Slot returns a continuation's slot number.
-func (t Tuple) Slot() int32 { return int32(t.slot[0]) | int32(t.slot[1])<<8 | int32(t.slot[2])<<16 }
+func (t Tuple) Slot() int32 { return int32(t.slot) }
 
 // Cursor returns a continuation's cursor.
 func (t Tuple) Cursor() int32 { return ^t.S }
 
-// bucket holds the tuples of one distance, split by final flag. In Dict both
-// lists are LIFO stacks, matching the paper's add/remove at the head of a
-// linked list; in Deferred the same layout holds FIFO generation order.
-type bucket struct {
-	final    []Tuple
-	nonFinal []Tuple
+// entry is a Tuple as a Dict bucket stores it, in 16 bytes: the bucket's
+// index is its distance and the sub-list its final flag.
+type entry struct {
+	V, N graph.NodeID
+	S    int32
+	slot uint32
 }
 
-// push routes t into the sub-list Dict ordering expects: final tuples to the
-// final list. Deferred uses the identical routing so its buckets can be
-// adopted wholesale.
+// tuple rebuilds the Tuple e stands for at distance d.
+func (e entry) tuple(d int, final bool) Tuple {
+	return Tuple{V: e.V, N: e.N, S: e.S, D: int32(d), Final: final, slot: e.slot}
+}
+
+// bucket holds the entries of one distance, split by final flag; both lists
+// are LIFO stacks, matching the paper's add/remove at the head of a linked
+// list.
+type bucket struct {
+	final    []entry
+	nonFinal []entry
+}
+
 func (b *bucket) push(t Tuple) {
+	e := entry{V: t.V, N: t.N, S: t.S, slot: t.slot}
 	if t.Final {
-		b.final = append(b.final, t)
+		b.final = append(b.final, e)
 	} else {
-		b.nonFinal = append(b.nonFinal, t)
+		b.nonFinal = append(b.nonFinal, e)
 	}
 }
 
@@ -104,19 +115,21 @@ type TupleDict interface {
 	Len() int
 	Adds() int
 	MinDistance() (int32, bool)
-	// Inject re-admits every deferred tuple with distance ≤ psi and reports
-	// how many (the incremental distance-aware phase step). Dict adopts the
-	// parked buckets by slice move; RefDict re-adds tuple by tuple. The
-	// contract for both is that the dictionary has drained (the phase
-	// exhausted): injecting into a live dictionary would order parked vs
-	// resident tuples differently per implementation.
-	Inject(df *Deferred, psi int32) int
+	// SetCeiling sets the pop ceiling c: Remove returns no entry whose
+	// distance exceeds c, which parks it in place (the ψ of the incremental
+	// distance-aware mode, §4.3). It returns how many stored entries the new
+	// ceiling admits that the old one did not. A fresh or Reset dictionary
+	// has no ceiling.
+	SetCeiling(c int32) int
 	// Bytes returns the approximate resident footprint in bytes.
 	// Capacity-based; see Dict.Bytes for the accounting model.
 	Bytes() int64
 }
 
 var _ TupleDict = (*Dict)(nil)
+
+// noCeiling is the ceiling of a dictionary that parks nothing.
+const noCeiling = math.MaxInt32
 
 // Dict is the dictionary D_R. Keys order by distance ascending; at equal
 // distance, final tuples are removed before non-final ones — the refinement
@@ -132,9 +145,15 @@ var _ TupleDict = (*Dict)(nil)
 // [0, maxBucketDist) go to the sparse overflow dictionary; the two ranges are
 // disjoint, so overall ordering is negative overflow, then buckets, then
 // large overflow.
+//
+// Entries above the pop ceiling stay in their buckets until a raised ceiling
+// admits them. Each bucket then holds them in the order they were added,
+// which is the stack the restarting reference would have built by generating
+// them afresh.
 type Dict struct {
 	buckets  []bucket
 	cursor   int
+	ceil     int      // pop ceiling; noCeiling when nothing is parked
 	overflow *RefDict // lazily created; holds out-of-range distances
 	size     int
 	adds     int // total insertions over the Dict's lifetime
@@ -142,7 +161,7 @@ type Dict struct {
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{}
+	return &Dict{ceil: noCeiling}
 }
 
 // Add inserts t.
@@ -151,6 +170,7 @@ func (dd *Dict) Add(t Tuple) {
 	if d < 0 || d >= maxBucketDist {
 		if dd.overflow == nil {
 			dd.overflow = NewRefDict()
+			dd.overflow.SetCeiling(int32(dd.ceil))
 		}
 		dd.overflow.Add(t)
 		dd.size++
@@ -168,6 +188,20 @@ func (dd *Dict) Add(t Tuple) {
 	dd.adds++
 }
 
+// SetCeiling implements TupleDict. Raising the ceiling costs one step per
+// bucket it passes.
+func (dd *Dict) SetCeiling(c int32) int {
+	n := 0
+	if dd.overflow != nil {
+		n = dd.overflow.SetCeiling(c)
+	}
+	for d := max(dd.ceil+1, 0); d <= int(c) && d < len(dd.buckets); d++ {
+		n += len(dd.buckets[d].final) + len(dd.buckets[d].nonFinal)
+	}
+	dd.ceil = int(c)
+	return n
+}
+
 // negOverflowMin returns the minimal overflow distance when it is negative —
 // negative distances order before every bucket.
 func (dd *Dict) negOverflowMin() (int32, bool) {
@@ -180,7 +214,9 @@ func (dd *Dict) negOverflowMin() (int32, bool) {
 	return 0, false
 }
 
-// Remove pops the tuple with minimal key (distance first, final preferred).
+// Remove pops the tuple with minimal key (distance first, final preferred),
+// unless that distance is above the ceiling. The overflow dictionary applies
+// the same ceiling to itself.
 func (dd *Dict) Remove() (Tuple, bool) {
 	if _, neg := dd.negOverflowMin(); neg {
 		t, ok := dd.overflow.Remove()
@@ -189,19 +225,19 @@ func (dd *Dict) Remove() (Tuple, bool) {
 		}
 		return t, ok
 	}
-	for dd.cursor < len(dd.buckets) {
+	for dd.cursor < len(dd.buckets) && dd.cursor <= dd.ceil {
 		b := &dd.buckets[dd.cursor]
 		if n := len(b.final); n > 0 {
-			t := b.final[n-1]
+			e := b.final[n-1]
 			b.final = b.final[:n-1]
 			dd.size--
-			return t, true
+			return e.tuple(dd.cursor, true), true
 		}
 		if n := len(b.nonFinal); n > 0 {
-			t := b.nonFinal[n-1]
+			e := b.nonFinal[n-1]
 			b.nonFinal = b.nonFinal[:n-1]
 			dd.size--
-			return t, true
+			return e.tuple(dd.cursor, false), true
 		}
 		dd.cursor++
 	}
@@ -218,12 +254,12 @@ func (dd *Dict) Remove() (Tuple, bool) {
 // Len returns the number of stored tuples.
 func (dd *Dict) Len() int { return dd.size }
 
-// Reset restores the dictionary to its empty state while retaining the bucket
-// array and every per-bucket slice capacity, so a pooled reuse inserts on the
-// steady path without allocating. Tuples hold no pointers, so truncating the
-// slices pins no garbage. The rare out-of-range overflow dictionary is
-// dropped rather than recycled (it only exists under extreme custom costs,
-// and its map+heap does not reset cheaply). The argument, once the
+// Reset restores the dictionary to its empty, ceiling-free state while
+// retaining the bucket array and every per-bucket slice capacity, so a pooled
+// reuse inserts on the steady path without allocating. Entries hold no
+// pointers, so truncating the slices pins no garbage. The rare out-of-range
+// overflow dictionary is dropped rather than recycled (it only exists under
+// extreme custom costs, and its map+heap does not reset cheaply). The argument, once the
 // final-first ablation switch, is ignored; the signature survives only
 // because benchmark/layers calls it (ROADMAP item 8 drops it there).
 func (dd *Dict) Reset(_ bool) {
@@ -233,6 +269,7 @@ func (dd *Dict) Reset(_ bool) {
 		b.nonFinal = b.nonFinal[:0]
 	}
 	dd.cursor = 0
+	dd.ceil = noCeiling
 	dd.overflow = nil
 	dd.size = 0
 	dd.adds = 0
@@ -242,9 +279,11 @@ func (dd *Dict) Reset(_ bool) {
 // used to emulate the paper's out-of-memory failures).
 func (dd *Dict) Adds() int { return dd.adds }
 
-// MinDistance returns the smallest distance present, if any. GetNext uses it
-// to decide when to pull the next batch of initial nodes ("no distance 0
-// tuples in D_R", §3.4 lines 15–17).
+// MinDistance returns the smallest distance present, if any, parked entries
+// included. GetNext uses it to decide when to pull the next batch of initial
+// nodes ("no distance 0 tuples in D_R", §3.4 lines 15–17), which parked
+// entries, all above a ceiling ψ ≥ 0, never affect; the distance-aware driver
+// reads the smallest parked distance from it once a phase has drained.
 func (dd *Dict) MinDistance() (int32, bool) {
 	if md, neg := dd.negOverflowMin(); neg {
 		return md, true
@@ -268,7 +307,8 @@ func (dd *Dict) MinDistance() (int32, bool) {
 // estimates from fixed per-entry sizes — close enough to steer budget aborts,
 // cheap enough to sample on the hot path.
 const (
-	tupleMem    = 20 // Tuple: 4×int32 + bool + 3-byte slot
+	tupleMem    = 24 // Tuple: 4×int32 + bool + uint32 slot (RefDict stores these)
+	entryMem    = 16 // entry: 3×int32 + uint32 slot (Dict stores these)
 	bucketMem   = 48 // bucket: two slice headers
 	visEntryMem = 16 // visEntry: uint64 + int32 + uint32
 	answerMem   = 12 // Answer: 3×int32
@@ -281,7 +321,7 @@ func (dd *Dict) Bytes() int64 {
 	n := int64(cap(dd.buckets)) * bucketMem
 	for i := range dd.buckets {
 		b := &dd.buckets[i]
-		n += int64(cap(b.final)+cap(b.nonFinal)) * tupleMem
+		n += int64(cap(b.final)+cap(b.nonFinal)) * entryMem
 	}
 	if dd.overflow != nil {
 		n += dd.overflow.Bytes()

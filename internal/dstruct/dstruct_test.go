@@ -225,11 +225,22 @@ func FuzzCont(f *testing.F) {
 	})
 }
 
-// TestTupleSize pins the resident size the accounting assumes: a Tuple,
-// continuation or not, is tupleMem bytes.
+// TestTupleSize pins every per-entry size the accounting assumes against the
+// type it stands for.
 func TestTupleSize(t *testing.T) {
-	if got := unsafe.Sizeof(Tuple{}); got != tupleMem {
-		t.Fatalf("Tuple is %d bytes, tupleMem says %d", got, tupleMem)
+	for _, tc := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"tupleMem (Tuple)", unsafe.Sizeof(Tuple{}), tupleMem},
+		{"entryMem (entry)", unsafe.Sizeof(entry{}), entryMem},
+		{"bucketMem (bucket)", unsafe.Sizeof(bucket{}), bucketMem},
+		{"visEntryMem (visEntry)", unsafe.Sizeof(visEntry{}), visEntryMem},
+		{"answerMem (Answer)", unsafe.Sizeof(Answer{}), answerMem},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: the type is %d bytes, the accounting says %d", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

@@ -10,13 +10,14 @@ import "container/heap"
 type RefDict struct {
 	lists map[int64][]Tuple
 	keys  keyHeap
+	ceil  int32 // pop ceiling; noCeiling when nothing is parked
 	size  int
 	adds  int
 }
 
 // NewRefDict returns an empty reference dictionary.
 func NewRefDict() *RefDict {
-	return &RefDict{lists: make(map[int64][]Tuple)}
+	return &RefDict{lists: make(map[int64][]Tuple), ceil: noCeiling}
 }
 
 // key packs (distance, final) so that smaller distances sort first and, at
@@ -41,7 +42,8 @@ func (dd *RefDict) Add(t Tuple) {
 	dd.adds++
 }
 
-// Remove pops the tuple with minimal key (distance first, final preferred).
+// Remove pops the tuple with minimal key (distance first, final preferred),
+// unless that distance is above the ceiling.
 func (dd *RefDict) Remove() (Tuple, bool) {
 	for dd.keys.Len() > 0 {
 		k := dd.keys[0]
@@ -50,6 +52,9 @@ func (dd *RefDict) Remove() (Tuple, bool) {
 			heap.Pop(&dd.keys)
 			delete(dd.lists, k)
 			continue
+		}
+		if int32(k>>1) > dd.ceil {
+			break
 		}
 		t := list[len(list)-1]
 		dd.lists[k] = list[:len(list)-1]
@@ -77,6 +82,19 @@ func (dd *RefDict) MinDistance() (int32, bool) {
 		return int32(k >> 1), true
 	}
 	return 0, false
+}
+
+// SetCeiling implements TupleDict by counting the stored entries of every
+// key the new ceiling admits.
+func (dd *RefDict) SetCeiling(c int32) int {
+	n := 0
+	for k, list := range dd.lists {
+		if d := int32(k >> 1); d > dd.ceil && d <= c {
+			n += len(list)
+		}
+	}
+	dd.ceil = c
+	return n
 }
 
 // Bytes returns the approximate resident footprint. Live tuples plus map and

@@ -34,44 +34,58 @@ func dirty(dd *Dict, rng *rand.Rand) {
 	}
 }
 
+// TestDictResetBehavesFresh covers a dictionary used without a ceiling and
+// one used with entries parked above a ceiling: Reset must drop both the
+// entries and the ceiling.
 func TestDictResetBehavesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	used := NewDict()
-	dirty(used, rng)
-	used.Reset(false)
-	fresh := NewDict()
+	for _, tc := range []struct {
+		name string
+		ceil int32
+	}{
+		{"uncapped", noCeiling},
+		{"capped", 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			used := NewDict()
+			used.SetCeiling(tc.ceil)
+			dirty(used, rng)
+			used.Reset(false)
+			fresh := NewDict()
 
-	if used.Len() != 0 || used.Adds() != 0 {
-		t.Fatalf("after Reset: Len=%d Adds=%d, want 0/0", used.Len(), used.Adds())
-	}
-	if _, ok := used.MinDistance(); ok {
-		t.Fatal("after Reset: MinDistance reports a tuple")
-	}
-
-	tuples := randomTuples(rng, 300, 50)
-	for i, tp := range tuples {
-		used.Add(tp)
-		fresh.Add(tp)
-		if i%5 == 0 {
-			a, aok := used.Remove()
-			b, bok := fresh.Remove()
-			if a != b || aok != bok {
-				t.Fatalf("pop %d: reset dict %+v/%v, fresh %+v/%v", i, a, aok, b, bok)
+			if used.Len() != 0 || used.Adds() != 0 {
+				t.Fatalf("after Reset: Len=%d Adds=%d, want 0/0", used.Len(), used.Adds())
 			}
-		}
-	}
-	for {
-		a, aok := used.Remove()
-		b, bok := fresh.Remove()
-		if a != b || aok != bok {
-			t.Fatalf("drain: reset dict %+v/%v, fresh %+v/%v", a, aok, b, bok)
-		}
-		if !aok {
-			break
-		}
-	}
-	if used.Adds() != fresh.Adds() {
-		t.Fatalf("Adds: reset %d, fresh %d", used.Adds(), fresh.Adds())
+			if _, ok := used.MinDistance(); ok {
+				t.Fatal("after Reset: MinDistance reports a tuple")
+			}
+
+			tuples := randomTuples(rng, 300, 50)
+			for i, tp := range tuples {
+				used.Add(tp)
+				fresh.Add(tp)
+				if i%5 == 0 {
+					a, aok := used.Remove()
+					b, bok := fresh.Remove()
+					if a != b || aok != bok {
+						t.Fatalf("pop %d: reset dict %+v/%v, fresh %+v/%v", i, a, aok, b, bok)
+					}
+				}
+			}
+			for {
+				a, aok := used.Remove()
+				b, bok := fresh.Remove()
+				if a != b || aok != bok {
+					t.Fatalf("drain: reset dict %+v/%v, fresh %+v/%v", a, aok, b, bok)
+				}
+				if !aok {
+					break
+				}
+			}
+			if used.Adds() != fresh.Adds() {
+				t.Fatalf("Adds: reset %d, fresh %d", used.Adds(), fresh.Adds())
+			}
+		})
 	}
 }
 
@@ -159,46 +173,6 @@ func TestAnswersResetBehavesFresh(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("%s: List[%d]: reset %+v, fresh %+v", tc.name, i, a[i], b[i])
 			}
-		}
-	}
-}
-
-func TestDeferredResetBehavesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	used := NewDeferred(false)
-	for _, tp := range randomTuples(rng, 300, 30) {
-		used.Add(tp)
-	}
-	used.Drain(10, func(Tuple) {})
-	used.Reset(false)
-	fresh := NewDeferred(false)
-
-	if used.Len() != 0 {
-		t.Fatalf("after Reset: Len=%d, want 0", used.Len())
-	}
-	if _, ok := used.MinDistance(); ok {
-		t.Fatal("after Reset: MinDistance reports a tuple")
-	}
-
-	tuples := randomTuples(rng, 400, 40)
-	for _, tp := range tuples {
-		used.Add(tp)
-		fresh.Add(tp)
-	}
-	for psi := int32(5); ; psi += 7 {
-		var a, b []Tuple
-		used.Drain(psi, func(t Tuple) { a = append(a, t) })
-		fresh.Drain(psi, func(t Tuple) { b = append(b, t) })
-		if len(a) != len(b) {
-			t.Fatalf("psi=%d: reset drained %d, fresh %d", psi, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("psi=%d: drain[%d]: reset %+v, fresh %+v", psi, i, a[i], b[i])
-			}
-		}
-		if used.Len() == 0 && fresh.Len() == 0 {
-			break
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 	"omega/internal/l4all"
 )
 
-// approxQuery is a ranked APPROX query whose distance-aware run parks and
-// re-injects tuples, so the serving tests exercise the deferred frontier.
+// approxQuery is a ranked APPROX query whose distance-aware run parks tuples
+// above ψ and admits them later, so the serving tests exercise the ψ ceiling.
 const approxQuery = "(?X) <- APPROX (Librarians, type-.job-.next, ?X)"
 
 func l4allServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {

@@ -13,8 +13,8 @@ import (
 // the L4All study corpus: executions drawing their evaluator state from a
 // shared EvalPool must emit sequences byte-identical to fresh executions —
 // same rows, same distances, same order — including under the incremental
-// distance-aware mode, whose deferred frontier is part of the recycled
-// bundle. Eight goroutines hammer one pool concurrently, so under -race this
+// distance-aware mode, whose entries parked above ψ live in the recycled
+// bundle's D_R. Eight goroutines hammer one pool concurrently, so under -race this
 // also pins the ownership hand-off (a bundle is exclusive to one execution
 // from get to put).
 func TestEvalPoolCorpusDifferential(t *testing.T) {
@@ -142,6 +142,52 @@ func TestEvalPoolTenantInterleaving(t *testing.T) {
 				t.Fatalf("%s: the previous tenant leaked into the run:\n pooled %+v\n fresh  %+v",
 					name, pooled.counters, fresh.counters)
 			}
+		}
+	}
+	if s := pool.Stats(); s.Misses != 1 || s.Puts != s.Gets {
+		t.Fatalf("one bundle should have served every run: %+v", s)
+	}
+}
+
+// TestEvalPoolCeilingDoesNotLeak: D_R parks the entries over ψ of a
+// distance-aware run above its pop ceiling, so a distance-aware APPROX Q12
+// top-1 (every answer is at distance 1) hands its bundle back with the
+// ceiling at ψ = 1 and entries still parked above it. The next tenant of that
+// bundle must run as on fresh state: an exhaustive EXACT Q5 on the ranked
+// backend, and a plain APPROX Q8 top-100, whose answers all lie at distance
+// 2, over the ceiling the previous tenant left.
+func TestEvalPoolCeilingDoesNotLeak(t *testing.T) {
+	g, ont := datasets().L4All(l4all.L1)
+	pool := NewEvalPool(1)
+	capped, err := NewEngine(g, ont).WithOptions(Options{DistanceAware: true}).PrepareText(l4allQueryText(t, "Q12"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := NewEngine(g, ont)
+	for _, tc := range []struct {
+		name, query string
+		eo          ExecOptions
+	}{
+		{"Q5/EXACT/exhaustive", "Q5", ExecOptions{Mode: ModeOverride(Exact), Backend: BackendRanked}},
+		{"Q8/APPROX/plain/limit=100", "Q8", ExecOptions{Mode: ModeOverride(Approx), Limit: 100}},
+	} {
+		left := runWorkCase(t, "Q12/APPROX/distaware/limit=1", capped,
+			ExecOptions{Mode: ModeOverride(Approx), Limit: 1, Pool: pool})
+		if c := left.counters; c.Rows != 1 || c.Phases < 2 || c.Deferred <= c.Reinjected {
+			t.Fatalf("the top-1 run left no entries parked above ψ ≥ 1: %+v", c)
+		}
+		pq, err := plain.PrepareText(l4allQueryText(t, tc.query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := runWorkCase(t, tc.name, pq, tc.eo)
+		if fresh.counters.Rows == 0 {
+			t.Fatalf("%s: no rows on fresh state", tc.name)
+		}
+		tc.eo.Pool = pool
+		if pooled := runWorkCase(t, tc.name, pq, tc.eo); !pooled.sameWork(fresh) {
+			t.Fatalf("%s: the capped tenant leaked into the run:\n pooled %+v\n fresh  %+v",
+				tc.name, pooled.counters, fresh.counters)
 		}
 	}
 	if s := pool.Stats(); s.Misses != 1 || s.Puts != s.Gets {
