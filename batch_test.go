@@ -60,13 +60,9 @@ func drainBatches(t *testing.T, rows *Rows, size int) []Row {
 }
 
 // workStats strips the wall-clock fields, leaving the counters that must not
-// depend on how an execution was drained. (The accounted peak of a parallel
-// run depends on how its workers happened to overlap, whoever drains it.)
+// depend on how an execution was drained.
 func workStats(s Stats) Stats {
-	s.TTFRNanos, s.MergeWaitNanos = 0, 0
-	if s.Parallelism > 1 {
-		s.MemPeakBytes = 0
-	}
+	s.TTFRNanos = 0
 	return s
 }
 
@@ -111,7 +107,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 		{"exact/ranked", Options{}, ExecOptions{Backend: BackendRanked}},
 		{"exact/bulk", Options{}, ExecOptions{Backend: BackendBulk}},
 		{"exact/bulk/disjunction", Options{Disjunction: true}, ExecOptions{Backend: BackendBulk}},
-		{"exact/bulk/parallel", Options{}, ExecOptions{Backend: BackendBulk, Parallelism: 4}},
 		{"approx/top150", Options{DistanceAware: true}, ExecOptions{Mode: &approx, Limit: 150}},
 		{"relax/top150", Options{DistanceAware: true}, ExecOptions{Mode: &relax, Limit: 150}},
 	}

@@ -197,8 +197,8 @@ func TestChaosPooledExecutions(t *testing.T) {
 }
 
 // TestChaosServer storms the full serving stack: concurrent HTTP requests
-// against a pooled server while panics, evaluation errors, bulk and parallel
-// worker faults and write-path failures all fire probabilistically.
+// against a pooled server while panics, evaluation errors, bulk faults and
+// write-path failures all fire probabilistically.
 // Individual requests may fail — but only with well-formed responses; the
 // server itself must end the storm healthy and stats-serving, and after drain
 // every state bundle it took from its pool must have gone back or been
@@ -214,7 +214,7 @@ func TestChaosServer(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	spec := "serve.quantum=panic@0.03;serve.write=error@0.02;core.row=error@0.01;bulk.step=error@0.05;par.shard=error@0.05;bulk.block=error@0.05"
+	spec := "serve.quantum=panic@0.03;serve.write=error@0.02;core.row=error@0.01;bulk.step=error@0.05"
 	if err := fault.Configure(spec, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +231,13 @@ func TestChaosServer(t *testing.T) {
 	// bulk.step fault site through the same serving stack.
 	bq := url.Values{"q": {"(?X, ?Y) <- (?X, job.type, ?Y)"}, "backend": {"bulk"}, "limit": {"80"}}
 	bulkTarget := ts.URL + "/query?" + bq.Encode()
-	// Another half runs the same variable-subject query at parallelism 8,
-	// exhaustively: the ranked request shards its seed population and reaches
-	// the par.shard worker site, the bulk request's block fan-out reaches
-	// bulk.block. TestChaosParShard covers both deterministically.
-	pq := url.Values{"q": {"(?X, ?Y) <- (?X, job.type, ?Y)"}, "backend": {"ranked"}, "parallel": {"8"}}
-	parTarget := ts.URL + "/query?" + pq.Encode()
-	pbq := url.Values{"q": {"(?X, ?Y) <- (?X, job.type, ?Y)"}, "backend": {"bulk"}, "parallel": {"8"}}
-	parBulkTarget := ts.URL + "/query?" + pbq.Encode()
+	// Another half runs the same variable-subject query exhaustively, on each
+	// backend: the ranked scan reaches core.row for every one of its rows, the
+	// bulk scan bulk.step at every level of every lane block.
+	eq := url.Values{"q": {"(?X, ?Y) <- (?X, job.type, ?Y)"}, "backend": {"ranked"}}
+	scanTarget := ts.URL + "/query?" + eq.Encode()
+	ebq := url.Values{"q": {"(?X, ?Y) <- (?X, job.type, ?Y)"}, "backend": {"bulk"}}
+	bulkScanTarget := ts.URL + "/query?" + ebq.Encode()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	statuses := map[int]int{}
@@ -253,9 +252,9 @@ func TestChaosServer(t *testing.T) {
 				case 1:
 					u = bulkTarget
 				case 2:
-					u = parTarget
+					u = scanTarget
 				case 3:
-					u = parBulkTarget
+					u = bulkScanTarget
 				}
 				resp, err := ts.Client().Get(u)
 				if err != nil {
@@ -434,110 +433,6 @@ func TestChaosBulkStep(t *testing.T) {
 	}
 	if maxPeak == 0 {
 		t.Fatal("no bulk execution ever accounted bytes into the gauge")
-	}
-}
-
-// TestChaosParShard storms the parallel worker fault sites: sharded ranked
-// executions under a probabilistic par.shard schedule, and block-fanned bulk
-// executions under bulk.block, both at parallelism 8 over a variable-subject
-// exact query (large enough a source population that the fan-out genuinely
-// engages). Worker deaths must surface as the typed fault.ErrInjected naming
-// the site, every death must refund its accounted bytes to the externally
-// observed gauge, and once disarmed the parallel ordered emission must replay
-// the serial sequence byte for byte.
-func TestChaosParShard(t *testing.T) {
-	eng := chaosEngine(t, omega.Options{})
-	pq, err := eng.PrepareText("(?X, ?Y) <- (?X, job.type, ?Y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordered := func(eo omega.ExecOptions) []string {
-		rows, err := pq.Exec(context.Background(), eo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rows.Collect(0)
-		rows.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]string, len(got))
-		for i, r := range got {
-			keys[i] = fmt.Sprintf("%v d%d", r.Nodes, r.Dist)
-		}
-		return keys
-	}
-
-	sites := []struct {
-		spec    string // armed schedule
-		name    string // substring the typed error must carry
-		backend omega.Backend
-	}{
-		{"par.shard=error@0.5", "shard", omega.BackendRanked},
-		{"bulk.block=error@0.5", "bulk block", omega.BackendBulk},
-	}
-	t.Cleanup(fault.Reset)
-	for _, site := range sites {
-		serial := ordered(omega.ExecOptions{Backend: site.backend, Parallelism: 1})
-		failures := 0
-		engaged := false
-		for seed := int64(1); seed <= 6; seed++ {
-			if err := fault.Configure(site.spec, seed); err != nil {
-				t.Fatal(err)
-			}
-			gauge := omega.NewMemGauge(0)
-			rows, err := pq.Exec(context.Background(), omega.ExecOptions{
-				Backend: site.backend, Parallelism: 8, Mem: gauge,
-			})
-			if err != nil {
-				t.Fatalf("%s seed %d: Exec: %v", site.spec, seed, err)
-			}
-			n, err := drainChaos(rows, 0)
-			if err != nil {
-				failures++
-				if !errors.Is(err, fault.ErrInjected) {
-					t.Fatalf("%s seed %d: worker death not typed fault.ErrInjected: %v", site.spec, seed, err)
-				}
-				if !strings.Contains(err.Error(), site.name) {
-					t.Fatalf("%s seed %d: error %v does not name the %s site", site.spec, seed, err, site.name)
-				}
-			}
-			if live := gauge.LiveBytes(); live != 0 {
-				t.Fatalf("%s seed %d: %d live bytes after release (drained %d rows, err=%v)", site.spec, seed, live, n, err)
-			}
-			fault.Reset()
-
-			// Disarmed: the same prepared query at parallelism 8 must replay
-			// the serial ordered emission exactly, and report the fan-out it
-			// actually ran (no vacuous pass through a serial fallback).
-			rows, err = pq.Exec(context.Background(), omega.ExecOptions{Backend: site.backend, Parallelism: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rows.Collect(0)
-			st := rows.Stats()
-			rows.Close()
-			if err != nil {
-				t.Fatalf("%s seed %d: clean parallel run failed: %v", site.spec, seed, err)
-			}
-			if st.Shards >= 2 {
-				engaged = true
-			}
-			if len(got) != len(serial) {
-				t.Fatalf("%s seed %d: parallel %d rows after disarm, serial %d", site.spec, seed, len(got), len(serial))
-			}
-			for i, r := range got {
-				if k := fmt.Sprintf("%v d%d", r.Nodes, r.Dist); k != serial[i] {
-					t.Fatalf("%s seed %d row %d: parallel %s, serial %s", site.spec, seed, i, k, serial[i])
-				}
-			}
-		}
-		if failures == 0 {
-			t.Fatalf("%s never killed an execution across 6 seeds — the site is not armed", site.spec)
-		}
-		if !engaged {
-			t.Fatalf("%s: no clean run ever reported >= 2 shards — the fan-out never engaged", site.spec)
-		}
 	}
 }
 

@@ -61,7 +61,7 @@ func main() {
 	// Shared execution knobs from the canonical registry, applied to every
 	// run. The figures measure the ranked GetNext machinery, so the backend
 	// defaults to ranked rather than auto.
-	knobs := omega.BindExecFlags(flag.CommandLine, map[string]string{"backend": "ranked"}, "maxtuples", "backend", "parallel")
+	knobs := omega.BindExecFlags(flag.CommandLine, map[string]string{"backend": "ranked"}, "maxtuples", "backend")
 	flag.Parse()
 
 	b := &bench{
@@ -134,7 +134,7 @@ type query struct{ ID, Text string }
 type bench struct {
 	scales     []l4all.Scale
 	proto      protocol
-	eo         omega.ExecOptions // backend, parallelism and tuple budget of every run
+	eo         omega.ExecOptions // backend and tuple budget of every run
 	yagoBudget int               // tuple budget of the YAGO APPROX runs (0 = eo's)
 	yagoCfg    yago.Config
 

@@ -71,13 +71,13 @@ var (
 	rareSide  = flag.Bool("rare-side", false, "evaluate (?X,R,?Y) conjuncts from the rarer end")
 	quiet     = flag.Bool("quiet", false, "suppress the per-request log")
 
-	// Per-request execution defaults — max-tuples, hard-mem, parallel — come
+	// Per-request execution defaults — max-tuples and hard-mem — come
 	// from the shared knob registry, so the flags validate exactly like their
 	// HTTP parameter counterparts (which override them per request through the
 	// same registry).
 	knobs = omega.BindExecFlags(flag.CommandLine, map[string]string{
 		"maxtuples": "5000000",
-	}, "maxtuples", "hardmem", "parallel")
+	}, "maxtuples", "hardmem")
 
 	// The server keeps no disk state, but benchmark/server.go still passes
 	// -spill-dir and -janitor=false; both are accepted and ignored until the
@@ -123,7 +123,6 @@ func main() {
 		MemBudget:        *memBudget,
 		MemCheckInterval: *memInterval,
 		HardMemBytes:     defaults.HardMemBytes,
-		Parallelism:      defaults.Parallelism,
 		SlowQuery:        time.Duration(*slowQueryMs) * time.Millisecond,
 		Log:              logger,
 	})

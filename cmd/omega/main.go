@@ -41,9 +41,9 @@ func main() {
 		interactive = flag.Bool("interactive", false, "start the interactive console (paper's console layer)")
 		batch       = flag.Int("batch", 10, "answers per console batch (interactive mode)")
 	)
-	// The execution knobs — mode, limit, maxdist, max-tuples, backend,
-	// hard-mem, parallel — come from the shared knob registry, so
-	// they parse and validate exactly as their HTTP parameter counterparts.
+	// The execution knobs — mode, limit, maxdist, max-tuples, backend and
+	// hard-mem — come from the shared knob registry, so they parse and
+	// validate exactly as their HTTP parameter counterparts.
 	knobs := omega.BindExecFlags(flag.CommandLine, map[string]string{
 		"limit":   "100",
 		"backend": "auto",
@@ -131,8 +131,8 @@ func main() {
 	}
 	if *stats || *analyze {
 		s := rows.Stats()
-		fmt.Fprintf(os.Stderr, "backend=%s parallelism=%d shards=%d tuples added=%d popped=%d visited=%d phases=%d deferred=%d reinjected=%d neighbour-calls=%d cache-hits=%d prep-ops=%d max-delay-ops=%d\n",
-			s.Backend, s.Parallelism, s.Shards, s.TuplesAdded, s.TuplesPopped, s.VisitedSize, s.Phases, s.Deferred, s.Reinjected, s.NeighborCalls, s.CacheHits, s.PrepOps, s.MaxDelayOps)
+		fmt.Fprintf(os.Stderr, "backend=%s tuples added=%d popped=%d visited=%d phases=%d deferred=%d reinjected=%d neighbour-calls=%d cache-hits=%d prep-ops=%d max-delay-ops=%d\n",
+			s.Backend, s.TuplesAdded, s.TuplesPopped, s.VisitedSize, s.Phases, s.Deferred, s.Reinjected, s.NeighborCalls, s.CacheHits, s.PrepOps, s.MaxDelayOps)
 	}
 }
 

@@ -315,23 +315,11 @@ func (r *Run) clearBlock() {
 // returned slice is reused by the next call. ok is false when every block has
 // been processed.
 func (r *Run) NextBlock() (pairs []Pair, ok bool, err error) {
-	pairs, ok, err = r.RunBlock(r.block)
-	if ok || err != nil {
-		r.block++
-	}
-	return pairs, ok, err
-}
-
-// RunBlock runs the BFS for source block b (0-based), independent of the
-// NextBlock cursor. Workers partitioning the block space across several Runs
-// over one shared Index claim arbitrary blocks through it. The returned slice
-// is reused by the next call on this Run; ok is false when b is past the last
-// block.
-func (r *Run) RunBlock(b int) (pairs []Pair, ok bool, err error) {
-	lo := b * 64
+	lo := r.block * 64
 	if lo >= len(r.ix.seeds) {
 		return nil, false, nil
 	}
+	r.block++
 	hi := lo + 64
 	if hi > len(r.ix.seeds) {
 		hi = len(r.ix.seeds)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"omega/internal/bulk"
 	"omega/internal/dstruct"
@@ -13,10 +12,6 @@ import (
 // fpBulkStep fires once per bulk BFS level (and once per block seeding); it
 // is the bulk backend's counterpart of core.row in the chaos suite.
 const fpBulkStep = "bulk.step"
-
-// fpBulkBlock fires before a parallel worker evaluates a claimed lane block —
-// the chaos-suite hook for worker-side faults inside the bulk fan-out.
-const fpBulkBlock = "bulk.block"
 
 // bulkIterator adapts a bulk.Run to the conjunct Iterator contract: answers
 // stream block by block, all at distance 0 (eligibility guarantees it), in
@@ -29,18 +24,14 @@ type bulkIterator struct {
 	r    *run
 
 	autIdx int
-	run    *bulk.Run       // serial path (one worker, or a single block)
-	par    *bulk.ParRun    // parallel path (Parallelism > 1 and > 1 block)
+	run    *bulk.Run       // the current automaton's run
 	seen   *dstruct.U64Set // pair de-dup across alternands; nil for one automaton
 
 	pairs []bulk.Pair // current block (after seen-filtering), handed out in place
 	pi    int
 
-	tuples  atomic.Int64 // product lane-bits set, against Options.MaxTuples
-	lastMem int64        // the serial run's slot in the run's gauge
-	parMem  []int64      // one slot per parallel worker
-	shards  int          // parallel workers engaged, summed across automata
-	parWait int64        // merge time blocked on worker deliveries
+	tuples  int   // product lane-bits set, against Options.MaxTuples
+	lastMem int64 // the run's slot in the execution's gauge
 
 	acc      bulk.Stats // completed runs
 	failed   error
@@ -89,26 +80,15 @@ func (b *bulkIterator) nextPairs(max int) ([]bulk.Pair, error) {
 		if b.done {
 			return nil, nil
 		}
-		// A new lane block is a BFS away, or in parallel a wait on the
-		// workers: whatever the caller holds of the last one goes now.
+		// A new lane block is a BFS away: whatever the caller holds of the
+		// last one goes now.
 		b.r.onIdle()
-		if b.run == nil && b.par == nil {
+		if b.run == nil {
 			ix := b.bulkIdx()
-			if k := b.r.par; k > 1 && ix.Blocks() > 1 {
-				b.startPar(ix, k)
-			} else {
-				b.run = bulk.NewRun(ix)
-				b.run.OnStep = b.step(b.r, &b.lastMem, ix.Bytes())
-			}
+			b.run = bulk.NewRun(ix)
+			b.run.OnStep = b.step(ix.Bytes())
 		}
-		var pairs []bulk.Pair
-		var ok bool
-		var err error
-		if b.par != nil {
-			pairs, ok, err = b.par.Next()
-		} else {
-			pairs, ok, err = b.run.NextBlock()
-		}
+		pairs, ok, err := b.run.NextBlock()
 		if err != nil {
 			b.fail(err)
 			return nil, b.failed
@@ -154,18 +134,17 @@ func (b *bulkIterator) bulkIdx() *bulk.Index {
 }
 
 // step returns the governance hook a run invokes per BFS level (and once per
-// block seeding), on r — the execution's run, or a parallel worker's copy:
-// tuple budget — one atomic counter shared by every worker, so the budget
-// stays per-execution rather than per-worker — cancellation, the bulk.step
-// failpoint, and the charge of the level's resident bytes to slot, with the
+// block seeding): tuple budget, cancellation, the bulk.step failpoint, and
+// the charge of the level's resident bytes to the iterator's slot, with the
 // hard watermark that goes with it. fixed is charged on top of what the run
 // reports: the immutable index, once per automaton.
-func (b *bulkIterator) step(r *run, slot *int64, fixed int64) func(resident int64, added int) error {
+func (b *bulkIterator) step(fixed int64) func(resident int64, added int) error {
 	return func(resident int64, added int) error {
-		if r.overBudget(int(b.tuples.Add(int64(added)))) {
+		b.tuples += added
+		if b.r.overBudget(b.tuples) {
 			return ErrTupleBudget
 		}
-		if err := r.done(); err != nil {
+		if err := b.r.done(); err != nil {
 			return err
 		}
 		if fault.Enabled() {
@@ -173,52 +152,11 @@ func (b *bulkIterator) step(r *run, slot *int64, fixed int64) func(resident int6
 				return fmt.Errorf("bulk step: %w", err)
 			}
 		}
-		return r.charge(slot, resident+fixed)
+		return b.r.charge(&b.lastMem, resident+fixed)
 	}
-}
-
-// startPar fans the current automaton's lane blocks across a bounded worker
-// group. Workers re-emit blocks in ascending index order, so the answer
-// stream is byte-identical to the serial NextBlock loop; each worker runs the
-// same per-level governance with its own slot in the memory accounting (the
-// immutable index is charged once, through worker 0).
-func (b *bulkIterator) startPar(ix *bulk.Index, k int) {
-	wr := b.r.worker() // read-only from here on, so the workers share it
-	b.par = bulk.NewParRun(ix, bulk.ParConfig{
-		Workers: k,
-		OnStep: func(worker int) func(resident int64, added int) error {
-			if worker == 0 {
-				return b.step(wr, &b.parMem[0], ix.Bytes())
-			}
-			return b.step(wr, &b.parMem[worker], 0)
-		},
-		OnBlock: b.onBlock,
-	})
-	b.parMem = make([]int64, b.par.Workers()) // before the first Next spawns the workers
-	b.shards += b.par.Workers()
-}
-
-func (b *bulkIterator) onBlock(worker, block int) error {
-	if fault.Enabled() {
-		if err := fault.Inject(fpBulkBlock); err != nil {
-			return fmt.Errorf("bulk block %d (worker %d): %w", block, worker, err)
-		}
-	}
-	return nil
 }
 
 func (b *bulkIterator) accumulate() {
-	if b.par != nil {
-		b.par.Close() // joins the worker group; a no-op after exhaustion
-		foldBulk(&b.acc, b.par.Stats())
-		b.parWait += b.par.WaitNanos()
-		// Workers are quiescent now; hand their accounted bytes back.
-		for i := range b.parMem {
-			b.r.refund(&b.parMem[i])
-		}
-		b.par = nil
-		return
-	}
 	if b.run == nil {
 		return
 	}
@@ -273,23 +211,16 @@ func (b *bulkIterator) Abort(err error) {
 // of D_R insertions), Frontier plays TuplesPopped (rows expanded).
 func (b *bulkIterator) Stats() Stats {
 	acc := b.acc
-	wait := b.parWait
 	if b.run != nil {
 		foldBulk(&acc, b.run.Stats)
 	}
-	if b.par != nil {
-		foldBulk(&acc, b.par.Stats()) // exited workers only; exact after exhaustion
-		wait += b.par.WaitNanos()
-	}
 	return Stats{
-		TuplesAdded:    int(acc.Added),
-		TuplesPopped:   int(acc.Frontier),
-		VisitedSize:    int(acc.Added),
-		Phases:         1,
-		NeighborCalls:  int(acc.Neighbor),
-		Backend:        "bulk",
-		Shards:         b.shards,
-		MergeWaitNanos: wait,
-		MemPeakBytes:   b.r.mem.PeakBytes(),
+		TuplesAdded:   int(acc.Added),
+		TuplesPopped:  int(acc.Frontier),
+		VisitedSize:   int(acc.Added),
+		Phases:        1,
+		NeighborCalls: int(acc.Neighbor),
+		Backend:       "bulk",
+		MemPeakBytes:  b.r.mem.PeakBytes(),
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"omega/internal/bitset"
 	"omega/internal/bulk"
 	"omega/internal/graph"
-	"omega/internal/obs"
 	"omega/internal/ontology"
 	"omega/internal/rpq"
 )
@@ -45,13 +44,6 @@ type conjunctPlan struct {
 
 	bulkMu sync.Mutex
 	bulkIx []*bulk.Index // lazily built per automaton, shared by executions
-
-	// Sharded-evaluation cache: the Case 3 source population in serial
-	// emission order (see parSources), built once per plan like the bulk
-	// index.
-	parMu   sync.Mutex
-	parSrc  []graph.NodeID
-	parDone bool
 }
 
 // bulkIndex returns (building and caching on first use) the bulk backend's
@@ -243,16 +235,13 @@ const (
 	// alternands or over the conjunct's single automaton: resumable, or the
 	// restart reference under DistanceRestart.
 	driverPhases
-	// driverSharded is sharded ranked evaluation: per-shard evaluators merged
-	// back into the serial emission order (see parallel.go).
-	driverSharded
 	driverEvaluator // one ranked evaluator
 )
 
 // driverFor is the one decision of which driver runs this conjunct, given the
 // run's options and its resolved backend: open instantiates it and Explain
 // renders it.
-func (p *conjunctPlan) driverFor(opts *Options, par int, backend Backend) driver {
+func (p *conjunctPlan) driverFor(opts *Options, backend Backend) driver {
 	switch {
 	case !p.case3 && len(p.seeds) == 0:
 		return driverEmpty
@@ -260,8 +249,6 @@ func (p *conjunctPlan) driverFor(opts *Options, par int, backend Backend) driver
 		return driverBulk
 	case p.decompose || (opts.DistanceAware && p.mode != automaton.Exact):
 		return driverPhases
-	case par > 1 && p.parEligible(opts):
-		return driverSharded
 	default:
 		return driverEvaluator
 	}
@@ -269,22 +256,18 @@ func (p *conjunctPlan) driverFor(opts *Options, par int, backend Backend) driver
 
 // open instantiates the per-run evaluator state for this plan: the paper's
 // Open minus everything already compiled into the plan. r governs the run and
-// must outlive the iterator; shardSpan is the conjunct's trace span, under
-// which a sharded evaluation nests its shard spans; maxDist > 0 additionally
-// caps the distance-aware ψ stepping. backend selects the evaluation engine —
-// callers resolve it through chooseBackend, so a BackendBulk here is already
-// known eligible.
-func (p *conjunctPlan) open(r *run, shardSpan obs.SpanID, maxDist int32, backend Backend) Iterator {
+// must outlive the iterator; maxDist > 0 additionally caps the distance-aware
+// ψ stepping. backend selects the evaluation engine — callers resolve it
+// through chooseBackend, so a BackendBulk here is already known eligible.
+func (p *conjunctPlan) open(r *run, maxDist int32, backend Backend) Iterator {
 	var it Iterator
-	switch p.driverFor(&r.opts, r.par, backend) {
+	switch p.driverFor(&r.opts, backend) {
 	case driverEmpty:
 		return &emptyIterator{}
 	case driverBulk:
 		it = newBulkIterator(p, r)
 	case driverPhases:
 		it = newDisjunction(p, r, p.opts.phi(p.mode), p.psiCap(maxDist))
-	case driverSharded:
-		it = newParIterator(p, r, shardSpan)
 	case driverEvaluator:
 		it = p.newEvaluator(r, 0, -1)
 	}
@@ -407,7 +390,7 @@ func (s sameVarIterator) Next() (Answer, bool, error) {
 // OpenConjunct initialises evaluation of a single conjunct (the paper's Open
 // procedure) and returns an iterator over its answers in non-decreasing
 // distance from the original conjunct. It is compileConjunct + open in one
-// shot, on a serial run of its own with no context, watermarks or trace, on
+// shot, on a run of its own with no context, watermarks or trace, on
 // the ranked machinery (backend selection belongs to the execution layer,
 // which knows whether the run is exhaustive); prepared queries split the two
 // so Exec skips compilation.
@@ -417,6 +400,6 @@ func OpenConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	r := newRun(nil, opts, 1, NewMemGauge(0), nil, nil)
-	return plan.open(&r, obs.NoSpan, 0, BackendRanked), nil
+	r := newRun(nil, opts, NewMemGauge(0), nil, nil)
+	return plan.open(&r, 0, BackendRanked), nil
 }

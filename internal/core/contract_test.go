@@ -13,14 +13,12 @@ import (
 	"omega/internal/automaton"
 	"omega/internal/fault"
 	"omega/internal/graph"
-	"omega/internal/obs"
 	"omega/internal/ontology"
 )
 
 // ringGraph: n nodes, n_i -p-> n_{i+1} and n_i -q-> n_{i+7} (mod n). Large
-// enough at n = 512 that (?X, p.q, ?Y) has eight bulk lane blocks and four
-// shards of 128 sources, each shard doing more than one memory-sample period
-// of tuple operations; small enough at n = 40 that sharding stands aside.
+// enough at n = 512 that (?X, p.q, ?Y) has eight bulk lane blocks; small
+// enough at n = 40 that a same-variable scan stays quick.
 func ringGraph(t testing.TB, n int) *graph.Graph {
 	b := graph.NewBuilder()
 	name := func(i int) string { return fmt.Sprintf("n%d", i%n) }
@@ -34,18 +32,16 @@ func ringGraph(t testing.TB, n int) *graph.Graph {
 // contractDriver is one row of the driver-contract table: how to open one
 // Iterator implementation, and how to tell that it is the one the row claims.
 type contractDriver struct {
-	name     string
-	small    bool // on the 40-node ring instead of the 512-node one
-	c        Conjunct
-	opts     Options
-	backend  Backend
-	par      int // ExecOptions.Parallelism
-	prefetch bool
-	is       func(Iterator) bool // asserted on the iterator under any prefetch
-	empty    bool                // owns nothing and never fails: only the endings a caller drives apply
-	held     int                 // pooled bundles the driver holds when it ends (a restarting driver recycled the earlier ones)
-	sharded  bool                // one bundle per worker, and the workers end by cancellation: Abort recycles them
-	site     string              // the failpoint that reaches this driver
+	name    string
+	small   bool // on the 40-node ring instead of the 512-node one
+	c       Conjunct
+	opts    Options
+	backend Backend
+	is      func(Iterator) bool // asserted on the opened iterator
+	empty   bool                // owns nothing and never fails: only the endings a caller drives apply
+	held    int                 // pooled bundles the driver holds when it ends (a restarting driver recycled the earlier ones)
+	site    string              // the failpoint that reaches this driver
+	sibling bool                // opened after a sibling conjunct stream on the same run (the prefetch/ rows)
 }
 
 func unwrap(it Iterator) Iterator {
@@ -64,7 +60,9 @@ func contractDrivers() []contractDriver {
 		return func(it Iterator) bool { d, ok := it.(*disjunction); return ok && len(d.evals) == n }
 	}
 	isBulk := func(it Iterator) bool { _, ok := it.(*bulkIterator); return ok }
-	isPar := func(it Iterator) bool { _, ok := it.(*parIterator); return ok }
+	// The par/ rows are the Case 3 scans ranked sharding used to split
+	// across workers (serial-fallback: one it left serial); every scan now
+	// runs on the one ranked evaluator.
 	base := []contractDriver{
 		{name: "evaluator", c: conj("n0", "p.q", "?X", automaton.Approx), is: isEval, held: 1, site: "core.row"},
 		{name: "disjunction/1", c: conj("n0", "p.q", "?X", automaton.Approx), opts: Options{DistanceAware: true}, is: branches(1), held: 1, site: "core.row"},
@@ -72,23 +70,26 @@ func contractDrivers() []contractDriver {
 		{name: "restartDisjunction", c: conj("n0", "p.q", "?X", automaton.Approx), opts: Options{DistanceAware: true, DistanceRestart: true},
 			is: func(it Iterator) bool { _, ok := it.(*restartDisjunction); return ok }, held: 1, site: "core.row"},
 		{name: "bulk/serial", c: conj("?X", "p.q", "?Y", automaton.Exact), backend: BackendBulk, is: isBulk, site: "bulk.step"},
-		{name: "bulk/par4", c: conj("?X", "p.q", "?Y", automaton.Exact), backend: BackendBulk, par: 4, is: isBulk, site: "bulk.step"},
-		{name: "par/sharded", c: conj("?X", "p.q", "?Y", automaton.Exact), backend: BackendRanked, par: 4, is: isPar, sharded: true, site: "par.shard"},
-		{name: "par/serial-fallback", small: true, c: conj("?X", "p*", "?Y", automaton.Exact), backend: BackendRanked, par: 4, is: isPar, held: 1, site: "core.row"},
+		{name: "par/sharded", c: conj("?X", "p.q", "?Y", automaton.Exact), backend: BackendRanked, is: isEval, held: 1, site: "core.row"},
+		{name: "par/serial-fallback", small: true, c: conj("?X", "p*", "?Y", automaton.Exact), backend: BackendRanked, is: isEval, held: 1, site: "core.row"},
 	}
+	// The prefetch/ rows open each driver as the second stream of a
+	// multi-conjunct execution: after a sibling stream on the same run that
+	// still holds gauge bytes (conjunct prefetch used to give each stream a
+	// worker copy of the run).
 	out := append([]contractDriver(nil), base...)
 	for _, d := range base {
-		d.name, d.prefetch = "prefetch/"+d.name, true
+		d.name, d.sibling = "prefetch/"+d.name, true
 		out = append(out, d)
 	}
-	return append(out,
-		contractDriver{name: "swapIterator", c: conj("?X", "p.q", "n5", automaton.Approx), held: 1, site: "core.row",
+	return append(out, []contractDriver{
+		{name: "swapIterator", c: conj("?X", "p.q", "n5", automaton.Approx), held: 1, site: "core.row",
 			is: func(it Iterator) bool { _, ok := it.(swapIterator); return ok && isEval(unwrap(it)) }},
-		contractDriver{name: "sameVarIterator", small: true, c: conj("?X", "p.q", "?X", automaton.Approx), held: 1, site: "core.row",
+		{name: "sameVarIterator", small: true, c: conj("?X", "p.q", "?X", automaton.Approx), held: 1, site: "core.row",
 			is: func(it Iterator) bool { _, ok := it.(sameVarIterator); return ok && isEval(unwrap(it)) }},
-		contractDriver{name: "emptyIterator", c: conj("nowhere", "p", "?X", automaton.Exact), empty: true,
+		{name: "emptyIterator", c: conj("nowhere", "p", "?X", automaton.Exact), empty: true,
 			is: func(it Iterator) bool { _, ok := it.(*emptyIterator); return ok }},
-	)
+	}...)
 }
 
 // contractEnding is one column: what happens to the run before the first pull
@@ -140,9 +141,9 @@ func contractEndings() []contractEnding {
 			}
 			it.Abort(errContractAbort)
 		}},
-		// The context is done before the first pull: a bulk or sharded run
-		// checks it once per BFS level or worker Next, so a cancellation raced
-		// against a draining stream could as well find it exhausted.
+		// The context is done before the first pull: a bulk run checks it
+		// once per BFS level, so a cancellation raced against a draining
+		// stream could as well find it exhausted.
 		{name: "cancel", want: ErrCanceled, fails: true, setup: func(_ contractDriver, env *contractEnv) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -167,21 +168,9 @@ func contractEndings() []contractEnding {
 	}
 }
 
-// openContract opens the plan as an exhaustive Exec would: on r, or
-// prefetched from a worker copy of it.
-func openContract(plan *conjunctPlan, r *run, req Backend, prefetch bool) Iterator {
-	backend := plan.chooseBackend(req, true).backend
-	if prefetch {
-		return newPrefetchIterator(r, plan.open(r.worker(), obs.NoSpan, 0, backend))
-	}
-	return plan.open(r, obs.NoSpan, 0, backend)
-}
-
-func unprefetch(it Iterator) Iterator {
-	if pf, ok := it.(*prefetchIterator); ok {
-		return pf.it
-	}
-	return it
+// openContract opens the plan on r as an exhaustive Exec would.
+func openContract(plan *conjunctPlan, r *run, req Backend) Iterator {
+	return plan.open(r, 0, plan.chooseBackend(req, true).backend)
 }
 
 // drainContract pulls until Next stops, returning what it emitted and how the
@@ -241,9 +230,9 @@ func TestDriverContract(t *testing.T) {
 						t.Fatal(err)
 					}
 					// The idle hook is armed on every run: it bumps a plain
-					// counter, so -race flags a call from a shard, prefetch or
-					// bulk worker, and it checks the goroutine outright.
-					r := newRun(env.ctx, env.opts, resolveParallelism(d.par), env.mem, pool, nil)
+					// counter, so -race flags a call from another goroutine,
+					// and it checks the goroutine outright.
+					r := newRun(env.ctx, env.opts, env.mem, pool, nil)
 					idles, self := 0, goroutineID()
 					r.idle = func() {
 						idles++
@@ -251,9 +240,26 @@ func TestDriverContract(t *testing.T) {
 							t.Errorf("idle hook called on goroutine %d, the execution's is %d", id, self)
 						}
 					}
-					it := openContract(plan, &r, d.backend, d.prefetch)
-					if !d.is(unprefetch(it)) {
-						t.Fatalf("the row opened a %T", unprefetch(it))
+					// A sibling stream opens first and, unless the ending
+					// fails the whole run, takes one answer: what it holds
+					// stays charged while the row's driver ends.
+					var sib Iterator
+					if d.sibling {
+						sp, err := compileConjunct(g, ont, conj("?Z", "p", "?W", automaton.Exact), env.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sib = openContract(sp, &r, BackendBulk)
+						if !e.fails {
+							if _, ok, err := sib.Next(); !ok || err != nil {
+								t.Fatalf("sibling's first answer: (%v, %v)", ok, err)
+							}
+						}
+					}
+					held := env.mem.LiveBytes()
+					it := openContract(plan, &r, d.backend)
+					if !d.is(it) {
+						t.Fatalf("the row opened a %T", it)
 					}
 
 					want := e.want
@@ -266,13 +272,12 @@ func TestDriverContract(t *testing.T) {
 					}
 					if e.name == "exhaust" {
 						// The hook only observes: an unarmed run emits the same.
-						ur := newRun(nil, env.opts, r.par, NewMemGauge(0), nil, nil)
-						ref, _, rerr := drainContract(openContract(plan, &ur, d.backend, d.prefetch))
+						ur := newRun(nil, env.opts, NewMemGauge(0), nil, nil)
+						ref, _, rerr := drainContract(openContract(plan, &ur, d.backend))
 						if rerr != nil || !slices.Equal(emitted, ref) {
 							t.Fatalf("armed run emitted %d answers, unarmed %d (err %v): emission differs", len(emitted), len(ref), rerr)
 						}
-						// Only a wait on a worker is timing-dependent.
-						if idles == 0 && !d.empty && !d.prefetch && !d.sharded {
+						if idles == 0 && !d.empty {
 							t.Fatal("the idle hook was never called")
 						}
 					}
@@ -281,8 +286,8 @@ func TestDriverContract(t *testing.T) {
 							t.Fatalf("Next %d after the end = (%v, %v), want the same %v", i+1, ok, again, err)
 						}
 					}
-					if live := env.mem.LiveBytes(); live != 0 {
-						t.Fatalf("%d bytes still charged to the gauge after the end", live)
+					if live := env.mem.LiveBytes(); live != held {
+						t.Fatalf("%d bytes charged to the gauge after the end, %d before the driver opened", live, held)
 					}
 
 					// Close after any ending: idempotent, and it never replaces
@@ -301,11 +306,16 @@ func TestDriverContract(t *testing.T) {
 					if !d.empty && st.MemPeakBytes != env.mem.PeakBytes() {
 						t.Fatalf("Stats.MemPeakBytes = %d after the end, gauge peak %d", st.MemPeakBytes, env.mem.PeakBytes())
 					}
-					if d.sharded && e.name != "close-twice" && st.Shards < 2 { // closed before the first pull, the shards never start
-						t.Fatalf("sharding never engaged: %+v", st)
+					if live := env.mem.LiveBytes(); live != held {
+						t.Fatalf("%d bytes charged to the gauge after Close, %d before the driver opened", live, held)
 					}
-					if live := env.mem.LiveBytes(); live != 0 {
-						t.Fatalf("%d bytes still charged to the gauge after Close", live)
+					if sib != nil {
+						if cerr := sib.Close(); cerr != nil {
+							t.Fatalf("closing the sibling: %v", cerr)
+						}
+						if live := env.mem.LiveBytes(); live != 0 {
+							t.Fatalf("%d bytes still charged to the gauge after both streams closed", live)
+						}
 					}
 					if pool == nil {
 						return
@@ -316,22 +326,6 @@ func TestDriverContract(t *testing.T) {
 						t.Fatalf("bundles leaked: %+v", ps)
 					case recyclable(want) && ps.Poisoned != 0:
 						t.Fatalf("a clean stop (%v) poisoned a bundle: %+v", want, ps)
-					case !recyclable(want) && d.sharded && e.name == "abort":
-						// Workers were between Next calls and ended by
-						// cancellation: their state is intact.
-						if ps.Poisoned != 0 {
-							t.Fatalf("Abort poisoned a shard worker's bundle: %+v", ps)
-						}
-					case !recyclable(want) && d.sharded:
-						if ps.Poisoned == 0 {
-							t.Fatalf("%v recycled every bundle: %+v", want, ps)
-						}
-					case !recyclable(want) && e.name == "abort" && d.prefetch:
-						// The prefetcher may have drained the inner stream — and
-						// recycled its bundles — before the Abort arrived.
-						if ps.Poisoned > int64(d.held) {
-							t.Fatalf("Abort discarded more than the %d bundles the driver held: %+v", d.held, ps)
-						}
 					case !recyclable(want) && ps.Poisoned != int64(d.held):
 						t.Fatalf("%v discarded %d bundles of the %d the driver held: %+v", want, ps.Poisoned, d.held, ps)
 					}

@@ -186,10 +186,9 @@ type Options struct {
 	// successors materialised, not the ones a continuation still stands for.
 	// An evaluator that goes past it ends the execution with ErrTupleBudget.
 	// 0 means unlimited. It does not bound the execution: each conjunct of a
-	// join, each branch under Disjunction and each shard under
-	// ExecOptions.Parallelism runs its own evaluator with the whole budget,
-	// and entries parked above the ψ ceiling count only once admitted, a ψ
-	// phase at a time. So an execution may add several times
+	// join and each branch under Disjunction runs its own evaluator with the
+	// whole budget, and entries parked above the ψ ceiling count only once
+	// admitted, a ψ phase at a time. So an execution may add several times
 	// MaxTuples, and hold more, before it fails, or finish without failing.
 	// ExecOptions.MaxTuples overrides it per run.
 	MaxTuples int
@@ -299,25 +298,13 @@ type Stats struct {
 	QueueWaitNanos int64
 	CompileNanos   int64
 	TTFRNanos      int64
-	// Parallelism is the resolved worker count the execution ran with
-	// (1 = serial; a property of the whole request, not summed). Shards
-	// counts the per-shard ranked evaluators and parallel bulk workers that
-	// actually engaged, summed across conjuncts — zero when every conjunct
-	// took the serial path despite Parallelism > 1 (ineligible shape or a
-	// seed population too small to shard). MergeWaitNanos is time the k-way
-	// merge and block-reorder consumers spent blocked on worker channels.
-	Parallelism    int
-	Shards         int
-	MergeWaitNanos int64
 	// PrepOps and MaxDelayOps are the enumeration delay in tuple operations,
 	// the adds and pops counted in TuplesAdded and TuplesPopped: PrepOps
 	// before the first row the execution returned, MaxDelayOps the most
 	// between two consecutive rows (0 until there are two). They are exact
-	// and repeat on any machine for a serial execution; a bulk conjunct adds
-	// and pops nothing, and the work of shard and prefetch workers is not
-	// counted, so under Parallelism > 1 they read only what ran on the
-	// executing goroutine. PrepOps is a property of the whole request and is
-	// never folded.
+	// and repeat on any machine for every execution; a bulk conjunct adds and
+	// pops nothing. PrepOps is a property of the whole request and is never
+	// folded.
 	PrepOps     int
 	MaxDelayOps int
 }
@@ -326,9 +313,8 @@ type Stats struct {
 // Stats: the additive counters sum, MemPeakBytes takes the maximum, because
 // every evaluator of an execution reports the peak of the one gauge they
 // share, and so does MaxDelayOps. VisitedSize, Phases and Backend stay with
-// the caller — shards sum visited sizes while branches and conjuncts take the
-// largest — and the request-level timings, PrepOps and Parallelism are never
-// folded.
+// the caller — branches and conjuncts take the largest — and the
+// request-level timings and PrepOps are never folded.
 func (s *Stats) add(o Stats) {
 	s.TuplesAdded += o.TuplesAdded
 	s.TuplesPopped += o.TuplesPopped
@@ -336,8 +322,6 @@ func (s *Stats) add(o Stats) {
 	s.CacheHits += o.CacheHits
 	s.Deferred += o.Deferred
 	s.Reinjected += o.Reinjected
-	s.Shards += o.Shards
-	s.MergeWaitNanos += o.MergeWaitNanos
 	s.MemPeakBytes = max(s.MemPeakBytes, o.MemPeakBytes)
 	s.MaxDelayOps = max(s.MaxDelayOps, o.MaxDelayOps)
 }

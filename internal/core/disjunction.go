@@ -400,11 +400,13 @@ func (d *restartDisjunction) Abort(err error) {
 	}
 }
 
-// Stats implements Iterator.
+// Stats implements Iterator. The memory peak is the run's gauge, as each
+// evaluator reports it, also before the first phase has started one.
 func (d *restartDisjunction) Stats() Stats {
 	s := d.stats
 	if d.cur != nil {
 		addBranch(&s, d.cur)
 	}
+	s.MemPeakBytes = d.r.mem.PeakBytes()
 	return s
 }

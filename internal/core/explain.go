@@ -19,7 +19,7 @@ func (p *Prepared) Explain(eo ExecOptions) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	opts, par := p.runOptions(eo), resolveParallelism(eo.Parallelism)
+	opts := p.runOptions(eo)
 	var b strings.Builder
 	if len(ps.plans) > 1 {
 		fmt.Fprintf(&b, "join: round-based ranked join over %d conjuncts\n", len(ps.plans))
@@ -55,8 +55,8 @@ func (p *Prepared) Explain(eo ExecOptions) (string, error) {
 			fmt.Fprintf(&b, "  %s (%v): %d states, %d compiled transitions\n", name, c.Mode, aut.NumStates, trans)
 		}
 		dec := plan.backendFor(eo)
-		drv := plan.driverFor(&opts, par, dec.backend)
-		if s := strategies(plan, &opts, par, drv, eo.MaxDist); len(s) > 0 {
+		drv := plan.driverFor(&opts, dec.backend)
+		if s := strategies(plan, &opts, drv, eo.MaxDist); len(s) > 0 {
 			fmt.Fprintf(&b, "  strategies: %s\n", strings.Join(s, ", "))
 		}
 		name := "ranked GetNext"
@@ -77,9 +77,9 @@ func (p *Prepared) Explain(eo ExecOptions) (string, error) {
 }
 
 // strategies lists what the conjunct's run applies beyond plain ranked
-// evaluation: the driver drv (with its ψ cap under maxDist, or its par
-// workers), the plan's compile-time strategies and the run's tuple budget.
-func strategies(plan *conjunctPlan, opts *Options, par int, drv driver, maxDist int32) []string {
+// evaluation: the driver drv (with its ψ cap under maxDist), the plan's
+// compile-time strategies and the run's tuple budget.
+func strategies(plan *conjunctPlan, opts *Options, drv driver, maxDist int32) []string {
 	var out []string
 	switch drv {
 	case driverEmpty:
@@ -99,8 +99,6 @@ func strategies(plan *conjunctPlan, opts *Options, par int, drv driver, maxDist 
 			}
 			out = append(out, fmt.Sprintf("distance-aware (%s, φ=%d, max ψ=%d)", variant, opts.phi(plan.mode), plan.psiCap(maxDist)))
 		}
-	case driverSharded:
-		out = append(out, fmt.Sprintf("sharded across up to %d evaluators", par))
 	}
 	if opts.RareSide && plan.case3 && !plan.sameVar {
 		out = append(out, "rare-side")

@@ -13,18 +13,13 @@ import (
 )
 
 // This file is the canonical knob registry: the single place where the
-// per-execution knobs — mode, limit, maxdist, maxtuples, backend, hardmem,
-// parallel — parse, validate and clamp. Every surface that accepts
+// per-execution knobs — mode, limit, maxdist, maxtuples, backend and
+// hardmem — parse, validate and clamp. Every surface that accepts
 // them routes through it: ExecOptions.ApplyParams for HTTP query parameters
 // (internal/serve), BindExecFlags for command-line flags (cmd/omega,
 // cmd/omega-serve, cmd/omega-bench). Adding a knob means adding one registry
 // entry; it then exists on every surface with the same spelling, validation
 // and error shape.
-
-// maxParallelism caps the per-execution worker count. Beyond it the merge fan
-// and per-shard fixed overheads dominate any conceivable core count; values
-// above are clamped, not rejected.
-const maxParallelism = 64
 
 // KnobError is a validation failure for one execution knob. Every surface
 // (HTTP 400 bodies, CLI errors) reports the same shape, naming the knob.
@@ -79,15 +74,13 @@ func knobInt(name, v string, max int64) (int64, error) {
 	return n, nil
 }
 
-// knob is one registry entry: the canonical HTTP parameter name, accepted
-// aliases, the command-line flag spelling, shared help text, and the
-// validating setter.
+// knob is one registry entry: the canonical HTTP parameter name, the
+// command-line flag spelling, shared help text, and the validating setter.
 type knob struct {
-	param   string
-	aliases []string
-	flag    string
-	usage   string
-	set     func(eo *ExecOptions, value string) error
+	param string
+	flag  string
+	usage string
+	set   func(eo *ExecOptions, value string) error
 }
 
 // knobRegistry is ordered for deterministic application; setters never read
@@ -165,38 +158,16 @@ var knobRegistry = []knob{
 			return nil
 		},
 	},
-	{
-		param: "parallel", aliases: []string{"parallelism"}, flag: "parallel",
-		usage: "worker count per execution; emission stays identical to serial (0 or 1 = serial, clamped to 64)",
-		set: func(eo *ExecOptions, v string) error {
-			n, err := knobInt("parallel", v, math.MaxInt32)
-			if err != nil {
-				return err
-			}
-			if n > maxParallelism {
-				n = maxParallelism
-			}
-			eo.Parallelism = int(n)
-			return nil
-		},
-	},
 }
 
 // ApplyParams applies the knob registry to eo from HTTP query/form
 // parameters. Absent or empty parameters leave the corresponding field
-// unchanged, so defaults the caller pre-seeded survive; the first present
-// spelling among a knob's canonical name and aliases wins. The error for an
-// invalid value is a *KnobError naming the knob — the serving layer maps it
-// to one HTTP 400 shape.
+// unchanged, so defaults the caller pre-seeded survive, and parameters that
+// name no knob are ignored. The error for an invalid value is a *KnobError
+// naming the knob — the serving layer maps it to one HTTP 400 shape.
 func (eo *ExecOptions) ApplyParams(params url.Values) error {
 	for _, k := range knobRegistry {
 		v := params.Get(k.param)
-		for _, a := range k.aliases {
-			if v != "" {
-				break
-			}
-			v = params.Get(a)
-		}
 		if v == "" {
 			continue
 		}

@@ -28,27 +28,26 @@ func knobField(eo *ExecOptions, param string) any {
 		return eo.Backend
 	case "hardmem":
 		return eo.HardMemBytes
-	case "parallel":
-		return eo.Parallelism
 	}
 	panic("no field for knob " + param)
 }
 
 // FuzzApplyParams holds the one knob parser to its contract. From up to three
-// fuzzed key/value pairs over the registry's names and aliases (and one name
-// it does not know), ApplyParams either fails with a *KnobError naming a
-// registry knob, or leaves every field in its documented range, with knobs
-// absent from the parameters keeping their pre-seeded values. Over canonical
-// names alone, the command-line path (BindExecFlags, then Apply) must reach
-// the same ExecOptions or the same error.
+// fuzzed key/value pairs over the registry's names (and three names it does
+// not know), ApplyParams either fails with a *KnobError naming a registry
+// knob, or leaves every field in its documented range, with knobs absent from
+// the parameters keeping their pre-seeded values. Over the registry's names
+// alone, the command-line path (BindExecFlags, then Apply) must reach the
+// same ExecOptions or the same error.
 func FuzzApplyParams(f *testing.F) {
 	var names, params []string
 	for _, k := range knobRegistry {
 		params = append(params, k.param)
 		names = append(names, k.param)
-		names = append(names, k.aliases...)
 	}
-	names = append(names, "q") // not a knob: ignored
+	// Not knobs: ignored. The retired parallel knob and its alias keep the
+	// indices the seed corpus was written against.
+	names = append(names, "parallel", "parallelism", "q")
 	f.Fuzz(func(t *testing.T, k1 uint8, v1 string, k2 uint8, v2 string, k3 uint8, v3 string) {
 		vals := url.Values{}
 		for _, kv := range []struct {
@@ -58,7 +57,7 @@ func FuzzApplyParams(f *testing.F) {
 			vals.Add(names[int(kv.k)%len(names)], kv.v)
 		}
 		relax := automaton.Relax
-		seed := ExecOptions{Limit: 7, MaxDist: 3, MaxTuples: 11, Backend: BackendRanked, HardMemBytes: 5, Parallelism: 2, Mode: &relax}
+		seed := ExecOptions{Limit: 7, MaxDist: 3, MaxTuples: 11, Backend: BackendRanked, HardMemBytes: 5, Mode: &relax}
 		eo := seed
 		err := eo.ApplyParams(vals)
 		if err != nil {
@@ -69,24 +68,20 @@ func FuzzApplyParams(f *testing.F) {
 		} else {
 			inInt32 := func(n int64) bool { return n >= 0 && n <= math.MaxInt32 }
 			if !inInt32(int64(eo.Limit)) || !inInt32(int64(eo.MaxDist)) || !inInt32(int64(eo.MaxTuples)) ||
-				eo.HardMemBytes < 0 || eo.Parallelism < 0 || eo.Parallelism > maxParallelism || eo.Backend > BackendBulk ||
+				eo.HardMemBytes < 0 || eo.Backend > BackendBulk ||
 				eo.Mode != nil && *eo.Mode > automaton.Flex {
 				t.Fatalf("ApplyParams(%v) left a field out of range: %+v", vals, eo)
 			}
 			for _, k := range knobRegistry {
-				present := vals.Get(k.param) != ""
-				for _, a := range k.aliases {
-					present = present || vals.Get(a) != ""
-				}
-				if !present && !reflect.DeepEqual(knobField(&eo, k.param), knobField(&seed, k.param)) {
+				if vals.Get(k.param) == "" && !reflect.DeepEqual(knobField(&eo, k.param), knobField(&seed, k.param)) {
 					t.Fatalf("ApplyParams(%v) changed the absent knob %s: %v, seeded %v",
 						vals, k.param, knobField(&eo, k.param), knobField(&seed, k.param))
 				}
 			}
 		}
 
-		// The same values as flags: canonical names only (flags have no
-		// aliases), each with the value ApplyParams reads, its first.
+		// The same values as flags: knob names only, each with the value
+		// ApplyParams reads, its first.
 		canon := url.Values{}
 		var args []string
 		for _, k := range knobRegistry {

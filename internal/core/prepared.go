@@ -84,28 +84,16 @@ type ExecOptions struct {
 	// sets for eligible queries; only the (distance-0) emission order
 	// differs. Stats.Backend reports what actually ran.
 	Backend Backend
-	// Parallelism is the worker count of this execution; 0 or 1 means
-	// serial, and values above 64 are clamped. At K > 1, bulk conjuncts fan
-	// their lane blocks across K workers, eligible ranked conjuncts shard
-	// their seed population across up to K per-shard evaluators merged back
-	// into the serial emission order, and multi-conjunct executions prefetch
-	// conjunct streams concurrently. Emission is byte-identical to serial at
-	// any value; conjuncts whose shape the parallel paths cannot reproduce
-	// exactly simply run serial (Stats.Shards reports what engaged). Note
-	// MaxTuples is enforced per worker under sharding, so a parallel run may
-	// admit up to K× the budget before tripping it.
-	Parallelism int
 	// Idle, when non-nil, is called back while the execution works toward
 	// its next row: each time its ranked evaluators have done another 4 096
-	// tuple operations (adds and pops, as Stats.PrepOps counts them), before
-	// the bulk backend computes each new lane block, and before the execution
-	// blocks on a shard, prefetch or parallel bulk worker. A caller that holds
-	// rows back (a server coalescing writes) pushes them out there, so none
-	// waits for more than that much of the execution's work. It is called on
-	// the executing goroutine, never concurrently, from inside Next or
-	// NextBatch, and must not call back into the execution. It only observes:
-	// emission is the same with or without it. It is a programmatic hook, not
-	// a knob.
+	// tuple operations (adds and pops, as Stats.PrepOps counts them), and
+	// before the bulk backend computes each new lane block. A caller that
+	// holds rows back (a server coalescing writes) pushes them out there, so
+	// none waits for more than that much of the execution's work. It is
+	// called on the executing goroutine, never concurrently, from inside Next
+	// or NextBatch, and must not call back into the execution. It only
+	// observes: emission is the same with or without it. It is a programmatic
+	// hook, not a knob.
 	Idle func()
 }
 
@@ -270,7 +258,7 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 		mem = NewMemGauge(eo.HardMemBytes)
 	}
 	ex := &Execution{
-		r:       newRun(ctx, p.runOptions(eo), resolveParallelism(eo.Parallelism), mem, eo.Pool, eo.Trace),
+		r:       newRun(ctx, p.runOptions(eo), mem, eo.Pool, eo.Trace),
 		limit:   eo.Limit,
 		maxDist: eo.MaxDist,
 		started: time.Now(),
@@ -285,27 +273,17 @@ func (p *Prepared) Exec(ctx context.Context, eo ExecOptions) (*Execution, error)
 	for i, plan := range ps.plans {
 		dec := plan.backendFor(eo)
 		ex.backends[i] = dec.backend
-		// The conjunct span opens before the iterator so that a sharded
-		// conjunct can nest its shard spans under it; open records no span of
-		// its own, so the span order is that of the conjuncts.
-		sp := obs.NoSpan
+		// open records no span of its own, so the span order is that of
+		// the conjuncts.
 		if r.trace != nil {
-			sp = r.trace.Start(r.span, obs.SpanConjunct)
+			sp := r.trace.Start(r.span, obs.SpanConjunct)
 			r.trace.SetAttr(sp, "idx", int64(i))
 			if dec.backend == BackendBulk {
 				r.trace.SetAttr(sp, "bulk", 1)
 			}
 			ex.conjSpans[i] = sp
 		}
-		if len(ps.plans) > 1 && r.par > 1 {
-			// Concurrent conjunct evaluation: each conjunct prefetches its
-			// stream from its own goroutine, on a worker copy of the run,
-			// through a bounded buffer; the rank join's sequential peek order
-			// — and therefore its output — is unchanged.
-			ex.its[i] = newPrefetchIterator(r, plan.open(r.worker(), sp, eo.MaxDist, dec.backend))
-		} else {
-			ex.its[i] = plan.open(r, sp, eo.MaxDist, dec.backend)
-		}
+		ex.its[i] = plan.open(r, eo.MaxDist, dec.backend)
 	}
 	q := ps.q
 	switch {
@@ -519,9 +497,6 @@ func (e *Execution) finishSpans() {
 			tr.SetAttr(sp, "deferred", int64(s.Deferred))
 			tr.SetAttr(sp, "reinjected", int64(s.Reinjected))
 		}
-		if s.Shards > 0 {
-			tr.SetAttr(sp, "shards", int64(s.Shards))
-		}
 		tr.End(sp)
 	}
 	tr.SetAttr(e.r.span, "rows", int64(e.n))
@@ -564,7 +539,6 @@ func (e *Execution) Stats() Stats {
 		s = e.join.Stats()
 	}
 	s.Backend = backendsLabel(e.backends)
-	s.Parallelism = e.r.par
 	if e.ttfr > 0 {
 		s.TTFRNanos = int64(e.ttfr)
 	}

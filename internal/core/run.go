@@ -29,17 +29,13 @@ const idleOps = 4096
 // drivers decide *when* a policy is checked — the evaluator every 512 tuple
 // operations and every 4096 pops, the bulk backend once per BFS level, the
 // Execution once per NextBatch — and the methods here decide *what* the check
-// is. A goroutine other than the execution's works on a copy from worker, so
-// the operation counter and the idle hook are only ever touched by the
-// execution's own goroutine.
+// is. Every driver of the run works on the execution's goroutine, so the
+// operation counter is execution-wide.
 type run struct {
 	// opts is this run's private copy of the prepared options, with the
 	// per-execution tuple budget written in; it must not change once a driver
 	// holds the run.
 	opts Options
-	// par is the resolved worker count of the run (ExecOptions.Parallelism
-	// clamped to [1, 64]); 1 is serial.
-	par int
 	// pool recycles the evaluators' state bundles; nil when the execution has
 	// none or runs on the RefDict reference, which is never pooled.
 	pool *EvalPool
@@ -58,15 +54,14 @@ type run struct {
 	// ops counts the tuple operations — adds and pops — of the evaluators
 	// running on this run; idle, when non-nil, is called each time ops reaches
 	// idleAt, the next multiple of idleOps, and before work that yields no row
-	// for a while (a bulk lane block, a wait on a worker). Execution-goroutine
-	// state: see worker.
+	// for a while (a bulk lane block).
 	ops    int
 	idleAt int
 	idle   func()
 }
 
 // newRun builds the run and opens its exec span (NoSpan when untraced).
-func newRun(ctx context.Context, opts Options, par int, mem *MemGauge, pool *EvalPool, trace *obs.Trace) run {
+func newRun(ctx context.Context, opts Options, mem *MemGauge, pool *EvalPool, trace *obs.Trace) run {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
@@ -75,17 +70,7 @@ func newRun(ctx context.Context, opts Options, par int, mem *MemGauge, pool *Eva
 		// (see newEvaluator).
 		pool = nil
 	}
-	return run{opts: opts, par: par, ctx: ctx, mem: mem, pool: pool, trace: trace, span: trace.Start(obs.Root, obs.SpanExec), idleAt: idleOps}
-}
-
-// worker returns a copy of the run for a goroutine other than the
-// execution's — a shard, prefetch or parallel bulk worker: the same options,
-// context, gauge, pool and trace, an operation counter of its own and no idle
-// hook.
-func (r *run) worker() *run {
-	w := *r
-	w.ops, w.idleAt, w.idle = 0, idleOps, nil
-	return &w
+	return run{opts: opts, ctx: ctx, mem: mem, pool: pool, trace: trace, span: trace.Start(obs.Root, obs.SpanExec), idleAt: idleOps}
 }
 
 // tick counts n tuple operations and calls the idle hook once for every
@@ -103,20 +88,6 @@ func (r *run) onIdle() {
 	if r.idle != nil {
 		r.idle()
 	}
-}
-
-// recv receives from a worker's channel on the execution's goroutine,
-// calling the idle hook first when the receive would block: nothing the
-// caller holds back may wait on another goroutine's work.
-func recv[T any](r *run, ch <-chan T) (T, bool) {
-	select {
-	case v, ok := <-ch:
-		return v, ok
-	default:
-	}
-	r.onIdle()
-	v, ok := <-ch
-	return v, ok
 }
 
 // ContextErr maps a done context onto the package's typed errors and reports
@@ -150,9 +121,9 @@ func (r *run) done() error {
 	return ContextErr(r.ctx)
 }
 
-// account makes *slot — one owner's share of the gauge: an evaluator, a
-// serial bulk run, a parallel bulk worker — read resident, pushing the
-// difference into the gauge. Accounting only; no watermark is checked.
+// account makes *slot — one owner's share of the gauge: an evaluator or a
+// bulk run — read resident, pushing the difference into the gauge.
+// Accounting only; no watermark is checked.
 func (r *run) account(slot *int64, resident int64) {
 	if d := resident - *slot; d != 0 {
 		r.mem.add(d)

@@ -35,7 +35,6 @@ const (
 	SpanQuantum   = "quantum"    // one scheduling turn of rows
 	SpanExec      = "exec"       // the engine execution
 	SpanConjunct  = "conjunct"   // one conjunct's evaluation
-	SpanShard     = "shard"      // one shard worker of a sharded ranked conjunct
 	SpanBulkIndex = "bulk_index" // bulk backend index build (or cache hit)
 	SpanPsiPhase  = "psi_phase"  // one ψ phase of incremental distance-aware mode
 	SpanClose     = "close"      // deterministic resource release

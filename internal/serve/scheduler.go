@@ -259,7 +259,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	s.watchStop = make(chan struct{})
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
-		go s.worker()
+		go s.runWorker()
 	}
 	if s.cfg.StallBudget > 0 {
 		s.watchWG.Add(1)
@@ -318,10 +318,11 @@ func (s *Scheduler) Stream(ctx context.Context, start func(ctx context.Context) 
 	return Result{Rows: t.n, Stats: t.stats}, t.err
 }
 
-// worker executes one quantum at a time off the head of the run queue. The
-// batch buffer is the worker's: rows live only until the sink returns, so one
-// buffer serves every request the worker ever runs.
-func (s *Scheduler) worker() {
+// runWorker is one worker's loop: it executes one quantum at a time off the
+// head of the run queue. The batch buffer is the worker's: rows live only
+// until the sink returns, so one buffer serves every request the worker ever
+// runs.
+func (s *Scheduler) runWorker() {
 	defer s.wg.Done()
 	batch := make([]omega.Row, s.cfg.Quantum)
 	for {

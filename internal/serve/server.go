@@ -56,10 +56,6 @@ type Config struct {
 	// when the request carries no hardmem parameter: crossing it aborts the
 	// execution with omega.ErrMemBudget (507). 0 disables it.
 	HardMemBytes int64
-	// Parallelism is the default per-request worker count applied when the
-	// request carries no parallel parameter; see omega.ExecOptions.
-	// 0 means serial.
-	Parallelism int
 	// SlowQuery, when positive, arms the slow-query log: every request whose
 	// end-to-end latency reaches the threshold is logged as one structured
 	// JSON line (request ID, query text, timings, evaluation counters) via
@@ -87,7 +83,6 @@ type Server struct {
 	broker    *memBroker // nil when no memory budget is configured
 	mux       *http.ServeMux
 	hardMem   int64         // default per-request hard memory watermark (0 = none)
-	parallel  int           // default per-request worker count (0 = serial)
 	timeout   time.Duration // default per-request deadline (0 = none)
 	stall     time.Duration // the scheduler's stall budget; also bounds every response write
 	slowQuery time.Duration
@@ -113,7 +108,6 @@ func New(cfg Config) *Server {
 		sched:     NewScheduler(sc),
 		broker:    newMemBroker(cfg.MemBudget, cfg.MemCheckInterval),
 		hardMem:   cfg.HardMemBytes,
-		parallel:  cfg.Parallelism,
 		timeout:   cfg.Timeout,
 		stall:     cfg.StallBudget,
 		slowQuery: cfg.SlowQuery,
@@ -203,13 +197,6 @@ type statsLine struct {
 	// Backend reports which evaluation engine ran: "ranked", "bulk", or
 	// "mixed" when a multi-conjunct plan split.
 	Backend string `json:"backend,omitempty"`
-	// Parallelism is the execution's resolved worker count (absent when
-	// serial); Shards counts the shard evaluators and bulk workers that
-	// actually engaged; MergeWaitMs is time the consumer spent waiting on
-	// worker output in the ordered merges.
-	Parallelism int     `json:"parallelism,omitempty"`
-	Shards      int     `json:"shards,omitempty"`
-	MergeWaitMs float64 `json:"merge_wait_ms,omitempty"`
 	// Request-level latency phases: admission → first worker turn, plan-cache
 	// lookup (including compilation on a miss), and admission → first row.
 	QueueWaitMs float64 `json:"queue_wait_ms,omitempty"`
@@ -218,10 +205,6 @@ type statsLine struct {
 }
 
 func toStatsLine(s omega.Stats) statsLine {
-	par := s.Parallelism
-	if par <= 1 {
-		par = 0 // serial: keep the done line free of noise
-	}
 	return statsLine{
 		TuplesAdded:  s.TuplesAdded,
 		TuplesPopped: s.TuplesPopped,
@@ -233,9 +216,6 @@ func toStatsLine(s omega.Stats) statsLine {
 		MaxDelayOps:  s.MaxDelayOps,
 		MemPeakBytes: s.MemPeakBytes,
 		Backend:      s.Backend,
-		Parallelism:  par,
-		Shards:       s.Shards,
-		MergeWaitMs:  float64(s.MergeWaitNanos) / 1e6,
 		QueueWaitMs:  float64(s.QueueWaitNanos) / 1e6,
 		CompileMs:    float64(s.CompileNanos) / 1e6,
 		TTFRMs:       float64(s.TTFRNanos) / 1e6,
@@ -255,8 +235,6 @@ func toStatsLine(s omega.Stats) statsLine {
 //	maxdist  — maximum total answer distance
 //	maxtuples— per-request tuple budget override
 //	hardmem  — hard memory watermark in bytes (abort with 507)
-//	parallel — worker count for this request (alias: parallelism); emission
-//	           stays byte-identical to serial
 //	timeout  — per-request deadline, Go duration syntax (e.g. 2s, 500ms)
 //	backend  — auto | ranked | bulk; evaluation engine (default auto)
 //
@@ -320,7 +298,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 	eo := omega.ExecOptions{
 		Pool:         s.pool,
 		HardMemBytes: s.hardMem,
-		Parallelism:  s.parallel,
 	}
 	if err := eo.ApplyParams(r.Form); err != nil {
 		fail(http.StatusBadRequest, err.Error())

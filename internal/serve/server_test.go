@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -465,5 +466,91 @@ func TestServerBackendParameter(t *testing.T) {
 	_, autoDone, status := ndjsonLines(t, client, ts.URL+"/query?"+url.Values{"q": {bulkQuery}}.Encode())
 	if status != http.StatusOK || autoDone == nil || autoDone.Stats.Backend != "bulk" {
 		t.Fatalf("auto: status %d, stats %+v, want bulk", status, autoDone)
+	}
+}
+
+// TestStaleParallelParamIgnored: the retired parallel knob (and its
+// parallelism alias) is no knob any more, so a client that still sends it is
+// served — not refused — and served exactly what the same request without it
+// gets: the same rows in the same order, and a done line whose counters are
+// the same, with no worker fields added. Only the timings, which no two runs
+// share, are zeroed before the comparison. Pooling is off so each request's
+// accounted peak is its own.
+func TestStaleParallelParamIgnored(t *testing.T) {
+	_, ts := l4allServer(t, Config{Workers: 2, Queue: 4, PoolSize: -1})
+	client := ts.Client()
+
+	// stream returns the response's row lines verbatim and its done line
+	// decoded generically, so a field this build does not know still shows.
+	stream := func(params url.Values) ([]string, map[string]any) {
+		t.Helper()
+		resp, err := client.Get(ts.URL + "/query?" + params.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%v: status %d (%s), want 200", params, resp.StatusCode, strings.TrimSpace(string(body)))
+		}
+		var rows []string
+		var done map[string]any
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			var probe map[string]any
+			if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
+				t.Fatalf("%v: bad NDJSON line %q: %v", params, sc.Bytes(), err)
+			}
+			if probe["done"] == nil && probe["error"] == nil {
+				rows = append(rows, sc.Text())
+				continue
+			}
+			if probe["done"] != true {
+				t.Fatalf("%v: stream ended with %s", params, sc.Bytes())
+			}
+			delete(probe, "request_id")
+			delete(probe, "elapsed_ms")
+			if st, ok := probe["stats"].(map[string]any); ok {
+				for _, k := range []string{"queue_wait_ms", "compile_ms", "ttfr_ms"} {
+					delete(st, k)
+				}
+			}
+			done = probe
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if done == nil {
+			t.Fatalf("%v: no done line", params)
+		}
+		return rows, done
+	}
+
+	const scan = "(?X, ?Y) <- (?X, job.type, ?Y)"
+	for _, base := range []url.Values{
+		{"q": {approxQuery}, "limit": {"50"}},
+		{"q": {scan}, "backend": {"ranked"}},
+		{"q": {scan}, "backend": {"bulk"}},
+	} {
+		wantRows, wantDone := stream(base)
+		for _, stale := range [][2]string{{"parallel", "8"}, {"parallelism", "8"}, {"parallel", "x"}} {
+			params := url.Values{stale[0]: {stale[1]}}
+			for k, v := range base {
+				params[k] = v
+			}
+			rows, done := stream(params)
+			if len(rows) != len(wantRows) {
+				t.Fatalf("%v: %d rows, %d without %s", params, len(rows), len(wantRows), stale[0])
+			}
+			for i := range rows {
+				if rows[i] != wantRows[i] {
+					t.Fatalf("%v: row %d is %s, without %s %s", params, i, rows[i], stale[0], wantRows[i])
+				}
+			}
+			if !reflect.DeepEqual(done, wantDone) {
+				t.Fatalf("%v: done line %v, without %s %v", params, done, stale[0], wantDone)
+			}
+		}
 	}
 }

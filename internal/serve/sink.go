@@ -28,7 +28,7 @@ const finishGrace = time.Second
 //   - after the first row of the response (time to first answer is the
 //     paper's incremental return; it never rides behind a batch);
 //   - at the execution's idle hook (idle): every 4 096 tuple operations of
-//     ranked search, before each bulk lane block, before a wait on a worker;
+//     ranked search, and before each bulk lane block;
 //   - at the end of a turn with another request runnable (the scheduler's
 //     wait flag: the worker goes to do something else);
 //   - when flushBytes are pending;

@@ -92,9 +92,9 @@ type (
 	// in ExecOptions.
 	Options = core.Options
 	// ExecOptions are the per-execution knobs of a prepared query: Limit,
-	// MaxDist, MaxTuples override, Mode override, Backend, Parallelism and
-	// the hard memory watermark. See the core type for the knob-by-knob
-	// contract.
+	// MaxDist, MaxTuples override, Mode override, Backend and the hard
+	// memory watermark, plus the pool, gauge, trace and idle hook a server
+	// hands in. See the core type for the knob-by-knob contract.
 	ExecOptions = core.ExecOptions
 	// Mode selects EXACT, APPROX, RELAX or FLEX evaluation of a conjunct.
 	Mode = automaton.Mode
@@ -172,8 +172,8 @@ type KnobError = core.KnobError
 type ExecFlags = core.ExecFlags
 
 // BindExecFlags registers the shared execution knobs (mode, limit, maxdist,
-// max-tuples, backend, hard-mem, parallel — or the named subset) as
-// flags on fs with the registry's canonical spellings and help text.
+// max-tuples, backend and hard-mem — or the named subset) as flags on fs
+// with the registry's canonical spellings and help text.
 // Per-binary defaults come pre-rendered in defaults, keyed by HTTP parameter
 // name, and pass through the same validation as any other value.
 func BindExecFlags(fs *flag.FlagSet, defaults map[string]string, names ...string) *ExecFlags {
