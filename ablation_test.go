@@ -27,6 +27,7 @@ type ablationRow struct {
 	Rows          int    `json:"rows"`
 	Hist          string `json:"hist"`
 	Order         string `json:"order"` // see orderHash
+	Rank          string `json:"rank"`  // see rankHash
 	TuplesAdded   int    `json:"tuples_added"`
 	TuplesPopped  int    `json:"tuples_popped"`
 	NeighborCalls int    `json:"neighbor_calls"`
@@ -98,7 +99,7 @@ func ablationExec(mode Mode, limit int) ExecOptions {
 	return ExecOptions{Mode: ModeOverride(mode), Limit: limit, MaxTuples: 200_000, HardMemBytes: 256 << 20, Backend: BackendRanked}
 }
 
-func runAblationCase(t *testing.T, name string, s ablationSetting, q ablationQuery, eo ExecOptions) (ablationRow, []string) {
+func runAblationCase(t *testing.T, name string, s ablationSetting, q ablationQuery, eo ExecOptions) (ablationRow, drained) {
 	t.Helper()
 	pq, err := NewEngine(q.g, q.ont).WithOptions(s.opts).PrepareText(q.text)
 	if err != nil {
@@ -124,6 +125,7 @@ func runAblationCase(t *testing.T, name string, s ablationSetting, q ablationQue
 	default:
 		t.Fatalf("%s/%s: Next: %v", name, s.name, d.err)
 	}
+	row.Rank = rankHash(d.rows, d.dists, cutShort(row.End, row.Rows, eo.Limit))
 	for i, pops := range d.popsAt {
 		if i == 0 {
 			row.FirstPops = pops
@@ -131,7 +133,7 @@ func runAblationCase(t *testing.T, name string, s ablationSetting, q ablationQue
 			row.MaxGapPops = max(row.MaxGapPops, pops-d.popsAt[i-1])
 		}
 	}
-	return row, d.rows
+	return row, d
 }
 
 // ablationCompare judges a knob's run of one case against the default's run:
@@ -215,25 +217,37 @@ func TestAblationMatrix(t *testing.T) {
 	var got []ablationRow
 	for _, q := range ablationQueries() {
 		for _, mode := range []Mode{Exact, Approx, Relax} {
+			cut := make([]*drained, len(settings)) // each setting's top-100 run, when cut short
 			for _, limit := range []int{100, 0} {
 				name := fmt.Sprintf("%s/%v/limit=%d", q.id, mode, limit)
 				eo := ablationExec(mode, limit)
-				def, defRows := runAblationCase(t, name, settings[0], q, eo)
-				def.SameOrder = true
-				got = append(got, def)
-				for i, s := range settings[1:] {
-					row, rows := runAblationCase(t, name, s, q, eo)
-					row.SameOrder = slices.Equal(rows, defRows)
+				var def ablationRow
+				var defRows []string
+				for i, s := range settings {
+					row, d := runAblationCase(t, name, s, q, eo)
+					switch {
+					case limit > 0 && cutShort(row.End, row.Rows, limit):
+						cut[i] = &d
+					case limit == 0 && row.End == "done" && cut[i] != nil:
+						checkCutLevels(t, name+"/"+s.name, cut[i].rows, cut[i].dists, d.rows, d.dists)
+					}
+					if i == 0 {
+						def, defRows = row, d.rows
+					}
+					row.SameOrder = slices.Equal(d.rows, defRows)
 					got = append(got, row)
+					if i == 0 {
+						continue
+					}
 					if def.End == "done" && row.End == "done" && row.Hist != def.Hist {
 						t.Errorf("%s: %s changed the answers: hist %q, default %q", name, s.name, row.Hist, def.Hist)
 					}
 					b, w := ablationCompare(def, row)
 					if b {
-						tallies[i+1].better++
+						tallies[i].better++
 					}
 					if w {
-						tallies[i+1].worse++
+						tallies[i].worse++
 					}
 				}
 			}

@@ -6,8 +6,11 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,13 +23,18 @@ const workGoldenPath = "testdata/work_golden.json"
 
 // workCounters is what one execution did, in the units that repeat exactly on
 // any machine: the evaluator's work counters, the row count, the rows per
-// distance ("dist:rows" pairs, ascending) and the emission order (see
-// orderHash).
+// distance ("dist:rows" pairs, ascending), the emission order (see
+// orderHash), the answer set per distance level (see rankHash) and the size
+// of the compiled automata the plan runs (states and transitions, summed over
+// the plan's automata).
 type workCounters struct {
 	Case         string `json:"case"`
 	Rows         int    `json:"rows"`
 	Hist         string `json:"hist"`
 	Order        string `json:"order"`
+	Rank         string `json:"rank"`
+	States       int    `json:"states"`
+	Trans        int    `json:"trans"`
 	TuplesAdded  int    `json:"tuples_added"`
 	TuplesPopped int    `json:"tuples_popped"`
 	Deferred     int    `json:"deferred"`
@@ -81,10 +89,12 @@ func jsonLines[T any](cases []T) string {
 }
 
 // workRun is one drained execution: its counters, its rows in emission order
-// (nodes and distance, rendered) and its accounted peak.
+// (nodes and distance, rendered) with their distances, and its accounted
+// peak.
 type workRun struct {
 	counters workCounters
 	rows     []string
+	dists    []int
 	memPeak  int64
 }
 
@@ -95,11 +105,12 @@ func (a workRun) sameWork(b workRun) bool {
 }
 
 // drained is what one execution emitted before it ended: its rows in emission
-// order (nodes and distance, rendered), the rows per distance ("dist:rows"
-// pairs, ascending), and the pops the evaluators had made when each row came
-// out, read from Rows.Stats after every Next.
+// order (nodes and distance, rendered) and each row's distance, the rows per
+// distance ("dist:rows" pairs, ascending), and the pops the evaluators had
+// made when each row came out, read from Rows.Stats after every Next.
 type drained struct {
 	rows   []string
+	dists  []int
 	hist   string
 	popsAt []int
 	stats  Stats
@@ -117,6 +128,105 @@ func orderHash(rows []string) string {
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
+
+// rankHash pins the paper's contract rather than the tie order: which rows
+// come out at each distance, not their order within it. It is the FNV-64a
+// hash of every distance level's rows, sorted within the level, levels in
+// ascending distance. A run that was cut short — a Limit reached, a budget
+// hit — may have emitted only part of its last level, so that level stays out
+// of the hash and only its row count follows it, as "<hash>+<rows>";
+// checkCutLevels holds those rows to the run that was not cut. Two runs with
+// the same rows per level and a different order within a level hash the
+// same; orderHash tells them apart.
+func rankHash(rows []string, dists []int, cut bool) string {
+	lv := levels(rows, dists)
+	ds := slices.Sorted(maps.Keys(lv))
+	last := -1
+	if cut && len(ds) > 0 {
+		last = ds[len(ds)-1]
+	}
+	h := fnv.New64a()
+	for _, d := range ds {
+		if d == last {
+			continue
+		}
+		fmt.Fprintf(h, "%d\n", d)
+		for _, r := range lv[d] {
+			h.Write([]byte(r))
+			h.Write([]byte{'\n'})
+		}
+	}
+	if last >= 0 {
+		return fmt.Sprintf("%016x+%d", h.Sum64(), len(lv[last]))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// cutShort reports whether a run that ended as end ("done" when the stream
+// finished, else the budget it hit) after rows rows under limit may have
+// emitted only part of its last distance level.
+func cutShort(end string, rows, limit int) bool {
+	return end != "done" || limit > 0 && rows == limit
+}
+
+// levels groups rows by distance, each level sorted.
+func levels(rows []string, dists []int) map[int][]string {
+	lv := map[int][]string{}
+	for i, r := range rows {
+		lv[dists[i]] = append(lv[dists[i]], r)
+	}
+	for _, l := range lv {
+		slices.Sort(l)
+	}
+	return lv
+}
+
+// checkCutLevels holds a run that was cut short to the run of the same case
+// that finished (TestLimitPrefixOfExhaustive's law, per level): every level
+// below the cut run's last one holds exactly the finished run's rows at that
+// distance, and the last one a subset of them.
+func checkCutLevels(t *testing.T, name string, cutRows []string, cutDists []int, allRows []string, allDists []int) {
+	t.Helper()
+	cut, all := levels(cutRows, cutDists), levels(allRows, allDists)
+	if len(cut) == 0 {
+		return
+	}
+	last := slices.Max(slices.Collect(maps.Keys(cut)))
+	for d, rows := range cut {
+		switch {
+		case d < last && !slices.Equal(rows, all[d]):
+			t.Errorf("%s: level %d holds %d rows cut short, %d finished, or other rows", name, d, len(rows), len(all[d]))
+		case d == last:
+			for _, r := range rows {
+				if _, ok := slices.BinarySearch(all[d], r); !ok {
+					t.Errorf("%s: row %s of the last level cut short is not at that level when the run finishes", name, r)
+					break
+				}
+			}
+		}
+	}
+}
+
+// automatonSize counts the states and compiled transitions of the automata
+// the plan for eo runs, summed over them, as Explain lists them.
+func automatonSize(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) (states, trans int) {
+	t.Helper()
+	plan, err := pq.Explain(eo)
+	if err != nil {
+		t.Fatalf("%s: Explain: %v", name, err)
+	}
+	for _, m := range automatonLine.FindAllStringSubmatch(plan, -1) {
+		s, _ := strconv.Atoi(m[1])
+		n, _ := strconv.Atoi(m[2])
+		states, trans = states+s, trans+n
+	}
+	if states == 0 {
+		t.Fatalf("%s: no automaton in the plan:\n%s", name, plan)
+	}
+	return states, trans
+}
+
+var automatonLine = regexp.MustCompile(`(\d+) states, (\d+) compiled transitions`)
 
 // drain pulls rows until the stream ends or fails; err is the terminal error.
 func drain(rows *Rows) drained {
@@ -137,6 +247,7 @@ func drain(rows *Rows) drained {
 		}
 		hist[r.Dist]++
 		out.rows = append(out.rows, fmt.Sprint(r.Nodes, r.Dist))
+		out.dists = append(out.dists, r.Dist)
 		out.popsAt = append(out.popsAt, rows.Stats().TuplesPopped)
 	}
 	var hs []string
@@ -161,26 +272,30 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 		t.Fatalf("%s: Next: %v", name, d.err)
 	}
 	st := d.stats
+	states, trans := automatonSize(t, name, pq, eo)
 	return workRun{
 		counters: workCounters{
 			Case: name, Rows: len(d.rows), Hist: d.hist, Order: orderHash(d.rows),
+			Rank:   rankHash(d.rows, d.dists, cutShort("done", len(d.rows), eo.Limit)),
+			States: states, Trans: trans,
 			TuplesAdded: st.TuplesAdded, TuplesPopped: st.TuplesPopped,
 			Deferred: st.Deferred, Reinjected: st.Reinjected,
 			Phases: st.Phases, VisitedSize: st.VisitedSize,
 		},
 		rows:    d.rows,
+		dists:   d.dists,
 		memPeak: st.MemPeakBytes,
 	}
 }
 
 // TestWorkGolden pins the work the ranked evaluator does against
-// testdata/work_golden.json: a change that alters which tuples exist, or the
-// order the rows come out in, shows up as a diff of that file (go test -run
-// TestWorkGolden -update rewrites it), a refactor must leave it untouched. Three groups of cases, all on the ranked
-// backend:
+// testdata/work_golden.json: a change that alters which tuples exist, the
+// automata, or the order the rows come out in, shows up as a diff of that
+// file (go test -run TestWorkGolden -update rewrites it), a refactor must
+// leave it untouched. Three groups of cases, all on the ranked backend:
 //
-//   - the L4All study queries on L1 × EXACT/APPROX/RELAX × plain/distance-aware
-//     × top-100/exhaustive;
+//   - the L4All study queries on L1 × EXACT/APPROX/RELAX/FLEX ×
+//     plain/distance-aware × top-100/exhaustive;
 //   - the ψ-phase driver over a decomposed alternation (Options.Disjunction):
 //     the corpus's two top-level alternations, L4All Q7 on L1 and YAGO Q9, ×
 //     APPROX/RELAX × plain/distance-aware × top-100/exhaustive;
@@ -191,11 +306,17 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 // whole corpus — so each pooled run inherits whatever the previous tenant grew
 // — and both must emit the same rows and report the same counters; only the
 // fresh run's accounted peak is recorded, since a pooled one depends on that
-// previous tenant. That peak must be under frontierBound.
+// previous tenant. That peak must be under frontierBound. A top-100 run that
+// was cut at its limit must hold, per distance level, the rows of the same
+// case run exhaustively (checkCutLevels).
+//
+// The order column may move in a change that keeps rows, hist and rank, and
+// that change explains the move (DESIGN.md, "Order pin and rank pin").
 func TestWorkGolden(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	pool := NewEvalPool(1)
 	var got workGolden
+	cut := map[string]workRun{} // top-100 runs cut at the limit, by case without the limit
 	run := func(name string, pq *PreparedQuery, eo ExecOptions) {
 		eo.Backend = BackendRanked
 		fresh := runWorkCase(t, name, pq, eo)
@@ -205,6 +326,15 @@ func TestWorkGolden(t *testing.T) {
 				name, pooled.counters, fresh.counters)
 		}
 		checkFrontierBound(t, name, fresh.memPeak)
+		key := strings.TrimSuffix(name, fmt.Sprint(eo.Limit))
+		switch {
+		case cutShort("done", fresh.counters.Rows, eo.Limit):
+			cut[key] = fresh
+		case eo.Limit == 0:
+			if c, ok := cut[key]; ok {
+				checkCutLevels(t, name, c.rows, c.dists, fresh.rows, fresh.dists)
+			}
+		}
 		got.Counters = append(got.Counters, fresh.counters)
 		got.MemFresh = append(got.MemFresh, workMem{Case: name, Bytes: fresh.memPeak})
 	}
@@ -228,7 +358,7 @@ func TestWorkGolden(t *testing.T) {
 		eng := NewEngine(g, ont).WithOptions(v.opts)
 		for _, q := range l4all.StudyQueries() {
 			pq := prepare(eng, q.ID, q.Text)
-			for _, mode := range []Mode{Exact, Approx, Relax} {
+			for _, mode := range []Mode{Exact, Approx, Relax, Flex} {
 				for _, limit := range limits {
 					name := fmt.Sprintf("%s/%v/%s/limit=%d", q.ID, mode, v.name, limit)
 					run(name, pq, ExecOptions{Mode: ModeOverride(mode), Limit: limit})
