@@ -231,12 +231,10 @@ func TestAblationMatrix(t *testing.T) {
 					case limit == 0 && row.End == "done" && cut[i] != nil:
 						checkCutLevels(t, name+"/"+s.name, cut[i].rows, cut[i].dists, d.rows, d.dists)
 					}
-					if i == 0 {
-						def, defRows = row, d.rows
-					}
-					row.SameOrder = slices.Equal(d.rows, defRows)
+					row.SameOrder = i == 0 || slices.Equal(d.rows, defRows)
 					got = append(got, row)
 					if i == 0 {
+						def, defRows = row, d.rows
 						continue
 					}
 					if def.End == "done" && row.End == "done" && row.Hist != def.Hist {

@@ -212,10 +212,22 @@ type BuildOptions struct {
 	Reverse     bool // build for R− (Case 2 of Open)
 }
 
-// Build runs the full pipeline of §3.3 for one conjunct: construct M_R,
-// optionally reverse it, augment into A_R or M^K_R, remove ε-transitions,
-// and compile against the graph.
+// Build runs the full pipeline of §3.3 for one conjunct (buildNFA) and
+// compiles the ε-free result against the graph.
 func Build(e *rpq.Expr, g *graph.Graph, ont *ontology.Ontology, opts BuildOptions) (*Compiled, error) {
+	n, err := buildNFA(e, ont, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(n, g, ont)
+}
+
+// buildNFA constructs M_R, optionally reverses it, augments it into A_R or
+// M^K_R and removes ε-transitions. Approx runs on the ε-free automaton, which
+// keeps it from duplicating states (see Approx); its deletions are ε-moves,
+// so ε is removed again. Relax adds no ε-moves and runs on the Thompson
+// automaton.
+func buildNFA(e *rpq.Expr, ont *ontology.Ontology, opts BuildOptions) (*NFA, error) {
 	n := FromRegexp(e)
 	if opts.Reverse {
 		rev, err := n.Reverse()
@@ -227,7 +239,7 @@ func Build(e *rpq.Expr, g *graph.Graph, ont *ontology.Ontology, opts BuildOption
 	switch opts.Mode {
 	case Exact:
 	case Approx:
-		n = n.Approx(opts.Edit)
+		n = n.RemoveEpsilon().Approx(opts.Edit)
 	case Relax:
 		if ont == nil {
 			return nil, fmt.Errorf("automaton: Build: RELAX requires an ontology")
@@ -237,9 +249,9 @@ func Build(e *rpq.Expr, g *graph.Graph, ont *ontology.Ontology, opts BuildOption
 		if ont == nil {
 			return nil, fmt.Errorf("automaton: Build: FLEX requires an ontology")
 		}
-		n = n.Relax(ont, opts.RelaxCosts, opts.EnableRule2).Approx(opts.Edit)
+		n = n.Relax(ont, opts.RelaxCosts, opts.EnableRule2).RemoveEpsilon().Approx(opts.Edit)
 	default:
 		return nil, fmt.Errorf("automaton: Build: unknown mode %v", opts.Mode)
 	}
-	return Compile(n.RemoveEpsilon(), g, ont)
+	return n.RemoveEpsilon(), nil
 }

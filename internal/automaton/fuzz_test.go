@@ -15,6 +15,8 @@ import (
 //   - FromRegexp accepts at cost 0 exactly what the AST matcher accepts;
 //   - RemoveEpsilon keeps MinCostWord, on the plain automaton and after
 //     Approx;
+//   - the APPROX automaton Build serves (ε removed before and after Approx)
+//     keeps the MinCostWord of Approx applied to the Thompson ε-NFA;
 //   - Reverse agrees with the automaton of the reversed expression.
 //
 // Texts over 48 bytes and automata over 64 states are skipped, so one input
@@ -48,12 +50,17 @@ func FuzzAutomaton(f *testing.F) {
 		}
 
 		approx := n.Approx(DefaultEditCosts())
+		served, err := buildNFA(e, nil, BuildOptions{Mode: Approx, Edit: DefaultEditCosts()})
+		if err != nil {
+			t.Fatalf("%s: buildNFA: %v", e, err)
+		}
 		pairs := []struct {
 			name          string
 			before, after *NFA
 		}{
 			{"RemoveEpsilon", n, n.RemoveEpsilon()},
 			{"Approx then RemoveEpsilon", approx, approx.RemoveEpsilon()},
+			{"Build's APPROX pipeline", approx, served},
 		}
 		rev, err := n.Reverse()
 		if err != nil {

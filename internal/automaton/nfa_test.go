@@ -2,6 +2,7 @@ package automaton
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -222,8 +223,10 @@ func enumLang(e *rpq.Expr, maxLen, cap int) map[string]bool {
 }
 
 // editDist is the weighted edit distance from w1 (the regex word) to w2 (the
-// data word): delete symbols of w1, insert symbols of w2, substitute.
-func editDist(w1, w2 []WordSym, c EditCosts) int32 {
+// data word): delete symbols of w1, insert symbols of w2, substitute, or
+// align a symbol of w1 with one of w2 at align's cost (negative when they do
+// not align).
+func editDist(w1, w2 []WordSym, c EditCosts, align func(q, x WordSym) int32) int32 {
 	m, n := len(w1), len(w2)
 	dp := make([][]int32, m+1)
 	for i := range dp {
@@ -242,8 +245,8 @@ func editDist(w1, w2 []WordSym, c EditCosts) int32 {
 				best = v
 			}
 			subCost := c.Substitute
-			if w1[i-1] == w2[j-1] {
-				subCost = 0
+			if a := align(w1[i-1], w2[j-1]); a >= 0 && a < subCost {
+				subCost = a
 			}
 			if v := dp[i-1][j-1] + subCost; v < best {
 				best = v
@@ -252,6 +255,35 @@ func editDist(w1, w2 []WordSym, c EditCosts) int32 {
 		}
 	}
 	return dp[m][n]
+}
+
+// sameSym aligns equal symbols at no cost.
+func sameSym(q, x WordSym) int32 {
+	if q == x {
+		return 0
+	}
+	return -1
+}
+
+// relaxedSym aligns equal symbols at no cost, and q with x in the same
+// direction at k·β when x is a superproperty of q at k steps or a
+// subproperty of such a superproperty: RELAX rule (i) read off the ontology
+// rather than off Relax.
+func relaxedSym(ont *ontology.Ontology, costs RelaxCosts) func(q, x WordSym) int32 {
+	return func(q, x WordSym) int32 {
+		if q == x {
+			return 0
+		}
+		if q.Inverse != x.Inverse {
+			return -1
+		}
+		for _, anc := range ont.PropertyAncestors(q.Label) {
+			if anc.Dist > 0 && (anc.Name == x.Label || slices.Contains(ont.PropertyDescendants(anc.Name), x.Label)) {
+				return int32(anc.Dist) * costs.Beta
+			}
+		}
+		return -1
+	}
 }
 
 // --- exact construction --------------------------------------------------
@@ -519,17 +551,38 @@ func TestApproxCustomCosts(t *testing.T) {
 	}
 }
 
-// Property: the APPROX automaton computes min over w' ∈ L(R) of the weighted
-// edit distance from w' to the data word (unit costs), verified against
-// explicit language enumeration.
+// Property: the APPROX automaton that Build serves computes min over
+// w' ∈ L(R) of the weighted edit distance from w' to the data word (unit
+// costs), verified against explicit language enumeration.
 func TestQuickApproxEqualsEditDistance(t *testing.T) {
+	checkServedEditDistance(t, BuildOptions{Mode: Approx, Edit: DefaultEditCosts()}, nil, sameSym)
+}
+
+// Property: the FLEX automaton that Build serves computes the same minimum
+// with RELAX rule (i) as an alignment: over a ⊑ b ⊑ c, a query a meets a
+// data b at β and a data c at 2β, and each of those may still be edited.
+// Edits cost more than a relaxation here, so a pipeline that lost Relax
+// would be caught.
+func TestQuickFlexEqualsRelaxedEditDistance(t *testing.T) {
+	ont := ontology.New()
+	ont.AddSubproperty("a", "b")
+	ont.AddSubproperty("b", "c")
+	opts := BuildOptions{Mode: Flex, Edit: EditCosts{Insert: 2, Delete: 2, Substitute: 3}, RelaxCosts: DefaultRelaxCosts()}
+	checkServedEditDistance(t, opts, ont, relaxedSym(ont, opts.RelaxCosts))
+}
+
+// checkServedEditDistance holds buildNFA's automaton for random expressions
+// over {a, b, c} to editDist over their enumerated languages, at align.
+func checkServedEditDistance(t *testing.T, opts BuildOptions, ont *ontology.Ontology, align func(q, x WordSym) int32) {
 	rng := rand.New(rand.NewSource(53))
 	alphabet := []string{"a", "b", "c"}
-	costs := DefaultEditCosts()
 	checked := 0
 	for i := 0; i < 300 && checked < 120; i++ {
 		e := randExpr(rng, 3, false)
-		n := FromRegexp(e).Approx(costs).RemoveEpsilon()
+		n, err := buildNFA(e, ont, opts)
+		if err != nil {
+			t.Fatalf("iter %d: %s: %v", i, e, err)
+		}
 		for j := 0; j < 4; j++ {
 			w := randWord(rng, 2, alphabet)
 			maxLen := 2*len(w) + 4
@@ -539,7 +592,7 @@ func TestQuickApproxEqualsEditDistance(t *testing.T) {
 			}
 			want := int32(-1)
 			for enc := range lang {
-				d := editDist(decWord(enc), w, costs)
+				d := editDist(decWord(enc), w, opts.Edit, align)
 				if want < 0 || d < want {
 					want = d
 				}
@@ -547,12 +600,12 @@ func TestQuickApproxEqualsEditDistance(t *testing.T) {
 			if want < 0 {
 				continue // empty language fragment (cannot happen with our ops)
 			}
-			got, ok := n.MinCostWord(w, nil)
+			got, ok := n.MinCostWord(w, ont)
 			if !ok {
-				t.Fatalf("iter %d: %s on %v: no match, want %d", i, e, w, want)
+				t.Fatalf("iter %d: %v %s on %v: no match, want %d", i, opts.Mode, e, w, want)
 			}
 			if got != want {
-				t.Fatalf("iter %d: %s on %v: approx cost=%d, enumeration says %d", i, e, w, got, want)
+				t.Fatalf("iter %d: %v %s on %v: cost=%d, enumeration says %d", i, opts.Mode, e, w, got, want)
 			}
 			checked++
 		}

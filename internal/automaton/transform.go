@@ -45,8 +45,13 @@ func (c EditCosts) MinCost() int32 {
 //     automaton (a wildcard self-loop at cost ins on every state — the
 //     paper's single '*'-labelled transition, §3.3).
 //
-// The input should still contain its Thompson ε-transitions; call
-// RemoveEpsilon afterwards.
+// The cost Approx gives a word depends only on the input's weighted language
+// (the least, over accepted words, of a word's cost plus its edit distance),
+// so the input may keep its ε-transitions or not. Build passes the ε-free
+// automaton: on the Thompson ε-NFA, a state that only ε reaches would gain
+// its own insertion loop and survive ε-removal as a duplicate of its
+// ε-predecessor. Deletions are ε-transitions, so call RemoveEpsilon
+// afterwards.
 func (n *NFA) Approx(costs EditCosts) *NFA {
 	out := n.Clone()
 	for _, t := range n.Trans {

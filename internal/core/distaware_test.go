@@ -146,11 +146,11 @@ func TestDistanceAwareStatsRegression(t *testing.T) {
 	// creeping up is double-counted accounting (each counter must equal the
 	// per-phase sum — the final phase is accumulated exactly once).
 	// Deferred and Reinjected count entries: a continuation parks as one.
-	if is.TuplesPopped != 56 || is.Phases != 4 || is.Deferred != 33 || is.Reinjected != 33 {
-		t.Fatalf("incremental stats drifted: %+v (want popped=56 phases=4 deferred=33 reinjected=33)", is)
+	if is.TuplesPopped != 39 || is.Phases != 3 || is.Deferred != 20 || is.Reinjected != 20 {
+		t.Fatalf("incremental stats drifted: %+v (want popped=39 phases=3 deferred=20 reinjected=20)", is)
 	}
-	if rs.TuplesPopped != 143 || rs.Phases != 4 {
-		t.Fatalf("restart stats drifted: %+v (want popped=143 phases=4)", rs)
+	if rs.TuplesPopped != 69 || rs.Phases != 3 {
+		t.Fatalf("restart stats drifted: %+v (want popped=69 phases=3)", rs)
 	}
 }
 
