@@ -260,15 +260,21 @@ type Stats struct {
 	// TuplesAdded counts entries entering D_R — a tuple or continuation
 	// pushed, or admitted from above the ψ ceiling at a later phase — plus
 	// one per successor a continuation yields; TuplesPopped counts pops, a
-	// continuation's pop being the one of the successor it yields. So TuplesPopped ≤ TuplesAdded.
+	// continuation's pop being the one of the successor it yields, so a
+	// parked continuation dropped at its pop with no unvisited successor
+	// left counts none. So TuplesPopped ≤ TuplesAdded.
 	TuplesAdded  int
 	TuplesPopped int
 	VisitedSize  int
-	Phases       int // distance-aware ψ phases (1 when not distance-aware)
+	// Phases counts distance-aware ψ phases (1 when not distance-aware); a
+	// resumed phase that popped nothing is folded like a skipped ψ and does
+	// not count.
+	Phases int
 	// NeighborCalls counts the neighbour lists Succ opened: one per cost-0
 	// transition whose U the cache did not hold, one per costed transition,
-	// where its continuation is positioned. CacheHits counts the cost-0
-	// retrievals the U cache served.
+	// where its continuation is positioned (when it pops, for a wildcard
+	// continuation parked above ψ). CacheHits counts the cost-0 retrievals
+	// the U cache served.
 	NeighborCalls int
 	CacheHits     int
 	// Deferred counts entries (tuples and continuations) parked in D_R above

@@ -34,7 +34,9 @@ import (
 // the newly admissible ones next to the warm visited table and answer
 // registry — every tuple is popped at most once across all phases, and
 // phases that would re-admit nothing anywhere are skipped by stepping ψ
-// straight to the next populated φ-grid point. The pop trace restricted to
+// straight to the next populated φ-grid point (a phase whose admitted entries
+// were all continuations with nothing left to yield is folded the same way,
+// once it has dropped them). The pop trace restricted to
 // distances ≤ ψ is identical either way, so ranked emission is byte-identical
 // to the fresh-evaluator-per-(branch, phase) driver retained behind
 // Options.DistanceRestart as the differential reference (the RefDict
@@ -92,12 +94,17 @@ type disjunction struct {
 	// own answer registry stays warm across phases and never re-emits a pair.
 	emitted *dstruct.U64Set
 	phases  int
-	done    bool
-	failed  error
+	// phasePops is the branches' TuplesPopped when the current phase
+	// started; a resumed phase that ends on the same figure is folded.
+	phasePops int
+	done      bool
+	failed    error
 
 	// phaseSpan is the open psi_phase trace span of the current resumed phase
 	// (NoSpan for phase 1, which the enclosing conjunct span already covers,
-	// and always NoSpan when the execution is untraced).
+	// and always NoSpan when the execution is untraced). A folded phase's
+	// span runs on into the next phase, so there is one per counted resumed
+	// phase, plus one when the stream ends on a folded phase.
 	phaseSpan obs.SpanID
 }
 
@@ -172,8 +179,18 @@ func (d *disjunction) Next() (Answer, bool, error) {
 			return Answer{}, false, nil
 		}
 		if d.oi >= len(d.order) {
-			// Phase complete: step ψ to the next φ-grid point that re-admits
-			// at least one parked tuple in some branch, or stop.
+			// Phase complete. A resumed phase in which no branch popped
+			// anything only dropped parked continuations with no unvisited
+			// successor left: it is folded as an empty grid point, uncounted,
+			// and its span runs on into the next phase. Its answer counts
+			// are all zero, so it orders the next phase as a skipped grid
+			// point would.
+			empty := d.phases > 1 && d.popped() == d.phasePops
+			if empty {
+				d.phases--
+			}
+			// Step ψ to the next φ-grid point that re-admits at least one
+			// parked entry in some branch, or stop.
 			next, skipped, more := d.nextPsi()
 			if !more {
 				d.finish()
@@ -190,13 +207,16 @@ func (d *disjunction) Next() (Answer, bool, error) {
 				}
 			}
 			d.psi = next
-			d.r.trace.End(d.phaseSpan)
-			d.phaseSpan = d.r.trace.Start(d.r.span, obs.SpanPsiPhase)
+			if !empty {
+				d.r.trace.End(d.phaseSpan)
+				d.phaseSpan = d.r.trace.Start(d.r.span, obs.SpanPsiPhase)
+			}
 			d.r.trace.SetAttr(d.phaseSpan, "psi", int64(next))
 			for _, ev := range d.evals {
 				ev.resume(next)
 			}
 			d.phases++
+			d.phasePops = d.popped()
 			d.startPhase()
 			continue
 		}
@@ -216,6 +236,15 @@ func (d *disjunction) Next() (Answer, bool, error) {
 		d.counts[idx]++
 		return a, true, nil
 	}
+}
+
+// popped sums the branches' pops.
+func (d *disjunction) popped() int {
+	n := 0
+	for _, ev := range d.evals {
+		n += ev.stats.TuplesPopped
+	}
+	return n
 }
 
 // nextPsi returns the next ψ-grid value that re-admits at least one parked

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"omega/internal/automaton"
@@ -51,6 +53,10 @@ func checkIncrementalMatchesRestart(t *testing.T, trial int, g *graph.Graph, ont
 	if rs.Phases > 1 && is.TuplesPopped > rs.TuplesPopped {
 		t.Fatalf("trial %d %s: incremental popped %d tuples, restart %d — resuming must never do more work",
 			trial, c, is.TuplesPopped, rs.TuplesPopped)
+	}
+	if is.Phases > rs.Phases {
+		t.Fatalf("trial %d %s: incremental ran %d phases, restart %d — skipping and folding can only reduce them",
+			trial, c, is.Phases, rs.Phases)
 	}
 }
 
@@ -145,9 +151,11 @@ func TestDistanceAwareStatsRegression(t *testing.T) {
 	// the restart value is a fallback to recomputation; the restart value
 	// creeping up is double-counted accounting (each counter must equal the
 	// per-phase sum — the final phase is accumulated exactly once).
-	// Deferred and Reinjected count entries: a continuation parks as one.
-	if is.TuplesPopped != 39 || is.Phases != 3 || is.Deferred != 20 || is.Reinjected != 20 {
-		t.Fatalf("incremental stats drifted: %+v (want popped=39 phases=3 deferred=20 reinjected=20)", is)
+	// Deferred and Reinjected count entries: a continuation parks as one,
+	// and a wildcard continuation parks unpositioned even when every
+	// successor is visited by the time it pops, where it is dropped uncounted.
+	if is.TuplesPopped != 27 || is.Phases != 3 || is.Deferred != 38 || is.Reinjected != 38 {
+		t.Fatalf("incremental stats drifted: %+v (want popped=27 phases=3 deferred=38 reinjected=38)", is)
 	}
 	if rs.TuplesPopped != 69 || rs.Phases != 3 {
 		t.Fatalf("restart stats drifted: %+v (want popped=69 phases=3)", rs)
@@ -186,5 +194,94 @@ func TestDistanceAwareSkipsEmptyPhases(t *testing.T) {
 
 	if is.Phases > rs.Phases {
 		t.Fatalf("incremental ran %d phases, restart %d — skipping can only reduce them", is.Phases, rs.Phases)
+	}
+}
+
+// TestParkedWildcardDroppedAtPop drives a parked wildcard continuation that
+// is admitted with every successor visited. On a -p-> b, APPROX (a, p, ?X)
+// with substitution cheaper than insertion and deletion parks one entry at
+// distance 1: the substitution continuation from a, whose one successor, b
+// in the final state, phase 0 visits. ψ = 1 admits it, and it must be dropped
+// without counting a pop or a tuple operation; the phase it alone filled must
+// not count.
+func TestParkedWildcardDroppedAtPop(t *testing.T) {
+	b := graph.NewBuilder()
+	mustAdd(t, b, "a", "p", "b")
+	g, ont := b.Freeze(), ontology.New()
+	opts := Options{
+		DistanceAware: true,
+		MaxPsi:        2,
+		Edit:          automaton.EditCosts{Insert: 2, Delete: 2, Substitute: 1},
+	}.withDefaults()
+	plan, err := compileConjunct(g, ont, conj("a", "p", "?X", automaton.Approx), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pooled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
+			var pool *EvalPool
+			if pooled {
+				pool = NewEvalPool(2)
+			}
+			open := func() (*run, *disjunction) {
+				r := new(run)
+				*r = newRun(nil, opts, NewMemGauge(0), pool, nil)
+				d, ok := plan.open(r, 0, BackendRanked).(*disjunction)
+				if !ok {
+					t.Fatal("the plan did not open the ψ-phase driver")
+				}
+				return r, d
+			}
+
+			// Step the branch evaluator through phases 0 and 1 by hand.
+			r, d := open()
+			ev := d.evals[0]
+			for {
+				_, ok, err := ev.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+			}
+			if md, _ := ev.dr.MinDistance(); md != 1 {
+				t.Fatalf("nearest parked distance after phase 0 is %d, want 1", md)
+			}
+			popped, ops := ev.stats.TuplesPopped, r.ops
+			ev.resume(1)
+			if ev.stats.Reinjected != 1 || r.ops != ops+1 {
+				t.Fatalf("ψ = 1 admitted %d entries in %d operations, want the one continuation", ev.stats.Reinjected, r.ops-ops)
+			}
+			if _, ok, err := ev.Next(); ok || err != nil {
+				t.Fatalf("phase 1 ended with (%v, %v), want a drained D_R", ok, err)
+			}
+			if ev.stats.TuplesPopped != popped || r.ops != ops+1 {
+				t.Fatalf("the dropped continuation counted: popped %d → %d, operations %d → %d",
+					popped, ev.stats.TuplesPopped, ops+1, r.ops)
+			}
+			if md, _ := ev.dr.MinDistance(); md != 2 {
+				t.Fatalf("nearest parked distance after phase 1 is %d, want 2: the continuation was not dropped", md)
+			}
+			d.Close()
+
+			// Through the driver, the folded phase is not counted, and the
+			// emission is the restart reference's.
+			_, d = open()
+			got := drain(t, d, 100)
+			ropts := opts
+			ropts.DistanceRestart = true
+			rt, err := OpenConjunct(g, ont, conj("a", "p", "?X", automaton.Approx), ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := drain(t, rt, 100)
+			if !slices.Equal(got, want) {
+				t.Fatalf("emitted %v, restart %v", got, want)
+			}
+			if is, rs := d.Stats(), rt.Stats(); is.Phases != 2 || rs.Phases != 3 {
+				t.Fatalf("ran %d phases (restart %d), want 2 (restart 3): ψ = 1 only dropped an entry", is.Phases, rs.Phases)
+			}
+		})
 	}
 }

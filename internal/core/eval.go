@@ -398,12 +398,13 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 			}
 			return Answer{}, false, nil
 		}
-		ev.stats.TuplesPopped++
-		ev.r.tick(1)
 		if t.IsCont() {
+			// step counts the pop, unless it drops the continuation.
 			if t, ok = ev.step(t); !ok {
 				continue
 			}
+		} else {
+			ev.countPop()
 		}
 
 		if t.Final {
@@ -483,7 +484,18 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 // walks them last-first, skipping the visited ones eager would have popped
 // only to discard. What pops and in which order is therefore eager's, minus
 // those discards, over every D_R implementation and through parking above
-// ψ and re-admission alike.
+// ψ and re-admission alike. A wildcard continuation parked above ψ by a
+// resumable evaluator is positioned when it pops, not when it parks (its
+// cursor is unpositioned, past the end of its last segment): most parked
+// entries are never admitted, and positioning one walks the node's incidence
+// list with a visited probe per neighbour. Positioned later, it skips the
+// successors visited in between, which eager would have popped to discard
+// too.
+
+// unpositioned is the cursor of a continuation not yet positioned on a
+// successor: past the end of every segment, so lastSucc walks it from the end
+// of its slot's segment.
+const unpositioned = math.MaxInt32
 
 // contStride is the number of continuation slots per transition of an
 // automaton over g: one per neighbour segment, that is at most two per edge
@@ -508,7 +520,9 @@ func checkContSlots(aut *automaton.Compiled, g *graph.Graph) error {
 // cont pushes one continuation for the successors of (v, n) over the costed
 // transition tr at distance d, positioned on the last one still unvisited —
 // or parks it through reject when d is beyond ψ. Nothing is pushed when every
-// successor is visited.
+// successor is visited. A resumable evaluator parks a wildcard continuation
+// without a landing target unpositioned, and leaves it out only when n has no
+// neighbour over tr at all, which takes no visited probe.
 func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 	var segs int
 	switch {
@@ -519,34 +533,69 @@ func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 	default:
 		segs = int(ev.stride) // a one-way wildcard walks every label of the graph
 	}
-	seg, cur, ok := ev.lastSucc(v, n, tr, segs-1, math.MaxInt)
-	if !ok {
-		return
+	over := ev.psi >= 0 && d > ev.psi
+	seg, cur := segs-1, unpositioned
+	if over && ev.resumable && tr.Kind == automaton.Any && tr.Target == graph.InvalidNode {
+		if !ev.hasNeighbour(n, tr, segs) {
+			return
+		}
+	} else {
+		var ok bool
+		if seg, cur, ok = ev.lastSucc(v, n, tr, seg, cur); !ok {
+			return
+		}
 	}
 	c := dstruct.Cont(v, n, d, tr.Index*ev.stride+int32(seg), int32(cur))
-	if ev.psi >= 0 && d > ev.psi {
+	if over {
 		ev.reject(c)
 		return
 	}
 	ev.add(c)
 }
 
+// hasNeighbour reports whether one of the first segs neighbour segments of n
+// over tr is non-empty.
+func (ev *evaluator) hasNeighbour(n graph.NodeID, tr *automaton.CTrans, segs int) bool {
+	for seg := range segs {
+		if len(ev.segment(n, tr, seg)) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// countPop counts one pop from D_R, which is one tick of the run's operation
+// counter.
+func (ev *evaluator) countPop() {
+	ev.stats.TuplesPopped++
+	ev.r.tick(1)
+}
+
 // step is what a popped continuation c does: it takes its current successor,
 // re-adds itself positioned on the next unvisited one before that successor
 // is processed — so the successor's own pushes land above it, as they landed
 // above its eager siblings — and returns the successor as the plain tuple to
-// process. The successor counts one tuple added, under the tuple budget; the
-// re-added continuation does not.
+// process. The pop counts, and the successor counts one tuple added, under
+// the tuple budget; the re-added continuation does not. An unpositioned
+// continuation is positioned first, and with no unvisited successor left it
+// is dropped: like a continuation cont never pushed, it counts nothing.
 func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
+	slot := c.Slot()
+	tr := &ev.aut.Trans[slot/ev.stride]
+	seg, cur := int(slot%ev.stride), int(c.Cursor())
+	if cur == unpositioned {
+		var ok bool
+		if seg, cur, ok = ev.lastSucc(c.V, c.N, tr, seg, cur); !ok {
+			return dstruct.Tuple{}, false
+		}
+	}
+	ev.countPop()
 	if ev.r.overBudget(ev.stats.TuplesAdded + 1) {
 		ev.failed = ErrTupleBudget
 		return dstruct.Tuple{}, false
 	}
 	ev.stats.TuplesAdded++
 	ev.r.tick(1)
-	slot := c.Slot()
-	tr := &ev.aut.Trans[slot/ev.stride]
-	seg, cur := int(slot%ev.stride), int(c.Cursor())
 	m := ev.segment(c.N, tr, seg)[cur]
 	if seg, cur, ok := ev.lastSucc(c.V, c.N, tr, seg, cur); ok {
 		ev.dr.Add(dstruct.Cont(c.V, c.N, c.D, tr.Index*ev.stride+int32(seg), int32(cur)))

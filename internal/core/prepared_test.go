@@ -433,6 +433,10 @@ func TestQuickDisjunctionResumableMatchesRestart(t *testing.T) {
 			t.Fatalf("trial %d %s: resumable popped %d tuples, restart %d — resuming must never do more work",
 				trial, c, is.TuplesPopped, rs.TuplesPopped)
 		}
+		if is.Phases > rs.Phases {
+			t.Fatalf("trial %d %s: resumable ran %d phases, restart %d — skipping and folding can only reduce them",
+				trial, c, is.Phases, rs.Phases)
+		}
 	}
 }
 

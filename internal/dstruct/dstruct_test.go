@@ -216,6 +216,10 @@ func FuzzCont(f *testing.F) {
 	f.Add(int32(1), int32(2), int32(3), int32(4), uint32(0))
 	f.Add(int32(-1), int32(1<<30), int32(-5), int32(0), uint32(ContSlots-1))
 	f.Add(int32(7), int32(8), int32(math.MaxInt32), int32(maxBucketDist), uint32(1<<31))
+	// The cursor a parked wildcard continuation waits with until its pop
+	// positions it: MaxInt32, past the end of every neighbour segment, here
+	// with a parked distance and the top slot.
+	f.Add(int32(3), int32(4), int32(math.MaxInt32), int32(2), uint32(ContSlots-1))
 	f.Fuzz(func(t *testing.T, v, n, s, d int32, slot uint32) {
 		sl, cur := int32(slot%ContSlots), s&math.MaxInt32
 		c := Cont(graph.NodeID(v), graph.NodeID(n), d, sl, cur)
