@@ -26,6 +26,12 @@ type CTrans struct {
 	Group int32
 	// Index is the transition's position in Compiled.Trans.
 	Index int32
+	// Prev is the Index of the previous transition of the same state when
+	// both are costed and share Group and Cost, else -1. The transitions so
+	// linked form a run: they reach the same neighbours at the same distance,
+	// and evaluation walks a whole run with one continuation, last member
+	// first, following Prev.
+	Prev int32
 }
 
 // Compiled is an ε-free weighted NFA bound to a graph, ready for evaluation.
@@ -146,6 +152,11 @@ func Compile(n *NFA, g *graph.Graph, ont *ontology.Ontology) (*Compiled, error) 
 		base := len(c.Trans)
 		for i := range ts {
 			ts[i].Index = int32(base + i)
+			ts[i].Prev = -1
+			// Group numbers restart per state, so a run never leaves ts.
+			if i > 0 && ts[i].Cost > 0 && ts[i].Cost == ts[i-1].Cost && ts[i].Group == ts[i-1].Group {
+				ts[i].Prev = ts[i-1].Index
+			}
 		}
 		c.Trans = append(c.Trans, ts...)
 		c.States[s] = c.Trans[base:len(c.Trans):len(c.Trans)]

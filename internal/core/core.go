@@ -259,7 +259,8 @@ type Iterator interface {
 type Stats struct {
 	// TuplesAdded counts entries entering D_R — a tuple or continuation
 	// pushed, or admitted from above the ψ ceiling at a later phase — plus
-	// one per successor a continuation yields; TuplesPopped counts pops, a
+	// one per successor a continuation yields; one continuation enters for a
+	// whole run of same-cost transitions. TuplesPopped counts pops, a
 	// continuation's pop being the one of the successor it yields, so a
 	// parked continuation dropped at its pop with no unvisited successor
 	// left counts none. So TuplesPopped ≤ TuplesAdded.
@@ -272,14 +273,13 @@ type Stats struct {
 	Phases int
 	// NeighborCalls counts the neighbour lists Succ opened: one per cost-0
 	// transition whose U the cache did not hold, one per costed transition,
-	// where its continuation is positioned (when it pops, for a wildcard
-	// continuation parked above ψ). CacheHits counts the cost-0 retrievals
-	// the U cache served.
+	// each member of a run included, whose lists its run's continuation
+	// walks. CacheHits counts the cost-0 retrievals the U cache served.
 	NeighborCalls int
 	CacheHits     int
-	// Deferred counts entries (tuples and continuations) parked in D_R above
-	// its pop ceiling because their distance exceeded the ψ of the phase
-	// that generated them; Reinjected counts parked entries admitted when a
+	// Deferred counts entries (tuples and continuations, one per run) parked
+	// in D_R above its pop ceiling because their distance exceeded the ψ of
+	// the phase that generated them; Reinjected counts parked entries admitted when a
 	// later phase raised the ceiling. Both are zero outside the incremental
 	// distance-aware mode — in particular, a distance-aware run with
 	// Reinjected == 0 but more than one phase has silently fallen back to

@@ -434,10 +434,10 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 // expand is Succ (§3.4): follow every compiled transition of state t.S from
 // node t.N. A cost-0 transition pushes its successors now, reusing the
 // neighbour set U across runs of identical labels; they land on top of D_R
-// and pop next, so generating them later would save nothing. A costed
-// transition pushes one continuation instead (see cont), which generates its
-// successors one pop at a time, so a hub's thousands of insert/substitute
-// successors cost only as many tuples as are popped.
+// and pop next, so generating them later would save nothing. A run of
+// costed transitions pushes one continuation instead (see cont), which
+// generates the run's successors one pop at a time, so a hub's thousands of
+// insert/substitute successors cost only as many tuples as are popped.
 func (ev *evaluator) expand(t dstruct.Tuple) {
 	var cache []graph.NodeID
 	cacheGroup := int32(-1)
@@ -446,7 +446,10 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 		tr := &states[i]
 		if tr.Cost > 0 {
 			ev.stats.NeighborCalls++
-			ev.cont(t.V, t.N, t.D+tr.Cost, tr)
+			// One continuation walks a whole run; its last member pushes it.
+			if i+1 == len(states) || states[i+1].Prev != tr.Index {
+				ev.cont(t.V, t.N, t.D+tr.Cost, tr)
+			}
 			continue
 		}
 		var u []graph.NodeID
@@ -472,25 +475,31 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 	ev.stats.VisitedSize = ev.visited.Len()
 }
 
-// A continuation stands for the successors of (v, n) over one costed
-// transition tr that are still to be generated, all at distance d = t.D +
-// tr.Cost: a dstruct.Cont naming v, n, d, the slot tr.Index·stride + seg and a
-// cursor, the index of its current successor in neighbour segment seg. A
-// wildcard over both directions — every APPROX insertion and substitution —
-// has one segment, the node's incidence list, so positioning it costs the
-// node's edges rather than a probe of every label in each direction. Eager
-// Succ pushed those successors in neighbour order onto D_R's LIFO stacks, so
-// they popped last-first; a continuation sits where the first of them sat and
-// walks them last-first, skipping the visited ones eager would have popped
-// only to discard. What pops and in which order is therefore eager's, minus
-// those discards, over every D_R implementation and through parking above
-// ψ and re-admission alike. A wildcard continuation parked above ψ by a
-// resumable evaluator is positioned when it pops, not when it parks (its
-// cursor is unpositioned, past the end of its last segment): most parked
-// entries are never admitted, and positioning one walks the node's incidence
-// list with a visited probe per neighbour. Positioned later, it skips the
-// successors visited in between, which eager would have popped to discard
-// too.
+// A continuation stands for the successors of (v, n) over one run of costed
+// transitions — a state's consecutive transitions sharing Group and Cost,
+// linked by CTrans.Prev — that are still to be generated, all at distance d =
+// t.D + tr.Cost: a dstruct.Cont naming v, n, d, the slot tr.Index·stride + seg
+// and a cursor, the index of its current successor in neighbour segment seg of
+// tr, the member being walked. A wildcard over both directions — every APPROX
+// insertion and substitution — has one segment, the node's incidence list, so
+// positioning it costs the node's edges rather than a probe of every label in
+// each direction. Eager Succ pushed those successors in neighbour order onto
+// D_R's LIFO stacks, so they popped last-first; a continuation sits where the
+// first of them sat and walks them last-first, skipping the visited ones eager
+// would have popped only to discard. Over a run it walks the last member
+// first, then each member before it: the members' own continuations sat next
+// to each other in one bucket, and the last one was exhausted before the next
+// surfaced, since every push its successors made landed above it. A member
+// after the first is positioned only when the walk reaches it, so the
+// successors visited meanwhile are skipped rather than popped to be discarded.
+// What pops and in which order is therefore eager's, minus those discards,
+// over every D_R implementation and through parking above ψ and re-admission
+// alike. A wildcard continuation parked above ψ by a resumable evaluator is
+// positioned when it pops, not when it parks (its cursor is unpositioned, past
+// the end of its last segment): most parked entries are never admitted, and
+// positioning one walks the node's incidence list with a visited probe per
+// neighbour. Positioned later, it skips the successors visited in between,
+// which eager would have popped to discard too.
 
 // unpositioned is the cursor of a continuation not yet positioned on a
 // successor: past the end of every segment, so lastSucc walks it from the end
@@ -517,22 +526,15 @@ func checkContSlots(aut *automaton.Compiled, g *graph.Graph) error {
 	return nil
 }
 
-// cont pushes one continuation for the successors of (v, n) over the costed
-// transition tr at distance d, positioned on the last one still unvisited —
-// or parks it through reject when d is beyond ψ. Nothing is pushed when every
-// successor is visited. A resumable evaluator parks a wildcard continuation
-// without a landing target unpositioned, and leaves it out only when n has no
-// neighbour over tr at all, which takes no visited probe.
+// cont pushes one continuation for the successors of (v, n) over the run
+// whose last member is tr at distance d, positioned on the last one still
+// unvisited — or parks it through reject when d is beyond ψ. Nothing is
+// pushed when every successor is visited. A resumable evaluator parks a
+// wildcard continuation without a landing target unpositioned, and leaves it
+// out only when n has no neighbour over tr at all, which takes no visited
+// probe: the members of a run share their neighbour segments.
 func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
-	var segs int
-	switch {
-	case tr.Kind == automaton.Sym:
-		segs = 2 * len(tr.Labels)
-	case tr.Dir == graph.Both:
-		segs = 1 // the incidence list
-	default:
-		segs = int(ev.stride) // a one-way wildcard walks every label of the graph
-	}
+	segs := ev.segments(tr)
 	over := ev.psi >= 0 && d > ev.psi
 	seg, cur := segs-1, unpositioned
 	if over && ev.resumable && tr.Kind == automaton.Any && tr.Target == graph.InvalidNode {
@@ -541,7 +543,7 @@ func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 		}
 	} else {
 		var ok bool
-		if seg, cur, ok = ev.lastSucc(v, n, tr, seg, cur); !ok {
+		if tr, seg, cur, ok = ev.lastSucc(v, n, tr, seg, cur); !ok {
 			return
 		}
 	}
@@ -551,6 +553,18 @@ func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 		return
 	}
 	ev.add(c)
+}
+
+// segments returns the number of neighbour segments over tr (see segment);
+// the members of a run share it.
+func (ev *evaluator) segments(tr *automaton.CTrans) int {
+	switch {
+	case tr.Kind == automaton.Sym:
+		return 2 * len(tr.Labels)
+	case tr.Dir == graph.Both:
+		return 1 // the incidence list
+	}
+	return int(ev.stride) // a one-way wildcard walks every label of the graph
 }
 
 // hasNeighbour reports whether one of the first segs neighbour segments of n
@@ -572,20 +586,21 @@ func (ev *evaluator) countPop() {
 }
 
 // step is what a popped continuation c does: it takes its current successor,
-// re-adds itself positioned on the next unvisited one before that successor
-// is processed — so the successor's own pushes land above it, as they landed
-// above its eager siblings — and returns the successor as the plain tuple to
-// process. The pop counts, and the successor counts one tuple added, under
-// the tuple budget; the re-added continuation does not. An unpositioned
-// continuation is positioned first, and with no unvisited successor left it
-// is dropped: like a continuation cont never pushed, it counts nothing.
+// re-adds itself positioned on the next unvisited one of its run — in the
+// same member or one before it — before that successor is processed, so the
+// successor's own pushes land above it, as they landed above its eager
+// siblings, and returns the successor as the plain tuple to process. The pop
+// counts, and the successor counts one tuple added, under the tuple budget;
+// the re-added continuation does not. An unpositioned continuation is
+// positioned first, and with no unvisited successor left in its run it is
+// dropped: like a continuation cont never pushed, it counts nothing.
 func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
 	slot := c.Slot()
 	tr := &ev.aut.Trans[slot/ev.stride]
 	seg, cur := int(slot%ev.stride), int(c.Cursor())
 	if cur == unpositioned {
 		var ok bool
-		if seg, cur, ok = ev.lastSucc(c.V, c.N, tr, seg, cur); !ok {
+		if tr, seg, cur, ok = ev.lastSucc(c.V, c.N, tr, seg, cur); !ok {
 			return dstruct.Tuple{}, false
 		}
 	}
@@ -597,26 +612,34 @@ func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
 	ev.stats.TuplesAdded++
 	ev.r.tick(1)
 	m := ev.segment(c.N, tr, seg)[cur]
-	if seg, cur, ok := ev.lastSucc(c.V, c.N, tr, seg, cur); ok {
-		ev.dr.Add(dstruct.Cont(c.V, c.N, c.D, tr.Index*ev.stride+int32(seg), int32(cur)))
+	if next, seg, cur, ok := ev.lastSucc(c.V, c.N, tr, seg, cur); ok {
+		ev.dr.Add(dstruct.Cont(c.V, c.N, c.D, next.Index*ev.stride+int32(seg), int32(cur)))
 	}
 	return dstruct.Tuple{V: c.V, N: m, S: tr.To, D: c.D}, true
 }
 
-// lastSucc finds the last successor of n over tr before index end of segment
-// seg (segments before seg included) that meets tr's landing constraint and
-// is unvisited in state tr.To from v, and returns its segment and index.
-func (ev *evaluator) lastSucc(v, n graph.NodeID, tr *automaton.CTrans, seg, end int) (int, int, bool) {
-	for ; seg >= 0; seg, end = seg-1, math.MaxInt {
-		ns := ev.segment(n, tr, seg)
-		for i := min(end, len(ns)) - 1; i >= 0; i-- {
-			m := ns[i]
-			if (tr.Target == graph.InvalidNode || m == tr.Target) && !ev.visited.Contains(v, m, tr.To) {
-				return seg, i, true
+// lastSucc finds the last successor of n over tr's run before index end of
+// tr's segment seg — tr's earlier segments included, then every segment of
+// each earlier member of the run, following Prev — that meets the run's
+// landing constraint and is unvisited from v in its member's state To, and
+// returns that member, segment and index.
+func (ev *evaluator) lastSucc(v, n graph.NodeID, tr *automaton.CTrans, seg, end int) (*automaton.CTrans, int, int, bool) {
+	for {
+		for ; seg >= 0; seg, end = seg-1, math.MaxInt {
+			ns := ev.segment(n, tr, seg)
+			for i := min(end, len(ns)) - 1; i >= 0; i-- {
+				m := ns[i]
+				if (tr.Target == graph.InvalidNode || m == tr.Target) && !ev.visited.Contains(v, m, tr.To) {
+					return tr, seg, i, true
+				}
 			}
 		}
+		if tr.Prev < 0 {
+			return nil, 0, 0, false
+		}
+		tr = &ev.aut.Trans[tr.Prev]
+		seg, end = ev.segments(tr)-1, math.MaxInt
 	}
-	return 0, 0, false
 }
 
 // segment returns neighbour segment seg of n over tr. A wildcard over both

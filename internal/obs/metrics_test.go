@@ -133,6 +133,7 @@ func TestParserRejectsMalformed(t *testing.T) {
 		{"dangling help", "# HELP foo x\n"},
 		{"hist no inf", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n"},
 		{"hist non-cumulative", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n"},
+		{"hist nan bucket", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} NaN\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n"},
 		{"hist count mismatch", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 5\n"},
 		{"hist missing sum", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_count 1\n"},
 		{"hist le not ascending", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n"},

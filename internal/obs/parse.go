@@ -377,7 +377,7 @@ func validateHistogram(f *ExpoFamily) error {
 			if !(hs.les[i] > hs.les[i-1]) {
 				return fmt.Errorf("exposition: histogram %s{%s} le bounds not ascending", f.Name, key)
 			}
-			if hs.counts[i] < hs.counts[i-1] {
+			if !(hs.counts[i] >= hs.counts[i-1]) { // a NaN count is not cumulative either
 				return fmt.Errorf("exposition: histogram %s{%s} bucket counts not cumulative", f.Name, key)
 			}
 		}

@@ -146,11 +146,11 @@ func (rs *recordingServer) get(t *testing.T, id string, params url.Values) int {
 func TestFlushRankedCoalesces(t *testing.T) {
 	want := map[string]int{ // writes per response, done line included
 		"Q3/relax/100": 2, "Q3/approx/100": 2, "Q3/relax/1000": 3, "Q3/approx/1000": 4,
-		"Q8/relax/100": 1, "Q8/approx/100": 2, "Q8/relax/1000": 1, "Q8/approx/1000": 4, // RELAX Q8 has no answer
+		"Q8/relax/100": 1, "Q8/approx/100": 2, "Q8/relax/1000": 1, "Q8/approx/1000": 5, // RELAX Q8 has no answer
 		"Q9/relax/100": 2, "Q9/approx/100": 2, "Q9/relax/1000": 2, "Q9/approx/1000": 5,
 		"Q10/relax/100": 2, "Q10/approx/100": 2, "Q10/relax/1000": 4, "Q10/approx/1000": 4,
 		"Q11/relax/100": 2, "Q11/approx/100": 2, "Q11/relax/1000": 4, "Q11/approx/1000": 4,
-		"Q12/relax/100": 2, "Q12/approx/100": 2, "Q12/relax/1000": 3, "Q12/approx/1000": 4,
+		"Q12/relax/100": 2, "Q12/approx/100": 2, "Q12/relax/1000": 3, "Q12/approx/1000": 5,
 	}
 	_, rs := newRecordingServer(t, Config{Workers: 1}, nil)
 	for _, q := range l4all.StudyQueries() {

@@ -73,12 +73,12 @@ func TestRowsStatsMultiConjunct(t *testing.T) {
 // off Stats after every Next, the counters they are a view of.
 func TestDelayCounters(t *testing.T) {
 	want := map[string][2]int{ // {PrepOps, MaxDelayOps}
-		"Q3/RELAX": {17, 223}, "Q3/APPROX": {21, 168},
-		"Q8/RELAX": {0, 0}, "Q8/APPROX": {6537, 1}, // RELAX Q8 has no answer
-		"Q9/RELAX": {33, 19}, "Q9/APPROX": {48, 108},
-		"Q10/RELAX": {13, 211}, "Q10/APPROX": {13, 237},
-		"Q11/RELAX": {21, 220}, "Q11/APPROX": {36, 244},
-		"Q12/RELAX": {487, 25}, "Q12/APPROX": {833, 99},
+		"Q3/RELAX": {17, 223}, "Q3/APPROX": {19, 166},
+		"Q8/RELAX": {0, 0}, "Q8/APPROX": {5356, 1}, // RELAX Q8 has no answer
+		"Q9/RELAX": {27, 16}, "Q9/APPROX": {41, 88},
+		"Q10/RELAX": {13, 211}, "Q10/APPROX": {12, 233},
+		"Q11/RELAX": {21, 220}, "Q11/APPROX": {31, 238},
+		"Q12/RELAX": {487, 25}, "Q12/APPROX": {682, 82},
 	}
 	g, ont := datasets().L4All(l4all.L1)
 	eng := NewEngine(g, ont)
