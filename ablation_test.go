@@ -188,8 +188,8 @@ func ablationCompare(def, knob ablationRow) (better, worse bool) {
 // first answer and the most pops between two answers, and whether it emitted
 // the default's rows in the default's order. testdata/ablation.json holds one
 // line per case and setting (go test -run TestAblationMatrix -update rewrites
-// it); every run must repeat it exactly, and hold its accounted peak under
-// frontierBound.
+// it, and prints what moved: see writeGoldenReport); every run must repeat it
+// exactly, and hold its accounted peak under frontierBound.
 //
 // In every case that both runs finish, the knob's histogram must equal the
 // default's: a knob may change the work, never the answers.
@@ -212,8 +212,6 @@ func TestAblationMatrix(t *testing.T) {
 		t.Skip("the ablation matrix runs 1 008 executions")
 	}
 	settings := ablationSettings()
-	type tally struct{ better, worse int }
-	tallies := make([]tally, len(settings))
 	var got []ablationRow
 	for _, q := range ablationQueries() {
 		for _, mode := range []Mode{Exact, Approx, Relax} {
@@ -240,25 +238,19 @@ func TestAblationMatrix(t *testing.T) {
 					if def.End == "done" && row.End == "done" && row.Hist != def.Hist {
 						t.Errorf("%s: %s changed the answers: hist %q, default %q", name, s.name, row.Hist, def.Hist)
 					}
-					b, w := ablationCompare(def, row)
-					if b {
-						tallies[i].better++
-					}
-					if w {
-						tallies[i].worse++
-					}
 				}
 			}
 		}
 	}
 	cases := len(got) / len(settings)
+	better, worse := ablationTallies(settings, got)
 	for i, s := range settings[1:] {
-		tl := tallies[i+1]
-		t.Logf("%-20s better in %3d, worse in %3d of %d cases", s.name, tl.better, tl.worse, cases)
+		b, w := better[i+1], worse[i+1]
+		t.Logf("%-20s better in %3d, worse in %3d of %d cases", s.name, b, w, cases)
 		switch {
-		case tl.better == 0:
+		case b == 0:
 			t.Errorf("%s is better in no case: delete it", s.name)
-		case tl.worse == 0:
+		case w == 0:
 			t.Errorf("%s is worse in no case: make it unconditional", s.name)
 		}
 	}
@@ -269,20 +261,24 @@ func TestAblationMatrix(t *testing.T) {
 		lines[i] = string(js)
 	}
 	rendered := "[\n" + strings.Join(lines, ",\n") + "\n]\n"
+	raw, err := os.ReadFile(ablationPath)
+	var want []ablationRow
+	if err == nil {
+		err = json.Unmarshal(raw, &want)
+	}
 	if *updateWorkGolden {
+		// The report needs the file being replaced; a missing or unreadable
+		// one reads as empty.
+		writeGoldenReport(os.Stdout, ablationPath, ablationCounterNames, ablationCases(want), ablationCases(got))
+		writeTallyReport(os.Stdout, settings, want, got)
 		if err := os.WriteFile(ablationPath, []byte(rendered), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s (%d rows)", ablationPath, len(got))
 		return
 	}
-	raw, err := os.ReadFile(ablationPath)
 	if err != nil {
-		t.Fatalf("%v (generate it with -update)", err)
-	}
-	var want []ablationRow
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("%s: %v", ablationPath, err)
+		t.Fatalf("%s: %v (generate it with -update)", ablationPath, err)
 	}
 	if len(want) != len(got) {
 		t.Fatalf("%s holds %d rows, this run produced %d (rerun with -update)", ablationPath, len(want), len(got))

@@ -198,15 +198,20 @@ func pooledApproxRotation(tb testing.TB, s l4all.Scale) func() {
 
 // BenchmarkApproxTopKPooled is the in-process counterpart of the serving
 // ledger's APPROX top-100 loop: one op is one rotation of the six study
-// queries on L2 (see pooledApproxRotation). It isolates the engine from the
-// socket, so a change to Succ or D_R shows here without the HTTP layers
-// around it.
+// queries (see pooledApproxRotation), on L2 and on L3, the ledger's scale,
+// where Q8's visited set outgrows the caches. It isolates the engine from the
+// socket, so a change to Succ, D_R or visited_R shows here without the HTTP
+// layers around it.
 func BenchmarkApproxTopKPooled(b *testing.B) {
-	rotate := pooledApproxRotation(b, l4all.L2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rotate()
+	for _, s := range []l4all.Scale{l4all.L2, l4all.L3} {
+		b.Run(s.String(), func(b *testing.B) {
+			rotate := pooledApproxRotation(b, s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rotate()
+			}
+		})
 	}
 }
 

@@ -239,18 +239,11 @@ func backendsLabel(bs []Backend) string {
 	return first.String()
 }
 
-// bulkSeeds materialises the seed list handed to bulk.NewIndex: the resolved
+// bulkSeeds returns the seed list handed to bulk.NewIndex: the resolved
 // Case 1 seeds, or nil for Case 3 (the index derives the population from the
 // start state's transitions, matching the ranked node stream).
 func (p *conjunctPlan) bulkSeeds() []graph.NodeID {
-	if p.case3 {
-		return nil
-	}
-	seeds := make([]graph.NodeID, 0, len(p.seeds))
-	for _, s := range p.seeds {
-		seeds = append(seeds, s.node)
-	}
-	return seeds
+	return p.seedNodes
 }
 
 // bulkAnn materialises the final-node annotation list for bulk.NewIndex.

@@ -7,6 +7,7 @@ import (
 	"omega/internal/automaton"
 	"omega/internal/bitset"
 	"omega/internal/bulk"
+	"omega/internal/dstruct"
 	"omega/internal/graph"
 	"omega/internal/ontology"
 	"omega/internal/rpq"
@@ -31,10 +32,11 @@ type conjunctPlan struct {
 	opts Options // plan-time options (costs, planner flags); run-time knobs come from each exec
 	mode automaton.Mode
 
-	auts     []*automaton.Compiled
-	seeds    []seed                 // Case 1 (nil for Case 3)
-	finalAnn map[graph.NodeID]int32 // nil = wildcard
-	case3    bool
+	auts      []*automaton.Compiled
+	seeds     []seed                 // Case 1 (nil for Case 3)
+	seedNodes []graph.NodeID         // the seeds' nodes, in seeds' order (nil for Case 3)
+	finalAnn  map[graph.NodeID]int32 // nil = wildcard
+	case3     bool
 
 	decompose bool // evaluate per alternand (§4.3 disjunction strategy)
 	built     int  // automata constructed while planning (compile counter)
@@ -155,6 +157,12 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 		} else if node, ok := g.LookupNode(subj.Name); ok {
 			p.seeds = append(p.seeds, seed{node: node})
 		}
+		// Non-nil even when the constant names no node: the bulk index reads
+		// a nil seed list as Case 3's.
+		p.seedNodes = make([]graph.NodeID, len(p.seeds))
+		for i, s := range p.seeds {
+			p.seedNodes[i] = s.node
+		}
 	}
 
 	// Final-state annotation: a constant object constrains accepted nodes;
@@ -180,15 +188,44 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 // newEvaluator instantiates a fresh evaluator over automaton autIdx with
 // distance cap psi (-1 = unlimited). Run-time knobs (budgets, batching,
 // dictionary choice) and governance come from r, which must outlive
-// the evaluator.
+// the evaluator. Its structures come from the run's pool when it has one,
+// and this is where visited_R's structure is chosen: a Case 1 search marks
+// the seed bitmap, a Case 3 one the hash table.
 func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi int32) *evaluator {
 	aut := p.auts[autIdx]
-	ev := newEvaluator(p.g, aut, r)
-	ev.psi = psi
-	ev.finalAnn = p.finalAnn
+	ev := &evaluator{
+		g:        p.g,
+		aut:      aut,
+		r:        r,
+		psi:      psi,
+		stride:   contStride(p.g),
+		finalAnn: p.finalAnn,
+	}
+	if r.pool != nil {
+		ev.state = r.pool.get()
+		ev.dr, ev.answers, ev.scratch = ev.state.dict, ev.state.answers, ev.state.scratch
+	} else {
+		ev.answers = dstruct.NewAnswers()
+		if r.opts.RefDict {
+			ev.dr = dstruct.NewRefDict()
+		} else {
+			ev.dr = dstruct.NewDict()
+		}
+	}
 	if p.case3 {
+		if ev.state != nil {
+			ev.visited = ev.state.visited
+		} else {
+			ev.visited = dstruct.NewVisited()
+		}
 		ev.stream = p.buildStream(aut, ev.streamSeen())
 	} else {
+		if ev.state != nil {
+			ev.seedVisited = ev.state.seedVisited
+		} else {
+			ev.seedVisited = new(dstruct.SeedVisited)
+		}
+		ev.seedVisited.Reset(p.seedNodes, p.g.NumNodes(), aut.NumStates)
 		ev.seeds = p.seeds
 	}
 	return ev
@@ -267,7 +304,7 @@ func (p *conjunctPlan) open(r *run, maxDist int32, backend Backend) Iterator {
 	case driverBulk:
 		it = newBulkIterator(p, r)
 	case driverPhases:
-		it = newDisjunction(p, r, p.opts.phi(p.mode), p.psiCap(maxDist))
+		it = newDisjunction(p, r, p.opts.psiStep(p.mode), p.psiCap(maxDist))
 	case driverEvaluator:
 		it = p.newEvaluator(r, 0, -1)
 	}

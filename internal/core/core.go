@@ -160,7 +160,8 @@ type Options struct {
 	// (the ablation of the Open/GetNext coroutines).
 	BatchSize int
 	// DistanceAware enables §4.3's "retrieving answers by distance": a
-	// cost cap ψ stepped by the smallest operation cost φ. Tuples that
+	// cost cap ψ stepped by the gcd of the operation costs (the paper's φ,
+	// the smallest cost, when every cost is a multiple of it). Tuples that
 	// exceed the current ψ are parked in D_R above a pop ceiling ψ and
 	// admitted by the same live evaluator when ψ is raised, so no phase recomputes
 	// the work of its predecessors (the paper's description restarts
@@ -173,7 +174,8 @@ type Options struct {
 	// differential testing and benchmarking, not production use — the
 	// RefDict pattern applied to ψ-stepping.
 	DistanceRestart bool
-	// MaxPsi caps the ψ stepping (distance-aware mode only); 0 means 16·φ.
+	// MaxPsi caps the ψ stepping (distance-aware mode only); 0 means 16·φ,
+	// φ the smallest operation cost.
 	// Answers beyond MaxPsi are not returned in distance-aware mode.
 	MaxPsi int32
 	// Disjunction enables §4.3's "replacing alternation by disjunction":
@@ -235,6 +237,30 @@ func (o Options) phi(mode automaton.Mode) int32 {
 	}
 }
 
+// psiStep returns the grid step of the distance-aware ψ: the gcd of the
+// mode's operation costs. Every distance is a sum of them — final weights and
+// RELAX annotations (k·β) included — so it lies on this grid, and each phase
+// admits one attainable distance. With costs that are multiples of φ the
+// step is φ, the paper's "ψ += φ" (§4.3).
+func (o Options) psiStep(mode automaton.Mode) int32 {
+	var costs []int32
+	switch mode {
+	case automaton.Approx:
+		costs = []int32{o.Edit.Insert, o.Edit.Delete, o.Edit.Substitute}
+	case automaton.Relax:
+		costs = []int32{o.Relax.Beta, o.Relax.Gamma}
+	case automaton.Flex:
+		costs = []int32{o.Edit.Insert, o.Edit.Delete, o.Edit.Substitute, o.Relax.Beta, o.Relax.Gamma}
+	}
+	var g int32
+	for _, c := range costs {
+		for c > 0 {
+			g, c = c, g%c
+		}
+	}
+	return max(g, 1)
+}
+
 // Answer is one conjunct answer: bindings for the conjunct's subject and
 // object, at the given distance from the original conjunct.
 type Answer = dstruct.Answer
@@ -266,7 +292,9 @@ type Stats struct {
 	// left counts none. So TuplesPopped ≤ TuplesAdded.
 	TuplesAdded  int
 	TuplesPopped int
-	VisitedSize  int
+	// VisitedSize is the triples in visited_R — the Case 1 seed bitmap or the
+	// Case 3 table — when the run ended.
+	VisitedSize int
 	// Phases counts distance-aware ψ phases (1 when not distance-aware); a
 	// resumed phase that popped nothing is folded like a skipped ψ and does
 	// not count.

@@ -11,11 +11,16 @@ import (
 //
 // "Retrieving answers by distance": a current maximum cost ψ starts at 0; no
 // tuple with a larger cost is ever added to or removed from D_R. When more
-// answers are needed, ψ is incremented by φ (the smallest edit/relaxation
-// cost), bounded by MaxPsi. Phase ψ finds every answer of distance ≤ ψ, so
-// answers new to a phase have distance in (ψ−φ, ψ]; with uniform operation
-// costs (the study's configuration) that band is the single value ψ, and the
-// stream stays globally non-decreasing.
+// answers are needed, ψ is raised by one grid step, bounded by MaxPsi. Phase ψ
+// finds every answer of distance ≤ ψ, so answers new to a phase have distance
+// in (ψ−step, ψ]. The paper steps by φ, the smallest operation cost (§4.3);
+// this driver steps by the gcd of the operation costs instead (see
+// Options.psiStep). Every distance is a sum of operation costs, so it lies on
+// that grid and a phase's band holds one attainable distance: the branches
+// of a phase, which run one after the other, then never emit a pair at ψ that
+// another branch reaches more cheaply in the same band, and the stream stays
+// globally non-decreasing. With uniform costs (the study's configuration) the
+// gcd is φ and nothing changes.
 //
 // "Replacing alternation by disjunction": the NFA for R = R1|R2|… is
 // decomposed into sub-automata NFA_i, each run to exhaustion at every ψ.
@@ -31,10 +36,10 @@ import (
 // which redoes all the work of every earlier phase. The driver instead keeps
 // ONE resumable evaluator per branch: over-ψ tuples park in the branch's D_R
 // above a pop ceiling ψ and each phase step raises the ceiling, re-admitting
-// the newly admissible ones next to the warm visited table and answer
+// the newly admissible ones next to the warm visited set and answer
 // registry — every tuple is popped at most once across all phases, and
 // phases that would re-admit nothing anywhere are skipped by stepping ψ
-// straight to the next populated φ-grid point (a phase whose admitted entries
+// straight to the next populated grid point (a phase whose admitted entries
 // were all continuations with nothing left to yield is folded the same way,
 // once it has dropped them). The pop trace restricted to
 // distances ≤ ψ is identical either way, so ranked emission is byte-identical
@@ -46,14 +51,14 @@ import (
 // automata (one per alternand when decomposed, else the single automaton of a
 // distance-aware conjunct): the resumable per-branch driver by default, the
 // restart-per-phase reference under Options.DistanceRestart.
-func newDisjunction(plan *conjunctPlan, r *run, phi, maxPsi int32) Iterator {
+func newDisjunction(plan *conjunctPlan, r *run, step, maxPsi int32) Iterator {
 	if r.opts.DistanceRestart {
-		return newRestartDisjunction(plan, r, phi, maxPsi)
+		return newRestartDisjunction(plan, r, step, maxPsi)
 	}
 	n := len(plan.auts)
 	d := &disjunction{
 		r:          r,
-		phi:        phi,
+		step:       step,
 		maxPsi:     maxPsi,
 		evals:      make([]*evaluator, n),
 		prevCounts: make([]int, n),
@@ -68,7 +73,7 @@ func newDisjunction(plan *conjunctPlan, r *run, phi, maxPsi int32) Iterator {
 	// interleaves its conjuncts.
 	for i := range d.evals {
 		d.evals[i] = plan.newEvaluator(r, i, 0)
-		makeResumable(d.evals[i], phi, maxPsi)
+		makeResumable(d.evals[i], step, maxPsi)
 	}
 	if n > 1 {
 		d.emitted = dstruct.NewU64Set()
@@ -81,7 +86,7 @@ func newDisjunction(plan *conjunctPlan, r *run, phi, maxPsi int32) Iterator {
 // across every ψ phase.
 type disjunction struct {
 	r      *run
-	phi    int32
+	step   int32 // the ψ grid step
 	maxPsi int32
 
 	psi        int32
@@ -110,13 +115,13 @@ type disjunction struct {
 
 // makeResumable sets ev's D_R ceiling to ψ = 0 so the driver can resume it
 // across phases instead of restarting evaluation.
-func makeResumable(ev *evaluator, phi, maxPsi int32) {
+func makeResumable(ev *evaluator, step, maxPsi int32) {
 	ev.resumable = true
 	ev.dr.SetCeiling(0)
-	// The last reachable phase is the first φ-grid point ≥ MaxPsi (the
+	// The last reachable phase is the first grid point ≥ MaxPsi (the
 	// reference stops stepping once ψ ≥ MaxPsi, so it still runs that one).
 	// Tuples beyond it can never be re-admitted and are not worth parking.
-	limit := (int64(maxPsi) + int64(phi) - 1) / int64(phi) * int64(phi)
+	limit := (int64(maxPsi) + int64(step) - 1) / int64(step) * int64(step)
 	if limit > int64(1)<<31-1 {
 		limit = int64(1)<<31 - 1
 	}
@@ -189,7 +194,7 @@ func (d *disjunction) Next() (Answer, bool, error) {
 			if empty {
 				d.phases--
 			}
-			// Step ψ to the next φ-grid point that re-admits at least one
+			// Step ψ to the next grid point that re-admits at least one
 			// parked entry in some branch, or stop.
 			next, skipped, more := d.nextPsi()
 			if !more {
@@ -249,9 +254,9 @@ func (d *disjunction) popped() int {
 
 // nextPsi returns the next ψ-grid value that re-admits at least one parked
 // tuple in some branch, whether any intermediate grid point was skipped, and
-// whether stepping may continue. The restart reference steps one φ at a time
-// and stops once ψ ≥ MaxPsi; a grid point ψ+kφ is therefore reachable only
-// while every earlier point stayed below the cap.
+// whether stepping may continue. The restart reference steps one grid step at
+// a time and stops once ψ ≥ MaxPsi; a grid point ψ+k·step is therefore
+// reachable only while every earlier point stayed below the cap.
 func (d *disjunction) nextPsi() (int32, bool, bool) {
 	if d.psi >= d.maxPsi {
 		return 0, false, false
@@ -267,13 +272,13 @@ func (d *disjunction) nextPsi() (int32, bool, bool) {
 	if !any {
 		return 0, false, false
 	}
-	phi, psi := int64(d.phi), int64(d.psi)
-	steps := (int64(m) - psi + phi - 1) / phi // ≥ 1: every parked tuple exceeds ψ
-	maxSteps := (int64(d.maxPsi) - psi + phi - 1) / phi
+	step, psi := int64(d.step), int64(d.psi)
+	steps := (int64(m) - psi + step - 1) / step // ≥ 1: every parked tuple exceeds ψ
+	maxSteps := (int64(d.maxPsi) - psi + step - 1) / step
 	if steps > maxSteps {
 		return 0, false, false // the nearest parked tuple lies beyond the cap
 	}
-	return int32(psi + steps*phi), steps > 1, true
+	return int32(psi + steps*step), steps > 1, true
 }
 
 // Close releases every branch evaluator's resources deterministically.
@@ -322,7 +327,7 @@ type restartDisjunction struct {
 	plan *conjunctPlan
 	r    *run
 
-	phi    int32
+	step   int32 // the ψ grid step
 	maxPsi int32
 
 	psi        int32
@@ -338,11 +343,11 @@ type restartDisjunction struct {
 	stats      Stats
 }
 
-func newRestartDisjunction(plan *conjunctPlan, r *run, phi, maxPsi int32) *restartDisjunction {
+func newRestartDisjunction(plan *conjunctPlan, r *run, step, maxPsi int32) *restartDisjunction {
 	d := &restartDisjunction{
 		plan:       plan,
 		r:          r,
-		phi:        phi,
+		step:       step,
 		maxPsi:     maxPsi,
 		prevCounts: make([]int, len(plan.auts)),
 		emitted:    dstruct.NewU64Set(),
@@ -384,7 +389,7 @@ func (d *restartDisjunction) Next() (Answer, bool, error) {
 					d.done = true
 					continue
 				}
-				d.psi += d.phi
+				d.psi += d.step
 				d.startPhase()
 				continue
 			}

@@ -352,7 +352,7 @@ func TestRunParksOneContinuation(t *testing.T) {
 					break
 				}
 			}
-			expansions := ev.visited.Len()
+			expansions := ev.Stats().VisitedSize
 			ev.dr.SetCeiling(math.MaxInt32)
 			var conts, tuples int
 			for e, ok := ev.dr.Remove(); ok; e, ok = ev.dr.Remove() {

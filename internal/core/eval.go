@@ -35,9 +35,13 @@ type evaluator struct {
 	aut *automaton.Compiled
 	r   *run // the execution's governance context; outlives the evaluator
 
-	dr      dstruct.TupleDict
-	visited *dstruct.Visited
-	answers *dstruct.Answers
+	dr dstruct.TupleDict
+	// visited_R: a Case 1 evaluator, whose v is always a seed, marks
+	// (v, n, s) in the seed bitmap; a Case 3 one, whose v ranges over every
+	// node, in the hash table. Exactly one is non-nil.
+	visited     *dstruct.Visited
+	seedVisited *dstruct.SeedVisited
+	answers     *dstruct.Answers
 
 	// Case 1 seeds (constant subject), or a stream for Case 3.
 	seeds  []seed
@@ -92,32 +96,6 @@ type evaluator struct {
 	stats Stats
 }
 
-func newEvaluator(g *graph.Graph, aut *automaton.Compiled, r *run) *evaluator {
-	ev := &evaluator{
-		g:      g,
-		aut:    aut,
-		r:      r,
-		psi:    -1,
-		stride: contStride(g),
-	}
-	if r.pool != nil {
-		ev.state = r.pool.get()
-		ev.dr = ev.state.dict
-		ev.visited = ev.state.visited
-		ev.answers = ev.state.answers
-		ev.scratch = ev.state.scratch
-		return ev
-	}
-	ev.visited = dstruct.NewVisited()
-	ev.answers = dstruct.NewAnswers()
-	if r.opts.RefDict {
-		ev.dr = dstruct.NewRefDict()
-	} else {
-		ev.dr = dstruct.NewDict()
-	}
-	return ev
-}
-
 // finish hands the evaluator's accounted bytes back and — for a pooled
 // execution — returns the state bundle to the pool for the next request.
 // Evaluation calls it when the answer stream ends or fails, and Close calls it
@@ -161,7 +139,7 @@ func (ev *evaluator) finish() {
 		// Pointers are severed so no code path on this evaluator can touch
 		// state now owned by another execution (or, when poisoned, state that
 		// must die with this one).
-		ev.dr, ev.visited, ev.answers = nil, nil, nil
+		ev.dr, ev.visited, ev.seedVisited, ev.answers = nil, nil, nil, nil
 		ev.scratch, ev.batch, ev.stream = nil, nil, nil
 		if poisoned {
 			ev.r.pool.poison()
@@ -214,8 +192,27 @@ func (ev *evaluator) sampleMem() {
 // residentBytes sums the approximate resident footprint of every structure
 // this evaluator owns. Capacity-based: it measures what the process holds.
 func (ev *evaluator) residentBytes() int64 {
-	return ev.dr.Bytes() + ev.visited.Bytes() + ev.answers.Bytes() +
-		int64(cap(ev.scratch)+cap(ev.batch))*4
+	n := ev.dr.Bytes() + ev.answers.Bytes() + int64(cap(ev.scratch)+cap(ev.batch))*4
+	if ev.seedVisited != nil {
+		return n + ev.seedVisited.Bytes()
+	}
+	return n + ev.visited.Bytes()
+}
+
+// isVisited reports whether (v, n, s) has been processed.
+func (ev *evaluator) isVisited(v, n graph.NodeID, s int32) bool {
+	if ev.seedVisited != nil {
+		return ev.seedVisited.Contains(v, n, s)
+	}
+	return ev.visited.Contains(v, n, s)
+}
+
+// markVisited records (v, n, s) as processed, reporting whether it was new.
+func (ev *evaluator) markVisited(v, n graph.NodeID, s int32) bool {
+	if ev.seedVisited != nil {
+		return ev.seedVisited.Add(v, n, s)
+	}
+	return ev.visited.Add(v, n, s)
 }
 
 // reject handles a tuple or continuation whose distance exceeds the current
@@ -413,7 +410,7 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 			}
 			continue
 		}
-		if !ev.visited.Add(t.V, t.N, t.S) {
+		if !ev.markVisited(t.V, t.N, t.S) {
 			continue
 		}
 		ev.expand(t)
@@ -461,7 +458,7 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 			cache, cacheGroup = u, tr.Group
 		}
 		for _, m := range u {
-			if ev.visited.Contains(t.V, m, tr.To) {
+			if ev.isVisited(t.V, m, tr.To) {
 				continue
 			}
 			d := t.D + tr.Cost
@@ -472,7 +469,11 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 			ev.add(dstruct.Tuple{V: t.V, N: m, S: tr.To, D: d})
 		}
 	}
-	ev.stats.VisitedSize = ev.visited.Len()
+	if ev.seedVisited != nil {
+		ev.stats.VisitedSize = ev.seedVisited.Len()
+	} else {
+		ev.stats.VisitedSize = ev.visited.Len()
+	}
 }
 
 // A continuation stands for the successors of (v, n) over one run of costed
@@ -629,7 +630,7 @@ func (ev *evaluator) lastSucc(v, n graph.NodeID, tr *automaton.CTrans, seg, end 
 			ns := ev.segment(n, tr, seg)
 			for i := min(end, len(ns)) - 1; i >= 0; i-- {
 				m := ns[i]
-				if (tr.Target == graph.InvalidNode || m == tr.Target) && !ev.visited.Contains(v, m, tr.To) {
+				if (tr.Target == graph.InvalidNode || m == tr.Target) && !ev.isVisited(v, m, tr.To) {
 					return tr, seg, i, true
 				}
 			}

@@ -97,7 +97,7 @@ func strategies(plan *conjunctPlan, opts *Options, drv driver, maxDist int32) []
 			if opts.DistanceRestart {
 				variant = "restart-per-phase"
 			}
-			out = append(out, fmt.Sprintf("distance-aware (%s, φ=%d, max ψ=%d)", variant, opts.phi(plan.mode), plan.psiCap(maxDist)))
+			out = append(out, fmt.Sprintf("distance-aware (%s, φ=%d, ψ step %d, max ψ=%d)", variant, opts.phi(plan.mode), opts.psiStep(plan.mode), plan.psiCap(maxDist)))
 		}
 	}
 	if opts.RareSide && plan.case3 && !plan.sameVar {

@@ -207,6 +207,27 @@ func TestPhi(t *testing.T) {
 	}
 }
 
+// TestPsiStep: the ψ grid steps by the gcd of the mode's operation costs,
+// which is φ when every cost is a multiple of it.
+func TestPsiStep(t *testing.T) {
+	o := Options{
+		Edit:  automaton.EditCosts{Insert: 4, Delete: 6, Substitute: 8},
+		Relax: automaton.RelaxCosts{Beta: 9, Gamma: 6},
+	}
+	for _, c := range []struct {
+		mode automaton.Mode
+		want int32
+	}{{automaton.Approx, 2}, {automaton.Relax, 3}, {automaton.Flex, 1}, {automaton.Exact, 1}} {
+		if got := o.psiStep(c.mode); got != c.want {
+			t.Errorf("psiStep(%v) = %d, want %d", c.mode, got, c.want)
+		}
+	}
+	unit := Options{}.withDefaults()
+	if got := unit.psiStep(automaton.Flex); got != unit.phi(automaton.Flex) {
+		t.Errorf("unit costs: psiStep = %d, want φ = %d", got, unit.phi(automaton.Flex))
+	}
+}
+
 func TestTermString(t *testing.T) {
 	if Var("X").String() != "?X" {
 		t.Errorf("Var rendering: %s", Var("X"))

@@ -9,8 +9,8 @@ import (
 )
 
 // This file implements the evaluator-state pool of the serving layer: the
-// per-execution structures (D_R, the visited table, the answer registry, the
-// Case 3 seen bitmap and the scratch buffers) dominate
+// per-execution structures (D_R, the visited table and the Case 1 seed bitmap,
+// the answer registry, the Case 3 seen bitmap and the scratch buffers) dominate
 // the allocation profile of a steady-state request — not because they are
 // created, but because they are *grown*: a fresh open-addressed table starts
 // at 64 slots and rehash-copies its way up on every request, and a fresh D_R
@@ -18,8 +18,9 @@ import (
 // structures across executions instead: each gets a used bundle, Resets it
 // and hands it to the next evaluator. The reset allocates nothing and costs
 // what the previous tenant touched, not what the bundle holds: the visited
-// table moves to its next generation, the answer registry blanks the pairs it
-// stored, D_R truncates one slice per distance.
+// table moves to its next generation, the seed bitmap clears the pages it
+// touched when its next Case 1 tenant reshapes it, the answer registry blanks
+// the pairs it stored, D_R truncates one slice per distance.
 // Nothing is ever cleared to make room, so a bundle keeps the capacity of the
 // largest run it has served (at most 8/3 of that run's population per table)
 // until the byte cap below discards it; PoolStats.IdleBytes shows what the
@@ -31,12 +32,13 @@ import (
 // graph- and query-agnostic: everything in it is keyed by integer IDs, so one
 // pool may serve any number of prepared queries over any number of graphs.
 type evalState struct {
-	dict    *dstruct.Dict
-	visited *dstruct.Visited
-	answers *dstruct.Answers
-	seen    *bitset.Set // Case 3 stream de-dup; lazily created
-	scratch []graph.NodeID
-	batch   []graph.NodeID
+	dict        *dstruct.Dict
+	visited     *dstruct.Visited     // Case 3 visited_R
+	seedVisited *dstruct.SeedVisited // Case 1 visited_R; shaped and reset by its evaluator
+	answers     *dstruct.Answers
+	seen        *bitset.Set // Case 3 stream de-dup; lazily created
+	scratch     []graph.NodeID
+	batch       []graph.NodeID
 
 	idleBytes int64 // bytes() as of the put that parked the bundle on the free list
 }
@@ -44,7 +46,7 @@ type evalState struct {
 // bytes returns the bundle's approximate resident footprint — the retention
 // figure the pool's byte cap compares against.
 func (st *evalState) bytes() int64 {
-	n := st.dict.Bytes() + st.visited.Bytes() + st.answers.Bytes()
+	n := st.dict.Bytes() + st.visited.Bytes() + st.seedVisited.Bytes() + st.answers.Bytes()
 	n += int64(cap(st.scratch)+cap(st.batch)) * 4
 	if st.seen != nil {
 		n += int64(st.seen.Words()) * 8
@@ -157,9 +159,10 @@ func (p *EvalPool) get() *evalState {
 	p.mu.Unlock()
 	if st == nil {
 		return &evalState{
-			dict:    dstruct.NewDict(),
-			visited: dstruct.NewVisited(),
-			answers: dstruct.NewAnswers(),
+			dict:        dstruct.NewDict(),
+			visited:     dstruct.NewVisited(),
+			seedVisited: new(dstruct.SeedVisited),
+			answers:     dstruct.NewAnswers(),
 		}
 	}
 	st.dict.Reset(false)

@@ -227,19 +227,31 @@ func TestEvalPoolOversizedBundleDiscarded(t *testing.T) {
 }
 
 // TestEvalPoolWarmCycleAllocatesNothing: handing a used bundle to the next
-// tenant — get, which resets it, and put, which measures it — allocates
-// nothing, whatever the bundle holds (entries parked above a ceiling
-// included); IdleBytes follows it on and off the free list.
+// tenant — get, which resets it, the Case 1 bitmap's reset, which shapes it
+// for the tenant's seeds, and put, which measures it — allocates nothing,
+// whatever the bundle holds (entries parked above a ceiling and bitmap pages
+// included); bytes counts the bitmap, IdleBytes follows the bundle on and off
+// the free list, and no tenant sees a bit its predecessor set.
 func TestEvalPoolWarmCycleAllocatesNothing(t *testing.T) {
+	const nodes, states = 5000, 3
+	seeds := []graph.NodeID{0, 7}
 	pool := NewEvalPool(2)
 	st := pool.get()
 	st.dict.SetCeiling(4)
+	st.seedVisited.Reset(seeds, nodes, states)
 	for i := 0; i < 5000; i++ {
 		st.dict.Add(dstruct.Tuple{V: graph.NodeID(i), N: graph.NodeID(i), D: int32(i % 7)})
 		st.visited.Add(graph.NodeID(i), graph.NodeID(i), 0)
 		st.answers.Add(graph.NodeID(i), graph.NodeID(i), 0)
 	}
+	before, bitmap := st.bytes(), st.seedVisited.Bytes()
+	for i := 0; i < nodes; i += 3 {
+		st.seedVisited.Add(seeds[i%2], graph.NodeID(i), int32(i%states))
+	}
 	held := st.bytes()
+	if grown := st.seedVisited.Bytes() - bitmap; grown <= 0 || held-before != grown {
+		t.Fatalf("filling the bitmap grew it by %d bytes and the bundle by %d", grown, held-before)
+	}
 	pool.put(st)
 	if s := pool.Stats(); s.Idle != 1 || s.IdleBytes != held {
 		t.Fatalf("after put: Idle=%d IdleBytes=%d, want 1 and %d", s.Idle, s.IdleBytes, held)
@@ -248,6 +260,8 @@ func TestEvalPoolWarmCycleAllocatesNothing(t *testing.T) {
 		st := pool.get()
 		st.visited.Add(1, 2, 3)
 		st.answers.Add(1, 2, 0)
+		st.seedVisited.Reset(seeds, nodes, states)
+		st.seedVisited.Add(7, nodes-1, states-1)
 		pool.put(st)
 	})
 	if allocs != 0 {
@@ -262,5 +276,18 @@ func TestEvalPoolWarmCycleAllocatesNothing(t *testing.T) {
 	}
 	if got.bytes() != held {
 		t.Fatalf("reset changed the bundle's capacity: %d bytes, was %d", got.bytes(), held)
+	}
+	got.seedVisited.Reset(seeds, nodes, states)
+	for _, v := range seeds {
+		for n := 0; n < nodes; n++ {
+			for s := int32(0); s < states; s++ {
+				if got.seedVisited.Contains(v, graph.NodeID(n), s) {
+					t.Fatalf("the next tenant sees (%d, %d, %d), a bit of an earlier one", v, n, s)
+				}
+			}
+		}
+	}
+	if got.seedVisited.Len() != 0 {
+		t.Fatalf("the next tenant's bitmap holds %d triples", got.seedVisited.Len())
 	}
 }

@@ -1,14 +1,16 @@
 // Package dstruct provides the evaluation data structures of §3.3–3.4,
 // substituting for the C5 Generic Collection library used by the paper's
 // implementation: the tuple dictionary D_R keyed by (distance, final-flag)
-// with O(1) insertion and removal at the head of each list, the hashed
-// visited set with O(1) lookup, and the answer registry answers_R.
+// with O(1) insertion and removal at the head of each list, the visited set
+// (hashed, or a bitmap) with O(1) lookup, and the answer registry answers_R.
 //
 // The hot-path structures are flat and index-addressed: D_R is a monotone
 // bucket queue (an array of per-distance tuple stacks with an advancing
-// cursor), and the visited set and answer registry are open-addressed hash
-// tables over packed integer keys. RefDict retains the original
-// map-plus-binary-heap dictionary as a differential-testing reference.
+// cursor), the visited set of a Case 1 search is a paged bitmap over
+// (seed, state, node), and the Case 3 visited set and the answer registry are
+// open-addressed hash tables over packed integer keys. RefDict retains the
+// original map-plus-binary-heap dictionary as a differential-testing
+// reference.
 package dstruct
 
 import (
@@ -466,6 +468,108 @@ func (vs *Visited) rehash(newCap int) {
 
 // Len returns the number of stored triples.
 func (vs *Visited) Len() int { return vs.n }
+
+// SeedVisited is visited_R for a search from constant seeds — Case 1 of
+// Open, where every tuple's v is one of a few seed nodes: one bit per
+// (seed ordinal, state, node), the product a single-source RPQ search walks,
+// in place of a hashed slot per processed triple. The bits of one seed and
+// state form a row over the node IDs, so the neighbours a transition reaches
+// from one node probe one row. The bitmap is paged: a page of pageBits bits
+// is allocated on its first Add, from a slice that keeps every page touched
+// since the last Reset, and a directory maps each page of the full
+// seeds × states × nodes bitmap to its place there. Memory is the directory,
+// 4 bytes per page, plus the pages the search touched, and Reset costs the
+// touched pages, not the bitmap's span.
+type SeedVisited struct {
+	seeds  []graph.NodeID // ordinal i is seeds[i]
+	nodes  int
+	states int
+
+	dir     []int32  // page → 1 + its slot in words; 0 = untouched
+	words   []uint64 // the touched pages, pageWords words each, in touch order
+	touched []int32  // the page in each slot of words, to clear dir by
+	n       int
+}
+
+const (
+	pageShift = 9 // a page is 512 bits, 64 bytes: one cache line
+	pageBits  = 1 << pageShift
+	pageWords = pageBits / 64
+)
+
+// Reset empties the set and shapes it for a search from seeds over nodes
+// graph nodes and states automaton states. It clears only the pages the last
+// search touched, and retains every slice's capacity, so a pooled reuse that
+// fits them allocates nothing.
+func (sv *SeedVisited) Reset(seeds []graph.NodeID, nodes int, states int32) {
+	for _, p := range sv.touched {
+		sv.dir[p] = 0
+	}
+	sv.touched, sv.words, sv.n = sv.touched[:0], sv.words[:0], 0
+	sv.seeds = append(sv.seeds[:0], seeds...)
+	sv.nodes, sv.states = nodes, int(states)
+	// Every directory entry within its capacity is zero again, so a
+	// reslice needs no clearing.
+	pages := (len(seeds)*sv.states*nodes + pageBits - 1) >> pageShift
+	if cap(sv.dir) < pages {
+		sv.dir = make([]int32, pages)
+	}
+	sv.dir = sv.dir[:pages]
+}
+
+// bit returns the bit of (v, n, s), or false when v is not a seed.
+func (sv *SeedVisited) bit(v, n graph.NodeID, s int32) (int, bool) {
+	for i, sd := range sv.seeds {
+		if sd == v {
+			return (i*sv.states+int(s))*sv.nodes + int(n), true
+		}
+	}
+	return 0, false
+}
+
+// Add inserts (v, n, s), reporting whether it was newly added. v must be one
+// of the seeds Reset was given.
+func (sv *SeedVisited) Add(v, n graph.NodeID, s int32) bool {
+	b, ok := sv.bit(v, n, s)
+	if !ok {
+		panic("dstruct: SeedVisited.Add from a node that is not a seed")
+	}
+	p := b >> pageShift
+	slot := sv.dir[p]
+	if slot == 0 {
+		sv.words = append(sv.words, make([]uint64, pageWords)...)
+		sv.touched = append(sv.touched, int32(p))
+		slot = int32(len(sv.touched))
+		sv.dir[p] = slot
+	}
+	w := &sv.words[int(slot-1)*pageWords+b>>6&(pageWords-1)]
+	m := uint64(1) << (b & 63)
+	if *w&m != 0 {
+		return false
+	}
+	*w |= m
+	sv.n++
+	return true
+}
+
+// Contains reports whether (v, n, s) has been processed.
+func (sv *SeedVisited) Contains(v, n graph.NodeID, s int32) bool {
+	b, ok := sv.bit(v, n, s)
+	if !ok {
+		return false
+	}
+	slot := sv.dir[b>>pageShift]
+	return slot != 0 && sv.words[int(slot-1)*pageWords+b>>6&(pageWords-1)]&(1<<(b&63)) != 0
+}
+
+// Len returns the number of stored triples.
+func (sv *SeedVisited) Len() int { return sv.n }
+
+// Bytes returns the approximate resident footprint of the set: the
+// capacities of its directory, pages and touch list.
+func (sv *SeedVisited) Bytes() int64 {
+	return int64(cap(sv.dir)+cap(sv.touched)+cap(sv.seeds))*4 + int64(cap(sv.words))*8
+}
 
 // Answer is one produced conjunct answer (v, n, d).
 type Answer struct {

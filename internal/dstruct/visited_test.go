@@ -8,23 +8,39 @@ import (
 )
 
 // FuzzVisited replays an op stream of Add/Contains/Reset against a map and
-// requires the table to agree after every op. Ops are byte pairs (kind, key);
-// the key byte spreads over (v, n, s) so 256 distinct triples exist, enough to
-// force several rehashes. The table starts three resets short of generation
-// wrap-around, and one op kind jumps it back there (standing in for the 2³²
-// resets a real table would need), so streams cross the wrap with slots of
-// old generations — low and high — still in the table.
+// requires the hash table and the seed bitmap to agree with it after every op.
+// Ops are byte pairs (kind, key); the key byte spreads over (v, n, s) so 256
+// distinct triples exist, enough to force several rehashes, and n strides by
+// 97 so the bitmap's triples fall on many pages. Each v is one of eight
+// seeds, whose ordinals differ from their node IDs. The table starts three
+// resets short of generation wrap-around, and one op kind jumps it back there
+// (standing in for the 2³² resets a real table would need), so streams cross
+// the wrap with slots of old generations — low and high — still in the table.
+// A reset reshapes the bitmap for one of two searches, as a pooled bundle is
+// reshaped for each tenant: the seeds in another order over a wider node
+// range, or back again.
 func FuzzVisited(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 9, 1, 13, 0, 9, 1, 0, 1})
 	f.Add([]byte{0, 7, 13, 0, 13, 0, 13, 0, 9, 7, 0, 7, 13, 0, 9, 7})
+	f.Add([]byte{0, 200, 0, 9, 14, 0, 9, 200, 0, 63, 15, 0, 9, 63, 0, 255, 9, 255})
+	shapes := []struct {
+		seeds []graph.NodeID
+		nodes int
+	}{
+		{[]graph.NodeID{3, 1, 4, 0, 5, 2, 7, 6}, 7*97 + 1},
+		{[]graph.NodeID{6, 7, 2, 5, 0, 4, 1, 3}, 1500},
+	}
+	const states = 4
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		vs := NewVisited()
 		vs.gen = math.MaxUint32 - 2
+		var sv SeedVisited
+		sv.Reset(shapes[0].seeds, shapes[0].nodes, states)
 		type key struct {
 			v, n graph.NodeID
 			s    int32
 		}
-		keyOf := func(b byte) key { return key{graph.NodeID(b & 7), graph.NodeID(b >> 3 & 7), int32(b >> 6)} }
+		keyOf := func(b byte) key { return key{graph.NodeID(b & 7), graph.NodeID(b>>3&7) * 97, int32(b >> 6)} }
 		want := map[key]bool{}
 		for i := 0; i+1 < len(ops); i += 2 {
 			k := keyOf(ops[i+1])
@@ -33,30 +49,42 @@ func FuzzVisited(f *testing.F) {
 				if got := vs.Add(k.v, k.n, k.s); got == want[k] {
 					t.Fatalf("op %d: Add(%v) = %v with the key stored=%v", i/2, k, got, want[k])
 				}
+				if got := sv.Add(k.v, k.n, k.s); got == want[k] {
+					t.Fatalf("op %d: bitmap Add(%v) = %v with the key stored=%v", i/2, k, got, want[k])
+				}
 				want[k] = true
 			case kind < 13:
 				if got := vs.Contains(k.v, k.n, k.s); got != want[k] {
 					t.Fatalf("op %d: Contains(%v) = %v, want %v", i/2, k, got, want[k])
 				}
+				if got := sv.Contains(k.v, k.n, k.s); got != want[k] {
+					t.Fatalf("op %d: bitmap Contains(%v) = %v, want %v", i/2, k, got, want[k])
+				}
 			case kind < 15:
 				vs.Reset(0)
+				sh := shapes[kind-13]
+				sv.Reset(sh.seeds, sh.nodes, states)
 				clear(want)
 			default:
 				vs.Reset(0)
 				vs.gen = math.MaxUint32
+				sv.Reset(shapes[0].seeds, shapes[0].nodes, states)
 				clear(want)
 			}
 			if vs.gen == 0 {
 				t.Fatalf("op %d: table is at generation 0, which marks empty slots", i/2)
 			}
-			if vs.Len() != len(want) {
-				t.Fatalf("op %d: Len = %d, want %d", i/2, vs.Len(), len(want))
+			if vs.Len() != len(want) || sv.Len() != len(want) {
+				t.Fatalf("op %d: Len = %d, bitmap %d, want %d", i/2, vs.Len(), sv.Len(), len(want))
 			}
 		}
 		for b := 0; b < 256; b++ {
 			k := keyOf(byte(b))
 			if got := vs.Contains(k.v, k.n, k.s); got != want[k] {
 				t.Fatalf("final sweep: Contains(%v) = %v, want %v", k, got, want[k])
+			}
+			if got := sv.Contains(k.v, k.n, k.s); got != want[k] {
+				t.Fatalf("final sweep: bitmap Contains(%v) = %v, want %v", k, got, want[k])
 			}
 		}
 	})

@@ -291,8 +291,8 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 // TestWorkGolden pins the work the ranked evaluator does against
 // testdata/work_golden.json: a change that alters which tuples exist, the
 // automata, or the order the rows come out in, shows up as a diff of that
-// file (go test -run TestWorkGolden -update rewrites it), a refactor must
-// leave it untouched. Three groups of cases, all on the ranked backend:
+// file (go test -run TestWorkGolden -update -v rewrites it and prints what
+// moved: see writeGoldenReport), a refactor must leave it untouched. Three groups of cases, all on the ranked backend:
 //
 //   - the L4All study queries on L1 × EXACT/APPROX/RELAX/FLEX ×
 //     plain/distance-aware × top-100/exhaustive;
@@ -407,7 +407,15 @@ func TestWorkGolden(t *testing.T) {
 		t.Fatalf("pool did not recycle cleanly: %+v", s)
 	}
 
+	raw, err := os.ReadFile(workGoldenPath)
+	var want workGolden
+	if err == nil {
+		err = json.Unmarshal(raw, &want)
+	}
 	if *updateWorkGolden {
+		// The report needs the file being replaced; a missing or unreadable
+		// one reads as empty.
+		writeGoldenReport(os.Stdout, workGoldenPath, workCounterNames, workGoldenCases(want), workGoldenCases(got))
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -417,13 +425,8 @@ func TestWorkGolden(t *testing.T) {
 		t.Logf("rewrote %s (%d cases)", workGoldenPath, len(got.Counters))
 		return
 	}
-	raw, err := os.ReadFile(workGoldenPath)
 	if err != nil {
-		t.Fatalf("%v (generate it with -update)", err)
-	}
-	var want workGolden
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("%s: %v", workGoldenPath, err)
+		t.Fatalf("%s: %v (generate it with -update)", workGoldenPath, err)
 	}
 	if len(want.Counters) != len(got.Counters) || len(want.MemFresh) != len(got.MemFresh) {
 		t.Fatalf("%s holds %d/%d cases, this run produced %d/%d (rerun with -update)",
