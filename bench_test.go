@@ -159,11 +159,12 @@ func BenchmarkFig8Relax(b *testing.B) {
 	}
 }
 
-// pooledApproxRotation prepares the six study queries on L4All scale s under
-// DistanceAware and returns one rotation of the serving ledger's APPROX
-// top-100 loop over them: each executed once through one shared EvalPool and
-// drained in batches, as a server runs them.
-func pooledApproxRotation(tb testing.TB, s l4all.Scale) func() {
+// pooledRotation prepares the six study queries on L4All scale s under
+// DistanceAware and returns one rotation of the serving ledger's top-100 loop
+// over them in the given mode (APPROX for approx_topk, RELAX for relax_topk):
+// each executed once through one shared EvalPool and drained in batches, as a
+// server runs them.
+func pooledRotation(tb testing.TB, s l4all.Scale, mode Mode) func() {
 	g, ont := datasets().L4All(s)
 	eng := NewEngine(g, ont).WithOptions(Options{DistanceAware: true})
 	var pqs []*PreparedQuery
@@ -174,7 +175,7 @@ func pooledApproxRotation(tb testing.TB, s l4all.Scale) func() {
 		}
 		pqs = append(pqs, pq)
 	}
-	eo := ExecOptions{Limit: 100, Mode: ModeOverride(Approx), Pool: NewEvalPool(0)}
+	eo := ExecOptions{Limit: 100, Mode: ModeOverride(mode), Pool: NewEvalPool(0)}
 	rows := make([]Row, 64)
 	return func() {
 		for _, pq := range pqs {
@@ -198,14 +199,21 @@ func pooledApproxRotation(tb testing.TB, s l4all.Scale) func() {
 
 // BenchmarkApproxTopKPooled is the in-process counterpart of the serving
 // ledger's APPROX top-100 loop: one op is one rotation of the six study
-// queries (see pooledApproxRotation), on L2 and on L3, the ledger's scale,
-// where Q8's visited set outgrows the caches. It isolates the engine from the
+// queries (see pooledRotation), on L2 and on L3, the ledger's scale, where
+// Q8's visited set outgrows the caches. It isolates the engine from the
 // socket, so a change to Succ, D_R or visited_R shows here without the HTTP
 // layers around it.
-func BenchmarkApproxTopKPooled(b *testing.B) {
+func BenchmarkApproxTopKPooled(b *testing.B) { benchPooledRotation(b, Approx) }
+
+// BenchmarkRelaxTopKPooled is the same rotation in RELAX mode, the in-process
+// counterpart of relax_topk: an APPROX search change must leave it where it
+// was.
+func BenchmarkRelaxTopKPooled(b *testing.B) { benchPooledRotation(b, Relax) }
+
+func benchPooledRotation(b *testing.B, mode Mode) {
 	for _, s := range []l4all.Scale{l4all.L2, l4all.L3} {
 		b.Run(s.String(), func(b *testing.B) {
-			rotate := pooledApproxRotation(b, s)
+			rotate := pooledRotation(b, s, mode)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -224,7 +232,7 @@ func TestApproxTopKPooledAllocations(t *testing.T) {
 		t.Skip("allocation measurement skipped under -short")
 	}
 	const rotations, bound = 5, 128 << 10
-	rotate := pooledApproxRotation(t, l4all.L1)
+	rotate := pooledRotation(t, l4all.L1, Approx)
 	rotate() // warm-up: grows the pooled bundles
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -212,6 +212,18 @@ func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi int32) *evaluator {
 			ev.dr = dstruct.NewDict()
 		}
 	}
+	if boundsWildcards(aut) {
+		if ev.state == nil {
+			ev.goal = new(goalSearch)
+		} else {
+			if ev.state.goal == nil {
+				ev.state.goal = new(goalSearch)
+			}
+			ev.goal = ev.state.goal
+		}
+		ev.goal.step = p.opts.psiStep(p.mode)
+		ev.goal.memo.Reset(p.g.NumNodes())
+	}
 	if p.case3 {
 		if ev.state != nil {
 			ev.visited = ev.state.visited

@@ -64,6 +64,10 @@ type evaluator struct {
 	// tr.Index·stride + segment.
 	stride int32
 
+	// goal, non-nil when the automaton has a costed wildcard transition,
+	// decides Z (goal.go) for the two passes of its wildcard continuations.
+	goal *goalSearch
+
 	// state, when non-nil, is the pooled bundle backing dr/visited/answers:
 	// finish returns it to the run's pool instead of discarding it, so the
 	// next execution inherits the grown capacities.
@@ -139,7 +143,7 @@ func (ev *evaluator) finish() {
 		// Pointers are severed so no code path on this evaluator can touch
 		// state now owned by another execution (or, when poisoned, state that
 		// must die with this one).
-		ev.dr, ev.visited, ev.seedVisited, ev.answers = nil, nil, nil, nil
+		ev.dr, ev.visited, ev.seedVisited, ev.answers, ev.goal = nil, nil, nil, nil, nil
 		ev.scratch, ev.batch, ev.stream = nil, nil, nil
 		if poisoned {
 			ev.r.pool.poison()
@@ -193,6 +197,9 @@ func (ev *evaluator) sampleMem() {
 // this evaluator owns. Capacity-based: it measures what the process holds.
 func (ev *evaluator) residentBytes() int64 {
 	n := ev.dr.Bytes() + ev.answers.Bytes() + int64(cap(ev.scratch)+cap(ev.batch))*4
+	if ev.goal != nil {
+		n += ev.goal.bytes()
+	}
 	if ev.seedVisited != nil {
 		return n + ev.seedVisited.Bytes()
 	}
@@ -533,22 +540,39 @@ func checkContSlots(aut *automaton.Compiled, g *graph.Graph) error {
 // pushed when every successor is visited. A resumable evaluator parks a
 // wildcard continuation without a landing target unpositioned, and leaves it
 // out only when n has no neighbour over tr at all, which takes no visited
-// probe: the members of a run share their neighbour segments.
+// probe: the members of a run share their neighbour segments. A wildcard
+// continuation of an evaluator with a goal is a first pass (see step): it is
+// positioned on the last unvisited successor where Z holds, and pushed
+// unpositioned when there is none but it passed an unvisited one where Z
+// fails, so that its pop decides what becomes of those.
 func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 	segs := ev.segments(tr)
 	over := ev.psi >= 0 && d > ev.psi
 	seg, cur := segs-1, unpositioned
-	if over && ev.resumable && tr.Kind == automaton.Any && tr.Target == graph.InvalidNode {
+	var flag dstruct.ContFlag
+	switch {
+	case over && ev.resumable && wildcard(tr):
 		if !ev.hasNeighbour(n, tr, segs) {
 			return
 		}
-	} else {
+	case ev.goal != nil && wildcard(tr):
+		m, mseg, mcur, skipped, ok := ev.walk(v, n, tr, seg, cur, true)
+		switch {
+		case ok:
+			tr, seg, cur = m, mseg, mcur
+			if skipped {
+				flag = dstruct.Skipped
+			}
+		case !skipped:
+			return
+		}
+	default:
 		var ok bool
 		if tr, seg, cur, ok = ev.lastSucc(v, n, tr, seg, cur); !ok {
 			return
 		}
 	}
-	c := dstruct.Cont(v, n, d, tr.Index*ev.stride+int32(seg), int32(cur))
+	c := dstruct.Cont(v, n, d, tr.Index*ev.stride+int32(seg), int32(cur)).With(flag)
 	if over {
 		ev.reject(c)
 		return
@@ -594,29 +618,113 @@ func (ev *evaluator) countPop() {
 // counts, and the successor counts one tuple added, under the tuple budget;
 // the re-added continuation does not. An unpositioned continuation is
 // positioned first, and with no unvisited successor left in its run it is
-// dropped: like a continuation cont never pushed, it counts nothing.
+// dropped: like a continuation cont never pushed, it counts nothing. A
+// wildcard continuation of an evaluator with a goal takes stepWildcard.
 func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
 	slot := c.Slot()
 	tr := &ev.aut.Trans[slot/ev.stride]
 	seg, cur := int(slot%ev.stride), int(c.Cursor())
+	if ev.goal != nil && wildcard(tr) {
+		return ev.stepWildcard(c, tr, seg, cur)
+	}
 	if cur == unpositioned {
 		var ok bool
 		if tr, seg, cur, ok = ev.lastSucc(c.V, c.N, tr, seg, cur); !ok {
 			return dstruct.Tuple{}, false
 		}
 	}
-	ev.countPop()
-	if ev.r.overBudget(ev.stats.TuplesAdded + 1) {
-		ev.failed = ErrTupleBudget
+	if !ev.yield() {
 		return dstruct.Tuple{}, false
 	}
-	ev.stats.TuplesAdded++
-	ev.r.tick(1)
 	m := ev.segment(c.N, tr, seg)[cur]
 	if next, seg, cur, ok := ev.lastSucc(c.V, c.N, tr, seg, cur); ok {
 		ev.dr.Add(dstruct.Cont(c.V, c.N, c.D, next.Index*ev.stride+int32(seg), int32(cur)))
 	}
 	return dstruct.Tuple{V: c.V, N: m, S: tr.To, D: c.D}, true
+}
+
+// yield counts a continuation's pop and the successor it yields, one tuple
+// added under the tuple budget, reporting false when the budget is spent.
+func (ev *evaluator) yield() bool {
+	ev.countPop()
+	if ev.r.overBudget(ev.stats.TuplesAdded + 1) {
+		ev.failed = ErrTupleBudget
+		return false
+	}
+	ev.stats.TuplesAdded++
+	ev.r.tick(1)
+	return true
+}
+
+// stepWildcard is step for a wildcard continuation of an evaluator with a
+// goal, which walks its run in two passes. The first, at the run's distance
+// d, yields only the successors where Z holds, and marks itself Skipped when
+// it passes an unvisited one where Z fails. Once it has nothing left to
+// yield, a Skipped first pass becomes the second (see lift), which yields
+// every unvisited successor left, at distance d. A successor where Z fails
+// answers at d + step at the earliest, so holding it back until that key
+// follows the consistent lower bound of goal.go. The pass changes here, when
+// the first pass pops, never when cont creates it: a continuation parked
+// unpositioned above ψ and one a restarted phase positioned at creation then
+// change pass at the same point of the pop trace.
+func (ev *evaluator) stepWildcard(c dstruct.Tuple, tr *automaton.CTrans, seg, cur int) (dstruct.Tuple, bool) {
+	lifted := c.Has(dstruct.Lifted)
+	first := !lifted
+	skipped := c.Has(dstruct.Skipped)
+	if cur == unpositioned {
+		var sk, ok bool
+		tr, seg, cur, sk, ok = ev.walk(c.V, c.N, tr, seg, cur, first)
+		if skipped = skipped || sk; !ok {
+			if skipped {
+				ev.lift(c)
+			}
+			return dstruct.Tuple{}, false
+		}
+	}
+	if !ev.yield() {
+		return dstruct.Tuple{}, false
+	}
+	m := ev.segment(c.N, tr, seg)[cur]
+	next, nseg, ncur, sk, ok := ev.walk(c.V, c.N, tr, seg, cur, first)
+	switch skipped = skipped || sk; {
+	case ok:
+		nc := dstruct.Cont(c.V, c.N, c.D, next.Index*ev.stride+int32(nseg), int32(ncur))
+		if lifted {
+			nc = nc.With(dstruct.Lifted)
+		} else if skipped {
+			nc = nc.With(dstruct.Skipped)
+		}
+		ev.dr.Add(nc)
+	case skipped:
+		ev.lift(c)
+	}
+	d := c.D
+	if lifted {
+		d -= ev.goal.step
+	}
+	return dstruct.Tuple{V: c.V, N: m, S: tr.To, D: d}, true
+}
+
+// lift turns the exhausted first pass c into the second pass of its run: one
+// Lifted continuation at key c.D + step, unpositioned on the run's last
+// member — found by following the transitions after c's member for as long
+// as each links back to the one before — or parked through reject when the
+// key is beyond ψ. Its successors are at distance c.D, and D_R pops it after
+// the final entries of its key and before the others, which may reach the
+// same configurations at their real distance c.D + step.
+func (ev *evaluator) lift(c dstruct.Tuple) {
+	last := c.Slot() / ev.stride
+	for int(last)+1 < len(ev.aut.Trans) && ev.aut.Trans[last+1].Prev == last {
+		last++
+	}
+	key := c.D + ev.goal.step
+	slot := last*ev.stride + int32(ev.segments(&ev.aut.Trans[last])) - 1
+	l := dstruct.Cont(c.V, c.N, key, slot, unpositioned).With(dstruct.Lifted)
+	if ev.psi >= 0 && key > ev.psi {
+		ev.reject(l)
+		return
+	}
+	ev.dr.Add(l)
 }
 
 // lastSucc finds the last successor of n over tr's run before index end of
@@ -637,6 +745,31 @@ func (ev *evaluator) lastSucc(v, n graph.NodeID, tr *automaton.CTrans, seg, end 
 		}
 		if tr.Prev < 0 {
 			return nil, 0, 0, false
+		}
+		tr = &ev.aut.Trans[tr.Prev]
+		seg, end = ev.segments(tr)-1, math.MaxInt
+	}
+}
+
+// walk is lastSucc for a wildcard run of an evaluator with a goal: with
+// first set it finds the last unvisited successor where Z holds, and
+// reports whether it passed an unvisited one where Z fails.
+func (ev *evaluator) walk(v, n graph.NodeID, tr *automaton.CTrans, seg, end int, first bool) (*automaton.CTrans, int, int, bool, bool) {
+	skipped := false
+	for {
+		for ; seg >= 0; seg, end = seg-1, math.MaxInt {
+			ns := ev.segment(n, tr, seg)
+			for i := min(end, len(ns)) - 1; i >= 0; i-- {
+				if m := ns[i]; !ev.isVisited(v, m, tr.To) {
+					if !first || ev.holds(m, tr.To) {
+						return tr, seg, i, skipped, true
+					}
+					skipped = true
+				}
+			}
+		}
+		if tr.Prev < 0 {
+			return nil, 0, 0, skipped, false
 		}
 		tr = &ev.aut.Trans[tr.Prev]
 		seg, end = ev.segments(tr)-1, math.MaxInt

@@ -37,6 +37,7 @@ type evalState struct {
 	seedVisited *dstruct.SeedVisited // Case 1 visited_R; shaped and reset by its evaluator
 	answers     *dstruct.Answers
 	seen        *bitset.Set // Case 3 stream de-dup; lazily created
+	goal        *goalSearch // Z of wildcard continuations; created on first use
 	scratch     []graph.NodeID
 	batch       []graph.NodeID
 
@@ -50,6 +51,9 @@ func (st *evalState) bytes() int64 {
 	n += int64(cap(st.scratch)+cap(st.batch)) * 4
 	if st.seen != nil {
 		n += int64(st.seen.Words()) * 8
+	}
+	if st.goal != nil {
+		n += st.goal.bytes()
 	}
 	return n
 }

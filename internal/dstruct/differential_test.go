@@ -196,7 +196,8 @@ func BenchmarkVisitedMapAdd(b *testing.B) {
 // admitted by raising it pop exactly as they would from a dictionary that
 // received the admitted entries afresh, in generation order, once the
 // previous phase had drained — the equivalence the incremental
-// distance-aware mode rests on. Raising returns how many it admits.
+// distance-aware mode rests on, lifted continuations included. Raising
+// returns how many it admits.
 func TestQuickDictCeilingMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -208,6 +209,9 @@ func TestQuickDictCeilingMatchesReplay(t *testing.T) {
 		var gen []Tuple
 		for i := 0; i < 200; i++ {
 			tt := tup(i, i, rng.Intn(3), 1+rng.Intn(10), rng.Intn(3) == 0)
+			if !tt.Final && rng.Intn(3) == 0 {
+				tt = Cont(tt.V, tt.N, tt.D, int32(i), int32(i)).With(Lifted)
+			}
 			gen = append(gen, tt)
 			target.Add(tt)
 		}
@@ -243,10 +247,10 @@ func TestQuickDictCeilingMatchesReplay(t *testing.T) {
 }
 
 // FuzzDict replays a fuzzed stream of Add, Remove, SetCeiling and Reset
-// operations on Dict and RefDict. Both must pop the same entries, never one
-// above the ceiling, and agree on Len, MinDistance and how many entries each
-// raised ceiling admits. Every operation is three bytes: the kind, then two
-// operands.
+// operations on Dict and RefDict. Both must pop the same entries — in
+// (distance, final, lifted, other) order — never one above the ceiling, and
+// agree on Len, MinDistance and how many entries each raised ceiling admits.
+// Every operation is three bytes: the kind, then two operands.
 func FuzzDict(f *testing.F) {
 	f.Add([]byte{12, 3, 0, 0, 1, 0, 0, 5, 16, 0, 0, 0, 8, 0, 0, 13, 7, 0, 8, 0, 0})
 	f.Add([]byte{0, 210, 0, 0, 240, 16, 12, 250, 0, 8, 0, 0, 12, 255, 0, 8, 0, 0})
@@ -270,7 +274,15 @@ func FuzzDict(f *testing.F) {
 				}
 				tu := tup(int(b&15), op, int(b>>6), int(dist), b&16 != 0)
 				if b&32 != 0 {
+					// A continuation is never final: the final bit makes it
+					// lifted instead, and every third one is skipped too.
 					tu = Cont(tu.V, tu.N, dist, int32(b>>6), int32(op))
+					if b&16 != 0 {
+						tu = tu.With(Lifted)
+					}
+					if op%3 == 0 {
+						tu = tu.With(Skipped)
+					}
 				}
 				d.Add(tu)
 				ref.Add(tu)

@@ -2,7 +2,8 @@
 // substituting for the C5 Generic Collection library used by the paper's
 // implementation: the tuple dictionary D_R keyed by (distance, final-flag)
 // with O(1) insertion and removal at the head of each list, the visited set
-// (hashed, or a bitmap) with O(1) lookup, and the answer registry answers_R.
+// (hashed, or a bitmap) with O(1) lookup, and the answer registry answers_R;
+// and a paged two-bit memo over (node, state) for the evaluator's own use.
 //
 // The hot-path structures are flat and index-addressed: D_R is a monotone
 // bucket queue (an array of per-distance tuple stacks with an advancing
@@ -40,6 +41,20 @@ type Tuple struct {
 // what limits the automata it can evaluate lazily.
 const ContSlots = 1 << 24
 
+// ContFlag is a mark a continuation carries in the unused top bits of its
+// slot word, beside the 24-bit slot number.
+type ContFlag uint32
+
+const (
+	// Skipped marks a continuation that passed over a successor it did not
+	// yield; what that means is the caller's to interpret.
+	Skipped ContFlag = 1 << 24
+	// Lifted marks a continuation whose key sits above the distance of the
+	// successors it yields. D_R pops a lifted entry after the final entries
+	// of its distance and before the others.
+	Lifted ContFlag = 1 << 25
+)
+
 // Cont returns a continuation from v at node n, distance d: slot names what
 // it enumerates (a number below ContSlots, the caller's to interpret) and
 // cursor (≥ 0) its position in that enumeration.
@@ -51,13 +66,23 @@ func Cont(v, n graph.NodeID, d, slot, cursor int32) Tuple {
 func (t Tuple) IsCont() bool { return t.S < 0 }
 
 // Slot returns a continuation's slot number.
-func (t Tuple) Slot() int32 { return int32(t.slot) }
+func (t Tuple) Slot() int32 { return int32(t.slot & (ContSlots - 1)) }
+
+// With returns the continuation t carrying flag f as well.
+func (t Tuple) With(f ContFlag) Tuple {
+	t.slot |= uint32(f)
+	return t
+}
+
+// Has reports whether t carries flag f.
+func (t Tuple) Has(f ContFlag) bool { return t.slot&uint32(f) != 0 }
 
 // Cursor returns a continuation's cursor.
 func (t Tuple) Cursor() int32 { return ^t.S }
 
 // entry is a Tuple as a Dict bucket stores it, in 16 bytes: the bucket's
-// index is its distance and the sub-list its final flag.
+// index is its distance and the sub-list its final flag; a continuation's
+// flags stay in slot.
 type entry struct {
 	V, N graph.NodeID
 	S    int32
@@ -102,6 +127,17 @@ func growBuckets(buckets []bucket, d int) []bucket {
 	return next
 }
 
+// liftedAt returns the list of lifted entries at distance d, growing the
+// side array — created here on the first lifted entry — to cover it.
+func (dd *Dict) liftedAt(d int) *[]entry {
+	if d >= len(dd.lifted) {
+		next := make([][]entry, len(dd.buckets))
+		copy(next, dd.lifted)
+		dd.lifted = next
+	}
+	return &dd.lifted[d]
+}
+
 // maxBucketDist bounds the flat bucket array: distances in [0, maxBucketDist)
 // take the index-addressed fast path; anything else (negative or huge
 // distances, reachable only through extreme custom edit/relax costs) lands in
@@ -140,10 +176,11 @@ const noCeiling = math.MaxInt32
 //
 // The implementation is a monotone bucket queue: buckets is indexed directly
 // by distance and cursor is a lower bound on the minimal non-empty distance.
-// GetNext pops in non-decreasing distance and every insertion is at a
-// distance no smaller than the last pop, so the cursor only advances;
-// insertions below the cursor (which evaluation never produces) pull it back,
-// keeping the structure correct for arbitrary workloads. Distances outside
+// GetNext pops in non-decreasing distance and nearly every insertion is at a
+// distance no smaller than the last pop, so the cursor mostly advances; an
+// insertion below the cursor pulls it back, keeping the structure correct for
+// arbitrary workloads. Evaluation makes those only from a lifted
+// continuation, whose successors sit one key below it. Distances outside
 // [0, maxBucketDist) go to the sparse overflow dictionary; the two ranges are
 // disjoint, so overall ordering is negative overflow, then buckets, then
 // large overflow.
@@ -152,8 +189,14 @@ const noCeiling = math.MaxInt32
 // admits them. Each bucket then holds them in the order they were added,
 // which is the stack the restarting reference would have built by generating
 // them afresh.
+//
+// Lifted continuations pop between the final and the non-final entries of
+// their distance. They are held apart, in a third LIFO stack per distance
+// that a side array keeps, so a dictionary that never receives one never
+// allocates it and its buckets stay two lists.
 type Dict struct {
 	buckets  []bucket
+	lifted   [][]entry // per distance; nil until the first lifted entry
 	cursor   int
 	ceil     int      // pop ceiling; noCeiling when nothing is parked
 	overflow *RefDict // lazily created; holds out-of-range distances
@@ -182,7 +225,12 @@ func (dd *Dict) Add(t Tuple) {
 	if d >= len(dd.buckets) {
 		dd.buckets = growBuckets(dd.buckets, d)
 	}
-	dd.buckets[d].push(t)
+	if t.Has(Lifted) {
+		l := dd.liftedAt(d)
+		*l = append(*l, entry{V: t.V, N: t.N, S: t.S, slot: t.slot})
+	} else {
+		dd.buckets[d].push(t)
+	}
 	if d < dd.cursor {
 		dd.cursor = d
 	}
@@ -199,6 +247,9 @@ func (dd *Dict) SetCeiling(c int32) int {
 	}
 	for d := max(dd.ceil+1, 0); d <= int(c) && d < len(dd.buckets); d++ {
 		n += len(dd.buckets[d].final) + len(dd.buckets[d].nonFinal)
+		if d < len(dd.lifted) {
+			n += len(dd.lifted[d])
+		}
 	}
 	dd.ceil = int(c)
 	return n
@@ -216,9 +267,9 @@ func (dd *Dict) negOverflowMin() (int32, bool) {
 	return 0, false
 }
 
-// Remove pops the tuple with minimal key (distance first, final preferred),
-// unless that distance is above the ceiling. The overflow dictionary applies
-// the same ceiling to itself.
+// Remove pops the tuple with minimal key (distance first, then final,
+// lifted and the rest), unless that distance is above the ceiling. The
+// overflow dictionary applies the same ceiling to itself.
 func (dd *Dict) Remove() (Tuple, bool) {
 	if _, neg := dd.negOverflowMin(); neg {
 		t, ok := dd.overflow.Remove()
@@ -234,6 +285,14 @@ func (dd *Dict) Remove() (Tuple, bool) {
 			b.final = b.final[:n-1]
 			dd.size--
 			return e.tuple(dd.cursor, true), true
+		}
+		if dd.cursor < len(dd.lifted) {
+			if l := &dd.lifted[dd.cursor]; len(*l) > 0 {
+				e := (*l)[len(*l)-1]
+				*l = (*l)[:len(*l)-1]
+				dd.size--
+				return e.tuple(dd.cursor, false), true
+			}
 		}
 		if n := len(b.nonFinal); n > 0 {
 			e := b.nonFinal[n-1]
@@ -270,6 +329,9 @@ func (dd *Dict) Reset(_ bool) {
 		b.final = b.final[:0]
 		b.nonFinal = b.nonFinal[:0]
 	}
+	for i := range dd.lifted {
+		dd.lifted[i] = dd.lifted[i][:0]
+	}
 	dd.cursor = 0
 	dd.ceil = noCeiling
 	dd.overflow = nil
@@ -292,7 +354,7 @@ func (dd *Dict) MinDistance() (int32, bool) {
 	}
 	for dd.cursor < len(dd.buckets) {
 		b := &dd.buckets[dd.cursor]
-		if len(b.final) > 0 || len(b.nonFinal) > 0 {
+		if len(b.final) > 0 || len(b.nonFinal) > 0 || dd.cursor < len(dd.lifted) && len(dd.lifted[dd.cursor]) > 0 {
 			return int32(dd.cursor), true
 		}
 		dd.cursor++
@@ -312,6 +374,7 @@ const (
 	tupleMem    = 24 // Tuple: 4×int32 + bool + uint32 slot (RefDict stores these)
 	entryMem    = 16 // entry: 3×int32 + uint32 slot (Dict stores these)
 	bucketMem   = 48 // bucket: two slice headers
+	sliceMem    = 24 // one slice header (a lifted list)
 	visEntryMem = 16 // visEntry: uint64 + int32 + uint32
 	answerMem   = 12 // Answer: 3×int32
 )
@@ -324,6 +387,12 @@ func (dd *Dict) Bytes() int64 {
 	for i := range dd.buckets {
 		b := &dd.buckets[i]
 		n += int64(cap(b.final)+cap(b.nonFinal)) * entryMem
+	}
+	if dd.lifted != nil {
+		n += int64(cap(dd.lifted)) * sliceMem
+		for _, l := range dd.lifted {
+			n += int64(cap(l)) * entryMem
+		}
 	}
 	if dd.overflow != nil {
 		n += dd.overflow.Bytes()
@@ -739,3 +808,120 @@ func (a *Answers) Len() int { return len(a.order) }
 // List returns the answers in emission order. The slice aliases internal
 // storage and must not be modified.
 func (a *Answers) List() []Answer { return a.order }
+
+// StateMemo holds a two-bit value per (node, state) configuration of a
+// product search, all zero after Reset. It is paged like SeedVisited — a page
+// of pageBits bits, 256 configurations, is allocated on its first nonzero
+// write — but its directory is an open-addressed table over the touched pages
+// alone, so its memory follows what a search touches, never the
+// nodes × states span.
+type StateMemo struct {
+	nodes   int
+	dir     []uint64 // (page+1)<<32 | 1+its slot in words; 0 = empty
+	words   []uint64 // the touched pages, pageWords words each, in touch order
+	touched []int32  // the page in each slot of words
+}
+
+// memoMinDir is the directory size of a memo's first page; a power of two.
+const memoMinDir = 16
+
+// Reset empties the memo and shapes it for configurations over nodes graph
+// nodes. It clears what the last use touched and keeps every capacity.
+func (m *StateMemo) Reset(nodes int) {
+	if 4*len(m.touched) < len(m.dir) {
+		for _, p := range m.touched {
+			m.unlink(int(p))
+		}
+	} else {
+		clear(m.dir)
+	}
+	m.touched, m.words, m.nodes = m.touched[:0], m.words[:0], nodes
+}
+
+// unlink empties the directory slots from page p's home up to the next empty
+// one; done for every touched page it empties the directory (see
+// U64Set.blankCluster).
+func (m *StateMemo) unlink(p int) {
+	mask := len(m.dir) - 1
+	for i := memoHash(p) & mask; m.dir[i] != 0; i = (i + 1) & mask {
+		m.dir[i] = 0
+	}
+}
+
+func memoHash(p int) int { return int(uint32(p) * 0x9E3779B1 >> 8) }
+
+// slot returns 1 + the word offset of page p, or 0 when p is untouched.
+func (m *StateMemo) slot(p int) int {
+	if len(m.dir) == 0 {
+		return 0
+	}
+	mask := len(m.dir) - 1
+	for i := memoHash(p) & mask; ; i = (i + 1) & mask {
+		e := m.dir[i]
+		if e == 0 {
+			return 0
+		}
+		if int(e>>32) == p+1 {
+			return int(uint32(e))
+		}
+	}
+}
+
+// Get returns the value of (n, s).
+func (m *StateMemo) Get(n graph.NodeID, s int32) uint8 {
+	b := 2 * (int(s)*m.nodes + int(n))
+	slot := m.slot(b >> pageShift)
+	if slot == 0 {
+		return 0
+	}
+	return uint8(m.words[slot-1+b>>6&(pageWords-1)] >> (b & 63) & 3)
+}
+
+// Set sets the value of (n, s) to v, which is below 4.
+func (m *StateMemo) Set(n graph.NodeID, s int32, v uint8) {
+	b := 2 * (int(s)*m.nodes + int(n))
+	p := b >> pageShift
+	slot := m.slot(p)
+	if slot == 0 {
+		if v == 0 {
+			return
+		}
+		slot = m.addPage(p)
+	}
+	w := &m.words[slot-1+b>>6&(pageWords-1)]
+	*w = *w&^(3<<(b&63)) | uint64(v)<<(b&63)
+}
+
+// addPage allocates page p, growing the directory to keep it at most half
+// full, and returns its slot.
+func (m *StateMemo) addPage(p int) int {
+	if 2*(len(m.touched)+1) > len(m.dir) {
+		old := m.dir
+		m.dir = make([]uint64, max(memoMinDir, 2*len(old)))
+		for _, e := range old {
+			if e != 0 {
+				m.link(int(e>>32)-1, e)
+			}
+		}
+	}
+	slot := len(m.words) + 1
+	m.words = append(m.words, make([]uint64, pageWords)...)
+	m.touched = append(m.touched, int32(p))
+	m.link(p, uint64(p+1)<<32|uint64(slot))
+	return slot
+}
+
+// link stores directory entry e for page p.
+func (m *StateMemo) link(p int, e uint64) {
+	mask := len(m.dir) - 1
+	i := memoHash(p) & mask
+	for m.dir[i] != 0 {
+		i = (i + 1) & mask
+	}
+	m.dir[i] = e
+}
+
+// Bytes returns the approximate resident footprint of the memo.
+func (m *StateMemo) Bytes() int64 {
+	return int64(cap(m.dir)+cap(m.words))*8 + int64(cap(m.touched))*4
+}

@@ -114,8 +114,8 @@ func TestDictLenAndAdds(t *testing.T) {
 	}
 }
 
-// Property: pops come out in non-decreasing key order (distance, then
-// non-final after final) no matter the interleaving of adds and removes.
+// Property: pops come out in non-decreasing key order (distance, then final,
+// lifted and the rest) no matter the interleaving of adds and removes.
 func TestQuickDictMonotonePops(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
@@ -125,21 +125,24 @@ func TestQuickDictMonotonePops(t *testing.T) {
 		for op := 0; op < 500; op++ {
 			if pending == 0 || rng.Intn(3) != 0 {
 				dist := rng.Intn(8)
-				final := rng.Intn(2) == 0
+				tu := tup(op, op, 0, dist, rng.Intn(2) == 0)
+				if !tu.Final && rng.Intn(3) == 0 {
+					tu = Cont(tu.V, tu.N, tu.D, 0, int32(op)).With(Lifted)
+				}
 				// Monotonicity only holds for Dijkstra-style workloads where
 				// inserted keys are never below the last popped key.
-				k := key(int32(dist), final)
+				k := key(tu)
 				if k < lastKey {
 					continue
 				}
-				d.Add(tup(op, op, 0, dist, final))
+				d.Add(tu)
 				pending++
 			} else {
 				x, ok := d.Remove()
 				if !ok {
 					t.Fatal("Remove failed with pending tuples")
 				}
-				k := key(x.D, x.Final)
+				k := key(x)
 				if k < lastKey {
 					t.Fatalf("pop key went backwards: %d after %d", k, lastKey)
 				}
@@ -209,22 +212,33 @@ func TestAnswersDedupe(t *testing.T) {
 	}
 }
 
-// FuzzCont checks that a continuation Cont(v, n, d, slot, cursor) reads back
-// the slot and cursor it was built with, and is never final.
+// FuzzCont checks that a continuation Cont(v, n, d, slot, cursor), with the
+// flags it carries, reads back the slot, cursor and flags it was built with,
+// and is never final.
 func FuzzCont(f *testing.F) {
-	f.Add(int32(0), int32(0), int32(0), int32(0), uint32(0))
-	f.Add(int32(1), int32(2), int32(3), int32(4), uint32(0))
-	f.Add(int32(-1), int32(1<<30), int32(-5), int32(0), uint32(ContSlots-1))
-	f.Add(int32(7), int32(8), int32(math.MaxInt32), int32(maxBucketDist), uint32(1<<31))
+	f.Add(int32(0), int32(0), int32(0), int32(0), uint32(0), uint8(0))
+	f.Add(int32(1), int32(2), int32(3), int32(4), uint32(0), uint8(1))
+	f.Add(int32(-1), int32(1<<30), int32(-5), int32(0), uint32(ContSlots-1), uint8(2))
+	f.Add(int32(7), int32(8), int32(math.MaxInt32), int32(maxBucketDist), uint32(1<<31), uint8(3))
 	// The cursor a parked wildcard continuation waits with until its pop
 	// positions it: MaxInt32, past the end of every neighbour segment, here
-	// with a parked distance and the top slot.
-	f.Add(int32(3), int32(4), int32(math.MaxInt32), int32(2), uint32(ContSlots-1))
-	f.Fuzz(func(t *testing.T, v, n, s, d int32, slot uint32) {
+	// with a parked distance, the top slot and both flags, as a lifted second
+	// pass is created.
+	f.Add(int32(3), int32(4), int32(math.MaxInt32), int32(2), uint32(ContSlots-1), uint8(3))
+	f.Fuzz(func(t *testing.T, v, n, s, d int32, slot uint32, flags uint8) {
 		sl, cur := int32(slot%ContSlots), s&math.MaxInt32
 		c := Cont(graph.NodeID(v), graph.NodeID(n), d, sl, cur)
-		if !c.IsCont() || c.Final || c.Slot() != sl || c.Cursor() != cur || c.D != d {
-			t.Fatalf("Cont(%d, %d, %d, %d, %d) = %+v: slot %d, cursor %d", v, n, d, sl, cur, c, c.Slot(), c.Cursor())
+		skipped, lifted := flags&1 != 0, flags&2 != 0
+		if skipped {
+			c = c.With(Skipped)
+		}
+		if lifted {
+			c = c.With(Lifted)
+		}
+		if !c.IsCont() || c.Final || c.Slot() != sl || c.Cursor() != cur || c.D != d ||
+			c.Has(Skipped) != skipped || c.Has(Lifted) != lifted {
+			t.Fatalf("Cont(%d, %d, %d, %d, %d) with flags %02b = %+v: slot %d, cursor %d, skipped %v, lifted %v",
+				v, n, d, sl, cur, flags&3, c, c.Slot(), c.Cursor(), c.Has(Skipped), c.Has(Lifted))
 		}
 	})
 }

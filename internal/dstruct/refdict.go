@@ -3,7 +3,7 @@ package dstruct
 import "container/heap"
 
 // RefDict is the original D_R implementation: per-key tuple lists in a Go
-// map, ordered by a binary heap of packed (distance, final) keys. It is
+// map, ordered by a binary heap of packed (distance, final, lifted) keys. It is
 // retained as a naive reference for differential tests of the bucket-queue
 // Dict (both must produce byte-identical pop sequences) and is not used on
 // the evaluation hot path.
@@ -20,19 +20,24 @@ func NewRefDict() *RefDict {
 	return &RefDict{lists: make(map[int64][]Tuple), ceil: noCeiling}
 }
 
-// key packs (distance, final) so that smaller distances sort first and, at
-// equal distance, final (bit 0 = 0) sorts before non-final.
-func key(d int32, final bool) int64 {
-	k := int64(d) << 1
-	if !final {
+// key packs (distance, final, lifted) so that smaller distances sort first
+// and, at equal distance, final entries (0) sort before lifted ones (1) and
+// lifted ones before the rest (2).
+func key(t Tuple) int64 {
+	k := int64(t.D) << 2
+	switch {
+	case t.Final:
+	case t.Has(Lifted):
 		k |= 1
+	default:
+		k |= 2
 	}
 	return k
 }
 
 // Add inserts t.
 func (dd *RefDict) Add(t Tuple) {
-	k := key(t.D, t.Final)
+	k := key(t)
 	list, ok := dd.lists[k]
 	if !ok || len(list) == 0 {
 		heap.Push(&dd.keys, k)
@@ -42,8 +47,8 @@ func (dd *RefDict) Add(t Tuple) {
 	dd.adds++
 }
 
-// Remove pops the tuple with minimal key (distance first, final preferred),
-// unless that distance is above the ceiling.
+// Remove pops the tuple with minimal key (distance first, then final, lifted
+// and the rest), unless that distance is above the ceiling.
 func (dd *RefDict) Remove() (Tuple, bool) {
 	for dd.keys.Len() > 0 {
 		k := dd.keys[0]
@@ -53,7 +58,7 @@ func (dd *RefDict) Remove() (Tuple, bool) {
 			delete(dd.lists, k)
 			continue
 		}
-		if int32(k>>1) > dd.ceil {
+		if int32(k>>2) > dd.ceil {
 			break
 		}
 		t := list[len(list)-1]
@@ -79,7 +84,7 @@ func (dd *RefDict) MinDistance() (int32, bool) {
 			delete(dd.lists, k)
 			continue
 		}
-		return int32(k >> 1), true
+		return int32(k >> 2), true
 	}
 	return 0, false
 }
@@ -89,7 +94,7 @@ func (dd *RefDict) MinDistance() (int32, bool) {
 func (dd *RefDict) SetCeiling(c int32) int {
 	n := 0
 	for k, list := range dd.lists {
-		if d := int32(k >> 1); d > dd.ceil && d <= c {
+		if d := int32(k >> 2); d > dd.ceil && d <= c {
 			n += len(list)
 		}
 	}

@@ -2,6 +2,7 @@ package dstruct
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"omega/internal/graph"
@@ -128,6 +129,49 @@ func TestVisitedSmallTenantAfterLarge(t *testing.T) {
 	for i := 1; i < small; i += 2 {
 		if !vs.Contains(graph.NodeID(-i), 0, 0) {
 			t.Fatalf("new key %d missing", -i)
+		}
+	}
+}
+
+// TestStateMemoMatchesMap replays random Set/Get streams on one StateMemo
+// against a map, resetting it between streams to node counts that grow and
+// shrink, as a pooled bundle is reshaped for each tenant: every value reads
+// back, a reset memo reads zero everywhere, and its directory stays sized to
+// the most pages a round touched, not to the nodes × states span.
+func TestStateMemoMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var m StateMemo
+	maxPages := 0
+	for round := 0; round < 40; round++ {
+		nodes := 1 + rng.Intn(1<<uint(4+rng.Intn(14)))
+		states := int32(1 + rng.Intn(6))
+		m.Reset(nodes)
+		want := map[[2]int32]uint8{}
+		for op := 0; op < 2000; op++ {
+			n, s := graph.NodeID(rng.Intn(nodes)), int32(rng.Intn(int(states)))
+			k := [2]int32{int32(n), s}
+			if rng.Intn(2) == 0 {
+				v := uint8(rng.Intn(4))
+				m.Set(n, s, v)
+				want[k] = v
+			} else if got := m.Get(n, s); got != want[k] {
+				t.Fatalf("round %d op %d: Get(%d, %d) = %d, want %d", round, op, n, s, got, want[k])
+			}
+		}
+		for k, v := range want {
+			if got := m.Get(graph.NodeID(k[0]), k[1]); got != v {
+				t.Fatalf("round %d: Get(%d, %d) = %d, want %d", round, k[0], k[1], got, v)
+			}
+		}
+		maxPages = max(maxPages, len(m.touched))
+		if len(m.dir) > max(memoMinDir, 4*maxPages) {
+			t.Fatalf("round %d: directory of %d slots, at most %d pages touched in any round", round, len(m.dir), maxPages)
+		}
+	}
+	m.Reset(1 << 20)
+	for n := graph.NodeID(0); n < 1<<20; n += 4093 {
+		if got := m.Get(n, 3); got != 0 {
+			t.Fatalf("after Reset: Get(%d, 3) = %d, want 0", n, got)
 		}
 	}
 }

@@ -142,15 +142,18 @@ func (rs *recordingServer) get(t *testing.T, id string, params url.Values) int {
 // The hold bound is counted in work, not time, so the write count of every
 // L1 study query in RELAX and APPROX top-100 is exact. Top-100 on L1 is the
 // first row and then the rest with the done line; top-1000 streams run long
-// enough for idle writes and 32 KiB ones in between.
+// enough for idle writes and 32 KiB ones in between. APPROX Q8, Q9 and Q12
+// at 1 000 rows take 4 writes, not the 5 they took before wildcard runs held
+// back the successors that cannot answer at their own distance: they reach
+// 1 000 rows in fewer tuple operations, so one idle write fewer falls due.
 func TestFlushRankedCoalesces(t *testing.T) {
 	want := map[string]int{ // writes per response, done line included
 		"Q3/relax/100": 2, "Q3/approx/100": 2, "Q3/relax/1000": 3, "Q3/approx/1000": 4,
-		"Q8/relax/100": 1, "Q8/approx/100": 2, "Q8/relax/1000": 1, "Q8/approx/1000": 5, // RELAX Q8 has no answer
-		"Q9/relax/100": 2, "Q9/approx/100": 2, "Q9/relax/1000": 2, "Q9/approx/1000": 5,
+		"Q8/relax/100": 1, "Q8/approx/100": 2, "Q8/relax/1000": 1, "Q8/approx/1000": 4, // RELAX Q8 has no answer
+		"Q9/relax/100": 2, "Q9/approx/100": 2, "Q9/relax/1000": 2, "Q9/approx/1000": 4,
 		"Q10/relax/100": 2, "Q10/approx/100": 2, "Q10/relax/1000": 4, "Q10/approx/1000": 4,
 		"Q11/relax/100": 2, "Q11/approx/100": 2, "Q11/relax/1000": 4, "Q11/approx/1000": 4,
-		"Q12/relax/100": 2, "Q12/approx/100": 2, "Q12/relax/1000": 3, "Q12/approx/1000": 5,
+		"Q12/relax/100": 2, "Q12/approx/100": 2, "Q12/relax/1000": 3, "Q12/approx/1000": 4,
 	}
 	_, rs := newRecordingServer(t, Config{Workers: 1}, nil)
 	for _, q := range l4all.StudyQueries() {
