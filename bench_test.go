@@ -144,6 +144,30 @@ func BenchmarkFig7Approx(b *testing.B) {
 	}
 }
 
+// BenchmarkApproxExhaustive drains the six study queries in APPROX and FLEX
+// on L1 and L2, plain and DistanceAware: the traffic that pays for the
+// goal-bounded wildcard runs (DESIGN.md), which walk each run twice when no
+// limit stops the search early. One op is the six queries.
+func BenchmarkApproxExhaustive(b *testing.B) {
+	for _, s := range []l4all.Scale{l4all.L1, l4all.L2} {
+		g, ont := datasets().L4All(s)
+		for _, mode := range []Mode{Approx, Flex} {
+			for _, v := range []struct {
+				name string
+				opts Options
+			}{{"plain", Options{}}, {"distaware", Options{DistanceAware: true}}} {
+				b.Run(s.String()+"/"+mode.String()+"/"+v.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for _, id := range studyIDs {
+							runOnce(b, g, ont, l4allQueryText(b, id), mode, v.opts, 0)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkFig8Relax reproduces Figure 8: RELAX L4All queries, top 100.
 func BenchmarkFig8Relax(b *testing.B) {
 	for _, s := range benchScales() {

@@ -540,11 +540,11 @@ func checkContSlots(aut *automaton.Compiled, g *graph.Graph) error {
 // pushed when every successor is visited. A resumable evaluator parks a
 // wildcard continuation without a landing target unpositioned, and leaves it
 // out only when n has no neighbour over tr at all, which takes no visited
-// probe: the members of a run share their neighbour segments. A wildcard
-// continuation of an evaluator with a goal is a first pass (see step): it is
-// positioned on the last unvisited successor where Z holds, and pushed
-// unpositioned when there is none but it passed an unvisited one where Z
-// fails, so that its pop decides what becomes of those.
+// probe: the members of a run share their neighbour segments. Any other
+// wildcard continuation is a first pass (see stepWildcard): it is positioned
+// on the last unvisited successor where Z holds, and pushed unpositioned
+// when there is none but it passed an unvisited one where Z fails, so that
+// its pop decides what becomes of those.
 func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 	segs := ev.segments(tr)
 	over := ev.psi >= 0 && d > ev.psi
@@ -555,7 +555,7 @@ func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 		if !ev.hasNeighbour(n, tr, segs) {
 			return
 		}
-	case ev.goal != nil && wildcard(tr):
+	case wildcard(tr):
 		m, mseg, mcur, skipped, ok := ev.walk(v, n, tr, seg, cur, true)
 		switch {
 		case ok:
@@ -616,26 +616,24 @@ func (ev *evaluator) countPop() {
 // successor's own pushes land above it, as they landed above its eager
 // siblings, and returns the successor as the plain tuple to process. The pop
 // counts, and the successor counts one tuple added, under the tuple budget;
-// the re-added continuation does not. An unpositioned continuation is
-// positioned first, and with no unvisited successor left in its run it is
-// dropped: like a continuation cont never pushed, it counts nothing. A
-// wildcard continuation of an evaluator with a goal takes stepWildcard.
+// the re-added continuation does not. A wildcard continuation takes
+// stepWildcard instead, the only step that meets an unpositioned one: every
+// evaluator whose automaton has a costed wildcard has a goal
+// (boundsWildcards), and cont positions every other continuation.
 func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
 	slot := c.Slot()
 	tr := &ev.aut.Trans[slot/ev.stride]
 	seg, cur := int(slot%ev.stride), int(c.Cursor())
-	if ev.goal != nil && wildcard(tr) {
+	if wildcard(tr) {
 		return ev.stepWildcard(c, tr, seg, cur)
 	}
-	if cur == unpositioned {
-		var ok bool
-		if tr, seg, cur, ok = ev.lastSucc(c.V, c.N, tr, seg, cur); !ok {
-			return dstruct.Tuple{}, false
-		}
-	}
-	if !ev.yield() {
+	ev.countPop()
+	if ev.r.overBudget(ev.stats.TuplesAdded + 1) {
+		ev.failed = ErrTupleBudget
 		return dstruct.Tuple{}, false
 	}
+	ev.stats.TuplesAdded++
+	ev.r.tick(1)
 	m := ev.segment(c.N, tr, seg)[cur]
 	if next, seg, cur, ok := ev.lastSucc(c.V, c.N, tr, seg, cur); ok {
 		ev.dr.Add(dstruct.Cont(c.V, c.N, c.D, next.Index*ev.stride+int32(seg), int32(cur)))
@@ -643,25 +641,12 @@ func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
 	return dstruct.Tuple{V: c.V, N: m, S: tr.To, D: c.D}, true
 }
 
-// yield counts a continuation's pop and the successor it yields, one tuple
-// added under the tuple budget, reporting false when the budget is spent.
-func (ev *evaluator) yield() bool {
-	ev.countPop()
-	if ev.r.overBudget(ev.stats.TuplesAdded + 1) {
-		ev.failed = ErrTupleBudget
-		return false
-	}
-	ev.stats.TuplesAdded++
-	ev.r.tick(1)
-	return true
-}
-
-// stepWildcard is step for a wildcard continuation of an evaluator with a
-// goal, which walks its run in two passes. The first, at the run's distance
-// d, yields only the successors where Z holds, and marks itself Skipped when
-// it passes an unvisited one where Z fails. Once it has nothing left to
-// yield, a Skipped first pass becomes the second (see lift), which yields
-// every unvisited successor left, at distance d. A successor where Z fails
+// stepWildcard is step for a wildcard continuation, which walks its run in
+// two passes. The first, at the run's distance d, yields only the successors
+// where Z holds, and marks itself Skipped when it passes an unvisited one
+// where Z fails. Once it has nothing left to yield, a Skipped first pass
+// becomes the second (see lift), which yields every unvisited successor
+// left, at distance d. A successor where Z fails
 // answers at d + step at the earliest, so holding it back until that key
 // follows the consistent lower bound of goal.go. The pass changes here, when
 // the first pass pops, never when cont creates it: a continuation parked
@@ -681,9 +666,13 @@ func (ev *evaluator) stepWildcard(c dstruct.Tuple, tr *automaton.CTrans, seg, cu
 			return dstruct.Tuple{}, false
 		}
 	}
-	if !ev.yield() {
+	ev.countPop()
+	if ev.r.overBudget(ev.stats.TuplesAdded + 1) {
+		ev.failed = ErrTupleBudget
 		return dstruct.Tuple{}, false
 	}
+	ev.stats.TuplesAdded++
+	ev.r.tick(1)
 	m := ev.segment(c.N, tr, seg)[cur]
 	next, nseg, ncur, sk, ok := ev.walk(c.V, c.N, tr, seg, cur, first)
 	switch skipped = skipped || sk; {
@@ -751,9 +740,9 @@ func (ev *evaluator) lastSucc(v, n graph.NodeID, tr *automaton.CTrans, seg, end 
 	}
 }
 
-// walk is lastSucc for a wildcard run of an evaluator with a goal: with
-// first set it finds the last unvisited successor where Z holds, and
-// reports whether it passed an unvisited one where Z fails.
+// walk is lastSucc for a wildcard run: with first set it finds the last
+// unvisited successor where Z holds, and reports whether it passed an
+// unvisited one where Z fails.
 func (ev *evaluator) walk(v, n graph.NodeID, tr *automaton.CTrans, seg, end int, first bool) (*automaton.CTrans, int, int, bool, bool) {
 	skipped := false
 	for {
