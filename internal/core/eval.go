@@ -503,15 +503,15 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 // What pops and in which order is therefore eager's, minus those discards,
 // over every D_R implementation and through parking above ψ and re-admission
 // alike. A wildcard continuation parked above ψ by a resumable evaluator is
-// positioned when it pops, not when it parks (its cursor is unpositioned, past
-// the end of its last segment): most parked entries are never admitted, and
+// positioned when it pops, not when it parks (it carries dstruct.Walk, its
+// cursor past the end of its last segment): most parked entries are never admitted, and
 // positioning one walks the node's incidence list with a visited probe per
 // neighbour. Positioned later, it skips the successors visited in between,
 // which eager would have popped to discard too.
 
-// unpositioned is the cursor of a continuation not yet positioned on a
-// successor: past the end of every segment, so lastSucc walks it from the end
-// of its slot's segment.
+// unpositioned is the cursor of a continuation that walks from the end of its
+// slot's segment when it pops (it carries dstruct.Walk): past the end of
+// every segment.
 const unpositioned = math.MaxInt32
 
 // contStride is the number of continuation slots per transition of an
@@ -542,9 +542,10 @@ func checkContSlots(aut *automaton.Compiled, g *graph.Graph) error {
 // out only when n has no neighbour over tr at all, which takes no visited
 // probe: the members of a run share their neighbour segments. Any other
 // wildcard continuation is a first pass (see stepWildcard): it is positioned
-// on the last unvisited successor where Z holds, and pushed unpositioned
-// when there is none but it passed an unvisited one where Z fails, so that
-// its pop decides what becomes of those.
+// on the last unvisited successor where Z holds. When there is none but it
+// passed unvisited ones where Z fails, it is pushed Skipped and unpositioned,
+// its cursor just above the highest of those, so that its pop lifts it
+// without walking the run again.
 func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 	segs := ev.segments(tr)
 	over := ev.psi >= 0 && d > ev.psi
@@ -555,16 +556,20 @@ func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 		if !ev.hasNeighbour(n, tr, segs) {
 			return
 		}
+		flag = dstruct.Walk
 	case wildcard(tr):
-		m, mseg, mcur, skipped, ok := ev.walk(v, n, tr, seg, cur, true)
+		at, skip, ok := ev.walk(v, n, tr, seg, cur, true)
 		switch {
 		case ok:
-			tr, seg, cur = m, mseg, mcur
-			if skipped {
+			tr, seg, cur = at.tr, at.seg, at.i
+			if skip.tr != nil {
 				flag = dstruct.Skipped
 			}
-		case !skipped:
+		case skip.tr == nil:
 			return
+		default:
+			tr, seg, cur = skip.tr, skip.seg, skip.i+1
+			flag = dstruct.Skipped | dstruct.Walk
 		}
 	default:
 		var ok bool
@@ -646,25 +651,35 @@ func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
 // where Z holds, and marks itself Skipped when it passes an unvisited one
 // where Z fails. Once it has nothing left to yield, a Skipped first pass
 // becomes the second (see lift), which yields every unvisited successor
-// left, at distance d. A successor where Z fails
-// answers at d + step at the earliest, so holding it back until that key
-// follows the consistent lower bound of goal.go. The pass changes here, when
-// the first pass pops, never when cont creates it: a continuation parked
-// unpositioned above ψ and one a restarted phase positioned at creation then
-// change pass at the same point of the pop trace.
+// left, at distance d. A successor where Z fails answers at d + step at the
+// earliest, so holding it back until that key follows the consistent lower
+// bound of goal.go. The pass changes here, when the first pass pops, never
+// when cont creates it: a continuation parked unpositioned above ψ and one a
+// restarted phase positioned at creation then change pass at the same point
+// of the pop trace. A first pass cont pushed with nothing to yield does not
+// look for successors where Z holds again, since Z is fixed and the visited
+// set only grows: it lifts from the highest successor still unvisited below
+// its cursor, and is dropped when there is none.
 func (ev *evaluator) stepWildcard(c dstruct.Tuple, tr *automaton.CTrans, seg, cur int) (dstruct.Tuple, bool) {
 	lifted := c.Has(dstruct.Lifted)
 	first := !lifted
 	skipped := c.Has(dstruct.Skipped)
-	if cur == unpositioned {
-		var sk, ok bool
-		tr, seg, cur, sk, ok = ev.walk(c.V, c.N, tr, seg, cur, first)
-		if skipped = skipped || sk; !ok {
-			if skipped {
-				ev.lift(c)
+	if c.Has(dstruct.Walk) {
+		if first && skipped {
+			if at, _, ok := ev.walk(c.V, c.N, tr, seg, cur, false); ok {
+				ev.lift(c, at)
 			}
 			return dstruct.Tuple{}, false
 		}
+		at, skip, ok := ev.walk(c.V, c.N, tr, seg, cur, first)
+		if !ok {
+			if skip.tr != nil {
+				ev.lift(c, skip)
+			}
+			return dstruct.Tuple{}, false
+		}
+		tr, seg, cur = at.tr, at.seg, at.i
+		skipped = skip.tr != nil
 	}
 	ev.countPop()
 	if ev.r.overBudget(ev.stats.TuplesAdded + 1) {
@@ -674,18 +689,20 @@ func (ev *evaluator) stepWildcard(c dstruct.Tuple, tr *automaton.CTrans, seg, cu
 	ev.stats.TuplesAdded++
 	ev.r.tick(1)
 	m := ev.segment(c.N, tr, seg)[cur]
-	next, nseg, ncur, sk, ok := ev.walk(c.V, c.N, tr, seg, cur, first)
-	switch skipped = skipped || sk; {
+	at, skip, ok := ev.walk(c.V, c.N, tr, seg, cur, first)
+	switch {
 	case ok:
-		nc := dstruct.Cont(c.V, c.N, c.D, next.Index*ev.stride+int32(nseg), int32(ncur))
+		nc := dstruct.Cont(c.V, c.N, c.D, at.tr.Index*ev.stride+int32(at.seg), int32(at.i))
 		if lifted {
 			nc = nc.With(dstruct.Lifted)
-		} else if skipped {
+		} else if skipped || skip.tr != nil {
 			nc = nc.With(dstruct.Skipped)
 		}
 		ev.dr.Add(nc)
 	case skipped:
-		ev.lift(c)
+		ev.lift(c, runPos{})
+	case skip.tr != nil:
+		ev.lift(c, skip)
 	}
 	d := c.D
 	if lifted {
@@ -695,20 +712,29 @@ func (ev *evaluator) stepWildcard(c dstruct.Tuple, tr *automaton.CTrans, seg, cu
 }
 
 // lift turns the exhausted first pass c into the second pass of its run: one
-// Lifted continuation at key c.D + step, unpositioned on the run's last
-// member — found by following the transitions after c's member for as long
-// as each links back to the one before — or parked through reject when the
-// key is beyond ψ. Its successors are at distance c.D, and D_R pops it after
-// the final entries of its key and before the others, which may reach the
-// same configurations at their real distance c.D + step.
-func (ev *evaluator) lift(c dstruct.Tuple) {
-	last := c.Slot() / ev.stride
-	for int(last)+1 < len(ev.aut.Trans) && ev.aut.Trans[last+1].Prev == last {
-		last++
+// Lifted continuation at key c.D + step, parked through reject when the key
+// is beyond ψ. Its successors are at distance c.D, and D_R pops it after the
+// final entries of its key and before the others, which may reach the same
+// configurations at their real distance c.D + step. It walks from from, the
+// highest successor the first pass skipped, when its caller knows it: every
+// successor above that one has been yielded or was visited when the first
+// pass passed it, so starting there yields what starting at the end would,
+// whichever start a driver knows. Otherwise (from.tr nil) it walks from the
+// end of the run's last member, found by following the transitions after
+// c's member for as long as each links back to the one before.
+func (ev *evaluator) lift(c dstruct.Tuple, from runPos) {
+	var slot, cur int32
+	if from.tr != nil {
+		slot, cur = from.tr.Index*ev.stride+int32(from.seg), int32(from.i+1)
+	} else {
+		last := c.Slot() / ev.stride
+		for int(last)+1 < len(ev.aut.Trans) && ev.aut.Trans[last+1].Prev == last {
+			last++
+		}
+		slot, cur = last*ev.stride+int32(ev.segments(&ev.aut.Trans[last]))-1, unpositioned
 	}
 	key := c.D + ev.goal.step
-	slot := last*ev.stride + int32(ev.segments(&ev.aut.Trans[last])) - 1
-	l := dstruct.Cont(c.V, c.N, key, slot, unpositioned).With(dstruct.Lifted)
+	l := dstruct.Cont(c.V, c.N, key, slot, cur).With(dstruct.Lifted | dstruct.Walk)
 	if ev.psi >= 0 && key > ev.psi {
 		ev.reject(l)
 		return
@@ -740,25 +766,33 @@ func (ev *evaluator) lastSucc(v, n graph.NodeID, tr *automaton.CTrans, seg, end 
 	}
 }
 
+// runPos is a place in a run: a member, one of its neighbour segments and an
+// index in that segment; tr is nil for no place.
+type runPos struct {
+	tr     *automaton.CTrans
+	seg, i int
+}
+
 // walk is lastSucc for a wildcard run: with first set it finds the last
-// unvisited successor where Z holds, and reports whether it passed an
-// unvisited one where Z fails.
-func (ev *evaluator) walk(v, n graph.NodeID, tr *automaton.CTrans, seg, end int, first bool) (*automaton.CTrans, int, int, bool, bool) {
-	skipped := false
+// unvisited successor where Z holds, and also returns skip, the first
+// unvisited one it passed where Z fails (skip.tr nil when there was none).
+func (ev *evaluator) walk(v, n graph.NodeID, tr *automaton.CTrans, seg, end int, first bool) (at, skip runPos, ok bool) {
 	for {
 		for ; seg >= 0; seg, end = seg-1, math.MaxInt {
 			ns := ev.segment(n, tr, seg)
 			for i := min(end, len(ns)) - 1; i >= 0; i-- {
 				if m := ns[i]; !ev.isVisited(v, m, tr.To) {
 					if !first || ev.holds(m, tr.To) {
-						return tr, seg, i, skipped, true
+						return runPos{tr, seg, i}, skip, true
 					}
-					skipped = true
+					if skip.tr == nil {
+						skip = runPos{tr, seg, i}
+					}
 				}
 			}
 		}
 		if tr.Prev < 0 {
-			return nil, 0, 0, skipped, false
+			return runPos{}, skip, false
 		}
 		tr = &ev.aut.Trans[tr.Prev]
 		seg, end = ev.segments(tr)-1, math.MaxInt

@@ -53,6 +53,10 @@ const (
 	// successors it yields. D_R pops a lifted entry after the final entries
 	// of its distance and before the others.
 	Lifted ContFlag = 1 << 25
+	// Walk marks a continuation not yet positioned on a successor: its
+	// cursor bounds the walk that will position it, which starts just below
+	// the cursor. What that means is the caller's to interpret.
+	Walk ContFlag = 1 << 26
 )
 
 // Cont returns a continuation from v at node n, distance d: slot names what

@@ -222,23 +222,27 @@ func FuzzCont(f *testing.F) {
 	f.Add(int32(7), int32(8), int32(math.MaxInt32), int32(maxBucketDist), uint32(1<<31), uint8(3))
 	// The cursor a parked wildcard continuation waits with until its pop
 	// positions it: MaxInt32, past the end of every neighbour segment, here
-	// with a parked distance, the top slot and both flags, as a lifted second
-	// pass is created.
-	f.Add(int32(3), int32(4), int32(math.MaxInt32), int32(2), uint32(ContSlots-1), uint8(3))
+	// with a parked distance, the top slot and the flags a lifted second pass
+	// is created with.
+	f.Add(int32(3), int32(4), int32(math.MaxInt32), int32(2), uint32(ContSlots-1), uint8(6))
+	f.Add(int32(3), int32(4), int32(17), int32(2), uint32(ContSlots-1), uint8(7))
 	f.Fuzz(func(t *testing.T, v, n, s, d int32, slot uint32, flags uint8) {
 		sl, cur := int32(slot%ContSlots), s&math.MaxInt32
 		c := Cont(graph.NodeID(v), graph.NodeID(n), d, sl, cur)
-		skipped, lifted := flags&1 != 0, flags&2 != 0
+		skipped, lifted, walk := flags&1 != 0, flags&2 != 0, flags&4 != 0
 		if skipped {
 			c = c.With(Skipped)
 		}
 		if lifted {
 			c = c.With(Lifted)
 		}
+		if walk {
+			c = c.With(Walk)
+		}
 		if !c.IsCont() || c.Final || c.Slot() != sl || c.Cursor() != cur || c.D != d ||
-			c.Has(Skipped) != skipped || c.Has(Lifted) != lifted {
-			t.Fatalf("Cont(%d, %d, %d, %d, %d) with flags %02b = %+v: slot %d, cursor %d, skipped %v, lifted %v",
-				v, n, d, sl, cur, flags&3, c, c.Slot(), c.Cursor(), c.Has(Skipped), c.Has(Lifted))
+			c.Has(Skipped) != skipped || c.Has(Lifted) != lifted || c.Has(Walk) != walk {
+			t.Fatalf("Cont(%d, %d, %d, %d, %d) with flags %03b = %+v: slot %d, cursor %d, skipped %v, lifted %v, walk %v",
+				v, n, d, sl, cur, flags&7, c, c.Slot(), c.Cursor(), c.Has(Skipped), c.Has(Lifted), c.Has(Walk))
 		}
 	})
 }
