@@ -504,9 +504,9 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 // over every D_R implementation and through parking above ψ and re-admission
 // alike. A wildcard continuation parked above ψ by a resumable evaluator is
 // positioned when it pops, not when it parks (it carries dstruct.Walk, its
-// cursor past the end of its last segment): most parked entries are never admitted, and
-// positioning one walks the node's incidence list with a visited probe per
-// neighbour. Positioned later, it skips the successors visited in between,
+// cursor past the end of its last segment): most parked entries are never
+// admitted, and positioning one walks the node's incidence list with a
+// visited probe per neighbour. Positioned later, it skips the successors visited in between,
 // which eager would have popped to discard too.
 
 // unpositioned is the cursor of a continuation that walks from the end of its
@@ -544,8 +544,8 @@ func checkContSlots(aut *automaton.Compiled, g *graph.Graph) error {
 // wildcard continuation is a first pass (see stepWildcard): it is positioned
 // on the last unvisited successor where Z holds. When there is none but it
 // passed unvisited ones where Z fails, it is pushed Skipped and unpositioned,
-// its cursor just above the highest of those, so that its pop lifts it
-// without walking the run again.
+// its cursor just above the highest of those, so that its pop lifts it from
+// there without testing Z again.
 func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 	segs := ev.segments(tr)
 	over := ev.psi >= 0 && d > ev.psi
@@ -622,9 +622,9 @@ func (ev *evaluator) countPop() {
 // siblings, and returns the successor as the plain tuple to process. The pop
 // counts, and the successor counts one tuple added, under the tuple budget;
 // the re-added continuation does not. A wildcard continuation takes
-// stepWildcard instead, the only step that meets an unpositioned one: every
-// evaluator whose automaton has a costed wildcard has a goal
-// (boundsWildcards), and cont positions every other continuation.
+// stepWildcard instead, the only step that meets an unpositioned one
+// (dstruct.Walk): every evaluator whose automaton has a costed wildcard has a
+// goal (boundsWildcards), and cont positions every other continuation.
 func (ev *evaluator) step(c dstruct.Tuple) (dstruct.Tuple, bool) {
 	slot := c.Slot()
 	tr := &ev.aut.Trans[slot/ev.stride]
@@ -715,12 +715,12 @@ func (ev *evaluator) stepWildcard(c dstruct.Tuple, tr *automaton.CTrans, seg, cu
 // Lifted continuation at key c.D + step, parked through reject when the key
 // is beyond ψ. Its successors are at distance c.D, and D_R pops it after the
 // final entries of its key and before the others, which may reach the same
-// configurations at their real distance c.D + step. It walks from from, the
-// highest successor the first pass skipped, when its caller knows it: every
-// successor above that one has been yielded or was visited when the first
-// pass passed it, so starting there yields what starting at the end would,
-// whichever start a driver knows. Otherwise (from.tr nil) it walks from the
-// end of the run's last member, found by following the transitions after
+// configurations at their real distance c.D + step. Its walk starts at from,
+// the highest successor the first pass skipped, when the caller knows it:
+// every successor above that one has been yielded or was visited when the
+// first pass passed it, so starting there yields what starting at the end
+// would, whichever start a driver knows. Otherwise (from.tr nil) it starts at
+// the end of the run's last member, found by following the transitions after
 // c's member for as long as each links back to the one before.
 func (ev *evaluator) lift(c dstruct.Tuple, from runPos) {
 	var slot, cur int32
