@@ -93,7 +93,7 @@ func TestExperiments(t *testing.T) {
 		"fig8":  {"ms", "L1"},
 		"fig10": {"Q2", "Q9", "Exact", "APPROX", "RELAX"},
 		"fig11": {"ms", "Exact", "APPROX", "RELAX"},
-		"opt1":  {"distance-aware", "Q9", "exhaust"},
+		"opt1":  {"plain ms", "distance-aware incremental ms", "reinjected", "popped incr", "Q9", "exhaust ψ≤3φ"},
 		"opt2":  {"disjunction"},
 	}
 	b := tinyBench()

@@ -7,42 +7,6 @@ import (
 	"omega/internal/l4all"
 )
 
-// TestL4AllCorpusDifferential runs the full L4All study corpus in every mode
-// with the bucket-queue D_R and with the retained naive reference dictionary
-// and requires byte-identical ranked answer sequences: same rows, same
-// distances, same order. Exact queries run to completion; APPROX and RELAX
-// pull a deep prefix (well past the study's top-100) to exercise the ranked
-// ordering far into the tail.
-func TestL4AllCorpusDifferential(t *testing.T) {
-	g, ont := datasets().L4All(l4all.L1)
-	for _, q := range l4all.Queries() {
-		for _, mode := range []Mode{Exact, Approx, Relax} {
-			limit := 0
-			if mode != Exact {
-				limit = 500
-			}
-			// The ranked backend is pinned on both sides: this test exists to
-			// differentiate the two D_R dictionary implementations, and auto
-			// selection would route exhaustive exact queries to the bulk
-			// engine (which uses neither). Bulk-vs-ranked equality has its own
-			// corpus differential.
-			ranked := ExecOptions{Backend: BackendRanked}
-			fast := collectAnswers(t, g, ont, q.Text, mode, Options{}, ranked, limit)
-			slow := collectAnswers(t, g, ont, q.Text, mode, Options{RefDict: true}, ranked, limit)
-			if len(fast) != len(slow) {
-				t.Fatalf("%s/%v: bucket queue emitted %d answers, reference dict %d",
-					q.ID, mode, len(fast), len(slow))
-			}
-			for i := range fast {
-				if !sameRow(fast[i], slow[i]) {
-					t.Fatalf("%s/%v answer %d differs:\n bucket queue: %+v\n reference:    %+v",
-						q.ID, mode, i, fast[i], slow[i])
-				}
-			}
-		}
-	}
-}
-
 // TestL4AllCorpusDeterministic pins run-to-run determinism of ranked
 // emission: two independent evaluations of the same query must produce
 // identical sequences (the automaton pipeline orders transitions totally, so

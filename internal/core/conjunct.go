@@ -186,8 +186,8 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 }
 
 // newEvaluator instantiates a fresh evaluator over automaton autIdx with
-// distance cap psi (-1 = unlimited). Run-time knobs (budgets, batching,
-// dictionary choice) and governance come from r, which must outlive
+// distance cap psi (-1 = unlimited). Run-time knobs (budgets, batching)
+// and governance come from r, which must outlive
 // the evaluator. Its structures come from the run's pool when it has one,
 // and this is where visited_R's structure is chosen: a Case 1 search marks
 // the seed bitmap, a Case 3 one the hash table.
@@ -206,11 +206,7 @@ func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi int32) *evaluator {
 		ev.dr, ev.answers, ev.scratch = ev.state.dict, ev.state.answers, ev.state.scratch
 	} else {
 		ev.answers = dstruct.NewAnswers()
-		if r.opts.RefDict {
-			ev.dr = dstruct.NewRefDict()
-		} else {
-			ev.dr = dstruct.NewDict()
-		}
+		ev.dr = dstruct.NewDict()
 	}
 	if boundsWildcards(aut) {
 		if ev.state == nil {
@@ -281,8 +277,7 @@ const (
 	// sequentially inside the iterator.
 	driverBulk
 	// driverPhases is the ψ-phase driver both §4.3 strategies are, over the
-	// alternands or over the conjunct's single automaton: resumable, or the
-	// restart reference under DistanceRestart.
+	// alternands or over the conjunct's single automaton.
 	driverPhases
 	driverEvaluator // one ranked evaluator
 )

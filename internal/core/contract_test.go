@@ -37,6 +37,7 @@ type contractDriver struct {
 	c       Conjunct
 	opts    Options
 	backend Backend
+	restart bool                // opened under the restart reference (restart_test.go)
 	is      func(Iterator) bool // asserted on the opened iterator
 	empty   bool                // owns nothing and never fails: only the endings a caller drives apply
 	held    int                 // pooled bundles the driver holds when it ends (a restarting driver recycled the earlier ones)
@@ -69,7 +70,7 @@ func contractDrivers() []contractDriver {
 		// p.q's 3 057 tuple operations stay under idleOps ((p.q)+ does 7 780).
 		{name: "disjunction/1", c: conj("n0", "(p.q)+", "?X", automaton.Approx), opts: Options{DistanceAware: true}, is: branches(1), held: 1, site: "core.row"},
 		{name: "disjunction/2", c: conj("n0", "(p.q)|(q.p)", "?X", automaton.Approx), opts: Options{Disjunction: true}, is: branches(2), held: 2, site: "core.row"},
-		{name: "restartDisjunction", c: conj("n0", "p.q", "?X", automaton.Approx), opts: Options{DistanceAware: true, DistanceRestart: true},
+		{name: "restartDisjunction", c: conj("n0", "p.q", "?X", automaton.Approx), opts: Options{DistanceAware: true}, restart: true,
 			is: func(it Iterator) bool { _, ok := it.(*restartDisjunction); return ok }, held: 1, site: "core.row"},
 		{name: "bulk/serial", c: conj("?X", "p.q", "?Y", automaton.Exact), backend: BackendBulk, is: isBulk, site: "bulk.step"},
 		{name: "par/sharded", c: conj("?X", "p.q", "?Y", automaton.Exact), backend: BackendRanked, is: isEval, held: 1, site: "core.row"},
@@ -170,9 +171,14 @@ func contractEndings() []contractEnding {
 	}
 }
 
-// openContract opens the plan on r as an exhaustive Exec would.
-func openContract(plan *conjunctPlan, r *run, req Backend) Iterator {
-	return plan.open(r, 0, plan.chooseBackend(req, true).backend)
+// openContract opens the plan on r as an exhaustive Exec would, with the
+// restart reference in place of the ψ-phase driver when restart is set.
+func openContract(plan *conjunctPlan, r *run, req Backend, restart bool) Iterator {
+	backend := plan.chooseBackend(req, true).backend
+	if restart {
+		return openRestartPlan(plan, r, backend)
+	}
+	return plan.open(r, 0, backend)
 }
 
 // drainContract pulls until Next stops, returning what it emitted and how the
@@ -251,7 +257,7 @@ func TestDriverContract(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sib = openContract(sp, &r, BackendBulk)
+						sib = openContract(sp, &r, BackendBulk, false)
 						if !e.fails {
 							if _, ok, err := sib.Next(); !ok || err != nil {
 								t.Fatalf("sibling's first answer: (%v, %v)", ok, err)
@@ -259,7 +265,7 @@ func TestDriverContract(t *testing.T) {
 						}
 					}
 					held := env.mem.LiveBytes()
-					it := openContract(plan, &r, d.backend)
+					it := openContract(plan, &r, d.backend, d.restart)
 					if !d.is(it) {
 						t.Fatalf("the row opened a %T", it)
 					}
@@ -275,7 +281,7 @@ func TestDriverContract(t *testing.T) {
 					if e.name == "exhaust" {
 						// The hook only observes: an unarmed run emits the same.
 						ur := newRun(nil, env.opts, NewMemGauge(0), nil, nil)
-						ref, _, rerr := drainContract(openContract(plan, &ur, d.backend))
+						ref, _, rerr := drainContract(openContract(plan, &ur, d.backend, d.restart))
 						if rerr != nil || !slices.Equal(emitted, ref) {
 							t.Fatalf("armed run emitted %d answers, unarmed %d (err %v): emission differs", len(emitted), len(ref), rerr)
 						}

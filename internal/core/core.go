@@ -165,15 +165,8 @@ type Options struct {
 	// exceed the current ψ are parked in D_R above a pop ceiling ψ and
 	// admitted by the same live evaluator when ψ is raised, so no phase recomputes
 	// the work of its predecessors (the paper's description restarts
-	// evaluation from scratch at each increment; see DistanceRestart).
+	// evaluation from scratch at each increment).
 	DistanceAware bool
-	// DistanceRestart backs the ψ-phase driver with the paper's naive restart
-	// behaviour instead of the resumable evaluators: a fresh evaluator per
-	// (branch, phase), a single branch in plain distance-aware mode. The
-	// ranked emission is identical to the resumable driver's; this exists for
-	// differential testing and benchmarking, not production use — the
-	// RefDict pattern applied to ψ-stepping.
-	DistanceRestart bool
 	// MaxPsi caps the ψ stepping (distance-aware mode only); 0 means 16·φ,
 	// φ the smallest operation cost.
 	// Answers beyond MaxPsi are not returned in distance-aware mode.
@@ -199,11 +192,6 @@ type Options struct {
 	// conjunct from whichever end of R has fewer candidate start nodes,
 	// using the reversed automaton when the object side is rarer.
 	RareSide bool
-	// RefDict backs D_R with the naive reference dictionary (hash map plus
-	// binary heap) instead of the bucket queue. Both implementations emit
-	// identical ranked sequences; this exists for differential testing and
-	// benchmarking, not production use.
-	RefDict bool
 }
 
 func (o Options) withDefaults() Options {

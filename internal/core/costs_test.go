@@ -110,20 +110,27 @@ func TestDisjunctionStepsByCostGcd(t *testing.T) {
 	want := []Answer{{Src: n0, Dst: n1, Dist: 2}, {Src: n0, Dst: n0, Dist: 3}}
 	c := conj("n0", "a|b.b", "?Y", automaton.Approx)
 	edit := automaton.EditCosts{Insert: 3, Delete: 3, Substitute: 2}
-	for _, opts := range []Options{
-		{Edit: edit},
-		{Edit: edit, Disjunction: true},
-		{Edit: edit, Disjunction: true, DistanceAware: true},
-		{Edit: edit, Disjunction: true, DistanceRestart: true},
-		{Edit: edit, DistanceAware: true},
+	for _, v := range []struct {
+		opts    Options
+		restart bool
+	}{
+		{opts: Options{Edit: edit}},
+		{opts: Options{Edit: edit, Disjunction: true}},
+		{opts: Options{Edit: edit, Disjunction: true, DistanceAware: true}},
+		{opts: Options{Edit: edit, Disjunction: true}, restart: true},
+		{opts: Options{Edit: edit, DistanceAware: true}},
 	} {
-		it, err := OpenConjunct(g, nil, c, opts)
+		open := OpenConjunct
+		if v.restart {
+			open = openRestart
+		}
+		it, err := open(g, nil, c, v.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := drain(t, it, 100); !slices.Equal(got, want) {
-			t.Errorf("Disjunction=%v DistanceAware=%v DistanceRestart=%v: emitted %v, want %v",
-				opts.Disjunction, opts.DistanceAware, opts.DistanceRestart, got, want)
+			t.Errorf("Disjunction=%v DistanceAware=%v restart=%v: emitted %v, want %v",
+				v.opts.Disjunction, v.opts.DistanceAware, v.restart, got, want)
 		}
 	}
 }
@@ -153,21 +160,25 @@ func TestQuickDisjunctionNonUniformCosts(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := answersAsMap(t, drain(t, it, 1<<20))
-		for _, v := range []Options{
-			{Disjunction: true},
-			{Disjunction: true, DistanceAware: true},
-			{Disjunction: true, DistanceRestart: true},
+		for _, v := range []struct{ distanceAware, restart bool }{
+			{},
+			{distanceAware: true},
+			{restart: true},
 		} {
 			opts := base
-			opts.Disjunction, opts.DistanceAware, opts.DistanceRestart = v.Disjunction, v.DistanceAware, v.DistanceRestart
-			it, err := OpenConjunct(g, ont, c, opts)
+			opts.Disjunction, opts.DistanceAware = true, v.distanceAware
+			open := OpenConjunct
+			if v.restart {
+				open = openRestart
+			}
+			it, err := open(g, ont, c, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := drain(t, it, 1<<20)
 			runs++
-			name := fmt.Sprintf("trial %d %s edit=%+v relax=%+v DistanceAware=%v DistanceRestart=%v",
-				trial, c, edit, relax, v.DistanceAware, v.DistanceRestart)
+			name := fmt.Sprintf("trial %d %s edit=%+v relax=%+v DistanceAware=%v restart=%v",
+				trial, c, edit, relax, v.distanceAware, v.restart)
 			for i := 1; i < len(got); i++ {
 				if got[i].Dist < got[i-1].Dist {
 					t.Fatalf("%s: emitted %d after %d", name, got[i].Dist, got[i-1].Dist)

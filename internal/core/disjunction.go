@@ -43,18 +43,13 @@ import (
 // were all continuations with nothing left to yield is folded the same way,
 // once it has dropped them). The pop trace restricted to
 // distances ≤ ψ is identical either way, so ranked emission is byte-identical
-// to the fresh-evaluator-per-(branch, phase) driver retained behind
-// Options.DistanceRestart as the differential reference (the RefDict
-// pattern).
+// to the fresh-evaluator-per-(branch, phase) driver that the package's tests
+// keep as the differential reference (restart_test.go).
 
-// newDisjunction returns the ψ-phase driver the run selects over the plan's
-// automata (one per alternand when decomposed, else the single automaton of a
-// distance-aware conjunct): the resumable per-branch driver by default, the
-// restart-per-phase reference under Options.DistanceRestart.
-func newDisjunction(plan *conjunctPlan, r *run, step, maxPsi int32) Iterator {
-	if r.opts.DistanceRestart {
-		return newRestartDisjunction(plan, r, step, maxPsi)
-	}
+// newDisjunction returns the resumable per-branch ψ-phase driver over the
+// plan's automata (one per alternand when decomposed, else the single
+// automaton of a distance-aware conjunct).
+func newDisjunction(plan *conjunctPlan, r *run, step, maxPsi int32) *disjunction {
 	n := len(plan.auts)
 	d := &disjunction{
 		r:          r,
@@ -316,131 +311,4 @@ func addBranch(s *Stats, ev *evaluator) {
 	es := ev.Stats()
 	s.add(es)
 	s.VisitedSize = max(s.VisitedSize, es.VisitedSize)
-}
-
-// restartDisjunction is the paper's naive driver, retained behind
-// Options.DistanceRestart as the differential reference: every (branch,
-// phase) pair builds a fresh evaluator and re-runs evaluation from the
-// beginning, with the cross-phase emitted-set suppressing answers already
-// returned by earlier phases or branches.
-type restartDisjunction struct {
-	plan *conjunctPlan
-	r    *run
-
-	step   int32 // the ψ grid step
-	maxPsi int32
-
-	psi        int32
-	prevCounts []int // answers per sub in the previous phase
-	counts     []int // answers per sub in the current phase
-	order      []int
-	oi         int
-	cur        *evaluator
-	emitted    *dstruct.U64Set
-	anyPruned  bool
-	done       bool
-	failed     error
-	stats      Stats
-}
-
-func newRestartDisjunction(plan *conjunctPlan, r *run, step, maxPsi int32) *restartDisjunction {
-	d := &restartDisjunction{
-		plan:       plan,
-		r:          r,
-		step:       step,
-		maxPsi:     maxPsi,
-		prevCounts: make([]int, len(plan.auts)),
-		emitted:    dstruct.NewU64Set(),
-	}
-	d.startPhase()
-	return d
-}
-
-// startPhase orders the sub-automata by the previous phase's answer counts
-// (stable, so the first phase and ties use default order).
-func (d *restartDisjunction) startPhase() {
-	n := len(d.plan.auts)
-	d.order = make([]int, n)
-	for i := range d.order {
-		d.order[i] = i
-	}
-	sort.SliceStable(d.order, func(i, j int) bool {
-		return d.prevCounts[d.order[i]] < d.prevCounts[d.order[j]]
-	})
-	d.counts = make([]int, n)
-	d.oi = 0
-	d.cur = nil
-	d.anyPruned = false
-	d.stats.Phases++
-}
-
-// Next streams the next answer.
-func (d *restartDisjunction) Next() (Answer, bool, error) {
-	for {
-		if d.failed != nil || d.done {
-			return Answer{}, false, d.failed
-		}
-		if d.cur == nil {
-			if d.oi >= len(d.order) {
-				// Phase complete: stop if nothing was pruned anywhere (no
-				// higher ψ can add answers) or the cap is reached.
-				d.prevCounts = d.counts
-				if !d.anyPruned || d.psi >= d.maxPsi {
-					d.done = true
-					continue
-				}
-				d.psi += d.step
-				d.startPhase()
-				continue
-			}
-			d.cur = d.plan.newEvaluator(d.r, d.order[d.oi], d.psi)
-		}
-		a, ok, err := d.cur.Next()
-		if err != nil {
-			d.failed = err
-			return Answer{}, false, err
-		}
-		if !ok {
-			if d.cur.pruned {
-				d.anyPruned = true
-			}
-			addBranch(&d.stats, d.cur)
-			d.cur = nil // folded in; clearing prevents Stats double-counting
-			d.oi++
-			continue
-		}
-		if !d.emitted.Add(packPair(a.Src, a.Dst)) {
-			continue // found in an earlier phase or by an earlier branch
-		}
-		d.counts[d.order[d.oi]]++
-		return a, true, nil
-	}
-}
-
-// Close releases the current evaluator, if one is live.
-func (d *restartDisjunction) Close() error {
-	d.failed = closedErr(d.failed)
-	if d.cur != nil {
-		return d.cur.Close()
-	}
-	return nil
-}
-
-// Abort terminates the driver, poisoning the live evaluator's pooled state.
-func (d *restartDisjunction) Abort(err error) {
-	d.failed = abortErr(d.failed, err)
-	if d.cur != nil {
-		d.cur.Abort(err)
-	}
-}
-
-// Stats implements Iterator. The memory peak is the run's gauge, as each
-// evaluator reports it, also before the first phase has started one.
-func (d *restartDisjunction) Stats() Stats {
-	s := d.stats
-	if d.cur != nil {
-		addBranch(&s, d.cur)
-	}
-	s.MemPeakBytes = d.r.mem.PeakBytes()
-	return s
 }

@@ -18,19 +18,14 @@ import (
 // order.
 func checkIncrementalMatchesRestart(t *testing.T, trial int, g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Options) {
 	t.Helper()
-	incOpts := opts
-	incOpts.DistanceAware = true
-	incOpts.DistanceRestart = false
-	resOpts := incOpts
-	resOpts.DistanceRestart = true
-
-	incIt, err := OpenConjunct(g, ont, c, incOpts)
+	opts.DistanceAware = true
+	incIt, err := OpenConjunct(g, ont, c, opts)
 	if err != nil {
 		t.Fatalf("trial %d %s: incremental OpenConjunct: %v", trial, c, err)
 	}
-	resIt, err := OpenConjunct(g, ont, c, resOpts)
+	resIt, err := openRestart(g, ont, c, opts)
 	if err != nil {
-		t.Fatalf("trial %d %s: restart OpenConjunct: %v", trial, c, err)
+		t.Fatalf("trial %d %s: openRestart: %v", trial, c, err)
 	}
 	inc := drain(t, incIt, 1<<20)
 	res := drain(t, resIt, 1<<20)
@@ -120,7 +115,7 @@ func TestDistanceAwareStatsRegression(t *testing.T) {
 	drain(t, inc, 1000)
 	is := inc.Stats()
 
-	res, err := OpenConjunct(g, ont, c, Options{DistanceAware: true, DistanceRestart: true, MaxPsi: 3})
+	res, err := openRestart(g, ont, c, Options{DistanceAware: true, MaxPsi: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +187,7 @@ func TestDistanceAwareSkipsEmptyPhases(t *testing.T) {
 	drain(t, it, 1000)
 	is := it.Stats()
 
-	ropts := opts
-	ropts.DistanceRestart = true
-	rt, err := OpenConjunct(g, ont, c, ropts)
+	rt, err := openRestart(g, ont, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,9 +271,7 @@ func TestParkedWildcardDroppedAtPop(t *testing.T) {
 			// emission is the restart reference's.
 			_, d = open()
 			got := drain(t, d, 100)
-			ropts := opts
-			ropts.DistanceRestart = true
-			rt, err := OpenConjunct(g, ont, conj("a", "p", "?X", automaton.Approx), ropts)
+			rt, err := openRestart(g, ont, conj("a", "p", "?X", automaton.Approx), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,9 +316,7 @@ func TestRunParksOneContinuation(t *testing.T) {
 	}
 	a := node("a")
 	want := []Answer{{Src: a, Dst: node("b"), Dist: 0}, {Src: a, Dst: a, Dist: 1}, {Src: a, Dst: node("c"), Dist: 1}}
-	ropts := opts
-	ropts.DistanceRestart = true
-	rt, err := OpenConjunct(g, ont, c, ropts)
+	rt, err := openRestart(g, ont, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

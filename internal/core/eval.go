@@ -35,7 +35,7 @@ type evaluator struct {
 	aut *automaton.Compiled
 	r   *run // the execution's governance context; outlives the evaluator
 
-	dr dstruct.TupleDict
+	dr *dstruct.Dict
 	// visited_R: a Case 1 evaluator, whose v is always a seed, marks
 	// (v, n, s) in the seed bitmap; a Case 3 one, whose v ranges over every
 	// node, in the hash table. Exactly one is non-nil.

@@ -86,18 +86,10 @@ func strategies(plan *conjunctPlan, opts *Options, drv driver, maxDist int32) []
 		return nil
 	case driverPhases:
 		if plan.decompose {
-			variant := "resumable per branch"
-			if opts.DistanceRestart {
-				variant = "restart per branch and phase"
-			}
-			out = append(out, fmt.Sprintf("alternation-by-disjunction (%s)", variant))
+			out = append(out, "alternation-by-disjunction (resumable per branch)")
 		}
 		if opts.DistanceAware && plan.mode != automaton.Exact {
-			variant := "incremental"
-			if opts.DistanceRestart {
-				variant = "restart-per-phase"
-			}
-			out = append(out, fmt.Sprintf("distance-aware (%s, φ=%d, ψ step %d, max ψ=%d)", variant, opts.phi(plan.mode), opts.psiStep(plan.mode), plan.psiCap(maxDist)))
+			out = append(out, fmt.Sprintf("distance-aware (incremental, φ=%d, ψ step %d, max ψ=%d)", opts.phi(plan.mode), opts.psiStep(plan.mode), plan.psiCap(maxDist)))
 		}
 	}
 	if opts.RareSide && plan.case3 && !plan.sameVar {

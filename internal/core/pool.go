@@ -90,8 +90,7 @@ type PoolStats struct {
 // execution is owned exclusively until that execution finishes (exhaustion,
 // error, or Close), at which point it returns to the pool.
 //
-// Pooling engages per execution via ExecOptions.Pool and silently stands
-// aside for the RefDict differential reference, whose state is not pooled.
+// Pooling engages per execution via ExecOptions.Pool.
 type EvalPool struct {
 	mu       sync.Mutex
 	free     []*evalState

@@ -54,8 +54,7 @@ type ExecOptions struct {
 	// Pool, when non-nil, recycles this execution's evaluator state (D_R,
 	// visited set, answer registry, scratch buffers) from
 	// and back to the given pool, so steady-state serving allocates near zero
-	// per request. Pooled emission is byte-identical to fresh. Ignored under
-	// Options.RefDict. See EvalPool.
+	// per request. Pooled emission is byte-identical to fresh. See EvalPool.
 	Pool *EvalPool
 	// HardMemBytes, when positive, is the hard watermark: crossing it aborts
 	// the execution with the typed ErrMemBudget through the sticky error

@@ -180,7 +180,6 @@ func TestExecContextCancellation(t *testing.T) {
 		{},
 		{DistanceAware: true},
 		{Disjunction: true},
-		{DistanceAware: true, DistanceRestart: true},
 	} {
 		c := conj("a", "(p|q).p", "?X", automaton.Approx)
 		q := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{c}}
@@ -242,7 +241,6 @@ func TestExecCloseContract(t *testing.T) {
 	}{
 		{conj("a", "p.p", "?X", automaton.Approx), Options{}, ExecOptions{}},
 		{conj("a", "p.p", "?X", automaton.Approx), Options{DistanceAware: true}, ExecOptions{}},
-		{conj("a", "p.p", "?X", automaton.Approx), Options{DistanceAware: true, DistanceRestart: true}, ExecOptions{}},
 		{conj("a", "(p|q).p", "?X", automaton.Approx), Options{Disjunction: true}, ExecOptions{}},
 		{conj("?X", "p", "?Y", automaton.Exact), Options{}, ExecOptions{Backend: BackendBulk}},
 	} {
@@ -397,12 +395,9 @@ func TestQuickDisjunctionResumableMatchesRestart(t *testing.T) {
 			opts.Edit = automaton.EditCosts{Insert: 2, Delete: 3, Substitute: 2}
 			opts.Relax = automaton.RelaxCosts{Beta: 2, Gamma: 5}
 		}
-		restartOpts := opts
-		restartOpts.DistanceRestart = true
-
-		resIt, err := OpenConjunct(g, ont, c, restartOpts)
+		resIt, err := openRestart(g, ont, c, opts)
 		if err != nil {
-			t.Fatalf("trial %d %s: restart OpenConjunct: %v", trial, c, err)
+			t.Fatalf("trial %d %s: openRestart: %v", trial, c, err)
 		}
 		incIt, err := OpenConjunct(g, ont, c, opts)
 		if err != nil {

@@ -37,7 +37,7 @@ type run struct {
 	// holds the run.
 	opts Options
 	// pool recycles the evaluators' state bundles; nil when the execution has
-	// none or runs on the RefDict reference, which is never pooled.
+	// none.
 	pool *EvalPool
 	// ctx cancels the run; nil when it cannot be canceled (context.Background
 	// and friends), so the checks cost one compare there.
@@ -64,11 +64,6 @@ type run struct {
 func newRun(ctx context.Context, opts Options, mem *MemGauge, pool *EvalPool, trace *obs.Trace) run {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
-	}
-	if opts.RefDict {
-		// The RefDict differential reference keeps its dedicated construction
-		// (see newEvaluator).
-		pool = nil
 	}
 	return run{opts: opts, ctx: ctx, mem: mem, pool: pool, trace: trace, span: trace.Start(obs.Root, obs.SpanExec), idleAt: idleOps}
 }

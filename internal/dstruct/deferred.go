@@ -5,7 +5,7 @@ import "math"
 // Deferred parks tuples until Drain admits them by distance: a thin wrapper
 // over a Dict whose ceiling admits nothing until Drain raises it. The
 // evaluator does not use it — it parks over-ψ entries in D_R itself (see
-// TupleDict.SetCeiling) — and it exists only because benchmark/layers times
+// Dict.SetCeiling) — and it exists only because benchmark/layers times
 // it; ROADMAP item 8d drops that timing and then this type.
 type Deferred struct {
 	dict Dict

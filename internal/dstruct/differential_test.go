@@ -192,6 +192,15 @@ func BenchmarkVisitedMapAdd(b *testing.B) {
 	}
 }
 
+// replayDict is what TestQuickDictCeilingMatchesReplay drives on either
+// dictionary.
+type replayDict interface {
+	Add(Tuple)
+	Remove() (Tuple, bool)
+	Len() int
+	SetCeiling(c int32) int
+}
+
 // TestQuickDictCeilingMatchesReplay: entries parked above the ceiling and
 // admitted by raising it pop exactly as they would from a dictionary that
 // received the admitted entries afresh, in generation order, once the
@@ -201,7 +210,7 @@ func BenchmarkVisitedMapAdd(b *testing.B) {
 func TestQuickDictCeilingMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
-		var target TupleDict = NewDict()
+		var target replayDict = NewDict()
 		if rng.Intn(3) == 0 {
 			target = NewRefDict()
 		}

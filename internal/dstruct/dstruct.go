@@ -10,8 +10,8 @@
 // cursor), the visited set of a Case 1 search is a paged bitmap over
 // (seed, state, node), and the Case 3 visited set and the answer registry are
 // open-addressed hash tables over packed integer keys. RefDict retains the
-// original map-plus-binary-heap dictionary as a differential-testing
-// reference.
+// original map-plus-binary-heap dictionary, as the Dict's overflow range and
+// as its differential-testing reference.
 package dstruct
 
 import (
@@ -149,27 +149,6 @@ func (dd *Dict) liftedAt(d int) *[]entry {
 // blow up its memory.
 const maxBucketDist = 1 << 16
 
-// TupleDict is the D_R access surface shared by the bucket-queue Dict and the
-// RefDict reference.
-type TupleDict interface {
-	Add(Tuple)
-	Remove() (Tuple, bool)
-	Len() int
-	Adds() int
-	MinDistance() (int32, bool)
-	// SetCeiling sets the pop ceiling c: Remove returns no entry whose
-	// distance exceeds c, which parks it in place (the ψ of the incremental
-	// distance-aware mode, §4.3). It returns how many stored entries the new
-	// ceiling admits that the old one did not. A fresh or Reset dictionary
-	// has no ceiling.
-	SetCeiling(c int32) int
-	// Bytes returns the approximate resident footprint in bytes.
-	// Capacity-based; see Dict.Bytes for the accounting model.
-	Bytes() int64
-}
-
-var _ TupleDict = (*Dict)(nil)
-
 // noCeiling is the ceiling of a dictionary that parks nothing.
 const noCeiling = math.MaxInt32
 
@@ -205,7 +184,6 @@ type Dict struct {
 	ceil     int      // pop ceiling; noCeiling when nothing is parked
 	overflow *RefDict // lazily created; holds out-of-range distances
 	size     int
-	adds     int // total insertions over the Dict's lifetime
 }
 
 // NewDict returns an empty dictionary.
@@ -223,7 +201,6 @@ func (dd *Dict) Add(t Tuple) {
 		}
 		dd.overflow.Add(t)
 		dd.size++
-		dd.adds++
 		return
 	}
 	if d >= len(dd.buckets) {
@@ -239,11 +216,13 @@ func (dd *Dict) Add(t Tuple) {
 		dd.cursor = d
 	}
 	dd.size++
-	dd.adds++
 }
 
-// SetCeiling implements TupleDict. Raising the ceiling costs one step per
-// bucket it passes.
+// SetCeiling sets the pop ceiling c: Remove returns no entry whose distance
+// exceeds c, which parks it in place (the ψ of the incremental distance-aware
+// mode, §4.3). It returns how many stored entries the new ceiling admits that
+// the old one did not. A fresh or Reset dictionary has no ceiling. Raising
+// the ceiling costs one step per bucket it passes.
 func (dd *Dict) SetCeiling(c int32) int {
 	n := 0
 	if dd.overflow != nil {
@@ -340,12 +319,7 @@ func (dd *Dict) Reset(_ bool) {
 	dd.ceil = noCeiling
 	dd.overflow = nil
 	dd.size = 0
-	dd.adds = 0
 }
-
-// Adds returns the lifetime number of insertions (the memory-pressure metric
-// used to emulate the paper's out-of-memory failures).
-func (dd *Dict) Adds() int { return dd.adds }
 
 // MinDistance returns the smallest distance present, if any, parked entries
 // included. GetNext uses it to decide when to pull the next batch of initial

@@ -100,17 +100,17 @@ func TestDictMinDistance(t *testing.T) {
 	}
 }
 
-func TestDictLenAndAdds(t *testing.T) {
+func TestDictLen(t *testing.T) {
 	d := NewDict()
 	for i := 0; i < 10; i++ {
 		d.Add(tup(i, i, 0, i%3, false))
 	}
-	if d.Len() != 10 || d.Adds() != 10 {
-		t.Fatalf("Len/Adds = %d/%d, want 10/10", d.Len(), d.Adds())
+	if d.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", d.Len())
 	}
 	d.Remove()
-	if d.Len() != 9 || d.Adds() != 10 {
-		t.Fatalf("after pop Len/Adds = %d/%d, want 9/10", d.Len(), d.Adds())
+	if d.Len() != 9 {
+		t.Fatalf("after pop Len = %d, want 9", d.Len())
 	}
 }
 

@@ -3,16 +3,15 @@ package dstruct
 import "container/heap"
 
 // RefDict is the original D_R implementation: per-key tuple lists in a Go
-// map, ordered by a binary heap of packed (distance, final, lifted) keys. It is
-// retained as a naive reference for differential tests of the bucket-queue
-// Dict (both must produce byte-identical pop sequences) and is not used on
-// the evaluation hot path.
+// map, ordered by a binary heap of packed (distance, final, lifted) keys. It
+// holds a Dict's distances outside the bucket range, and it is the naive
+// reference the package's differential tests hold the bucket-queue Dict to
+// (both must produce byte-identical pop sequences).
 type RefDict struct {
 	lists map[int64][]Tuple
 	keys  keyHeap
 	ceil  int32 // pop ceiling; noCeiling when nothing is parked
 	size  int
-	adds  int
 }
 
 // NewRefDict returns an empty reference dictionary.
@@ -44,7 +43,6 @@ func (dd *RefDict) Add(t Tuple) {
 	}
 	dd.lists[k] = append(list, t)
 	dd.size++
-	dd.adds++
 }
 
 // Remove pops the tuple with minimal key (distance first, then final, lifted
@@ -72,9 +70,6 @@ func (dd *RefDict) Remove() (Tuple, bool) {
 // Len returns the number of stored tuples.
 func (dd *RefDict) Len() int { return dd.size }
 
-// Adds returns the lifetime number of insertions.
-func (dd *RefDict) Adds() int { return dd.adds }
-
 // MinDistance returns the smallest distance present, if any.
 func (dd *RefDict) MinDistance() (int32, bool) {
 	for dd.keys.Len() > 0 {
@@ -89,8 +84,8 @@ func (dd *RefDict) MinDistance() (int32, bool) {
 	return 0, false
 }
 
-// SetCeiling implements TupleDict by counting the stored entries of every
-// key the new ceiling admits.
+// SetCeiling sets the pop ceiling c, as Dict.SetCeiling does, counting the
+// stored entries of every key the new ceiling admits.
 func (dd *RefDict) SetCeiling(c int32) int {
 	n := 0
 	for k, list := range dd.lists {
@@ -108,8 +103,6 @@ func (dd *RefDict) SetCeiling(c int32) int {
 func (dd *RefDict) Bytes() int64 {
 	return int64(dd.size)*tupleMem + int64(len(dd.lists))*48 + int64(cap(dd.keys))*8
 }
-
-var _ TupleDict = (*RefDict)(nil)
 
 type keyHeap []int64
 

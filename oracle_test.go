@@ -273,7 +273,6 @@ var oracleOptionSets = []struct {
 	{"distance-aware", Options{DistanceAware: true}},
 	{"disjunction", Options{Disjunction: true}},
 	{"disjunction+distance-aware", Options{Disjunction: true, DistanceAware: true}},
-	{"restart", Options{DistanceAware: true, DistanceRestart: true}},
 	{"batch-1", Options{BatchSize: 1}},
 }
 
