@@ -439,6 +439,9 @@ func (s sameVarIterator) Next() (Answer, bool, error) {
 // which knows whether the run is exhaustive); prepared queries split the two
 // so Exec skips compilation.
 func OpenConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Options) (Iterator, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	plan, err := compileConjunct(g, ont, c, opts)
 	if err != nil {

@@ -194,6 +194,28 @@ type Options struct {
 	RareSide bool
 }
 
+// validate rejects negative operation costs, naming the field. ε-removal and
+// ranked emission assume every cost is non-negative; with a negative one, a
+// distance is no longer the cheapest path's, and with a negative insertion
+// cost no distance is bounded below.
+func (o Options) validate() error {
+	for _, c := range []struct {
+		field string
+		cost  int32
+	}{
+		{"Edit.Insert", o.Edit.Insert},
+		{"Edit.Delete", o.Edit.Delete},
+		{"Edit.Substitute", o.Edit.Substitute},
+		{"Relax.Beta", o.Relax.Beta},
+		{"Relax.Gamma", o.Relax.Gamma},
+	} {
+		if c.cost < 0 {
+			return fmt.Errorf("core: Options.%s is %d: costs must not be negative", c.field, c.cost)
+		}
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.Edit == (automaton.EditCosts{}) {
 		o.Edit = automaton.DefaultEditCosts()

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -213,4 +214,40 @@ func smallCostGraph(rng *rand.Rand) *graph.Graph {
 		}
 	}
 	return b.Freeze()
+}
+
+// TestNegativeCostsRejected: a negative operation cost is refused by
+// PrepareQuery and OpenConjunct with an error naming the field. Accepted, it
+// gave wrong answers: on a -p-> b -q-> c -p-> d, APPROX (a, p.p, ?X) under
+// Delete −1 returned b at distance 1, though deleting the second p reaches b
+// at −1, and under Insert −1 every distance was unbounded below.
+func TestNegativeCostsRejected(t *testing.T) {
+	b := graph.NewBuilder()
+	mustAdd(t, b, "a", "p", "b")
+	mustAdd(t, b, "b", "q", "c")
+	mustAdd(t, b, "c", "p", "d")
+	g := b.Freeze()
+	c := conj("a", "p.p", "?X", automaton.Approx)
+	q := &Query{Head: []string{"X"}, Conjuncts: []Conjunct{c}}
+	for _, tc := range []struct {
+		field string
+		opts  Options
+	}{
+		{"Edit.Insert", Options{Edit: automaton.EditCosts{Insert: -1, Delete: 1, Substitute: 1}}},
+		{"Edit.Delete", Options{Edit: automaton.EditCosts{Insert: 1, Delete: -1, Substitute: 1}}},
+		{"Edit.Substitute", Options{Edit: automaton.EditCosts{Insert: 1, Delete: 1, Substitute: -2}}},
+		{"Relax.Beta", Options{Relax: automaton.RelaxCosts{Beta: -1, Gamma: 1}}},
+		{"Relax.Gamma", Options{Relax: automaton.RelaxCosts{Beta: 1, Gamma: -1}}},
+	} {
+		if _, err := PrepareQuery(g, nil, q, tc.opts); err == nil || !strings.Contains(err.Error(), "Options."+tc.field) {
+			t.Errorf("PrepareQuery with a negative %s: err = %v, want one naming Options.%s", tc.field, err, tc.field)
+		}
+		if _, err := OpenConjunct(g, nil, c, tc.opts); err == nil || !strings.Contains(err.Error(), "Options."+tc.field) {
+			t.Errorf("OpenConjunct with a negative %s: err = %v, want one naming Options.%s", tc.field, err, tc.field)
+		}
+	}
+	// Zero costs stay accepted.
+	if _, err := PrepareQuery(g, nil, q, Options{Edit: automaton.EditCosts{Insert: 0, Delete: 1, Substitute: 1}}); err != nil {
+		t.Errorf("PrepareQuery with a zero insertion cost: %v", err)
+	}
 }

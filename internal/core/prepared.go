@@ -138,6 +138,9 @@ func PrepareQuery(g *graph.Graph, ont *ontology.Ontology, q *Query, opts Options
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	q = cloneQuery(q)
 	p := &Prepared{g: g, ont: ont, opts: opts}

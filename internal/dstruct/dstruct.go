@@ -143,10 +143,10 @@ func (dd *Dict) liftedAt(d int) *[]entry {
 }
 
 // maxBucketDist bounds the flat bucket array: distances in [0, maxBucketDist)
-// take the index-addressed fast path; anything else (negative or huge
-// distances, reachable only through extreme custom edit/relax costs) lands in
-// a sparse map+heap overflow so no cost configuration can panic the queue or
-// blow up its memory.
+// take the index-addressed fast path; anything else (huge distances, reachable
+// only through extreme custom edit/relax costs, or negative ones, which the
+// engine's non-negative costs never produce) lands in a sparse map+heap
+// overflow so no distance can panic the queue or blow up its memory.
 const maxBucketDist = 1 << 16
 
 // noCeiling is the ceiling of a dictionary that parks nothing.
