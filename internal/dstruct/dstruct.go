@@ -115,29 +115,21 @@ func (b *bucket) push(t Tuple) {
 	}
 }
 
-// growBuckets extends a distance-indexed bucket array to cover distance d,
-// over-allocating to amortise repeated extension and capping at the flat
-// range bound.
-func growBuckets(buckets []bucket, d int) []bucket {
-	capWant := d + 1
-	if c := 2 * len(buckets); c > capWant {
-		capWant = c
-	}
-	if capWant > maxBucketDist {
-		capWant = maxBucketDist
-	}
-	next := make([]bucket, capWant)
-	copy(next, buckets)
+// grow extends a distance-indexed array to cover index d, at least doubling
+// it to amortise repeated extension, and capping it at limit (> d).
+func grow[T any](s []T, d, limit int) []T {
+	next := make([]T, min(max(d+1, 2*len(s)), limit))
+	copy(next, s)
 	return next
 }
 
 // liftedAt returns the list of lifted entries at distance d, growing the
-// side array — created here on the first lifted entry — to cover it.
+// side array — created here on the first lifted entry — to end at d. Lifted
+// entries sit at a handful of distances, so the array takes no slack: it
+// never holds a slice header past the highest lifted distance.
 func (dd *Dict) liftedAt(d int) *[]entry {
 	if d >= len(dd.lifted) {
-		next := make([][]entry, len(dd.buckets))
-		copy(next, dd.lifted)
-		dd.lifted = next
+		dd.lifted = grow(dd.lifted, d, d+1)
 	}
 	return &dd.lifted[d]
 }
@@ -204,7 +196,7 @@ func (dd *Dict) Add(t Tuple) {
 		return
 	}
 	if d >= len(dd.buckets) {
-		dd.buckets = growBuckets(dd.buckets, d)
+		dd.buckets = grow(dd.buckets, d, maxBucketDist)
 	}
 	if t.Has(Lifted) {
 		l := dd.liftedAt(d)
