@@ -186,11 +186,11 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 }
 
 // newEvaluator instantiates a fresh evaluator over automaton autIdx with
-// distance cap psi (-1 = unlimited). Run-time knobs (budgets, batching)
-// and governance come from r, which must outlive
-// the evaluator. Its structures come from the run's pool when it has one,
-// and this is where visited_R's structure is chosen: a Case 1 search marks
-// the seed bitmap, a Case 3 one the hash table.
+// distance cap psi (-1 = unlimited). Run-time knobs (budgets, batching) and
+// governance come from r, which must outlive the evaluator. Its structures
+// come from the run's pool when it has one, and this is where visited_R's
+// structure is chosen: a Case 1 search marks the seed bitmap, a Case 3 one
+// the hash table.
 func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi int32) *evaluator {
 	aut := p.auts[autIdx]
 	ev := &evaluator{
