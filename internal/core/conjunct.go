@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"omega/internal/automaton"
@@ -186,20 +187,26 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 }
 
 // newEvaluator instantiates a fresh evaluator over automaton autIdx with
-// distance cap psi (-1 = unlimited). Run-time knobs (budgets, batching) and
-// governance come from r, which must outlive the evaluator. Its structures
-// come from the run's pool when it has one, and this is where visited_R's
-// structure is chosen: a Case 1 search marks the seed bitmap, a Case 3 one
-// the hash table.
-func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi int32) *evaluator {
+// distance cap psi (uncapped for none): D_R's pop ceiling is psi, and it
+// parks what exceeds psi up to the last ψ a driver stepping to maxPsi can
+// reach. Run-time knobs (budgets, batching) and governance come from r,
+// which must outlive the evaluator. Its structures come from the run's pool
+// when it has one, and this is where visited_R's structure is chosen: a
+// Case 1 search marks the seed bitmap, a Case 3 one the hash table.
+func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi, maxPsi int32) *evaluator {
 	aut := p.auts[autIdx]
+	// The last reachable phase is the first grid point ≥ maxPsi (stepping
+	// stops once ψ ≥ maxPsi, so it still runs that one); entries beyond it
+	// can never be admitted and are not worth parking.
+	step := int64(p.opts.psiStep(p.mode))
 	ev := &evaluator{
-		g:        p.g,
-		aut:      aut,
-		r:        r,
-		psi:      psi,
-		stride:   contStride(p.g),
-		finalAnn: p.finalAnn,
+		g:          p.g,
+		aut:        aut,
+		r:          r,
+		psi:        psi,
+		deferLimit: int32(min((int64(maxPsi)+step-1)/step*step, math.MaxInt32)),
+		stride:     contStride(p.g),
+		finalAnn:   p.finalAnn,
 	}
 	if r.pool != nil {
 		ev.state = r.pool.get()
@@ -208,6 +215,7 @@ func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi int32) *evaluator {
 		ev.answers = dstruct.NewAnswers()
 		ev.dr = dstruct.NewDict()
 	}
+	ev.dr.SetCeiling(psi)
 	if boundsWildcards(aut) {
 		if ev.state == nil {
 			ev.goal = new(goalSearch)
@@ -217,7 +225,7 @@ func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi int32) *evaluator {
 			}
 			ev.goal = ev.state.goal
 		}
-		ev.goal.step = p.opts.psiStep(p.mode)
+		ev.goal.step = int32(step)
 		ev.goal.memo.Reset(p.g.NumNodes())
 	}
 	if p.case3 {
@@ -313,7 +321,7 @@ func (p *conjunctPlan) open(r *run, maxDist int32, backend Backend) Iterator {
 	case driverPhases:
 		it = newDisjunction(p, r, p.opts.psiStep(p.mode), p.psiCap(maxDist))
 	case driverEvaluator:
-		it = p.newEvaluator(r, 0, -1)
+		it = p.newEvaluator(r, 0, uncapped, uncapped)
 	}
 	if p.sameVar {
 		it = sameVarIterator{it}

@@ -34,7 +34,7 @@ import (
 // runs both: n ≥ 1 branches, answers streaming out as each branch produces
 // them. The paper describes each ψ increment as a restart from the beginning,
 // which redoes all the work of every earlier phase. The driver instead keeps
-// ONE resumable evaluator per branch: over-ψ tuples park in the branch's D_R
+// ONE capped evaluator per branch: over-ψ tuples park in the branch's D_R
 // above a pop ceiling ψ and each phase step raises the ceiling, re-admitting
 // the newly admissible ones next to the warm visited set and answer
 // registry — every tuple is popped at most once across all phases, and
@@ -46,7 +46,7 @@ import (
 // to the fresh-evaluator-per-(branch, phase) driver that the package's tests
 // keep as the differential reference (restart_test.go).
 
-// newDisjunction returns the resumable per-branch ψ-phase driver over the
+// newDisjunction returns the incremental per-branch ψ-phase driver over the
 // plan's automata (one per alternand when decomposed, else the single
 // automaton of a distance-aware conjunct).
 func newDisjunction(plan *conjunctPlan, r *run, step, maxPsi int32) *disjunction {
@@ -67,8 +67,7 @@ func newDisjunction(plan *conjunctPlan, r *run, step, maxPsi int32) *disjunction
 	// open keeps which bundle a conjunct gets independent of how a join
 	// interleaves its conjuncts.
 	for i := range d.evals {
-		d.evals[i] = plan.newEvaluator(r, i, 0)
-		makeResumable(d.evals[i], step, maxPsi)
+		d.evals[i] = plan.newEvaluator(r, i, 0, maxPsi)
 	}
 	if n > 1 {
 		d.emitted = dstruct.NewU64Set()
@@ -77,7 +76,7 @@ func newDisjunction(plan *conjunctPlan, r *run, step, maxPsi int32) *disjunction
 	return d
 }
 
-// disjunction is the resumable driver: one live evaluator per branch, shared
+// disjunction is the incremental driver: one live evaluator per branch, shared
 // across every ψ phase.
 type disjunction struct {
 	r      *run
@@ -106,21 +105,6 @@ type disjunction struct {
 	// span runs on into the next phase, so there is one per counted resumed
 	// phase, plus one when the stream ends on a folded phase.
 	phaseSpan obs.SpanID
-}
-
-// makeResumable sets ev's D_R ceiling to ψ = 0 so the driver can resume it
-// across phases instead of restarting evaluation.
-func makeResumable(ev *evaluator, step, maxPsi int32) {
-	ev.resumable = true
-	ev.dr.SetCeiling(0)
-	// The last reachable phase is the first grid point ≥ MaxPsi (the
-	// reference stops stepping once ψ ≥ MaxPsi, so it still runs that one).
-	// Tuples beyond it can never be re-admitted and are not worth parking.
-	limit := (int64(maxPsi) + int64(step) - 1) / int64(step) * int64(step)
-	if limit > int64(1)<<31-1 {
-		limit = int64(1)<<31 - 1
-	}
-	ev.deferLimit = int32(limit)
 }
 
 // startPhase orders the branches by the previous phase's answer counts
@@ -161,7 +145,7 @@ func (d *disjunction) stop() {
 }
 
 // finish ends the stream and releases every branch: the evaluators are
-// resumable, so the driver owns their finish.
+// capped, so the driver owns their finish.
 func (d *disjunction) finish() {
 	d.stop()
 	for _, ev := range d.evals {

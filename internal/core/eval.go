@@ -27,9 +27,10 @@ type seed struct {
 const memSampleEvery = 512
 
 // evaluator runs GetNext/Succ (§3.4) for one compiled automaton over one
-// graph. It emits answers (v, n, d) in non-decreasing d. A non-negative psi
-// caps tuple distances (the §4.3 distance-aware mode); suppressions are
-// recorded in pruned so the driver knows whether raising ψ could reveal more.
+// graph. It emits answers (v, n, d) in non-decreasing d. A psi below
+// uncapped caps tuple distances (the §4.3 distance-aware mode): entries
+// beyond it park in D_R above its pop ceiling ψ, where the driver reads
+// whether a higher ψ could reveal more.
 type evaluator struct {
 	g   *graph.Graph
 	aut *automaton.Compiled
@@ -73,20 +74,16 @@ type evaluator struct {
 	// next execution inherits the grown capacities.
 	state *evalState
 
-	// resumable marks the incremental distance-aware mode: tuples rejected
-	// for exceeding ψ are added to D_R anyway, parked above its pop ceiling
-	// ψ, so a later resume admits them by raising the ceiling instead of
-	// recomputing them; and the automatic resource release when D_R drains
-	// is suppressed, since the driver owns finish() and may raise ψ and
-	// continue instead. deferLimit is the largest ψ the driver can ever
-	// reach: tuples beyond it are unreachable in every later phase, so
-	// parking them would only burn memory (they are dropped, exactly as the
-	// restart reference re-drops them every phase).
-	resumable  bool
+	// psi is the distance cap, uncapped for none. A capped evaluator parks
+	// the entries it rejects for exceeding ψ in D_R above its pop ceiling ψ,
+	// so a later resume admits them by raising the ceiling instead of
+	// recomputing them, and its driver owns finish(), since it may raise ψ
+	// and continue once D_R drains. deferLimit is the largest ψ the driver
+	// can ever reach: entries beyond it are unreachable in every later
+	// phase, so parking them would only burn memory, and they are dropped.
+	psi        int32
 	deferLimit int32
 
-	psi        int32 // -1 = unlimited
-	pruned     bool
 	seeded     bool
 	streamDone bool
 	released   bool  // finish() has run; the dict's resources are gone
@@ -223,13 +220,10 @@ func (ev *evaluator) markVisited(v, n graph.NodeID, s int32) bool {
 }
 
 // reject handles a tuple or continuation whose distance exceeds the current
-// ψ: the pruned flag tells the driver a higher ψ could reveal more, and in
-// resumable mode the entry is parked in D_R above the ceiling instead of
-// being recomputed from scratch next phase — unless no reachable phase could
-// ever admit it.
+// ψ: it is parked in D_R above the ceiling instead of being recomputed from
+// scratch next phase — unless no reachable phase could ever admit it.
 func (ev *evaluator) reject(t dstruct.Tuple) {
-	ev.pruned = true
-	if ev.resumable && t.D <= ev.deferLimit {
+	if t.D <= ev.deferLimit {
 		ev.dr.Add(t)
 		ev.stats.Deferred++
 		if ev.memOps++; ev.memOps >= memSampleEvery {
@@ -291,7 +285,7 @@ func (ev *evaluator) seedInitial() {
 	for i := len(ev.seeds) - 1; i >= 0; i-- {
 		s := ev.seeds[i]
 		t := dstruct.Tuple{V: s.node, N: s.node, S: ev.aut.Start, D: s.cost}
-		if ev.psi >= 0 && s.cost > ev.psi {
+		if s.cost > ev.psi {
 			ev.reject(t)
 			continue
 		}
@@ -336,7 +330,9 @@ func (ev *evaluator) annCost(n graph.NodeID) (int32, bool) {
 }
 
 // Next is GetNext (§3.4): it returns the next answer in non-decreasing
-// distance, or ok=false when no more answers exist (within ψ, if set).
+// distance, or ok=false when no more answers exist within ψ. An uncapped
+// evaluator finishes itself when D_R drains; a capped one leaves that to its
+// driver, which may raise ψ and call Next again.
 func (ev *evaluator) Next() (Answer, bool, error) {
 	if ev.released {
 		// The run is over and the backing state may already be serving
@@ -395,9 +391,7 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 		}
 		t, ok := ev.dr.Remove()
 		if !ok {
-			// In resumable mode the driver may raise ψ and admit parked
-			// tuples, so D_R must stay open; it owns finish().
-			if !ev.resumable {
+			if ev.psi == uncapped {
 				ev.finish()
 			}
 			return Answer{}, false, nil
@@ -425,7 +419,7 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 			if extra, match := ev.annCost(t.N); match && !ev.answers.Has(t.V, t.N) {
 				d := t.D + w + extra
 				ft := dstruct.Tuple{V: t.V, N: t.N, S: t.S, D: d, Final: true}
-				if ev.psi >= 0 && d > ev.psi {
+				if d > ev.psi {
 					ev.reject(ft)
 				} else {
 					ev.add(ft)
@@ -469,7 +463,7 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 				continue
 			}
 			d := t.D + tr.Cost
-			if ev.psi >= 0 && d > ev.psi {
+			if d > ev.psi {
 				ev.reject(dstruct.Tuple{V: t.V, N: m, S: tr.To, D: d})
 				continue
 			}
@@ -502,12 +496,16 @@ func (ev *evaluator) expand(t dstruct.Tuple) {
 // successors visited meanwhile are skipped rather than popped to be discarded.
 // What pops and in which order is therefore eager's, minus those discards,
 // over every D_R implementation and through parking above ψ and re-admission
-// alike. A wildcard continuation parked above ψ by a resumable evaluator is
-// positioned when it pops, not when it parks (it carries dstruct.Walk, its
-// cursor past the end of its last segment): most parked entries are never
-// admitted, and positioning one walks the node's incidence list with a
-// visited probe per neighbour. Positioned later, it skips the successors visited in between,
-// which eager would have popped to discard too.
+// alike. A wildcard continuation parked above ψ is positioned when it pops,
+// not when it parks (it carries dstruct.Walk, its cursor past the end of its
+// last segment): most parked entries are never admitted, and positioning one
+// walks the node's incidence list with a visited probe per neighbour.
+// Positioned later, it skips the successors visited in between, which eager
+// would have popped to discard too.
+
+// uncapped is the ψ of an evaluator without a distance cap: no distance
+// exceeds it, so nothing is rejected and D_R keeps no ceiling.
+const uncapped = math.MaxInt32
 
 // unpositioned is the cursor of a continuation that walks from the end of its
 // slot's segment when it pops (it carries dstruct.Walk): past the end of
@@ -537,22 +535,21 @@ func checkContSlots(aut *automaton.Compiled, g *graph.Graph) error {
 // cont pushes one continuation for the successors of (v, n) over the run
 // whose last member is tr at distance d, positioned on the last one still
 // unvisited — or parks it through reject when d is beyond ψ. Nothing is
-// pushed when every successor is visited. A resumable evaluator parks a
-// wildcard continuation without a landing target unpositioned, and leaves it
-// out only when n has no neighbour over tr at all, which takes no visited
-// probe: the members of a run share their neighbour segments. Any other
-// wildcard continuation is a first pass (see stepWildcard): it is positioned
-// on the last unvisited successor where Z holds. When there is none but it
-// passed unvisited ones where Z fails, it is pushed Skipped and unpositioned,
-// its cursor just above the highest of those, so that its pop lifts it from
-// there without testing Z again.
+// pushed when every successor is visited. A wildcard continuation beyond ψ
+// parks unpositioned, and is left out only when n has no neighbour over tr
+// at all, which takes no visited probe: the members of a run share their
+// neighbour segments. Any other wildcard continuation is a first pass (see
+// stepWildcard): it is positioned on the last unvisited successor where Z
+// holds. When there is none but it passed unvisited ones where Z fails, it is
+// pushed Skipped and unpositioned, its cursor just above the highest of
+// those, so that its pop lifts it from there without testing Z again.
 func (ev *evaluator) cont(v, n graph.NodeID, d int32, tr *automaton.CTrans) {
 	segs := ev.segments(tr)
-	over := ev.psi >= 0 && d > ev.psi
+	over := d > ev.psi
 	seg, cur := segs-1, unpositioned
 	var flag dstruct.ContFlag
 	switch {
-	case over && ev.resumable && wildcard(tr):
+	case over && wildcard(tr):
 		if !ev.hasNeighbour(n, tr, segs) {
 			return
 		}
@@ -735,7 +732,7 @@ func (ev *evaluator) lift(c dstruct.Tuple, from runPos) {
 	}
 	key := c.D + ev.goal.step
 	l := dstruct.Cont(c.V, c.N, key, slot, cur).With(dstruct.Lifted | dstruct.Walk)
-	if ev.psi >= 0 && key > ev.psi {
+	if key > ev.psi {
 		ev.reject(l)
 		return
 	}

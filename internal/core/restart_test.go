@@ -115,9 +115,10 @@ func TestL4AllCorpusDistanceAwareTighterPsi(t *testing.T) {
 
 // restartDisjunction is the paper's naive driver, kept as the differential
 // reference of the resumable one: every (branch, phase) pair builds a fresh
-// evaluator and re-runs evaluation from the beginning, with the cross-phase
-// emitted-set suppressing answers already returned by earlier phases or
-// branches.
+// evaluator capped at the phase's ψ and re-runs evaluation from the
+// beginning, with the cross-phase emitted-set suppressing answers already
+// returned by earlier phases or branches. A higher ψ could reveal more when
+// some drained evaluator of the phase still holds parked entries.
 type restartDisjunction struct {
 	plan *conjunctPlan
 	r    *run
@@ -132,7 +133,7 @@ type restartDisjunction struct {
 	oi         int
 	cur        *evaluator
 	emitted    *dstruct.U64Set
-	anyPruned  bool
+	anyParked  bool
 	done       bool
 	failed     error
 	stats      Stats
@@ -165,7 +166,7 @@ func (d *restartDisjunction) startPhase() {
 	d.counts = make([]int, n)
 	d.oi = 0
 	d.cur = nil
-	d.anyPruned = false
+	d.anyParked = false
 	d.stats.Phases++
 }
 
@@ -177,10 +178,10 @@ func (d *restartDisjunction) Next() (Answer, bool, error) {
 		}
 		if d.cur == nil {
 			if d.oi >= len(d.order) {
-				// Phase complete: stop if nothing was pruned anywhere (no
+				// Phase complete: stop if nothing was parked anywhere (no
 				// higher ψ can add answers) or the cap is reached.
 				d.prevCounts = d.counts
-				if !d.anyPruned || d.psi >= d.maxPsi {
+				if !d.anyParked || d.psi >= d.maxPsi {
 					d.done = true
 					continue
 				}
@@ -188,7 +189,7 @@ func (d *restartDisjunction) Next() (Answer, bool, error) {
 				d.startPhase()
 				continue
 			}
-			d.cur = d.plan.newEvaluator(d.r, d.order[d.oi], d.psi)
+			d.cur = d.plan.newEvaluator(d.r, d.order[d.oi], d.psi, d.maxPsi)
 		}
 		a, ok, err := d.cur.Next()
 		if err != nil {
@@ -196,9 +197,11 @@ func (d *restartDisjunction) Next() (Answer, bool, error) {
 			return Answer{}, false, err
 		}
 		if !ok {
-			if d.cur.pruned {
-				d.anyPruned = true
+			// A drained D_R holds parked entries only.
+			if d.cur.dr.Len() > 0 {
+				d.anyParked = true
 			}
+			d.cur.finish()
 			addBranch(&d.stats, d.cur)
 			d.cur = nil // folded in; clearing prevents Stats double-counting
 			d.oi++
