@@ -33,10 +33,7 @@ func TestDictMatchesRefDictRandomized(t *testing.T) {
 		for op := 0; op < 1000; op++ {
 			if pending == 0 || rng.Intn(5) < 3 {
 				dist := rng.Intn(20)
-				switch rng.Intn(12) {
-				case 0:
-					dist = -1 - rng.Intn(5) // negative: overflow path
-				case 1:
+				if rng.Intn(6) == 0 {
 					dist = maxBucketDist + rng.Intn(100) // huge: overflow path
 				}
 				tu := tup(op, rng.Intn(50), rng.Intn(4), dist, rng.Intn(2) == 0)
@@ -274,10 +271,8 @@ func FuzzDict(f *testing.F) {
 				switch {
 				case a < 200:
 					dist = int32(a % 40)
-				case a < 230:
-					dist = 199 - int32(a) // negative: overflow
 				case a < 250:
-					dist = maxBucketDist + int32(a) - 230 // large: overflow
+					dist = maxBucketDist + int32(a) - 200 // large: overflow
 				default:
 					dist = math.MaxInt32 - int32(255-a)
 				}

@@ -135,10 +135,9 @@ func (dd *Dict) liftedAt(d int) *[]entry {
 }
 
 // maxBucketDist bounds the flat bucket array: distances in [0, maxBucketDist)
-// take the index-addressed fast path; anything else (huge distances, reachable
-// only through extreme custom edit/relax costs, or negative ones, which the
-// engine's non-negative costs never produce) lands in a sparse map+heap
-// overflow so no distance can panic the queue or blow up its memory.
+// take the index-addressed fast path; larger ones, reachable only through
+// extreme custom edit/relax costs, land in a sparse map+heap overflow so no
+// distance can blow up the queue's memory.
 const maxBucketDist = 1 << 16
 
 // noCeiling is the ceiling of a dictionary that parks nothing.
@@ -155,10 +154,10 @@ const noCeiling = math.MaxInt32
 // distance no smaller than the last pop, so the cursor mostly advances; an
 // insertion below the cursor pulls it back, keeping the structure correct for
 // arbitrary workloads. Evaluation makes those only from a lifted
-// continuation, whose successors sit one key below it. Distances outside
-// [0, maxBucketDist) go to the sparse overflow dictionary; the two ranges are
-// disjoint, so overall ordering is negative overflow, then buckets, then
-// large overflow.
+// continuation, whose successors sit one key below it. Distances are
+// non-negative, as sums of non-negative costs; those from maxBucketDist up go
+// to the sparse overflow dictionary, so overall ordering is buckets, then
+// overflow.
 //
 // Entries above the pop ceiling stay in their buckets until a raised ceiling
 // admits them. Each bucket then holds them in the order they were added,
@@ -183,10 +182,13 @@ func NewDict() *Dict {
 	return &Dict{ceil: noCeiling}
 }
 
-// Add inserts t.
+// Add inserts t. It panics on a negative distance.
 func (dd *Dict) Add(t Tuple) {
 	d := int(t.D)
-	if d < 0 || d >= maxBucketDist {
+	if uint(d) >= maxBucketDist {
+		if d < 0 {
+			panic("dstruct: Dict.Add at a negative distance")
+		}
 		if dd.overflow == nil {
 			dd.overflow = NewRefDict()
 			dd.overflow.SetCeiling(int32(dd.ceil))
@@ -230,29 +232,10 @@ func (dd *Dict) SetCeiling(c int32) int {
 	return n
 }
 
-// negOverflowMin returns the minimal overflow distance when it is negative —
-// negative distances order before every bucket.
-func (dd *Dict) negOverflowMin() (int32, bool) {
-	if dd.overflow == nil || dd.overflow.Len() == 0 {
-		return 0, false
-	}
-	if md, ok := dd.overflow.MinDistance(); ok && md < 0 {
-		return md, true
-	}
-	return 0, false
-}
-
 // Remove pops the tuple with minimal key (distance first, then final,
 // lifted and the rest), unless that distance is above the ceiling. The
 // overflow dictionary applies the same ceiling to itself.
 func (dd *Dict) Remove() (Tuple, bool) {
-	if _, neg := dd.negOverflowMin(); neg {
-		t, ok := dd.overflow.Remove()
-		if ok {
-			dd.size--
-		}
-		return t, ok
-	}
 	for dd.cursor < len(dd.buckets) && dd.cursor <= dd.ceil {
 		b := &dd.buckets[dd.cursor]
 		if n := len(b.final); n > 0 {
@@ -319,9 +302,6 @@ func (dd *Dict) Reset(_ bool) {
 // entries, all above a ceiling ψ ≥ 0, never affect; the distance-aware driver
 // reads the smallest parked distance from it once a phase has drained.
 func (dd *Dict) MinDistance() (int32, bool) {
-	if md, neg := dd.negOverflowMin(); neg {
-		return md, true
-	}
 	for dd.cursor < len(dd.buckets) {
 		b := &dd.buckets[dd.cursor]
 		if len(b.final) > 0 || len(b.nonFinal) > 0 || dd.cursor < len(dd.lifted) && len(dd.lifted[dd.cursor]) > 0 {

@@ -114,6 +114,22 @@ func TestDictLen(t *testing.T) {
 	}
 }
 
+// TestDictAddPanicsOnNegativeDistance: every distance is a sum of
+// non-negative costs, so D_R orders none below zero and refuses one, a plain
+// tuple and a lifted continuation alike, rather than queue it anywhere.
+func TestDictAddPanicsOnNegativeDistance(t *testing.T) {
+	for _, tu := range []Tuple{tup(1, 1, 0, -1, false), tup(1, 1, 0, math.MinInt32, true), Cont(1, 1, -3, 0, 0).With(Lifted)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%+v) did not panic", tu)
+				}
+			}()
+			NewDict().Add(tu)
+		}()
+	}
+}
+
 // Property: pops come out in non-decreasing key order (distance, then final,
 // lifted and the rest) no matter the interleaving of adds and removes.
 func TestQuickDictMonotonePops(t *testing.T) {
