@@ -253,4 +253,11 @@ func TestEditCostsMinCost(t *testing.T) {
 	if c := (RelaxCosts{Beta: 5, Gamma: 2}).MinCost(); c != 2 {
 		t.Errorf("RelaxCosts MinCost = %d, want 2", c)
 	}
+	// A zero cost is not the smallest: φ is the smallest positive one.
+	if c := (EditCosts{Insert: 0, Delete: 4, Substitute: 5}).MinCost(); c != 4 {
+		t.Errorf("MinCost with a zero insertion = %d, want 4", c)
+	}
+	if c := (RelaxCosts{Beta: 0, Gamma: 3}).MinCost(); c != 3 {
+		t.Errorf("RelaxCosts MinCost with a zero β = %d, want 3", c)
+	}
 }

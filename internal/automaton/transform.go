@@ -18,20 +18,21 @@ type EditCosts struct {
 // DefaultEditCosts mirrors the paper's performance study (§4.1).
 func DefaultEditCosts() EditCosts { return EditCosts{Insert: 1, Delete: 1, Substitute: 1} }
 
-// MinCost returns the smallest non-zero edit cost (the paper's φ, the step
-// used by distance-aware retrieval).
+// MinCost returns the smallest positive edit cost (the paper's φ, the step
+// used by distance-aware retrieval), or 1 when none is positive.
 func (c EditCosts) MinCost() int32 {
-	min := c.Insert
-	if c.Delete < min {
-		min = c.Delete
+	return minPositive(c.Insert, c.Delete, c.Substitute)
+}
+
+// minPositive returns the smallest positive cost, or 1 when none is.
+func minPositive(costs ...int32) int32 {
+	var m int32
+	for _, c := range costs {
+		if c > 0 && (m == 0 || c < m) {
+			m = c
+		}
 	}
-	if c.Substitute < min {
-		min = c.Substitute
-	}
-	if min <= 0 {
-		return 1
-	}
-	return min
+	return max(m, 1)
 }
 
 // Approx augments the automaton with the edit operations of the APPROX
@@ -87,17 +88,10 @@ type RelaxCosts struct {
 // DefaultRelaxCosts mirrors the paper's performance study (rule (i) at cost 1).
 func DefaultRelaxCosts() RelaxCosts { return RelaxCosts{Beta: 1, Gamma: 1} }
 
-// MinCost returns the smallest non-zero relaxation cost (the φ step for
-// distance-aware retrieval).
+// MinCost returns the smallest positive relaxation cost (the φ step for
+// distance-aware retrieval), or 1 when none is positive.
 func (c RelaxCosts) MinCost() int32 {
-	min := c.Beta
-	if c.Gamma < min {
-		min = c.Gamma
-	}
-	if min <= 0 {
-		return 1
-	}
-	return min
+	return minPositive(c.Beta, c.Gamma)
 }
 
 // Relax augments the automaton with the ontology-driven relaxations of the

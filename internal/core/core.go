@@ -168,7 +168,7 @@ type Options struct {
 	// evaluation from scratch at each increment).
 	DistanceAware bool
 	// MaxPsi caps the ψ stepping (distance-aware mode only); 0 means 16·φ,
-	// φ the smallest operation cost.
+	// φ the smallest positive operation cost of the mode (1 when none is).
 	// Answers beyond MaxPsi are not returned in distance-aware mode.
 	MaxPsi int32
 	// Disjunction enables §4.3's "replacing alternation by disjunction":
@@ -229,7 +229,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// phi returns the smallest non-zero operation cost for the mode (§4.3's φ).
+// phi returns the smallest positive operation cost of the mode (§4.3's φ),
+// over all five for FLEX (once defaults apply, Edit and Relax each hold a
+// positive one), and 1 for EXACT.
 func (o Options) phi(mode automaton.Mode) int32 {
 	switch mode {
 	case automaton.Approx:

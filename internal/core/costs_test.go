@@ -251,3 +251,34 @@ func TestNegativeCostsRejected(t *testing.T) {
 		t.Errorf("PrepareQuery with a zero insertion cost: %v", err)
 	}
 }
+
+// TestZeroCostKeepsPsiCap: a zero operation cost leaves φ, and with it the
+// default ψ cap 16·φ, at the smallest positive cost. On the path
+// n0 -a-> … -a-> n6, APPROX (n0, b.b.b.b.b, ?Y) under edit costs 0/4/4
+// (insert, delete, substitute) answers every node at distance 20: within
+// the cap of 64, where a φ of 1 capped ψ at 16 and the distance-aware run
+// answered none.
+func TestZeroCostKeepsPsiCap(t *testing.T) {
+	b := graph.NewBuilder()
+	for i := range 6 {
+		if err := b.AddTriple(fmt.Sprintf("n%d", i), "a", fmt.Sprintf("n%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Freeze()
+	c := conj("n0", "b.b.b.b.b", "?Y", automaton.Approx)
+	for _, edit := range []automaton.EditCosts{{Insert: 0, Delete: 4, Substitute: 4}, {Insert: 4, Delete: 4, Substitute: 4}} {
+		var got [2]map[uint64]int32
+		for i, aware := range []bool{false, true} {
+			it, err := OpenConjunct(g, nil, c, Options{Edit: edit, DistanceAware: aware})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = answersAsMap(t, drain(t, it, 100))
+			it.Close()
+		}
+		if len(got[0]) != 7 || !maps.Equal(got[0], got[1]) {
+			t.Errorf("edit costs %+v: %d answers plain, %d distance-aware, want the same 7", edit, len(got[0]), len(got[1]))
+		}
+	}
+}

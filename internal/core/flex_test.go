@@ -205,6 +205,19 @@ func TestPhi(t *testing.T) {
 	if p := o.phi(automaton.Exact); p != 1 {
 		t.Errorf("phi(Exact) = %d, want 1", p)
 	}
+	// Zero costs do not count: φ is the smallest positive cost of the mode.
+	z := Options{
+		Edit:  automaton.EditCosts{Insert: 0, Delete: 6, Substitute: 5},
+		Relax: automaton.RelaxCosts{Beta: 0, Gamma: 7},
+	}
+	for _, c := range []struct {
+		mode automaton.Mode
+		want int32
+	}{{automaton.Approx, 5}, {automaton.Relax, 7}, {automaton.Flex, 5}} {
+		if p := z.phi(c.mode); p != c.want {
+			t.Errorf("phi(%v) with zero costs = %d, want %d", c.mode, p, c.want)
+		}
+	}
 }
 
 // TestPsiStep: the ψ grid steps by the gcd of the mode's operation costs,
