@@ -75,12 +75,15 @@ func refNeighbours(g *graph.Graph, ont *ontology.Ontology, n *automaton.NFA, nod
 				}
 			}
 		case automaton.Any:
-			g.EachIncident(node, t.Dir, func(_ graph.LabelID, m graph.NodeID) bool {
-				if t.TargetClass == "" || g.NodeLabel(m) == t.TargetClass {
-					visit(m, t.To, t.Cost)
+			// Every label's own lists, not the incidence index the
+			// evaluator walks.
+			for l := range g.NumLabels() {
+				for _, m := range g.Neighbors(node, graph.LabelID(l), t.Dir) {
+					if t.TargetClass == "" || g.NodeLabel(m) == t.TargetClass {
+						visit(m, t.To, t.Cost)
+					}
 				}
-				return true
-			})
+			}
 		}
 	}
 }

@@ -66,21 +66,6 @@ func TestSaveRejectsNewlineLabels(t *testing.T) {
 	}
 }
 
-func TestTotalDegree(t *testing.T) {
-	b := NewBuilder()
-	x, y, z := b.AddNode("x"), b.AddNode("y"), b.AddNode("z")
-	_ = b.AddEdge(x, "p", y)
-	_ = b.AddEdge(x, "q", z)
-	_ = b.AddEdge(z, "p", x)
-	g := b.Freeze()
-	if d := g.TotalDegree(x, Out); d != 2 {
-		t.Errorf("TotalDegree(x, Out) = %d, want 2", d)
-	}
-	if d := g.TotalDegree(x, Both); d != 3 {
-		t.Errorf("TotalDegree(x, Both) = %d, want 3", d)
-	}
-}
-
 func TestNodeStreamEmpty(t *testing.T) {
 	g := NewBuilder().Freeze()
 	s := NewNodeStream(g, nil, false)

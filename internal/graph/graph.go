@@ -377,53 +377,6 @@ func (g *Graph) Neighbors(n NodeID, l LabelID, dir Direction) []NodeID {
 	}
 }
 
-// EachNeighbor calls fn for every neighbour of n along l in direction dir
-// until fn returns false. It avoids the allocation Neighbors makes for Both.
-func (g *Graph) EachNeighbor(n NodeID, l LabelID, dir Direction, fn func(m NodeID) bool) {
-	if l < 0 || int(l) >= len(g.out) {
-		return
-	}
-	if dir == Out || dir == Both {
-		for _, m := range g.out[l].neighbors(n) {
-			if !fn(m) {
-				return
-			}
-		}
-	}
-	if dir == In || dir == Both {
-		for _, m := range g.in[l].neighbors(n) {
-			if !fn(m) {
-				return
-			}
-		}
-	}
-}
-
-// EachIncident calls fn for every incident edge of n in direction dir, across
-// all labels including type, until fn returns false. This mirrors the §3.2
-// retrieval of all generic 'edge' edges followed by all type edges. It walks
-// the per-label CSRs, not the incidence index, so a check of Incident
-// against it compares two layouts.
-func (g *Graph) EachIncident(n NodeID, dir Direction, fn func(l LabelID, m NodeID) bool) {
-	for l := range g.out {
-		lid := LabelID(l)
-		if dir == Out || dir == Both {
-			for _, m := range g.out[l].neighbors(n) {
-				if !fn(lid, m) {
-					return
-				}
-			}
-		}
-		if dir == In || dir == Both {
-			for _, m := range g.in[l].neighbors(n) {
-				if !fn(lid, m) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // AppendNeighbors appends the neighbours of n along l in direction dir to
 // dst and returns the extended slice. For Both the Out list precedes the In
 // list. It performs no allocation beyond growing dst.
@@ -442,9 +395,8 @@ func (g *Graph) AppendNeighbors(dst []NodeID, n NodeID, l LabelID, dir Direction
 
 // AppendIncident appends every neighbour over every incident edge of n in
 // direction dir (all labels including type, Out before In per label) to dst
-// and returns the extended slice. It is the allocation-free counterpart of
-// EachIncident for callers that want the flat neighbour list; for Both it
-// copies Incident(n).
+// and returns the extended slice, performing no allocation beyond growing
+// dst; for Both it copies Incident(n).
 func (g *Graph) AppendIncident(dst []NodeID, n NodeID, dir Direction) []NodeID {
 	if dir == Both {
 		return append(dst, g.inc.neighbors(n)...)
@@ -518,15 +470,6 @@ func (g *Graph) Degree(n NodeID, l LabelID, dir Direction) int {
 	default:
 		return len(g.Neighbors(n, l, Out)) + len(g.Neighbors(n, l, In))
 	}
-}
-
-// TotalDegree returns the number of incident edges of n across all labels.
-func (g *Graph) TotalDegree(n NodeID, dir Direction) int {
-	total := 0
-	for l := range g.out {
-		total += g.Degree(n, LabelID(l), dir)
-	}
-	return total
 }
 
 // HasEdge reports whether the edge src -l-> dst exists.
