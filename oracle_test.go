@@ -300,8 +300,7 @@ var psiCapRe = regexp.MustCompile(`ψ step (\d+), max ψ=(\d+)`)
 
 // cutAtCap returns the pairs of want that the ψ-phase driver reaches when pq
 // runs in mode: those at or below the last ψ it steps to, the first grid
-// point at or above the cap Explain prints. When Explain names no cap, the
-// run has no ψ-phase driver and want is returned whole.
+// point at or above the cap Explain prints.
 func cutAtCap(t testing.TB, where string, pq *PreparedQuery, mode Mode, want map[[2]int]int) map[[2]int]int {
 	t.Helper()
 	plan, err := pq.Explain(ExecOptions{Mode: ModeOverride(mode)})
@@ -310,7 +309,7 @@ func cutAtCap(t testing.TB, where string, pq *PreparedQuery, mode Mode, want map
 	}
 	m := psiCapRe.FindStringSubmatch(plan)
 	if m == nil {
-		return want
+		t.Fatalf("%s: Explain names no ψ cap:\n%s", where, plan)
 	}
 	step, _ := strconv.Atoi(m[1])
 	maxPsi, _ := strconv.Atoi(m[2])
