@@ -183,7 +183,40 @@ func compileConjunct(g *graph.Graph, ont *ontology.Ontology, c Conjunct, opts Op
 			p.finalAnn[node] = 0
 		}
 	}
+	if err := p.checkDistances(); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// checkDistances fails with ErrDistanceRange when an evaluator of p could
+// make a distance beyond int32. Every entry it adds to D_R extends a popped
+// configuration's cheapest distance — a seed cost plus at most one compiled
+// transition cost per (node, state) configuration — by one transition cost,
+// a ψ grid step (a lifted key) or a final weight and annotation cost.
+func (p *conjunctPlan) checkDistances() error {
+	var seedMax, annMax int64
+	for _, s := range p.seeds {
+		seedMax = max(seedMax, int64(s.cost))
+	}
+	for _, c := range p.finalAnn {
+		annMax = max(annMax, int64(c))
+	}
+	step := int64(p.opts.psiStep(p.mode))
+	for _, aut := range p.auts {
+		costMax, finalMax := step, int64(0)
+		for i := range aut.Trans {
+			costMax = max(costMax, int64(aut.Trans[i].Cost))
+		}
+		for _, w := range aut.FinalWeight {
+			finalMax = max(finalMax, int64(w))
+		}
+		configs := int64(p.g.NumNodes()) * int64(len(aut.FinalWeight))
+		if seedMax+(configs+1)*costMax+finalMax+annMax > math.MaxInt32 {
+			return fmt.Errorf("%w: %d nodes × %d states at a cost of up to %d", ErrDistanceRange, p.g.NumNodes(), len(aut.FinalWeight), costMax)
+		}
+	}
+	return nil
 }
 
 // newEvaluator instantiates a fresh evaluator over automaton autIdx with

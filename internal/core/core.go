@@ -51,6 +51,12 @@ var ErrMemBudget = errors.New("core: memory budget exceeded")
 // make no continuations and are not bounded.
 var ErrTooManyTransitions = errors.New("core: automaton has too many transitions for its continuation slots")
 
+// ErrDistanceRange is returned by compilation for a conjunct whose distances
+// could pass the int32 range over its graph: a distance sums the costs along
+// a cheapest path, which visits each (node, state) configuration at most
+// once (see checkDistances). Only costs near maxCost on a large graph meet it.
+var ErrDistanceRange = errors.New("core: costs too large for the graph: distances could overflow")
+
 // recyclable reports whether an execution that terminated with err left its
 // evaluator state structurally sound. Clean stop conditions — exhaustion,
 // Close, cancellation, deadline, the tuple budget — only ever stop pulling
@@ -147,7 +153,8 @@ func (q *Query) Validate() error {
 // reproduces the paper's baseline configuration (unit costs, batches of 100,
 // no optimisations).
 type Options struct {
-	// Edit costs for APPROX; zero value means unit costs.
+	// Edit costs for APPROX; zero value means unit costs. Every cost, here
+	// and in Relax, lies in 0..65 536 (maxCost).
 	Edit automaton.EditCosts
 	// Relax costs for RELAX; zero value means unit costs.
 	Relax automaton.RelaxCosts
@@ -194,10 +201,17 @@ type Options struct {
 	RareSide bool
 }
 
-// validate rejects negative operation costs, naming the field. ε-removal and
-// ranked emission assume every cost is non-negative; with a negative one, a
-// distance is no longer the cheapest path's, and with a negative insertion
-// cost no distance is bounded below.
+// maxCost is the largest operation cost Prepare accepts. A compiled cost sums
+// at most one cost per automaton state (ε-removal folds deletion chains), so
+// under it the automaton's own sums stay far inside int32; checkDistances
+// then bounds the sums evaluation makes over a given graph.
+const maxCost = 1 << 16
+
+// validate rejects negative operation costs, and costs above maxCost, naming
+// the field. ε-removal and ranked emission assume every cost is
+// non-negative; with a negative one, a distance is no longer the cheapest
+// path's, and with a negative insertion cost no distance is bounded below.
+// Distances are int32 sums of costs, so an oversized cost would wrap them.
 func (o Options) validate() error {
 	for _, c := range []struct {
 		field string
@@ -211,6 +225,9 @@ func (o Options) validate() error {
 	} {
 		if c.cost < 0 {
 			return fmt.Errorf("core: Options.%s is %d: costs must not be negative", c.field, c.cost)
+		}
+		if c.cost > maxCost {
+			return fmt.Errorf("core: Options.%s is %d: costs must be at most %d", c.field, c.cost, maxCost)
 		}
 	}
 	return nil

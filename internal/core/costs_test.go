@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -249,6 +251,52 @@ func TestNegativeCostsRejected(t *testing.T) {
 	// Zero costs stay accepted.
 	if _, err := PrepareQuery(g, nil, q, Options{Edit: automaton.EditCosts{Insert: 0, Delete: 1, Substitute: 1}}); err != nil {
 		t.Errorf("PrepareQuery with a zero insertion cost: %v", err)
+	}
+}
+
+// TestOversizedCostsRejected: distances are int32 sums of costs, so a cost
+// above maxCost is refused with an error naming the field, and costs that fit
+// but could still sum past int32 over the graph's configurations fail
+// compilation with ErrDistanceRange. Accepted, every edit cost at MaxInt32
+// made APPROX (n0, b, ?Y) on n0 -a-> n1 -a-> n2 add a wrapped, negative
+// distance, which panicked in D_R.
+func TestOversizedCostsRejected(t *testing.T) {
+	b := graph.NewBuilder()
+	mustAdd(t, b, "n0", "a", "n1")
+	mustAdd(t, b, "n1", "a", "n2")
+	g := b.Freeze()
+	c := conj("n0", "b", "?Y", automaton.Approx)
+	q := &Query{Head: []string{"Y"}, Conjuncts: []Conjunct{c}}
+	huge := automaton.EditCosts{Insert: math.MaxInt32, Delete: math.MaxInt32, Substitute: math.MaxInt32}
+	if _, err := PrepareQuery(g, nil, q, Options{Edit: huge}); err == nil || !strings.Contains(err.Error(), "Options.Edit.Insert") {
+		t.Errorf("PrepareQuery with edit costs at MaxInt32: err = %v, want one naming Options.Edit.Insert", err)
+	}
+	if it, err := OpenConjunct(g, nil, c, Options{Edit: huge}); err == nil {
+		drain(t, it, 100)
+		t.Error("OpenConjunct accepted edit costs at MaxInt32")
+	}
+	for _, field := range []string{"Relax.Beta", "Relax.Gamma"} {
+		relax := automaton.RelaxCosts{Beta: 1, Gamma: 1}
+		if field == "Relax.Beta" {
+			relax.Beta = maxCost + 1
+		} else {
+			relax.Gamma = maxCost + 1
+		}
+		if _, err := PrepareQuery(g, nil, q, Options{Relax: relax}); err == nil || !strings.Contains(err.Error(), "Options."+field) {
+			t.Errorf("PrepareQuery with %s above maxCost: err = %v, want one naming Options.%s", field, err, field)
+		}
+	}
+	top := automaton.EditCosts{Insert: maxCost, Delete: maxCost, Substitute: maxCost}
+	if _, err := PrepareQuery(g, nil, q, Options{Edit: top}); err != nil {
+		t.Errorf("PrepareQuery with every edit cost at maxCost on 3 nodes: %v", err)
+	}
+	// On a path of 20 000 nodes, (20 000 × states + 1) · 2^16 passes int32.
+	long := graph.NewBuilder()
+	for i := range 20000 {
+		mustAdd(t, long, fmt.Sprintf("n%d", i), "a", fmt.Sprintf("n%d", i+1))
+	}
+	if _, err := PrepareQuery(long.Freeze(), nil, q, Options{Edit: top}); !errors.Is(err, ErrDistanceRange) {
+		t.Errorf("PrepareQuery with every edit cost at maxCost on 20 001 nodes: err = %v, want ErrDistanceRange", err)
 	}
 }
 
