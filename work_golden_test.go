@@ -295,7 +295,8 @@ func runWorkCase(t *testing.T, name string, pq *PreparedQuery, eo ExecOptions) w
 // moved: see writeGoldenReport), a refactor must leave it untouched. Three groups of cases, all on the ranked backend:
 //
 //   - the L4All study queries on L1 × EXACT/APPROX/RELAX/FLEX ×
-//     plain/distance-aware × top-100/exhaustive;
+//     plain/distance-aware × top-100/exhaustive, and Q11 and Q12 on L2 ×
+//     APPROX/FLEX × plain/distance-aware × top-100;
 //   - the ψ-phase driver over a decomposed alternation (Options.Disjunction):
 //     the corpus's two top-level alternations, L4All Q7 on L1 and YAGO Q9, ×
 //     APPROX/RELAX × plain/distance-aware × top-100/exhaustive;
@@ -363,6 +364,20 @@ func TestWorkGolden(t *testing.T) {
 					name := fmt.Sprintf("%s/%v/%s/limit=%d", q.ID, mode, v.name, limit)
 					run(name, pq, ExecOptions{Mode: ModeOverride(mode), Limit: limit})
 				}
+			}
+		}
+	}
+
+	// L2 rows for the two study queries whose APPROX/FLEX top-100 searches
+	// spend the most pops before their first answer.
+	g2, ont2 := datasets().L4All(l4all.L2)
+	for _, v := range variants {
+		eng := NewEngine(g2, ont2).WithOptions(v.opts)
+		for _, id := range []string{"Q11", "Q12"} {
+			pq := prepare(eng, id, l4allQueryText(t, id))
+			for _, mode := range []Mode{Approx, Flex} {
+				name := fmt.Sprintf("L2-%s/%v/%s/limit=100", id, mode, v.name)
+				run(name, pq, ExecOptions{Mode: ModeOverride(mode), Limit: 100})
 			}
 		}
 	}
