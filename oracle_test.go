@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// An independent semantics oracle for EXACT and APPROX conjuncts. It shares
+// An independent semantics oracle for EXACT and APPROX queries. It shares
 // no code with the engine: it generates its own expressions, builds its own
 // Thompson ε-NFA from them and runs Dijkstra over the explicit product of
 // graph nodes and NFA states, where the paper's edit operations are product
@@ -291,6 +291,8 @@ var oracleOptionSets = []struct {
 	{"disjunction", Options{Disjunction: true}, false},
 	{"disjunction+distance-aware", Options{Disjunction: true, DistanceAware: true}, false},
 	{"batch-1", Options{BatchSize: 1}, false},
+	{"rare-side", Options{RareSide: true}, false},
+	{"rare-side+distance-aware", Options{RareSide: true, DistanceAware: true}, false},
 	{"distance-aware+default-cap", Options{DistanceAware: true}, true},
 }
 
@@ -298,9 +300,9 @@ var oracleOptionSets = []struct {
 // renders for a distance-aware conjunct.
 var psiCapRe = regexp.MustCompile(`ψ step (\d+), max ψ=(\d+)`)
 
-// cutAtCap returns the pairs of want that the ψ-phase driver reaches when pq
-// runs in mode: those at or below the last ψ it steps to, the first grid
-// point at or above the cap Explain prints.
+// cutAtCap returns the pairs of want that the ψ-phase driver reaches when pq,
+// a single conjunct, runs in mode: those at or below the last ψ it steps to,
+// the first grid point at or above the cap Explain prints.
 func cutAtCap(t testing.TB, where string, pq *PreparedQuery, mode Mode, want map[[2]int]int) map[[2]int]int {
 	t.Helper()
 	plan, err := pq.Explain(ExecOptions{Mode: ModeOverride(mode)})
@@ -323,18 +325,40 @@ func cutAtCap(t testing.TB, where string, pq *PreparedQuery, mode Mode, want map
 	return cut
 }
 
+// oracleCase is one query of a trial and the oracle's answer to it: every
+// row's pair (see oracleRun) at its distance. every runs it under every
+// option set, otherwise it runs under the trial's pick alone; varVar marks a
+// query with a (?X, R, ?Y) conjunct, the only kind RareSide changes, and
+// join a two-conjunct query, which the default-cap set skips: its cap
+// applies per conjunct, and cutAtCap reads one.
+type oracleCase struct {
+	text                string
+	base                [2]int
+	want                map[[2]int]int
+	every, varVar, join bool
+}
+
 // oracleTrial runs one generated graph and expression through every mode,
-// Case, option set and pooling choice, exhaustively and under limits, and
-// fails on the first disagreement with the oracle. It returns the number of
-// executions it checked.
+// option set and pooling choice, exhaustively and under limits, and fails on
+// the first disagreement with the oracle. The queries are Case 1 (constant
+// subject), Case 2 (constant object), Case 3 (both ends variable), and the
+// join of a Case 1 conjunct with a Case 3 one over a second expression, once
+// with both variables in the head (the sum of the two oracle distances) and
+// once projected on the last (the least such sum over the shared variable).
+// Cases 1 and 3 run under every option set that can change them, the others
+// under one set the trial picks, which keeps a trial's executions bounded. It
+// returns the number of executions it checked.
 func oracleTrial(t testing.TB, gseed, eseed int64, c ocosts, pool *EvalPool) int {
 	t.Helper()
 	g := genGraph(rand.New(rand.NewSource(gseed)))
 	erng := rand.New(rand.NewSource(eseed))
 	expr := genQuery(erng)
 	src := erng.Intn(g.nodes)
+	dst := erng.Intn(g.nodes)
+	expr2 := genExpr(erng, 2)
+	pick := erng.Intn(len(oracleOptionSets))
 	eg := engineGraph(t, g)
-	nfa := thompson(expr)
+	nfa, nfa2 := thompson(expr), thompson(expr2)
 	runs := 0
 	for _, approx := range []bool{false, true} {
 		c.approx = approx
@@ -342,27 +366,46 @@ func oracleTrial(t testing.TB, gseed, eseed int64, c ocosts, pool *EvalPool) int
 		if approx {
 			mode, kw = Approx, "APPROX "
 		}
-		// Case 1 (constant subject) and Case 3 (both ends variable).
-		want1 := map[[2]int]int{}
-		for y, d := range nfa.distances(g, src, c) {
-			want1[[2]int{src, y}] = d
+		from := make([]map[int]int, g.nodes)  // from[x][y]: expr's distance from x to y
+		from2 := make([]map[int]int, g.nodes) // the same for expr2
+		for x := range g.nodes {
+			from[x], from2[x] = nfa.distances(g, x, c), nfa2.distances(g, x, c)
 		}
-		want3 := map[[2]int]int{}
-		for x := 0; x < g.nodes; x++ {
-			for y, d := range nfa.distances(g, x, c) {
+		want1, want2, want3 := map[[2]int]int{}, map[[2]int]int{}, map[[2]int]int{}
+		for x := range g.nodes {
+			for y, d := range from[x] {
 				want3[[2]int{x, y}] = d
+				if x == src {
+					want1[[2]int{x, y}] = d
+				}
+				if y == dst {
+					want2[[2]int{x, y}] = d
+				}
 			}
 		}
-		for _, cs := range []struct {
-			text string
-			want map[[2]int]int
-		}{
-			{fmt.Sprintf("(?Y) <- %s(%s, %s, ?Y)", kw, oname(src), expr), want1},
-			{fmt.Sprintf("(?X, ?Y) <- %s(?X, %s, ?Y)", kw, expr), want3},
+		join, proj := map[[2]int]int{}, map[[2]int]int{}
+		for x, d1 := range from[src] {
+			for y, d2 := range from2[x] {
+				join[[2]int{x, y}] = d1 + d2
+				if old, ok := proj[[2]int{0, y}]; !ok || d1+d2 < old {
+					proj[[2]int{0, y}] = d1 + d2
+				}
+			}
+		}
+		body := fmt.Sprintf("%s(%s, %s, ?X), %s(?X, %s, ?Y)", kw, oname(src), expr, kw, expr2)
+		for _, cs := range []oracleCase{
+			{text: fmt.Sprintf("(?Y) <- %s(%s, %s, ?Y)", kw, oname(src), expr), base: [2]int{src, 0}, want: want1, every: true},
+			{text: fmt.Sprintf("(?X) <- %s(?X, %s, %s)", kw, expr, oname(dst)), base: [2]int{0, dst}, want: want2},
+			{text: fmt.Sprintf("(?X, ?Y) <- %s(?X, %s, ?Y)", kw, expr), want: want3, every: true, varVar: true},
+			{text: "(?X, ?Y) <- " + body, want: join, varVar: true, join: true},
+			{text: "(?Y) <- " + body, want: proj, varVar: true, join: true},
 		} {
-			for _, os := range oracleOptionSets {
-				if os.defaultCap && !approx {
-					continue // EXACT runs no ψ-phase driver: the set is "distance-aware" again
+			for i, os := range oracleOptionSets {
+				switch {
+				case !cs.every && i != pick,
+					os.opts.RareSide && !cs.varVar,
+					os.defaultCap && (!approx || cs.join): // EXACT runs no ψ-phase driver: the set is "distance-aware" again
+					continue
 				}
 				opts := os.opts
 				opts.Edit = EditCosts{Insert: int32(c.ins), Delete: int32(c.del), Substitute: int32(c.substi)}
@@ -380,14 +423,14 @@ func oracleTrial(t testing.TB, gseed, eseed int64, c ocosts, pool *EvalPool) int
 					if os.defaultCap {
 						want = cutAtCap(t, where, pq, mode, want)
 					}
-					all := oracleRun(t, where, pq, mode, p, src, 0, want)
+					all := oracleRun(t, where, pq, mode, p, cs.base, 0, want)
 					runs++
 					if len(all) != len(want) {
 						t.Fatalf("%s: engine emitted %d pairs, oracle has %d\nengine: %v\noracle: %v", where, len(all), len(want), all, want)
 					}
 					for _, k := range []int{1, 2, len(want) / 2, len(want) - 1} {
 						if k >= 1 && k < len(want) {
-							oracleRun(t, where, pq, mode, p, src, k, want)
+							oracleRun(t, where, pq, mode, p, cs.base, k, want)
 							runs++
 						}
 					}
@@ -401,9 +444,9 @@ func oracleTrial(t testing.TB, gseed, eseed int64, c ocosts, pool *EvalPool) int
 // oracleRun executes pq with the given limit (0 = exhaustive) and checks the
 // emission against want: every pair at its oracle distance, emitted once, in
 // non-decreasing distance, and the distances those of the limit smallest
-// oracle entries. src is the constant subject of a Case 1 query, which its
-// rows do not bind.
-func oracleRun(t testing.TB, where string, pq *PreparedQuery, mode Mode, pool *EvalPool, src, limit int, want map[[2]int]int) map[[2]int]int {
+// oracle entries. A row's pair is base with ?X's node in its first place and
+// ?Y's in its second, for the variables the row binds.
+func oracleRun(t testing.TB, where string, pq *PreparedQuery, mode Mode, pool *EvalPool, base [2]int, limit int, want map[[2]int]int) map[[2]int]int {
 	t.Helper()
 	rows, err := pq.Exec(context.Background(), ExecOptions{Limit: limit, Mode: ModeOverride(mode), Pool: pool})
 	if err != nil {
@@ -420,7 +463,7 @@ func oracleRun(t testing.TB, where string, pq *PreparedQuery, mode Mode, pool *E
 		if !ok {
 			break
 		}
-		pair := [2]int{src, 0}
+		pair := base
 		for i, v := range r.Vars {
 			var id int
 			fmt.Sscanf(r.Labels[i], "n%d", &id)
@@ -462,8 +505,9 @@ func oracleRun(t testing.TB, where string, pq *PreparedQuery, mode Mode, pool *E
 }
 
 // TestOracleDifferential holds the engine to the oracle on fixed-seed
-// generated graphs and expressions, with unit costs and with random costs of
-// 0–3 per operation, never all zero.
+// generated graphs and expressions — single conjuncts of Cases 1–3, and
+// two-conjunct joins with a full and a projected head — with unit costs and
+// with random costs of 0–3 per operation, never all zero.
 func TestOracleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20150327))
 	pool := NewEvalPool(0)
