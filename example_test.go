@@ -10,7 +10,8 @@ import (
 // Example reproduces the paper's motivating Examples 1–3 in miniature: an
 // exact query with a direction mistake returns nothing; APPROX repairs the
 // mistake at edit distance 1; RELAX generalises the property through the
-// ontology.
+// ontology. Four APPROX answers tie at distance 1 (Oxford, SummerFest, UK and
+// alice); Collect(3) prints the first three the engine emits.
 func Example() {
 	b := omega.NewGraphBuilder()
 	_ = b.AddTriple("Oxford", "isLocatedIn", "UK")
@@ -53,7 +54,7 @@ func Example() {
 	// APPROX:
 	//   [?X=Oxford] dist=1
 	//   [?X=SummerFest] dist=1
-	//   [?X=alice] dist=1
+	//   [?X=UK] dist=1
 	// RELAX:
 	//   [?X=Oxford] dist=1
 }

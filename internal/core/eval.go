@@ -66,7 +66,8 @@ type evaluator struct {
 	stride int32
 
 	// goal, non-nil when the automaton has a costed wildcard transition,
-	// decides Z (goal.go) for the two passes of its wildcard continuations.
+	// decides Z (goal.go) for the plain tuples Next pops and for the two
+	// passes of its wildcard continuations.
 	goal *goalSearch
 
 	// state, when non-nil, is the pooled bundle backing dr/visited/answers:
@@ -333,6 +334,19 @@ func (ev *evaluator) annCost(n graph.NodeID) (int32, bool) {
 // distance, or ok=false when no more answers exist within ψ. An uncapped
 // evaluator finishes itself when D_R drains; a capped one leaves that to its
 // driver, which may raise ψ and call Next again.
+//
+// With a goal, a popped plain tuple that is not final, not a seed (v, v,
+// Start) and not yet visited, at a configuration where Z fails, answers at
+// t.D + step at the earliest: it is re-added Lifted at that key (addLifted)
+// instead of expanded, and its pop there restores t.D. Z is decided at the
+// pop, not the push, as a parked continuation is positioned at its pop: most
+// pushed tuples are never popped before the limit is reached, and a push-time
+// test would run Z on every sibling before the first pop. A seed is never
+// lifted: Case 3 pulls its next batch of seeds when D_R's least key is above
+// 0, and lifted seeds would pull batches early. A tuple a continuation yields
+// is not tested: a wildcard run's first pass yields only where Z holds, its
+// second pass yields what is already a step late, and a symbol run's yields
+// keep the place in the pop order that eager Succ gave them.
 func (ev *evaluator) Next() (Answer, bool, error) {
 	if ev.released {
 		// The run is over and the backing state may already be serving
@@ -396,13 +410,22 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 			}
 			return Answer{}, false, nil
 		}
-		if t.IsCont() {
+		switch {
+		case t.IsCont():
 			// step counts the pop, unless it drops the continuation.
 			if t, ok = ev.step(t); !ok {
 				continue
 			}
-		} else {
+		case t.Has(dstruct.Lifted):
 			ev.countPop()
+			t.D -= ev.goal.step
+		default:
+			ev.countPop()
+			if ev.goal != nil && !t.Final && (t.N != t.V || t.S != ev.aut.Start) &&
+				!ev.isVisited(t.V, t.N, t.S) && !ev.holds(t.N, t.S) {
+				ev.addLifted(t)
+				continue
+			}
 		}
 
 		if t.Final {
@@ -730,13 +753,22 @@ func (ev *evaluator) lift(c dstruct.Tuple, from runPos) {
 		}
 		slot, cur = last*ev.stride+int32(ev.segments(&ev.aut.Trans[last]))-1, unpositioned
 	}
-	key := c.D + ev.goal.step
-	l := dstruct.Cont(c.V, c.N, key, slot, cur).With(dstruct.Lifted | dstruct.Walk)
-	if key > ev.psi {
-		ev.reject(l)
+	ev.addLifted(dstruct.Cont(c.V, c.N, c.D, slot, cur).With(dstruct.Walk))
+}
+
+// addLifted re-adds t, a plain tuple or a continuation at distance t.D, with
+// the Lifted flag at key t.D + step, or parks it through reject when that key
+// is beyond ψ. D_R pops it after the final entries of its key and before the
+// others, and its pop takes the step off again (for a continuation, off the
+// successors it yields). It is neither a tuple added nor a pop: the entry was
+// counted when it was first added.
+func (ev *evaluator) addLifted(t dstruct.Tuple) {
+	t = t.With(dstruct.Lifted)
+	if t.D += ev.goal.step; t.D > ev.psi {
+		ev.reject(t)
 		return
 	}
-	ev.dr.Add(l)
+	ev.dr.Add(t)
 }
 
 // lastSucc finds the last successor of n over tr's run before index end of

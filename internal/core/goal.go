@@ -6,8 +6,10 @@ import (
 	"omega/internal/graph"
 )
 
-// This file holds the bound that lets a wildcard continuation hold back the
-// successors that cannot answer at its own distance.
+// This file holds the goal bound: D_R holds back, one ψ grid step, every
+// entry that cannot answer at its own distance — a plain tuple popped at a
+// configuration where Z fails, and the successors of a wildcard continuation
+// where it fails.
 //
 // Z(n, s) holds when some zero-cost acceptance is reachable from the
 // configuration (n, s) over cost-0 compiled transitions with real neighbours
@@ -60,7 +62,8 @@ func (z *goalSearch) bytes() int64 {
 
 // boundsWildcards reports whether aut has a costed wildcard transition
 // without a landing target — an APPROX insertion or substitution, or a FLEX
-// edit — which is what the bound applies to.
+// edit. Such an evaluator gets a goal, and the bound applies to its plain
+// tuples and wildcard runs; the others (EXACT, RELAX) keep plain Dijkstra.
 func boundsWildcards(aut *automaton.Compiled) bool {
 	for i := range aut.Trans {
 		if tr := &aut.Trans[i]; tr.Cost > 0 && wildcard(tr) {
@@ -76,7 +79,8 @@ func wildcard(tr *automaton.CTrans) bool {
 }
 
 // holds reports Z(n, s), searching when the memo does not know it. Most
-// configurations a wildcard reaches are decided by their own neighbours: an
+// configurations a wildcard reaches or a plain tuple pops at are decided by
+// their own neighbours: an
 // acceptance holds, and one whose cost-0 neighbours are all known false, or
 // which has none, fails. Only a configuration with an undecided neighbour
 // takes the search. A decision read off at most leafNeighbours neighbours is

@@ -28,12 +28,15 @@ import (
 // for the successors of n over one automaton transition that are still to be
 // generated, all at distance d. It is never final, so it queues and parks
 // exactly where a plain successor at d would.
+//
+// Either kind may carry flags (ContFlag, see With): a plain tuple carries
+// only Lifted, which D_R reads, and its S stays the state.
 type Tuple struct {
 	V, N  graph.NodeID
 	S     int32
 	D     int32
 	Final bool
-	slot  uint32 // a continuation's slot number
+	slot  uint32 // a continuation's slot number, and either kind's flags
 }
 
 // ContSlots bounds a continuation's slot number: a slot is 24 bits. The
@@ -41,17 +44,19 @@ type Tuple struct {
 // what limits the automata it can evaluate lazily.
 const ContSlots = 1 << 24
 
-// ContFlag is a mark a continuation carries in the unused top bits of its
-// slot word, beside the 24-bit slot number.
+// ContFlag is a mark an entry carries in the top bits of its slot word,
+// beside a continuation's 24-bit slot number. Skipped and Walk are for
+// continuations; Lifted is for either kind.
 type ContFlag uint32
 
 const (
 	// Skipped marks a continuation that passed over a successor it did not
 	// yield; what that means is the caller's to interpret.
 	Skipped ContFlag = 1 << 24
-	// Lifted marks a continuation whose key sits above the distance of the
-	// successors it yields. D_R pops a lifted entry after the final entries
-	// of its distance and before the others.
+	// Lifted marks an entry whose key sits above its distance: a plain
+	// tuple re-added a step higher, or a continuation whose successors sit
+	// below its key. D_R pops a lifted entry after the final entries of its
+	// distance and before the others.
 	Lifted ContFlag = 1 << 25
 	// Walk marks a continuation not yet positioned on a successor: its
 	// cursor bounds the walk that will position it, which starts just below
@@ -72,21 +77,21 @@ func (t Tuple) IsCont() bool { return t.S < 0 }
 // Slot returns a continuation's slot number.
 func (t Tuple) Slot() int32 { return int32(t.slot & (ContSlots - 1)) }
 
-// With returns the continuation t carrying flag f as well.
+// With returns t, a continuation or a plain tuple, carrying flag f as well.
 func (t Tuple) With(f ContFlag) Tuple {
 	t.slot |= uint32(f)
 	return t
 }
 
-// Has reports whether t carries flag f.
+// Has reports whether t, a continuation or a plain tuple, carries flag f.
 func (t Tuple) Has(f ContFlag) bool { return t.slot&uint32(f) != 0 }
 
 // Cursor returns a continuation's cursor.
 func (t Tuple) Cursor() int32 { return ^t.S }
 
 // entry is a Tuple as a Dict bucket stores it, in 16 bytes: the bucket's
-// index is its distance and the sub-list its final flag; a continuation's
-// flags stay in slot.
+// index is its distance and the sub-list its final flag; an entry's flags
+// stay in slot.
 type entry struct {
 	V, N graph.NodeID
 	S    int32
@@ -153,8 +158,8 @@ const noCeiling = math.MaxInt32
 // GetNext pops in non-decreasing distance and nearly every insertion is at a
 // distance no smaller than the last pop, so the cursor mostly advances; an
 // insertion below the cursor pulls it back, keeping the structure correct for
-// arbitrary workloads. Evaluation makes those only from a lifted
-// continuation, whose successors sit one key below it. Distances are
+// arbitrary workloads. Evaluation makes those only from a lifted entry, whose
+// successors sit one key below it. Distances are
 // non-negative, as sums of non-negative costs; those from maxBucketDist up go
 // to the sparse overflow dictionary, so overall ordering is buckets, then
 // overflow.
@@ -164,8 +169,8 @@ const noCeiling = math.MaxInt32
 // which is the stack the restarting reference would have built by generating
 // them afresh.
 //
-// Lifted continuations pop between the final and the non-final entries of
-// their distance. They are held apart, in a third LIFO stack per distance
+// Lifted entries pop between the final and the non-final entries of their
+// distance. They are held apart, in a third LIFO stack per distance
 // that a side array keeps, so a dictionary that never receives one never
 // allocates it and its buckets stay two lists.
 type Dict struct {

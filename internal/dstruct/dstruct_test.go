@@ -130,6 +130,31 @@ func TestDictAddPanicsOnNegativeDistance(t *testing.T) {
 	}
 }
 
+// TestDictLiftedPlainTuple: a plain tuple carrying Lifted stays a plain tuple
+// — not a continuation, its state and flag read back — and pops after the
+// final entries of its key and before the rest, on the bucket path and on the
+// overflow one alike.
+func TestDictLiftedPlainTuple(t *testing.T) {
+	for _, d := range []int{3, maxBucketDist + 3} {
+		dict := NewDict()
+		dict.Add(tup(1, 1, 0, d, false))
+		dict.Add(tup(2, 2, 5, d, false).With(Lifted))
+		dict.Add(tup(3, 3, 0, d, true))
+		for i, want := range []struct {
+			v             graph.NodeID
+			final, lifted bool
+		}{{3, true, false}, {2, false, true}, {1, false, false}} {
+			x, ok := dict.Remove()
+			if !ok || x.V != want.v || x.Final != want.final || x.Has(Lifted) != want.lifted || x.IsCont() || int(x.D) != d {
+				t.Fatalf("distance %d, pop %d: %+v (ok %v, lifted %v), want v %d final %v lifted %v", d, i, x, ok, x.Has(Lifted), want.v, want.final, want.lifted)
+			}
+			if want.lifted && x.S != 5 {
+				t.Fatalf("distance %d: lifted tuple reads back state %d, want 5", d, x.S)
+			}
+		}
+	}
+}
+
 // Property: pops come out in non-decreasing key order (distance, then final,
 // lifted and the rest) no matter the interleaving of adds and removes.
 func TestQuickDictMonotonePops(t *testing.T) {
@@ -230,7 +255,9 @@ func TestAnswersDedupe(t *testing.T) {
 
 // FuzzCont checks that a continuation Cont(v, n, d, slot, cursor), with the
 // flags it carries, reads back the slot, cursor and flags it was built with,
-// and is never final.
+// and is never final. With flag bit 3 set it checks a lifted plain tuple
+// instead: not a continuation, its state and Lifted read back, and it pops
+// between the final and the other entries of its key.
 func FuzzCont(f *testing.F) {
 	f.Add(int32(0), int32(0), int32(0), int32(0), uint32(0), uint8(0))
 	f.Add(int32(1), int32(2), int32(3), int32(4), uint32(0), uint8(1))
@@ -242,7 +269,15 @@ func FuzzCont(f *testing.F) {
 	// is created with.
 	f.Add(int32(3), int32(4), int32(math.MaxInt32), int32(2), uint32(ContSlots-1), uint8(6))
 	f.Add(int32(3), int32(4), int32(17), int32(2), uint32(ContSlots-1), uint8(7))
+	// A plain tuple lifted a step above its distance, in a bucket and in the
+	// overflow range.
+	f.Add(int32(3), int32(4), int32(2), int32(1), uint32(0), uint8(8))
+	f.Add(int32(3), int32(4), int32(2), int32(maxBucketDist+1), uint32(0), uint8(8))
 	f.Fuzz(func(t *testing.T, v, n, s, d int32, slot uint32, flags uint8) {
+		if flags&8 != 0 {
+			fuzzLiftedTuple(t, graph.NodeID(v), graph.NodeID(n), s&math.MaxInt32, d&math.MaxInt32)
+			return
+		}
 		sl, cur := int32(slot%ContSlots), s&math.MaxInt32
 		c := Cont(graph.NodeID(v), graph.NodeID(n), d, sl, cur)
 		skipped, lifted, walk := flags&1 != 0, flags&2 != 0, flags&4 != 0
@@ -261,6 +296,26 @@ func FuzzCont(f *testing.F) {
 				v, n, d, sl, cur, flags&7, c, c.Slot(), c.Cursor(), c.Has(Skipped), c.Has(Lifted), c.Has(Walk))
 		}
 	})
+}
+
+// fuzzLiftedTuple checks a plain tuple (v, n, s, d) carrying Lifted, s and d
+// non-negative: it reads back as a lifted plain tuple, and D_R pops it after
+// a final entry and before a plain one of the same key.
+func fuzzLiftedTuple(t *testing.T, v, n graph.NodeID, s, d int32) {
+	l := Tuple{V: v, N: n, S: s, D: d}.With(Lifted)
+	if l.IsCont() || l.Final || !l.Has(Lifted) || l.Has(Skipped) || l.Has(Walk) || l.S != s || l.D != d {
+		t.Fatalf("lifted tuple (%d, %d, %d, %d) = %+v: cont %v, lifted %v", v, n, s, d, l, l.IsCont(), l.Has(Lifted))
+	}
+	dict := NewDict()
+	dict.Add(Tuple{V: v, N: n, S: s, D: d})
+	dict.Add(l)
+	dict.Add(Tuple{V: v, N: n, S: s, D: d, Final: true})
+	for i, final := range []bool{true, false, false} {
+		x, ok := dict.Remove()
+		if !ok || x.Final != final || x.Has(Lifted) != (i == 1) || x.IsCont() || x.S != s || x.D != d {
+			t.Fatalf("distance %d, pop %d: %+v (ok %v, lifted %v)", d, i, x, ok, x.Has(Lifted))
+		}
+	}
 }
 
 // TestTupleSize pins every per-entry size the accounting assumes against the

@@ -77,14 +77,19 @@ func TestDelayCounters(t *testing.T) {
 	// no longer walks the 5 350 configurations it can prove answer-free at
 	// distance 1 before its first row (PrepOps 5 356 before), and the lifted
 	// pops land between rows: Q8's MaxDelayOps rose 1 → 5 and Q9's 88 → 114,
-	// while Q3, Q10, Q11 and Q12 fell (166, 233, 238 and 82 before).
+	// while Q3, Q10, Q11 and Q12 fell (166, 233, 238 and 82 before). A
+	// plain APPROX tuple popped where Z fails is re-added a step higher too,
+	// so Q12, whose answers are all at distance 1, no longer expands its
+	// cost-0 moves at distance 0 before its first row (PrepOps 682 → 166),
+	// and Q11 reaches its first row sooner (31 → 24) but expands the deferred
+	// tuples between rows, so its largest gap rose (49 → 52).
 	want := map[string][2]int{ // {PrepOps, MaxDelayOps}
 		"Q3/RELAX": {17, 223}, "Q3/APPROX": {19, 79},
 		"Q8/RELAX": {0, 0}, "Q8/APPROX": {6, 5}, // RELAX Q8 has no answer
 		"Q9/RELAX": {27, 16}, "Q9/APPROX": {41, 114},
 		"Q10/RELAX": {13, 211}, "Q10/APPROX": {12, 224},
-		"Q11/RELAX": {21, 220}, "Q11/APPROX": {31, 49},
-		"Q12/RELAX": {487, 25}, "Q12/APPROX": {682, 14},
+		"Q11/RELAX": {21, 220}, "Q11/APPROX": {24, 52},
+		"Q12/RELAX": {487, 25}, "Q12/APPROX": {166, 14},
 	}
 	g, ont := datasets().L4All(l4all.L1)
 	eng := NewEngine(g, ont)
