@@ -230,6 +230,13 @@ var ErrClosed = core.ErrClosed
 // the evaluator names each transition's neighbour segments in a 24-bit slot.
 var ErrTooManyTransitions = core.ErrTooManyTransitions
 
+// ErrDistanceRange is returned by Prepare (or by the Exec that first compiles
+// a mode override) for a conjunct whose distances could pass the int32 range
+// over the graph: a cheapest path visits each (node, state) configuration at
+// most once, and (nodes × states + 1) × the largest compiled cost, plus seed,
+// final and annotation costs, must stay within it.
+var ErrDistanceRange = core.ErrDistanceRange
+
 // ErrMemBudget is returned by Rows.Next when an execution crosses its hard
 // memory watermark (ExecOptions.HardMemBytes), or when the serving layer's
 // memory broker aborts it as the largest-footprint victim under global
