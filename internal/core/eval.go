@@ -760,8 +760,9 @@ func (ev *evaluator) lift(c dstruct.Tuple, from runPos) {
 // the Lifted flag at key t.D + step, or parks it through reject when that key
 // is beyond ψ. D_R pops it after the final entries of its key and before the
 // others, and its pop takes the step off again (for a continuation, off the
-// successors it yields). It is neither a tuple added nor a pop: the entry was
-// counted when it was first added.
+// successors it yields). The entry was counted when it was first added, so
+// the re-add counts as no tuple added; parked, it counts as every parked
+// entry does (Deferred, then Reinjected and added when ψ admits it).
 func (ev *evaluator) addLifted(t dstruct.Tuple) {
 	t = t.With(dstruct.Lifted)
 	if t.D += ev.goal.step; t.D > ev.psi {
