@@ -154,7 +154,7 @@ func (q *Query) Validate() error {
 // no optimisations).
 type Options struct {
 	// Edit costs for APPROX; zero value means unit costs. Every cost, here
-	// and in Relax, lies in 0..65 536 (maxCost).
+	// and in Relax, lies in 0..65 536.
 	Edit automaton.EditCosts
 	// Relax costs for RELAX; zero value means unit costs.
 	Relax automaton.RelaxCosts
