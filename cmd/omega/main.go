@@ -131,8 +131,8 @@ func main() {
 	}
 	if *stats || *analyze {
 		s := rows.Stats()
-		fmt.Fprintf(os.Stderr, "backend=%s tuples added=%d popped=%d visited=%d phases=%d deferred=%d reinjected=%d neighbour-calls=%d cache-hits=%d prep-ops=%d max-delay-ops=%d\n",
-			s.Backend, s.TuplesAdded, s.TuplesPopped, s.VisitedSize, s.Phases, s.Deferred, s.Reinjected, s.NeighborCalls, s.CacheHits, s.PrepOps, s.MaxDelayOps)
+		fmt.Fprintf(os.Stderr, "backend=%s tuples added=%d popped=%d visited=%d phases=%d deferred=%d reinjected=%d neighbour-calls=%d prep-ops=%d max-delay-ops=%d\n",
+			s.Backend, s.TuplesAdded, s.TuplesPopped, s.VisitedSize, s.Phases, s.Deferred, s.Reinjected, s.NeighborCalls, s.PrepOps, s.MaxDelayOps)
 	}
 }
 

@@ -20,9 +20,11 @@ type CTrans struct {
 	Cost   int32
 	To     int32
 	Target graph.NodeID // landing-node constraint; InvalidNode when unconstrained
-	// Group identifies runs of transitions within a state that retrieve the
-	// same neighbour set (same Kind/Dir/Labels/Target): the paper's Succ
-	// procedure reuses the NeighboursByEdge result U across such runs (§3.4).
+	// Group numbers, within a state, the consecutive transitions that reach
+	// the same neighbour set (same Kind/Dir/Labels/Target). Its one use is to
+	// link costed runs (see Prev); the paper's Succ reuses the
+	// NeighboursByEdge result U across a group (§3.4), which in-memory
+	// neighbour segments leave nothing to gain from.
 	Group int32
 	// Index is the transition's position in Compiled.Trans.
 	Index int32

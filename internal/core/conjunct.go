@@ -8,7 +8,6 @@ import (
 	"omega/internal/automaton"
 	"omega/internal/bitset"
 	"omega/internal/bulk"
-	"omega/internal/dstruct"
 	"omega/internal/graph"
 	"omega/internal/ontology"
 	"omega/internal/rpq"
@@ -223,9 +222,10 @@ func (p *conjunctPlan) checkDistances() error {
 // distance cap psi (uncapped for none): D_R's pop ceiling is psi, and it
 // parks what exceeds psi up to the last ψ a driver stepping to maxPsi can
 // reach. Run-time knobs (budgets, batching) and governance come from r,
-// which must outlive the evaluator. Its structures come from the run's pool
-// when it has one, and this is where visited_R's structure is chosen: a
-// Case 1 search marks the seed bitmap, a Case 3 one the hash table.
+// which must outlive the evaluator. Its structures come from a bundle of
+// the run's pool (a fresh one when the run has none), and this is where
+// visited_R's structure is chosen: a Case 1 search marks the seed bitmap, a
+// Case 3 one the hash table.
 func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi, maxPsi int32) *evaluator {
 	aut := p.auts[autIdx]
 	// The last reachable phase is the first grid point ≥ maxPsi (stepping
@@ -240,58 +240,33 @@ func (p *conjunctPlan) newEvaluator(r *run, autIdx int, psi, maxPsi int32) *eval
 		deferLimit: int32(min((int64(maxPsi)+step-1)/step*step, math.MaxInt32)),
 		stride:     contStride(p.g),
 		finalAnn:   p.finalAnn,
+		state:      r.pool.get(),
 	}
-	if r.pool != nil {
-		ev.state = r.pool.get()
-		ev.dr, ev.answers, ev.scratch = ev.state.dict, ev.state.answers, ev.state.scratch
-	} else {
-		ev.answers = dstruct.NewAnswers()
-		ev.dr = dstruct.NewDict()
-	}
+	st := ev.state
+	ev.dr, ev.answers = st.dict, st.answers
 	ev.dr.SetCeiling(psi)
 	if boundsWildcards(aut) {
-		if ev.state == nil {
-			ev.goal = new(goalSearch)
-		} else {
-			if ev.state.goal == nil {
-				ev.state.goal = new(goalSearch)
-			}
-			ev.goal = ev.state.goal
+		if st.goal == nil {
+			st.goal = new(goalSearch)
 		}
+		ev.goal = st.goal
 		ev.goal.step = int32(step)
 		ev.goal.memo.Reset(p.g.NumNodes())
 	}
 	if p.case3 {
-		if ev.state != nil {
-			ev.visited = ev.state.visited
-		} else {
-			ev.visited = dstruct.NewVisited()
+		ev.visited = st.visited
+		// The stream's graph-sized de-duplication bitmap is created on the
+		// bundle's first Case 3 use and cleared by each stream.
+		if st.seen == nil {
+			st.seen = bitset.New(p.g.NumNodes())
 		}
-		ev.stream = p.buildStream(aut, ev.streamSeen())
+		ev.stream = p.buildStream(aut, st.seen)
 	} else {
-		if ev.state != nil {
-			ev.seedVisited = ev.state.seedVisited
-		} else {
-			ev.seedVisited = new(dstruct.SeedVisited)
-		}
+		ev.seedVisited = st.seedVisited
 		ev.seedVisited.Reset(p.seedNodes, p.g.NumNodes(), aut.NumStates)
 		ev.seeds = p.seeds
 	}
 	return ev
-}
-
-// streamSeen returns the de-duplication bitmap for this evaluator's Case 3
-// node stream: the pooled bundle's graph-sized bitmap when pooling is active
-// (created on the bundle's first Case 3 use, cleared by the stream), nil
-// otherwise (the stream allocates its own).
-func (ev *evaluator) streamSeen() *bitset.Set {
-	if ev.state == nil {
-		return nil
-	}
-	if ev.state.seen == nil {
-		ev.state.seen = bitset.New(ev.g.NumNodes())
-	}
-	return ev.state.seen
 }
 
 // psiCap is the cap on ψ stepping for this plan: Options.MaxPsi, or 16·φ when

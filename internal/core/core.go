@@ -328,12 +328,11 @@ type Stats struct {
 	// resumed phase that popped nothing is folded like a skipped ψ and does
 	// not count.
 	Phases int
-	// NeighborCalls counts the neighbour lists Succ opened: one per cost-0
-	// transition whose U the cache did not hold, one per costed transition,
-	// each member of a run included, whose lists its run's continuation
-	// walks. CacheHits counts the cost-0 retrievals the U cache served.
+	// NeighborCalls counts the transitions Succ expanded: one per compiled
+	// transition out of each expanded configuration, cost-0 or costed, each
+	// member of a run included, whose neighbour segments Succ or the run's
+	// continuation walks.
 	NeighborCalls int
-	CacheHits     int
 	// Deferred counts entries (tuples and continuations, one per run) parked
 	// in D_R above its pop ceiling because their distance exceeded the ψ of
 	// the phase that generated them; Reinjected counts parked entries admitted when a
@@ -382,7 +381,6 @@ func (s *Stats) add(o Stats) {
 	s.TuplesAdded += o.TuplesAdded
 	s.TuplesPopped += o.TuplesPopped
 	s.NeighborCalls += o.NeighborCalls
-	s.CacheHits += o.CacheHits
 	s.Deferred += o.Deferred
 	s.Reinjected += o.Reinjected
 	s.MemPeakBytes = max(s.MemPeakBytes, o.MemPeakBytes)

@@ -54,11 +54,6 @@ type evaluator struct {
 	// cost of accepting it (0 for the constant, k·β for RELAX ancestors).
 	finalAnn map[graph.NodeID]int32
 
-	// scratch backs neighboursByEdge's multi-label / Both / TargetClass
-	// results, reused across expansions so the steady path allocates only
-	// when the frontier outgrows every previous one.
-	scratch []graph.NodeID
-
 	// stride is the number of continuation slots per transition: one per
 	// neighbour segment a transition can have, at most an edge label of the
 	// graph in each direction (see segment). A continuation's slot is
@@ -70,9 +65,9 @@ type evaluator struct {
 	// passes of its wildcard continuations.
 	goal *goalSearch
 
-	// state, when non-nil, is the pooled bundle backing dr/visited/answers:
-	// finish returns it to the run's pool instead of discarding it, so the
-	// next execution inherits the grown capacities.
+	// state is the bundle backing dr/visited/answers/goal/batch until
+	// finish hands it back to the run's pool, so the next execution inherits
+	// the grown capacities (a run without a pool drops it).
 	state *evalState
 
 	// psi is the distance cap, uncapped for none. A capped evaluator parks
@@ -98,8 +93,8 @@ type evaluator struct {
 	stats Stats
 }
 
-// finish hands the evaluator's accounted bytes back and — for a pooled
-// execution — returns the state bundle to the pool for the next request.
+// finish hands the evaluator's accounted bytes back and returns the state
+// bundle to the run's pool for the next request.
 // Evaluation calls it when the answer stream ends or fails, and Close calls it
 // when an iterator is abandoned mid-stream; it is idempotent.
 //
@@ -126,28 +121,22 @@ func (ev *evaluator) finish() {
 		ev.r.account(&ev.lastMem, ev.residentBytes())
 	}
 	ev.r.refund(&ev.lastMem)
-	if ev.state != nil {
-		st := ev.state
-		ev.state = nil
-		poisoned := !recyclable(ev.failed)
-		if !poisoned {
-			// The scratch and batch buffers may have grown; hand the grown
-			// capacity back with the bundle.
-			st.scratch = ev.scratch[:0]
-			if ev.batch != nil {
-				st.batch = ev.batch
-			}
-		}
-		// Pointers are severed so no code path on this evaluator can touch
-		// state now owned by another execution (or, when poisoned, state that
-		// must die with this one).
-		ev.dr, ev.visited, ev.seedVisited, ev.answers, ev.goal = nil, nil, nil, nil, nil
-		ev.scratch, ev.batch, ev.stream = nil, nil, nil
-		if poisoned {
-			ev.r.pool.poison()
-		} else {
-			ev.r.pool.put(st)
-		}
+	st := ev.state
+	poisoned := !recyclable(ev.failed)
+	if !poisoned && ev.batch != nil {
+		// The batch buffer may have grown; hand the grown capacity back with
+		// the bundle.
+		st.batch = ev.batch
+	}
+	// Pointers are severed so no code path on this evaluator can touch state
+	// now owned by another execution (or, when poisoned, state that must die
+	// with this one).
+	ev.state, ev.dr, ev.visited, ev.seedVisited, ev.answers, ev.goal = nil, nil, nil, nil, nil, nil
+	ev.batch, ev.stream = nil, nil
+	if poisoned {
+		ev.r.pool.poison()
+	} else {
+		ev.r.pool.put(st)
 	}
 }
 
@@ -194,7 +183,7 @@ func (ev *evaluator) sampleMem() {
 // residentBytes sums the approximate resident footprint of every structure
 // this evaluator owns. Capacity-based: it measures what the process holds.
 func (ev *evaluator) residentBytes() int64 {
-	n := ev.dr.Bytes() + ev.answers.Bytes() + int64(cap(ev.scratch)+cap(ev.batch))*4
+	n := ev.dr.Bytes() + ev.answers.Bytes() + int64(cap(ev.batch))*4
 	if ev.goal != nil {
 		n += ev.goal.bytes()
 	}
@@ -304,7 +293,7 @@ func (ev *evaluator) refill() {
 		// A batch larger than the node set buys nothing: NumNodes()+1 already
 		// seeds every initial node up front.
 		size := min(ev.r.opts.BatchSize, ev.g.NumNodes()+1)
-		if ev.state != nil && cap(ev.state.batch) >= size {
+		if cap(ev.state.batch) >= size {
 			ev.batch = ev.state.batch[:size]
 		} else {
 			ev.batch = make([]graph.NodeID, size)
@@ -453,44 +442,34 @@ func (ev *evaluator) Next() (Answer, bool, error) {
 }
 
 // expand is Succ (§3.4): follow every compiled transition of state t.S from
-// node t.N. A cost-0 transition pushes its successors now, reusing the
-// neighbour set U across runs of identical labels; they land on top of D_R
-// and pop next, so generating them later would save nothing. A run of
+// node t.N. A cost-0 transition pushes its successors now, walking n's
+// neighbour segments over it in place (see segment); they land on top of D_R
+// and pop next, so generating them later would save nothing. The paper's Succ
+// reuses the neighbour set U across runs of identical labels because each
+// retrieval is a call into the graph store; here a segment is a slice of the
+// in-memory CSR or incidence index, so there is nothing to reuse. A run of
 // costed transitions pushes one continuation instead (see cont), which
 // generates the run's successors one pop at a time, so a hub's thousands of
 // insert/substitute successors cost only as many tuples as are popped.
 func (ev *evaluator) expand(t dstruct.Tuple) {
-	var cache []graph.NodeID
-	cacheGroup := int32(-1)
 	states := ev.aut.NextStates(t.S)
 	for i := range states {
 		tr := &states[i]
+		ev.stats.NeighborCalls++
 		if tr.Cost > 0 {
-			ev.stats.NeighborCalls++
 			// One continuation walks a whole run; its last member pushes it.
 			if i+1 == len(states) || states[i+1].Prev != tr.Index {
 				ev.cont(t.V, t.N, t.D+tr.Cost, tr)
 			}
 			continue
 		}
-		var u []graph.NodeID
-		if tr.Group == cacheGroup && cacheGroup >= 0 {
-			u = cache
-			ev.stats.CacheHits++
-		} else {
-			u = ev.neighboursByEdge(t.N, tr)
-			cache, cacheGroup = u, tr.Group
-		}
-		for _, m := range u {
-			if ev.isVisited(t.V, m, tr.To) {
-				continue
+		// A cost-0 successor is at t.D, which the pop of t admitted under ψ.
+		for seg := range ev.segments(tr) {
+			for _, m := range ev.segment(t.N, tr, seg) {
+				if (tr.Target == graph.InvalidNode || m == tr.Target) && !ev.isVisited(t.V, m, tr.To) {
+					ev.add(dstruct.Tuple{V: t.V, N: m, S: tr.To, D: t.D})
+				}
 			}
-			d := t.D + tr.Cost
-			if d > ev.psi {
-				ev.reject(dstruct.Tuple{V: t.V, N: m, S: tr.To, D: d})
-				continue
-			}
-			ev.add(dstruct.Tuple{V: t.V, N: m, S: tr.To, D: d})
 		}
 	}
 	if ev.seedVisited != nil {
@@ -833,10 +812,11 @@ func (ev *evaluator) walk(v, n graph.NodeID, tr *automaton.CTrans, seg, end int,
 // directions has one, n's incidence list. Otherwise segment seg holds the
 // neighbours over label seg/2 of tr's labels (of the graph's, for a one-way
 // wildcard), along out-edges for an even seg and in-edges for an odd one, and
-// none in a direction tr does not follow. Concatenated in order, the segments
-// list the neighbours in the order neighboursByEdge returns them, before its
-// landing filter; the incidence list is exactly the per-label segments
-// concatenated, so either layout walks the same successors in the same order.
+// none in a direction tr does not follow. Taken in order, the segments list
+// the neighbours per label in label order, the Out ones before the In ones
+// (§3.4's NeighboursByEdge, before the landing filter); the incidence list is
+// exactly the per-label segments concatenated, so either layout walks the same
+// successors in the same order.
 func (ev *evaluator) segment(n graph.NodeID, tr *automaton.CTrans, seg int) []graph.NodeID {
 	if tr.Kind == automaton.Any && tr.Dir == graph.Both {
 		return ev.g.Incident(n)
@@ -853,47 +833,6 @@ func (ev *evaluator) segment(n graph.NodeID, tr *automaton.CTrans, seg int) []gr
 		l = tr.Labels[seg>>1]
 	}
 	return ev.g.Neighbors(n, l, dir)
-}
-
-// neighboursByEdge retrieves the neighbours of n reachable over the
-// transition's label set and direction (§3.4): for a wildcard it retrieves
-// all incident edges (the generic 'edge' type plus type edges of §3.2); a
-// TargetClass constraint keeps only the constrained landing node. The common
-// single-label Out/In case aliases the graph's CSR storage directly; every
-// other shape is assembled in the evaluator's scratch buffer, so the steady
-// path is allocation-free either way. The returned slice is valid until the
-// next call.
-func (ev *evaluator) neighboursByEdge(n graph.NodeID, tr *automaton.CTrans) []graph.NodeID {
-	ev.stats.NeighborCalls++
-	if tr.Kind == automaton.Sym && len(tr.Labels) == 1 && tr.Dir != graph.Both &&
-		tr.Target == graph.InvalidNode {
-		return ev.g.Neighbors(n, tr.Labels[0], tr.Dir)
-	}
-	out := ev.scratch[:0]
-	switch tr.Kind {
-	case automaton.Sym:
-		for _, l := range tr.Labels {
-			if tr.Dir == graph.Both {
-				out = ev.g.AppendNeighbors(out, n, l, graph.Out)
-				out = ev.g.AppendNeighbors(out, n, l, graph.In)
-			} else {
-				out = ev.g.AppendNeighbors(out, n, l, tr.Dir)
-			}
-		}
-	case automaton.Any:
-		out = ev.g.AppendIncident(out, n, tr.Dir)
-	}
-	if tr.Target != graph.InvalidNode {
-		kept := out[:0]
-		for _, m := range out {
-			if m == tr.Target {
-				kept = append(kept, m)
-			}
-		}
-		out = kept
-	}
-	ev.scratch = out
-	return out
 }
 
 // Stats implements Iterator.

@@ -543,32 +543,91 @@ func TestRelaxWithoutOntologyFails(t *testing.T) {
 	}
 }
 
-func TestStatsCacheHits(t *testing.T) {
+// TestStatsNeighborCalls pins NeighborCalls as one call per transition Succ
+// expanded: an exhaustive run expands every configuration (n, s) reachable
+// from the seed exactly once, so it counts Σ len(NextStates(s)) over them,
+// which an independent breadth-first search over the compiled automaton
+// gives. EXACT p.q|p.p leaves the start state with two p transitions to
+// different states, whose neighbour lists are the same: each counts. Under
+// APPROX p.p the costed wildcard transitions form runs, and each member of a
+// run counts one call although one continuation walks the run.
+func TestStatsNeighborCalls(t *testing.T) {
 	g, ont := tinyGraph(t)
-	// p.q|p.p leaves the start state with two p transitions to different
-	// states: one retrieval group, so the Succ U-cache must hit. Only cost-0
-	// transitions use the cache (a costed one makes a continuation), which
-	// is why this is an EXACT query.
-	it, err := OpenConjunct(g, ont, conj("a", "p.q|p.p", "?X", automaton.Exact), Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		expr string
+		mode automaton.Mode
+	}{{"p.q|p.p", automaton.Exact}, {"p.p", automaton.Approx}} {
+		cj := conj("a", c.expr, "?X", c.mode)
+		p, err := compileConjunct(g, ont, cj, Options{}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		aut := p.auts[0]
+		runs := false
+		for i := range aut.Trans {
+			runs = runs || aut.Trans[i].Prev >= 0
+		}
+		if runs != (c.mode == automaton.Approx) {
+			t.Fatalf("%s %v: automaton has runs = %v", c.mode, c.expr, runs)
+		}
+		it, err := OpenConjunct(g, ont, cj, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain(t, it, 1<<20)
+		if got, want := it.Stats().NeighborCalls, reachableTransitions(g, aut, p.seeds); got != want {
+			t.Errorf("%v %s: NeighborCalls = %d, want %d, one per transition expanded", c.mode, c.expr, got, want)
+		}
 	}
-	drain(t, it, 50)
-	st := it.Stats()
-	if st.CacheHits == 0 {
-		t.Fatal("Succ cache never hit on same-group transitions")
+}
+
+// reachableTransitions is Σ len(NextStates(s)) over the configurations
+// (n, s) reachable from the seeds over every compiled transition.
+func reachableTransitions(g *graph.Graph, aut *automaton.Compiled, seeds []seed) int {
+	type config struct {
+		n graph.NodeID
+		s int32
 	}
-	ap, err := OpenConjunct(g, ont, conj("a", "p.p", "?X", automaton.Approx), Options{})
-	if err != nil {
-		t.Fatal(err)
+	seen := map[config]bool{}
+	var queue []config
+	visit := func(c config) {
+		if !seen[c] {
+			seen[c] = true
+			queue = append(queue, c)
+		}
 	}
-	drain(t, ap, 50)
-	if hits := ap.Stats().CacheHits; hits != 0 {
-		t.Fatalf("APPROX p.p: %d cache hits, want 0 — its parallel wildcard transitions are costed", hits)
+	for _, sd := range seeds {
+		visit(config{sd.node, aut.Start})
 	}
-	if st.TuplesAdded == 0 || st.TuplesPopped == 0 {
-		t.Fatalf("stats not collected: %+v", st)
+	total := 0
+	for len(queue) > 0 {
+		c := queue[0]
+		queue = queue[1:]
+		states := aut.NextStates(c.s)
+		total += len(states)
+		for _, tr := range states {
+			labels := tr.Labels
+			if tr.Kind == automaton.Any {
+				labels = nil
+				for l := range g.NumLabels() {
+					labels = append(labels, graph.LabelID(l))
+				}
+			}
+			for _, l := range labels {
+				for _, dir := range []graph.Direction{graph.Out, graph.In} {
+					if tr.Dir != graph.Both && tr.Dir != dir {
+						continue
+					}
+					for _, m := range g.Neighbors(c.n, l, dir) {
+						if tr.Target == graph.InvalidNode || m == tr.Target {
+							visit(config{m, tr.To})
+						}
+					}
+				}
+			}
+		}
 	}
+	return total
 }
 
 // --- randomised equivalence against the reference -------------------------

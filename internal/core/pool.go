@@ -10,7 +10,7 @@ import (
 
 // This file implements the evaluator-state pool of the serving layer: the
 // per-execution structures (D_R, the visited table and the Case 1 seed bitmap,
-// the answer registry, the Case 3 seen bitmap and the scratch buffers) dominate
+// the answer registry, the Case 3 seen bitmap and the seed batch) dominate
 // the allocation profile of a steady-state request — not because they are
 // created, but because they are *grown*: a fresh open-addressed table starts
 // at 64 slots and rehash-copies its way up on every request, and a fresh D_R
@@ -38,7 +38,6 @@ type evalState struct {
 	answers     *dstruct.Answers
 	seen        *bitset.Set // Case 3 stream de-dup; lazily created
 	goal        *goalSearch // Z of wildcard continuations; created on first use
-	scratch     []graph.NodeID
 	batch       []graph.NodeID
 
 	idleBytes int64 // bytes() as of the put that parked the bundle on the free list
@@ -48,7 +47,7 @@ type evalState struct {
 // figure the pool's byte cap compares against.
 func (st *evalState) bytes() int64 {
 	n := st.dict.Bytes() + st.visited.Bytes() + st.seedVisited.Bytes() + st.answers.Bytes()
-	n += int64(cap(st.scratch)+cap(st.batch)) * 4
+	n += int64(cap(st.batch)) * 4
 	if st.seen != nil {
 		n += int64(st.seen.Words()) * 8
 	}
@@ -70,9 +69,9 @@ type PoolStats struct {
 	// capacity, or because the bundle outgrew the pool's byte cap.
 	Puts      int64 `json:"puts"`
 	Discarded int64 `json:"discarded"`
-	// Oversized counts the subset of Discarded dropped by the byte cap: one
-	// giant query must not permanently bloat a pooled slot (see
-	// SetBundleCapBytes).
+	// Oversized counts the subset of Discarded dropped by the pool's fixed
+	// 64 MiB byte cap: one giant query must not permanently bloat a pooled
+	// slot.
 	Oversized int64 `json:"oversized"`
 	// Poisoned counts states discarded because their execution terminated in
 	// an error or panic: such a bundle may hold structures abandoned
@@ -90,16 +89,18 @@ type PoolStats struct {
 // execution is owned exclusively until that execution finishes (exhaustion,
 // error, or Close), at which point it returns to the pool.
 //
-// Pooling engages per execution via ExecOptions.Pool.
+// Pooling engages per execution via ExecOptions.Pool. A nil *EvalPool is
+// the unpooled case: it hands every execution a fresh bundle, which the
+// execution throws away when it finishes.
 type EvalPool struct {
 	mu       sync.Mutex
 	free     []*evalState
 	max      int
-	capBytes int64
+	capBytes int64 // bundleCapBytes; tests lower it
 	stats    PoolStats
 }
 
-// defaultBundleCapBytes bounds the footprint of a recycled bundle: a bundle
+// bundleCapBytes bounds the footprint of a recycled bundle: a bundle
 // whose reset capacity exceeds the cap is discarded instead of pooled, so one
 // giant query cannot permanently pin its high-water memory in every slot it
 // cycles through. 64 MiB covers every study query: the largest bundle of the
@@ -108,7 +109,7 @@ type EvalPool struct {
 // continuation per costed transition rather than one tuple per successor and
 // D_R stores an entry in 16 bytes, so every bundle of that rotation is
 // recycled.
-const defaultBundleCapBytes = 64 << 20
+const bundleCapBytes = 64 << 20
 
 // NewEvalPool returns a pool retaining at most max idle states (0 picks a
 // default of 64). Size it to the peak number of concurrently executing
@@ -118,21 +119,7 @@ func NewEvalPool(max int) *EvalPool {
 	if max <= 0 {
 		max = 64
 	}
-	return &EvalPool{max: max, capBytes: defaultBundleCapBytes}
-}
-
-// SetBundleCapBytes sets the byte cap above which a returned bundle is
-// discarded rather than recycled (PoolStats.Oversized counts the discards).
-// 0 restores the default cap; negative disables the cap entirely. Call it
-// before serving traffic — the cap is read on every put, and concurrent
-// mutation is safe but makes the applied cap indeterminate per request.
-func (p *EvalPool) SetBundleCapBytes(n int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n == 0 {
-		n = defaultBundleCapBytes
-	}
-	p.capBytes = n
+	return &EvalPool{max: max, capBytes: bundleCapBytes}
 }
 
 // Stats returns a snapshot of the pool's counters.
@@ -145,8 +132,11 @@ func (p *EvalPool) Stats() PoolStats {
 }
 
 // get acquires a reset state bundle, creating a fresh one when the free list
-// is empty.
+// is empty or the pool is nil.
 func (p *EvalPool) get() *evalState {
+	if p == nil {
+		return newEvalState()
+	}
 	p.mu.Lock()
 	p.stats.Gets++
 	var st *evalState
@@ -161,12 +151,7 @@ func (p *EvalPool) get() *evalState {
 	}
 	p.mu.Unlock()
 	if st == nil {
-		return &evalState{
-			dict:        dstruct.NewDict(),
-			visited:     dstruct.NewVisited(),
-			seedVisited: new(dstruct.SeedVisited),
-			answers:     dstruct.NewAnswers(),
-		}
+		return newEvalState()
 	}
 	st.dict.Reset(false)
 	st.visited.Reset(0)
@@ -174,11 +159,25 @@ func (p *EvalPool) get() *evalState {
 	return st
 }
 
+// newEvalState returns an empty bundle.
+func newEvalState() *evalState {
+	return &evalState{
+		dict:        dstruct.NewDict(),
+		visited:     dstruct.NewVisited(),
+		seedVisited: new(dstruct.SeedVisited),
+		answers:     dstruct.NewAnswers(),
+	}
+}
+
 // poison records the discard of a bundle whose execution failed. The bundle
 // itself is simply dropped for the GC — a poisoned bundle must never re-enter
 // circulation, because a panic or injected failure may have abandoned its
-// structures mid-mutation in a state Reset cannot be trusted to repair.
+// structures mid-mutation in a state Reset cannot be trusted to repair. On a
+// nil pool it does nothing.
 func (p *EvalPool) poison() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	p.stats.Poisoned++
 	p.mu.Unlock()
@@ -187,15 +186,19 @@ func (p *EvalPool) poison() {
 // put returns a state bundle to the free list, dropping it when the list is
 // at capacity (the bound is what keeps a traffic spike from pinning its peak
 // memory forever) or when the bundle outgrew the byte cap (the bound that
-// keeps one giant query from pinning its peak memory in a recycled slot).
+// keeps one giant query from pinning its peak memory in a recycled slot). On
+// a nil pool it drops the bundle.
 func (p *EvalPool) put(st *evalState) {
+	if p == nil {
+		return
+	}
 	// Measured outside the lock: the bundle is exclusively owned until it
 	// joins the free list.
 	footprint := st.bytes()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.Puts++
-	if p.capBytes > 0 && footprint > p.capBytes {
+	if footprint > p.capBytes {
 		p.stats.Discarded++
 		p.stats.Oversized++
 		return

@@ -141,10 +141,10 @@ func TestEvalPoolAbandonedExecReturnsState(t *testing.T) {
 }
 
 // TestEvalPoolOversizedBundleDiscarded pins the byte cap: a bundle whose
-// reset footprint exceeds SetBundleCapBytes must be dropped instead of
+// reset footprint exceeds the pool's byte cap must be dropped instead of
 // recycled (counted under both Discarded and Oversized), so one giant query
-// cannot permanently pin its high-water memory in a pooled slot. Lifting the
-// cap restores recycling.
+// cannot permanently pin its high-water memory in a pooled slot. Restoring
+// the default cap restores recycling.
 func TestEvalPoolOversizedBundleDiscarded(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ont := testOnt()
@@ -155,7 +155,7 @@ func TestEvalPoolOversizedBundleDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewEvalPool(4)
-	pool.SetBundleCapBytes(1) // any real bundle exceeds this
+	pool.capBytes = 1 // any real bundle exceeds this
 
 	run := func() {
 		t.Helper()
@@ -184,11 +184,11 @@ func TestEvalPoolOversizedBundleDiscarded(t *testing.T) {
 		t.Fatalf("Misses = %d, want 2 (oversized bundle must not be reused)", s.Misses)
 	}
 
-	// With the cap disabled the same workload's bundle is retained once more.
-	pool.SetBundleCapBytes(-1)
+	// Under the default cap the same workload's bundle is retained once more.
+	pool.capBytes = bundleCapBytes
 	run()
 	if s = pool.Stats(); s.Idle != 1 {
-		t.Fatalf("Idle = %d after cap disabled, want 1", s.Idle)
+		t.Fatalf("Idle = %d under the default cap, want 1", s.Idle)
 	}
 	if s.Oversized != 2 {
 		t.Fatalf("Oversized = %d, want 2 (only the capped puts count)", s.Oversized)

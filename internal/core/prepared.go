@@ -52,7 +52,7 @@ type ExecOptions struct {
 	// variant is cached in the Prepared, so repeats pay nothing.
 	Mode *automaton.Mode
 	// Pool, when non-nil, recycles this execution's evaluator state (D_R,
-	// visited set, answer registry, scratch buffers) from
+	// visited set, answer registry, seed batch) from
 	// and back to the given pool, so steady-state serving allocates near zero
 	// per request. Pooled emission is byte-identical to fresh. See EvalPool.
 	Pool *EvalPool

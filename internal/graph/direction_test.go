@@ -68,11 +68,11 @@ func TestSaveRejectsNewlineLabels(t *testing.T) {
 
 func TestNodeStreamEmpty(t *testing.T) {
 	g := NewBuilder().Freeze()
-	s := NewNodeStream(g, nil, false)
+	s := newStream(g, nil, false)
 	if got := s.Drain(); len(got) != 0 {
 		t.Fatalf("empty stream drained %v", got)
 	}
-	s2 := NewNodeStream(g, nil, true)
+	s2 := newStream(g, nil, true)
 	if got := s2.Drain(); len(got) != 0 {
 		t.Fatalf("empty graph includeRest drained %v", got)
 	}

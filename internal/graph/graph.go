@@ -232,9 +232,9 @@ func (b *Builder) Freeze() *Graph {
 }
 
 // buildIncidence lays the per-label CSRs out node-major: node n's list holds,
-// per label in LabelID order, its Out neighbours and then its In neighbours —
-// the order AppendIncident(n, Both) appends them in. It costs 2·edges NodeIDs
-// plus nodes+1 offsets, and O(edges + non-empty segments) time.
+// per label in LabelID order, its Out neighbours and then its In neighbours.
+// It costs 2·edges NodeIDs plus nodes+1 offsets, and O(edges + non-empty
+// segments) time.
 func buildIncidence(out, in []adjacency, numNodes, numEdges int) adjacency {
 	inc := adjacency{off: make([]int32, numNodes+1), dsts: make([]NodeID, 2*numEdges)}
 	for l := range out {
@@ -393,30 +393,12 @@ func (g *Graph) AppendNeighbors(dst []NodeID, n NodeID, l LabelID, dir Direction
 	return dst
 }
 
-// AppendIncident appends every neighbour over every incident edge of n in
-// direction dir (all labels including type, Out before In per label) to dst
-// and returns the extended slice, performing no allocation beyond growing
-// dst; for Both it copies Incident(n).
-func (g *Graph) AppendIncident(dst []NodeID, n NodeID, dir Direction) []NodeID {
-	if dir == Both {
-		return append(dst, g.inc.neighbors(n)...)
-	}
-	adj := g.out
-	if dir == In {
-		adj = g.in
-	}
-	for l := range adj {
-		dst = append(dst, adj[l].neighbors(n)...)
-	}
-	return dst
-}
-
 // Incident returns every neighbour of n over every incident edge, in either
 // direction: per label in LabelID order (type included), the Out neighbours
-// and then the In ones — AppendIncident(nil, n, Both) without the copy. It
-// reads one node-major index built by Freeze, so its cost is the node's edges
-// whatever the number of labels. The slice aliases internal storage and must
-// not be modified.
+// and then the In ones, as AppendNeighbors(…, Both) appends them label by
+// label. It reads one node-major index built by Freeze, so its cost is the
+// node's edges whatever the number of labels. The slice aliases internal
+// storage and must not be modified.
 func (g *Graph) Incident(n NodeID) []NodeID { return g.inc.neighbors(n) }
 
 // Tails returns the nodes that are the source of at least one edge labelled

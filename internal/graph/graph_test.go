@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"omega/internal/bitset"
 )
 
 func buildSample(t testing.TB) *Graph {
@@ -416,7 +418,6 @@ func checkIncidence(t *testing.T, g *Graph) {
 	total := 0
 	for n := NodeID(0); int(n) < g.NumNodes(); n++ {
 		var want []NodeID
-		oneWay := map[Direction][]NodeID{}
 		for l := LabelID(0); int(l) < g.NumLabels(); l++ {
 			for _, dir := range []Direction{Out, In} {
 				ns := g.Neighbors(n, l, dir)
@@ -426,18 +427,11 @@ func checkIncidence(t *testing.T, g *Graph) {
 					}
 				}
 				want = append(want, ns...)
-				oneWay[dir] = append(oneWay[dir], ns...)
 			}
 		}
 		inc := g.Incident(n)
 		if !slices.Equal(inc, want) {
 			t.Fatalf("Incident(%d) = %v, want the per-label lists %v", n, inc, want)
-		}
-		oneWay[Both] = want
-		for dir, want := range oneWay {
-			if got := g.AppendIncident(nil, n, dir); !slices.Equal(got, want) {
-				t.Fatalf("AppendIncident(%d, %s) = %v, want %v", n, dir, got, want)
-			}
 		}
 		total += len(inc)
 	}
@@ -474,10 +468,15 @@ func TestLoadSkipsCommentsAndBlanks(t *testing.T) {
 	}
 }
 
+// newStream is a node stream over g with a fresh seen set.
+func newStream(g *Graph, sources [][]NodeID, includeRest bool) *NodeStream {
+	return NewNodeStreamWith(g, sources, includeRest, bitset.New(g.NumNodes()))
+}
+
 func TestNodeStreamDistinctAndOrdered(t *testing.T) {
 	g := buildSample(t)
 	a, b, c := id(t, g, "a"), id(t, g, "b"), id(t, g, "c")
-	s := NewNodeStream(g, [][]NodeID{{a, b}, {b, c, a}}, false)
+	s := newStream(g, [][]NodeID{{a, b}, {b, c, a}}, false)
 	got := s.Drain()
 	if len(got) != 3 || got[0] != a || got[1] != b || got[2] != c {
 		t.Fatalf("stream = %v, want [%d %d %d]", got, a, b, c)
@@ -487,7 +486,7 @@ func TestNodeStreamDistinctAndOrdered(t *testing.T) {
 func TestNodeStreamIncludeRest(t *testing.T) {
 	g := buildSample(t)
 	b := id(t, g, "b")
-	s := NewNodeStream(g, [][]NodeID{{b}}, true)
+	s := newStream(g, [][]NodeID{{b}}, true)
 	got := s.Drain()
 	if len(got) != g.NumNodes() {
 		t.Fatalf("stream yielded %d nodes, want %d", len(got), g.NumNodes())
@@ -506,7 +505,7 @@ func TestNodeStreamIncludeRest(t *testing.T) {
 
 func TestNodeStreamBatching(t *testing.T) {
 	g := buildSample(t)
-	s := NewNodeStream(g, nil, true)
+	s := newStream(g, nil, true)
 	buf := make([]NodeID, 2)
 	var total int
 	for {

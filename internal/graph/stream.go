@@ -17,25 +17,15 @@ type NodeStream struct {
 	ri      NodeID // cursor for the rest-of-graph sweep
 }
 
-// NewNodeStream returns a stream over the concatenation of the given node
-// slices, de-duplicated in first-appearance order. If includeRest is true,
-// all nodes of g not already yielded follow in increasing NodeID order (step
-// (iv) of GetAllNodesByLabel).
-func NewNodeStream(g *Graph, sources [][]NodeID, includeRest bool) *NodeStream {
-	return NewNodeStreamWith(g, sources, includeRest, nil)
-}
-
-// NewNodeStreamWith is NewNodeStream with a caller-supplied seen set, so a
-// pooled execution reuses one graph-sized bitmap across requests instead of
-// allocating a fresh one per stream. The set is cleared here; nil allocates
-// as NewNodeStream does. The stream owns the set until it is exhausted or
-// abandoned.
+// NewNodeStreamWith returns a stream over the concatenation of the given
+// node slices, de-duplicated in first-appearance order. If includeRest is
+// true, all nodes of g not already yielded follow in increasing NodeID order
+// (step (iv) of GetAllNodesByLabel). seen, a set over g's nodes, records what
+// the stream has yielded: a pooled execution reuses one graph-sized bitmap
+// across requests instead of allocating a fresh one per stream. The set is
+// cleared here, and the stream owns it until it is exhausted or abandoned.
 func NewNodeStreamWith(g *Graph, sources [][]NodeID, includeRest bool, seen *bitset.Set) *NodeStream {
-	if seen == nil {
-		seen = bitset.New(g.NumNodes())
-	} else {
-		seen.Clear()
-	}
+	seen.Clear()
 	return &NodeStream{
 		sources: sources,
 		rest:    includeRest,

@@ -115,7 +115,6 @@ func TestEvalPoolTenantInterleaving(t *testing.T) {
 	g, ont := datasets().L4All(l4all.L1)
 	eng := NewEngine(g, ont).WithOptions(Options{DistanceAware: true})
 	pool := NewEvalPool(1)
-	pool.SetBundleCapBytes(-1) // the large tenant's bundle must come back
 	big, err := eng.PrepareText(l4allQueryText(t, "Q9"))
 	if err != nil {
 		t.Fatal(err)
