@@ -209,12 +209,11 @@ func TestChaosServer(t *testing.T) {
 		Engine:  eng,
 		Workers: 4,
 		Queue:   16,
-		Quantum: 8,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	spec := "serve.quantum=panic@0.03;serve.write=error@0.02;core.row=error@0.01;bulk.step=error@0.05"
+	spec := "serve.exec=panic@0.03;serve.write=error@0.02;core.row=error@0.01;bulk.step=error@0.05"
 	if err := fault.Configure(spec, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +555,6 @@ func TestChaosMemoryPressure(t *testing.T) {
 		Engine:           eng,
 		Workers:          4,
 		Queue:            8,
-		Quantum:          8,
 		MemBudget:        brokerBudget,
 		MemCheckInterval: 2 * time.Millisecond,
 		HardMemBytes:     48 << 10,

@@ -50,15 +50,14 @@ var (
 	ontFile   = flag.String("ontology", "", "ontology file (omega-ontology v1)")
 
 	workers    = flag.Int("workers", 4, "concurrently executing requests")
-	queue      = flag.Int("queue", 0, "admitted requests waiting beyond the workers (0 = 2×workers, -1 = none)")
-	quantum    = flag.Int("quantum", 64, "rows per scheduling turn")
+	queue      = flag.Int("queue", 0, "admitted requests waiting for a worker slot (0 = 2×workers, -1 = none)")
 	timeout    = flag.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 	retryAfter = flag.Duration("retry-after", time.Second, "back-off hint attached to 503 rejections")
 	planCache  = flag.Int("plan-cache", 128, "prepared plans retained (LRU)")
 	poolSize   = flag.Int("pool", 0, "evaluator-state bundles retained (0 = workers, -1 = disable pooling)")
 	maxLimit   = flag.Int("max-limit", 10000, "cap on per-request row limit (0 = none)")
 
-	stallBudget = flag.Duration("stall-budget", time.Minute, "abort requests whose scheduling turn makes no progress for this long (0 = off)")
+	stallBudget = flag.Duration("stall-budget", time.Minute, "abort running requests that deliver no rows for this long (0 = off)")
 
 	memBudget   = flag.Int64("mem-budget", 0, "server-wide accounted-bytes budget; above it the largest running query is aborted with 507 (0 = GOMEMLIMIT or off, -1 = off)")
 	memInterval = flag.Duration("mem-check-interval", 0, "memory-pressure monitor tick (0 = 100ms)")
@@ -113,7 +112,6 @@ func main() {
 		Engine:           eng,
 		Workers:          *workers,
 		Queue:            *queue,
-		Quantum:          *quantum,
 		Timeout:          *timeout,
 		RetryAfter:       *retryAfter,
 		StallBudget:      *stallBudget,

@@ -354,7 +354,7 @@ type Stats struct {
 	Backend string
 	// QueueWaitNanos, CompileNanos and TTFRNanos are request-level timings
 	// stamped by the layer that owns each phase: the scheduler (admission →
-	// first worker turn), the plan cache (compile on miss; 0 on hit), and the
+	// taking a slot), the plan cache (compile on miss; 0 on hit), and the
 	// execution (first Next → first row). They are not summed across
 	// conjuncts — each is a property of the whole request.
 	QueueWaitNanos int64

@@ -23,16 +23,15 @@ import (
 
 // Span names — the taxonomy of the request path, pinned by the span-tree
 // regression tests and documented in DESIGN.md. A span tree for a traced HTTP
-// request reads: request → plan (cache lookup/compile) → queue (wait for the
-// first worker turn) → stream (worker turns; quantum children) → exec
-// (per-conjunct children, bulk_index / psi_phase below those) → close
+// request reads: request → plan (cache lookup/compile) → queue (wait for a
+// scheduler slot) → stream (slot taken → stream over; a rows attribute) →
+// exec (per-conjunct children, bulk_index / psi_phase below those) → close
 // (resource release).
 const (
 	SpanRequest   = "request"    // root: the whole request
 	SpanPlan      = "plan"       // plan-cache lookup or compile
-	SpanQueue     = "queue"      // admitted, waiting for the first worker turn
-	SpanStream    = "stream"     // first worker turn → last row delivered
-	SpanQuantum   = "quantum"    // one scheduling turn of rows
+	SpanQueue     = "queue"      // admitted, waiting for a scheduler slot
+	SpanStream    = "stream"     // slot taken → last row delivered
 	SpanExec      = "exec"       // the engine execution
 	SpanConjunct  = "conjunct"   // one conjunct's evaluation
 	SpanBulkIndex = "bulk_index" // bulk backend index build (or cache hit)
@@ -54,8 +53,8 @@ const Root SpanID = 0
 const NoSpan SpanID = -1
 
 // maxSpans bounds a trace's span population so a pathological request (say, a
-// million-row stream recording per-quantum spans) cannot grow the trace
-// without bound; further Start calls count into Summary's DroppedSpans.
+// plan with thousands of ψ phases) cannot grow the trace without bound;
+// further Start calls count into Summary's DroppedSpans.
 const maxSpans = 512
 
 // Attr is one integer span attribute (counters the phase already tracks:

@@ -79,7 +79,7 @@ func TestTraceSpanCap(t *testing.T) {
 	tr := NewTrace("cap")
 	var last SpanID
 	for i := 0; i < maxSpans+10; i++ {
-		last = tr.Start(Root, SpanQuantum)
+		last = tr.Start(Root, SpanStream)
 	}
 	if last != NoSpan {
 		t.Fatalf("expected NoSpan past cap, got %d", last)
@@ -172,7 +172,7 @@ func TestTraceConcurrent(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				sp := tr.Start(Root, SpanQuantum)
+				sp := tr.Start(Root, SpanStream)
 				tr.SetAttr(sp, "rows", int64(i))
 				tr.End(sp)
 				_ = tr.Summary()

@@ -73,14 +73,14 @@ func TestWorkerRecoversPanicInSink(t *testing.T) {
 }
 
 // TestWorkerRecoversInjectedPanic drives the same recovery path through the
-// serve.quantum failpoint, the way the chaos suite does.
+// serve.exec failpoint, the way the chaos suite does.
 func TestWorkerRecoversInjectedPanic(t *testing.T) {
 	eng := chainEngine(t, 20)
 	pq := prepared(t, eng, "(?X, ?Y) <- (?X, knows+, ?Y)")
 	s := NewScheduler(SchedulerConfig{Workers: 1})
 	defer s.Close()
 
-	armFaults(t, "serve.quantum=panic#1", 3)
+	armFaults(t, "serve.exec=panic#1", 3)
 	_, err := s.Stream(context.Background(),
 		func(ctx context.Context) (*omega.Rows, error) {
 			return pq.Exec(ctx, omega.ExecOptions{})
@@ -174,7 +174,7 @@ func TestSchedulerGapHistogram(t *testing.T) {
 // client that disconnects before the first row) fails that request alone —
 // the server answers 500, stays healthy, and serves the next query cleanly.
 func TestServerWritePathFault(t *testing.T) {
-	srv, ts := l4allServer(t, Config{Workers: 2, Quantum: 8})
+	srv, ts := l4allServer(t, Config{Workers: 2})
 
 	armFaults(t, "serve.write=error#1", 11)
 	q := url.Values{"q": {approxQuery}, "limit": {"20"}}

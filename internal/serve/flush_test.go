@@ -208,60 +208,6 @@ func TestFlushBulkScanCoalesces(t *testing.T) {
 	}
 }
 
-// TestFlushBeforeYield: with one worker and two scans in flight, a turn that
-// hands the worker to the other request flushes first — no row waits in a
-// buffer while the server works for someone else. The first request's first
-// write is held until the second is admitted, so every turn after it yields.
-func TestFlushBeforeYield(t *testing.T) {
-	const quantum = 16
-	var srv *Server
-	bothIn := make(chan struct{})
-	srv, rs := newRecordingServer(t, Config{Workers: 1, Queue: 2, Quantum: quantum},
-		func(id string, nth int) {
-			if id == "a" && nth == 0 {
-				<-bothIn
-			}
-		})
-	params := url.Values{"q": {scanQuery}, "backend": {"bulk"}}
-	var wg sync.WaitGroup
-	rowsOf := map[string]*int{"a": new(int), "b": new(int)}
-	for _, id := range []string{"a", "b"} {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			*rowsOf[id] = rs.get(t, id, params)
-		}(id)
-		if id == "a" {
-			// b must queue behind a, not race it for the worker.
-			waitFor(t, "request a to start streaming", func() bool { return len(rs.writes("a")) > 0 })
-		}
-	}
-	waitFor(t, "both requests admitted", func() bool { return srv.Scheduler().Stats().Submitted == 2 })
-	close(bothIn)
-	wg.Wait()
-
-	a, b := rs.writes("a"), rs.writes("b")
-	// a's first turn: row 1 alone, then the other quantum-1 rows pushed out
-	// because b was runnable when the turn ended.
-	if a[0].lines != 1 || a[1].lines != quantum-1 {
-		t.Fatalf("a's first turn went out as %+v, want 1 row then %d", a[:2], quantum-1)
-	}
-	// While both were in flight every turn yielded, so no write of either
-	// response held more than a turn's rows. b finished its rows no earlier
-	// than a started its last turn, so a's writes are all from shared time
-	// except possibly the tail; check the first half of each.
-	for id, ws := range map[string][]bodyWrite{"a": a, "b": b} {
-		for i, w := range ws[:len(ws)/2] {
-			if w.lines > quantum {
-				t.Fatalf("%s: write %d carries %d rows with the other request waiting, want at most a turn's %d", id, i, w.lines, quantum)
-			}
-		}
-	}
-	if *rowsOf["a"] != *rowsOf["b"] || *rowsOf["a"] < 5000 {
-		t.Fatalf("rows: a=%d b=%d", *rowsOf["a"], *rowsOf["b"])
-	}
-}
-
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !cond(); {
@@ -302,19 +248,17 @@ func TestRowWriterSteadyStateAllocs(t *testing.T) {
 	defer rw.release()
 	// Warm up: the first row's own write, and the discovery that w neither
 	// flushes nor takes deadlines.
-	if err := rw.deliver(rows, true); err != nil {
+	if err := rw.deliver(rows); err != nil {
 		t.Fatal(err)
 	}
+	rw.idle()
 	before := w.writes
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := rw.deliver(rows, false); err != nil { // buffered, or out by the byte threshold
+		if err := rw.deliver(rows); err != nil { // buffered, or out by the byte threshold
 			t.Fatal(err)
 		}
 		// The engine worked on: what is pending goes.
 		rw.idle()
-		if err := rw.deliver(rows[:1], true); err != nil { // a turn that yields: written at once
-			t.Fatal(err)
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady batch-encode-write cycle allocates %.0f times, want 0", allocs)
@@ -344,7 +288,7 @@ func TestRowWriterIdle(t *testing.T) {
 		return out
 	}
 	rw.idle() // nothing yet
-	if err := rw.deliver(rows, false); err != nil {
+	if err := rw.deliver(rows); err != nil {
 		t.Fatal(err)
 	}
 	if got := lines(); !slices.Equal(got, []int{1}) {
@@ -355,7 +299,7 @@ func TestRowWriterIdle(t *testing.T) {
 		t.Fatalf("after an idle call: writes of %v lines, want the two pending rows in the second", got)
 	}
 	rw.idle()
-	if err := rw.deliver(rows[:1], false); err != nil {
+	if err := rw.deliver(rows[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if got := lines(); !slices.Equal(got, []int{1, 2}) {

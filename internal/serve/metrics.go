@@ -98,16 +98,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 		schedStat(func(st SchedulerStats) float64 { return float64(st.Completed) }))
 	r.Counter("omega_sched_failed_total", "Requests finished with an error.",
 		schedStat(func(st SchedulerStats) float64 { return float64(st.Failed) }))
-	r.Counter("omega_sched_panics_total", "Panics recovered by scheduler workers.",
+	r.Counter("omega_sched_panics_total", "Panics recovered while running a request.",
 		schedStat(func(st SchedulerStats) float64 { return float64(st.Panics) }))
 	r.Counter("omega_sched_stalled_total", "Requests aborted by the stall watchdog.",
 		schedStat(func(st SchedulerStats) float64 { return float64(st.Stalled) }))
 	r.Gauge("omega_sched_in_flight", "Requests admitted and not yet finished.",
 		schedStat(func(st SchedulerStats) float64 { return float64(st.InFlight) }))
-	r.Gauge("omega_sched_queued", "Requests waiting for a worker turn.",
+	r.Gauge("omega_sched_queued", "Requests waiting for a slot.",
 		schedStat(func(st SchedulerStats) float64 { return float64(st.Queued) }))
 	r.CollectHist("omega_sched_row_gap_seconds",
-		"Gap between successive rows reaching the request's sink, including queue waits between turns; measured before the response writer coalesces rows, so it is not the gap a client sees on the socket. The sum is an upper-bound estimate from bucket bounds.",
+		"Gap between successive rows reaching the request's sink, the first row's gap counted from the start of the execution; measured before the response writer coalesces rows, so it is not the gap a client sees on the socket. The sum is an upper-bound estimate from bucket bounds.",
 		func(emit func(h obs.HistSnapshot, labels ...obs.Label)) {
 			counts, _ := s.sched.GapSnapshot()
 			uppers := gapUppers()
@@ -208,7 +208,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Admission-to-first-row latency by evaluation backend.", "backend", obs.LatencyBuckets())
 	m.queueWait = obs.NewHistogram(obs.LatencyBuckets())
 	r.CollectHist("omega_request_queue_wait_seconds",
-		"Time between admission and the first worker turn.",
+		"Time between admission and taking a slot.",
 		func(emit func(h obs.HistSnapshot, labels ...obs.Label)) {
 			emit(m.queueWait.Snapshot())
 		})
@@ -248,7 +248,7 @@ func backendLabel(backend string) string {
 }
 
 // observeRequest records one finished query request (whatever its outcome).
-// Zero-valued phases that never happened (no first row, no queue turn) are
+// Zero-valued phases that never happened (no first row, never took a slot) are
 // skipped rather than recorded as instant.
 func (m *serverMetrics) observeRequest(code int, backend string, total, queueWait, compileDur, ttfr time.Duration) {
 	m.requests.Inc(strconv.Itoa(code))

@@ -232,11 +232,14 @@ func TestServerTraceEndToEnd(t *testing.T) {
 	}
 	for _, name := range []string{
 		obs.SpanRequest, obs.SpanPlan, obs.SpanQueue,
-		obs.SpanStream, obs.SpanQuantum, obs.SpanExec, obs.SpanConjunct, obs.SpanClose,
+		obs.SpanStream, obs.SpanExec, obs.SpanConjunct, obs.SpanClose,
 	} {
 		if done.Trace.Node(name) == nil {
 			t.Errorf("span %q missing from HTTP trace", name)
 		}
+	}
+	if n := done.Trace.Node(obs.SpanStream); n != nil && n.Attrs["rows"] != int64(done.Rows) {
+		t.Errorf("stream span rows = %d, want the %d rows streamed", n.Attrs["rows"], done.Rows)
 	}
 	if done.Stats.TTFRMs <= 0 {
 		t.Errorf("done line ttfr_ms = %v, want > 0", done.Stats.TTFRMs)
@@ -271,7 +274,7 @@ func TestMetricszMidStream(t *testing.T) {
 	// flight when the scrape lands — otherwise the server outruns the client
 	// into the response buffer and the task completes immediately.
 	armFaults(t, "core.row=delay:1ms", 13)
-	_, ts := l4allServer(t, Config{Workers: 1, Queue: 4, Quantum: 2})
+	_, ts := l4allServer(t, Config{Workers: 1, Queue: 4})
 	client := ts.Client()
 
 	resp, err := client.Get(ts.URL + "/query?q=" + url.QueryEscape(approxQuery))
@@ -304,8 +307,8 @@ func TestMetricszMidStream(t *testing.T) {
 // /statsz. Run under -race this is the data-race gate for the whole
 // observability surface; every scrape must still parse strictly.
 func TestMetricszConcurrentChaos(t *testing.T) {
-	armFaults(t, "serve.quantum=error@0.05;core.row=delay:200us@0.01", 7)
-	_, ts := l4allServer(t, Config{Workers: 2, Queue: 8, Quantum: 4})
+	armFaults(t, "serve.exec=error@0.05;core.row=delay:200us@0.01", 7)
+	_, ts := l4allServer(t, Config{Workers: 2, Queue: 8})
 	client := ts.Client()
 
 	var wg sync.WaitGroup
@@ -355,8 +358,8 @@ func TestMetricszConcurrentChaos(t *testing.T) {
 	wg.Wait()
 
 	fams := scrapeMetrics(t, client, ts.URL)
-	if v := counterValue(fams, "omega_fault_hits_total", map[string]string{"site": "serve.quantum"}); v < 1 {
-		t.Errorf("omega_fault_hits_total{site=serve.quantum} = %v, want >= 1", v)
+	if v := counterValue(fams, "omega_fault_hits_total", map[string]string{"site": "serve.exec"}); v < 1 {
+		t.Errorf("omega_fault_hits_total{site=serve.exec} = %v, want >= 1", v)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // chainEngine builds a small engine whose transitive query produces plenty of
-// rows, so scheduling tests have streams long enough to slice into quanta.
+// rows, so scheduling tests have streams of any length they need.
 func chainEngine(t *testing.T, n int) *omega.Engine {
 	t.Helper()
 	b := omega.NewGraphBuilder()
@@ -29,7 +30,7 @@ func chainEngine(t *testing.T, n int) *omega.Engine {
 
 // eachRow adapts a per-row callback to the scheduler's batch Sink.
 func eachRow(fn func(omega.Row) error) Sink {
-	return func(rows []omega.Row, _ bool) error {
+	return func(rows []omega.Row) error {
 		for _, r := range rows {
 			if err := fn(r); err != nil {
 				return err
@@ -39,7 +40,7 @@ func eachRow(fn func(omega.Row) error) Sink {
 	}
 }
 
-func discardRows([]omega.Row, bool) error { return nil }
+func discardRows([]omega.Row) error { return nil }
 
 func prepared(t *testing.T, eng *omega.Engine, text string) *omega.PreparedQuery {
 	t.Helper()
@@ -50,116 +51,90 @@ func prepared(t *testing.T, eng *omega.Engine, text string) *omega.PreparedQuery
 	return pq
 }
 
-// TestSchedulerFairDraining: with more concurrent requests than workers and a
-// small quantum, the run queue round-robins — no request streams two quanta
-// back to back while peers wait, and every request produces rows before any
-// finishes. A single worker makes the rotation deterministic (with several
-// workers the rotation still holds per queue pop, but a worker descheduled by
-// the OS mid-quantum would make wall-clock assertions flaky).
-func TestSchedulerFairDraining(t *testing.T) {
-	eng := chainEngine(t, 40)
+// TestSchedulerAdmissionOrder: with more requests than slots, no more than
+// Workers of them are ever between start and the end of their stream, the
+// ones that wait start in the order they were admitted, and a request that
+// waited reports its wait. Each running request holds its first batch until
+// the test releases it, so slots free one at a time and the start order is
+// exact.
+func TestSchedulerAdmissionOrder(t *testing.T) {
+	eng := chainEngine(t, 20)
 	pq := prepared(t, eng, "(?X, ?Y) <- (?X, knows+, ?Y)")
 
 	const (
+		workers = 2
 		tasks   = 6
-		quantum = 16
-		limit   = 200
+		limit   = 10
 	)
-	s := NewScheduler(SchedulerConfig{Workers: 1, Queue: tasks + 2, Quantum: quantum})
+	s := NewScheduler(SchedulerConfig{Workers: workers, Queue: tasks - workers})
 	defer s.Close()
 
-	var mu sync.Mutex
-	var rowSeq []int // task id per delivered row, in global delivery order
-	// The worker holds its first row until every task has been admitted, so
-	// the rotation below covers all of them from the start.
-	admitted := make(chan struct{})
-
+	var running, peak atomic.Int32
+	started := make(chan int, tasks)
+	release := make([]chan struct{}, tasks)
+	results := make([]Result, tasks)
 	var wg sync.WaitGroup
-	for i := 0; i < tasks; i++ {
+	launch := func(id int) {
+		release[id] = make(chan struct{})
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			res, err := s.Stream(context.Background(),
 				func(ctx context.Context) (*omega.Rows, error) {
+					n := running.Add(1)
+					for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+					}
+					started <- id
 					return pq.Exec(ctx, omega.ExecOptions{Limit: limit})
 				},
-				eachRow(func(omega.Row) error {
-					<-admitted
-					mu.Lock()
-					rowSeq = append(rowSeq, id)
-					mu.Unlock()
+				func(rows []omega.Row) error {
+					if len(rows) == 0 { // the end of the stream
+						running.Add(-1)
+						return nil
+					}
+					<-release[id]
 					return nil
-				}))
+				})
 			if err != nil {
 				t.Errorf("task %d: %v", id, err)
-				return
 			}
-			if res.Rows != limit {
-				t.Errorf("task %d: %d rows, want %d", id, res.Rows, limit)
-			}
-			if res.Stats.TuplesPopped == 0 {
-				t.Errorf("task %d: stats not captured", id)
-			}
-		}(i)
+			results[id] = res
+		}()
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.Stats().Submitted != tasks; {
-		if time.Now().After(deadline) {
-			t.Fatal("tasks never admitted")
+
+	for id := 0; id < workers; id++ {
+		launch(id)
+	}
+	for range workers {
+		<-started
+	}
+	for id := workers; id < tasks; id++ {
+		launch(id)
+		waitFor(t, "the request to wait for a slot", func() bool { return s.Stats().Queued == id-workers+1 })
+	}
+	for id := 0; id < tasks; id++ {
+		close(release[id])
+		if next := id + workers; next < tasks {
+			if got := <-started; got != next {
+				t.Fatalf("after request %d finished, request %d started, want %d (admission order)", id, got, next)
+			}
 		}
-		time.Sleep(time.Millisecond)
 	}
-	close(admitted)
 	wg.Wait()
 
-	// Every task delivers its first row before any task delivers its last:
-	// the heavy streams interleave instead of running to completion serially.
-	first := map[int]int{}
-	for pos, id := range rowSeq {
-		if _, ok := first[id]; !ok {
-			first[id] = pos
+	if p := peak.Load(); p != workers {
+		t.Fatalf("%d requests ran at once, want at most (and at some point exactly) %d", p, workers)
+	}
+	for id, res := range results {
+		if res.Rows != limit || res.Stats.TuplesPopped == 0 {
+			t.Errorf("task %d: %d rows, %d popped; want %d rows and stats captured", id, res.Rows, res.Stats.TuplesPopped, limit)
+		}
+		if id >= workers && res.Stats.QueueWaitNanos <= 0 {
+			t.Errorf("task %d waited for a slot but reports queue wait %d ns", id, res.Stats.QueueWaitNanos)
 		}
 	}
-	if len(first) != tasks {
-		t.Fatalf("only %d/%d tasks delivered rows", len(first), tasks)
-	}
-	last := map[int]int{}
-	for pos, id := range rowSeq {
-		last[id] = pos
-	}
-	firstCompletion := len(rowSeq)
-	for _, pos := range last {
-		if pos < firstCompletion {
-			firstCompletion = pos
-		}
-	}
-	lastFirst := 0
-	for _, pos := range first {
-		if pos > lastFirst {
-			lastFirst = pos
-		}
-	}
-	if lastFirst >= firstCompletion {
-		t.Fatalf("a task finished before every peer started (last first-row at %d of %d)", lastFirst, len(rowSeq))
-	}
-	// Round-robin: before the tail of the run (where finished peers leave the
-	// queue), no task receives two consecutive quanta.
-	run, prev := 0, -1
-	for pos, id := range rowSeq {
-		if pos >= len(rowSeq)-tasks*quantum {
-			break // tail: peers may have drained, runs legitimately lengthen
-		}
-		if id == prev {
-			run++
-			if run > quantum {
-				t.Fatalf("task %d streamed %d rows back to back at position %d with peers queued", id, run, pos)
-			}
-		} else {
-			run, prev = 1, id
-		}
-	}
-	st := s.Stats()
-	if st.Completed != tasks || st.InFlight != 0 {
-		t.Fatalf("stats = %+v, want %d completed, 0 in flight", st, tasks)
+	if st := s.Stats(); st.Completed != tasks || st.InFlight != 0 || st.Queued != 0 {
+		t.Fatalf("stats = %+v, want %d completed, none in flight or queued", st, tasks)
 	}
 }
 
@@ -169,7 +144,7 @@ func TestSchedulerOverload(t *testing.T) {
 	eng := chainEngine(t, 20)
 	pq := prepared(t, eng, "(?X, ?Y) <- (?X, knows+, ?Y)")
 
-	s := NewScheduler(SchedulerConfig{Workers: 1, Queue: 1, Quantum: 4, RetryAfter: 250 * time.Millisecond})
+	s := NewScheduler(SchedulerConfig{Workers: 1, Queue: 1, RetryAfter: 250 * time.Millisecond})
 	defer s.Close()
 
 	gate := make(chan struct{})
@@ -231,13 +206,13 @@ func TestSchedulerOverload(t *testing.T) {
 	}
 }
 
-// TestSchedulerCancelWhileQueued: a request canceled before its first worker
-// turn reports ErrCanceled and its start function never runs.
+// TestSchedulerCancelWhileQueued: a request canceled before it takes a slot
+// reports ErrCanceled and its start function never runs.
 func TestSchedulerCancelWhileQueued(t *testing.T) {
 	eng := chainEngine(t, 20)
 	pq := prepared(t, eng, "(?X, ?Y) <- (?X, knows+, ?Y)")
 
-	s := NewScheduler(SchedulerConfig{Workers: 1, Queue: 2, Quantum: 4})
+	s := NewScheduler(SchedulerConfig{Workers: 1, Queue: 2})
 	defer s.Close()
 
 	gate := make(chan struct{})
@@ -262,12 +237,10 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 	}()
 	<-firstRow
 
-	// The request is canceled before it is submitted, so it is queued dead:
-	// the worker must discard it at pick time, without ever starting it.
-	// (Cancellation is observed at the task's next worker turn — a canceled
-	// request never outlives Stream, but it waits for its turn to be
-	// discarded.) The gate is released so the held task drains and the
-	// worker reaches the dead request.
+	// The request is canceled before it is submitted, so it waits dead: it
+	// must be discarded without ever starting, whether it sees the
+	// cancellation while waiting or as the held task's slot comes free. The
+	// gate is released so the held task drains and the slot does come free.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	close(gate)
@@ -288,7 +261,7 @@ func TestSchedulerClose(t *testing.T) {
 	eng := chainEngine(t, 20)
 	pq := prepared(t, eng, "(?X, ?Y) <- (?X, knows+, ?Y)")
 
-	s := NewScheduler(SchedulerConfig{Workers: 2, Queue: 2, Quantum: 8})
+	s := NewScheduler(SchedulerConfig{Workers: 2, Queue: 2})
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)

@@ -23,22 +23,22 @@ type Config struct {
 	// strategies for every request).
 	Engine *omega.Engine
 	// Scheduler sizing; see SchedulerConfig (Queue: 0 = default, negative =
-	// no waiting queue).
-	Workers, Queue, Quantum int
+	// no waiting).
+	Workers, Queue int
 	// Timeout is the default per-request deadline applied when the request
 	// carries no timeout parameter (0 = none).
 	Timeout time.Duration
 	// RetryAfter is the back-off hint sent with 503 rejections (default 1s).
 	RetryAfter time.Duration
-	// StallBudget, when positive, arms the stuck-query watchdog: a request
-	// whose scheduling turn makes no progress for longer than the budget is
-	// aborted and answered with 504 (see SchedulerConfig.StallBudget).
+	// StallBudget, when positive, arms the stuck-query watchdog: a running
+	// request that delivers no rows for longer than the budget is aborted and
+	// answered with 504 (see SchedulerConfig.StallBudget).
 	StallBudget time.Duration
 	// PlanCacheSize bounds the LRU of prepared queries (default 128).
 	PlanCacheSize int
 	// PoolSize bounds the evaluator-state pool (default: Workers so the
-	// steady state retains one bundle per worker; multi-conjunct workloads
-	// may want more). Negative disables pooling.
+	// steady state retains one bundle per running request; multi-conjunct
+	// workloads may want more). Negative disables pooling.
 	PoolSize int
 	// MaxLimit caps the per-request row limit; requests asking for more (or
 	// for everything) are clamped. 0 means no cap.
@@ -95,17 +95,15 @@ func New(cfg Config) *Server {
 	if cfg.Engine == nil {
 		panic("serve: Config.Engine is required")
 	}
-	sc := SchedulerConfig{
-		Workers:     cfg.Workers,
-		Queue:       cfg.Queue,
-		Quantum:     cfg.Quantum,
-		RetryAfter:  cfg.RetryAfter,
-		StallBudget: cfg.StallBudget,
-	}.withDefaults()
 	s := &Server{
-		eng:       cfg.Engine,
-		cache:     NewPlanCache(cfg.Engine, cfg.PlanCacheSize),
-		sched:     NewScheduler(sc),
+		eng:   cfg.Engine,
+		cache: NewPlanCache(cfg.Engine, cfg.PlanCacheSize),
+		sched: NewScheduler(SchedulerConfig{
+			Workers:     cfg.Workers,
+			Queue:       cfg.Queue,
+			RetryAfter:  cfg.RetryAfter,
+			StallBudget: cfg.StallBudget,
+		}),
 		broker:    newMemBroker(cfg.MemBudget, cfg.MemCheckInterval),
 		hardMem:   cfg.HardMemBytes,
 		timeout:   cfg.Timeout,
@@ -119,7 +117,7 @@ func New(cfg Config) *Server {
 	if cfg.PoolSize >= 0 {
 		size := cfg.PoolSize
 		if size == 0 {
-			size = sc.Workers
+			size = s.sched.cfg.Workers
 		}
 		s.pool = omega.NewEvalPool(size)
 	}
@@ -197,7 +195,7 @@ type statsLine struct {
 	// Backend reports which evaluation engine ran: "ranked", "bulk", or
 	// "mixed" when a multi-conjunct plan split.
 	Backend string `json:"backend,omitempty"`
-	// Request-level latency phases: admission → first worker turn, plan-cache
+	// Request-level latency phases: admission → slot, plan-cache
 	// lookup (including compilation on a miss), and admission → first row.
 	QueueWaitMs float64 `json:"queue_wait_ms,omitempty"`
 	CompileMs   float64 `json:"compile_ms,omitempty"`
@@ -245,10 +243,9 @@ func toStatsLine(s omega.Stats) statsLine {
 // mid-flight. Rows are written and flushed when they would otherwise wait too
 // long (see rowWriter): the first row at once, then whatever is pending each
 // time the engine has done 4 096 tuple operations (or starts a bulk block)
-// without the stream ending, at the end of a turn that yields the worker, at
-// 32 KiB, and with the terminal line. A client that stops
-// reading is cut off when a write outlasts the stall budget or the request's
-// deadline. Failures before the first row map to HTTP status
+// without the stream ending, at 32 KiB, and with the terminal line. A client
+// that stops reading is cut off when a write outlasts the stall budget or the
+// request's deadline. Failures before the first row map to HTTP status
 // codes: 400 (bad query/parameters), 503 + Retry-After (the scheduler turned
 // the request away), 503 (shutdown), 504 (deadline or watchdog stall
 // before any row), 507 (hard memory watermark crossed, or aborted as the
@@ -325,7 +322,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 	}
 
 	// trace=1 opts this request into span recording: the trace rides the
-	// context (queue/stream/quantum spans from the scheduler) and the exec
+	// context (queue/stream spans from the scheduler) and the exec
 	// options (exec/conjunct/bulk_index/psi_phase spans from the engine), and
 	// the summary tree comes back on the done line. Untraced requests keep tr
 	// nil, which every instrumented site treats as a single nil check.
@@ -373,9 +370,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, maxLimit in
 	start := time.Now()
 	rw := newRowWriter(ctx, w, s.metrics, s.stall)
 	defer rw.release()
-	// The execution runs on the scheduler's worker, and so does the hook: the
-	// rows the writer holds leave whenever the engine has worked on for a
-	// while without producing the next one.
+	// The execution runs on this goroutine once the scheduler gives it a
+	// slot, and so does the hook: the rows the writer holds leave whenever
+	// the engine has worked on for a while without producing the next one.
 	eo.Idle = rw.idle
 
 	res, err := s.sched.Stream(ctx,

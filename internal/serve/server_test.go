@@ -93,7 +93,7 @@ func ndjsonLines(t *testing.T, client *http.Client, u string) (rows []rowLine, d
 // the rest, per-request stats in the terminator, and every request's pooled
 // state handed back once the server has drained.
 func TestServerEndToEnd(t *testing.T) {
-	srv, ts := l4allServer(t, Config{Workers: 3, Queue: 8, Quantum: 8})
+	srv, ts := l4allServer(t, Config{Workers: 3, Queue: 8})
 
 	q := url.Values{"q": {approxQuery}, "limit": {"60"}}
 	base := ts.URL + "/query?" + q.Encode()
@@ -181,7 +181,7 @@ func TestServerEndToEnd(t *testing.T) {
 // TestServerOverloadResponds503: a full scheduler turns admission rejections
 // into 503 + Retry-After, without executing the query.
 func TestServerOverloadResponds503(t *testing.T) {
-	srv, ts := l4allServer(t, Config{Workers: 1, Queue: -1, Quantum: 4, RetryAfter: 2 * time.Second})
+	srv, ts := l4allServer(t, Config{Workers: 1, Queue: -1, RetryAfter: 2 * time.Second})
 
 	// Occupy the single worker via the scheduler directly, deterministically.
 	gate := make(chan struct{})

@@ -29,8 +29,6 @@ const finishGrace = time.Second
 //     paper's incremental return; it never rides behind a batch);
 //   - at the execution's idle hook (idle): every 4 096 tuple operations of
 //     ranked search, and before each bulk lane block;
-//   - at the end of a turn with another request runnable (the scheduler's
-//     wait flag: the worker goes to do something else);
 //   - when flushBytes are pending;
 //   - at the end of the stream (finish).
 //
@@ -86,8 +84,8 @@ func (rw *rowWriter) release() {
 }
 
 // deliver implements Sink.
-func (rw *rowWriter) deliver(rows []omega.Row, wait bool) error {
-	if rw.err != nil || len(rows) == 0 && !wait {
+func (rw *rowWriter) deliver(rows []omega.Row) error {
+	if rw.err != nil || len(rows) == 0 {
 		// A write failed, possibly in idle: the stream is over. The empty
 		// call that ends a stream only asks for that.
 		return rw.err
@@ -106,7 +104,7 @@ func (rw *rowWriter) deliver(rows []omega.Row, wait bool) error {
 	if rw.pastDeadline() {
 		return omega.ErrDeadline
 	}
-	if len(rw.prefix) == 0 && len(rows) > 0 {
+	if len(rw.prefix) == 0 {
 		rw.prefix = appendRowPrefix(rw.prefix, rows[0].Vars)
 	}
 	for i := range rows {
@@ -118,9 +116,6 @@ func (rw *rowWriter) deliver(rows []omega.Row, wait bool) error {
 				return err
 			}
 		}
-	}
-	if wait && len(rw.buf) > 0 {
-		return rw.flush()
 	}
 	return nil
 }

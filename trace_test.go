@@ -248,7 +248,7 @@ func TestTraceSpanTreeMultiConjunct(t *testing.T) {
 func TestTraceDisabledNoAllocs(t *testing.T) {
 	var tr *Trace
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.Start(obs.Root, obs.SpanQuantum)
+		sp := tr.Start(obs.Root, obs.SpanStream)
 		tr.SetAttr(sp, "rows", 42)
 		tr.End(sp)
 		_ = tr.ID()
